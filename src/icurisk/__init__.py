@@ -21,7 +21,6 @@ from .features import (
     FeatureSpec,
     ScoreTable,
     build_feature_matrix,
-    gower_distance,
     load_default_score_table,
     pam_cluster,
 )

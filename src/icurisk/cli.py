@@ -239,18 +239,27 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
 
 
 def _load_models(cfg: PipelineConfig):
+    """Trained models and the config they were trained with (model.json)."""
     path = Path(cfg.out_dir) / "model.json"
     if not Path(path).exists():
         raise ConfigError(f"model file not found: {path} (run train first)")
-    with open(path, "r", encoding="utf-8") as f:
-        models, _ = models_from_obj(json.load(f))
-    return models
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            models, echo = models_from_obj(json.load(f))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if "required_variables" not in echo:
+        raise ValueError(f"{path}: config echo lacks required_variables")
+    return models, echo
 
 
-def _scoring_matrix(cfg: PipelineConfig, models):
-    cohort = _load_input_cohort(cfg)
-    cohort = filter_cohort(cohort, cfg.required_variables, cfg.window_hours)
+def _scoring_matrix(cfg: PipelineConfig, models, echo):
+    """Filter and featurize the input cohort as the model's training cohort
+    was: window size and required variables come from model.json, not from
+    the current config."""
     spec = next(iter(models.values())).spec
+    cohort = _load_input_cohort(cfg)
+    cohort = filter_cohort(cohort, echo["required_variables"], spec.window_hours)
     observed = {o.variable for obs in cohort.patients.values() for o in obs}
     unknown = sorted(observed - set(spec.variable_names))
     if unknown:
@@ -260,8 +269,8 @@ def _scoring_matrix(cfg: PipelineConfig, models):
 
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:
-    models = _load_models(cfg)
-    cohort, matrix = _scoring_matrix(cfg, models)
+    models, echo = _load_models(cfg)
+    cohort, matrix = _scoring_matrix(cfg, models, echo)
     out = _out_dir(cfg)
     with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -274,8 +283,8 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_curves(cfg: PipelineConfig, args) -> int:
-    models = _load_models(cfg)
-    cohort, matrix = _scoring_matrix(cfg, models)
+    models, echo = _load_models(cfg)
+    cohort, matrix = _scoring_matrix(cfg, models, echo)
     scores_by_day = {day: score_patients(models[day], matrix) for day in sorted(models)}
     bands = survival_curve(scores_by_day, cohort.outcomes)
     out = _out_dir(cfg)

@@ -13,7 +13,13 @@ from scipy.stats import rankdata
 from .cohort import DEFAULT_REQUIRED_VARIABLES, RawCohort, filter_cohort
 from .features import FeatureSpec, ScoreTable, build_feature_matrix
 from .hmm import fit_feature_stage, fit_risk_model, score_patients
-from .survival import TargetSpec, censor_by_target, fit_exponential_regression, hazard
+from .survival import (
+    TargetSpec,
+    censor_by_target,
+    fit_exponential_regression,
+    hazard,
+    newton_maximize,
+)
 
 METHOD_MODEL = "chf_ar_hmm"
 METHOD_SAPS = "saps"
@@ -21,8 +27,6 @@ METHOD_LOGISTIC = "logistic"
 METHOD_EXP_SURVIVAL = "exp_survival"
 ALL_METHODS = (METHOD_MODEL, METHOD_SAPS, METHOD_LOGISTIC, METHOD_EXP_SURVIVAL)
 ALL_METRICS = ("aucpr", "cstat", "auroc")
-
-SEPARATION_LIMIT = 30.0
 
 
 @dataclass
@@ -158,38 +162,26 @@ def logistic_grad(beta, X, y) -> np.ndarray:
     return X.T @ (y - _sigmoid(X @ beta))
 
 
-def fit_logistic(X, y, *, tol: float = 1e-8, max_iter: int = 200) -> np.ndarray:
-    """Newton-Raphson logistic MLE to gradient max-norm tol."""
+def fit_logistic(X, y) -> np.ndarray:
+    """Logistic MLE by damped Newton (newton_maximize)."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.min() == y.max():
         raise ValueError("logistic fit needs both classes")
-    beta = np.zeros(X.shape[1])
-    ll = logistic_loglik(beta, X, y)
-    for _ in range(max_iter):
-        grad = logistic_grad(beta, X, y)
-        if np.max(np.abs(grad)) <= tol:
-            return beta
+
+    def hessian_weights(beta):
         p = _sigmoid(X @ beta)
-        w = p * (1.0 - p)
-        hessian = X.T @ (w[:, None] * X)
-        step = np.linalg.pinv(hessian, hermitian=True) @ grad  # rank-safe Newton
-        if 0.5 * float(grad @ step) < 1e-9:
-            # Gain below log-likelihood resolution; take the raw Newton step.
-            beta = beta + step
-            ll = logistic_loglik(beta, X, y)
-            continue
-        scale = 1.0
-        for _ in range(60):
-            trial = beta + scale * step
-            trial_ll = logistic_loglik(trial, X, y)
-            if trial_ll >= ll:
-                break
-            scale *= 0.5
-        beta, ll = trial, trial_ll
-        if np.max(np.abs(beta)) > SEPARATION_LIMIT:
-            raise ValueError("separation: logistic coefficient magnitude exceeded 30")
-    raise RuntimeError(f"logistic fit did not converge in {max_iter} iterations")
+        return p * (1.0 - p)
+
+    beta, _, _ = newton_maximize(
+        lambda b: logistic_loglik(b, X, y),
+        lambda b: logistic_grad(b, X, y),
+        hessian_weights,
+        X,
+        np.zeros(X.shape[1]),
+        max_iter=200,
+    )
+    return beta
 
 
 def baseline_logistic_scores(train_X, train_y, test_X) -> np.ndarray:
@@ -295,7 +287,6 @@ def run_cv(
     seed: int = 0,
     duration_mode: str = "as_printed",
     required_variables=DEFAULT_REQUIRED_VARIABLES,
-    max_fit_rows: int = 2000,
 ) -> EvaluationReport:
     """Repeated stratified k-fold comparison of the model against baselines.
 
@@ -332,9 +323,7 @@ def run_cv(
             train_idx = np.flatnonzero(~test)
             test_idx = np.flatnonzero(test)
             train_matrix = matrix.subset(train_idx)
-            stage = fit_feature_stage(
-                train_matrix, k_clusters, seed=[seed, repeat, fold], max_fit_rows=max_fit_rows
-            )
+            stage = fit_feature_stage(train_matrix, k_clusters, seed=[seed, repeat, fold])
             test_matrix = matrix.subset(test_idx)
             for day in target_days:
                 times, events = day_censoring[day]

@@ -21,6 +21,8 @@ from .cohort import RawCohort
 NUMERIC = "numeric"
 BINARY = "binary"
 
+MAX_EXACT_SETS = 20000
+
 
 @dataclass(frozen=True, slots=True)
 class ScoreBin:
@@ -244,23 +246,6 @@ def impute_median(matrix: FeatureMatrix, medians: Medians) -> FeatureMatrix:
     return FeatureMatrix(matrix.patient_ids, matrix.spec, y, matrix.b)
 
 
-def write_feature_matrix(matrix: FeatureMatrix, path) -> None:
-    """Debug export: patient_id,window,y_1..y_p,b_1..b_p."""
-    p = matrix.spec.n_variables
-    header = (
-        ["patient_id", "window"]
-        + [f"y_{j + 1}" for j in range(p)]
-        + [f"b_{j + 1}" for j in range(p)]
-    )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(header) + "\n")
-        for i, pid in enumerate(matrix.patient_ids):
-            for t in range(matrix.spec.n_windows):
-                ys = ["" if np.isnan(v) else repr(int(v)) for v in matrix.y[i, t]]
-                bs = [str(int(v)) for v in matrix.b[i, t]]
-                f.write(",".join([pid, str(t + 1)] + ys + bs) + "\n")
-
-
 # --------------------------------------------------------------------------
 # Gower distance and PAM clustering
 # --------------------------------------------------------------------------
@@ -279,30 +264,13 @@ def numeric_ranges(rows: np.ndarray, kinds) -> np.ndarray:
     return ranges
 
 
-def gower_distance(row_a, row_b, kinds, ranges) -> float:
-    """Mean per-column dissimilarity in [0, 1].
+def gower_matrix(rows_a: np.ndarray, rows_b: np.ndarray, kinds, ranges) -> np.ndarray:
+    """Pairwise Gower distances: mean per-column dissimilarity in [0, 1].
 
     Numeric columns contribute |a-b|/range (0 when the training range is
     degenerate, capped at 1 for out-of-range queries); binary columns
-    contribute 0 on match and 1 on mismatch.
+    contribute 0 on match and 1 on mismatch. Vectorized one column at a time.
     """
-    row_a = np.asarray(row_a, dtype=float)
-    row_b = np.asarray(row_b, dtype=float)
-    if row_a.shape != row_b.shape or row_a.ndim != 1:
-        raise ValueError("rows must be 1-D and of equal length")
-    if len(kinds) != row_a.size or len(ranges) != row_a.size:
-        raise ValueError("kinds/ranges must match row length")
-    total = 0.0
-    for j, kind in enumerate(kinds):
-        if kind == BINARY:
-            total += float(row_a[j] != row_b[j])
-        elif ranges[j] > 0:
-            total += min(abs(row_a[j] - row_b[j]) / ranges[j], 1.0)
-    return total / row_a.size
-
-
-def gower_matrix(rows_a: np.ndarray, rows_b: np.ndarray, kinds, ranges) -> np.ndarray:
-    """Pairwise Gower distances, vectorized one column at a time."""
     out = np.zeros((rows_a.shape[0], rows_b.shape[0]))
     for j, kind in enumerate(kinds):
         a = rows_a[:, j][:, None]
@@ -413,13 +381,12 @@ def pam_cluster(
     kinds=None,
     ranges=None,
     max_fit_rows: int = 2000,
-    max_exact_sets: int = 20000,
 ):
     """K-medoids under Gower distance, exact at small scale.
 
     Identical rows are collapsed with multiplicity weights first (the
     objective is unchanged). When the number of candidate medoid sets is at
-    most max_exact_sets the optimum is found by exhaustive enumeration;
+    most MAX_EXACT_SETS the optimum is found by exhaustive enumeration;
     otherwise BUILD plus steepest-descent SWAP passes run until no swap
     lowers the total cost. When more than max_fit_rows rows remain after
     deduplication, medoids are searched on a seeded subsample and every row
@@ -449,7 +416,7 @@ def pam_cluster(
 
     dist = gower_matrix(uniq, uniq, kinds, ranges)
     weights = counts.astype(float)
-    if math.comb(n_distinct, k) <= max_exact_sets:
+    if math.comb(n_distinct, k) <= MAX_EXACT_SETS:
         medoids = _exact_medoids(dist, weights, k)
     else:
         medoids = _build_swap_medoids(dist, weights, k)

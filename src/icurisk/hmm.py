@@ -2,9 +2,9 @@
 
 The joint probability of a (state sequence, observation sequence) pair is a
 product of per-window state priors and autoregressive emission terms; the risk
-score is the share of joint mass on state sequences that contain Death. A
-brute-force enumeration and a factorized log-space recursion both ship, and
-must agree.
+score is the share of joint mass on state sequences that contain Death. The
+score is computed by one factorized log-space recursion; the brute-force 2^T
+enumeration it must agree with lives with the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .survival import (
 )
 
 SURVIVAL, DEATH = 0, 1
-ENUMERATION_LIMIT = 16
 
 
 @dataclass
@@ -108,115 +107,51 @@ def _check_sequence(theta, x_seq, k):
     return theta, x_seq
 
 
-def _emission_logs(emissions, x_seq):
-    """Per-window log emission terms for each state, given the symbol path."""
-    T = x_seq.size
-    logs = np.empty((T, 2))
-    logs[0] = np.log(emissions.initial[x_seq[0] - 1])
-    for t in range(1, T):
-        logs[t] = np.log(emissions.transition[x_seq[t] - 1, x_seq[t - 1] - 1])
-    return logs
-
-
 def _prior_logs(theta):
     with np.errstate(divide="ignore"):
         return np.stack([np.log1p(-theta), np.log(theta)], axis=-1)
 
 
-def sequence_joint_probability(theta, emissions, x_seq, s_seq) -> float:
-    """Joint probability of one full state/observation sequence pair.
-
-    Each window contributes its own state prior (Death prior theta_t, Survival
-    its complement) times the autoregressive emission term. Evaluated in log
-    space and returned as a probability.
-    """
-    theta, x_seq = _check_sequence(theta, x_seq, emissions.k)
-    s_seq = np.asarray(s_seq, dtype=int)
-    if s_seq.shape != theta.shape:
-        raise ValueError("state sequence length mismatch")
-    if np.any((s_seq != SURVIVAL) & (s_seq != DEATH)):
-        raise ValueError("states must be 0 (Survival) or 1 (Death)")
-    idx = np.arange(theta.size)
-    lp = _prior_logs(theta)[idx, s_seq] + _emission_logs(emissions, x_seq)[idx, s_seq]
-    return float(np.exp(lp.sum()))
-
-
-def _all_joint_probabilities(theta, emissions, x_seq):
-    """Joint probability of every state sequence, in linear space (T <= 16)."""
-    T = theta.size
-    if T > ENUMERATION_LIMIT:
-        raise ValueError(f"enumeration supports T <= {ENUMERATION_LIMIT}")
-    bits = (np.arange(2 ** T)[:, None] >> np.arange(T)[None, :]) & 1
-    em = np.exp(_emission_logs(emissions, x_seq))
-    prior_terms = np.where(bits == DEATH, theta[None, :], 1.0 - theta[None, :])
-    emission_terms = np.where(bits == DEATH, em[:, DEATH][None, :], em[:, SURVIVAL][None, :])
-    return (prior_terms * emission_terms).prod(axis=1)
-
-
-def total_sequence_probability(theta, emissions, x_seq, method: str = "factorized") -> float:
-    """Sum of joint probabilities over all 2^T state sequences.
-
-    The factorized form multiplies per-window sums over the two states; the
-    enumeration form adds up every sequence explicitly.
-    """
-    theta, x_seq = _check_sequence(theta, x_seq, emissions.k)
-    if method == "enumeration":
-        return float(_all_joint_probabilities(theta, emissions, x_seq).sum())
-    if method == "factorized":
-        lp = _prior_logs(theta) + _emission_logs(emissions, x_seq)
-        return float(np.exp(np.logaddexp(lp[:, SURVIVAL], lp[:, DEATH]).sum()))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _eta_forward(theta, emissions, x_seq) -> float:
-    lp = _prior_logs(theta) + _emission_logs(emissions, x_seq)
-    log_total = np.logaddexp(lp[:, SURVIVAL], lp[:, DEATH]).sum()
-    log_surv = lp[:, SURVIVAL].sum()
-    if np.isinf(log_total):
-        raise ValueError("total sequence probability vanished")
-    return float(-np.expm1(log_surv - log_total))
-
-
-def _eta_enumerate(theta, emissions, x_seq) -> float:
-    psi = _all_joint_probabilities(theta, emissions, x_seq)
-    survival_only = psi[0]          # bit pattern 0 = all-Survival
-    total = psi.sum()
-    return float((total - survival_only) / total)
-
-
-def risk_score(theta, emissions, x_seq, method: str = "auto") -> float:
-    """Mortality risk: probability share of state sequences containing Death.
-
-    All 2^T - 1 sequences with at least one Death window form the numerator;
-    the single all-Survival sequence completes the denominator. Enumeration is
-    the reference for T <= 16; the factorized log-space recursion is the fast
-    path and the only option beyond that.
-    """
-    theta, x_seq = _check_sequence(theta, x_seq, emissions.k)
-    if method == "auto":
-        method = "enumeration" if theta.size <= ENUMERATION_LIMIT else "forward"
-    if method == "enumeration":
-        return _eta_enumerate(theta, emissions, x_seq)
-    if method == "forward":
-        return _eta_forward(theta, emissions, x_seq)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _eta_forward_batch(theta, emissions, sequences) -> np.ndarray:
-    """Vectorized factorized risk scores for an (N, T) batch."""
+def _joint_logs(theta, emissions, sequences) -> np.ndarray:
+    """Per-window log prior plus log emission term, for each state: (N, T, 2)."""
     theta = np.asarray(theta, dtype=float)
     sequences = np.asarray(sequences, dtype=int)
     n, T = sequences.shape
-    lp = _prior_logs(theta)  # (N, T, 2)
+    lp = _prior_logs(theta)
     em = np.empty((n, T, 2))
     em[:, 0, :] = emissions.initial[sequences[:, 0] - 1]
     for t in range(1, T):
         em[:, t, :] = emissions.transition[sequences[:, t] - 1, sequences[:, t - 1] - 1]
     with np.errstate(divide="ignore"):
-        lp = lp + np.log(em)
+        return lp + np.log(em)
+
+
+def _eta_forward_batch(theta, emissions, sequences) -> np.ndarray:
+    """Factorized log-space risk scores for an (N, T) batch.
+
+    The joint mass of all state sequences factorizes into a product of
+    per-window sums over the two states; the all-Survival sequence is the
+    product of the Survival terms alone.
+    """
+    lp = _joint_logs(theta, emissions, sequences)
     log_total = np.logaddexp(lp[:, :, SURVIVAL], lp[:, :, DEATH]).sum(axis=1)
     log_surv = lp[:, :, SURVIVAL].sum(axis=1)
     return -np.expm1(log_surv - log_total)
+
+
+def risk_score(theta, emissions, x_seq) -> float:
+    """Mortality risk: probability share of state sequences containing Death.
+
+    All 2^T - 1 sequences with at least one Death window form the numerator;
+    the single all-Survival sequence completes the denominator. Computed by
+    the factorized recursion on a batch of one.
+    """
+    theta, x_seq = _check_sequence(theta, x_seq, emissions.k)
+    with np.errstate(invalid="ignore"):
+        eta = float(_eta_forward_batch(theta[None, :], emissions, x_seq[None, :])[0])
+    if math.isnan(eta):
+        raise ValueError("total sequence probability vanished")
+    return eta
 
 
 # --------------------------------------------------------------------------
@@ -258,15 +193,13 @@ class RiskScore:
     sequence: np.ndarray
 
 
-def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0, max_fit_rows: int = 2000) -> FeatureStage:
+def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0) -> FeatureStage:
     medians = compute_medians(matrix)
     imputed = impute_median(matrix, medians)
     rows = imputed.rows()
     kinds = feature_kinds(matrix.spec)
     ranges = numeric_ranges(rows, kinds)
-    cluster, labels, _ = pam_cluster(
-        rows, k_clusters, seed, kinds=kinds, ranges=ranges, max_fit_rows=max_fit_rows
-    )
+    cluster, labels, _ = pam_cluster(rows, k_clusters, seed, kinds=kinds, ranges=ranges)
     sequences = labels.reshape(matrix.n_patients, matrix.spec.n_windows)
     return FeatureStage(medians=medians, cluster=cluster, imputed=imputed, sequences=sequences)
 
@@ -437,6 +370,11 @@ def models_to_obj(models: dict[int, RiskModel], config_echo: dict | None = None)
 
 
 def models_from_obj(obj: dict) -> tuple[dict[int, RiskModel], dict]:
+    """Rebuild the per-day bundles and the config echo written by models_to_obj.
+
+    Raises ValueError when an emission table is not a strictly positive,
+    normalized distribution, since scoring with one gives NaN risks.
+    """
     spec = FeatureSpec(
         tuple(obj["feature_spec"]["variable_names"]),
         int(obj["feature_spec"]["window_hours"]),
@@ -468,6 +406,7 @@ def models_from_obj(obj: dict) -> tuple[dict[int, RiskModel], dict]:
             transition=np.array(block["emissions"]["transition"], dtype=float),
             alpha=float(block["emissions"]["alpha"]),
         )
+        emissions.check_normalized()
         models[int(day_key)] = RiskModel(
             spec=spec,
             score_table=table,

@@ -16,6 +16,8 @@ import numpy as np
 
 MAX_LOG_HAZARD = 700.0
 SEPARATION_LIMIT = 30.0
+NEWTON_TOL = 1e-8
+BANDWIDTH_FLOOR = 1e-3
 
 AS_PRINTED = "as_printed"
 REMAINING = "remaining"
@@ -99,14 +101,78 @@ def exponential_grad(beta, X, times, events) -> np.ndarray:
     return X.T @ (events - lam * times)
 
 
-def fit_exponential_regression(
-    X, times, events, *, tol: float = 1e-8, max_iter: int = 500, trace=None
-) -> SurvivalFit:
+def newton_maximize(loglik, grad, hessian_weights, X, beta, max_iter: int, trace=None):
+    """Maximize a concave log-likelihood by damped Newton.
+
+    The negative Hessian is X^T diag(hessian_weights(beta)) X. Pseudo-inverse
+    Newton steps are halved until the log-likelihood does not drop, with a
+    gradient-ascent fallback when a Newton direction fails to improve.
+    Convergence is gradient max-norm <= NEWTON_TOL. `trace`, when a list,
+    collects the log-likelihood after every iteration.
+
+    Returns (beta, iterations, gradient max-norm). Raises ValueError when a
+    coefficient exceeds SEPARATION_LIMIT in magnitude, and RuntimeError when
+    the line search stalls or max_iter iterations do not converge.
+    """
+    ll = loglik(beta)
+    for iteration in range(1, max_iter + 1):
+        g = grad(beta)
+        grad_norm = float(np.max(np.abs(g)))
+        if grad_norm <= NEWTON_TOL:
+            return beta, iteration - 1, grad_norm
+
+        w = hessian_weights(beta)
+        hessian = X.T @ (w[:, None] * X)
+        # Minimum-norm Newton step; collinear columns (e.g. an all-ones
+        # indicator next to the intercept) leave the Hessian rank deficient.
+        step = np.linalg.pinv(hessian, hermitian=True) @ g
+
+        if 0.5 * float(g @ step) < 1e-9:
+            # Predicted gain is below log-likelihood resolution: a line search
+            # cannot see it, but the full Newton step still kills the gradient.
+            beta = beta + step
+            ll = loglik(beta)
+            if trace is not None:
+                trace.append(ll)
+            continue
+
+        scale = 1.0
+        for _ in range(60):
+            trial = beta + scale * step
+            trial_ll = loglik(trial)
+            if trial_ll >= ll:
+                break
+            scale *= 0.5
+        else:
+            # Newton direction failed to improve; fall back to the gradient.
+            scale, step = 1.0 / max(grad_norm, 1.0), g
+            for _ in range(60):
+                trial = beta + scale * step
+                trial_ll = loglik(trial)
+                if trial_ll >= ll:
+                    break
+                scale *= 0.5
+            else:
+                raise RuntimeError(
+                    f"line search stalled at iteration {iteration}, "
+                    f"grad max-norm {grad_norm:.3e}"
+                )
+        beta, ll = trial, trial_ll
+        if trace is not None:
+            trace.append(ll)
+        if np.max(np.abs(beta)) > SEPARATION_LIMIT:
+            raise ValueError("quasi-separation: coefficient magnitude exceeded 30")
+
+    grad_norm = float(np.max(np.abs(grad(beta))))
+    raise RuntimeError(
+        f"no convergence after {max_iter} iterations (grad max-norm {grad_norm:.3e})"
+    )
+
+
+def fit_exponential_regression(X, times, events, *, trace=None) -> SurvivalFit:
     """Maximize the censored exponential log-likelihood by damped Newton.
 
-    The log-likelihood is concave, so pseudo-inverse Newton steps (with step
-    halving, and a gradient-ascent fallback when a Newton direction fails to
-    improve) converge to the MLE. Convergence is gradient max-norm <= tol.
+    The log-likelihood is concave, so newton_maximize converges to the MLE.
 
     Parameters
     ----------
@@ -126,63 +192,22 @@ def fit_exponential_regression(
     if n_events == 0:
         raise ValueError("no events to fit")
 
+    def hessian_weights(beta):
+        with np.errstate(over="ignore"):
+            return np.exp(X @ beta) * times
+
     beta = np.zeros(X.shape[1])
     beta[0] = math.log(n_events / float(times.sum()))  # closed-form intercept start
-    ll = exponential_loglik(beta, X, times, events)
-
-    for iteration in range(1, max_iter + 1):
-        grad = exponential_grad(beta, X, times, events)
-        grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= tol:
-            return SurvivalFit(beta=beta, iterations=iteration - 1, grad_norm=grad_norm)
-
-        with np.errstate(over="ignore"):
-            w = np.exp(X @ beta) * times
-        hessian = X.T @ (w[:, None] * X)
-        # Minimum-norm Newton step; collinear columns (e.g. an all-ones
-        # indicator next to the intercept) leave the Hessian rank deficient.
-        step = np.linalg.pinv(hessian, hermitian=True) @ grad
-
-        if 0.5 * float(grad @ step) < 1e-9:
-            # Predicted gain is below log-likelihood resolution: a line search
-            # cannot see it, but the full Newton step still kills the gradient.
-            beta = beta + step
-            ll = exponential_loglik(beta, X, times, events)
-            if trace is not None:
-                trace.append(ll)
-            continue
-
-        scale = 1.0
-        for _ in range(60):
-            trial = beta + scale * step
-            trial_ll = exponential_loglik(trial, X, times, events)
-            if trial_ll >= ll:
-                break
-            scale *= 0.5
-        else:
-            # Newton direction failed to improve; fall back to the gradient.
-            scale, step = 1.0 / max(grad_norm, 1.0), grad
-            for _ in range(60):
-                trial = beta + scale * step
-                trial_ll = exponential_loglik(trial, X, times, events)
-                if trial_ll >= ll:
-                    break
-                scale *= 0.5
-            else:
-                raise RuntimeError(
-                    f"line search stalled at iteration {iteration}, "
-                    f"grad max-norm {grad_norm:.3e}"
-                )
-        beta, ll = trial, trial_ll
-        if trace is not None:
-            trace.append(ll)
-        if np.max(np.abs(beta)) > SEPARATION_LIMIT:
-            raise ValueError("quasi-separation: coefficient magnitude exceeded 30")
-
-    grad_norm = float(np.max(np.abs(exponential_grad(beta, X, times, events))))
-    raise RuntimeError(
-        f"no convergence after {max_iter} iterations (grad max-norm {grad_norm:.3e})"
+    beta, iterations, grad_norm = newton_maximize(
+        lambda b: exponential_loglik(b, X, times, events),
+        lambda b: exponential_grad(b, X, times, events),
+        hessian_weights,
+        X,
+        beta,
+        max_iter=500,
+        trace=trace,
     )
+    return SurvivalFit(beta=beta, iterations=iterations, grad_norm=grad_norm)
 
 
 def hazard(beta, features):
@@ -216,12 +241,12 @@ def death_prior(lam, duration):
 # Supervised density normalization
 # --------------------------------------------------------------------------
 
-def _silverman_bandwidth(values: np.ndarray, floor: float) -> float:
+def _silverman_bandwidth(values: np.ndarray) -> float:
     n = values.size
     sd = float(np.std(values, ddof=1))
     iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    return max(0.9 * spread * n ** (-0.2), floor)
+    return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
 def _kde(points: np.ndarray, samples: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -243,8 +268,7 @@ class DensityNormalizer:
     density in the total density at that point.
     """
 
-    def __init__(self, bandwidth_floor: float = 1e-3):
-        self.bandwidth_floor = bandwidth_floor
+    def __init__(self):
         self._death = None
         self._survival = None
         self._bw = (None, None)
@@ -260,8 +284,8 @@ class DensityNormalizer:
         self._death = death
         self._survival = survival
         self._bw = (
-            _silverman_bandwidth(death, self.bandwidth_floor),
-            _silverman_bandwidth(survival, self.bandwidth_floor),
+            _silverman_bandwidth(death),
+            _silverman_bandwidth(survival),
         )
         self.death_weight = death.size / probs.size
         return self
@@ -283,11 +307,6 @@ class DensityNormalizer:
             f_death[dead_zone] = self.death_weight
         out = f_death / total
         return float(out[0]) if np.isscalar(p) or np.ndim(p) == 0 else out
-
-
-def normalize_death_probability(train_probs, train_labels, p):
-    """One-shot fit-and-normalize; see DensityNormalizer."""
-    return DensityNormalizer().fit(train_probs, train_labels).normalize(p)
 
 
 # --------------------------------------------------------------------------

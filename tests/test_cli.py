@@ -136,6 +136,25 @@ class TestPredict:
         write_observations(cohort, workdir / "observations.csv")
         assert run(["predict", "--config", cfg]) == 1
 
+    def test_filters_with_the_models_settings_not_the_config(self, workdir):
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        assert run(["predict", "--config", cfg]) == 0
+        expected = (workdir / "out" / "predictions.csv").read_bytes()
+        changed = write_config(workdir, window_hours=1, required_variables=["heart_rate"])
+        assert run(["predict", "--config", changed]) == 0
+        assert (workdir / "out" / "predictions.csv").read_bytes() == expected
+
+    def test_malformed_model_rejected(self, workdir, capsys):
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        path = workdir / "out" / "model.json"
+        model = json.loads(path.read_text())
+        model["days"]["2"]["emissions"]["initial"][0] = [0.0, 0.0]
+        path.write_text(json.dumps(model))
+        assert run(["predict", "--config", cfg]) == 1
+        assert "model.json" in capsys.readouterr().err
+
     def test_predict_without_model(self, workdir, capsys):
         cfg = write_config(workdir)
         assert run(["predict", "--config", cfg]) == 2

@@ -219,6 +219,16 @@ class TestLogistic:
         with pytest.raises(ValueError, match="both classes"):
             fit_logistic(np.ones((4, 1)), np.ones(4))
 
+    def test_exhausted_line_search_raises(self, monkeypatch):
+        # Every point but the start scores worse, so no step can be accepted.
+        monkeypatch.setattr(
+            "icurisk.evaluation.logistic_loglik",
+            lambda beta, X, y: 0.0 if not beta.any() else -1.0,
+        )
+        y = np.array([1, 1, 0, 0, 0, 0, 0, 1])
+        with pytest.raises(RuntimeError, match="line search stalled"):
+            fit_logistic(np.ones((8, 1)), y)
+
 
 def tiny_cohort(hr_values=(60.0, 130.0), include_late=True):
     from icurisk.cohort import PatientOutcome, RawCohort, RawObservation

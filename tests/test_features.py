@@ -14,11 +14,9 @@ from icurisk.features import (
     ScoreBin,
     ScoreTable,
     _build_swap_medoids,
-    build_feature_matrix,
     compute_medians,
     discretize_scores,
     encode_observations,
-    gower_distance,
     gower_matrix,
     impute_median,
     load_default_score_table,
@@ -27,8 +25,8 @@ from icurisk.features import (
     pam_cluster,
     silhouette,
     window_segment,
-    write_feature_matrix,
 )
+from oracles import gower_distance
 
 HR_TABLE = ScoreTable(
     {"heart_rate": [ScoreBin(0, 40, 11), ScoreBin(40, 70, 2), ScoreBin(70, 120, 0), ScoreBin(120, 160, 4)]},
@@ -320,19 +318,6 @@ class TestEncoding:
         once = self.MODEL.assign(rows)
         again = self.MODEL.assign(rows)
         assert np.array_equal(once, again)
-
-
-class TestExports:
-    def test_feature_matrix_csv(self, tmp_path, small_cohort):
-        table = load_default_score_table()
-        variables = sorted({o.variable for obs in small_cohort.patients.values() for o in obs})
-        spec = FeatureSpec(tuple(variables), 12)
-        matrix = build_feature_matrix(small_cohort, spec, table)
-        path = tmp_path / "features.csv"
-        write_feature_matrix(matrix, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("patient_id,window,y_1")
-        assert len(lines) == 1 + matrix.n_patients * spec.n_windows
 
 
 def test_silhouette_prefers_true_structure():

@@ -15,11 +15,10 @@ from icurisk.hmm import (
     models_to_obj,
     risk_score,
     score_patients,
-    sequence_joint_probability,
     survival_curve,
-    total_sequence_probability,
 )
 from icurisk.survival import TargetSpec
+from oracles import eta_enumerate, sequence_joint_probability, total_sequence_probability
 
 
 def random_emissions(rng, k, low=0.05):
@@ -109,7 +108,7 @@ class TestRiskScore:
             theta = rng.uniform(0.05, 0.95, T)
             x = rng.integers(1, k + 1, T)
             expected = 1.0 - np.prod(1.0 - theta)
-            assert risk_score(theta, em, x, method="enumeration") == pytest.approx(expected, abs=1e-12)
+            assert risk_score(theta, em, x) == pytest.approx(expected, abs=1e-12)
 
     def test_two_window_enumeration_by_hand(self):
         em = EmissionModel(
@@ -131,7 +130,8 @@ class TestRiskScore:
                 total += psi
                 if s1 or s2:
                     death += psi
-        assert risk_score(theta, em, x, method="enumeration") == pytest.approx(death / total, abs=1e-15)
+        assert eta_enumerate(theta, em, x) == pytest.approx(death / total, abs=1e-15)
+        assert risk_score(theta, em, x) == pytest.approx(death / total, abs=1e-15)
 
     def test_enumeration_equals_forward(self):
         rng = np.random.default_rng(4)
@@ -141,9 +141,25 @@ class TestRiskScore:
             em = random_emissions(rng, k)
             theta = rng.uniform(0.02, 0.98, T)
             x = rng.integers(1, k + 1, T)
-            a = risk_score(theta, em, x, method="enumeration")
-            b = risk_score(theta, em, x, method="forward")
+            a = eta_enumerate(theta, em, x)
+            b = risk_score(theta, em, x)
             assert abs(a - b) <= 1e-12
+
+    def test_exact_zero_and_one_priors_match_enumeration(self):
+        rng = np.random.default_rng(8)
+        for T in (1, 2, 5, 11, 16):
+            for _ in range(8):
+                k = int(rng.integers(2, 6))
+                em = random_emissions(rng, k)
+                theta = rng.uniform(0.02, 0.98, T)
+                theta[rng.random(T) < 0.3] = 0.0
+                theta[rng.random(T) < 0.3] = 1.0
+                x = rng.integers(1, k + 1, T)
+                assert abs(risk_score(theta, em, x) - eta_enumerate(theta, em, x)) <= 1e-12
+        em = random_emissions(rng, 3)
+        x = rng.integers(1, 4, 16)
+        for theta in (np.zeros(16), np.ones(16), np.r_[np.zeros(15), 1.0], np.r_[1.0, np.zeros(15)]):
+            assert risk_score(theta, em, x) == eta_enumerate(theta, em, x)
 
     def test_normalization_identity(self):
         rng = np.random.default_rng(5)
@@ -178,7 +194,7 @@ class TestRiskScore:
         )
         theta = np.full(64, tiny)
         x = np.ones(64, dtype=int)
-        eta = risk_score(theta, em, x, method="forward")
+        eta = risk_score(theta, em, x)
         assert np.isfinite(eta) and eta >= 0.0
 
     def test_batch_matches_scalar(self):
@@ -189,9 +205,7 @@ class TestRiskScore:
         seqs = rng.integers(1, k + 1, (n, T))
         batch = _eta_forward_batch(theta, em, seqs)
         for i in range(n):
-            assert batch[i] == pytest.approx(
-                risk_score(theta[i], em, seqs[i], method="forward"), abs=1e-14
-            )
+            assert abs(batch[i] - eta_enumerate(theta[i], em, seqs[i])) <= 1e-12
 
 
 @pytest.fixture(scope="module")

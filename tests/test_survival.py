@@ -17,7 +17,6 @@ from icurisk.survival import (
     fit_window_regressions,
     hazard,
     label_hidden_states,
-    normalize_death_probability,
 )
 
 
@@ -183,14 +182,14 @@ class TestDensityNormalizer:
         death = 1.0 - surv  # exact mirror image around 0.5, equal counts
         probs = np.concatenate([surv, death])
         labels = np.concatenate([np.zeros(200), np.ones(200)])
-        assert normalize_death_probability(probs, labels, 0.5) == pytest.approx(0.5, abs=1e-12)
+        assert DensityNormalizer().fit(probs, labels).normalize(0.5) == pytest.approx(0.5, abs=1e-12)
 
     def test_query_deep_in_death_mass(self):
         death = np.linspace(0.8, 0.95, 50)
         surv = np.linspace(0.05, 0.2, 50)
         probs = np.concatenate([surv, death])
         labels = np.concatenate([np.zeros(50), np.ones(50)])
-        assert normalize_death_probability(probs, labels, 0.9) == pytest.approx(1.0, abs=1e-6)
+        assert DensityNormalizer().fit(probs, labels).normalize(0.9) == pytest.approx(1.0, abs=1e-6)
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(8)
