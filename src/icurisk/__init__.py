@@ -8,7 +8,6 @@ sequence-model risk score, plus a cross-validated evaluation harness.
 from .cohort import (
     PatientOutcome,
     RawCohort,
-    RawObservation,
     SynthConfig,
     filter_cohort,
     generate_synthetic_cohort,

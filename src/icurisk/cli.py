@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -156,16 +156,7 @@ def _dump_json(obj, path) -> None:
 def cmd_synth(cfg: PipelineConfig, args) -> int:
     if cfg.synth is None:
         raise ConfigError("config needs a 'synth' block for the synth command")
-    synth = cfg.synth
-    if args.seed is not None:
-        synth = SynthConfig(
-            n_patients=synth.n_patients,
-            n_variables=synth.n_variables,
-            prevalence_target=synth.prevalence_target,
-            missing_rate=synth.missing_rate,
-            sampling_rate_per_hour=synth.sampling_rate_per_hour,
-            seed=args.seed,
-        )
+    synth = cfg.synth if args.seed is None else replace(cfg.synth, seed=args.seed)
     cohort = generate_synthetic_cohort(synth)
     out = _out_dir(cfg)
     write_observations(cohort, out / "observations.csv")
@@ -180,8 +171,7 @@ def _prepare_training_inputs(cfg: PipelineConfig):
     cohort = filter_cohort(cohort, cfg.required_variables, cfg.window_hours)
     if cohort.n_patients == 0:
         raise ValueError("no patients left after filtering")
-    variables = sorted({o.variable for obs in cohort.patients.values() for o in obs})
-    spec = FeatureSpec(tuple(variables), cfg.window_hours)
+    spec = FeatureSpec(tuple(cohort.variables), cfg.window_hours)
     matrix = build_feature_matrix(cohort, spec, table)
     return table, cohort, matrix
 
@@ -246,7 +236,9 @@ def _load_models(cfg: PipelineConfig):
     try:
         with open(path, "r", encoding="utf-8") as f:
             models, echo = models_from_obj(json.load(f))
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if "required_variables" not in echo:
         raise ValueError(f"{path}: config echo lacks required_variables")
@@ -260,8 +252,7 @@ def _scoring_matrix(cfg: PipelineConfig, models, echo):
     spec = next(iter(models.values())).spec
     cohort = _load_input_cohort(cfg)
     cohort = filter_cohort(cohort, echo["required_variables"], spec.window_hours)
-    observed = {o.variable for obs in cohort.patients.values() for o in obs}
-    unknown = sorted(observed - set(spec.variable_names))
+    unknown = sorted(set(cohort.variables) - set(spec.variable_names))
     if unknown:
         raise ValueError(f"variables not in the trained model: {unknown}")
     table = next(iter(models.values())).score_table

@@ -1,8 +1,9 @@
 """Patient data model, CSV ingestion, and a seeded synthetic cohort generator.
 
-The cohort layer is intentionally thin: time-stamped observations per patient
-plus exactly one outcome row per patient. Everything downstream (windowing,
-score discretization, survival fits) consumes this structure and nothing else.
+A cohort is one table of observations in parallel columns (patient, variable,
+offset, value), one row per CSV row, plus one outcome per patient.
+`window_cells` is the one rule that places rows in first-day windows; patient
+filtering, the feature matrix and the baseline features all use it.
 """
 
 from __future__ import annotations
@@ -38,25 +39,6 @@ class ParseError(CohortError):
 
 
 @dataclass(frozen=True, slots=True)
-class RawObservation:
-    patient_id: str
-    variable: str
-    offset_minutes: int
-    value: float
-
-    def __post_init__(self):
-        if self.offset_minutes < 0:
-            raise CohortError(f"offset_minutes must be >= 0, got {self.offset_minutes}")
-        if not math.isfinite(self.value):
-            raise CohortError(f"non-finite value for {self.patient_id}/{self.variable}")
-
-    @property
-    def beyond_first_day(self) -> bool:
-        """True for samples at or past minute 1440; they never feed the model."""
-        return self.offset_minutes >= FIRST_DAY_MINUTES
-
-
-@dataclass(frozen=True, slots=True)
 class PatientOutcome:
     patient_id: str
     event_hours: float
@@ -70,67 +52,113 @@ class PatientOutcome:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class RawCohort:
-    """Observations and outcomes keyed by patient, with matching key sets."""
+    """Observations as parallel columns, plus one outcome per patient.
 
-    patients: dict[str, list[RawObservation]]
+    Row i is variable `vocabulary[variable[i]]` of patient
+    `patient_ids[patient[i]]`, sampled `offset_minutes[i]` after admission
+    with value `value[i]`. Rows are sorted by patient, then offset.
+    """
+
+    patient_ids: list[str]
+    vocabulary: tuple[str, ...]
+    patient: np.ndarray          # (rows,) int64 index into patient_ids
+    variable: np.ndarray         # (rows,) int64 index into vocabulary
+    offset_minutes: np.ndarray   # (rows,) int64
+    value: np.ndarray            # (rows,) float64
     outcomes: dict[str, PatientOutcome]
 
     def __post_init__(self):
-        obs_ids = set(self.patients)
-        out_ids = set(self.outcomes)
-        if obs_ids != out_ids:
-            missing = sorted(obs_ids ^ out_ids)[:5]
+        self.patient = np.asarray(self.patient, dtype=np.int64)
+        self.variable = np.asarray(self.variable, dtype=np.int64)
+        self.offset_minutes = np.asarray(self.offset_minutes, dtype=np.int64)
+        self.value = np.asarray(self.value, dtype=float)
+        n_rows = self.patient.size
+        columns = (self.patient, self.variable, self.offset_minutes, self.value)
+        if any(col.shape != (n_rows,) for col in columns):
+            raise CohortError("observation columns must be 1-D and of equal length")
+        if set(self.patient_ids) != set(self.outcomes):
+            missing = sorted(set(self.patient_ids) ^ set(self.outcomes))[:5]
             raise CohortError(
                 f"observations and outcomes cover different patients (e.g. {missing})"
             )
-        for pid, obs in self.patients.items():
-            offsets = [o.offset_minutes for o in obs]
-            if offsets != sorted(offsets):
-                raise CohortError(f"observations for {pid} are not sorted by offset")
-
-    @property
-    def patient_ids(self) -> list[str]:
-        return list(self.patients)
+        if n_rows == 0:
+            return
+        if not (
+            0 <= self.patient.min() and self.patient.max() < len(self.patient_ids)
+            and 0 <= self.variable.min() and self.variable.max() < len(self.vocabulary)
+        ):
+            raise CohortError("patient index or variable code out of range")
+        if self.offset_minutes.min() < 0:
+            raise CohortError(f"offset_minutes must be >= 0, got {self.offset_minutes.min()}")
+        if not np.all(np.isfinite(self.value)):
+            raise CohortError("non-finite observation value")
+        step = np.diff(self.patient)
+        back = (step < 0) | ((step == 0) & (np.diff(self.offset_minutes) < 0))
+        if back.any():
+            pid = self.patient_ids[self.patient[np.argmax(back) + 1]]
+            raise CohortError(f"observations are not sorted by patient, then offset (at {pid})")
 
     @property
     def n_patients(self) -> int:
-        return len(self.patients)
+        return len(self.patient_ids)
 
-    def subset(self, ids) -> "RawCohort":
-        ids = list(ids)
+    @property
+    def variables(self) -> list[str]:
+        """Sorted names of the variables with at least one row in this cohort."""
+        return sorted(self.vocabulary[code] for code in np.unique(self.variable).tolist())
+
+    @property
+    def patients(self) -> dict[str, range]:
+        """Each patient's row indices, in patient order."""
+        bounds = np.searchsorted(self.patient, np.arange(self.n_patients + 1)).tolist()
+        return {pid: range(a, b) for pid, a, b in zip(self.patient_ids, bounds, bounds[1:])}
+
+    def subset(self, keep) -> "RawCohort":
+        """The patients where the boolean mask `keep` is true, with their rows."""
+        keep = np.asarray(keep, dtype=bool)
+        rows = keep[self.patient]
+        ids = [pid for pid, kept in zip(self.patient_ids, keep.tolist()) if kept]
         return RawCohort(
-            patients={pid: self.patients[pid] for pid in ids},
+            patient_ids=ids,
+            vocabulary=self.vocabulary,
+            patient=(np.cumsum(keep) - 1)[self.patient[rows]],
+            variable=self.variable[rows],
+            offset_minutes=self.offset_minutes[rows],
+            value=self.value[rows],
             outcomes={pid: self.outcomes[pid] for pid in ids},
         )
 
 
-def _text_reader(stream):
+def _csv_body(stream, header, what):
+    """CSV reader positioned after the header row, which must equal `header`."""
     if isinstance(stream, (str, bytes)):
         raise TypeError("expected a file-like object, not a path or raw string")
     raw = stream.read()
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
-    return csv.reader(io.StringIO(raw, newline=""))
+    reader = csv.reader(io.StringIO(raw, newline=""))
+    first = next(reader, None)
+    if first is None:
+        raise CohortError(f"no {what}")
+    if tuple(first) != header:
+        raise ParseError(1, f"expected header {','.join(header)}")
+    return reader
 
 
-def ingest_observations(stream) -> dict[str, list[RawObservation]]:
-    """Parse an observations CSV into per-patient, offset-sorted lists.
+def ingest_observations(stream) -> dict:
+    """Parse an observations CSV into every RawCohort field but `outcomes`.
 
     The stream must be UTF-8 CSV with header patient_id,variable,offset_minutes,value.
-    Rows at or beyond minute 1440 are kept; `RawObservation.beyond_first_day`
-    flags them for downstream stages.
+    Patients and variables are numbered in order of first appearance; rows
+    at or beyond minute 1440 are kept.
     """
-    reader = _text_reader(stream)
-    header = next(reader, None)
-    if header is None:
-        raise CohortError("no observations")
-    if tuple(header) != OBSERVATIONS_HEADER:
-        raise ParseError(1, f"expected header {','.join(OBSERVATIONS_HEADER)}")
+    reader = _csv_body(stream, OBSERVATIONS_HEADER, "observations")
 
-    per_patient: dict[str, list[RawObservation]] = {}
-    n_rows = 0
+    patient_index: dict[str, int] = {}
+    variable_code: dict[str, int] = {}
+    patient, variable, offsets, values = [], [], [], []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
@@ -138,7 +166,7 @@ def ingest_observations(stream) -> dict[str, list[RawObservation]]:
             raise ParseError(line_no, "duplicate header row")
         if len(row) != 4:
             raise ParseError(line_no, f"expected 4 fields, got {len(row)}")
-        pid, variable, offset_s, value_s = row
+        pid, name, offset_s, value_s = row
         try:
             offset = int(offset_s)
         except ValueError:
@@ -147,28 +175,32 @@ def ingest_observations(stream) -> dict[str, list[RawObservation]]:
             value = float(value_s)
         except ValueError:
             raise ParseError(line_no, f"non-numeric value {value_s!r}") from None
-        try:
-            obs = RawObservation(pid, variable, offset, value)
-        except CohortError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        per_patient.setdefault(pid, []).append(obs)
-        n_rows += 1
+        if offset < 0:
+            raise ParseError(line_no, f"offset_minutes must be >= 0, got {offset}")
+        if not math.isfinite(value):
+            raise ParseError(line_no, f"non-finite value for {pid}/{name}")
+        patient.append(patient_index.setdefault(pid, len(patient_index)))
+        variable.append(variable_code.setdefault(name, len(variable_code)))
+        offsets.append(offset)
+        values.append(value)
 
-    if n_rows == 0:
+    if not patient:
         raise CohortError("no observations")
-    for pid in per_patient:
-        per_patient[pid].sort(key=lambda o: o.offset_minutes)
-    return per_patient
+    patient, offsets = np.array(patient), np.array(offsets)
+    order = np.lexsort((offsets, patient))  # stable: ties keep file order
+    return {
+        "patient_ids": list(patient_index),
+        "vocabulary": tuple(variable_code),
+        "patient": patient[order],
+        "variable": np.array(variable)[order],
+        "offset_minutes": offsets[order],
+        "value": np.array(values)[order],
+    }
 
 
 def ingest_outcomes(stream) -> dict[str, PatientOutcome]:
     """Parse an outcomes CSV; exactly one row per patient_id."""
-    reader = _text_reader(stream)
-    header = next(reader, None)
-    if header is None:
-        raise CohortError("no outcomes")
-    if tuple(header) != OUTCOMES_HEADER:
-        raise ParseError(1, f"expected header {','.join(OUTCOMES_HEADER)}")
+    reader = _csv_body(stream, OUTCOMES_HEADER, "outcomes")
 
     outcomes: dict[str, PatientOutcome] = {}
     for line_no, row in enumerate(reader, start=2):
@@ -197,19 +229,20 @@ def ingest_outcomes(stream) -> dict[str, PatientOutcome]:
 
 def load_cohort(observations_path, outcomes_path) -> RawCohort:
     with open(observations_path, "rb") as f:
-        patients = ingest_observations(f)
+        columns = ingest_observations(f)
     with open(outcomes_path, "rb") as f:
         outcomes = ingest_outcomes(f)
-    return RawCohort(patients=patients, outcomes=outcomes)
+    return RawCohort(**columns, outcomes=outcomes)
 
 
 def write_observations(cohort: RawCohort, path) -> None:
+    pids = np.array(cohort.patient_ids, dtype=object)[cohort.patient].tolist()
+    names = np.array(cohort.vocabulary, dtype=object)[cohort.variable].tolist()
+    values = map(repr, cohort.value.tolist())
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(OBSERVATIONS_HEADER)
-        for pid in cohort.patients:
-            for obs in cohort.patients[pid]:
-                writer.writerow([pid, obs.variable, obs.offset_minutes, repr(obs.value)])
+        writer.writerows(zip(pids, names, cohort.offset_minutes.tolist(), values))
 
 
 def write_outcomes(cohort: RawCohort, path) -> None:
@@ -219,6 +252,22 @@ def write_outcomes(cohort: RawCohort, path) -> None:
         for pid in cohort.outcomes:
             out = cohort.outcomes[pid]
             writer.writerow([pid, repr(out.event_hours), int(out.death_flag)])
+
+
+def window_cells(cohort: RawCohort, variable_names, window_minutes: int, n_windows: int):
+    """The one window rule: window t (0-based) holds offsets in
+    [window_minutes * t, window_minutes * (t + 1)). Rows at or past
+    window_minutes * n_windows, and rows of other variables, are dropped.
+
+    Returns the kept row indices and, per kept row, its patient index,
+    window and position in `variable_names`.
+    """
+    position = {name: j for j, name in enumerate(variable_names)}
+    column_of = np.array([position.get(name, -1) for name in cohort.vocabulary], dtype=np.int64)
+    column = column_of[cohort.variable]
+    window = cohort.offset_minutes // window_minutes
+    rows = np.flatnonzero((column >= 0) & (window < n_windows))
+    return rows, cohort.patient[rows], window[rows], column[rows]
 
 
 def filter_cohort(
@@ -232,18 +281,13 @@ def filter_cohort(
     A patient qualifies when event_hours >= min_stay_hours and every required
     variable has at least one sample in every window of the first day.
     """
+    required = list(dict.fromkeys(required_variables))
     n_windows = 24 // window_hours
-    kept: list[str] = []
-    for pid, obs in cohort.patients.items():
-        if cohort.outcomes[pid].event_hours < min_stay_hours:
-            continue
-        seen = {(v, t): False for v in required_variables for t in range(n_windows)}
-        for o in obs:
-            if o.variable in required_variables and o.offset_minutes < 60 * window_hours * n_windows:
-                seen[(o.variable, o.offset_minutes // (60 * window_hours))] = True
-        if all(seen.values()):
-            kept.append(pid)
-    return cohort.subset(kept)
+    _, patient, window, column = window_cells(cohort, required, 60 * window_hours, n_windows)
+    covered = np.zeros((cohort.n_patients, n_windows, len(required)), dtype=bool)
+    covered[patient, window, column] = True
+    stayed = [cohort.outcomes[pid].event_hours >= min_stay_hours for pid in cohort.patient_ids]
+    return cohort.subset(np.array(stayed, dtype=bool) & covered.all(axis=(1, 2)))
 
 
 # --------------------------------------------------------------------------
@@ -387,8 +431,8 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     n_samples = max(1, int(math.floor(FIRST_DAY_MINUTES / interval)))
     width = len(str(config.n_patients))
 
-    patients: dict[str, list[RawObservation]] = {}
     outcomes: dict[str, PatientOutcome] = {}
+    patient, variable, offset_col, value_col = [], [], [], []
     for i in range(config.n_patients):
         pid = f"p{i + 1:0{width}d}"
         # Severity follows a linear trajectory over the first day, and the
@@ -414,38 +458,42 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
         died = bool(t_death <= t_discharge)
         event_hours = float(min(t_death, t_discharge))
 
-        records = []
         for j, var in enumerate(variables):
             if var == "age":
-                value = float(np.clip(round(62.0 + 14.0 * z[j]), 18.0, 100.0))
-                if rng.random() >= config.missing_rate:
-                    records.append((0, var, value))
-                continue
-            offsets = np.arange(n_samples) * interval + rng.uniform(0.0, interval, n_samples)
-            frac = offsets / FIRST_DAY_MINUTES
-            base, scale, noise, loading = _VALUE_MODELS.get(var, _EXTRA_VALUE_MODEL)
-            latent = (
-                loading * (severity + slope * frac)
-                + math.sqrt(1.0 - loading**2) * z[j]
-            )
-            values = base + scale * latent + rng.normal(0.0, noise, n_samples)
-            if var == "gcs":
-                values = np.clip(np.rint(values), 3.0, 15.0)
-            keep = rng.random(n_samples) >= config.missing_rate
-            for off, val in zip(offsets[keep], values[keep]):
-                records.append((int(off), var, float(val)))
+                age = float(np.clip(round(62.0 + 14.0 * z[j]), 18.0, 100.0))
+                if rng.random() < config.missing_rate:
+                    continue
+                offsets, values = np.zeros(1), np.array([age])
+            else:
+                offsets = np.arange(n_samples) * interval + rng.uniform(0.0, interval, n_samples)
+                frac = offsets / FIRST_DAY_MINUTES
+                base, scale, noise, loading = _VALUE_MODELS.get(var, _EXTRA_VALUE_MODEL)
+                latent = (
+                    loading * (severity + slope * frac)
+                    + math.sqrt(1.0 - loading**2) * z[j]
+                )
+                values = base + scale * latent + rng.normal(0.0, noise, n_samples)
+                if var == "gcs":
+                    values = np.clip(np.rint(values), 3.0, 15.0)
+                keep = rng.random(n_samples) >= config.missing_rate
+                offsets, values = offsets[keep], values[keep]
+            patient.append(np.full(offsets.size, i))
+            variable.append(np.full(offsets.size, j))
+            offset_col.append(offsets.astype(np.int64))  # whole minutes, truncated
+            value_col.append(values)
 
-        records.sort(key=lambda r: r[0])
-        patients[pid] = [RawObservation(pid, var, off, val) for off, var, val in records]
         outcomes[pid] = PatientOutcome(pid, event_hours, died)
 
-    return RawCohort(patients=patients, outcomes=outcomes)
-
-
-def death_fraction_by(cohort: RawCohort, day: int = PREVALENCE_REFERENCE_DAY) -> float:
-    """Fraction of patients dead by midnight of the given day since admission."""
-    horizon = 24.0 * day
-    flags = [
-        out.death_flag and out.event_hours <= horizon for out in cohort.outcomes.values()
-    ]
-    return float(np.mean(flags)) if flags else 0.0
+    patient, variable, offsets, values = (
+        np.concatenate(c) for c in (patient, variable, offset_col, value_col)
+    )
+    order = np.lexsort((offsets, patient))  # stable: ties keep variable order
+    return RawCohort(
+        patient_ids=list(outcomes),
+        vocabulary=tuple(variables),
+        patient=patient[order],
+        variable=variable[order],
+        offset_minutes=offsets[order],
+        value=values[order],
+        outcomes=outcomes,
+    )

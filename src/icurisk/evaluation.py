@@ -10,8 +10,8 @@ import numpy as np
 from scipy.special import betainc
 from scipy.stats import rankdata
 
-from .cohort import DEFAULT_REQUIRED_VARIABLES, RawCohort, filter_cohort
-from .features import FeatureSpec, ScoreTable, build_feature_matrix
+from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, filter_cohort
+from .features import FeatureSpec, ScoreTable, build_feature_matrix, worst_scores
 from .hmm import fit_feature_stage, fit_risk_model, score_patients
 from .survival import (
     TargetSpec,
@@ -122,20 +122,11 @@ def paired_t_test_one_tailed(a, b) -> float:
 def first_day_max_scores(cohort: RawCohort, variables, table: ScoreTable) -> np.ndarray:
     """Per-patient, per-variable maximum bin score over the full first day.
 
-    Unlike the windowed features, this covers all of [0, 1440) minutes even
-    when the window size does not divide 24 h. Unobserved variables score 0.
+    One window of [0, 1440) minutes, even when the window size does not
+    divide 24 h. Unobserved variables score 0.
     """
-    column = {v: j for j, v in enumerate(variables)}
-    out = np.zeros((cohort.n_patients, len(variables)))
-    for i, obs in enumerate(cohort.patients.values()):
-        for o in obs:
-            j = column.get(o.variable)
-            if j is None or o.beyond_first_day:
-                continue
-            score = table.score_value(o.variable, o.value)
-            if score > out[i, j]:
-                out[i, j] = score
-    return out
+    worst = worst_scores(cohort, variables, table, FIRST_DAY_MINUTES, 1)
+    return np.maximum(worst[:, 0, :], 0).astype(float)
 
 
 def baseline_saps_scores(max_features: np.ndarray) -> np.ndarray:
@@ -227,15 +218,6 @@ class EvaluationReport:
         obj["metadata"] = self.metadata
         return obj
 
-    def metric_values(self, day: int, method: str, metric: str) -> np.ndarray:
-        return np.array(
-            [
-                r.value
-                for r in self.records
-                if r.day == day and r.method == method and r.metric == metric
-            ]
-        )
-
     def csv_rows(self):
         yield "day,method,metric,repeat,fold,value"
         for r in self.records:
@@ -298,7 +280,7 @@ def run_cv(
     cohort = filter_cohort(cohort, required_variables, window_hours)
     if cohort.n_patients == 0:
         raise ValueError("no patients left after filtering")
-    variables = sorted({o.variable for obs in cohort.patients.values() for o in obs})
+    variables = cohort.variables
     spec = FeatureSpec(tuple(variables), window_hours)
     matrix = build_feature_matrix(cohort, spec, score_table)
 

@@ -1,5 +1,5 @@
-"""Feature engineering: window segmentation, worst-case score discretization,
-missingness indicators, median imputation, Gower distance, and PAM clustering.
+"""Feature engineering: worst-case window scores with missingness indicators,
+median imputation, Gower distance, and PAM clustering.
 
 The end product per patient is a discrete observation sequence x_1..x_T, one
 cluster label per time window, feeding the sequence model.
@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .cohort import RawCohort
+from .cohort import RawCohort, window_cells
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -52,17 +52,20 @@ class ScoreTable:
                 if cur.lower < prev.upper:
                     raise ValueError(f"{var}: bins overlap near {cur.lower}")
 
-    @property
-    def variables(self) -> list[str]:
-        return sorted(self.bins)
-
-    def score_value(self, variable: str, value: float) -> int:
+    def scores(self, variable: str, values) -> np.ndarray:
+        """Bin score of each value: the score of the bin with lower <= value <
+        upper, or default_score in gaps between bins and out of range."""
         if variable not in self.bins:
             raise ValueError(f"variable {variable!r} not in score table")
-        for b in self.bins[variable]:
-            if b.lower <= value < b.upper:
-                return b.score
-        return self.default_score
+        # A leading empty bin [-inf, -inf) gives every value a last bin with
+        # lower <= value; the value lies in that bin when it is below upper.
+        bins = (ScoreBin(-math.inf, -math.inf, 0),) + self.bins[variable]
+        lower = np.array([b.lower for b in bins])
+        upper = np.array([b.upper for b in bins])
+        score = np.array([b.score for b in bins])
+        values = np.asarray(values, dtype=float)
+        last = np.searchsorted(lower, values, side="right") - 1
+        return np.where(values < upper[last], score[last], self.default_score)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScoreTable":
@@ -120,51 +123,6 @@ class FeatureSpec:
         return 24 // self.window_hours
 
 
-def window_segment(cohort: RawCohort, spec: FeatureSpec):
-    """Bucket each patient's first-day samples into half-open windows.
-
-    Window t (1-based) takes offsets in [60*n*(t-1), 60*n*t); samples at or
-    beyond the last window boundary (and past minute 1440) are discarded.
-    """
-    span = 60 * spec.window_hours
-    limit = span * spec.n_windows
-    windowed = {}
-    for pid, observations in cohort.patients.items():
-        windows = [{v: [] for v in spec.variable_names} for _ in range(spec.n_windows)]
-        for obs in observations:
-            if obs.offset_minutes >= limit or obs.variable not in windows[0]:
-                continue
-            windows[obs.offset_minutes // span][obs.variable].append(obs.value)
-        windowed[pid] = windows
-    return windowed
-
-
-def discretize_scores(windowed, table: ScoreTable, spec: FeatureSpec) -> np.ndarray:
-    """Worst-case (max) bin score per variable per window; NaN where empty."""
-    for var in spec.variable_names:
-        if var not in table.bins:
-            raise ValueError(f"variable {var!r} missing from score table")
-    y = np.full((len(windowed), spec.n_windows, spec.n_variables), np.nan)
-    for i, windows in enumerate(windowed.values()):
-        for t, per_var in enumerate(windows):
-            for j, var in enumerate(spec.variable_names):
-                samples = per_var[var]
-                if samples:
-                    y[i, t, j] = max(table.score_value(var, v) for v in samples)
-    return y
-
-
-def missingness_indicators(windowed, spec: FeatureSpec) -> np.ndarray:
-    """1 where the variable was measured at least once in the window, else 0."""
-    b = np.zeros((len(windowed), spec.n_windows, spec.n_variables), dtype=np.uint8)
-    for i, windows in enumerate(windowed.values()):
-        for t, per_var in enumerate(windows):
-            for j, var in enumerate(spec.variable_names):
-                if per_var[var]:
-                    b[i, t, j] = 1
-    return b
-
-
 @dataclass
 class FeatureMatrix:
     """Per patient, T rows of [y_1..y_p, b_1..b_p]; NaN in y marks missing."""
@@ -195,13 +153,35 @@ class FeatureMatrix:
         )
 
 
+def worst_scores(
+    cohort: RawCohort, variable_names, table: ScoreTable, window_minutes: int, n_windows: int
+) -> np.ndarray:
+    """Worst-case (max) bin score per patient, window and variable; -1 where
+    the window holds no sample of the variable.
+
+    Rows are placed by `window_cells` and each is scored once.
+    """
+    rows, patient, window, column = window_cells(cohort, variable_names, window_minutes, n_windows)
+    values = cohort.value[rows]
+    scores = np.empty(rows.size, dtype=np.int64)
+    for j, name in enumerate(variable_names):
+        at = column == j
+        scores[at] = table.scores(name, values[at])
+    worst = np.full((cohort.n_patients, n_windows, len(variable_names)), -1, dtype=np.int64)
+    np.maximum.at(worst, (patient, window, column), scores)
+    return worst
+
+
 def build_feature_matrix(cohort: RawCohort, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:
-    windowed = window_segment(cohort, spec)
+    """Scores y (NaN where a window has no sample) and indicators b (1 where
+    it has one) over the spec's windows of the first day."""
+    worst = worst_scores(cohort, spec.variable_names, table, 60 * spec.window_hours, spec.n_windows)
+    observed = worst >= 0
     return FeatureMatrix(
-        patient_ids=list(windowed),
+        patient_ids=list(cohort.patient_ids),
         spec=spec,
-        y=discretize_scores(windowed, table, spec),
-        b=missingness_indicators(windowed, spec),
+        y=np.where(observed, worst, np.nan),
+        b=observed.astype(np.uint8),
     )
 
 

@@ -100,7 +100,7 @@ def _check_sequence(theta, x_seq, k):
     x_seq = np.asarray(x_seq, dtype=int)
     if theta.ndim != 1 or x_seq.shape != theta.shape:
         raise ValueError("prior and observation sequences must be 1-D and equal length")
-    if np.any((theta < 0) | (theta > 1)):
+    if not np.all((theta >= 0) & (theta <= 1)):  # also rejects NaN
         raise ValueError("priors must lie in [0, 1]")
     if x_seq.min() < 1 or x_seq.max() > k:
         raise ValueError("observation symbols must lie in 1..k")
@@ -179,10 +179,6 @@ class RiskModel:
     cluster: ClusterModel
     fits: list[SurvivalFit]
     emissions: EmissionModel
-
-    @property
-    def k(self) -> int:
-        return self.cluster.k
 
 
 @dataclass

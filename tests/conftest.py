@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from icurisk.cohort import SynthConfig, generate_synthetic_cohort, write_observations, write_outcomes
+from icurisk.cohort import (
+    PatientOutcome,
+    RawCohort,
+    SynthConfig,
+    generate_synthetic_cohort,
+    write_observations,
+    write_outcomes,
+)
 
 
 @pytest.fixture(scope="session")
@@ -17,6 +24,25 @@ def small_cohort():
         seed=424242,
     )
     return generate_synthetic_cohort(cfg)
+
+
+def cohort_from_rows(rows, outcomes):
+    """RawCohort from (patient_id, variable, offset_minutes, value) rows and
+    {patient_id: (event_hours, death_flag)}; patients follow the outcomes'
+    order and may have no rows."""
+    index = {pid: i for i, pid in enumerate(outcomes)}
+    rows = sorted(rows, key=lambda r: (index[r[0]], r[2]))  # stable
+    codes = {}
+    variable = [codes.setdefault(r[1], len(codes)) for r in rows]
+    return RawCohort(
+        patient_ids=list(outcomes),
+        vocabulary=tuple(codes),
+        patient=[index[r[0]] for r in rows],
+        variable=variable,
+        offset_minutes=[r[2] for r in rows],
+        value=[r[3] for r in rows],
+        outcomes={pid: PatientOutcome(pid, hours, died) for pid, (hours, died) in outcomes.items()},
+    )
 
 
 def write_cohort_files(cohort, directory):

@@ -10,10 +10,18 @@ only so tests can compare a library path with it:
   (`_eta_forward_batch`, `_joint_logs`).
 - `gower_distance` scores one pair of rows at a time. It checks the
   vectorized `icurisk.features.gower_matrix`.
+- `score_value` scans a variable's bins for one value. It checks the
+  vectorized `ScoreTable.scores`.
+- `window_segment`, `discretize_scores`, `missingness_indicators`,
+  `filter_ids` and `first_day_max_scores` walk each patient's rows one at a
+  time, with the windows as nested dicts of lists. They check the columnar
+  `build_feature_matrix`, `filter_cohort` and
+  `icurisk.evaluation.first_day_max_scores`, which share `window_cells`.
 """
 
 import numpy as np
 
+from icurisk.cohort import FIRST_DAY_MINUTES
 from icurisk.features import BINARY
 from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _joint_logs
 
@@ -98,3 +106,101 @@ def gower_distance(row_a, row_b, kinds, ranges) -> float:
         elif ranges[j] > 0:
             total += min(abs(row_a[j] - row_b[j]) / ranges[j], 1.0)
     return total / row_a.size
+
+
+def score_value(table, variable, value) -> int:
+    """Score of the first bin with lower <= value < upper, else the default."""
+    if variable not in table.bins:
+        raise ValueError(f"variable {variable!r} not in score table")
+    for b in table.bins[variable]:
+        if b.lower <= value < b.upper:
+            return b.score
+    return table.default_score
+
+
+def cohort_rows(cohort) -> dict:
+    """Each patient's rows as (variable, offset_minutes, value), in row order."""
+    return {
+        pid: [
+            (
+                cohort.vocabulary[cohort.variable[i]],
+                int(cohort.offset_minutes[i]),
+                float(cohort.value[i]),
+            )
+            for i in rows
+        ]
+        for pid, rows in cohort.patients.items()
+    }
+
+
+def window_segment(cohort, spec):
+    """Bucket each patient's first-day samples into half-open windows.
+
+    Window t (1-based) takes offsets in [60*n*(t-1), 60*n*t); samples at or
+    beyond the last window boundary (and past minute 1440) are discarded.
+    """
+    span = 60 * spec.window_hours
+    limit = span * spec.n_windows
+    windowed = {}
+    for pid, rows in cohort_rows(cohort).items():
+        windows = [{v: [] for v in spec.variable_names} for _ in range(spec.n_windows)]
+        for variable, offset, value in rows:
+            if offset >= limit or variable not in windows[0]:
+                continue
+            windows[offset // span][variable].append(value)
+        windowed[pid] = windows
+    return windowed
+
+
+def discretize_scores(windowed, table, spec) -> np.ndarray:
+    """Worst-case (max) bin score per variable per window; NaN where empty."""
+    y = np.full((len(windowed), spec.n_windows, spec.n_variables), np.nan)
+    for i, windows in enumerate(windowed.values()):
+        for t, per_var in enumerate(windows):
+            for j, var in enumerate(spec.variable_names):
+                samples = per_var[var]
+                if samples:
+                    y[i, t, j] = max(score_value(table, var, v) for v in samples)
+    return y
+
+
+def missingness_indicators(windowed, spec) -> np.ndarray:
+    """1 where the variable was measured at least once in the window, else 0."""
+    b = np.zeros((len(windowed), spec.n_windows, spec.n_variables), dtype=np.uint8)
+    for i, windows in enumerate(windowed.values()):
+        for t, per_var in enumerate(windows):
+            for j, var in enumerate(spec.variable_names):
+                if per_var[var]:
+                    b[i, t, j] = 1
+    return b
+
+
+def filter_ids(cohort, required_variables, window_hours, min_stay_hours=24.0) -> list:
+    """Ids of patients with enough follow-up and every required variable
+    sampled in every window of the first day."""
+    n_windows = 24 // window_hours
+    kept = []
+    for pid, rows in cohort_rows(cohort).items():
+        if cohort.outcomes[pid].event_hours < min_stay_hours:
+            continue
+        seen = {(v, t): False for v in required_variables for t in range(n_windows)}
+        for variable, offset, _ in rows:
+            if variable in required_variables and offset < 60 * window_hours * n_windows:
+                seen[(variable, offset // (60 * window_hours))] = True
+        if all(seen.values()):
+            kept.append(pid)
+    return kept
+
+
+def first_day_max_scores(cohort, variables, table) -> np.ndarray:
+    """Per-patient, per-variable maximum bin score over minutes [0, 1440);
+    0 where a variable was not sampled."""
+    column = {v: j for j, v in enumerate(variables)}
+    out = np.zeros((cohort.n_patients, len(variables)))
+    for i, rows in enumerate(cohort_rows(cohort).values()):
+        for variable, offset, value in rows:
+            j = column.get(variable)
+            if j is None or offset >= FIRST_DAY_MINUTES:
+                continue
+            out[i, j] = max(out[i, j], score_value(table, variable, value))
+    return out

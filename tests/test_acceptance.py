@@ -299,8 +299,7 @@ def test_06_directional_replication(synthetic_cohort):
 def test_07_survival_curve_separation(synthetic_cohort):
     cohort = filter_cohort(synthetic_cohort)
     table = load_default_score_table()
-    variables = sorted({o.variable for obs in cohort.patients.values() for o in obs})
-    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(variables), 12), table)
+    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
     stage = fit_feature_stage(matrix, 4, seed=[ACCEPTANCE_SEED])
     scores_by_day = {}
     for day in (2, 3, 4, 5):

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from icurisk.cli import main
-from icurisk.cohort import PatientOutcome, RawCohort, RawObservation, write_observations, write_outcomes
-from conftest import write_config, write_cohort_files
+from icurisk.cohort import write_observations, write_outcomes
+from conftest import cohort_from_rows, write_config, write_cohort_files
 
 
 @pytest.fixture()
@@ -111,12 +111,7 @@ class TestPredict:
         cfg = write_config(workdir)
         run(["train", "--config", cfg])
         # every patient leaves before 24h, so filtering empties the cohort
-        short = RawCohort(
-            patients={
-                "q1": [RawObservation("q1", "heart_rate", 10, 80.0)],
-            },
-            outcomes={"q1": PatientOutcome("q1", 5.0, False)},
-        )
+        short = cohort_from_rows([("q1", "heart_rate", 10, 80.0)], {"q1": (5.0, False)})
         write_observations(short, workdir / "observations.csv")
         write_outcomes(short, workdir / "outcomes.csv")
         assert run(["predict", "--config", cfg]) == 0
@@ -126,14 +121,8 @@ class TestPredict:
     def test_unknown_variable_rejected(self, workdir, small_cohort):
         cfg = write_config(workdir)
         run(["train", "--config", cfg])
-        cohort = RawCohort(
-            patients={
-                pid: obs + [RawObservation(pid, "mystery", 1439, 1.0)]
-                for pid, obs in small_cohort.patients.items()
-            },
-            outcomes=small_cohort.outcomes,
-        )
-        write_observations(cohort, workdir / "observations.csv")
+        with open(workdir / "observations.csv", "a", encoding="utf-8") as f:
+            f.writelines(f"{pid},mystery,1439,1.0\n" for pid in small_cohort.patient_ids)
         assert run(["predict", "--config", cfg]) == 1
 
     def test_filters_with_the_models_settings_not_the_config(self, workdir):
@@ -154,6 +143,17 @@ class TestPredict:
         path.write_text(json.dumps(model))
         assert run(["predict", "--config", cfg]) == 1
         assert "model.json" in capsys.readouterr().err
+
+    def test_model_missing_key_names_file_and_key(self, workdir, capsys):
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        path = workdir / "out" / "model.json"
+        model = json.loads(path.read_text())
+        del model["days"]["2"]["fits"]
+        path.write_text(json.dumps(model))
+        assert run(["predict", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "model.json" in err and "fits" in err
 
     def test_predict_without_model(self, workdir, capsys):
         cfg = write_config(workdir)

@@ -8,16 +8,16 @@ from icurisk.cohort import (
     ParseError,
     PatientOutcome,
     RawCohort,
-    RawObservation,
     SynthConfig,
-    death_fraction_by,
     filter_cohort,
     generate_synthetic_cohort,
     ingest_observations,
     ingest_outcomes,
     load_cohort,
+    window_cells,
 )
-from conftest import write_cohort_files
+from conftest import cohort_from_rows, write_cohort_files
+from oracles import cohort_rows
 
 
 def obs_stream(*rows):
@@ -30,10 +30,30 @@ def out_stream(*rows):
     return io.BytesIO(body.encode())
 
 
+def same_cohort(a, b) -> bool:
+    return (
+        a.patient_ids == b.patient_ids
+        and cohort_rows(a) == cohort_rows(b)
+        and a.outcomes == b.outcomes
+    )
+
+
+def death_fraction_by(cohort, day) -> float:
+    """Fraction of patients dead by midnight of the given day since admission."""
+    return float(
+        np.mean([o.death_flag and o.event_hours <= 24.0 * day for o in cohort.outcomes.values()])
+    )
+
+
 class TestIngestObservations:
     def test_single_row_maps_fields(self):
         parsed = ingest_observations(obs_stream("p1,heart_rate,30,112"))
-        assert parsed == {"p1": [RawObservation("p1", "heart_rate", 30, 112.0)]}
+        assert parsed["patient_ids"] == ["p1"]
+        assert parsed["vocabulary"] == ("heart_rate",)
+        assert parsed["patient"].tolist() == [0]
+        assert parsed["variable"].tolist() == [0]
+        assert parsed["offset_minutes"].tolist() == [30]
+        assert parsed["value"].tolist() == [112.0]
 
     def test_non_numeric_offset_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -43,11 +63,37 @@ class TestIngestObservations:
         parsed = ingest_observations(
             obs_stream("p1,heart_rate,90,80", "p1,heart_rate,30,70")
         )
-        assert [o.offset_minutes for o in parsed["p1"]] == [30, 90]
+        assert parsed["offset_minutes"].tolist() == [30, 90]
+        assert parsed["value"].tolist() == [70.0, 80.0]
+
+    def test_rows_grouped_by_patient_in_first_appearance_order(self):
+        parsed = ingest_observations(
+            obs_stream(
+                "p2,gcs,50,9",
+                "p1,heart_rate,40,70",
+                "p2,heart_rate,10,80",
+                "p2,gcs,10,12",
+                "p1,gcs,40,15",
+            )
+        )
+        assert parsed["patient_ids"] == ["p2", "p1"]
+        assert parsed["vocabulary"] == ("gcs", "heart_rate")
+        assert parsed["patient"].tolist() == [0, 0, 0, 1, 1]
+        assert parsed["offset_minutes"].tolist() == [10, 10, 50, 40, 40]
+        # equal offsets keep file order
+        assert parsed["value"].tolist() == [80.0, 12.0, 9.0, 70.0, 15.0]
 
     def test_beyond_first_day_retained_and_flagged(self):
-        parsed = ingest_observations(obs_stream("p1,heart_rate,1440,80"))
-        assert parsed["p1"][0].beyond_first_day
+        # the row is kept, and the window rule is what leaves it out
+        columns = ingest_observations(obs_stream("p1,heart_rate,1440,80"))
+        assert columns["offset_minutes"].tolist() == [1440]
+        cohort = RawCohort(**columns, outcomes={"p1": PatientOutcome("p1", 30.0, False)})
+        rows, _, _, _ = window_cells(cohort, ("heart_rate",), 720, 2)
+        assert rows.size == 0
+
+    def test_negative_offset_names_line(self):
+        with pytest.raises(ParseError, match="line 3: offset_minutes must be >= 0"):
+            ingest_observations(obs_stream("p1,heart_rate,30,112", "p1,heart_rate,-5,112"))
 
     def test_wrong_arity(self):
         with pytest.raises(ParseError, match="4 fields"):
@@ -72,7 +118,7 @@ class TestIngestObservations:
             ingest_observations(io.BytesIO(b"patient_id,variable,offset_minutes,value\n"))
 
     def test_non_finite_value_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match="line 2: non-finite"):
             ingest_observations(obs_stream("p1,heart_rate,30,nan"))
 
 
@@ -94,38 +140,88 @@ class TestIngestOutcomes:
             ingest_outcomes(out_stream("p1,10,2"))
 
 
+def heart_rate_cohort(patient_ids=("p1",), **columns):
+    """RawCohort of heart-rate rows; the columns default to one valid row."""
+    fields = dict(patient=[0], variable=[0], offset_minutes=[0], value=[80.0]) | columns
+    return RawCohort(
+        patient_ids=list(patient_ids),
+        vocabulary=("heart_rate",),
+        outcomes={pid: PatientOutcome(pid, 30.0, False) for pid in patient_ids},
+        **fields,
+    )
+
+
 class TestRawCohort:
     def test_mismatched_ids_rejected(self):
         with pytest.raises(CohortError, match="different patients"):
             RawCohort(
-                patients={"p1": []},
+                patient_ids=["p1"],
+                vocabulary=(),
+                patient=[],
+                variable=[],
+                offset_minutes=[],
+                value=[],
                 outcomes={"p2": PatientOutcome("p2", 30.0, False)},
             )
 
     def test_unsorted_observations_rejected(self):
-        obs = [
-            RawObservation("p1", "heart_rate", 90, 80.0),
-            RawObservation("p1", "heart_rate", 30, 70.0),
-        ]
         with pytest.raises(CohortError, match="sorted"):
-            RawCohort(
-                patients={"p1": obs},
-                outcomes={"p1": PatientOutcome("p1", 30.0, False)},
+            heart_rate_cohort(
+                patient=[0, 0], variable=[0, 0], offset_minutes=[90, 30], value=[80.0, 70.0]
             )
+
+    def test_rows_not_grouped_by_patient_rejected(self):
+        with pytest.raises(CohortError, match="sorted"):
+            heart_rate_cohort(
+                ("p1", "p2"),
+                patient=[0, 1, 0],
+                variable=[0, 0, 0],
+                offset_minutes=[0, 0, 5],
+                value=[80.0, 80.0, 80.0],
+            )
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(offset_minutes=[-1]), "offset_minutes must be >= 0"),
+            (dict(value=[np.inf]), "non-finite"),
+            (dict(variable=[1]), "out of range"),
+            (dict(patient=[1]), "out of range"),
+            (dict(value=[1.0, 2.0]), "equal length"),
+        ],
+    )
+    def test_invalid_rows_rejected(self, bad, message):
+        with pytest.raises(CohortError, match=message):
+            heart_rate_cohort(**bad)
+
+    def test_patients_map_ids_to_their_rows(self):
+        cohort = cohort_from_rows(
+            [("a", "gcs", 5, 9.0), ("c", "gcs", 1, 9.0), ("a", "gcs", 2, 9.0)],
+            {"a": (30.0, False), "b": (30.0, False), "c": (30.0, False)},
+        )
+        assert cohort.patients == {"a": range(0, 2), "b": range(2, 2), "c": range(2, 3)}
+        assert cohort.offset_minutes[cohort.patients["a"]].tolist() == [2, 5]
+
+    def test_variables_are_those_with_rows(self):
+        cohort = cohort_from_rows(
+            [("a", "gcs", 5, 9.0), ("b", "age", 0, 60.0), ("a", "heart_rate", 2, 80.0)],
+            {"a": (30.0, False), "b": (30.0, False)},
+        )
+        assert cohort.variables == ["age", "gcs", "heart_rate"]
+        kept = cohort.subset(np.array([True, False]))
+        assert kept.variables == ["gcs", "heart_rate"]
+        assert kept.vocabulary == cohort.vocabulary  # codes keep their meaning
+        assert cohort_rows(kept) == {"a": cohort_rows(cohort)["a"]}
 
 
 class TestFilter:
     def _cohort(self, event_hours=48.0, offsets=(0, 700, 720, 1400)):
-        obs = [
-            RawObservation("p1", var, off, 100.0)
+        rows = [
+            ("p1", var, off, 100.0)
             for var in ("heart_rate", "blood_pressure", "gcs")
             for off in offsets
         ]
-        obs.sort(key=lambda o: o.offset_minutes)
-        return RawCohort(
-            patients={"p1": obs},
-            outcomes={"p1": PatientOutcome("p1", event_hours, False)},
-        )
+        return cohort_from_rows(rows, {"p1": (event_hours, False)})
 
     def test_complete_patient_kept(self):
         assert filter_cohort(self._cohort()).n_patients == 1
@@ -165,17 +261,18 @@ class TestGenerator:
     def test_same_seed_identical(self):
         a = generate_synthetic_cohort(self.CFG)
         b = generate_synthetic_cohort(self.CFG)
-        assert a == b
+        assert same_cohort(a, b)
 
     def test_different_seed_differs(self):
         other = SynthConfig(150, 5, 0.15, 0.2, 1.0, 100)
-        assert generate_synthetic_cohort(other) != generate_synthetic_cohort(self.CFG)
+        a = generate_synthetic_cohort(other)
+        assert not same_cohort(a, generate_synthetic_cohort(self.CFG))
 
     def test_zero_missing_rate_keeps_every_sample(self):
         cfg = SynthConfig(20, 4, 0.15, 0.0, 1.0, 7)
         cohort = generate_synthetic_cohort(cfg)
-        for obs in cohort.patients.values():
-            assert len(obs) == 4 * 24  # 4 time-series variables, hourly
+        for rows in cohort.patients.values():
+            assert len(rows) == 4 * 24  # 4 time-series variables, hourly
 
     def test_outcomes_positive_and_invariants_hold(self):
         cohort = generate_synthetic_cohort(self.CFG)
@@ -186,7 +283,7 @@ class TestGenerator:
     def test_round_trip_through_csv(self, tmp_path):
         cohort = generate_synthetic_cohort(self.CFG)
         obs_path, out_path = write_cohort_files(cohort, tmp_path)
-        assert load_cohort(obs_path, out_path) == cohort
+        assert same_cohort(load_cohort(obs_path, out_path), cohort)
 
     @pytest.mark.slow
     def test_realized_prevalence_over_seeds(self):
@@ -194,7 +291,7 @@ class TestGenerator:
         fractions = []
         for seed in range(20):
             cfg = SynthConfig(4000, 5, 0.15, 0.1, 1.0, seed)
-            fractions.append(death_fraction_by(generate_synthetic_cohort(cfg)))
+            fractions.append(death_fraction_by(generate_synthetic_cohort(cfg), 5))
         fractions = np.array(fractions)
         assert np.all(fractions >= 0.10) and np.all(fractions <= 0.20)
         assert abs(fractions.mean() - 0.15) < 0.02

@@ -24,6 +24,7 @@ from icurisk.evaluation import (
     run_cv,
 )
 from icurisk.features import load_default_score_table
+from conftest import cohort_from_rows
 
 
 def scored(scores, labels, times=None, events=None):
@@ -231,21 +232,13 @@ class TestLogistic:
 
 
 def tiny_cohort(hr_values=(60.0, 130.0), include_late=True):
-    from icurisk.cohort import PatientOutcome, RawCohort, RawObservation
-
-    obs = {
-        "a": [RawObservation("a", "heart_rate", 60 * i, v) for i, v in enumerate(hr_values)],
-        "b": [RawObservation("b", "gcs", 30, 4.0)],
-    }
+    rows = [("a", "heart_rate", 60 * i, v) for i, v in enumerate(hr_values)]
+    rows.append(("b", "gcs", 30, 4.0))
     if include_late:
         # tail-of-day sample still counts toward the 24h maximum
-        obs["a"].append(RawObservation("a", "heart_rate", 1439, 170.0))
-        obs["a"].append(RawObservation("a", "heart_rate", 1440, 500.0))  # beyond first day
-    outcomes = {
-        "a": PatientOutcome("a", 100.0, True),
-        "b": PatientOutcome("b", 50.0, False),
-    }
-    return RawCohort(patients=obs, outcomes=outcomes)
+        rows.append(("a", "heart_rate", 1439, 170.0))
+        rows.append(("a", "heart_rate", 1440, 500.0))  # beyond first day
+    return cohort_from_rows(rows, {"a": (100.0, True), "b": (50.0, False)})
 
 
 class TestBaselines:

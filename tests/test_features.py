@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from icurisk.cohort import PatientOutcome, RawCohort, RawObservation
+from icurisk.cohort import window_cells
 from icurisk.features import (
     BINARY,
     NUMERIC,
@@ -14,19 +14,18 @@ from icurisk.features import (
     ScoreBin,
     ScoreTable,
     _build_swap_medoids,
+    build_feature_matrix,
     compute_medians,
-    discretize_scores,
     encode_observations,
     gower_matrix,
     impute_median,
     load_default_score_table,
-    missingness_indicators,
     numeric_ranges,
     pam_cluster,
     silhouette,
-    window_segment,
 )
-from oracles import gower_distance
+from conftest import cohort_from_rows
+from oracles import gower_distance, score_value
 
 HR_TABLE = ScoreTable(
     {"heart_rate": [ScoreBin(0, 40, 11), ScoreBin(40, 70, 2), ScoreBin(70, 120, 0), ScoreBin(120, 160, 4)]},
@@ -35,23 +34,40 @@ HR_TABLE = ScoreTable(
 
 
 def make_cohort(offset_values, variable="heart_rate", event_hours=48.0):
-    obs = sorted(
-        (RawObservation("p1", variable, off, val) for off, val in offset_values),
-        key=lambda o: o.offset_minutes,
-    )
-    return RawCohort(
-        patients={"p1": list(obs)},
-        outcomes={"p1": PatientOutcome("p1", event_hours, False)},
-    )
+    rows = [("p1", variable, off, val) for off, val in offset_values]
+    return cohort_from_rows(rows, {"p1": (event_hours, False)})
+
+
+GAPPED_TABLE = ScoreTable({"x": [ScoreBin(10, 20, 3), ScoreBin(30, 40, 5)]}, default_score=1)
 
 
 class TestScoreTable:
     def test_bin_lookup_half_open(self):
-        assert HR_TABLE.score_value("heart_rate", 119.9) == 0
-        assert HR_TABLE.score_value("heart_rate", 120.0) == 4
+        assert HR_TABLE.scores("heart_rate", [119.9, 120.0]).tolist() == [0, 4]
+        assert HR_TABLE.scores("heart_rate", [0.0, 40.0, 39.999]).tolist() == [11, 2, 11]
 
     def test_out_of_range_uses_default(self):
-        assert HR_TABLE.score_value("heart_rate", 500.0) == 7
+        assert HR_TABLE.scores("heart_rate", [500.0, 160.0, -1.0]).tolist() == [7, 7, 7]
+
+    def test_gaps_use_default(self):
+        values = [9.99, 10.0, 19.99, 20.0, 25.0, 29.99, 30.0, 40.0]
+        assert GAPPED_TABLE.scores("x", values).tolist() == [1, 3, 3, 1, 1, 1, 5, 1]
+
+    def test_matches_scalar_oracle(self):
+        table = load_default_score_table()
+        for var, bins in table.bins.items():
+            edges = [e for b in bins for e in (b.lower, b.upper)]
+            values = edges + [np.nextafter(e, -np.inf) for e in edges] + [-1e9, 1e9]
+            expected = [score_value(table, var, v) for v in values]
+            assert table.scores(var, values).tolist() == expected
+
+    def test_unknown_variable_rejected(self):
+        with pytest.raises(ValueError, match="not in score table"):
+            HR_TABLE.scores("gcs", [3.0])
+
+    def test_variable_without_bins_scores_default(self):
+        table = ScoreTable({"x": []}, default_score=2)
+        assert table.scores("x", [0.0, 5.0]).tolist() == [2, 2]
 
     def test_overlapping_bins_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -73,25 +89,33 @@ class TestWindowing:
         assert spec.n_windows == 2
 
     def test_boundary_sample_belongs_to_later_window(self):
-        spec = FeatureSpec(("heart_rate",), 12)
-        cohort = make_cohort([(720, 80.0)])
-        windows = window_segment(cohort, spec)["p1"]
-        assert windows[0]["heart_rate"] == []
-        assert windows[1]["heart_rate"] == [80.0]
+        cohort = make_cohort([(719, 60.0), (720, 80.0)])
+        _, _, window, _ = window_cells(cohort, ("heart_rate",), 720, 2)
+        assert window.tolist() == [0, 1]
+        b = build_feature_matrix(cohort, FeatureSpec(("heart_rate",), 12), HR_TABLE).b
+        assert b[0, :, 0].tolist() == [1, 1]
 
     def test_sample_at_1440_discarded(self):
-        spec = FeatureSpec(("heart_rate",), 12)
-        windows = window_segment(make_cohort([(1440, 80.0)]), spec)["p1"]
-        assert all(not w["heart_rate"] for w in windows)
+        cohort = make_cohort([(1439, 80.0), (1440, 80.0)])
+        rows, _, _, _ = window_cells(cohort, ("heart_rate",), 720, 2)
+        assert rows.tolist() == [0]
 
     def test_each_retained_sample_lands_in_exactly_one_window(self):
         spec = FeatureSpec(("heart_rate",), 8)
         rng = np.random.default_rng(3)
         offsets = rng.integers(0, 1500, 200)
         cohort = make_cohort([(int(o), 80.0) for o in offsets])
-        windows = window_segment(cohort, spec)["p1"]
-        retained = sum(len(w["heart_rate"]) for w in windows)
-        assert retained == int((offsets < 60 * 8 * spec.n_windows).sum())
+        rows, _, window, _ = window_cells(cohort, spec.variable_names, 60 * 8, spec.n_windows)
+        assert rows.size == int((offsets < 60 * 8 * spec.n_windows).sum())
+        assert np.array_equal(window, cohort.offset_minutes[rows] // (60 * 8))
+        assert window.min() >= 0 and window.max() < spec.n_windows
+
+    def test_other_variables_dropped(self):
+        cohort = cohort_from_rows(
+            [("p1", "gcs", 5, 9.0), ("p1", "heart_rate", 6, 80.0)], {"p1": (48.0, False)}
+        )
+        rows, patient, _, column = window_cells(cohort, ("heart_rate", "age"), 720, 2)
+        assert rows.tolist() == [1] and patient.tolist() == [0] and column.tolist() == [0]
 
 
 class TestDiscretization:
@@ -99,34 +123,33 @@ class TestDiscretization:
 
     def test_worst_case_is_max(self):
         cohort = make_cohort([(10, 60.0), (20, 80.0), (30, 130.0)])  # scores 2, 0, 4
-        y = discretize_scores(window_segment(cohort, self.SPEC), HR_TABLE, self.SPEC)
+        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).y
         assert y[0, 0, 0] == 4
 
     def test_single_sample(self):
         cohort = make_cohort([(10, 60.0)])
-        y = discretize_scores(window_segment(cohort, self.SPEC), HR_TABLE, self.SPEC)
+        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).y
         assert y[0, 0, 0] == 2
 
     def test_empty_window_is_missing_with_zero_indicator(self):
         cohort = make_cohort([(10, 60.0)])
-        windowed = window_segment(cohort, self.SPEC)
-        y = discretize_scores(windowed, HR_TABLE, self.SPEC)
-        b = missingness_indicators(windowed, self.SPEC)
-        assert np.isnan(y[0, 1, 0])
-        assert b[0, 1, 0] == 0 and b[0, 0, 0] == 1
+        matrix = build_feature_matrix(cohort, self.SPEC, HR_TABLE)
+        assert np.isnan(matrix.y[0, 1, 0])
+        assert matrix.b[0, 1, 0] == 0 and matrix.b[0, 0, 0] == 1
+        assert matrix.b.dtype == np.uint8
 
     def test_variable_missing_from_table_is_config_error(self):
         spec = FeatureSpec(("unknown_var",), 12)
         cohort = make_cohort([(10, 60.0)], variable="unknown_var")
         with pytest.raises(ValueError, match="score table"):
-            discretize_scores(window_segment(cohort, spec), HR_TABLE, spec)
+            build_feature_matrix(cohort, spec, HR_TABLE)
 
     def test_worst_case_dominates_every_sample(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(20, 200, 30)
         cohort = make_cohort([(int(i), float(v)) for i, v in enumerate(values)])
-        y = discretize_scores(window_segment(cohort, self.SPEC), HR_TABLE, self.SPEC)
-        scores = [HR_TABLE.score_value("heart_rate", v) for v in values]
+        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).y
+        scores = [score_value(HR_TABLE, "heart_rate", v) for v in values]
         assert y[0, 0, 0] == max(scores)
 
 

@@ -99,6 +99,11 @@ class TestRiskScore:
         em = uniform_emissions(3)
         assert risk_score([0.0, 0.0], em, [1, 2]) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_priors_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"priors must lie in \[0, 1\]"):
+            risk_score([0.2, bad], uniform_emissions(2), [1, 2])
+
     def test_state_independent_emissions_reduce_to_prior_formula(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
@@ -212,8 +217,7 @@ class TestRiskScore:
 def trained(small_cohort):
     cohort = filter_cohort(small_cohort)
     table = load_default_score_table()
-    variables = sorted({o.variable for obs in cohort.patients.values() for o in obs})
-    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(variables), 12), table)
+    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
     stage = fit_feature_stage(matrix, 4, seed=[0])
     models = {
         day: fit_risk_model(
