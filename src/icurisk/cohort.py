@@ -131,20 +131,30 @@ class RawCohort:
         )
 
 
-def _csv_body(stream, header, what):
-    """CSV reader positioned after the header row, which must equal `header`."""
+def _csv_rows(stream, header, what):
+    """(line number, row) for each CSV row after the header row, which must
+    equal `header`.
+
+    A binary stream is decoded as UTF-8 while it is read, and a text stream
+    is read as it is, so the file is never held in memory whole. The caller's
+    stream is left open.
+    """
     if isinstance(stream, (str, bytes)):
         raise TypeError("expected a file-like object, not a path or raw string")
-    raw = stream.read()
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    reader = csv.reader(io.StringIO(raw, newline=""))
-    first = next(reader, None)
-    if first is None:
-        raise CohortError(f"no {what}")
-    if tuple(first) != header:
-        raise ParseError(1, f"expected header {','.join(header)}")
-    return reader
+    text = stream if isinstance(stream, io.TextIOBase) else io.TextIOWrapper(
+        stream, encoding="utf-8", newline=""
+    )
+    try:
+        reader = csv.reader(text)
+        first = next(reader, None)
+        if first is None:
+            raise CohortError(f"no {what}")
+        if tuple(first) != header:
+            raise ParseError(1, f"expected header {','.join(header)}")
+        yield from enumerate(reader, start=2)
+    finally:
+        if text is not stream and not stream.closed:
+            text.detach()  # closing the wrapper would close the caller's stream
 
 
 def ingest_observations(stream) -> dict:
@@ -154,12 +164,10 @@ def ingest_observations(stream) -> dict:
     Patients and variables are numbered in order of first appearance; rows
     at or beyond minute 1440 are kept.
     """
-    reader = _csv_body(stream, OBSERVATIONS_HEADER, "observations")
-
     patient_index: dict[str, int] = {}
     variable_code: dict[str, int] = {}
     patient, variable, offsets, values = [], [], [], []
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in _csv_rows(stream, OBSERVATIONS_HEADER, "observations"):
         if not row:
             continue
         if tuple(row) == OBSERVATIONS_HEADER:
@@ -200,10 +208,8 @@ def ingest_observations(stream) -> dict:
 
 def ingest_outcomes(stream) -> dict[str, PatientOutcome]:
     """Parse an outcomes CSV; exactly one row per patient_id."""
-    reader = _csv_body(stream, OUTCOMES_HEADER, "outcomes")
-
     outcomes: dict[str, PatientOutcome] = {}
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in _csv_rows(stream, OUTCOMES_HEADER, "outcomes"):
         if not row:
             continue
         if len(row) != 3:

@@ -249,15 +249,28 @@ def _silverman_bandwidth(values: np.ndarray) -> float:
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
-def _kde(points: np.ndarray, samples: np.ndarray, bandwidth: float) -> np.ndarray:
-    # Chunked so the (m, n) kernel matrix stays small.
-    out = np.empty(points.size)
-    norm = samples.size * bandwidth * math.sqrt(2.0 * math.pi)
-    for start in range(0, points.size, 2048):
-        chunk = points[start:start + 2048]
-        z = (chunk[:, None] - samples[None, :]) / bandwidth
-        out[start:start + 2048] = np.exp(-0.5 * z * z).sum(axis=1) / norm
-    return out
+def _kde(points: np.ndarray, values: np.ndarray, counts: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Gaussian kernel density of a sample given as distinct values and
+    their counts, at each point.
+
+    Each distinct query is evaluated once, as the count-weighted kernel sum
+    over the distinct sample values, and broadcast back to its repeats:
+    O(U_q * U_s) time for U_q distinct queries and U_s distinct samples.
+    Within a window the priors take only as many values as there are
+    distinct design rows, hundreds against thousands of patients. Counts are
+    exact, but a count-weighted sum over distinct values rounds differently
+    from a sum with one term per sample, so the two agree only to the last
+    bits. Queries go in fixed-size chunks, so all-distinct input needs
+    O(chunk * n) memory.
+    """
+    queries, inverse = np.unique(points, return_inverse=True)
+    weights = counts.astype(float)
+    out = np.empty(queries.size)
+    norm = weights.sum() * bandwidth * math.sqrt(2.0 * math.pi)
+    for start in range(0, queries.size, 2048):
+        z = (queries[start:start + 2048, None] - values[None, :]) / bandwidth
+        out[start:start + 2048] = (np.exp(-0.5 * z * z) * weights).sum(axis=1) / norm
+    return out[inverse]
 
 
 class DensityNormalizer:
@@ -281,8 +294,8 @@ class DensityNormalizer:
         survival = probs[~labels]
         if death.size < 2 or survival.size < 2:
             raise ValueError("each outcome class needs at least 2 training points")
-        self._death = death
-        self._survival = survival
+        self._death = np.unique(death, return_counts=True)
+        self._survival = np.unique(survival, return_counts=True)
         self._bw = (
             _silverman_bandwidth(death),
             _silverman_bandwidth(survival),
@@ -294,8 +307,8 @@ class DensityNormalizer:
         if self._death is None:
             raise RuntimeError("normalizer is not fitted")
         q = np.atleast_1d(np.asarray(p, dtype=float))
-        f_death = _kde(q, self._death, self._bw[0]) * self.death_weight
-        f_surv = _kde(q, self._survival, self._bw[1]) * (1.0 - self.death_weight)
+        f_death = _kde(q, *self._death, self._bw[0]) * self.death_weight
+        f_surv = _kde(q, *self._survival, self._bw[1]) * (1.0 - self.death_weight)
         total = f_death + f_surv
         dead_zone = total <= 0
         if np.any(dead_zone):

@@ -17,13 +17,23 @@ only so tests can compare a library path with it:
   time, with the windows as nested dicts of lists. They check the columnar
   `build_feature_matrix`, `filter_cohort` and
   `icurisk.evaluation.first_day_max_scores`, which share `window_cells`.
+- `concordance_pairs` builds the N x N comparable-pair and credit matrices,
+  and `brute_force_concordance` loops over every pair in Python. They check
+  the rank-counting `icurisk.evaluation.concordance`.
+- `kde_all_samples` sums the kernel over every training sample at every
+  query point, and `normalize_all_samples` builds the class-density share on
+  it. They check `icurisk.survival.DensityNormalizer` and
+  `label_hidden_states`, which sum over distinct values with counts.
 """
+
+import math
 
 import numpy as np
 
 from icurisk.cohort import FIRST_DAY_MINUTES
 from icurisk.features import BINARY
 from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _joint_logs
+from icurisk.survival import _silverman_bandwidth
 
 ENUMERATION_LIMIT = 16
 
@@ -204,3 +214,65 @@ def first_day_max_scores(cohort, variables, table) -> np.ndarray:
                 continue
             out[i, j] = max(out[i, j], score_value(table, variable, value))
     return out
+
+
+def concordance_pairs(s) -> float:
+    """Fraction of comparable pairs where the shorter survivor scores higher.
+
+    A pair is comparable when its strictly shorter-time member had an event;
+    score ties credit half. Censored-before-event pairs are incomparable.
+    """
+    t = s.times
+    shorter_event = (t[:, None] < t[None, :]) & (s.events[:, None] == 1)
+    n_comparable = int(shorter_event.sum())
+    if n_comparable == 0:
+        raise ValueError("no comparable pairs")
+    diff = s.scores[:, None] - s.scores[None, :]
+    credit = np.where(diff > 0, 1.0, np.where(diff == 0, 0.5, 0.0))
+    return float((credit * shorter_event).sum() / n_comparable)
+
+
+def brute_force_concordance(s) -> float:
+    """Concordance with one Python loop iteration per ordered pair."""
+    n = len(s.scores)
+    num = den = 0.0
+    for i in range(n):
+        for j in range(n):
+            if s.times[i] < s.times[j] and s.events[i] == 1:
+                den += 1
+                if s.scores[i] > s.scores[j]:
+                    num += 1
+                elif s.scores[i] == s.scores[j]:
+                    num += 0.5
+    if den == 0:
+        raise ValueError("no comparable pairs")
+    return num / den
+
+
+def kde_all_samples(points, samples, bandwidth) -> np.ndarray:
+    """Gaussian kernel density summed over every sample at every point."""
+    # Chunked so the (m, n) kernel matrix stays small.
+    out = np.empty(points.size)
+    norm = samples.size * bandwidth * math.sqrt(2.0 * math.pi)
+    for start in range(0, points.size, 2048):
+        chunk = points[start:start + 2048]
+        z = (chunk[:, None] - samples[None, :]) / bandwidth
+        out[start:start + 2048] = np.exp(-0.5 * z * z).sum(axis=1) / norm
+    return out
+
+
+def normalize_all_samples(probs, labels, queries) -> np.ndarray:
+    """Death-class share of the class-weighted densities at each query, with
+    each class density summed over all its training samples."""
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels).astype(bool)
+    queries = np.atleast_1d(np.asarray(queries, dtype=float))
+    death, survival = probs[labels], probs[~labels]
+    weight = death.size / probs.size
+    f_death = kde_all_samples(queries, death, _silverman_bandwidth(death)) * weight
+    f_surv = kde_all_samples(queries, survival, _silverman_bandwidth(survival)) * (1.0 - weight)
+    total = f_death + f_surv
+    dead_zone = total <= 0
+    total[dead_zone] = 1.0
+    f_death[dead_zone] = weight
+    return f_death / total

@@ -121,6 +121,24 @@ class TestIngestObservations:
         with pytest.raises(ParseError, match="line 2: non-finite"):
             ingest_observations(obs_stream("p1,heart_rate,30,nan"))
 
+    def test_text_and_binary_streams_parse_alike_and_stay_open(self):
+        binary = obs_stream("p1,heart_rate,30,112", "p2,gcs,5,14")
+        text = io.StringIO(binary.getvalue().decode(), newline="")
+        a, b = ingest_observations(binary), ingest_observations(text)
+        assert not binary.closed and not text.closed
+        assert a["patient_ids"] == b["patient_ids"] == ["p1", "p2"]
+        assert np.array_equal(a["value"], b["value"])
+
+    def test_stream_stays_open_after_parse_error(self):
+        stream = obs_stream("p1,heart_rate,abc,112")
+        with pytest.raises(ParseError):
+            ingest_observations(stream)
+        assert not stream.closed
+
+    def test_path_rejected(self):
+        with pytest.raises(TypeError, match="file-like"):
+            ingest_observations("observations.csv")
+
 
 class TestIngestOutcomes:
     def test_direct_mapping(self):

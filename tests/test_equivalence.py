@@ -1,25 +1,40 @@
-"""The columnar cohort path against the row-by-row oracles in `oracles.py`.
+"""Library paths against the reference implementations in `oracles.py`.
 
-Generated cohorts mix window-boundary offsets (0, 719, 720, 1439, 1440) with
-arbitrary ones, score-bin edges with arbitrary values, patients without rows,
-empty windows, variables a patient never has, one variable outside the
-feature spec and one in the spec that no patient has.
+Generated cohorts for the columnar cohort path mix window-boundary offsets
+(0, 719, 720, 1439, 1440) with arbitrary ones, score-bin edges with arbitrary
+values, patients without rows, empty windows, variables a patient never has,
+one variable outside the feature spec and one in the spec that no patient
+has. Generated scored sets for concordance have heavily tied times and
+scores, and include all-censored and single-event sets.
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from icurisk.cohort import filter_cohort
-from icurisk.evaluation import first_day_max_scores
+from icurisk.evaluation import ScoredSet, concordance, first_day_max_scores
 from icurisk.features import (
     FeatureSpec,
     ScoreBin,
     ScoreTable,
     build_feature_matrix,
     load_default_score_table,
+)
+from icurisk.hmm import fit_feature_stage
+from icurisk.survival import (
+    DensityNormalizer,
+    TargetSpec,
+    censor_by_target,
+    compute_priors,
+    fit_window_regressions,
+    label_hidden_states,
 )
 from conftest import cohort_from_rows
 import oracles
@@ -125,3 +140,99 @@ def test_seeded_cohort_matches_oracles(small_cohort):
         first_day_max_scores(small_cohort, variables, TABLE),
         oracles.first_day_max_scores(small_cohort, variables, TABLE),
     )
+
+
+@st.composite
+def scored_sets(draw):
+    """Up to 300 subjects over a few distinct times, with scores on a coarse
+    grid or continuous, and no, one or any number of events."""
+    n = draw(st.integers(2, 300))
+    times = draw(arrays(float, n, elements=st.sampled_from([1.0, 2.0, 3.5, 7.0, 24.0])))
+    grid = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    elements = st.one_of(grid, st.floats(0, 1)) if draw(st.booleans()) else grid
+    scores = draw(arrays(float, n, elements=elements))
+    kind = draw(st.sampled_from(["any", "none", "single"]))
+    if kind == "any":
+        events = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    else:
+        events = np.zeros(n, dtype=np.int64)
+        if kind == "single":
+            events[draw(st.integers(0, n - 1))] = 1
+    return ScoredSet(scores, events, times, events)
+
+
+def outcome(fn, s):
+    try:
+        return fn(s)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(scored_sets())
+def test_concordance_matches_pairwise_oracle(s):
+    assert outcome(concordance, s) == outcome(oracles.concordance_pairs, s)
+
+
+def test_concordance_memory_is_linear():
+    rng = np.random.default_rng(5)
+    n = 5000
+    events = (rng.random(n) < 0.2).astype(int)
+    s = ScoredSet(rng.random(n), events, rng.integers(1, 120, n).astype(float), events)
+    tracemalloc.start()
+    try:
+        concordance(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+@st.composite
+def labelled_probabilities(draw):
+    """Training probabilities with at least two of each class, drawn from a
+    few values (heavy ties) or all distinct."""
+    n = draw(st.integers(4, 400))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(0, 1), min_size=1, max_size=8))
+        probs = np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+    else:
+        probs = draw(arrays(float, n, elements=st.floats(0, 1), unique=True))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    labels[:2], labels[2:4] = 1, 0
+    queries = np.concatenate([probs, draw(arrays(float, 5, elements=st.floats(-0.5, 1.5)))])
+    return probs, labels, queries
+
+
+@settings(deadline=None)
+@given(labelled_probabilities())
+def test_density_normalizer_matches_all_samples_oracle(case):
+    probs, labels, queries = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # far queries hit the dead-zone fallback in both
+        got = DensityNormalizer().fit(probs, labels).normalize(queries)
+        expected = oracles.normalize_all_samples(probs, labels, queries)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def imputed_training(small_cohort):
+    cohort = filter_cohort(small_cohort)
+    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), TABLE)
+    outcomes = [cohort.outcomes[pid] for pid in matrix.patient_ids]
+    return fit_feature_stage(matrix, 4, seed=[0]).imputed, outcomes
+
+
+@pytest.mark.parametrize("day", [2, 3, 4, 5])
+def test_state_labels_match_all_samples_oracle(imputed_training, day):
+    matrix, outcomes = imputed_training
+    target = TargetSpec(day, 12)
+    fits = fit_window_regressions(matrix, outcomes, target)
+    labels = label_hidden_states(matrix, outcomes, fits, target)
+
+    theta = compute_priors(matrix, fits, target)
+    _, events = censor_by_target(outcomes, target.target_hours)
+    for t in range(theta.shape[1] - 1):
+        expected = oracles.normalize_all_samples(theta[:, t], events, theta[:, t])
+        assert np.array_equal(labels.states[:, t], expected >= 0.5)
+        np.testing.assert_allclose(labels.probabilities[:, t], expected, rtol=1e-12, atol=0)

@@ -25,6 +25,7 @@ from icurisk.evaluation import (
 )
 from icurisk.features import load_default_score_table
 from conftest import cohort_from_rows
+import oracles
 
 
 def scored(scores, labels, times=None, events=None):
@@ -45,22 +46,6 @@ def brute_force_auroc(s):
         for q in neg:
             credit += 1.0 if p > q else (0.5 if p == q else 0.0)
     return credit / (len(pos) * len(neg))
-
-
-def brute_force_concordance(s):
-    n = len(s.scores)
-    num = den = 0.0
-    for i in range(n):
-        for j in range(n):
-            if s.times[i] < s.times[j] and s.events[i] == 1:
-                den += 1
-                if s.scores[i] > s.scores[j]:
-                    num += 1
-                elif s.scores[i] == s.scores[j]:
-                    num += 0.5
-    if den == 0:
-        raise ValueError("no comparable pairs")
-    return num / den
 
 
 class TestAuroc:
@@ -138,6 +123,10 @@ class TestConcordance:
         s = scored([0.9, 0.5, 0.7], [1, 1, 0], times=[10, 20, 30], events=[1, 1, 0])
         assert concordance(s) == pytest.approx(2 / 3)
 
+    def test_nan_times_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            scored([0.9, 0.1], [1, 0], times=[10, float("nan")])
+
     def test_censored_short_member_incomparable(self):
         s = scored([0.9, 0.1], [0, 0], times=[10, 20], events=[0, 1])
         with pytest.raises(ValueError, match="comparable"):
@@ -152,7 +141,7 @@ class TestConcordance:
             scores = rng.choice([0.2, 0.4, 0.6, 0.8], n)
             s = scored(scores, events, times=times, events=events)
             try:
-                expected = brute_force_concordance(s)
+                expected = oracles.brute_force_concordance(s)
             except ValueError:
                 continue
             assert concordance(s) == expected
