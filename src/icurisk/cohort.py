@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,9 @@ OBSERVATIONS_HEADER = ("patient_id", "variable", "offset_minutes", "value")
 OUTCOMES_HEADER = ("patient_id", "event_hours", "death_flag")
 
 FIRST_DAY_MINUTES = 1440
+
+# Bytes of an observations file that `ingest_observations` parses at once.
+BLOCK_BYTES = 1 << 20
 
 # Day used to anchor the synthetic generator's prevalence calibration.
 PREVALENCE_REFERENCE_DAY = 5
@@ -31,11 +35,13 @@ class CohortError(ValueError):
 
 
 class ParseError(CohortError):
-    """Malformed CSV input; carries the 1-based line number."""
+    """Malformed CSV input; carries the 1-based line number and, when
+    `load_cohort` read it from a file, the file's path."""
 
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    def __init__(self, line_no, message, path=None):
+        where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
+        super().__init__(f"{where}: {message}")
+        self.line_no, self.message, self.path = line_no, message, path
 
 
 @dataclass(frozen=True, slots=True)
@@ -131,43 +137,238 @@ class RawCohort:
         )
 
 
-def _csv_rows(stream, header, what):
-    """(line number, row) for each CSV row after the header row, which must
-    equal `header`.
+class _Prepended(io.RawIOBase):
+    """The bytes `head`, then the rest of `stream`. Closing it leaves
+    `stream` open."""
 
-    A binary stream is decoded as UTF-8 while it is read, and a text stream
-    is read as it is, so the file is never held in memory whole. The caller's
-    stream is left open.
-    """
+    def __init__(self, head, stream):
+        self._head = memoryview(head)
+        self._stream = stream
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        if self._head:
+            n = min(len(buffer), len(self._head))
+            buffer[:n] = self._head[:n]
+            self._head = self._head[n:]
+            return n
+        data = self._stream.read(len(buffer))
+        buffer[: len(data)] = data
+        return len(data)
+
+
+def _check_stream(stream):
     if isinstance(stream, (str, bytes)):
         raise TypeError("expected a file-like object, not a path or raw string")
-    text = stream if isinstance(stream, io.TextIOBase) else io.TextIOWrapper(
-        stream, encoding="utf-8", newline=""
+
+
+def _text_lines(stream, head=b""):
+    """`head`, then the rest of a binary stream, decoded as UTF-8 while it is
+    read; bytes that are not UTF-8 become lone surrogates, which `_csv_rows`
+    reports. The caller's stream is left open."""
+    return io.TextIOWrapper(
+        io.BufferedReader(_Prepended(head, stream)),
+        encoding="utf-8", errors="surrogateescape", newline="",
     )
+
+
+def _invalid_utf8(row):
+    """The first byte of `row` that was not UTF-8 (see `_text_lines`), or None."""
+    text = "".join(row)
+    if text.isascii():
+        return None
     try:
-        reader = csv.reader(text)
-        first = next(reader, None)
-        if first is None:
-            raise CohortError(f"no {what}")
-        if tuple(first) != header:
-            raise ParseError(1, f"expected header {','.join(header)}")
-        yield from enumerate(reader, start=2)
-    finally:
-        if text is not stream and not stream.closed:
-            text.detach()  # closing the wrapper would close the caller's stream
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return ord(text[exc.start]) - 0xDC00
+    return None
 
 
-def ingest_observations(stream) -> dict:
-    """Parse an observations CSV into every RawCohort field but `outcomes`.
+def _csv_rows(lines, header, what, line_no=1, decoded=True):
+    """(line number, row) for each CSV record of the text `lines`.
 
-    The stream must be UTF-8 CSV with header patient_id,variable,offset_minutes,value.
-    Patients and variables are numbered in order of first appearance; rows
-    at or beyond minute 1440 are kept.
+    With `header`, the first record must equal it and is not yielded; with
+    None, records are numbered from `line_no` on. Where `decoded`, the lines
+    come from `_text_lines` and a record holding bytes that were not UTF-8
+    raises a ParseError.
     """
-    patient_index: dict[str, int] = {}
-    variable_code: dict[str, int] = {}
+    for line_no, row in enumerate(csv.reader(lines), start=line_no):
+        if decoded and (byte := _invalid_utf8(row)) is not None:
+            raise ParseError(line_no, f"invalid UTF-8 byte 0x{byte:02x}")
+        if header is not None:
+            if tuple(row) != header:
+                raise ParseError(line_no, f"expected header {','.join(header)}")
+            header = None
+            continue
+        yield line_no, row
+    if header is not None:
+        raise CohortError(f"no {what}")
+
+
+class _LineBlocks:
+    """A stream read as blocks of whole lines, as bytes.
+
+    A binary stream is read BLOCK_BYTES at a time and cut after the last
+    newline; a text stream is read with `readlines(BLOCK_BYTES)` and encoded.
+    The last block may lack its final newline. After a block is declined,
+    `rest()` gives that block and everything after it as text lines, for
+    `_csv_rows`.
+    """
+
+    def __init__(self, stream):
+        _check_stream(stream)
+        self._stream = stream
+        self.decoded = not isinstance(stream, io.TextIOBase)
+        self._block = self._carry = b""
+        self._lines = []
+
+    def __iter__(self):
+        if not self.decoded:
+            while lines := self._stream.readlines(BLOCK_BYTES):
+                self._lines = lines
+                yield "".join(lines).encode("utf-8", "surrogatepass")
+            return
+        while data := self._stream.read(BLOCK_BYTES):
+            data = self._carry + data
+            cut = data.rfind(b"\n") + 1
+            self._block, self._carry = data[:cut], data[cut:]
+            if cut:
+                yield self._block
+        if self._carry:
+            self._block, self._carry = self._carry, b""
+            yield self._block
+
+    def rest(self):
+        if not self.decoded:
+            return itertools.chain(self._lines, self._stream)
+        return _text_lines(self._stream, self._block + self._carry)
+
+
+_OBSERVATIONS_HEADER_LINE = ",".join(OBSERVATIONS_HEADER).encode() + b"\n"
+# The vectorised parser leaves rows with a longer field to the row loop,
+# which also enforces csv's field size limit.
+_MAX_FIELD_BYTES = 64
+# _KEEP[n] keeps the first n bytes of a little-endian 8-byte word.
+_KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
+_MIX = np.uint64(0x9E3779B97F4A7C15)   # odd multiplier of the field hash
+_SEPARATORS = np.array([ord(","), ord(","), ord(","), ord("\n")], dtype=np.uint8)
+
+
+def _field_words(words, start, length):
+    """Each row's field of `length` bytes from byte `start`, zero-padded to
+    whole 8-byte words: a (rows, n) '<u8' array. `words[i]` is the word at
+    byte i."""
+    n = max(1, -(-int(length.max()) // 8))
+    out = np.empty((start.size, n), dtype="<u8")
+    for j in range(n):
+        out[:, j] = words[np.minimum(start + 8 * j, words.size - 1)]
+        out[:, j] &= _KEEP[np.clip(length - 8 * j, 0, 8)]
+    return out
+
+
+def _as_strings(fields):
+    """`_field_words` output as one bytes string per row."""
+    return fields.view(f"S{8 * fields.shape[1]}").ravel()
+
+
+def _codes(fields, index):
+    """The code in `index` of each row's text (`_field_words` output).
+    `index` maps text to code and numbers the texts it lacks in order of
+    first appearance."""
+    key = fields[:, 0].copy()
+    for j in range(1, fields.shape[1]):
+        key *= _MIX
+        key ^= fields[:, j]
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    if fields.shape[1] > 1 and not np.array_equal(fields, fields[first[inverse]]):
+        # two texts share a hash: tell them apart by the text itself
+        _, first, inverse = np.unique(_as_strings(fields), return_index=True, return_inverse=True)
+    texts = _as_strings(fields[first]).tolist()
+    codes = np.empty(first.size, dtype=np.int64)
+    for j in np.argsort(first).tolist():
+        codes[j] = index.setdefault(texts[j].decode("ascii"), len(index))
+    return codes[inverse]
+
+
+def _offsets(words, start, length):
+    """Offsets of fields of 1 to 18 plain digits, or None."""
+    if length.min() < 1 or length.max() > 18:
+        return None
+    digits = _field_words(words, start, length).view(np.uint8) - np.uint8(ord("0"))
+    is_digit = digits <= 9                      # padding bytes are not digits
+    if np.count_nonzero(is_digit) != length.sum():
+        return None
+    offset = np.zeros(start.size, dtype=np.int64)
+    for k in range(int(length.max())):
+        offset = np.where(is_digit[:, k], offset * 10 + digits[:, k], offset)
+    return offset
+
+
+def _values(words, start, length):
+    """`float` of each field, or None if one is rejected or not finite."""
+    try:
+        value = _as_strings(_field_words(words, start, length)).astype(np.float64)
+    except ValueError:
+        return None
+    return value if np.isfinite(value).all() else None
+
+
+def _parse_block(data, patient_index, variable_code):
+    """(patient, variable, offset_minutes, value) of the rows in `data`, whole
+    lines of the observations file after its header; None when a row needs
+    the general parser.
+
+    A block is declined when it holds a `"`, a carriage return, a NUL or a
+    non-ASCII byte, a line without exactly three commas (empty lines and
+    quoted fields among them), a field over _MAX_FIELD_BYTES, an offset that
+    is not 1 to 18 plain digits, or a value that `float` would reject or
+    make non-finite. Every row of an accepted block parses to what the row
+    loop would give it.
+    """
+    if not data.isascii() or b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    n_bytes = len(data) + (not data.endswith(b"\n"))
+    padded = b"".join((data, b"\n", bytes(8)))
+    buf = np.frombuffer(padded, dtype=np.uint8)
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    separator = np.flatnonzero(buf[:n_bytes] <= ord(","))
+    kind = buf[separator]
+    keep = (kind == ord(",")) | (kind == ord("\n"))
+    if not keep.all():
+        separator, kind = separator[keep], kind[keep]
+    if kind.size % 4 or not (kind.reshape(-1, 4) == _SEPARATORS).all():
+        return None
+    c0, c1, c2, end = separator.reshape(-1, 4).T
+    line_start = np.concatenate(([0], end[:-1] + 1))
+    # (first byte, length) of each line's id, name, offset and value field
+    (id_at, id_len), name, offset, value = (
+        (a, b - a) for a, b in ((line_start, c0), (c0 + 1, c1), (c1 + 1, c2), (c2 + 1, end))
+    )
+    if max(int(length.max()) for length in (id_len, name[1], offset[1], value[1])) > _MAX_FIELD_BYTES:
+        return None
+    offset = _offsets(words, *offset)
+    value = None if offset is None else _values(words, *value)
+    if value is None:
+        return None
+    # Nothing is declined past this point, so the indexes only gain texts of accepted rows.
+    ids = _field_words(words, id_at, id_len)
+    runs = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]).any(axis=1))))
+    patient = np.repeat(_codes(ids[runs], patient_index), np.diff(runs, append=ids.shape[0]))
+    variable = _codes(_field_words(words, *name), variable_code)
+    return [patient, variable, offset, value]
+
+
+def _rows_in_order(patient, offset) -> bool:
+    step = np.diff(patient)
+    return bool(np.all((step > 0) | ((step == 0) & (np.diff(offset) >= 0))))
+
+
+def _row_loop(rows, patient_index, variable_code):
+    """The general parser: one `csv` record at a time."""
     patient, variable, offsets, values = [], [], [], []
-    for line_no, row in _csv_rows(stream, OBSERVATIONS_HEADER, "observations"):
+    for line_no, row in rows:
         if not row:
             continue
         if tuple(row) == OBSERVATIONS_HEADER:
@@ -191,25 +392,78 @@ def ingest_observations(stream) -> dict:
         variable.append(variable_code.setdefault(name, len(variable_code)))
         offsets.append(offset)
         values.append(value)
+    return [np.array(column) for column in (patient, variable, offsets, values)]
 
-    if not patient:
+
+def ingest_observations(stream) -> dict:
+    """Parse an observations CSV into every RawCohort field but `outcomes`.
+
+    The stream must be UTF-8 CSV with header patient_id,variable,offset_minutes,value.
+    Patients and variables are numbered in order of first appearance; rows
+    at or beyond minute 1440 are kept.
+
+    The file is read in blocks of whole lines, each parsed with NumPy by
+    `_parse_block`. From the first block that parser declines to the end of
+    the file, rows go through `_row_loop`, one `csv` record at a time, which
+    accepts all of CSV (quoted fields, CRLF line endings, empty lines) and
+    raises every ParseError. Both give the same columns.
+    """
+    blocks = _LineBlocks(stream)
+    patient_index: dict[str, int] = {}
+    variable_code: dict[str, int] = {}
+    parts = []
+    lines_done, in_order, last, declined = 0, True, None, False
+    for data in blocks:
+        header = lines_done == 0
+        if header:
+            declined = not data.startswith(_OBSERVATIONS_HEADER_LINE)
+            data = data[len(_OBSERVATIONS_HEADER_LINE):]
+        if data and not declined:
+            columns = _parse_block(data, patient_index, variable_code)
+            declined = columns is None
+        if declined:
+            break
+        if data:
+            patient, _, offset, _ = columns
+            first = (int(patient[0]), int(offset[0]))
+            in_order = in_order and (last is None or last <= first) and _rows_in_order(patient, offset)
+            last = (int(patient[-1]), int(offset[-1]))
+            parts.append(columns)
+            lines_done += patient.size
+        lines_done += header
+    if declined:
+        rows = _csv_rows(
+            blocks.rest(),
+            OBSERVATIONS_HEADER if lines_done == 0 else None,
+            "observations",
+            line_no=lines_done + 1,
+            decoded=blocks.decoded,
+        )
+        tail = _row_loop(rows, patient_index, variable_code)
+        if tail[0].size:
+            parts.append(tail)
+            in_order = False
+
+    if not parts:
         raise CohortError("no observations")
-    patient, offsets = np.array(patient), np.array(offsets)
-    order = np.lexsort((offsets, patient))  # stable: ties keep file order
-    return {
-        "patient_ids": list(patient_index),
-        "vocabulary": tuple(variable_code),
-        "patient": patient[order],
-        "variable": np.array(variable)[order],
-        "offset_minutes": offsets[order],
-        "value": np.array(values)[order],
-    }
+    columns = {}
+    for i, name in enumerate(("patient", "variable", "offset_minutes", "value")):
+        columns[name] = np.concatenate([part[i] for part in parts])
+        for part in parts:
+            part[i] = None   # hold each column once
+    if not in_order:
+        order = np.lexsort((columns["offset_minutes"], columns["patient"]))  # stable: ties keep file order
+        columns = {name: column[order] for name, column in columns.items()}
+    return {"patient_ids": list(patient_index), "vocabulary": tuple(variable_code), **columns}
 
 
 def ingest_outcomes(stream) -> dict[str, PatientOutcome]:
     """Parse an outcomes CSV; exactly one row per patient_id."""
+    _check_stream(stream)
+    decoded = not isinstance(stream, io.TextIOBase)
+    lines = _text_lines(stream) if decoded else stream
     outcomes: dict[str, PatientOutcome] = {}
-    for line_no, row in _csv_rows(stream, OUTCOMES_HEADER, "outcomes"):
+    for line_no, row in _csv_rows(lines, OUTCOMES_HEADER, "outcomes", decoded=decoded):
         if not row:
             continue
         if len(row) != 3:
@@ -233,12 +487,24 @@ def ingest_outcomes(stream) -> dict[str, PatientOutcome]:
     return outcomes
 
 
+def _ingest_file(path, ingest):
+    """`ingest` applied to the file at `path`; its errors name the file."""
+    with open(path, "rb") as f:
+        try:
+            return ingest(f)
+        except ParseError as exc:
+            raise ParseError(exc.line_no, exc.message, path) from None
+        except CohortError as exc:
+            raise CohortError(f"{path}: {exc}") from None
+
+
 def load_cohort(observations_path, outcomes_path) -> RawCohort:
-    with open(observations_path, "rb") as f:
-        columns = ingest_observations(f)
-    with open(outcomes_path, "rb") as f:
-        outcomes = ingest_outcomes(f)
-    return RawCohort(**columns, outcomes=outcomes)
+    columns = _ingest_file(observations_path, ingest_observations)
+    outcomes = _ingest_file(outcomes_path, ingest_outcomes)
+    try:
+        return RawCohort(**columns, outcomes=outcomes)
+    except CohortError as exc:
+        raise CohortError(f"{observations_path}, {outcomes_path}: {exc}") from None
 
 
 def write_observations(cohort: RawCohort, path) -> None:

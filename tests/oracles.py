@@ -24,13 +24,19 @@ only so tests can compare a library path with it:
   query point, and `normalize_all_samples` builds the class-density share on
   it. They check `icurisk.survival.DensityNormalizer` and
   `label_hidden_states`, which sum over distinct values with counts.
+- `ingest_rows` parses an observations CSV one `csv` record at a time, with
+  `int` and `float` per field. It checks the block-vectorised
+  `icurisk.cohort.ingest_observations`. A binary stream that is not UTF-8
+  makes it raise the decoder's bare UnicodeDecodeError.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
-from icurisk.cohort import FIRST_DAY_MINUTES
+from icurisk.cohort import FIRST_DAY_MINUTES, OBSERVATIONS_HEADER, CohortError, ParseError
 from icurisk.features import BINARY
 from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _joint_logs
 from icurisk.survival import _silverman_bandwidth
@@ -276,3 +282,78 @@ def normalize_all_samples(probs, labels, queries) -> np.ndarray:
     total[dead_zone] = 1.0
     f_death[dead_zone] = weight
     return f_death / total
+
+
+def _csv_rows(stream, header, what):
+    """(line number, row) for each CSV row after the header row, which must
+    equal `header`.
+
+    A binary stream is decoded as UTF-8 while it is read, and a text stream
+    is read as it is, so the file is never held in memory whole. The caller's
+    stream is left open.
+    """
+    if isinstance(stream, (str, bytes)):
+        raise TypeError("expected a file-like object, not a path or raw string")
+    text = stream if isinstance(stream, io.TextIOBase) else io.TextIOWrapper(
+        stream, encoding="utf-8", newline=""
+    )
+    try:
+        reader = csv.reader(text)
+        first = next(reader, None)
+        if first is None:
+            raise CohortError(f"no {what}")
+        if tuple(first) != header:
+            raise ParseError(1, f"expected header {','.join(header)}")
+        yield from enumerate(reader, start=2)
+    finally:
+        if text is not stream and not stream.closed:
+            text.detach()  # closing the wrapper would close the caller's stream
+
+
+def ingest_rows(stream) -> dict:
+    """Parse an observations CSV into every RawCohort field but `outcomes`.
+
+    The stream must be UTF-8 CSV with header patient_id,variable,offset_minutes,value.
+    Patients and variables are numbered in order of first appearance; rows
+    at or beyond minute 1440 are kept.
+    """
+    patient_index: dict[str, int] = {}
+    variable_code: dict[str, int] = {}
+    patient, variable, offsets, values = [], [], [], []
+    for line_no, row in _csv_rows(stream, OBSERVATIONS_HEADER, "observations"):
+        if not row:
+            continue
+        if tuple(row) == OBSERVATIONS_HEADER:
+            raise ParseError(line_no, "duplicate header row")
+        if len(row) != 4:
+            raise ParseError(line_no, f"expected 4 fields, got {len(row)}")
+        pid, name, offset_s, value_s = row
+        try:
+            offset = int(offset_s)
+        except ValueError:
+            raise ParseError(line_no, f"non-integer offset_minutes {offset_s!r}") from None
+        try:
+            value = float(value_s)
+        except ValueError:
+            raise ParseError(line_no, f"non-numeric value {value_s!r}") from None
+        if offset < 0:
+            raise ParseError(line_no, f"offset_minutes must be >= 0, got {offset}")
+        if not math.isfinite(value):
+            raise ParseError(line_no, f"non-finite value for {pid}/{name}")
+        patient.append(patient_index.setdefault(pid, len(patient_index)))
+        variable.append(variable_code.setdefault(name, len(variable_code)))
+        offsets.append(offset)
+        values.append(value)
+
+    if not patient:
+        raise CohortError("no observations")
+    patient, offsets = np.array(patient), np.array(offsets)
+    order = np.lexsort((offsets, patient))  # stable: ties keep file order
+    return {
+        "patient_ids": list(patient_index),
+        "vocabulary": tuple(variable_code),
+        "patient": patient[order],
+        "variable": np.array(variable)[order],
+        "offset_minutes": offsets[order],
+        "value": np.array(values)[order],
+    }

@@ -155,6 +155,24 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "model.json" in err and "fits" in err
 
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [
+            ("observations.csv", "p1,heart_rate,30,x", "non-numeric value 'x'"),
+            ("outcomes.csv", "p1,30,2", "death_flag must be 0 or 1, got '2'"),
+        ],
+    )
+    def test_bad_input_names_file_and_line(self, workdir, capsys, name, row, message):
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        path = workdir / name
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(row + "\n")
+        n_lines = len(path.read_text().splitlines())
+        capsys.readouterr()
+        assert run(["predict", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {path}: line {n_lines}: {message}\n"
+
     def test_predict_without_model(self, workdir, capsys):
         cfg = write_config(workdir)
         assert run(["predict", "--config", cfg]) == 2

@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from icurisk import cohort as cohort_module
 from icurisk.cohort import (
     CohortError,
     ParseError,
@@ -139,6 +141,61 @@ class TestIngestObservations:
         with pytest.raises(TypeError, match="file-like"):
             ingest_observations("observations.csv")
 
+    def test_invalid_utf8_names_line(self):
+        stream = io.BytesIO(
+            b"patient_id,variable,offset_minutes,value\np1,hr,5,1\np1,hr,5,\xff2\np1,hr,6,x\n"
+        )
+        with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xff$"):
+            ingest_observations(stream)
+
+    def test_invalid_utf8_in_header_names_line_1(self):
+        with pytest.raises(ParseError, match="^line 1: invalid UTF-8"):
+            ingest_observations(io.BytesIO(b"patient_id\xc3,variable\n"))
+
+    def test_invalid_utf8_after_quoted_newline_counts_records(self):
+        stream = io.BytesIO(obs_stream('"p\n1",hr,5,1', "p2,hr,5,?").getvalue().replace(b"?", b"\xfe"))
+        with pytest.raises(ParseError, match="^line 3: invalid UTF-8 byte 0xfe"):
+            ingest_observations(stream)
+
+    def test_plain_file_never_reaches_row_loop(self, monkeypatch):
+        monkeypatch.setattr(cohort_module, "BLOCK_BYTES", 16)
+        monkeypatch.setattr(cohort_module, "_row_loop", None)   # calling it would fail
+        parsed = ingest_observations(obs_stream("p1,heart_rate,30,112", "p1,gcs,45,14.5"))
+        assert parsed["patient_ids"] == ["p1"]
+        assert parsed["value"].tolist() == [112.0, 14.5]
+
+    def test_quoted_and_crlf_files_parse_alike(self):
+        plain = ingest_observations(obs_stream("p1,heart_rate,30,112", "p2,gcs,5,14"))
+        quoted = ingest_observations(
+            io.BytesIO(b'patient_id,variable,offset_minutes,value\r\n"p1",heart_rate,30,112\r\n'
+                       b'p2,"gcs",5,14\r\n')
+        )
+        assert quoted["patient_ids"] == plain["patient_ids"]
+        assert quoted["vocabulary"] == plain["vocabulary"]
+        for name in ("patient", "variable", "offset_minutes", "value"):
+            assert np.array_equal(quoted[name], plain[name])
+
+    def test_memory_is_linear_in_rows(self):
+        # The columns take 4 x 8 bytes a row and are concatenated once from
+        # per-block parts; parsing one block needs a few blocks' worth.
+        n = 200_000
+        rng = np.random.default_rng(0)
+        names = ("heart_rate", "blood_pressure", "gcs", "temperature", "age")
+        lines = [
+            f"p{i // 100:05d},{names[i % 5]},{(i % 100) * 14},{v!r}\n"
+            for i, v in enumerate((100 + 20 * rng.standard_normal(n)).tolist())
+        ]
+        stream = io.BytesIO(("patient_id,variable,offset_minutes,value\n" + "".join(lines)).encode())
+        del lines
+        tracemalloc.start()
+        try:
+            parsed = ingest_observations(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed["value"].size == n
+        assert peak < 2 * (4 * 8 * n) + 4 * cohort_module.BLOCK_BYTES
+
 
 class TestIngestOutcomes:
     def test_direct_mapping(self):
@@ -156,6 +213,34 @@ class TestIngestOutcomes:
     def test_bad_flag(self):
         with pytest.raises(ParseError, match="death_flag"):
             ingest_outcomes(out_stream("p1,10,2"))
+
+    def test_invalid_utf8_names_line(self):
+        with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff"):
+            ingest_outcomes(io.BytesIO(b"patient_id,event_hours,death_flag\np\xff1,10,1\n"))
+
+
+class TestLoadCohort:
+    def test_parse_errors_name_the_file(self, tmp_path):
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        obs.write_bytes(obs_stream("p1,heart_rate,30,112", "p1,heart_rate,31,x").getvalue())
+        out.write_bytes(out_stream("p1,30,0").getvalue())
+        with pytest.raises(ParseError, match=f"^{obs}: line 3: non-numeric value 'x'$") as info:
+            load_cohort(obs, out)
+        assert info.value.line_no == 3 and info.value.path == obs
+        out.write_bytes(out_stream("p1,30,2").getvalue())
+        obs.write_bytes(obs_stream("p1,heart_rate,30,112").getvalue())
+        with pytest.raises(ParseError, match=f"^{out}: line 2: death_flag"):
+            load_cohort(obs, out)
+
+    def test_cohort_errors_name_the_files(self, tmp_path):
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        obs.write_bytes(b"patient_id,variable,offset_minutes,value\n")
+        out.write_bytes(out_stream("p1,30,0").getvalue())
+        with pytest.raises(CohortError, match=f"^{obs}: no observations$"):
+            load_cohort(obs, out)
+        obs.write_bytes(obs_stream("p2,heart_rate,30,112").getvalue())
+        with pytest.raises(CohortError, match=f"^{obs}, {out}: observations and outcomes cover"):
+            load_cohort(obs, out)
 
 
 def heart_rate_cohort(patient_ids=("p1",), **columns):

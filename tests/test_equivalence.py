@@ -1,5 +1,14 @@
 """Library paths against the reference implementations in `oracles.py`.
 
+Generated observations files mix rows the vectorised ingest parses with rows
+only the row loop takes: quoted ids holding commas, newlines or quotes, CRLF
+line endings, empty lines, offsets with signs, underscores or spaces,
+non-ASCII ids and a missing final newline, and, in files that may fail,
+non-finite values, a header row in the middle, wrong field counts, huge or
+negative offsets and bytes that are not UTF-8. They are parsed with blocks
+of a few bytes, so block boundaries fall inside rows, and with one hash
+multiplier that makes long ids and names collide.
+
 Generated cohorts for the columnar cohort path mix window-boundary offsets
 (0, 719, 720, 1439, 1440) with arbitrary ones, score-bin edges with arbitrary
 values, patients without rows, empty windows, variables a patient never has,
@@ -8,6 +17,7 @@ has. Generated scored sets for concordance have heavily tied times and
 scores, and include all-censored and single-event sets.
 """
 
+import io
 import math
 import tracemalloc
 import warnings
@@ -18,7 +28,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from icurisk.cohort import filter_cohort
+from icurisk import cohort as cohort_module
+from icurisk.cohort import ParseError, filter_cohort, ingest_observations, write_observations
 from icurisk.evaluation import ScoredSet, concordance, first_day_max_scores
 from icurisk.features import (
     FeatureSpec,
@@ -236,3 +247,134 @@ def test_state_labels_match_all_samples_oracle(imputed_training, day):
         expected = oracles.normalize_all_samples(theta[:, t], events, theta[:, t])
         assert np.array_equal(labels.states[:, t], expected >= 0.5)
         np.testing.assert_allclose(labels.probabilities[:, t], expected, rtol=1e-12, atol=0)
+
+
+PLAIN_IDS = ["p1", "p2", "p10", "", " p1", "patient_000000001", "xatient_000000001"]
+PLAIN_NAMES = ["heart_rate", "gcs", "blood_pressure_systolic"]
+PLAIN_OFFSETS = st.one_of(st.integers(0, 3000).map(str), st.sampled_from(["007", "9" * 18]))
+PLAIN_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+    st.sampled_from(["1_0", " 1.5", "1.5 ", "\x0b1", "-0", ".5", "5.", "1e5", "4.9e-324", "1e-400"]),
+)
+# Valid fields that only the row loop takes.
+QUOTED_IDS = ['"p,3"', '"p\n4"', '"p""5"', '"p1"', "pé", "患者"]
+QUOTED_NAMES = ['"g,cs"', "température"]
+SIGNED_OFFSETS = st.sampled_from(["+5", "1_0", " 5", "5 ", "-0"])
+# Fields the parser must reject.
+BAD_IDS = ['"p\r6"', "p7\r"]
+BAD_OFFSETS = st.sampled_from(["-5", "abc", "", "1.5", "9" * 19, str(2**63), str(2**64), "１"])
+BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "1e500", "x", "", "0x10", "\x1c1", "1__0"])
+HEADER = "patient_id,variable,offset_minutes,value"
+
+
+@st.composite
+def observation_files(draw):
+    """The bytes of an observations file: "plain" ones hold only rows the
+    block parser takes, "valid" ones any rows the row loop accepts, and
+    "bad" and "any" ones may have to be rejected."""
+    kind = draw(st.sampled_from(["plain", "valid", "bad", "any"]))
+    quoted, bad = kind in ("valid", "any"), kind in ("bad", "any")
+    ids, names, offsets, values = PLAIN_IDS, PLAIN_NAMES, PLAIN_OFFSETS, PLAIN_VALUES
+    if quoted:
+        ids, names = ids + QUOTED_IDS, names + QUOTED_NAMES
+        offsets = st.one_of(offsets, SIGNED_OFFSETS)
+    if bad:
+        ids = ids + BAD_IDS
+        offsets, values = st.one_of(offsets, BAD_OFFSETS), st.one_of(values, BAD_VALUES)
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(ids), st.sampled_from(names), offsets, values), max_size=40
+    ))
+    if draw(st.booleans()):   # patients grouped and offsets ascending, as write_observations leaves them
+        rows.sort(key=lambda r: (r[0], int(r[2]) if r[2].strip().lstrip("+-").isdigit() else 0))
+    lines = [",".join(row) for row in rows]
+    extras = [""] * quoted + [HEADER, "p1,gcs,5", "p1,gcs,5,1,2"] * bad
+    for extra in draw(st.lists(st.sampled_from(extras), max_size=2)) if extras else []:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    newline = draw(st.sampled_from(["\n", "\r\n"])) if quoted else "\n"
+    text = newline.join([HEADER] + lines) + (newline if draw(st.booleans()) else "")
+    data = text.encode()
+    if bad and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def ingest_outcome(ingest, stream):
+    try:
+        return ingest(stream)
+    except Exception as exc:  # compared with the oracle's
+        return exc
+
+
+def assert_ingest_matches_oracle(make_stream):
+    got = ingest_outcome(ingest_observations, make_stream())
+    expected = ingest_outcome(oracles.ingest_rows, make_stream())
+    if isinstance(expected, UnicodeDecodeError):
+        assert isinstance(got, ParseError)   # the row loop names the line instead
+    elif isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+    else:
+        assert not isinstance(got, Exception), got
+        assert got.keys() == expected.keys()
+        assert got["patient_ids"] == expected["patient_ids"]
+        assert got["vocabulary"] == expected["vocabulary"]
+        for name in ("patient", "variable", "offset_minutes", "value"):
+            a, b = got[name], expected[name]
+            assert a.dtype == b.dtype
+            if a.dtype == object:   # offsets past uint64
+                assert a.tolist() == b.tolist()
+            else:
+                assert a.tobytes() == b.tobytes()   # bit for bit: -0.0 is not 0.0
+
+
+@settings(deadline=None)
+@given(
+    observation_files(),
+    st.sampled_from([1, 2, 3, 5, 8, 13, 64, cohort_module.BLOCK_BYTES]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_ingest_matches_row_oracle(data, block_bytes, as_text, collide):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+        if collide:   # every multi-word id or name hashes to its last word
+            mp.setattr(cohort_module, "_MIX", np.uint64(0))
+        assert_ingest_matches_oracle(lambda: io.BytesIO(data))
+        try:
+            text = data.decode()
+        except UnicodeDecodeError:
+            return
+        if as_text:
+            assert_ingest_matches_oracle(lambda: io.StringIO(text, newline=""))
+
+
+def test_written_cohort_matches_row_oracle(small_cohort, tmp_path, monkeypatch):
+    path = tmp_path / "observations.csv"
+    write_observations(small_cohort, path)
+    data = path.read_bytes()
+    for block_bytes in (64, 4096, cohort_module.BLOCK_BYTES):
+        monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+        assert_ingest_matches_oracle(lambda: io.BytesIO(data))
+
+
+@pytest.mark.parametrize("block_bytes", [8, cohort_module.BLOCK_BYTES])
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"p1,gcs,5,1\np1,gcs," + b"9" * 18 + b",1\n",     # the longest offset parsed in blocks
+        b"p1,gcs,5,1\np1,gcs," + b"9" * 19 + b",1\n",     # past int64: the row loop's int
+        b"p1,gcs,5,1\np2,gcs," + str(2**64).encode() + b",1\n",
+        b"p1,gcs,5,1\np7\r,gcs,5,1\n",                     # a bare CR ends a record
+        b"p1,gcs,5,1\r\np1,gcs,6,2\r\n",
+        b"p1,gcs,5,1e500\n",
+        b"p1,gcs,5,1\n\np1,gcs,6,2",
+        b"p1,gcs,5,1\np1,gcs,5,1,2\n",
+        b"p1,gcs,5,1\np1," + b"g" * 65 + b",5,1\n",          # a field longer than the block parser takes
+        b"p2,gcs,9,1\np1,gcs,5,1\np2,gcs,3,1\n",           # not in order: sorted like the row loop
+    ],
+)
+def test_ingest_edge_files_match_row_oracle(body, block_bytes, monkeypatch):
+    monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+    data = HEADER.encode() + b"\n" + body
+    assert_ingest_matches_oracle(lambda: io.BytesIO(data))
