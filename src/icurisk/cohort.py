@@ -192,9 +192,17 @@ def _csv_rows(lines, header, what, line_no=1, decoded=True):
     With `header`, the first record must equal it and is not yielded; with
     None, records are numbered from `line_no` on. Where `decoded`, the lines
     come from `_text_lines` and a record holding bytes that were not UTF-8
-    raises a ParseError.
+    raises a ParseError, as does a record `csv` rejects (a field over its
+    size limit).
     """
-    for line_no, row in enumerate(csv.reader(lines), start=line_no):
+    reader = csv.reader(lines)
+    for line_no in itertools.count(line_no):
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise ParseError(line_no, str(exc)) from None
         if decoded and (byte := _invalid_utf8(row)) is not None:
             raise ParseError(line_no, f"invalid UTF-8 byte 0x{byte:02x}")
         if header is not None:
@@ -507,23 +515,41 @@ def load_cohort(observations_path, outcomes_path) -> RawCohort:
         raise CohortError(f"{observations_path}, {outcomes_path}: {exc}") from None
 
 
+def _csv_fields(texts) -> list[str]:
+    """Each text as `csv.writer` writes it among other fields of a row:
+    quoted where the csv module's minimal quoting says so."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    fields = []
+    for text in texts:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((text, ""))
+        fields.append(buffer.getvalue()[:-2])   # less the empty field's "," and the "\n"
+    return fields
+
+
 def write_observations(cohort: RawCohort, path) -> None:
-    pids = np.array(cohort.patient_ids, dtype=object)[cohort.patient].tolist()
-    names = np.array(cohort.vocabulary, dtype=object)[cohort.variable].tolist()
-    values = map(repr, cohort.value.tolist())
+    """The observations CSV: one row per observation, in cohort order, each
+    value as its `repr`; byte for byte what `csv.writer` writes."""
+    pids = np.array(_csv_fields(cohort.patient_ids), dtype=object)
+    names = np.array(_csv_fields(cohort.vocabulary), dtype=object)
+    rows = zip(
+        pids[cohort.patient].tolist(),
+        names[cohort.variable].tolist(),
+        cohort.offset_minutes.tolist(),
+        cohort.value.tolist(),
+    )
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(OBSERVATIONS_HEADER)
-        writer.writerows(zip(pids, names, cohort.offset_minutes.tolist(), values))
+        f.write(",".join(OBSERVATIONS_HEADER) + "\n")
+        f.writelines(f"{pid},{name},{offset},{value!r}\n" for pid, name, offset, value in rows)
 
 
 def write_outcomes(cohort: RawCohort, path) -> None:
+    rows = zip(_csv_fields(cohort.outcomes), cohort.outcomes.values())
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(OUTCOMES_HEADER)
-        for pid in cohort.outcomes:
-            out = cohort.outcomes[pid]
-            writer.writerow([pid, repr(out.event_hours), int(out.death_flag)])
+        f.write(",".join(OUTCOMES_HEADER) + "\n")
+        f.writelines(f"{pid},{out.event_hours!r},{int(out.death_flag)}\n" for pid, out in rows)
 
 
 def window_cells(cohort: RawCohort, variable_names, window_minutes: int, n_windows: int):
@@ -584,8 +610,8 @@ class SynthConfig:
             raise CohortError("prevalence_target must lie in (0, 1)")
         if not 0.0 <= self.missing_rate < 1.0:
             raise CohortError("missing_rate must lie in [0, 1)")
-        if self.sampling_rate_per_hour <= 0:
-            raise CohortError("sampling_rate_per_hour must be positive")
+        if not (math.isfinite(self.sampling_rate_per_hour) and self.sampling_rate_per_hour > 0):
+            raise CohortError("sampling_rate_per_hour must be finite and positive")
         if not 0 <= self.seed < 2**64:
             raise CohortError("seed must fit in 64 unsigned bits")
 
@@ -678,6 +704,34 @@ def _calibrate_intercept(prevalence_target: float, tau_hours: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _standard_draws(rng, n_patients, n_variables, n_samples, age):
+    """The generator's random draws, as standard variates, patient by patient.
+
+    Per patient, in this order: severity, slope and one z per variable
+    (standard normal); the death and discharge times (standard
+    exponential); then per variable an offset jitter per sample (uniform),
+    a noise per sample (standard normal) and a keep draw per sample
+    (uniform), except for the age variable, which takes one keep draw and
+    nothing else. Returns (normal, exponential, jitter, noise, keep) with
+    shapes (n, 2 + n_variables), (n, 2) and three times
+    (n, n_variables, n_samples); the age variable's cells stay 0 but for its
+    keep draw at sample 0.
+    """
+    normal = np.empty((n_patients, 2 + n_variables))
+    exponential = np.empty((n_patients, 2))
+    jitter, noise, keep = (np.zeros((n_patients, n_variables, n_samples)) for _ in range(3))
+    draws = [(rng.standard_normal, normal), (rng.standard_exponential, exponential)]
+    for j in range(n_variables):
+        if j == age:
+            draws.append((rng.random, keep[:, j, :1]))
+        else:
+            draws += [(rng.random, jitter[:, j]), (rng.standard_normal, noise[:, j]), (rng.random, keep[:, j])]
+    for i in range(n_patients):
+        for draw, out in draws:
+            draw(out=out[i])
+    return normal, exponential, jitter, noise, keep
+
+
 def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     """Generate a cohort that follows the model's own generative assumptions.
 
@@ -687,6 +741,13 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     severity. Discharge is drawn independently; event_hours records whichever
     comes first. Deterministic for a fixed config, independent of thread count.
 
+    The seeded cohort is part of the contract: a config gives the same
+    cohort, bit for bit, from one version to the next on the same NumPy.
+    So the order and number of the random draws per patient, set out in
+    `_standard_draws`, must not change, and each draw is scaled as NumPy's
+    `Generator` scales it (`normal(0, s)` is `0.0 + s * g`,
+    `exponential(s)` is `s * e`, `uniform(0, h)` is `0.0 + h * u`).
+
     Parameters
     ----------
     config : SynthConfig
@@ -695,71 +756,82 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     """
     rng = np.random.default_rng(config.seed)
     variables = synthetic_variable_names(config.n_variables)
-    has_age = "age" in variables
+    age = variables.index("age") if "age" in variables else None
     intercept = _calibrate_intercept(
         config.prevalence_target, 24.0 * PREVALENCE_REFERENCE_DAY
     )
     interval = 60.0 / config.sampling_rate_per_hour
     n_samples = max(1, int(math.floor(FIRST_DAY_MINUTES / interval)))
-    width = len(str(config.n_patients))
-
-    outcomes: dict[str, PatientOutcome] = {}
-    patient, variable, offset_col, value_col = [], [], [], []
-    for i in range(config.n_patients):
-        pid = f"p{i + 1:0{width}d}"
-        # Severity follows a linear trajectory over the first day, and the
-        # hazard weights the direction of travel above the level: a patient
-        # deteriorating toward a given state is in more danger than one
-        # improving through it.
-        severity = float(rng.standard_normal())
-        slope = float(rng.standard_normal()) * _TRAJECTORY_SD
-        z = rng.standard_normal(config.n_variables)
-        course = (severity + _TRAJECTORY_RISK_WEIGHT * slope) / math.sqrt(
-            1.0 + (_TRAJECTORY_RISK_WEIGHT * _TRAJECTORY_SD) ** 2
-        )
-
-        # Standard-normal risk: clinical course plus an age contribution.
-        if has_age:
-            w = math.sqrt(1.0 - _AGE_RISK_WEIGHT**2)
-            risk = w * course + _AGE_RISK_WEIGHT * z[variables.index("age")]
-        else:
-            risk = course
-        rate = math.exp(intercept + _SEVERITY_SLOPE * risk)
-        t_death = rng.exponential(1.0 / rate)
-        t_discharge = _DISCHARGE_MIN_HOURS + rng.exponential(_DISCHARGE_SCALE_HOURS)
-        died = bool(t_death <= t_discharge)
-        event_hours = float(min(t_death, t_discharge))
-
-        for j, var in enumerate(variables):
-            if var == "age":
-                age = float(np.clip(round(62.0 + 14.0 * z[j]), 18.0, 100.0))
-                if rng.random() < config.missing_rate:
-                    continue
-                offsets, values = np.zeros(1), np.array([age])
-            else:
-                offsets = np.arange(n_samples) * interval + rng.uniform(0.0, interval, n_samples)
-                frac = offsets / FIRST_DAY_MINUTES
-                base, scale, noise, loading = _VALUE_MODELS.get(var, _EXTRA_VALUE_MODEL)
-                latent = (
-                    loading * (severity + slope * frac)
-                    + math.sqrt(1.0 - loading**2) * z[j]
-                )
-                values = base + scale * latent + rng.normal(0.0, noise, n_samples)
-                if var == "gcs":
-                    values = np.clip(np.rint(values), 3.0, 15.0)
-                keep = rng.random(n_samples) >= config.missing_rate
-                offsets, values = offsets[keep], values[keep]
-            patient.append(np.full(offsets.size, i))
-            variable.append(np.full(offsets.size, j))
-            offset_col.append(offsets.astype(np.int64))  # whole minutes, truncated
-            value_col.append(values)
-
-        outcomes[pid] = PatientOutcome(pid, event_hours, died)
-
-    patient, variable, offsets, values = (
-        np.concatenate(c) for c in (patient, variable, offset_col, value_col)
+    n_patients = config.n_patients
+    normal, exponential, offsets, noise, keep = _standard_draws(
+        rng, n_patients, config.n_variables, n_samples, age
     )
-    order = np.lexsort((offsets, patient))  # stable: ties keep variable order
+
+    # Severity follows a linear trajectory over the first day, and the
+    # hazard weights the direction of travel above the level: a patient
+    # deteriorating toward a given state is in more danger than one
+    # improving through it.
+    severity, slope, z = normal[:, 0], normal[:, 1] * _TRAJECTORY_SD, normal[:, 2:]
+    course = (severity + _TRAJECTORY_RISK_WEIGHT * slope) / math.sqrt(
+        1.0 + (_TRAJECTORY_RISK_WEIGHT * _TRAJECTORY_SD) ** 2
+    )
+    # Standard-normal risk: clinical course plus an age contribution.
+    risk = course
+    if age is not None:
+        w = math.sqrt(1.0 - _AGE_RISK_WEIGHT**2)
+        risk = w * course + _AGE_RISK_WEIGHT * z[:, age]
+    # math.exp per patient: np.exp need not round as libm does.
+    rate = np.array([math.exp(x) for x in (intercept + _SEVERITY_SLOPE * risk).tolist()])
+    t_death = (1.0 / rate) * exponential[:, 0]
+    t_discharge = _DISCHARGE_MIN_HOURS + _DISCHARGE_SCALE_HOURS * exponential[:, 1]
+    width = len(str(n_patients))
+    outcomes = {
+        pid: PatientOutcome(pid, hours, died)
+        for pid, hours, died in zip(
+            (f"p{i:0{width}d}" for i in range(1, n_patients + 1)),
+            np.minimum(t_death, t_discharge).tolist(),
+            (t_death <= t_discharge).tolist(),
+        )
+    }
+
+    # Observations over (patient, variable, sample) cells, in place.
+    offsets *= interval
+    offsets += 0.0   # uniform(0.0, interval) is 0.0 + interval * u
+    offsets += np.arange(n_samples) * interval
+    models = [_VALUE_MODELS.get(var, _EXTRA_VALUE_MODEL) for var in variables]
+    base, scale, noise_sd, loading = (np.array(column)[:, None] for column in zip(*models))
+    specific = np.array([math.sqrt(1.0 - m[3] ** 2) for m in models])
+    values = offsets / FIRST_DAY_MINUTES
+    values *= slope[:, None, None]
+    values += severity[:, None, None]
+    values *= loading
+    values += (specific * z)[:, :, None]
+    values *= scale
+    values += base
+    noise *= noise_sd
+    noise += 0.0   # normal(0.0, sd) is 0.0 + sd * g
+    values += noise
+    if "gcs" in variables:
+        gcs = variables.index("gcs")
+        values[:, gcs] = np.clip(np.rint(values[:, gcs]), 3.0, 15.0)
+    keep = keep >= config.missing_rate
+    if age is not None:
+        offsets[:, age, 0] = 0.0
+        values[:, age, 0] = np.clip(np.rint(62.0 + 14.0 * z[:, age]), 18.0, 100.0)
+        keep[:, age, 1:] = False
+
+    # C order is the order the rows were drawn in, patient by patient and
+    # variable by variable, so a stable sort leaves ties in variable order.
+    patient = np.repeat(np.arange(n_patients), keep.sum(axis=(1, 2)))
+    variable = np.broadcast_to(np.arange(len(variables))[:, None], keep.shape)[keep]
+    offsets = offsets[keep].astype(np.int64)  # whole minutes, truncated
+    values = values[keep]
+    del noise, keep   # with offsets and values rebound, no cell array outlives this line
+    span = int(offsets.max(initial=0)) + 1
+    if n_patients * span < 2**63:   # one int64 key sorts faster than lexsort's two
+        order = np.argsort(patient * span + offsets, kind="stable")
+    else:
+        order = np.lexsort((offsets, patient))
     return RawCohort(
         patient_ids=list(outcomes),
         vocabulary=tuple(variables),

@@ -28,6 +28,15 @@ only so tests can compare a library path with it:
   `int` and `float` per field. It checks the block-vectorised
   `icurisk.cohort.ingest_observations`. A binary stream that is not UTF-8
   makes it raise the decoder's bare UnicodeDecodeError.
+- `generate_patient_loop` builds the synthetic cohort one patient and one
+  variable at a time, drawing each distribution with its location and scale
+  and concatenating per-variable arrays. It checks the array-based
+  `icurisk.cohort.generate_synthetic_cohort`, which must make the same draws
+  in the same order and give the same cohort bit for bit.
+- `write_observations_rows` and `write_outcomes_rows` write one
+  `csv.writer` row per observation or outcome. They check
+  `icurisk.cohort.write_observations` and `write_outcomes`, which must write
+  the same bytes.
 """
 
 import csv
@@ -36,7 +45,27 @@ import math
 
 import numpy as np
 
-from icurisk.cohort import FIRST_DAY_MINUTES, OBSERVATIONS_HEADER, CohortError, ParseError
+from icurisk.cohort import (
+    _AGE_RISK_WEIGHT,
+    _DISCHARGE_MIN_HOURS,
+    _DISCHARGE_SCALE_HOURS,
+    _EXTRA_VALUE_MODEL,
+    _SEVERITY_SLOPE,
+    _TRAJECTORY_RISK_WEIGHT,
+    _TRAJECTORY_SD,
+    _VALUE_MODELS,
+    FIRST_DAY_MINUTES,
+    OBSERVATIONS_HEADER,
+    OUTCOMES_HEADER,
+    PREVALENCE_REFERENCE_DAY,
+    CohortError,
+    ParseError,
+    PatientOutcome,
+    RawCohort,
+    SynthConfig,
+    _calibrate_intercept,
+    synthetic_variable_names,
+)
 from icurisk.features import BINARY
 from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _joint_logs
 from icurisk.survival import _silverman_bandwidth
@@ -357,3 +386,106 @@ def ingest_rows(stream) -> dict:
         "offset_minutes": offsets[order],
         "value": np.array(values)[order],
     }
+
+
+def generate_patient_loop(config: SynthConfig) -> RawCohort:
+    """The seeded synthetic cohort, one patient and one variable at a time:
+    each draw is made with its location and scale, and each variable's rows
+    are an array of their own, concatenated at the end."""
+    rng = np.random.default_rng(config.seed)
+    variables = synthetic_variable_names(config.n_variables)
+    has_age = "age" in variables
+    intercept = _calibrate_intercept(
+        config.prevalence_target, 24.0 * PREVALENCE_REFERENCE_DAY
+    )
+    interval = 60.0 / config.sampling_rate_per_hour
+    n_samples = max(1, int(math.floor(FIRST_DAY_MINUTES / interval)))
+    width = len(str(config.n_patients))
+
+    outcomes: dict[str, PatientOutcome] = {}
+    patient, variable, offset_col, value_col = [], [], [], []
+    for i in range(config.n_patients):
+        pid = f"p{i + 1:0{width}d}"
+        # Severity follows a linear trajectory over the first day, and the
+        # hazard weights the direction of travel above the level: a patient
+        # deteriorating toward a given state is in more danger than one
+        # improving through it.
+        severity = float(rng.standard_normal())
+        slope = float(rng.standard_normal()) * _TRAJECTORY_SD
+        z = rng.standard_normal(config.n_variables)
+        course = (severity + _TRAJECTORY_RISK_WEIGHT * slope) / math.sqrt(
+            1.0 + (_TRAJECTORY_RISK_WEIGHT * _TRAJECTORY_SD) ** 2
+        )
+
+        # Standard-normal risk: clinical course plus an age contribution.
+        if has_age:
+            w = math.sqrt(1.0 - _AGE_RISK_WEIGHT**2)
+            risk = w * course + _AGE_RISK_WEIGHT * z[variables.index("age")]
+        else:
+            risk = course
+        rate = math.exp(intercept + _SEVERITY_SLOPE * risk)
+        t_death = rng.exponential(1.0 / rate)
+        t_discharge = _DISCHARGE_MIN_HOURS + rng.exponential(_DISCHARGE_SCALE_HOURS)
+        died = bool(t_death <= t_discharge)
+        event_hours = float(min(t_death, t_discharge))
+
+        for j, var in enumerate(variables):
+            if var == "age":
+                age = float(np.clip(round(62.0 + 14.0 * z[j]), 18.0, 100.0))
+                if rng.random() < config.missing_rate:
+                    continue
+                offsets, values = np.zeros(1), np.array([age])
+            else:
+                offsets = np.arange(n_samples) * interval + rng.uniform(0.0, interval, n_samples)
+                frac = offsets / FIRST_DAY_MINUTES
+                base, scale, noise, loading = _VALUE_MODELS.get(var, _EXTRA_VALUE_MODEL)
+                latent = (
+                    loading * (severity + slope * frac)
+                    + math.sqrt(1.0 - loading**2) * z[j]
+                )
+                values = base + scale * latent + rng.normal(0.0, noise, n_samples)
+                if var == "gcs":
+                    values = np.clip(np.rint(values), 3.0, 15.0)
+                keep = rng.random(n_samples) >= config.missing_rate
+                offsets, values = offsets[keep], values[keep]
+            patient.append(np.full(offsets.size, i))
+            variable.append(np.full(offsets.size, j))
+            offset_col.append(offsets.astype(np.int64))  # whole minutes, truncated
+            value_col.append(values)
+
+        outcomes[pid] = PatientOutcome(pid, event_hours, died)
+
+    patient, variable, offsets, values = (
+        np.concatenate(c) for c in (patient, variable, offset_col, value_col)
+    )
+    order = np.lexsort((offsets, patient))  # stable: ties keep variable order
+    return RawCohort(
+        patient_ids=list(outcomes),
+        vocabulary=tuple(variables),
+        patient=patient[order],
+        variable=variable[order],
+        offset_minutes=offsets[order],
+        value=values[order],
+        outcomes=outcomes,
+    )
+
+
+def write_observations_rows(cohort: RawCohort, path) -> None:
+    """The observations CSV, one `csv.writer` row per observation."""
+    pids = np.array(cohort.patient_ids, dtype=object)[cohort.patient].tolist()
+    names = np.array(cohort.vocabulary, dtype=object)[cohort.variable].tolist()
+    values = map(repr, cohort.value.tolist())
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(OBSERVATIONS_HEADER)
+        writer.writerows(zip(pids, names, cohort.offset_minutes.tolist(), values))
+
+
+def write_outcomes_rows(cohort: RawCohort, path) -> None:
+    """The outcomes CSV, one `csv.writer` row per patient."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(OUTCOMES_HEADER)
+        for pid in cohort.outcomes:
+            out = cohort.outcomes[pid]
+            writer.writerow([pid, repr(out.event_hours), int(out.death_flag)])

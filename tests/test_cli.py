@@ -32,6 +32,15 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"paths": {}, "window_hourz": 6}))
         assert run(["synth", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_sampling_rate_rejected(self, tmp_path, capsys, rate):
+        synth = json.loads(write_config(tmp_path).read_text())["synth"]
+        cfg = write_config(tmp_path, synth={**synth, "sampling_rate_per_hour": rate})
+        assert run(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            "config error: invalid config value: sampling_rate_per_hour must be finite and positive\n"
+        )
+
     def test_synth_without_block(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "out")}}))
@@ -160,6 +169,12 @@ class TestPredict:
         [
             ("observations.csv", "p1,heart_rate,30,x", "non-numeric value 'x'"),
             ("outcomes.csv", "p1,30,2", "death_flag must be 0 or 1, got '2'"),
+            pytest.param(
+                "observations.csv",
+                '"' + "p" * 140_000 + '",heart_rate,30,80',
+                "field larger than field limit (131072)",
+                id="field-over-csv-limit",
+            ),
         ],
     )
     def test_bad_input_names_file_and_line(self, workdir, capsys, name, row, message):

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -232,6 +233,17 @@ class TestLoadCohort:
         with pytest.raises(ParseError, match=f"^{out}: line 2: death_flag"):
             load_cohort(obs, out)
 
+    def test_field_over_csv_limit_names_file_and_line(self, tmp_path):
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        long_id = '"' + "p" * 140_000 + '"'
+        obs.write_bytes(obs_stream("p1,heart_rate,30,112", f"{long_id},heart_rate,31,90").getvalue())
+        out.write_bytes(out_stream("p1,30,0").getvalue())
+        message = "field larger than field limit (131072)"
+        with pytest.raises(ParseError, match=rf"^{obs}: line 3: {re.escape(message)}$"):
+            load_cohort(obs, out)
+        with pytest.raises(ParseError, match=rf"^line 2: {re.escape(message)}$"):
+            ingest_outcomes(out_stream(f"{long_id},30,0"))
+
     def test_cohort_errors_name_the_files(self, tmp_path):
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
         obs.write_bytes(b"patient_id,variable,offset_minutes,value\n")
@@ -350,6 +362,11 @@ class TestSynthConfig:
         with pytest.raises(CohortError):
             SynthConfig(0, 3, 0.2, 0.1, 1.0, 0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_sampling_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(CohortError, match="^sampling_rate_per_hour must be finite and positive$"):
+            SynthConfig(10, 3, 0.2, 0.1, rate, 0)
+
 
 class TestGenerator:
     CFG = SynthConfig(
@@ -387,6 +404,17 @@ class TestGenerator:
         cohort = generate_synthetic_cohort(self.CFG)
         obs_path, out_path = write_cohort_files(cohort, tmp_path)
         assert same_cohort(load_cohort(obs_path, out_path), cohort)
+
+    def test_memory_is_linear_in_rows(self):
+        # The (patient, variable, sample) arrays, then the columns and their sorted copies.
+        cfg = SynthConfig(4000, 5, 0.15, 0.1, 1.0, 3)
+        tracemalloc.start()
+        try:
+            cohort = generate_synthetic_cohort(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250 * cohort.value.size
 
     @pytest.mark.slow
     def test_realized_prevalence_over_seeds(self):

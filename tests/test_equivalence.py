@@ -15,12 +15,21 @@ values, patients without rows, empty windows, variables a patient never has,
 one variable outside the feature spec and one in the spec that no patient
 has. Generated scored sets for concordance have heavily tied times and
 scores, and include all-censored and single-event sets.
+
+Synthetic cohorts are generated with 1 to 8 variables (so age is absent,
+last or in the middle), 1 to 48 samples a day and no or most samples
+missing, and must match the per-patient generator bit for bit. Written
+files must match `csv.writer`'s bytes for ids and names that need quoting
+and values whose `repr` is unusual.
 """
 
+import functools
 import io
 import math
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +38,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from icurisk import cohort as cohort_module
-from icurisk.cohort import ParseError, filter_cohort, ingest_observations, write_observations
+from icurisk.cohort import (
+    ParseError,
+    SynthConfig,
+    filter_cohort,
+    generate_synthetic_cohort,
+    ingest_observations,
+    write_observations,
+    write_outcomes,
+)
 from icurisk.evaluation import ScoredSet, concordance, first_day_max_scores
 from icurisk.features import (
     FeatureSpec,
@@ -378,3 +395,90 @@ def test_ingest_edge_files_match_row_oracle(body, block_bytes, monkeypatch):
     monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
     data = HEADER.encode() + b"\n" + body
     assert_ingest_matches_oracle(lambda: io.BytesIO(data))
+
+
+def assert_same_cohort_bits(got, expected):
+    assert got.patient_ids == expected.patient_ids
+    assert got.vocabulary == expected.vocabulary
+    for name in ("patient", "variable", "offset_minutes", "value"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert list(got.outcomes) == list(expected.outcomes)
+    for pid, out in expected.outcomes.items():
+        mine = got.outcomes[pid]
+        assert type(mine.event_hours) is type(out.event_hours) is float
+        assert mine.event_hours.hex() == out.event_hours.hex()
+        assert type(mine.death_flag) is type(out.death_flag) is bool
+        assert mine.death_flag == out.death_flag
+
+
+# Samples a day: 1 (a 1440-minute interval, or a vast one, so the rows are
+# sorted with lexsort), 12, 24 and 48.
+SAMPLING_RATES = [1e-16, 1 / 24, 0.5, 1.0, 2.0]
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 50),
+    st.integers(1, 8),
+    st.sampled_from(SAMPLING_RATES),
+    st.sampled_from([0.0, 0.9]),
+    st.sampled_from([0.05, 0.35]),
+    st.integers(0, 2**64 - 1),
+)
+def test_generator_matches_patient_loop_oracle(n_patients, n_variables, rate, missing_rate, prevalence, seed):
+    config = SynthConfig(n_patients, n_variables, prevalence, missing_rate, rate, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        # The calibration is the same pure function on both sides; bisect it once per target.
+        calibrate = functools.cache(cohort_module._calibrate_intercept)
+        mp.setattr(cohort_module, "_calibrate_intercept", calibrate)
+        mp.setattr(oracles, "_calibrate_intercept", calibrate)
+        assert_same_cohort_bits(generate_synthetic_cohort(config), oracles.generate_patient_loop(config))
+
+
+def test_seeded_generator_matches_patient_loop_oracle(small_cohort):
+    config = SynthConfig(600, 5, 0.35, 0.1, 1.0, 424242)   # the small_cohort fixture
+    assert_same_cohort_bits(small_cohort, oracles.generate_patient_loop(config))
+
+
+# Texts csv.writer quotes or leaves alone, and values with unusual reprs.
+WRITER_TEXTS = ["p1", "a,b", 'say "hi"', '"', "two\nlines", "cr\rhere", " spaced ", "température", "患者", ""]
+WRITER_VALUES = [-0.0, 0.0, 5e-324, 0.1, 1e-5, 1e16, 1e22, 3.0, -12.0, 1e300, 123456789.0]
+
+
+@st.composite
+def writer_cohorts(draw):
+    pids = draw(st.lists(st.sampled_from(WRITER_TEXTS), min_size=1, max_size=5, unique=True))
+    outcomes = {
+        pid: (draw(st.sampled_from([v for v in WRITER_VALUES if v > 0])), draw(st.booleans()))
+        for pid in pids
+    }
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(pids),
+        st.sampled_from(WRITER_TEXTS),
+        st.sampled_from([0, 7, 1439, 1440, 2**62]),
+        st.sampled_from(WRITER_VALUES),
+    ), max_size=30))
+    return cohort_from_rows(rows, outcomes)
+
+
+def assert_writes_match_oracle(cohort, directory):
+    for write, oracle, name in (
+        (write_observations, oracles.write_observations_rows, "observations"),
+        (write_outcomes, oracles.write_outcomes_rows, "outcomes"),
+    ):
+        got, expected = directory / f"{name}.csv", directory / f"{name}_oracle.csv"
+        write(cohort, got)
+        oracle(cohort, expected)
+        assert got.read_bytes() == expected.read_bytes(), name
+
+
+@settings(deadline=None)
+@given(writer_cohorts())
+def test_writers_match_csv_writer_oracle(cohort):
+    with tempfile.TemporaryDirectory() as directory:
+        assert_writes_match_oracle(cohort, Path(directory))
+
+
+def test_seeded_cohort_writes_match_csv_writer_oracle(small_cohort, tmp_path):
+    assert_writes_match_oracle(small_cohort, tmp_path)
