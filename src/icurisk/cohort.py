@@ -796,7 +796,6 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
 
     # Observations over (patient, variable, sample) cells, in place.
     offsets *= interval
-    offsets += 0.0   # uniform(0.0, interval) is 0.0 + interval * u
     offsets += np.arange(n_samples) * interval
     models = [_VALUE_MODELS.get(var, _EXTRA_VALUE_MODEL) for var in variables]
     base, scale, noise_sd, loading = (np.array(column)[:, None] for column in zip(*models))
@@ -809,14 +808,12 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     values *= scale
     values += base
     noise *= noise_sd
-    noise += 0.0   # normal(0.0, sd) is 0.0 + sd * g
     values += noise
     if "gcs" in variables:
         gcs = variables.index("gcs")
         values[:, gcs] = np.clip(np.rint(values[:, gcs]), 3.0, 15.0)
     keep = keep >= config.missing_rate
     if age is not None:
-        offsets[:, age, 0] = 0.0
         values[:, age, 0] = np.clip(np.rint(62.0 + 14.0 * z[:, age]), 18.0, 100.0)
         keep[:, age, 1:] = False
 
@@ -827,11 +824,7 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     offsets = offsets[keep].astype(np.int64)  # whole minutes, truncated
     values = values[keep]
     del noise, keep   # with offsets and values rebound, no cell array outlives this line
-    span = int(offsets.max(initial=0)) + 1
-    if n_patients * span < 2**63:   # one int64 key sorts faster than lexsort's two
-        order = np.argsort(patient * span + offsets, kind="stable")
-    else:
-        order = np.lexsort((offsets, patient))
+    order = np.lexsort((offsets, patient))
     return RawCohort(
         patient_ids=list(outcomes),
         vocabulary=tuple(variables),

@@ -412,8 +412,8 @@ def assert_same_cohort_bits(got, expected):
         assert mine.death_flag == out.death_flag
 
 
-# Samples a day: 1 (a 1440-minute interval, or a vast one, so the rows are
-# sorted with lexsort), 12, 24 and 48.
+# Samples a day: 1 (a 1440-minute interval, or a vast one whose offsets
+# reach about 6e17 minutes), 12, 24 and 48.
 SAMPLING_RATES = [1e-16, 1 / 24, 0.5, 1.0, 2.0]
 
 
