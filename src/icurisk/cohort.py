@@ -100,8 +100,7 @@ class RawCohort:
             raise CohortError(f"offset_minutes must be >= 0, got {self.offset_minutes.min()}")
         if not np.all(np.isfinite(self.value)):
             raise CohortError("non-finite observation value")
-        step = np.diff(self.patient)
-        back = (step < 0) | ((step == 0) & (np.diff(self.offset_minutes) < 0))
+        back = _steps_back(self.patient, self.offset_minutes)
         if back.any():
             pid = self.patient_ids[self.patient[np.argmax(back) + 1]]
             raise CohortError(f"observations are not sorted by patient, then offset (at {pid})")
@@ -368,9 +367,12 @@ def _parse_block(data, patient_index, variable_code):
     return [patient, variable, offset, value]
 
 
-def _rows_in_order(patient, offset) -> bool:
-    step = np.diff(patient)
-    return bool(np.all((step > 0) | ((step == 0) & (np.diff(offset) >= 0))))
+def _steps_back(patient, offset) -> np.ndarray:
+    """Per pair of adjacent rows, whether the second comes before the first
+    in (patient, offset) order. Compares slices, so it copies no column."""
+    before = patient[1:] < patient[:-1]
+    before |= (patient[1:] == patient[:-1]) & (offset[1:] < offset[:-1])
+    return before
 
 
 def _row_loop(rows, patient_index, variable_code):
@@ -434,7 +436,7 @@ def ingest_observations(stream) -> dict:
         if data:
             patient, _, offset, _ = columns
             first = (int(patient[0]), int(offset[0]))
-            in_order = in_order and (last is None or last <= first) and _rows_in_order(patient, offset)
+            in_order = in_order and (last is None or last <= first) and not _steps_back(patient, offset).any()
             last = (int(patient[-1]), int(offset[-1]))
             parts.append(columns)
             lines_done += patient.size
@@ -557,15 +559,21 @@ def window_cells(cohort: RawCohort, variable_names, window_minutes: int, n_windo
     [window_minutes * t, window_minutes * (t + 1)). Rows at or past
     window_minutes * n_windows, and rows of other variables, are dropped.
 
-    Returns the kept row indices and, per kept row, its patient index,
-    window and position in `variable_names`.
+    Returns the kept row indices and, per kept row, its cell: the flat index
+    of (patient, window, position in `variable_names`) in a C-order array of
+    shape (n_patients, n_windows, len(variable_names)). Only the two int64
+    arrays of kept rows outlive the call.
     """
     position = {name: j for j, name in enumerate(variable_names)}
     column_of = np.array([position.get(name, -1) for name in cohort.vocabulary], dtype=np.int64)
-    column = column_of[cohort.variable]
-    window = cohort.offset_minutes // window_minutes
-    rows = np.flatnonzero((column >= 0) & (window < n_windows))
-    return rows, cohort.patient[rows], window[rows], column[rows]
+    keep = (column_of >= 0)[cohort.variable]
+    keep &= cohort.offset_minutes < window_minutes * n_windows   # offsets are >= 0
+    rows = np.flatnonzero(keep)
+    cell = cohort.patient[rows] * n_windows
+    cell += cohort.offset_minutes[rows] // window_minutes
+    cell *= len(variable_names)
+    cell += column_of[cohort.variable[rows]]
+    return rows, cell
 
 
 def filter_cohort(
@@ -581,9 +589,9 @@ def filter_cohort(
     """
     required = list(dict.fromkeys(required_variables))
     n_windows = 24 // window_hours
-    _, patient, window, column = window_cells(cohort, required, 60 * window_hours, n_windows)
     covered = np.zeros((cohort.n_patients, n_windows, len(required)), dtype=bool)
-    covered[patient, window, column] = True
+    # the cells are dropped here, before `subset` builds the kept columns
+    covered.ravel()[window_cells(cohort, required, 60 * window_hours, n_windows)[1]] = True
     stayed = [cohort.outcomes[pid].event_hours >= min_stay_hours for pid in cohort.patient_ids]
     return cohort.subset(np.array(stayed, dtype=bool) & covered.all(axis=(1, 2)))
 
@@ -697,6 +705,8 @@ def _calibrate_intercept(prevalence_target: float, tau_hours: float) -> float:
     lo, hi = -20.0, 5.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid   # lo and hi are adjacent floats: no later step moves the result
         if expected_fraction(mid) < prevalence_target:
             lo = mid
         else:

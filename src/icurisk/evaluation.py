@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betainc
-from scipy.stats import rankdata
 
 from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, filter_cohort
 from .features import FeatureSpec, ScoreTable, build_feature_matrix, worst_scores
@@ -53,13 +52,19 @@ class ScoredSet:
 
 def auroc(s: ScoredSet) -> float:
     """Mann-Whitney AUROC: share of positive/negative pairs ranked correctly,
-    ties counted half."""
+    ties counted half.
+
+    Tied scores share their mid-rank. Mid-ranks are half-integers, exact in
+    float64, so the rank sum is what `scipy.stats.rankdata` gives.
+    """
     pos = s.labels == 1
     n_pos = int(pos.sum())
     n_neg = s.labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both classes")
-    ranks = rankdata(s.scores)
+    _, inverse, count = np.unique(s.scores, return_inverse=True, return_counts=True)
+    first = np.cumsum(count) - count   # sorted position of each distinct score's first copy
+    ranks = (first + 1 + (count - 1) / 2.0)[inverse]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

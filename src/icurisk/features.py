@@ -159,17 +159,14 @@ def worst_scores(
     """Worst-case (max) bin score per patient, window and variable; -1 where
     the window holds no sample of the variable.
 
-    Rows are placed by `window_cells` and each is scored once.
+    Rows are placed by `window_cells` and scored once, one variable at a
+    time, so each per-row array holds one variable's rows.
     """
-    rows, patient, window, column = window_cells(cohort, variable_names, window_minutes, n_windows)
-    values = cohort.value[rows]
-    scores = np.empty(rows.size, dtype=np.int64)
+    worst = np.full((len(variable_names), cohort.n_patients, n_windows), -1, dtype=np.int64)
     for j, name in enumerate(variable_names):
-        at = column == j
-        scores[at] = table.scores(name, values[at])
-    worst = np.full((cohort.n_patients, n_windows, len(variable_names)), -1, dtype=np.int64)
-    np.maximum.at(worst, (patient, window, column), scores)
-    return worst
+        rows, cell = window_cells(cohort, (name,), window_minutes, n_windows)
+        np.maximum.at(worst[j].ravel(), cell, table.scores(name, cohort.value[rows]))
+    return np.ascontiguousarray(worst.transpose(1, 2, 0))
 
 
 def build_feature_matrix(cohort: RawCohort, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:

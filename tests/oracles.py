@@ -17,6 +17,12 @@ only so tests can compare a library path with it:
   time, with the windows as nested dicts of lists. They check the columnar
   `build_feature_matrix`, `filter_cohort` and
   `icurisk.evaluation.first_day_max_scores`, which share `window_cells`.
+- `auroc_rankdata` ranks the scores with `scipy.stats.rankdata`. It checks
+  `icurisk.evaluation.auroc`, which builds the same mid-ranks with NumPy
+  and must give the same float.
+- `calibrate_intercept_bisection` runs all 200 bisection steps. It checks
+  `icurisk.cohort._calibrate_intercept`, which stops once the interval can
+  shrink no further and must return the same float.
 - `concordance_pairs` builds the N x N comparable-pair and credit matrices,
   and `brute_force_concordance` loops over every pair in Python. They check
   the rank-counting `icurisk.evaluation.concordance`.
@@ -44,6 +50,7 @@ import io
 import math
 
 import numpy as np
+from scipy.stats import rankdata
 
 from icurisk.cohort import (
     _AGE_RISK_WEIGHT,
@@ -64,6 +71,7 @@ from icurisk.cohort import (
     RawCohort,
     SynthConfig,
     _calibrate_intercept,
+    _death_by_probability,
     synthetic_variable_names,
 )
 from icurisk.features import BINARY
@@ -249,6 +257,43 @@ def first_day_max_scores(cohort, variables, table) -> np.ndarray:
                 continue
             out[i, j] = max(out[i, j], score_value(table, variable, value))
     return out
+
+
+def auroc_rankdata(s) -> float:
+    """Mann-Whitney AUROC from the rank sum of the positives, with ties
+    given their average rank by `scipy.stats.rankdata`."""
+    pos = s.labels == 1
+    n_pos = int(pos.sum())
+    n_neg = s.labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUROC needs both classes")
+    ranks = rankdata(s.scores)
+    u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def calibrate_intercept_bisection(prevalence_target: float, tau_hours: float) -> float:
+    """The generator's log-hazard intercept after 200 bisection steps, each
+    evaluated, whether or not it can still move the interval."""
+    nodes, weights = np.polynomial.hermite_e.hermegauss(101)
+    weights = weights / math.sqrt(2.0 * math.pi)
+
+    def expected_fraction(b0):
+        return float(
+            sum(
+                w * _death_by_probability(b0 + _SEVERITY_SLOPE * x, tau_hours)
+                for x, w in zip(nodes, weights)
+            )
+        )
+
+    lo, hi = -20.0, 5.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if expected_fraction(mid) < prevalence_target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def concordance_pairs(s) -> float:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import icurisk
 from icurisk.cli import main
 from icurisk.cohort import write_observations, write_outcomes
 from conftest import cohort_from_rows, write_config, write_cohort_files
@@ -15,6 +20,18 @@ def workdir(tmp_path, small_cohort):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats would add about 46 MB and 0.4 s to the start of every command.
+    src = str(Path(icurisk.__file__).resolve().parents[1])
+    code = "import sys, icurisk.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
 
 
 class TestConfigHandling:

@@ -19,6 +19,7 @@ from icurisk.cohort import (
     load_cohort,
     window_cells,
 )
+from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
 from conftest import cohort_from_rows, write_cohort_files
 from oracles import cohort_rows
 
@@ -91,7 +92,7 @@ class TestIngestObservations:
         columns = ingest_observations(obs_stream("p1,heart_rate,1440,80"))
         assert columns["offset_minutes"].tolist() == [1440]
         cohort = RawCohort(**columns, outcomes={"p1": PatientOutcome("p1", 30.0, False)})
-        rows, _, _, _ = window_cells(cohort, ("heart_rate",), 720, 2)
+        rows, _ = window_cells(cohort, ("heart_rate",), 720, 2)
         assert rows.size == 0
 
     def test_negative_offset_names_line(self):
@@ -285,6 +286,21 @@ class TestRawCohort:
                 patient=[0, 0], variable=[0, 0], offset_minutes=[90, 30], value=[80.0, 70.0]
             )
 
+    @pytest.mark.parametrize(
+        "patient, offset_minutes, at",
+        [([0, 0, 1], [5, 0, 0], "p1"), ([0, 1, 0], [0, 0, 5], "p1"), ([0, 1, 1], [0, 9, 3], "p2")],
+    )
+    def test_unsorted_rows_named_in_message(self, patient, offset_minutes, at):
+        with pytest.raises(CohortError) as err:
+            heart_rate_cohort(
+                ("p1", "p2"),
+                patient=patient,
+                variable=[0, 0, 0],
+                offset_minutes=offset_minutes,
+                value=[80.0, 80.0, 80.0],
+            )
+        assert str(err.value) == f"observations are not sorted by patient, then offset (at {at})"
+
     def test_rows_not_grouped_by_patient_rejected(self):
         with pytest.raises(CohortError, match="sorted"):
             heart_rate_cohort(
@@ -347,6 +363,21 @@ class TestFilter:
     def test_missing_required_window_dropped(self):
         # no samples in the second 12h window
         assert filter_cohort(self._cohort(offsets=(0, 300, 700))).n_patients == 0
+
+    def test_filter_and_features_memory_is_linear_in_rows(self):
+        # The kept columns take 4 x 8 bytes a row. Window cells are released
+        # before the columns are built, and scored one variable at a time.
+        cohort = generate_synthetic_cohort(SynthConfig(4000, 5, 0.15, 0.1, 1.0, 3))
+        table = load_default_score_table()
+        tracemalloc.start()
+        try:
+            kept = filter_cohort(cohort)
+            build_feature_matrix(kept, FeatureSpec(tuple(kept.variables), 12), table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept.n_patients > 3000
+        assert peak < 60 * cohort.value.size
 
 
 class TestSynthConfig:

@@ -14,7 +14,9 @@ Generated cohorts for the columnar cohort path mix window-boundary offsets
 values, patients without rows, empty windows, variables a patient never has,
 one variable outside the feature spec and one in the spec that no patient
 has. Generated scored sets for concordance have heavily tied times and
-scores, and include all-censored and single-event sets.
+scores, and include all-censored and single-event sets. Generated scored
+sets for AUROC have mostly tied, all distinct or nearly constant scores,
+-0.0 beside 0.0, and may lack a class.
 
 Synthetic cohorts are generated with 1 to 8 variables (so age is absent,
 last or in the middle), 1 to 48 samples a day and no or most samples
@@ -47,7 +49,7 @@ from icurisk.cohort import (
     write_observations,
     write_outcomes,
 )
-from icurisk.evaluation import ScoredSet, concordance, first_day_max_scores
+from icurisk.evaluation import ScoredSet, auroc, concordance, first_day_max_scores
 from icurisk.features import (
     FeatureSpec,
     ScoreBin,
@@ -200,6 +202,37 @@ def outcome(fn, s):
 @given(scored_sets())
 def test_concordance_matches_pairwise_oracle(s):
     assert outcome(concordance, s) == outcome(oracles.concordance_pairs, s)
+
+
+@st.composite
+def ranked_sets(draw):
+    """Up to 300 subjects whose scores are mostly tied, all distinct or
+    nearly constant, with labels that may all be one class."""
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["tied", "distinct", "near_constant"]))
+    if kind == "tied":
+        scores = draw(arrays(float, n, elements=st.sampled_from([-0.0, 0.0, 0.25, 0.5, 1.0])))
+    elif kind == "distinct":
+        scores = draw(arrays(float, n, elements=st.floats(-1e6, 1e6), unique=True))
+    else:
+        scores = np.full(n, draw(st.sampled_from([-0.0, 0.0, 7.5])))
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            scores[i] = draw(st.sampled_from([-0.0, 0.0, -1.0, 1.0]))
+    labels = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    return ScoredSet(scores, labels, np.ones(n), labels)
+
+
+@settings(deadline=None)
+@given(ranked_sets())
+def test_auroc_matches_rankdata_oracle(s):
+    assert outcome(auroc, s) == outcome(oracles.auroc_rankdata, s)
+
+
+@pytest.mark.parametrize("tau_hours", [24.0, 36.0, 72.0, 120.0, 240.0])
+def test_calibration_matches_full_bisection(tau_hours):
+    for target in (1e-6, 1e-3, 0.05, 0.15, 0.35, 0.5, 0.9, 0.999):
+        got = cohort_module._calibrate_intercept(target, tau_hours)
+        assert got == oracles.calibrate_intercept_bisection(target, tau_hours)
 
 
 def test_concordance_memory_is_linear():

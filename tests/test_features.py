@@ -90,14 +90,15 @@ class TestWindowing:
 
     def test_boundary_sample_belongs_to_later_window(self):
         cohort = make_cohort([(719, 60.0), (720, 80.0)])
-        _, _, window, _ = window_cells(cohort, ("heart_rate",), 720, 2)
+        _, cell = window_cells(cohort, ("heart_rate",), 720, 2)
+        _, window, _ = np.unravel_index(cell, (cohort.n_patients, 2, 1))
         assert window.tolist() == [0, 1]
         b = build_feature_matrix(cohort, FeatureSpec(("heart_rate",), 12), HR_TABLE).b
         assert b[0, :, 0].tolist() == [1, 1]
 
     def test_sample_at_1440_discarded(self):
         cohort = make_cohort([(1439, 80.0), (1440, 80.0)])
-        rows, _, _, _ = window_cells(cohort, ("heart_rate",), 720, 2)
+        rows, _ = window_cells(cohort, ("heart_rate",), 720, 2)
         assert rows.tolist() == [0]
 
     def test_each_retained_sample_lands_in_exactly_one_window(self):
@@ -105,7 +106,8 @@ class TestWindowing:
         rng = np.random.default_rng(3)
         offsets = rng.integers(0, 1500, 200)
         cohort = make_cohort([(int(o), 80.0) for o in offsets])
-        rows, _, window, _ = window_cells(cohort, spec.variable_names, 60 * 8, spec.n_windows)
+        rows, cell = window_cells(cohort, spec.variable_names, 60 * 8, spec.n_windows)
+        _, window, _ = np.unravel_index(cell, (cohort.n_patients, spec.n_windows, 1))
         assert rows.size == int((offsets < 60 * 8 * spec.n_windows).sum())
         assert np.array_equal(window, cohort.offset_minutes[rows] // (60 * 8))
         assert window.min() >= 0 and window.max() < spec.n_windows
@@ -114,7 +116,8 @@ class TestWindowing:
         cohort = cohort_from_rows(
             [("p1", "gcs", 5, 9.0), ("p1", "heart_rate", 6, 80.0)], {"p1": (48.0, False)}
         )
-        rows, patient, _, column = window_cells(cohort, ("heart_rate", "age"), 720, 2)
+        rows, cell = window_cells(cohort, ("heart_rate", "age"), 720, 2)
+        patient, _, column = np.unravel_index(cell, (cohort.n_patients, 2, 2))
         assert rows.tolist() == [1] and patient.tolist() == [0] and column.tolist() == [0]
 
 
