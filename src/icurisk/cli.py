@@ -57,6 +57,13 @@ _CONFIG_KEYS = {
     "smoothing_alpha", "cv", "seed", "required_variables", "synth",
 }
 _PATH_KEYS = {"observations", "outcomes", "score_table", "out_dir"}
+# Keys whose values are containers: a value of another JSON type is an error.
+_CONFIG_CONTAINERS = {
+    "paths": (dict, "an object"),
+    "cv": (dict, "an object"),
+    "required_variables": (list, "a list"),
+    "target_days": (list, "a list"),
+}
 
 
 @dataclass
@@ -90,6 +97,9 @@ class PipelineConfig:
         unknown = sorted(set(obj) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        for key, (kind, what) in _CONFIG_CONTAINERS.items():
+            if key in obj and not isinstance(obj[key], kind):
+                raise ConfigError(f"config key {key!r} must be {what}, got {json.dumps(obj[key])}")
 
         cfg = cls()
         paths = obj.get("paths", {})

@@ -252,6 +252,16 @@ class _LineBlocks:
             return itertools.chain(self._lines, self._stream)
         return _text_lines(self._stream, self._block + self._carry)
 
+    def bytes_left(self):
+        """Bytes of a seekable binary stream not yet yielded, or None."""
+        seekable = getattr(self._stream, "seekable", None)
+        if not (self.decoded and seekable and seekable()):
+            return None
+        here = self._stream.tell()
+        end = self._stream.seek(0, io.SEEK_END)
+        self._stream.seek(here)
+        return end - here + len(self._carry)
+
 
 _OBSERVATIONS_HEADER_LINE = ",".join(OBSERVATIONS_HEADER).encode() + b"\n"
 # The vectorised parser leaves rows with a longer field to the row loop,
@@ -375,9 +385,16 @@ def _steps_back(patient, offset) -> np.ndarray:
     return before
 
 
+# Rows `_row_loop` holds as Python lists before it yields them as arrays.
+_ROW_LOOP_CHUNK = 1 << 16
+_COLUMN_NAMES = ("patient", "variable", "offset_minutes", "value")
+_COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.float64)
+
+
 def _row_loop(rows, patient_index, variable_code):
-    """The general parser: one `csv` record at a time."""
-    patient, variable, offsets, values = [], [], [], []
+    """The general parser: one `csv` record at a time. Yields the columns
+    of every _ROW_LOOP_CHUNK rows, then of the rest."""
+    patient, variable, offsets, values = columns = [], [], [], []
     for line_no, row in rows:
         if not row:
             continue
@@ -396,13 +413,81 @@ def _row_loop(rows, patient_index, variable_code):
             raise ParseError(line_no, f"non-numeric value {value_s!r}") from None
         if offset < 0:
             raise ParseError(line_no, f"offset_minutes must be >= 0, got {offset}")
+        if offset >= 2**63:
+            raise ParseError(line_no, f"offset_minutes must be < 2**63, got {offset}")
         if not math.isfinite(value):
             raise ParseError(line_no, f"non-finite value for {pid}/{name}")
         patient.append(patient_index.setdefault(pid, len(patient_index)))
         variable.append(variable_code.setdefault(name, len(variable_code)))
         offsets.append(offset)
         values.append(value)
-    return [np.array(column) for column in (patient, variable, offsets, values)]
+        if len(patient) == _ROW_LOOP_CHUNK:
+            yield _chunk_arrays(columns)
+    if patient:
+        yield _chunk_arrays(columns)
+
+
+def _chunk_arrays(columns):
+    """The four lists of `columns` as arrays; the lists are emptied."""
+    arrays = [np.array(column, dtype=dtype) for column, dtype in zip(columns, _COLUMN_DTYPES)]
+    for column in columns:
+        column.clear()
+    return arrays
+
+
+class _Columns:
+    """The four observation columns, written part by part into arrays
+    allocated ahead. They double when full; `finish` cuts them to their
+    rows. Tracks whether the rows so far are in (patient, offset) order."""
+
+    def __init__(self, capacity):
+        self.size = 0
+        self.arrays = [np.empty(capacity, dtype) for dtype in _COLUMN_DTYPES]
+        self.in_order, self._last = True, None
+
+    def append(self, parts):
+        patient, _, offset, _ = parts
+        first = (int(patient[0]), int(offset[0]))
+        self.in_order = (
+            self.in_order and (self._last is None or self._last <= first)
+            and not _steps_back(patient, offset).any()
+        )
+        self._last = (int(patient[-1]), int(offset[-1]))
+        end = self.size + patient.size
+        if end > self.arrays[0].size:
+            capacity = max(end, 2 * self.arrays[0].size)
+            for i, column in enumerate(self.arrays):   # one column held twice at a time
+                grown = np.empty(capacity, column.dtype)
+                grown[: self.size] = column[: self.size]
+                self.arrays[i] = grown
+        for column, part in zip(self.arrays, parts):
+            column[self.size : end] = part
+        self.size = end
+
+    def finish(self) -> dict:
+        """The columns by name, of exact size, sorted by (patient, offset)."""
+        columns = dict(zip(_COLUMN_NAMES, self.arrays))
+        self.arrays = None
+        for column in columns.values():
+            # In place, so no column is copied: nothing views these arrays.
+            column.resize(self.size, refcheck=False)
+        if not self.in_order:
+            order = np.lexsort((columns["offset_minutes"], columns["patient"]))  # stable: ties keep file order
+            for name in _COLUMN_NAMES:   # each original is freed before the next is copied
+                columns[name] = columns[name][order]
+        return columns
+
+
+def _first_capacity(blocks, n_bytes, n_rows):
+    """Rows to allocate for on seeing the first block, `n_rows` rows in
+    `n_bytes`: for a seekable binary stream, the rows the bytes left would
+    hold at the first block's bytes per row, with 1/16 to spare; for any
+    other stream, the first block's rows."""
+    left = blocks.bytes_left()
+    if left is None:
+        return n_rows
+    estimate = n_rows + left * n_rows // n_bytes
+    return estimate + estimate // 16
 
 
 def ingest_observations(stream) -> dict:
@@ -416,30 +501,29 @@ def ingest_observations(stream) -> dict:
     `_parse_block`. From the first block that parser declines to the end of
     the file, rows go through `_row_loop`, one `csv` record at a time, which
     accepts all of CSV (quoted fields, CRLF line endings, empty lines) and
-    raises every ParseError. Both give the same columns.
+    raises every ParseError. Both give the same columns, and both write them
+    straight into the preallocated `_Columns`.
     """
     blocks = _LineBlocks(stream)
     patient_index: dict[str, int] = {}
     variable_code: dict[str, int] = {}
-    parts = []
-    lines_done, in_order, last, declined = 0, True, None, False
+    columns = None
+    lines_done, declined = 0, False
     for data in blocks:
         header = lines_done == 0
         if header:
             declined = not data.startswith(_OBSERVATIONS_HEADER_LINE)
             data = data[len(_OBSERVATIONS_HEADER_LINE):]
         if data and not declined:
-            columns = _parse_block(data, patient_index, variable_code)
-            declined = columns is None
+            parts = _parse_block(data, patient_index, variable_code)
+            declined = parts is None
         if declined:
             break
         if data:
-            patient, _, offset, _ = columns
-            first = (int(patient[0]), int(offset[0]))
-            in_order = in_order and (last is None or last <= first) and not _steps_back(patient, offset).any()
-            last = (int(patient[-1]), int(offset[-1]))
-            parts.append(columns)
-            lines_done += patient.size
+            if columns is None:
+                columns = _Columns(_first_capacity(blocks, len(data), parts[0].size))
+            columns.append(parts)
+            lines_done += parts[0].size
         lines_done += header
     if declined:
         rows = _csv_rows(
@@ -449,22 +533,14 @@ def ingest_observations(stream) -> dict:
             line_no=lines_done + 1,
             decoded=blocks.decoded,
         )
-        tail = _row_loop(rows, patient_index, variable_code)
-        if tail[0].size:
-            parts.append(tail)
-            in_order = False
+        for parts in _row_loop(rows, patient_index, variable_code):
+            if columns is None:
+                columns = _Columns(parts[0].size)
+            columns.append(parts)
 
-    if not parts:
+    if columns is None:
         raise CohortError("no observations")
-    columns = {}
-    for i, name in enumerate(("patient", "variable", "offset_minutes", "value")):
-        columns[name] = np.concatenate([part[i] for part in parts])
-        for part in parts:
-            part[i] = None   # hold each column once
-    if not in_order:
-        order = np.lexsort((columns["offset_minutes"], columns["patient"]))  # stable: ties keep file order
-        columns = {name: column[order] for name, column in columns.items()}
-    return {"patient_ids": list(patient_index), "vocabulary": tuple(variable_code), **columns}
+    return {"patient_ids": list(patient_index), "vocabulary": tuple(variable_code), **columns.finish()}
 
 
 def ingest_outcomes(stream) -> dict[str, PatientOutcome]:

@@ -7,7 +7,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, filter_cohort
 from .features import FeatureSpec, ScoreTable, build_feature_matrix, worst_scores
@@ -127,12 +126,52 @@ def concordance(s: ScoredSet) -> float:
     return (2 * concordant + tied) / 2 / n_comparable
 
 
-def paired_t_test_one_tailed(a, b) -> float:
-    """Upper-tail p-value of the paired t-test for H1: mean(a) > mean(b).
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b) for a, b > 0 and x in
+    [0, 1]: the continued fraction of Numerical Recipes' `betacf`, evaluated
+    by the modified Lentz method, for I_x(a, b) below x = (a + 1) / (a + b + 2)
+    and for 1 - I_(1-x)(b, a) above it, where each converges fastest."""
+    if not 0.0 < x < 1.0:
+        return x if x in (0.0, 1.0) else math.nan
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    tiny, eps = 1e-300, 2.0**-52
 
-    The Student-t CDF is evaluated through the regularized incomplete beta
-    function.
-    """
+    def lentz(value):   # keeps a Lentz factor away from zero
+        return value if abs(value) > tiny else tiny
+
+    c, d = 1.0, 1.0 / lentz(1.0 - (a + b) * x / (a + 1.0))
+    fraction = d
+    for m in range(1, 10_000):
+        for term in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / lentz(1.0 + term * d)
+            c = lentz(1.0 + term / c)
+            fraction *= c * d
+        if abs(c * d - 1.0) <= eps:
+            log_front = a * math.log(x) + b * math.log1p(-x)
+            if a + b < 171.0:
+                # math.gamma is finite here. The lgamma sum below loses about
+                # 2e-13 of the log when a + b and b are near 130 (lgamma near 500).
+                log_front -= math.log(math.gamma(a) / math.gamma(a + b) * math.gamma(b))
+            else:
+                log_front += math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            return math.exp(log_front) * fraction / a
+    raise ArithmeticError(f"incomplete beta did not converge at a={a}, b={b}, x={x}")
+
+
+def _t_upper_tail(t: float, nu: int) -> float:
+    """P(T > t) for Student's t with nu degrees of freedom: half the
+    regularized incomplete beta I_x(nu / 2, 1 / 2) at x = nu / (nu + t^2),
+    mirrored for t < 0."""
+    tail = 0.5 * _betainc(nu / 2.0, 0.5, nu / (nu + t * t))
+    return tail if t >= 0 else 1.0 - tail
+
+
+def paired_t_test_one_tailed(a, b) -> float:
+    """Upper-tail p-value of the paired t-test for H1: mean(a) > mean(b)."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
@@ -142,11 +181,7 @@ def paired_t_test_one_tailed(a, b) -> float:
     if sd == 0.0:
         raise ValueError("degenerate paired test: zero-variance differences")
     m = d.size
-    t = float(d.mean()) / (sd / math.sqrt(m))
-    nu = m - 1
-    x = nu / (nu + t * t)
-    tail = 0.5 * float(betainc(nu / 2.0, 0.5, x))
-    return tail if t >= 0 else 1.0 - tail
+    return _t_upper_tail(float(d.mean()) / (sd / math.sqrt(m)), m - 1)
 
 
 # --------------------------------------------------------------------------

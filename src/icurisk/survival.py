@@ -68,14 +68,11 @@ def censor_by_target(outcomes, target_hours: float):
     (discharged alive, died later, or still in) is censored at
     min(event_hours, target_hours).
     """
-    times = np.empty(len(outcomes))
-    events = np.zeros(len(outcomes), dtype=np.uint8)
-    for i, out in enumerate(outcomes):
-        if out.death_flag and out.event_hours <= target_hours:
-            events[i] = 1
-            times[i] = out.event_hours
-        else:
-            times[i] = min(out.event_hours, target_hours)
+    hours = np.array([out.event_hours for out in outcomes], dtype=float)
+    died = np.array([out.death_flag for out in outcomes], dtype=bool)
+    # an event's time is its own, which is the minimum too
+    times = np.minimum(hours, target_hours)
+    events = (died & (hours <= target_hours)).astype(np.uint8)
     return times, events
 
 

@@ -20,6 +20,12 @@ only so tests can compare a library path with it:
 - `auroc_rankdata` ranks the scores with `scipy.stats.rankdata`. It checks
   `icurisk.evaluation.auroc`, which builds the same mid-ranks with NumPy
   and must give the same float.
+- `t_tail_betainc` takes the Student-t upper tail from
+  `scipy.special.betainc`. It checks `icurisk.evaluation._t_upper_tail`,
+  whose own continued fraction must agree to 1e-12 relative.
+- `censor_by_target_loop` censors one outcome at a time. It checks the
+  vectorised `icurisk.survival.censor_by_target`, which must give the same
+  floats.
 - `calibrate_intercept_bisection` runs all 200 bisection steps. It checks
   `icurisk.cohort._calibrate_intercept`, which stops once the interval can
   shrink no further and must return the same float.
@@ -50,6 +56,7 @@ import io
 import math
 
 import numpy as np
+from scipy.special import betainc
 from scipy.stats import rankdata
 
 from icurisk.cohort import (
@@ -272,6 +279,26 @@ def auroc_rankdata(s) -> float:
     return float(u / (n_pos * n_neg))
 
 
+def t_tail_betainc(t: float, nu: int) -> float:
+    """P(T > t) for Student's t with nu degrees of freedom, from
+    `scipy.special.betainc`."""
+    tail = 0.5 * float(betainc(nu / 2.0, 0.5, nu / (nu + t * t)))
+    return tail if t >= 0 else 1.0 - tail
+
+
+def censor_by_target_loop(outcomes, target_hours: float):
+    """Death-by-target events and censored times, one outcome at a time."""
+    times = np.empty(len(outcomes))
+    events = np.zeros(len(outcomes), dtype=np.uint8)
+    for i, out in enumerate(outcomes):
+        if out.death_flag and out.event_hours <= target_hours:
+            events[i] = 1
+            times[i] = out.event_hours
+        else:
+            times[i] = min(out.event_hours, target_hours)
+    return times, events
+
+
 def calibrate_intercept_bisection(prevalence_target: float, tau_hours: float) -> float:
     """The generator's log-hazard intercept after 200 bisection steps, each
     evaluated, whether or not it can still move the interval."""
@@ -412,6 +439,8 @@ def ingest_rows(stream) -> dict:
             raise ParseError(line_no, f"non-numeric value {value_s!r}") from None
         if offset < 0:
             raise ParseError(line_no, f"offset_minutes must be >= 0, got {offset}")
+        if offset >= 2**63:
+            raise ParseError(line_no, f"offset_minutes must be < 2**63, got {offset}")
         if not math.isfinite(value):
             raise ParseError(line_no, f"non-finite value for {pid}/{name}")
         patient.append(patient_index.setdefault(pid, len(patient_index)))

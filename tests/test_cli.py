@@ -23,15 +23,16 @@ def run(args):
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats would add about 46 MB and 0.4 s to the start of every command.
+    # scipy.stats would add about 46 MB and 0.4 s to the start of every
+    # command, and scipy.special about 25 MB: no command imports scipy.
     src = str(Path(icurisk.__file__).resolve().parents[1])
-    code = "import sys, icurisk.cli; print('scipy.stats' in sys.modules)"
+    code = "import sys, icurisk.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
 
 
 class TestConfigHandling:
@@ -56,6 +57,23 @@ class TestConfigHandling:
         assert run(["synth", "--config", cfg]) == 2
         assert capsys.readouterr().err == (
             "config error: invalid config value: sampling_rate_per_hour must be finite and positive\n"
+        )
+
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [
+            ("cv", 3, "an object"),
+            ("paths", ["x"], "an object"),
+            ("required_variables", "gcs", "a list"),
+            ("target_days", "25", "a list"),
+        ],
+    )
+    def test_container_key_of_wrong_type_rejected(self, tmp_path, capsys, key, value, what):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config key {key!r} must be {what}, got {json.dumps(value)}\n"
         )
 
     def test_synth_without_block(self, tmp_path):

@@ -178,8 +178,8 @@ class TestIngestObservations:
             assert np.array_equal(quoted[name], plain[name])
 
     def test_memory_is_linear_in_rows(self):
-        # The columns take 4 x 8 bytes a row and are concatenated once from
-        # per-block parts; parsing one block needs a few blocks' worth.
+        # The columns take 4 x 8 bytes a row, allocated ahead with 1/16 to
+        # spare; parsing one block needs a few blocks' worth.
         n = 200_000
         rng = np.random.default_rng(0)
         names = ("heart_rate", "blood_pressure", "gcs", "temperature", "age")
@@ -197,6 +197,32 @@ class TestIngestObservations:
             tracemalloc.stop()
         assert parsed["value"].size == n
         assert peak < 2 * (4 * 8 * n) + 4 * cohort_module.BLOCK_BYTES
+
+    def test_unsorted_file_is_reordered_one_column_at_a_time(self, monkeypatch):
+        # A shuffled file of 4,000 patients. Sorting it holds the columns
+        # (32 B a row), lexsort's order and one reordered column (8 B a row
+        # each); reordering all four columns at once would hold 72 B a row.
+        monkeypatch.setattr(cohort_module, "BLOCK_BYTES", 1 << 18)
+        rng = np.random.default_rng(1)
+        names = ("heart_rate", "blood_pressure", "gcs", "temperature", "age")
+        n_patients, per_patient = 4000, 87
+        n = n_patients * per_patient
+        lines = [
+            f"p{i // per_patient:04d},{names[i % 5]},{(i % per_patient) * 16},{v!r}\n"
+            for i, v in enumerate((100 + 20 * rng.standard_normal(n)).tolist())
+        ]
+        stream = io.BytesIO(
+            ("patient_id,variable,offset_minutes,value\n" + "".join(lines[i] for i in rng.permutation(n))).encode()
+        )
+        del lines
+        tracemalloc.start()
+        try:
+            parsed = ingest_observations(stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not cohort_module._steps_back(parsed["patient"], parsed["offset_minutes"]).any()
+        assert peak < 56 * n + 4 * cohort_module.BLOCK_BYTES
 
 
 class TestIngestOutcomes:

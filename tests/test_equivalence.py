@@ -33,6 +33,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,7 @@ from hypothesis.extra.numpy import arrays
 from icurisk import cohort as cohort_module
 from icurisk.cohort import (
     ParseError,
+    PatientOutcome,
     SynthConfig,
     filter_cohort,
     generate_synthetic_cohort,
@@ -49,7 +51,7 @@ from icurisk.cohort import (
     write_observations,
     write_outcomes,
 )
-from icurisk.evaluation import ScoredSet, auroc, concordance, first_day_max_scores
+from icurisk.evaluation import ScoredSet, _t_upper_tail, auroc, concordance, first_day_max_scores
 from icurisk.features import (
     FeatureSpec,
     ScoreBin,
@@ -235,6 +237,42 @@ def test_calibration_matches_full_bisection(tau_hours):
         assert got == oracles.calibrate_intercept_bisection(target, tau_hours)
 
 
+def test_t_tail_matches_betainc_oracle():
+    t_values = np.linspace(0.0, 40.0, 97).tolist() + [1.7, 1e-8, math.inf, math.nan]
+    for nu in range(1, 301):
+        for t in t_values + [-t for t in t_values]:
+            expected = oracles.t_tail_betainc(t, nu)
+            assert _t_upper_tail(t, nu) == pytest.approx(expected, rel=1e-12, abs=0, nan_ok=True)
+
+
+def test_t_tail_far_out_matches_mpmath():
+    # About 1e-20: a cancelling evaluation would lose digits here.
+    nu, t = 89, 12.0
+    with mpmath.workdps(50):
+        x = mpmath.mpf(nu / (nu + t * t))
+        expected = float(mpmath.betainc(mpmath.mpf(nu) / 2, 0.5, 0, x, regularized=True) / 2)
+    assert _t_upper_tail(t, nu) == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from([47.99999999999999, 48.0, 72.0, 120.0]), st.floats(1e-300, 1e300)),
+            st.booleans(),
+        ),
+        max_size=40,
+    ),
+    st.sampled_from([48, 48.0, 72.0, 120]),
+)
+def test_censoring_matches_loop_oracle(outcomes, target_hours):
+    outcomes = [PatientOutcome(f"p{i}", hours, died) for i, (hours, died) in enumerate(outcomes)]
+    got = censor_by_target(outcomes, target_hours)
+    expected = oracles.censor_by_target_loop(outcomes, target_hours)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def test_concordance_memory_is_linear():
     rng = np.random.default_rng(5)
     n = 5000
@@ -366,16 +404,18 @@ def assert_ingest_matches_oracle(make_stream):
         assert type(got) is type(expected) and str(got) == str(expected)
     else:
         assert not isinstance(got, Exception), got
-        assert got.keys() == expected.keys()
-        assert got["patient_ids"] == expected["patient_ids"]
-        assert got["vocabulary"] == expected["vocabulary"]
-        for name in ("patient", "variable", "offset_minutes", "value"):
-            a, b = got[name], expected[name]
-            assert a.dtype == b.dtype
-            if a.dtype == object:   # offsets past uint64
-                assert a.tolist() == b.tolist()
-            else:
-                assert a.tobytes() == b.tobytes()   # bit for bit: -0.0 is not 0.0
+        assert_same_columns(got, expected)
+
+
+def assert_same_columns(got, expected):
+    assert got.keys() == expected.keys()
+    assert got["patient_ids"] == expected["patient_ids"]
+    assert got["vocabulary"] == expected["vocabulary"]
+    for name in ("patient", "variable", "offset_minutes", "value"):
+        a, b = got[name], expected[name]
+        assert a.base is None   # owns its data: not a view of a larger buffer
+        assert a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()   # bit for bit: -0.0 is not 0.0
 
 
 @settings(deadline=None)
@@ -413,7 +453,7 @@ def test_written_cohort_matches_row_oracle(small_cohort, tmp_path, monkeypatch):
     "body",
     [
         b"p1,gcs,5,1\np1,gcs," + b"9" * 18 + b",1\n",     # the longest offset parsed in blocks
-        b"p1,gcs,5,1\np1,gcs," + b"9" * 19 + b",1\n",     # past int64: the row loop's int
+        b"p1,gcs,5,1\np1,gcs," + b"9" * 19 + b",1\n",     # past int64: rejected by the row loop
         b"p1,gcs,5,1\np2,gcs," + str(2**64).encode() + b",1\n",
         b"p1,gcs,5,1\np7\r,gcs,5,1\n",                     # a bare CR ends a record
         b"p1,gcs,5,1\r\np1,gcs,6,2\r\n",
@@ -428,6 +468,65 @@ def test_ingest_edge_files_match_row_oracle(body, block_bytes, monkeypatch):
     monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
     data = HEADER.encode() + b"\n" + body
     assert_ingest_matches_oracle(lambda: io.BytesIO(data))
+
+
+class Unseekable(io.RawIOBase):
+    """A binary stream that cannot seek, as a pipe is."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
+def columns_test_file(layout):
+    """An observations file of 300 rows whose first 20 are longer than the
+    rest, so that a file's first block underestimates its rows: "sorted",
+    with a quoted row that sends the "row_loop_tail" to the row loop, or
+    "unsorted"."""
+    rng = np.random.default_rng(8)
+    values = [repr(v) for v in rng.normal(80, 20, 20).tolist()] + [str(v) for v in range(280)]
+    names = ("hr", "gcs", "heart_rate")
+    lines = [f"p{i // 7},{names[i % 3]},{(i % 7) * 200},{v}" for i, v in enumerate(values)]
+    if layout == "row_loop_tail":
+        lines.insert(150, '"p,q",gcs,5,1')
+    elif layout == "unsorted":
+        lines[20:] = rng.permutation(lines[20:]).tolist()
+    return (HEADER + "\n" + "\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("block_bytes", [64, cohort_module.BLOCK_BYTES])
+@pytest.mark.parametrize("layout", ["sorted", "row_loop_tail", "unsorted"])
+@pytest.mark.parametrize("kind", ["binary_file", "bytes_io", "unseekable", "text_file"])
+def test_ingest_into_columns_matches_row_oracle(kind, layout, block_bytes, tmp_path, monkeypatch):
+    data = columns_test_file(layout)
+    path = tmp_path / "observations.csv"
+    path.write_bytes(data)
+    streams = {
+        "binary_file": lambda: open(path, "rb"),
+        "bytes_io": lambda: io.BytesIO(data),
+        "unseekable": lambda: Unseekable(data),
+        "text_file": lambda: open(path, encoding="utf-8", newline=""),
+    }
+    monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(cohort_module, "_ROW_LOOP_CHUNK", 16)
+    capacities = []
+    append = cohort_module._Columns.append
+
+    def recording_append(self, parts):
+        append(self, parts)
+        capacities.append(self.arrays[0].size)
+
+    monkeypatch.setattr(cohort_module._Columns, "append", recording_append)
+    with streams[kind]() as stream:
+        got = ingest_observations(stream)
+    assert_same_columns(got, oracles.ingest_rows(io.BytesIO(data)))
+    if block_bytes == 64 or layout == "row_loop_tail":
+        assert len(set(capacities)) > 1   # the columns grew
 
 
 def assert_same_cohort_bits(got, expected):
