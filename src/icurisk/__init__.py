@@ -25,8 +25,8 @@ from .features import (
 )
 from .hmm import (
     EmissionModel,
+    PatientScores,
     RiskModel,
-    RiskScore,
     estimate_emissions,
     fit_risk_model,
     risk_score,

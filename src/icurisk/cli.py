@@ -18,6 +18,7 @@ import numpy as np
 from .cohort import (
     DEFAULT_REQUIRED_VARIABLES,
     SynthConfig,
+    _csv_fields,
     filter_cohort,
     generate_synthetic_cohort,
     load_cohort,
@@ -101,11 +102,17 @@ class PipelineConfig:
             if key in obj and not isinstance(obj[key], kind):
                 raise ConfigError(f"config key {key!r} must be {what}, got {json.dumps(obj[key])}")
 
+        for key, known in (("paths", _PATH_KEYS), ("cv", {"folds", "repeats"})):
+            bad = sorted(set(obj.get(key, {})) - known)
+            if bad:
+                raise ConfigError(f"unknown {key} keys: {bad}")
+        for key, kind, what in (("target_days", int, "integers"), ("required_variables", str, "strings")):
+            bad = [v for v in obj.get(key, []) if not isinstance(v, kind) or isinstance(v, bool)]
+            if bad:
+                raise ConfigError(f"config key {key!r} must hold {what}, got {json.dumps(bad[0])}")
+
         cfg = cls()
         paths = obj.get("paths", {})
-        bad = sorted(set(paths) - _PATH_KEYS)
-        if bad:
-            raise ConfigError(f"unknown path keys: {bad}")
         cfg.observations = paths.get("observations")
         cfg.outcomes = paths.get("outcomes")
         cfg.score_table = paths.get("score_table")
@@ -177,8 +184,8 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
 
 def _prepare_training_inputs(cfg: PipelineConfig):
     table = _load_score_table(cfg)
-    cohort = _load_input_cohort(cfg)
-    cohort = filter_cohort(cohort, cfg.required_variables, cfg.window_hours)
+    # no name is bound to the loaded cohort: the filter frees it column by column
+    cohort = filter_cohort(_load_input_cohort(cfg), cfg.required_variables, cfg.window_hours)
     if cohort.n_patients == 0:
         raise ValueError("no patients left after filtering")
     spec = FeatureSpec(tuple(cohort.variables), cfg.window_hours)
@@ -260,8 +267,7 @@ def _scoring_matrix(cfg: PipelineConfig, models, echo):
     was: window size and required variables come from model.json, not from
     the current config."""
     spec = next(iter(models.values())).spec
-    cohort = _load_input_cohort(cfg)
-    cohort = filter_cohort(cohort, echo["required_variables"], spec.window_hours)
+    cohort = filter_cohort(_load_input_cohort(cfg), echo["required_variables"], spec.window_hours)
     unknown = sorted(set(cohort.variables) - set(spec.variable_names))
     if unknown:
         raise ValueError(f"variables not in the trained model: {unknown}")
@@ -271,14 +277,14 @@ def _scoring_matrix(cfg: PipelineConfig, models, echo):
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:
     models, echo = _load_models(cfg)
-    cohort, matrix = _scoring_matrix(cfg, models, echo)
+    matrix = _scoring_matrix(cfg, models, echo)[1]
+    pids = _csv_fields(matrix.patient_ids)
     out = _out_dir(cfg)
     with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["patient_id", "target_day", "eta"])
+        f.write("patient_id,target_day,eta\n")
         for day in sorted(models):
-            for score in score_patients(models[day], matrix):
-                writer.writerow([score.patient_id, day, repr(score.eta)])
+            etas = score_patients(models[day], matrix).eta.tolist()
+            f.writelines(f"{pid},{day},{eta!r}\n" for pid, eta in zip(pids, etas))
     print(f"wrote {out / 'predictions.csv'}")
     return 0
 
@@ -286,8 +292,8 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
 def cmd_curves(cfg: PipelineConfig, args) -> int:
     models, echo = _load_models(cfg)
     cohort, matrix = _scoring_matrix(cfg, models, echo)
-    scores_by_day = {day: score_patients(models[day], matrix) for day in sorted(models)}
-    bands = survival_curve(scores_by_day, cohort.outcomes)
+    eta_by_day = {day: score_patients(models[day], matrix).eta for day in sorted(models)}
+    bands = survival_curve(eta_by_day, [cohort.outcomes[pid].death_flag for pid in matrix.patient_ids])
     out = _out_dir(cfg)
     with open(out / "curves.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

@@ -112,28 +112,14 @@ class RawCohort:
     @property
     def variables(self) -> list[str]:
         """Sorted names of the variables with at least one row in this cohort."""
-        return sorted(self.vocabulary[code] for code in np.unique(self.variable).tolist())
+        counts = np.bincount(self.variable, minlength=len(self.vocabulary))
+        return sorted(self.vocabulary[code] for code in np.flatnonzero(counts).tolist())
 
     @property
     def patients(self) -> dict[str, range]:
         """Each patient's row indices, in patient order."""
         bounds = np.searchsorted(self.patient, np.arange(self.n_patients + 1)).tolist()
         return {pid: range(a, b) for pid, a, b in zip(self.patient_ids, bounds, bounds[1:])}
-
-    def subset(self, keep) -> "RawCohort":
-        """The patients where the boolean mask `keep` is true, with their rows."""
-        keep = np.asarray(keep, dtype=bool)
-        rows = keep[self.patient]
-        ids = [pid for pid, kept in zip(self.patient_ids, keep.tolist()) if kept]
-        return RawCohort(
-            patient_ids=ids,
-            vocabulary=self.vocabulary,
-            patient=(np.cumsum(keep) - 1)[self.patient[rows]],
-            variable=self.variable[rows],
-            offset_minutes=self.offset_minutes[rows],
-            value=self.value[rows],
-            outcomes={pid: self.outcomes[pid] for pid in ids},
-        )
 
 
 class _Prepended(io.RawIOBase):
@@ -290,10 +276,37 @@ def _as_strings(fields):
     return fields.view(f"S{8 * fields.shape[1]}").ravel()
 
 
+class _Index:
+    """Texts numbered in order of first appearance: `codes` maps each text to
+    its number, and `texts` and `numbers` hold the same pairs sorted by text
+    for `_codes`' vectorised lookup (stale once `_row_loop` adds to `codes`)."""
+
+    def __init__(self):
+        self.codes: dict[str, int] = {}
+        self.texts, self.numbers = np.empty(0, dtype="S8"), np.empty(0, dtype=np.int64)
+
+    def find(self, texts):
+        """The number of each text (a bytes array), -1 where it is new."""
+        if self.texts.size == 0:
+            return np.full(texts.size, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.texts, texts), self.texts.size - 1)
+        return np.where(self.texts[at] == texts, self.numbers[at], -1)
+
+    def add(self, texts):
+        """Number the new `texts`, given in order of first appearance."""
+        numbers = np.array(
+            [self.codes.setdefault(t.decode("ascii"), len(self.codes)) for t in texts.tolist()], dtype=np.int64
+        )
+        order = np.argsort(texts)
+        at = np.searchsorted(self.texts, texts[order])
+        self.texts = np.insert(self.texts.astype(np.result_type(self.texts, texts), copy=False), at, texts[order])
+        self.numbers = np.insert(self.numbers, at, numbers[order])
+        return numbers
+
+
 def _codes(fields, index):
-    """The code in `index` of each row's text (`_field_words` output).
-    `index` maps text to code and numbers the texts it lacks in order of
-    first appearance."""
+    """The number in `index` of each row's text (`_field_words` output);
+    texts `index` lacks are numbered in order of first appearance."""
     key = fields[:, 0].copy()
     for j in range(1, fields.shape[1]):
         key *= _MIX
@@ -302,10 +315,11 @@ def _codes(fields, index):
     if fields.shape[1] > 1 and not np.array_equal(fields, fields[first[inverse]]):
         # two texts share a hash: tell them apart by the text itself
         _, first, inverse = np.unique(_as_strings(fields), return_index=True, return_inverse=True)
-    texts = _as_strings(fields[first]).tolist()
-    codes = np.empty(first.size, dtype=np.int64)
-    for j in np.argsort(first).tolist():
-        codes[j] = index.setdefault(texts[j].decode("ascii"), len(index))
+    texts = _as_strings(fields[first])
+    codes = index.find(texts)
+    new = np.flatnonzero(codes < 0)
+    new = new[np.argsort(first[new])]   # in order of first appearance
+    codes[new] = index.add(texts[new])
     return codes[inverse]
 
 
@@ -332,7 +346,7 @@ def _values(words, start, length):
     return value if np.isfinite(value).all() else None
 
 
-def _parse_block(data, patient_index, variable_code):
+def _parse_block(data, patients, variables):
     """(patient, variable, offset_minutes, value) of the rows in `data`, whole
     lines of the observations file after its header; None when a row needs
     the general parser.
@@ -372,8 +386,8 @@ def _parse_block(data, patient_index, variable_code):
     # Nothing is declined past this point, so the indexes only gain texts of accepted rows.
     ids = _field_words(words, id_at, id_len)
     runs = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]).any(axis=1))))
-    patient = np.repeat(_codes(ids[runs], patient_index), np.diff(runs, append=ids.shape[0]))
-    variable = _codes(_field_words(words, *name), variable_code)
+    patient = np.repeat(_codes(ids[runs], patients), np.diff(runs, append=ids.shape[0]))
+    variable = _codes(_field_words(words, *name), variables)
     return [patient, variable, offset, value]
 
 
@@ -505,8 +519,7 @@ def ingest_observations(stream) -> dict:
     straight into the preallocated `_Columns`.
     """
     blocks = _LineBlocks(stream)
-    patient_index: dict[str, int] = {}
-    variable_code: dict[str, int] = {}
+    patients, variables = _Index(), _Index()
     columns = None
     lines_done, declined = 0, False
     for data in blocks:
@@ -515,7 +528,7 @@ def ingest_observations(stream) -> dict:
             declined = not data.startswith(_OBSERVATIONS_HEADER_LINE)
             data = data[len(_OBSERVATIONS_HEADER_LINE):]
         if data and not declined:
-            parts = _parse_block(data, patient_index, variable_code)
+            parts = _parse_block(data, patients, variables)
             declined = parts is None
         if declined:
             break
@@ -533,14 +546,14 @@ def ingest_observations(stream) -> dict:
             line_no=lines_done + 1,
             decoded=blocks.decoded,
         )
-        for parts in _row_loop(rows, patient_index, variable_code):
+        for parts in _row_loop(rows, patients.codes, variables.codes):
             if columns is None:
                 columns = _Columns(parts[0].size)
             columns.append(parts)
 
     if columns is None:
         raise CohortError("no observations")
-    return {"patient_ids": list(patient_index), "vocabulary": tuple(variable_code), **columns.finish()}
+    return {"patient_ids": list(patients.codes), "vocabulary": tuple(variables.codes), **columns.finish()}
 
 
 def ingest_outcomes(stream) -> dict[str, PatientOutcome]:
@@ -662,14 +675,27 @@ def filter_cohort(
 
     A patient qualifies when event_hours >= min_stay_hours and every required
     variable has at least one sample in every window of the first day.
+
+    The kept rows are copied one column at a time after this function drops
+    its reference to `cohort`: passed a cohort nothing else holds, it never
+    holds two. A cohort the caller keeps is left unchanged.
     """
-    required = list(dict.fromkeys(required_variables))
     n_windows = 24 // window_hours
-    covered = np.zeros((cohort.n_patients, n_windows, len(required)), dtype=bool)
-    # the cells are dropped here, before `subset` builds the kept columns
-    covered.ravel()[window_cells(cohort, required, 60 * window_hours, n_windows)[1]] = True
-    stayed = [cohort.outcomes[pid].event_hours >= min_stay_hours for pid in cohort.patient_ids]
-    return cohort.subset(np.array(stayed, dtype=bool) & covered.all(axis=(1, 2)))
+    keep = np.array([cohort.outcomes[pid].event_hours >= min_stay_hours for pid in cohort.patient_ids], bool)
+    for name in dict.fromkeys(required_variables):   # one variable's cells at a time
+        covered = np.zeros((cohort.n_patients, n_windows), dtype=bool)
+        covered.ravel()[window_cells(cohort, (name,), 60 * window_hours, n_windows)[1]] = True
+        keep &= covered.all(axis=1)
+    ids = [pid for pid, kept in zip(cohort.patient_ids, keep.tolist()) if kept]
+    outcomes = {pid: cohort.outcomes[pid] for pid in ids}
+    counts = np.bincount(cohort.patient, minlength=cohort.n_patients)[keep]
+    vocabulary, rows = cohort.vocabulary, keep[cohort.patient]
+    columns = [cohort.variable, cohort.offset_minutes, cohort.value]
+    del cohort
+    for i in range(len(columns)):   # each loaded column is freed once its kept rows are copied
+        columns[i] = columns[i][rows]
+    # Rows are sorted by patient, so the kept rows are the kept patients' runs.
+    return RawCohort(ids, vocabulary, np.repeat(np.arange(len(ids)), counts), *columns, outcomes)
 
 
 # --------------------------------------------------------------------------

@@ -387,7 +387,7 @@ def run_cv(
                     smoothing_alpha=smoothing_alpha,
                     stage=stage,
                 )
-                eta = np.array([s.eta for s in score_patients(model, test_matrix)])
+                eta = score_patients(model, test_matrix).eta
                 method_scores = {
                     METHOD_MODEL: eta,
                     METHOD_SAPS: saps[test_idx],

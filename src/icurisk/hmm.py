@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,12 +182,12 @@ class RiskModel:
     emissions: EmissionModel
 
 
-@dataclass
-class RiskScore:
-    patient_id: str
-    eta: float
-    priors: np.ndarray
-    sequence: np.ndarray
+class PatientScores(NamedTuple):
+    """Scores of a matrix's patients, row i for `matrix.patient_ids[i]`."""
+
+    eta: np.ndarray         # (N,) risk score
+    priors: np.ndarray      # (N, T) per-window Death priors
+    sequences: np.ndarray   # (N, T) 1-based cluster labels
 
 
 def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0) -> FeatureStage:
@@ -238,20 +239,14 @@ def fit_risk_model(
     )
 
 
-def score_patients(model: RiskModel, matrix: FeatureMatrix) -> list[RiskScore]:
+def score_patients(model: RiskModel, matrix: FeatureMatrix) -> PatientScores:
     """Risk scores for a (possibly unseen) cohort under a trained model."""
     if matrix.spec.variable_names != model.spec.variable_names:
         raise ValueError("feature variables do not match the trained model")
-    if matrix.n_patients == 0:
-        return []
     imputed = impute_median(matrix, model.medians)
     sequences = encode_observations(model.cluster, imputed)
     theta = compute_priors(imputed, model.fits, model.target)
-    etas = _eta_forward_batch(theta, model.emissions, sequences)
-    return [
-        RiskScore(pid, float(etas[i]), theta[i].copy(), sequences[i].copy())
-        for i, pid in enumerate(matrix.patient_ids)
-    ]
+    return PatientScores(_eta_forward_batch(theta, model.emissions, sequences), theta, sequences)
 
 
 # --------------------------------------------------------------------------
@@ -267,25 +262,18 @@ class CurveBand:
     ci_high: float
 
 
-def survival_curve(
-    scores_by_day: dict[int, list[RiskScore]],
-    outcomes: dict[str, PatientOutcome],
-) -> list[CurveBand]:
+def survival_curve(eta_by_day: dict[int, np.ndarray], died: np.ndarray) -> list[CurveBand]:
     """Group mean survival probabilities (1 - eta) with normal 95% bands.
 
-    Patients are grouped by their actual outcome; a group missing entirely is
+    Patients are grouped by their actual outcome, `died`, a boolean per
+    patient in the order of each day's `eta`; a group missing entirely is
     skipped with a warning.
     """
+    died = np.asarray(died, dtype=bool)
     bands = []
-    for group, died in (("death", True), ("survival", False)):
-        for day in sorted(scores_by_day):
-            values = np.array(
-                [
-                    1.0 - s.eta
-                    for s in scores_by_day[day]
-                    if outcomes[s.patient_id].death_flag == died
-                ]
-            )
+    for group, in_group in (("death", died), ("survival", ~died)):
+        for day in sorted(eta_by_day):
+            values = 1.0 - np.asarray(eta_by_day[day], dtype=float)[in_group]
             if values.size == 0:
                 warnings.warn(f"no patients in the {group} group; band omitted")
                 continue

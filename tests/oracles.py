@@ -17,6 +17,10 @@ only so tests can compare a library path with it:
   time, with the windows as nested dicts of lists. They check the columnar
   `build_feature_matrix`, `filter_cohort` and
   `icurisk.evaluation.first_day_max_scores`, which share `window_cells`.
+- `subset` takes the patients of a boolean mask with one fancy index per
+  column and a gather-and-remap of the patient column. It checks
+  `icurisk.cohort.filter_cohort`, which copies one column at a time and
+  rebuilds the patient column from the kept patients' row counts.
 - `auroc_rankdata` ranks the scores with `scipy.stats.rankdata`. It checks
   `icurisk.evaluation.auroc`, which builds the same mid-ranks with NumPy
   and must give the same float.
@@ -233,6 +237,22 @@ def missingness_indicators(windowed, spec) -> np.ndarray:
                 if per_var[var]:
                     b[i, t, j] = 1
     return b
+
+
+def subset(cohort, keep) -> RawCohort:
+    """The patients where the boolean mask `keep` is true, with their rows."""
+    keep = np.asarray(keep, dtype=bool)
+    rows = keep[cohort.patient]
+    ids = [pid for pid, kept in zip(cohort.patient_ids, keep.tolist()) if kept]
+    return RawCohort(
+        patient_ids=ids,
+        vocabulary=cohort.vocabulary,
+        patient=(np.cumsum(keep) - 1)[cohort.patient[rows]],
+        variable=cohort.variable[rows],
+        offset_minutes=cohort.offset_minutes[rows],
+        value=cohort.value[rows],
+        outcomes={pid: cohort.outcomes[pid] for pid in ids},
+    )
 
 
 def filter_ids(cohort, required_variables, window_hours, min_stay_hours=24.0) -> list:

@@ -301,13 +301,14 @@ def test_07_survival_curve_separation(synthetic_cohort):
     table = load_default_score_table()
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
     stage = fit_feature_stage(matrix, 4, seed=[ACCEPTANCE_SEED])
-    scores_by_day = {}
+    eta_by_day = {}
     for day in (2, 3, 4, 5):
         model = fit_risk_model(
             matrix, cohort.outcomes, TargetSpec(day, 12), table, stage=stage
         )
-        scores_by_day[day] = score_patients(model, matrix)
-    bands = survival_curve(scores_by_day, cohort.outcomes)
+        eta_by_day[day] = score_patients(model, matrix).eta
+    died = [cohort.outcomes[pid].death_flag for pid in matrix.patient_ids]
+    bands = survival_curve(eta_by_day, died)
     death = [b.mean_survival for b in bands if b.group == "death"]
     alive = [b.mean_survival for b in bands if b.group == "survival"]
     separated = all(d < s for d, s in zip(death, alive))

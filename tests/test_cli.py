@@ -76,6 +76,22 @@ class TestConfigHandling:
             f"config error: config key {key!r} must be {what}, got {json.dumps(value)}\n"
         )
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("cv", {"fold": 2, "repeats": 1}, "unknown cv keys: ['fold']"),
+            ("target_days", [2, 2.7], "config key 'target_days' must hold integers, got 2.7"),
+            ("target_days", [True], "config key 'target_days' must hold integers, got true"),
+            ("required_variables", ["gcs", 3], "config key 'required_variables' must hold strings, got 3"),
+        ],
+        ids=["cv-unknown-key", "target_days-fraction", "target_days-bool", "required_variables-number"],
+    )
+    def test_bad_value_inside_container_rejected(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["evaluate", "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_synth_without_block(self, tmp_path):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "out")}}))

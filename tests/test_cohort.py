@@ -365,10 +365,16 @@ class TestRawCohort:
             {"a": (30.0, False), "b": (30.0, False)},
         )
         assert cohort.variables == ["age", "gcs", "heart_rate"]
-        kept = cohort.subset(np.array([True, False]))
+        kept = filter_cohort(cohort, ("gcs",), 24)
+        assert kept.patient_ids == ["a"]
         assert kept.variables == ["gcs", "heart_rate"]
         assert kept.vocabulary == cohort.vocabulary  # codes keep their meaning
         assert cohort_rows(kept) == {"a": cohort_rows(cohort)["a"]}
+
+
+@pytest.fixture(scope="module")
+def cohort_4k():
+    return generate_synthetic_cohort(SynthConfig(4000, 5, 0.15, 0.1, 1.0, 3))
 
 
 class TestFilter:
@@ -390,10 +396,10 @@ class TestFilter:
         # no samples in the second 12h window
         assert filter_cohort(self._cohort(offsets=(0, 300, 700))).n_patients == 0
 
-    def test_filter_and_features_memory_is_linear_in_rows(self):
+    def test_filter_and_features_memory_is_linear_in_rows(self, cohort_4k):
         # The kept columns take 4 x 8 bytes a row. Window cells are released
         # before the columns are built, and scored one variable at a time.
-        cohort = generate_synthetic_cohort(SynthConfig(4000, 5, 0.15, 0.1, 1.0, 3))
+        cohort = cohort_4k
         table = load_default_score_table()
         tracemalloc.start()
         try:
@@ -404,6 +410,25 @@ class TestFilter:
             tracemalloc.stop()
         assert kept.n_patients > 3000
         assert peak < 60 * cohort.value.size
+
+    def test_filter_frees_a_cohort_it_alone_holds(self, cohort_4k, tmp_path):
+        # Passed the only reference to a loaded cohort, the filter frees each
+        # loaded column once its kept rows are copied, so it never holds two
+        # cohorts (about 30 B a row more). Coverage is found one variable at
+        # a time, and the patient column is rebuilt from row counts.
+        paths = write_cohort_files(cohort_4k, tmp_path)
+        tracemalloc.start()
+        try:
+            held = [load_cohort(*paths)]
+            n_rows = held[0].value.size
+            loaded = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            kept = filter_cohort(held.pop())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept.n_patients > 3000
+        assert peak - loaded < 16 * n_rows
 
 
 class TestSynthConfig:

@@ -75,6 +75,7 @@ TABLE = load_default_score_table()
 DRAWN = ("gcs", "heart_rate", "temperature", "mystery")   # "mystery" is not in the spec
 SPEC_VARIABLES = ("age", "gcs", "heart_rate", "temperature")  # no patient has "age"
 REQUIRED = ("heart_rate", "gcs")
+COLUMNS = ("patient", "variable", "offset_minutes", "value")
 WINDOW_HOURS = st.sampled_from([1, 5, 7, 8, 12, 24])
 
 EDGES = sorted({e for v in DRAWN[:3] for b in TABLE.bins[v] for e in (b.lower, b.upper)})
@@ -121,11 +122,25 @@ def test_feature_matrix_matches_oracle(cohort, window_hours):
 @settings(deadline=None)
 @given(cohorts(), WINDOW_HOURS)
 def test_filter_matches_oracle(cohort, window_hours):
+    columns = {name: getattr(cohort, name).copy() for name in COLUMNS}
+    ids, outcomes = list(cohort.patient_ids), dict(cohort.outcomes)
     kept = filter_cohort(cohort, REQUIRED, window_hours)
-    assert kept.patient_ids == oracles.filter_ids(cohort, REQUIRED, window_hours)
+    kept_ids = set(oracles.filter_ids(cohort, REQUIRED, window_hours))
+    expected = oracles.subset(cohort, [pid in kept_ids for pid in cohort.patient_ids])
+    assert kept.patient_ids == expected.patient_ids
+    assert kept.vocabulary == expected.vocabulary
+    for name in COLUMNS:
+        a, b = getattr(kept, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert list(kept.outcomes.items()) == list(expected.outcomes.items())
+    assert kept.variables == expected.variables
     assert oracles.cohort_rows(kept) == {
         pid: rows for pid, rows in oracles.cohort_rows(cohort).items() if pid in kept.outcomes
     }
+    # the cohort the caller kept is unchanged
+    assert cohort.patient_ids == ids and cohort.outcomes == outcomes
+    for name, column in columns.items():
+        assert getattr(cohort, name).tobytes() == column.tobytes(), name
 
 
 @settings(deadline=None)

@@ -228,18 +228,32 @@ def trained(small_cohort):
     return cohort, matrix, models
 
 
+def died_flags(cohort, matrix):
+    return np.array([cohort.outcomes[pid].death_flag for pid in matrix.patient_ids])
+
+
 class TestRiskModel:
     def test_scores_bounded(self, trained):
         _, matrix, models = trained
         for model in models.values():
-            for s in score_patients(model, matrix):
-                assert 0.0 <= s.eta <= 1.0
+            eta = score_patients(model, matrix).eta
+            assert np.all((eta >= 0.0) & (eta <= 1.0))
 
     def test_scoring_is_pure(self, trained):
         _, matrix, models = trained
-        a = [s.eta for s in score_patients(models[2], matrix)]
-        b = [s.eta for s in score_patients(models[2], matrix)]
+        a = score_patients(models[2], matrix).eta.tolist()
+        b = score_patients(models[2], matrix).eta.tolist()
         assert a == b
+
+    def test_scores_are_arrays_in_matrix_order(self, trained):
+        _, matrix, models = trained
+        scores = score_patients(models[2], matrix)
+        n, T = matrix.n_patients, matrix.spec.n_windows
+        assert scores.eta.shape == (n,)
+        assert scores.priors.shape == scores.sequences.shape == (n, T)
+        for i in (0, n // 2, n - 1):
+            eta = risk_score(scores.priors[i], models[2].emissions, scores.sequences[i])
+            assert eta == pytest.approx(scores.eta[i], rel=1e-12, abs=1e-15)
 
     def test_serialization_round_trip(self, trained):
         _, matrix, models = trained
@@ -247,8 +261,8 @@ class TestRiskModel:
         restored, config = models_from_obj(obj)
         assert config == {"seed": 0}
         for day, model in models.items():
-            original = [s.eta for s in score_patients(model, matrix)]
-            revived = [s.eta for s in score_patients(restored[day], matrix)]
+            original = score_patients(model, matrix).eta.tolist()
+            revived = score_patients(restored[day], matrix).eta.tolist()
             assert original == revived
 
     def test_variable_mismatch_rejected(self, trained):
@@ -264,7 +278,7 @@ class TestRiskModel:
         model = fit_risk_model(
             matrix, cohort.outcomes, TargetSpec(3, 12, "remaining"), table, seed=[1]
         )
-        etas = np.array([s.eta for s in score_patients(model, matrix)])
+        etas = score_patients(model, matrix).eta
         assert np.all((etas >= 0) & (etas <= 1))
         assert len(np.unique(etas)) > 10  # still discriminates
 
@@ -294,42 +308,30 @@ class TestRiskModel:
 class TestSurvivalCurve:
     def test_complement_of_risk(self, trained):
         cohort, matrix, models = trained
-        scores = {2: score_patients(models[2], matrix)}
-        bands = survival_curve(scores, cohort.outcomes)
-        death_etas = [
-            s.eta for s in scores[2] if cohort.outcomes[s.patient_id].death_flag
-        ]
+        eta, died = score_patients(models[2], matrix).eta, died_flags(cohort, matrix)
+        bands = survival_curve({2: eta}, died)
         band = next(b for b in bands if b.group == "death")
-        assert band.mean_survival == pytest.approx(1.0 - np.mean(death_etas))
+        assert band.mean_survival == pytest.approx(1.0 - np.mean(eta[died]))
 
     def test_bounds_and_order(self, trained):
         cohort, matrix, models = trained
-        scores = {d: score_patients(models[d], matrix) for d in (2, 3, 4, 5)}
-        bands = survival_curve(scores, cohort.outcomes)
+        etas = {d: score_patients(models[d], matrix).eta for d in (2, 3, 4, 5)}
+        bands = survival_curve(etas, died_flags(cohort, matrix))
         assert len(bands) == 8
         for b in bands:
             assert 0.0 <= b.ci_low <= b.mean_survival <= b.ci_high <= 1.0
 
     def test_single_patient_group_zero_width(self, trained):
         cohort, matrix, models = trained
-        dead = [
-            s for s in score_patients(models[2], matrix)
-            if cohort.outcomes[s.patient_id].death_flag
-        ][:1]
-        alive = [
-            s for s in score_patients(models[2], matrix)
-            if not cohort.outcomes[s.patient_id].death_flag
-        ]
-        bands = survival_curve({2: dead + alive}, cohort.outcomes)
+        eta, died = score_patients(models[2], matrix).eta, died_flags(cohort, matrix)
+        rows = np.concatenate((np.flatnonzero(died)[:1], np.flatnonzero(~died)))
+        bands = survival_curve({2: eta[rows]}, died[rows])
         band = next(b for b in bands if b.group == "death")
-        assert band.ci_low == band.ci_high == band.mean_survival == pytest.approx(1.0 - dead[0].eta)
+        assert band.ci_low == band.ci_high == band.mean_survival == pytest.approx(1.0 - eta[rows[0]])
 
     def test_missing_group_warns_and_skips(self, trained):
         cohort, matrix, models = trained
-        alive_only = [
-            s for s in score_patients(models[2], matrix)
-            if not cohort.outcomes[s.patient_id].death_flag
-        ]
+        eta, died = score_patients(models[2], matrix).eta, died_flags(cohort, matrix)
         with pytest.warns(UserWarning, match="death"):
-            bands = survival_curve({2: alive_only}, cohort.outcomes)
+            bands = survival_curve({2: eta[~died]}, died[~died])
         assert all(b.group == "survival" for b in bands)
