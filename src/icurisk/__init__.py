@@ -28,6 +28,7 @@ from .hmm import (
     PatientScores,
     RiskModel,
     estimate_emissions,
+    fit_feature_stage,
     fit_risk_model,
     risk_score,
     score_patients,

@@ -138,6 +138,12 @@ class PipelineConfig:
             raise ConfigError("window_hours must lie in 1..24")
         if any(d < 1 for d in cfg.target_days):
             raise ConfigError("target_days must be positive")
+        for key, value, least in (("cv.folds", cfg.cv_folds, 2), ("cv.repeats", cfg.cv_repeats, 1),
+                                  ("k_clusters", cfg.k_clusters, 1)):
+            if value < least:
+                raise ConfigError(f"{key} must be at least {least}, got {value}")
+        if not cfg.smoothing_alpha > 0:   # NaN included
+            raise ConfigError(f"smoothing_alpha must be > 0, got {cfg.smoothing_alpha}")
         return cfg
 
 
@@ -226,7 +232,6 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
             cohort.outcomes,
             target,
             table,
-            k_clusters=cfg.k_clusters,
             smoothing_alpha=cfg.smoothing_alpha,
             stage=stage,
         )
@@ -314,9 +319,9 @@ def cmd_curves(cfg: PipelineConfig, args) -> int:
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     table = _load_score_table(cfg)
-    cohort = _load_input_cohort(cfg)
+    # no name is bound to the loaded cohort: run_cv holds only the filtered one
     report = run_cv(
-        cohort,
+        _load_input_cohort(cfg),
         table,
         target_days=cfg.target_days,
         window_hours=cfg.window_hours,

@@ -147,6 +147,8 @@ class _Prepended(io.RawIOBase):
 def _check_stream(stream):
     if isinstance(stream, (str, bytes)):
         raise TypeError("expected a file-like object, not a path or raw string")
+    if isinstance(stream, io.TextIOBase):
+        raise TypeError("expected a binary stream, not a text stream; open the file with 'rb'")
 
 
 def _text_lines(stream, head=b""):
@@ -171,14 +173,13 @@ def _invalid_utf8(row):
     return None
 
 
-def _csv_rows(lines, header, what, line_no=1, decoded=True):
-    """(line number, row) for each CSV record of the text `lines`.
+def _csv_rows(lines, header, what, line_no=1):
+    """(line number, row) for each CSV record of `lines`, from `_text_lines`.
 
     With `header`, the first record must equal it and is not yielded; with
-    None, records are numbered from `line_no` on. Where `decoded`, the lines
-    come from `_text_lines` and a record holding bytes that were not UTF-8
-    raises a ParseError, as does a record `csv` rejects (a field over its
-    size limit).
+    None, records are numbered from `line_no` on. A record holding bytes
+    that were not UTF-8 raises a ParseError, as does a record `csv` rejects
+    (a field over its size limit).
     """
     reader = csv.reader(lines)
     for line_no in itertools.count(line_no):
@@ -188,7 +189,7 @@ def _csv_rows(lines, header, what, line_no=1, decoded=True):
             break
         except csv.Error as exc:
             raise ParseError(line_no, str(exc)) from None
-        if decoded and (byte := _invalid_utf8(row)) is not None:
+        if (byte := _invalid_utf8(row)) is not None:
             raise ParseError(line_no, f"invalid UTF-8 byte 0x{byte:02x}")
         if header is not None:
             if tuple(row) != header:
@@ -201,28 +202,18 @@ def _csv_rows(lines, header, what, line_no=1, decoded=True):
 
 
 class _LineBlocks:
-    """A stream read as blocks of whole lines, as bytes.
-
-    A binary stream is read BLOCK_BYTES at a time and cut after the last
-    newline; a text stream is read with `readlines(BLOCK_BYTES)` and encoded.
-    The last block may lack its final newline. After a block is declined,
-    `rest()` gives that block and everything after it as text lines, for
-    `_csv_rows`.
+    """A binary stream read as blocks of whole lines: BLOCK_BYTES at a time,
+    cut after the last newline. The last block may lack its final newline.
+    After a block is declined, `rest()` gives that block and everything
+    after it as text lines, for `_csv_rows`.
     """
 
     def __init__(self, stream):
         _check_stream(stream)
         self._stream = stream
-        self.decoded = not isinstance(stream, io.TextIOBase)
         self._block = self._carry = b""
-        self._lines = []
 
     def __iter__(self):
-        if not self.decoded:
-            while lines := self._stream.readlines(BLOCK_BYTES):
-                self._lines = lines
-                yield "".join(lines).encode("utf-8", "surrogatepass")
-            return
         while data := self._stream.read(BLOCK_BYTES):
             data = self._carry + data
             cut = data.rfind(b"\n") + 1
@@ -234,14 +225,12 @@ class _LineBlocks:
             yield self._block
 
     def rest(self):
-        if not self.decoded:
-            return itertools.chain(self._lines, self._stream)
         return _text_lines(self._stream, self._block + self._carry)
 
     def bytes_left(self):
-        """Bytes of a seekable binary stream not yet yielded, or None."""
+        """Bytes of a seekable stream not yet yielded, or None."""
         seekable = getattr(self._stream, "seekable", None)
-        if not (self.decoded and seekable and seekable()):
+        if not (seekable and seekable()):
             return None
         here = self._stream.tell()
         end = self._stream.seek(0, io.SEEK_END)
@@ -276,37 +265,10 @@ def _as_strings(fields):
     return fields.view(f"S{8 * fields.shape[1]}").ravel()
 
 
-class _Index:
-    """Texts numbered in order of first appearance: `codes` maps each text to
-    its number, and `texts` and `numbers` hold the same pairs sorted by text
-    for `_codes`' vectorised lookup (stale once `_row_loop` adds to `codes`)."""
-
-    def __init__(self):
-        self.codes: dict[str, int] = {}
-        self.texts, self.numbers = np.empty(0, dtype="S8"), np.empty(0, dtype=np.int64)
-
-    def find(self, texts):
-        """The number of each text (a bytes array), -1 where it is new."""
-        if self.texts.size == 0:
-            return np.full(texts.size, -1, dtype=np.int64)
-        at = np.minimum(np.searchsorted(self.texts, texts), self.texts.size - 1)
-        return np.where(self.texts[at] == texts, self.numbers[at], -1)
-
-    def add(self, texts):
-        """Number the new `texts`, given in order of first appearance."""
-        numbers = np.array(
-            [self.codes.setdefault(t.decode("ascii"), len(self.codes)) for t in texts.tolist()], dtype=np.int64
-        )
-        order = np.argsort(texts)
-        at = np.searchsorted(self.texts, texts[order])
-        self.texts = np.insert(self.texts.astype(np.result_type(self.texts, texts), copy=False), at, texts[order])
-        self.numbers = np.insert(self.numbers, at, numbers[order])
-        return numbers
-
-
 def _codes(fields, index):
-    """The number in `index` of each row's text (`_field_words` output);
-    texts `index` lacks are numbered in order of first appearance."""
+    """The code in `index` of each row's text (`_field_words` output).
+    `index` maps text to code and numbers the texts it lacks in order of
+    first appearance."""
     key = fields[:, 0].copy()
     for j in range(1, fields.shape[1]):
         key *= _MIX
@@ -315,11 +277,10 @@ def _codes(fields, index):
     if fields.shape[1] > 1 and not np.array_equal(fields, fields[first[inverse]]):
         # two texts share a hash: tell them apart by the text itself
         _, first, inverse = np.unique(_as_strings(fields), return_index=True, return_inverse=True)
-    texts = _as_strings(fields[first])
-    codes = index.find(texts)
-    new = np.flatnonzero(codes < 0)
-    new = new[np.argsort(first[new])]   # in order of first appearance
-    codes[new] = index.add(texts[new])
+    texts = _as_strings(fields[first]).tolist()
+    codes = np.empty(first.size, dtype=np.int64)
+    for j in np.argsort(first).tolist():
+        codes[j] = index.setdefault(texts[j].decode("ascii"), len(index))
     return codes[inverse]
 
 
@@ -494,7 +455,7 @@ class _Columns:
 
 def _first_capacity(blocks, n_bytes, n_rows):
     """Rows to allocate for on seeing the first block, `n_rows` rows in
-    `n_bytes`: for a seekable binary stream, the rows the bytes left would
+    `n_bytes`: for a seekable stream, the rows the bytes left would
     hold at the first block's bytes per row, with 1/16 to spare; for any
     other stream, the first block's rows."""
     left = blocks.bytes_left()
@@ -507,7 +468,7 @@ def _first_capacity(blocks, n_bytes, n_rows):
 def ingest_observations(stream) -> dict:
     """Parse an observations CSV into every RawCohort field but `outcomes`.
 
-    The stream must be UTF-8 CSV with header patient_id,variable,offset_minutes,value.
+    The stream must be binary, UTF-8 CSV with header patient_id,variable,offset_minutes,value.
     Patients and variables are numbered in order of first appearance; rows
     at or beyond minute 1440 are kept.
 
@@ -519,7 +480,8 @@ def ingest_observations(stream) -> dict:
     straight into the preallocated `_Columns`.
     """
     blocks = _LineBlocks(stream)
-    patients, variables = _Index(), _Index()
+    patients: dict[str, int] = {}
+    variables: dict[str, int] = {}
     columns = None
     lines_done, declined = 0, False
     for data in blocks:
@@ -544,25 +506,22 @@ def ingest_observations(stream) -> dict:
             OBSERVATIONS_HEADER if lines_done == 0 else None,
             "observations",
             line_no=lines_done + 1,
-            decoded=blocks.decoded,
         )
-        for parts in _row_loop(rows, patients.codes, variables.codes):
+        for parts in _row_loop(rows, patients, variables):
             if columns is None:
                 columns = _Columns(parts[0].size)
             columns.append(parts)
 
     if columns is None:
         raise CohortError("no observations")
-    return {"patient_ids": list(patients.codes), "vocabulary": tuple(variables.codes), **columns.finish()}
+    return {"patient_ids": list(patients), "vocabulary": tuple(variables), **columns.finish()}
 
 
 def ingest_outcomes(stream) -> dict[str, PatientOutcome]:
-    """Parse an outcomes CSV; exactly one row per patient_id."""
+    """Parse a binary outcomes CSV; exactly one row per patient_id."""
     _check_stream(stream)
-    decoded = not isinstance(stream, io.TextIOBase)
-    lines = _text_lines(stream) if decoded else stream
     outcomes: dict[str, PatientOutcome] = {}
-    for line_no, row in _csv_rows(lines, OUTCOMES_HEADER, "outcomes", decoded=decoded):
+    for line_no, row in _csv_rows(_text_lines(stream), OUTCOMES_HEADER, "outcomes"):
         if not row:
             continue
         if len(row) != 3:

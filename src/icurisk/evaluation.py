@@ -383,7 +383,6 @@ def run_cv(
                     cohort.outcomes,
                     targets[day],
                     score_table,
-                    k_clusters=k_clusters,
                     smoothing_alpha=smoothing_alpha,
                     stage=stage,
                 )

@@ -207,21 +207,17 @@ def fit_risk_model(
     target: TargetSpec,
     score_table: ScoreTable,
     *,
-    k_clusters: int = 4,
+    stage: FeatureStage,
     smoothing_alpha: float = 1.0,
-    seed=0,
-    stage: FeatureStage | None = None,
 ) -> RiskModel:
     """Train the full per-day bundle on one training cohort.
 
-    A precomputed FeatureStage can be passed in when several target days share
+    `stage` is `fit_feature_stage` of `matrix`, shared by every target day of
     the same training patients; the survival fits, state labels, and emission
-    tables are always refit because the censoring scheme depends on the day.
+    tables are fit per day because the censoring scheme depends on the day.
     """
     if target.window_hours != matrix.spec.window_hours:
         raise ValueError("target spec and feature spec disagree on window_hours")
-    if stage is None:
-        stage = fit_feature_stage(matrix, k_clusters, seed)
     ordered = [outcomes[pid] for pid in matrix.patient_ids]
     fits = fit_window_regressions(stage.imputed, ordered, target)
     labels: StateLabels = label_hidden_states(stage.imputed, ordered, fits, target)

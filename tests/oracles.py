@@ -409,15 +409,12 @@ def _csv_rows(stream, header, what):
     """(line number, row) for each CSV row after the header row, which must
     equal `header`.
 
-    A binary stream is decoded as UTF-8 while it is read, and a text stream
-    is read as it is, so the file is never held in memory whole. The caller's
-    stream is left open.
+    The binary stream is decoded as UTF-8 while it is read, so the file is
+    never held in memory whole. The caller's stream is left open.
     """
     if isinstance(stream, (str, bytes)):
         raise TypeError("expected a file-like object, not a path or raw string")
-    text = stream if isinstance(stream, io.TextIOBase) else io.TextIOWrapper(
-        stream, encoding="utf-8", newline=""
-    )
+    text = io.TextIOWrapper(stream, encoding="utf-8", newline="")
     try:
         reader = csv.reader(text)
         first = next(reader, None)
@@ -427,16 +424,17 @@ def _csv_rows(stream, header, what):
             raise ParseError(1, f"expected header {','.join(header)}")
         yield from enumerate(reader, start=2)
     finally:
-        if text is not stream and not stream.closed:
+        if not stream.closed:
             text.detach()  # closing the wrapper would close the caller's stream
 
 
 def ingest_rows(stream) -> dict:
     """Parse an observations CSV into every RawCohort field but `outcomes`.
 
-    The stream must be UTF-8 CSV with header patient_id,variable,offset_minutes,value.
-    Patients and variables are numbered in order of first appearance; rows
-    at or beyond minute 1440 are kept.
+    The stream must be binary, UTF-8 CSV with header
+    patient_id,variable,offset_minutes,value. Patients and variables are
+    numbered in order of first appearance; rows at or beyond minute 1440 are
+    kept.
     """
     patient_index: dict[str, int] = {}
     variable_code: dict[str, int] = {}

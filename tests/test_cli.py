@@ -83,8 +83,18 @@ class TestConfigHandling:
             ("target_days", [2, 2.7], "config key 'target_days' must hold integers, got 2.7"),
             ("target_days", [True], "config key 'target_days' must hold integers, got true"),
             ("required_variables", ["gcs", 3], "config key 'required_variables' must hold strings, got 3"),
+            ("cv", {"folds": 1}, "cv.folds must be at least 2, got 1"),
+            ("cv", {"folds": 0}, "cv.folds must be at least 2, got 0"),
+            ("cv", {"repeats": 0}, "cv.repeats must be at least 1, got 0"),
+            ("k_clusters", 0, "k_clusters must be at least 1, got 0"),
+            ("smoothing_alpha", 0, "smoothing_alpha must be > 0, got 0.0"),
+            ("smoothing_alpha", float("nan"), "smoothing_alpha must be > 0, got nan"),
         ],
-        ids=["cv-unknown-key", "target_days-fraction", "target_days-bool", "required_variables-number"],
+        ids=[
+            "cv-unknown-key", "target_days-fraction", "target_days-bool", "required_variables-number",
+            "cv-one-fold", "cv-no-folds", "cv-no-repeats", "k_clusters-zero", "smoothing_alpha-zero",
+            "smoothing_alpha-nan",
+        ],
     )
     def test_bad_value_inside_container_rejected(self, tmp_path, capsys, key, value, message):
         cfg = tmp_path / "config.json"

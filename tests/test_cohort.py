@@ -125,13 +125,16 @@ class TestIngestObservations:
         with pytest.raises(ParseError, match="line 2: non-finite"):
             ingest_observations(obs_stream("p1,heart_rate,30,nan"))
 
-    def test_text_and_binary_streams_parse_alike_and_stay_open(self):
-        binary = obs_stream("p1,heart_rate,30,112", "p2,gcs,5,14")
-        text = io.StringIO(binary.getvalue().decode(), newline="")
-        a, b = ingest_observations(binary), ingest_observations(text)
-        assert not binary.closed and not text.closed
-        assert a["patient_ids"] == b["patient_ids"] == ["p1", "p2"]
-        assert np.array_equal(a["value"], b["value"])
+    @pytest.mark.parametrize(
+        "ingest, stream",
+        [(ingest_observations, obs_stream("p1,heart_rate,30,112")), (ingest_outcomes, out_stream("p1,10,0"))],
+        ids=["observations", "outcomes"],
+    )
+    def test_text_stream_rejected_and_left_open(self, ingest, stream):
+        text = io.StringIO(stream.getvalue().decode(), newline="")
+        with pytest.raises(TypeError, match="binary stream"):
+            ingest(text)
+        assert not text.closed and text.tell() == 0
 
     def test_stream_stays_open_after_parse_error(self):
         stream = obs_stream("p1,heart_rate,abc,112")

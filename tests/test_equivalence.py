@@ -438,20 +438,13 @@ def assert_same_columns(got, expected):
     observation_files(),
     st.sampled_from([1, 2, 3, 5, 8, 13, 64, cohort_module.BLOCK_BYTES]),
     st.booleans(),
-    st.booleans(),
 )
-def test_ingest_matches_row_oracle(data, block_bytes, as_text, collide):
+def test_ingest_matches_row_oracle(data, block_bytes, collide):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
         if collide:   # every multi-word id or name hashes to its last word
             mp.setattr(cohort_module, "_MIX", np.uint64(0))
         assert_ingest_matches_oracle(lambda: io.BytesIO(data))
-        try:
-            text = data.decode()
-        except UnicodeDecodeError:
-            return
-        if as_text:
-            assert_ingest_matches_oracle(lambda: io.StringIO(text, newline=""))
 
 
 def test_written_cohort_matches_row_oracle(small_cohort, tmp_path, monkeypatch):
@@ -516,7 +509,7 @@ def columns_test_file(layout):
 
 @pytest.mark.parametrize("block_bytes", [64, cohort_module.BLOCK_BYTES])
 @pytest.mark.parametrize("layout", ["sorted", "row_loop_tail", "unsorted"])
-@pytest.mark.parametrize("kind", ["binary_file", "bytes_io", "unseekable", "text_file"])
+@pytest.mark.parametrize("kind", ["binary_file", "bytes_io", "unseekable"])
 def test_ingest_into_columns_matches_row_oracle(kind, layout, block_bytes, tmp_path, monkeypatch):
     data = columns_test_file(layout)
     path = tmp_path / "observations.csv"
@@ -525,7 +518,6 @@ def test_ingest_into_columns_matches_row_oracle(kind, layout, block_bytes, tmp_p
         "binary_file": lambda: open(path, "rb"),
         "bytes_io": lambda: io.BytesIO(data),
         "unseekable": lambda: Unseekable(data),
-        "text_file": lambda: open(path, encoding="utf-8", newline=""),
     }
     monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(cohort_module, "_ROW_LOOP_CHUNK", 16)

@@ -275,8 +275,9 @@ class TestRiskModel:
     def test_remaining_duration_mode_trains_and_scores(self, trained):
         cohort, matrix, _ = trained
         table = load_default_score_table()
+        stage = fit_feature_stage(matrix, 4, seed=[1])
         model = fit_risk_model(
-            matrix, cohort.outcomes, TargetSpec(3, 12, "remaining"), table, seed=[1]
+            matrix, cohort.outcomes, TargetSpec(3, 12, "remaining"), table, stage=stage
         )
         etas = score_patients(model, matrix).eta
         assert np.all((etas >= 0) & (etas <= 1))
