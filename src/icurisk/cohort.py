@@ -242,21 +242,62 @@ _OBSERVATIONS_HEADER_LINE = ",".join(OBSERVATIONS_HEADER).encode() + b"\n"
 # The vectorised parser leaves rows with a longer field to the row loop,
 # which also enforces csv's field size limit.
 _MAX_FIELD_BYTES = 64
-# _KEEP[n] keeps the first n bytes of a little-endian 8-byte word.
-_KEEP = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)
 _MIX = np.uint64(0x9E3779B97F4A7C15)   # odd multiplier of the field hash
 _SEPARATORS = np.array([ord(","), ord(","), ord(","), ord("\n")], dtype=np.uint8)
 
 
-def _field_words(words, start, length):
-    """Each row's field of `length` bytes from byte `start`, zero-padded to
-    whole 8-byte words: a (rows, n) '<u8' array. `words[i]` is the word at
-    byte i."""
+def _each_byte(byte):
+    return np.uint64(int.from_bytes(bytes([byte]) * 8, "little"))
+
+
+# Word-wise constants of the field, digit and decimal parsers. Blocks are
+# ASCII, so no byte has its high bit set and adding 0x76 or 0x7f to one
+# carries into none.
+_ZEROS, _DOTS = _each_byte(ord("0")), _each_byte(ord("."))
+_DOT_TO_ZERO = np.uint64(ord(".") ^ ord("0"))
+_ABOVE_NINE = _each_byte(0x80 - 10)     # sets the high bit of a byte over 9
+_LOW_BITS, _HIGH_BITS = _each_byte(0x7F), _each_byte(0x80)
+_SEVEN, _TOP_BYTE = np.uint64(7), np.uint64(56)
+# (multiply, shift, mask): 8 digit bytes, first digit lowest, to their number.
+_SWAR_STEPS = tuple(
+    (np.uint64(multiply), np.uint64(shift), mask and np.uint64(mask))
+    for multiply, shift, mask in (
+        (10 << 8 | 1, 8, 0x00FF00FF00FF00FF),
+        (100 << 16 | 1, 16, 0x0000FFFF0000FFFF),
+        (10000 << 32 | 1, 32, 0),
+    )
+)
+_POW10 = np.array([10**n for n in range(20)], dtype=np.uint64)
+_NINE_POW10 = 9 * _POW10[:19]
+_POW10_LONG = _POW10.astype(np.longdouble)
+# Indexed [j, n] for a field of n bytes: its bytes in word j, a mask that
+# keeps them, the left shift that takes them to the top of the word (a
+# shift of 64 gives 0), and 10 to their number.
+_IN_WORD = np.clip(np.arange(_MAX_FIELD_BYTES + 1) - 8 * np.arange(_MAX_FIELD_BYTES // 8)[:, None], 0, 8)
+_KEEP_IN_WORD = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)[_IN_WORD]
+_ALIGN_IN_WORD = (64 - 8 * _IN_WORD).astype(np.uint64)
+_POW10_IN_WORD = _POW10[_IN_WORD]
+# The top byte of a word with 1 in byte p alone, times _DOT_PLACE[j], is
+# 8j + p + 1: the place of a "." in word j of a field, counted from 1.
+_DOT_PLACE = [np.uint64(int.from_bytes(bytes(8 * j + 8 - i for i in range(8)), "little")) for j in range(3)]
+# Rows `_values` hands `_plain_decimals` at a time: few enough that its
+# temporaries stay small and in cache.
+_DECIMAL_ROWS = 1 << 14
+# Where np.longdouble has a 64-bit significand or more (x86 extended, IEEE
+# quad), w / 10**k rounds once for every uint64 w; elsewhere, double-double
+# included (its exponent is a double's), no row takes the exact decimal path.
+_EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdouble).nexp > 11
+
+
+def _field_words(buf, start, length):
+    """Each row's field of `length` bytes from byte `start` of `buf`,
+    zero-padded to whole 8-byte words: a (rows, n) '<u8' array. `buf` holds
+    _MAX_FIELD_BYTES bytes past the end of any field."""
     n = max(1, -(-int(length.max()) // 8))
-    out = np.empty((start.size, n), dtype="<u8")
+    spans = np.ndarray((buf.size - 8 * n + 1,), dtype=f"V{8 * n}", buffer=buf, strides=(1,))
+    out = spans[start].view("<u8").reshape(start.size, n)
     for j in range(n):
-        out[:, j] = words[np.minimum(start + 8 * j, words.size - 1)]
-        out[:, j] &= _KEEP[np.clip(length - 8 * j, 0, 8)]
+        out[:, j] &= _KEEP_IN_WORD[j].take(length)
     return out
 
 
@@ -284,27 +325,125 @@ def _codes(fields, index):
     return codes[inverse]
 
 
-def _offsets(words, start, length):
+def _digits(fields, n_digits):
+    """The number that each row of `fields` (`_field_words` output for
+    fields of `n_digits` bytes) writes in ASCII digits, as uint64, exact up
+    to 19 digits; and whether its bytes are all digits.
+
+    Eight digits at a time: the SWAR ("SIMD within a register") steps add
+    up the digits of one word in pairs, fours and eights. All arithmetic
+    stays in uint64 with np.uint64 scalars, as NumPy 1 makes a float64 of
+    uint64 mixed with int64.
+    """
+    number = np.zeros(fields.shape[0], dtype=np.uint64)
+    over_nine = np.zeros(fields.shape[0], dtype=np.uint64)
+    for j in range(fields.shape[1]):
+        word = fields[:, j] ^ _ZEROS            # a digit byte becomes its value
+        word <<= _ALIGN_IN_WORD[j].take(n_digits)   # the digits to the top, after zero bytes
+        over_nine |= word + _ABOVE_NINE
+        for multiply, shift, mask in _SWAR_STEPS:
+            word *= multiply
+            word >>= shift
+            if mask:
+                word &= mask
+        number *= _POW10_IN_WORD[j].take(n_digits)
+        number += word
+    return number, (over_nine & _HIGH_BITS) == 0
+
+
+def _offsets(buf, start, length):
     """Offsets of fields of 1 to 18 plain digits, or None."""
     if length.min() < 1 or length.max() > 18:
         return None
-    digits = _field_words(words, start, length).view(np.uint8) - np.uint8(ord("0"))
-    is_digit = digits <= 9                      # padding bytes are not digits
-    if np.count_nonzero(is_digit) != length.sum():
-        return None
-    offset = np.zeros(start.size, dtype=np.int64)
-    for k in range(int(length.max())):
-        offset = np.where(is_digit[:, k], offset * 10 + digits[:, k], offset)
-    return offset
+    offset, digits = _digits(_field_words(buf, start, length), length)
+    return offset.view(np.int64) if digits.all() else None
 
 
-def _values(words, start, length):
-    """`float` of each field, or None if one is rejected or not finite."""
-    try:
-        value = _as_strings(_field_words(words, start, length)).astype(np.float64)
-    except ValueError:
-        return None
-    return value if np.isfinite(value).all() else None
+def _plain_decimals(buf, start, length):
+    """Each field that is a plain decimal (an optional "-", then 1 to 19
+    digits with at most one "." before, among or after them) as `float`
+    reads it: (values, indices of the other rows, whose values are unset).
+
+    The digits make an exact uint64 mantissa w, with k of them after the
+    point, and w / 10**k is rounded once, in np.longdouble, where both are
+    exact. Rounding that quotient to float64 is a second rounding, which
+    errs only when the quotient lies on a float64 midpoint: those rows are
+    left out too.
+    """
+    negative = buf[start] == ord("-")
+    size = length - negative
+    size[size > 19] = 0                         # too long for a uint64: not plain
+    fields = _field_words(buf, start + negative, size)
+    dots = np.zeros(start.size, dtype=np.uint64)    # bit 8p + j: a "." in byte p of word j
+    point = np.zeros(start.size, dtype=np.uint64)   # 1 + the place of the ".", or 0
+    for j in range(fields.shape[1]):
+        word = fields[:, j]
+        hit = word ^ _DOTS
+        hit += _LOW_BITS
+        np.invert(hit, out=hit)
+        hit &= _HIGH_BITS
+        hit >>= _SEVEN                          # 1 in each byte that holds a "."
+        word ^= hit * _DOT_TO_ZERO              # which is read as a 0 digit
+        point += (hit * _DOT_PLACE[j]) >> _TOP_BYTE
+        hit <<= np.uint64(j)
+        dots |= hit
+    one_dot = (dots & (dots - np.uint64(1))) == 0   # or none
+    has_dot = (dots != 0).view(np.int8)
+    del dots
+    after = point.view(np.int64)                # k with a "."; the digit count without one
+    np.subtract(size, after, out=after)
+    mantissa, plain = _digits(fields, size)
+    del fields
+    plain &= one_dot
+    plain &= size > has_dot
+    # With the "." read as 0, mantissa = a * 10**(k + 1) + b for the digits
+    # a before it and the k digits b after it; the true mantissa is a * 10**k + b.
+    whole = mantissa // _POW10.take(after + 1, mode="clip")
+    whole *= _NINE_POW10.take(after, mode="clip")
+    mantissa -= whole
+    del whole
+    after *= has_dot
+    quotient = mantissa.astype(np.longdouble)
+    del mantissa
+    quotient /= _POW10_LONG.take(after, mode="clip")
+    value = quotient.astype(np.float64)
+    quotient -= value.astype(np.longdouble)
+    # Exact for a 64-bit significand (11 significant bits at most); with a
+    # longer one, rounding can only make more rows look like midpoints.
+    error = quotient.astype(np.float64)
+    del quotient
+    # On a midpoint, value + 2 * error is the float64 next to value; off
+    # one, it lies between the two and rounds to one of them.
+    error *= 2
+    plain &= (error == 0) | ((value + error) - value != error)
+    np.negative(value, out=value, where=negative)
+    return value, np.flatnonzero(~plain)
+
+
+def _values(buf, start, length):
+    """`float` of each field, or None if one is rejected or not finite.
+
+    Plain decimals are read by `_plain_decimals`; every other row is cast
+    with NumPy's bytes-to-float64 `astype`, which reads what `float` does.
+    """
+    value = np.empty(start.size)
+    if _EXACT_QUOTIENTS:
+        other = []
+        for at in range(0, start.size, _DECIMAL_ROWS):
+            rows = slice(at, at + _DECIMAL_ROWS)
+            value[rows], left = _plain_decimals(buf, start[rows], length[rows])
+            other.append(left + at)
+        other = np.concatenate(other)
+    else:
+        other = np.arange(start.size)
+    if other.size:
+        try:
+            value[other] = _as_strings(_field_words(buf, start[other], length[other])).astype(np.float64)
+        except ValueError:
+            return None
+        if not np.isfinite(value[other]).all():
+            return None
+    return value
 
 
 def _parse_block(data, patients, variables):
@@ -317,14 +456,17 @@ def _parse_block(data, patients, variables):
     quoted fields among them), a field over _MAX_FIELD_BYTES, an offset that
     is not 1 to 18 plain digits, or a value that `float` would reject or
     make non-finite. Every row of an accepted block parses to what the row
-    loop would give it.
+    loop would give it. Offsets and plain decimal values (-?digits[.digits],
+    1 to 19 digits) are parsed with integer arithmetic on 8-byte words;
+    other values (exponents, a "+", "_", spaces, "nan", longer digit
+    strings) and the rare decimal whose quotient lands on a float64
+    midpoint go through NumPy's bytes-to-float64 `astype`, as `float` would
+    read them.
     """
     if not data.isascii() or b'"' in data or b"\r" in data or b"\0" in data:
         return None
     n_bytes = len(data) + (not data.endswith(b"\n"))
-    padded = b"".join((data, b"\n", bytes(8)))
-    buf = np.frombuffer(padded, dtype=np.uint8)
-    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    buf = np.frombuffer(b"".join((data, b"\n", bytes(_MAX_FIELD_BYTES))), dtype=np.uint8)
     separator = np.flatnonzero(buf[:n_bytes] <= ord(","))
     kind = buf[separator]
     keep = (kind == ord(",")) | (kind == ord("\n"))
@@ -340,15 +482,15 @@ def _parse_block(data, patients, variables):
     )
     if max(int(length.max()) for length in (id_len, name[1], offset[1], value[1])) > _MAX_FIELD_BYTES:
         return None
-    offset = _offsets(words, *offset)
-    value = None if offset is None else _values(words, *value)
+    offset = _offsets(buf, *offset)
+    value = None if offset is None else _values(buf, *value)
     if value is None:
         return None
     # Nothing is declined past this point, so the indexes only gain texts of accepted rows.
-    ids = _field_words(words, id_at, id_len)
+    ids = _field_words(buf, id_at, id_len)
     runs = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]).any(axis=1))))
     patient = np.repeat(_codes(ids[runs], patients), np.diff(runs, append=ids.shape[0]))
-    variable = _codes(_field_words(words, *name), variables)
+    variable = _codes(_field_words(buf, *name), variables)
     return [patient, variable, offset, value]
 
 
@@ -473,11 +615,12 @@ def ingest_observations(stream) -> dict:
     at or beyond minute 1440 are kept.
 
     The file is read in blocks of whole lines, each parsed with NumPy by
-    `_parse_block`. From the first block that parser declines to the end of
-    the file, rows go through `_row_loop`, one `csv` record at a time, which
-    accepts all of CSV (quoted fields, CRLF line endings, empty lines) and
-    raises every ParseError. Both give the same columns, and both write them
-    straight into the preallocated `_Columns`.
+    `_parse_block`, which reads plain decimal values exactly without a
+    Python float per row. From the first block that parser declines to the
+    end of the file, rows go through `_row_loop`, one `csv` record at a
+    time, which accepts all of CSV (quoted fields, CRLF line endings, empty
+    lines) and raises every ParseError. Both give the same columns, bit for
+    bit, and both write them straight into the preallocated `_Columns`.
     """
     blocks = _LineBlocks(stream)
     patients: dict[str, int] = {}
@@ -557,6 +700,13 @@ def _ingest_file(path, ingest):
 
 
 def load_cohort(observations_path, outcomes_path) -> RawCohort:
+    """The cohort in an observations and an outcomes CSV file (see
+    `ingest_observations` and `ingest_outcomes`), checked as a RawCohort.
+
+    Rows come out sorted by patient, then offset. A ParseError names the file
+    and line; any other CohortError names the file or, for a mismatch
+    between the two, both files.
+    """
     columns = _ingest_file(observations_path, ingest_observations)
     outcomes = _ingest_file(outcomes_path, ingest_outcomes)
     try:

@@ -18,6 +18,7 @@ from icurisk.cohort import (
     ingest_outcomes,
     load_cohort,
     window_cells,
+    write_observations,
 )
 from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
 from conftest import cohort_from_rows, write_cohort_files
@@ -226,6 +227,26 @@ class TestIngestObservations:
             tracemalloc.stop()
         assert not cohort_module._steps_back(parsed["patient"], parsed["offset_minutes"]).any()
         assert peak < 56 * n + 4 * cohort_module.BLOCK_BYTES
+
+    def test_written_values_are_read_as_plain_decimals(self, small_cohort, tmp_path, monkeypatch):
+        # Values that miss the exact decimal parse are still read right, by
+        # `astype`, so only a count shows a parse that misses them all.
+        path = tmp_path / "observations.csv"
+        write_observations(small_cohort, path)
+        rows, left = [], []
+        plain_decimals = cohort_module._plain_decimals
+
+        def counting(buf, start, length):
+            value, other = plain_decimals(buf, start, length)
+            rows.append(start.size)
+            left.append(other.size)
+            return value, other
+
+        monkeypatch.setattr(cohort_module, "_plain_decimals", counting)
+        with open(path, "rb") as f:
+            parsed = ingest_observations(f)
+        assert sum(rows) == parsed["value"].size   # every row was parsed in blocks
+        assert sum(left) <= 0.01 * sum(rows)
 
 
 class TestIngestOutcomes:

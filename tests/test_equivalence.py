@@ -7,7 +7,9 @@ non-ASCII ids and a missing final newline, and, in files that may fail,
 non-finite values, a header row in the middle, wrong field counts, huge or
 negative offsets and bytes that are not UTF-8. They are parsed with blocks
 of a few bytes, so block boundaries fall inside rows, and with one hash
-multiplier that makes long ids and names collide.
+multiplier that makes long ids and names collide. Value fields for the exact
+decimal parse are the `repr` of any double and plain decimals of up to 19
+digits, and a few over, with the "." anywhere, leading zeros and a "-".
 
 Generated cohorts for the columnar cohort path mix window-boundary offsets
 (0, 719, 720, 1439, 1440) with arbitrary ones, score-bin edges with arbitrary
@@ -476,6 +478,82 @@ def test_ingest_edge_files_match_row_oracle(body, block_bytes, monkeypatch):
     monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
     data = HEADER.encode() + b"\n" + body
     assert_ingest_matches_oracle(lambda: io.BytesIO(data))
+
+
+@st.composite
+def decimal_texts(draw):
+    """1 to 19 digits with a "." anywhere or nowhere, maybe a "-" and
+    leading zeros."""
+    digits = draw(st.text("0123456789", min_size=1, max_size=19))
+    if draw(st.booleans()):
+        digits = "0" * draw(st.integers(1, 19 - len(digits) + 1)) + digits
+    at = draw(st.integers(0, len(digits)))
+    text = digits[:at] + "." + digits[at:] if draw(st.booleans()) else digits
+    return "-" + text if draw(st.booleans()) else text
+
+
+# Value fields for the exact decimal parse: `repr` of any double (exponent
+# forms included), and plain decimals of up to 19 digits and a little over.
+DECIMAL_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e4, 1e4).map(repr),
+    decimal_texts(),
+)
+
+
+def values_file(values):
+    lines = [f"p{i // 3},gcs,{i},{value}" for i, value in enumerate(values)]
+    return (HEADER + "\n" + "\n".join(lines) + "\n").encode()
+
+
+@settings(deadline=None)
+@given(st.lists(DECIMAL_VALUES, min_size=1, max_size=60), st.sampled_from([64, cohort_module.BLOCK_BYTES]))
+def test_decimal_values_match_row_oracle(values, block_bytes):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+        assert_ingest_matches_oracle(lambda: io.BytesIO(values_file(values)))
+
+
+# 9339577516203898 / 10**14, rounded to a 64-bit significand, is the
+# midpoint of two float64s. The decimal lies just above it, so `float` gives
+# the upper one; rounding the long double to float64 (ties to even) gives
+# the lower one. Found by searching decimals near float64 midpoints.
+DOUBLE_ROUNDING = "93.39577516203898"
+EDGE_VALUES = [
+    "-0.0", "1.", ".5", "-.5", "9007199254740993", "-9007199254740993",
+    str(2**63), "9999999999999999999", "-9999999999999999999", "999999999999999999.9", "0.000000000000000001",
+    "0000000000000000001", "1e-05", "+1.5", "1_0", "12345678901234567890", "1234567890123456789.0",
+    "0.30000000000000004", "5e-324", "1.7976931348623157e+308", DOUBLE_ROUNDING,
+]
+
+
+@pytest.mark.parametrize("block_bytes", [64, cohort_module.BLOCK_BYTES])
+@pytest.mark.parametrize("bad", [None, "nan", "-", ".", "1.2.3", "1..", "-.", "inf", "--1"])
+def test_decimal_edge_values_match_row_oracle(bad, block_bytes, monkeypatch):
+    monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+    values = EDGE_VALUES + [bad] * (bad is not None)
+    assert_ingest_matches_oracle(lambda: io.BytesIO(values_file(values)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="the case is for a 64-bit significand")
+def test_double_rounding_case_is_read_exactly():
+    mantissa, places = int(DOUBLE_ROUNDING.replace(".", "")), len(DOUBLE_ROUNDING.split(".")[1])
+    quotient = np.longdouble(mantissa) / np.longdouble(10**places)
+    assert float(quotient) != float(DOUBLE_ROUNDING)   # the midpoint check is what keeps it right
+    parsed = ingest_observations(io.BytesIO(values_file([DOUBLE_ROUNDING])))
+    assert parsed["value"].tolist() == [float(DOUBLE_ROUNDING)]
+
+
+def test_values_without_long_double_match_row_oracle(small_cohort, tmp_path, monkeypatch):
+    # Where np.longdouble has fewer than 64 significant bits, every value
+    # goes through `astype`.
+    monkeypatch.setattr(cohort_module, "_EXACT_QUOTIENTS", False)
+    path = tmp_path / "observations.csv"
+    write_observations(small_cohort, path)
+    for data in (path.read_bytes(), values_file(EDGE_VALUES)):
+        for block_bytes in (64, cohort_module.BLOCK_BYTES):
+            monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+            assert_ingest_matches_oracle(lambda: io.BytesIO(data))
 
 
 class Unseekable(io.RawIOBase):
