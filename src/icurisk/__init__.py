@@ -6,7 +6,6 @@ sequence-model risk score, plus a cross-validated evaluation harness.
 """
 
 from .cohort import (
-    PatientOutcome,
     RawCohort,
     SynthConfig,
     filter_cohort,

@@ -69,8 +69,8 @@ _CONFIG_CONTAINERS = {
 
 @dataclass
 class PipelineConfig:
-    observations: str | None = None
-    outcomes: str | None = None
+    observations_path: str | None = None
+    outcomes_path: str | None = None
     score_table: str | None = None
     out_dir: str = "out"
     window_hours: int = 12
@@ -113,8 +113,8 @@ class PipelineConfig:
 
         cfg = cls()
         paths = obj.get("paths", {})
-        cfg.observations = paths.get("observations")
-        cfg.outcomes = paths.get("outcomes")
+        cfg.observations_path = paths.get("observations")
+        cfg.outcomes_path = paths.get("outcomes")
         cfg.score_table = paths.get("score_table")
         cfg.out_dir = paths.get("out_dir", cfg.out_dir)
         try:
@@ -156,12 +156,12 @@ def _load_score_table(cfg: PipelineConfig) -> ScoreTable:
 
 
 def _load_input_cohort(cfg: PipelineConfig):
-    for label, path in (("observations", cfg.observations), ("outcomes", cfg.outcomes)):
+    for label, path in (("observations", cfg.observations_path), ("outcomes", cfg.outcomes_path)):
         if path is None:
             raise ConfigError(f"config paths.{label} is required for this command")
         if not Path(path).exists():
             raise ConfigError(f"{label} file not found: {path}")
-    return load_cohort(cfg.observations, cfg.outcomes)
+    return load_cohort(cfg.observations_path, cfg.outcomes_path)
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
@@ -229,7 +229,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         target = TargetSpec(day, cfg.window_hours, cfg.duration_mode)
         models[day] = fit_risk_model(
             matrix,
-            cohort.outcomes,
+            cohort.event_hours,
+            cohort.died,
             target,
             table,
             smoothing_alpha=cfg.smoothing_alpha,
@@ -298,7 +299,7 @@ def cmd_curves(cfg: PipelineConfig, args) -> int:
     models, echo = _load_models(cfg)
     cohort, matrix = _scoring_matrix(cfg, models, echo)
     eta_by_day = {day: score_patients(models[day], matrix).eta for day in sorted(models)}
-    bands = survival_curve(eta_by_day, [cohort.outcomes[pid].death_flag for pid in matrix.patient_ids])
+    bands = survival_curve(eta_by_day, cohort.died)
     out = _out_dir(cfg)
     with open(out / "curves.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

@@ -1,7 +1,7 @@
 """Patient data model, CSV ingestion, and a seeded synthetic cohort generator.
 
 A cohort is one table of observations in parallel columns (patient, variable,
-offset, value), one row per CSV row, plus one outcome per patient.
+offset, value), one row per CSV row, plus per-patient event_hours and died.
 `window_cells` is the one rule that places rows in first-day windows; patient
 filtering, the feature matrix and the baseline features all use it.
 """
@@ -44,27 +44,14 @@ class ParseError(CohortError):
         self.line_no, self.message, self.path = line_no, message, path
 
 
-@dataclass(frozen=True, slots=True)
-class PatientOutcome:
-    patient_id: str
-    event_hours: float
-    death_flag: bool
-
-    def __post_init__(self):
-        if not (math.isfinite(self.event_hours) and self.event_hours > 0):
-            raise CohortError(
-                f"event_hours must be finite and > 0, got {self.event_hours} "
-                f"for {self.patient_id}"
-            )
-
-
 @dataclass(eq=False)
 class RawCohort:
-    """Observations as parallel columns, plus one outcome per patient.
+    """Observations as parallel columns, plus two outcome columns.
 
     Row i is variable `vocabulary[variable[i]]` of patient
     `patient_ids[patient[i]]`, sampled `offset_minutes[i]` after admission
-    with value `value[i]`. Rows are sorted by patient, then offset.
+    with value `value[i]`. Rows are sorted by patient, then offset. Patient
+    j left the ICU `event_hours[j]` after admission, dead if `died[j]`.
     """
 
     patient_ids: list[str]
@@ -73,22 +60,29 @@ class RawCohort:
     variable: np.ndarray         # (rows,) int64 index into vocabulary
     offset_minutes: np.ndarray   # (rows,) int64
     value: np.ndarray            # (rows,) float64
-    outcomes: dict[str, PatientOutcome]
+    event_hours: np.ndarray      # (patients,) float64, finite and > 0
+    died: np.ndarray             # (patients,) bool
 
     def __post_init__(self):
         self.patient = np.asarray(self.patient, dtype=np.int64)
         self.variable = np.asarray(self.variable, dtype=np.int64)
         self.offset_minutes = np.asarray(self.offset_minutes, dtype=np.int64)
         self.value = np.asarray(self.value, dtype=float)
+        self.event_hours = np.asarray(self.event_hours, dtype=float)
+        self.died = np.asarray(self.died)
         n_rows = self.patient.size
         columns = (self.patient, self.variable, self.offset_minutes, self.value)
         if any(col.shape != (n_rows,) for col in columns):
             raise CohortError("observation columns must be 1-D and of equal length")
-        if set(self.patient_ids) != set(self.outcomes):
-            missing = sorted(set(self.patient_ids) ^ set(self.outcomes))[:5]
-            raise CohortError(
-                f"observations and outcomes cover different patients (e.g. {missing})"
-            )
+        if self.event_hours.shape != (self.n_patients,) or self.died.shape != (self.n_patients,):
+            raise CohortError("event_hours and died must be 1-D with one entry per patient")
+        if self.died.dtype != bool:
+            raise CohortError(f"died must be bool, got {self.died.dtype}")
+        bad = ~((self.event_hours > 0) & (self.event_hours < np.inf))   # NaN fails both
+        if bad.any():
+            j = int(np.argmax(bad))
+            hours, pid = self.event_hours[j], self.patient_ids[j]
+            raise CohortError(f"event_hours must be finite and > 0, got {hours} for {pid}")
         if n_rows == 0:
             return
         if not (
@@ -608,7 +602,7 @@ def _first_capacity(blocks, n_bytes, n_rows):
 
 
 def ingest_observations(stream) -> dict:
-    """Parse an observations CSV into every RawCohort field but `outcomes`.
+    """Parse an observations CSV into every RawCohort field but the outcomes.
 
     The stream must be binary, UTF-8 CSV with header patient_id,variable,offset_minutes,value.
     Patients and variables are numbered in order of first appearance; rows
@@ -660,32 +654,35 @@ def ingest_observations(stream) -> dict:
     return {"patient_ids": list(patients), "vocabulary": tuple(variables), **columns.finish()}
 
 
-def ingest_outcomes(stream) -> dict[str, PatientOutcome]:
-    """Parse a binary outcomes CSV; exactly one row per patient_id."""
+def ingest_outcomes(stream):
+    """Parse a binary outcomes CSV, exactly one row per patient_id, into
+    ({patient_id: row, in file order}, event_hours, died)."""
     _check_stream(stream)
-    outcomes: dict[str, PatientOutcome] = {}
+    rows: dict[str, int] = {}
+    event_hours, died = [], []
     for line_no, row in _csv_rows(_text_lines(stream), OUTCOMES_HEADER, "outcomes"):
         if not row:
             continue
         if len(row) != 3:
             raise ParseError(line_no, f"expected 3 fields, got {len(row)}")
         pid, hours_s, flag_s = row
-        if pid in outcomes:
+        if pid in rows:
             raise ParseError(line_no, f"duplicate patient_id {pid!r}")
         try:
             hours = float(hours_s)
         except ValueError:
             raise ParseError(line_no, f"non-numeric event_hours {hours_s!r}") from None
+        if not (math.isfinite(hours) and hours > 0):
+            raise ParseError(line_no, f"event_hours must be finite and > 0, got {hours} for {pid}")
         if flag_s not in ("0", "1"):
             raise ParseError(line_no, f"death_flag must be 0 or 1, got {flag_s!r}")
-        try:
-            outcomes[pid] = PatientOutcome(pid, hours, flag_s == "1")
-        except CohortError as exc:
-            raise ParseError(line_no, str(exc)) from None
+        rows[pid] = len(rows)
+        event_hours.append(hours)
+        died.append(flag_s == "1")
 
-    if not outcomes:
+    if not rows:
         raise CohortError("no outcomes")
-    return outcomes
+    return rows, np.array(event_hours, dtype=float), np.array(died, dtype=bool)
 
 
 def _ingest_file(path, ingest):
@@ -703,14 +700,19 @@ def load_cohort(observations_path, outcomes_path) -> RawCohort:
     """The cohort in an observations and an outcomes CSV file (see
     `ingest_observations` and `ingest_outcomes`), checked as a RawCohort.
 
-    Rows come out sorted by patient, then offset. A ParseError names the file
-    and line; any other CohortError names the file or, for a mismatch
-    between the two, both files.
+    Rows come out sorted by patient, then offset; outcomes pair by id. A
+    ParseError names the file and line; any other CohortError names the
+    file or, for a mismatch between the two, both files.
     """
     columns = _ingest_file(observations_path, ingest_observations)
-    outcomes = _ingest_file(outcomes_path, ingest_outcomes)
+    rows, event_hours, died = _ingest_file(outcomes_path, ingest_outcomes)
+    ids = columns["patient_ids"]
+    order = np.array([rows.get(pid, -1) for pid in ids], dtype=np.int64)
     try:
-        return RawCohort(**columns, outcomes=outcomes)
+        if len(rows) != len(ids) or (order < 0).any():
+            missing = sorted(set(ids).symmetric_difference(rows))[:5]
+            raise CohortError(f"observations and outcomes cover different patients (e.g. {missing})")
+        return RawCohort(**columns, event_hours=event_hours[order], died=died[order])
     except CohortError as exc:
         raise CohortError(f"{observations_path}, {outcomes_path}: {exc}") from None
 
@@ -746,10 +748,11 @@ def write_observations(cohort: RawCohort, path) -> None:
 
 
 def write_outcomes(cohort: RawCohort, path) -> None:
-    rows = zip(_csv_fields(cohort.outcomes), cohort.outcomes.values())
+    """The outcomes CSV: one row per patient, in patient order."""
+    rows = zip(_csv_fields(cohort.patient_ids), cohort.event_hours.tolist(), cohort.died.tolist())
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(OUTCOMES_HEADER) + "\n")
-        f.writelines(f"{pid},{out.event_hours!r},{int(out.death_flag)}\n" for pid, out in rows)
+        f.writelines(f"{pid},{hours!r},{int(died)}\n" for pid, hours, died in rows)
 
 
 def window_cells(cohort: RawCohort, variable_names, window_minutes: int, n_windows: int):
@@ -790,13 +793,13 @@ def filter_cohort(
     holds two. A cohort the caller keeps is left unchanged.
     """
     n_windows = 24 // window_hours
-    keep = np.array([cohort.outcomes[pid].event_hours >= min_stay_hours for pid in cohort.patient_ids], bool)
+    keep = cohort.event_hours >= min_stay_hours
     for name in dict.fromkeys(required_variables):   # one variable's cells at a time
         covered = np.zeros((cohort.n_patients, n_windows), dtype=bool)
         covered.ravel()[window_cells(cohort, (name,), 60 * window_hours, n_windows)[1]] = True
         keep &= covered.all(axis=1)
     ids = [pid for pid, kept in zip(cohort.patient_ids, keep.tolist()) if kept]
-    outcomes = {pid: cohort.outcomes[pid] for pid in ids}
+    event_hours, died = cohort.event_hours[keep], cohort.died[keep]
     counts = np.bincount(cohort.patient, minlength=cohort.n_patients)[keep]
     vocabulary, rows = cohort.vocabulary, keep[cohort.patient]
     columns = [cohort.variable, cohort.offset_minutes, cohort.value]
@@ -804,7 +807,7 @@ def filter_cohort(
     for i in range(len(columns)):   # each loaded column is freed once its kept rows are copied
         columns[i] = columns[i][rows]
     # Rows are sorted by patient, so the kept rows are the kept patients' runs.
-    return RawCohort(ids, vocabulary, np.repeat(np.arange(len(ids)), counts), *columns, outcomes)
+    return RawCohort(ids, vocabulary, np.repeat(np.arange(len(ids)), counts), *columns, event_hours, died)
 
 
 # --------------------------------------------------------------------------
@@ -1006,14 +1009,6 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     t_death = (1.0 / rate) * exponential[:, 0]
     t_discharge = _DISCHARGE_MIN_HOURS + _DISCHARGE_SCALE_HOURS * exponential[:, 1]
     width = len(str(n_patients))
-    outcomes = {
-        pid: PatientOutcome(pid, hours, died)
-        for pid, hours, died in zip(
-            (f"p{i:0{width}d}" for i in range(1, n_patients + 1)),
-            np.minimum(t_death, t_discharge).tolist(),
-            (t_death <= t_discharge).tolist(),
-        )
-    }
 
     # Observations over (patient, variable, sample) cells, in place.
     offsets *= interval
@@ -1047,11 +1042,12 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     del noise, keep   # with offsets and values rebound, no cell array outlives this line
     order = np.lexsort((offsets, patient))
     return RawCohort(
-        patient_ids=list(outcomes),
+        patient_ids=[f"p{i:0{width}d}" for i in range(1, n_patients + 1)],
         vocabulary=tuple(variables),
         patient=patient[order],
         variable=variable[order],
         offset_minutes=offsets[order],
         value=values[order],
-        outcomes=outcomes,
+        event_hours=np.minimum(t_death, t_discharge),
+        died=t_death <= t_discharge,
     )

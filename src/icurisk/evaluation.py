@@ -305,11 +305,11 @@ def _stratified_folds(rng, strata: np.ndarray, n_folds: int) -> np.ndarray:
     return fold_of
 
 
-def _draw_valid_folds(seed, repeat, death_flag, day_events, n_folds, max_attempts=20):
+def _draw_valid_folds(seed, repeat, died, day_events, n_folds, max_attempts=20):
     """Redraw until every fold and its complement hold both classes per day."""
     for attempt in range(max_attempts):
         rng = np.random.default_rng([seed, repeat, attempt])
-        fold_of = _stratified_folds(rng, death_flag, n_folds)
+        fold_of = _stratified_folds(rng, died, n_folds)
         ok = True
         for fold in range(n_folds):
             test = fold_of == fold
@@ -353,13 +353,12 @@ def run_cv(
     spec = FeatureSpec(tuple(variables), window_hours)
     matrix = build_feature_matrix(cohort, spec, score_table)
 
-    outcomes = [cohort.outcomes[pid] for pid in matrix.patient_ids]
-    death_flag = np.array([o.death_flag for o in outcomes], dtype=int)
     targets = {
         day: TargetSpec(day, window_hours, duration_mode) for day in target_days
     }
     day_censoring = {
-        day: censor_by_target(outcomes, t.target_hours) for day, t in targets.items()
+        day: censor_by_target(cohort.event_hours, cohort.died, t.target_hours)
+        for day, t in targets.items()
     }
     day_events = {day: ev for day, (_, ev) in day_censoring.items()}
     baseline_features = first_day_max_scores(cohort, variables, score_table)
@@ -368,7 +367,7 @@ def run_cv(
     records: list[MetricRecord] = []
     metric_fns = {"aucpr": aucpr, "cstat": concordance, "auroc": auroc}
     for repeat in range(repeats):
-        fold_of = _draw_valid_folds(seed, repeat, death_flag, day_events, folds)
+        fold_of = _draw_valid_folds(seed, repeat, cohort.died, day_events, folds)
         for fold in range(folds):
             test = fold_of == fold
             train_idx = np.flatnonzero(~test)
@@ -380,7 +379,8 @@ def run_cv(
                 times, events = day_censoring[day]
                 model = fit_risk_model(
                     train_matrix,
-                    cohort.outcomes,
+                    cohort.event_hours[train_idx],
+                    cohort.died[train_idx],
                     targets[day],
                     score_table,
                     smoothing_alpha=smoothing_alpha,

@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cohort import PatientOutcome
 from .features import (
     ClusterModel,
     FeatureMatrix,
@@ -34,6 +33,7 @@ from .survival import (
     StateLabels,
     SurvivalFit,
     TargetSpec,
+    censor_by_target,
     compute_priors,
     fit_window_regressions,
     label_hidden_states,
@@ -203,7 +203,8 @@ def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0) -> Feature
 
 def fit_risk_model(
     matrix: FeatureMatrix,
-    outcomes: dict[str, PatientOutcome],
+    event_hours: np.ndarray,
+    died: np.ndarray,
     target: TargetSpec,
     score_table: ScoreTable,
     *,
@@ -212,15 +213,18 @@ def fit_risk_model(
 ) -> RiskModel:
     """Train the full per-day bundle on one training cohort.
 
-    `stage` is `fit_feature_stage` of `matrix`, shared by every target day of
-    the same training patients; the survival fits, state labels, and emission
-    tables are fit per day because the censoring scheme depends on the day.
+    `event_hours` and `died` are in matrix order. `stage` is
+    `fit_feature_stage` of `matrix`, shared by every target day of the same
+    training patients; the survival fits, state labels, and emission tables
+    are fit per day because the censoring scheme depends on the day.
     """
     if target.window_hours != matrix.spec.window_hours:
         raise ValueError("target spec and feature spec disagree on window_hours")
-    ordered = [outcomes[pid] for pid in matrix.patient_ids]
-    fits = fit_window_regressions(stage.imputed, ordered, target)
-    labels: StateLabels = label_hidden_states(stage.imputed, ordered, fits, target)
+    if len(event_hours) != matrix.n_patients or len(died) != matrix.n_patients:
+        raise ValueError("event_hours and died must have one entry per matrix patient")
+    times, events = censor_by_target(event_hours, died, target.target_hours)
+    fits = fit_window_regressions(stage.imputed, times, events)
+    labels: StateLabels = label_hidden_states(stage.imputed, events, fits, target)
     emissions = estimate_emissions(
         stage.sequences, labels.states, stage.cluster.k, smoothing_alpha
     )

@@ -61,18 +61,17 @@ class TargetSpec:
         return self.target_hours - elapsed
 
 
-def censor_by_target(outcomes, target_hours: float):
+def censor_by_target(event_hours, died, target_hours: float):
     """Death-by-target events and right-censored exposure times.
 
-    Death at or before the horizon is an event at its own time; everyone else
-    (discharged alive, died later, or still in) is censored at
-    min(event_hours, target_hours).
+    Per patient of the aligned `event_hours` and `died`: death at or before
+    the horizon is an event at its own time; everyone else (discharged
+    alive, died later, or still in) is censored at min(event_hours, target_hours).
     """
-    hours = np.array([out.event_hours for out in outcomes], dtype=float)
-    died = np.array([out.death_flag for out in outcomes], dtype=bool)
+    hours = np.asarray(event_hours, dtype=float)
     # an event's time is its own, which is the minimum too
     times = np.minimum(hours, target_hours)
-    events = (died & (hours <= target_hours)).astype(np.uint8)
+    events = (np.asarray(died, dtype=bool) & (hours <= target_hours)).astype(np.uint8)
     return times, events
 
 
@@ -349,25 +348,25 @@ class StateLabels:
     probabilities: np.ndarray   # (N, T); last column is the 0/1 outcome itself
 
 
-def fit_window_regressions(matrix, outcomes, target: TargetSpec) -> list[SurvivalFit]:
-    """One censored exponential fit per window, with shared response."""
-    times, events = censor_by_target(outcomes, target.target_hours)
+def fit_window_regressions(matrix, times, events) -> list[SurvivalFit]:
+    """One censored exponential fit per window, with shared response
+    (`censor_by_target` times and events, in matrix order)."""
     return [
         fit_exponential_regression(window_design(matrix, t), times, events)
         for t in range(matrix.spec.n_windows)
     ]
 
 
-def label_hidden_states(matrix, outcomes, fits, target: TargetSpec) -> StateLabels:
+def label_hidden_states(matrix, events, fits, target: TargetSpec) -> StateLabels:
     """Hidden-state labels: outcome at the last window, thresholded normalized
     priors everywhere else.
 
-    Censoring by the target time counts as Survival. For windows before the
-    last, the window's training priors are normalized against the outcome
-    classes and labeled Death when the normalized probability reaches 0.5.
+    `events` come from `censor_by_target`, in matrix order, so censoring by
+    the target time counts as Survival. For windows before the last, the
+    window's training priors are normalized against the outcome classes and
+    labeled Death when the normalized probability reaches 0.5.
     """
     theta = compute_priors(matrix, fits, target)
-    _, events = censor_by_target(outcomes, target.target_hours)
     n, T = theta.shape
     states = np.zeros((n, T), dtype=np.uint8)
     probs = np.zeros((n, T))

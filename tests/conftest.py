@@ -1,9 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
 from icurisk.cohort import (
-    PatientOutcome,
     RawCohort,
     SynthConfig,
     generate_synthetic_cohort,
@@ -41,7 +41,8 @@ def cohort_from_rows(rows, outcomes):
         variable=variable,
         offset_minutes=[r[2] for r in rows],
         value=[r[3] for r in rows],
-        outcomes={pid: PatientOutcome(pid, hours, died) for pid, (hours, died) in outcomes.items()},
+        event_hours=np.array([hours for hours, _ in outcomes.values()], dtype=float),
+        died=np.array([died for _, died in outcomes.values()], dtype=bool),
     )
 
 

@@ -27,9 +27,9 @@ only so tests can compare a library path with it:
 - `t_tail_betainc` takes the Student-t upper tail from
   `scipy.special.betainc`. It checks `icurisk.evaluation._t_upper_tail`,
   whose own continued fraction must agree to 1e-12 relative.
-- `censor_by_target_loop` censors one outcome at a time. It checks the
-  vectorised `icurisk.survival.censor_by_target`, which must give the same
-  floats.
+- `censor_by_target_loop` censors one patient's (hours, died) at a time.
+  It checks the vectorised `icurisk.survival.censor_by_target`, which must
+  give the same floats.
 - `calibrate_intercept_bisection` runs all 200 bisection steps. It checks
   `icurisk.cohort._calibrate_intercept`, which stops once the interval can
   shrink no further and must return the same float.
@@ -78,7 +78,6 @@ from icurisk.cohort import (
     PREVALENCE_REFERENCE_DAY,
     CohortError,
     ParseError,
-    PatientOutcome,
     RawCohort,
     SynthConfig,
     _calibrate_intercept,
@@ -251,7 +250,8 @@ def subset(cohort, keep) -> RawCohort:
         variable=cohort.variable[rows],
         offset_minutes=cohort.offset_minutes[rows],
         value=cohort.value[rows],
-        outcomes={pid: cohort.outcomes[pid] for pid in ids},
+        event_hours=cohort.event_hours[keep],
+        died=cohort.died[keep],
     )
 
 
@@ -260,8 +260,8 @@ def filter_ids(cohort, required_variables, window_hours, min_stay_hours=24.0) ->
     sampled in every window of the first day."""
     n_windows = 24 // window_hours
     kept = []
-    for pid, rows in cohort_rows(cohort).items():
-        if cohort.outcomes[pid].event_hours < min_stay_hours:
+    for (pid, rows), hours in zip(cohort_rows(cohort).items(), cohort.event_hours.tolist()):
+        if hours < min_stay_hours:
             continue
         seen = {(v, t): False for v in required_variables for t in range(n_windows)}
         for variable, offset, _ in rows:
@@ -306,16 +306,16 @@ def t_tail_betainc(t: float, nu: int) -> float:
     return tail if t >= 0 else 1.0 - tail
 
 
-def censor_by_target_loop(outcomes, target_hours: float):
-    """Death-by-target events and censored times, one outcome at a time."""
-    times = np.empty(len(outcomes))
-    events = np.zeros(len(outcomes), dtype=np.uint8)
-    for i, out in enumerate(outcomes):
-        if out.death_flag and out.event_hours <= target_hours:
+def censor_by_target_loop(event_hours, died, target_hours: float):
+    """Death-by-target events and censored times, one patient at a time."""
+    times = np.empty(len(event_hours))
+    events = np.zeros(len(event_hours), dtype=np.uint8)
+    for i, (hours, dead) in enumerate(zip(event_hours, died)):
+        if dead and hours <= target_hours:
             events[i] = 1
-            times[i] = out.event_hours
+            times[i] = hours
         else:
-            times[i] = min(out.event_hours, target_hours)
+            times[i] = min(hours, target_hours)
     return times, events
 
 
@@ -429,7 +429,7 @@ def _csv_rows(stream, header, what):
 
 
 def ingest_rows(stream) -> dict:
-    """Parse an observations CSV into every RawCohort field but `outcomes`.
+    """Parse an observations CSV into every RawCohort field but `event_hours` and `died`.
 
     The stream must be binary, UTF-8 CSV with header
     patient_id,variable,offset_minutes,value. Patients and variables are
@@ -494,7 +494,7 @@ def generate_patient_loop(config: SynthConfig) -> RawCohort:
     n_samples = max(1, int(math.floor(FIRST_DAY_MINUTES / interval)))
     width = len(str(config.n_patients))
 
-    outcomes: dict[str, PatientOutcome] = {}
+    patient_ids, event_hours_col, died_col = [], [], []
     patient, variable, offset_col, value_col = [], [], [], []
     for i in range(config.n_patients):
         pid = f"p{i + 1:0{width}d}"
@@ -545,20 +545,23 @@ def generate_patient_loop(config: SynthConfig) -> RawCohort:
             offset_col.append(offsets.astype(np.int64))  # whole minutes, truncated
             value_col.append(values)
 
-        outcomes[pid] = PatientOutcome(pid, event_hours, died)
+        patient_ids.append(pid)
+        event_hours_col.append(event_hours)
+        died_col.append(died)
 
     patient, variable, offsets, values = (
         np.concatenate(c) for c in (patient, variable, offset_col, value_col)
     )
     order = np.lexsort((offsets, patient))  # stable: ties keep variable order
     return RawCohort(
-        patient_ids=list(outcomes),
+        patient_ids=patient_ids,
         vocabulary=tuple(variables),
         patient=patient[order],
         variable=variable[order],
         offset_minutes=offsets[order],
         value=values[order],
-        outcomes=outcomes,
+        event_hours=np.array(event_hours_col, dtype=float),
+        died=np.array(died_col, dtype=bool),
     )
 
 
@@ -578,6 +581,5 @@ def write_outcomes_rows(cohort: RawCohort, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(OUTCOMES_HEADER)
-        for pid in cohort.outcomes:
-            out = cohort.outcomes[pid]
-            writer.writerow([pid, repr(out.event_hours), int(out.death_flag)])
+        for i, pid in enumerate(cohort.patient_ids):
+            writer.writerow([pid, repr(float(cohort.event_hours[i])), int(cohort.died[i])])

@@ -304,11 +304,10 @@ def test_07_survival_curve_separation(synthetic_cohort):
     eta_by_day = {}
     for day in (2, 3, 4, 5):
         model = fit_risk_model(
-            matrix, cohort.outcomes, TargetSpec(day, 12), table, stage=stage
+            matrix, cohort.event_hours, cohort.died, TargetSpec(day, 12), table, stage=stage
         )
         eta_by_day[day] = score_patients(model, matrix).eta
-    died = [cohort.outcomes[pid].death_flag for pid in matrix.patient_ids]
-    bands = survival_curve(eta_by_day, died)
+    bands = survival_curve(eta_by_day, cohort.died)
     death = [b.mean_survival for b in bands if b.group == "death"]
     alive = [b.mean_survival for b in bands if b.group == "survival"]
     separated = all(d < s for d, s in zip(death, alive))

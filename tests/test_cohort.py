@@ -9,7 +9,6 @@ from icurisk import cohort as cohort_module
 from icurisk.cohort import (
     CohortError,
     ParseError,
-    PatientOutcome,
     RawCohort,
     SynthConfig,
     filter_cohort,
@@ -19,6 +18,7 @@ from icurisk.cohort import (
     load_cohort,
     window_cells,
     write_observations,
+    write_outcomes,
 )
 from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
 from conftest import cohort_from_rows, write_cohort_files
@@ -39,15 +39,14 @@ def same_cohort(a, b) -> bool:
     return (
         a.patient_ids == b.patient_ids
         and cohort_rows(a) == cohort_rows(b)
-        and a.outcomes == b.outcomes
+        and a.event_hours.tobytes() == b.event_hours.tobytes()
+        and np.array_equal(a.died, b.died)
     )
 
 
 def death_fraction_by(cohort, day) -> float:
     """Fraction of patients dead by midnight of the given day since admission."""
-    return float(
-        np.mean([o.death_flag and o.event_hours <= 24.0 * day for o in cohort.outcomes.values()])
-    )
+    return float(np.mean(cohort.died & (cohort.event_hours <= 24.0 * day)))
 
 
 class TestIngestObservations:
@@ -92,7 +91,7 @@ class TestIngestObservations:
         # the row is kept, and the window rule is what leaves it out
         columns = ingest_observations(obs_stream("p1,heart_rate,1440,80"))
         assert columns["offset_minutes"].tolist() == [1440]
-        cohort = RawCohort(**columns, outcomes={"p1": PatientOutcome("p1", 30.0, False)})
+        cohort = RawCohort(**columns, event_hours=[30.0], died=[False])
         rows, _ = window_cells(cohort, ("heart_rate",), 720, 2)
         assert rows.size == 0
 
@@ -251,8 +250,10 @@ class TestIngestObservations:
 
 class TestIngestOutcomes:
     def test_direct_mapping(self):
-        parsed = ingest_outcomes(out_stream("p1,132.5,1"))
-        assert parsed == {"p1": PatientOutcome("p1", 132.5, True)}
+        rows, event_hours, died = ingest_outcomes(out_stream("p1,132.5,1", "p0,40,0"))
+        assert rows == {"p1": 0, "p0": 1}
+        assert event_hours.dtype == np.float64 and event_hours.tolist() == [132.5, 40.0]
+        assert died.dtype == bool and died.tolist() == [True, False]
 
     def test_duplicate_patient(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -261,6 +262,10 @@ class TestIngestOutcomes:
     def test_negative_hours(self):
         with pytest.raises(ParseError):
             ingest_outcomes(out_stream("p2,-4,0"))
+        for hours, shown in (("-4", "-4.0"), ("0", "0.0"), ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf")):
+            message = f"^line 3: event_hours must be finite and > 0, got {shown} for p2$"
+            with pytest.raises(ParseError, match=message):
+                ingest_outcomes(out_stream("p1,10,1", f"p2,{hours},0"))
 
     def test_bad_flag(self):
         with pytest.raises(ParseError, match="death_flag"):
@@ -304,31 +309,68 @@ class TestLoadCohort:
         obs.write_bytes(obs_stream("p2,heart_rate,30,112").getvalue())
         with pytest.raises(CohortError, match=f"^{obs}, {out}: observations and outcomes cover"):
             load_cohort(obs, out)
+        # as many patients on each side, but not the same ones
+        out.write_bytes(out_stream("p1,30,0", "p2,30,0").getvalue())
+        obs.write_bytes(obs_stream("p2,heart_rate,30,112", "p3,heart_rate,30,112").getvalue())
+        mismatch = rf"^{obs}, {out}: observations and outcomes cover different patients"
+        with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. \['p1', 'p3'\]\)$"):
+            load_cohort(obs, out)
+        # a patient with outcomes but no observations
+        out.write_bytes(out_stream("p2,30,0", "p3,30,0", "p4,30,0").getvalue())
+        with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. \['p4'\]\)$"):
+            load_cohort(obs, out)
+
+    def test_outcomes_align_by_id_not_by_row(self, tmp_path):
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        rows = [
+            f"{pid},{var},{offset},100"
+            for pid in ("p2", "p1", "p3")
+            for var in ("heart_rate", "blood_pressure", "gcs")
+            for offset in ((0,) if pid == "p1" else (0, 720))   # p1 misses the second window
+        ]
+        obs.write_bytes(obs_stream(*rows).getvalue())
+        out.write_bytes(out_stream("p3,80.5,0", "p1,30.25,1", "p2,50.75,1").getvalue())
+        cohort = load_cohort(obs, out)
+        assert cohort.patient_ids == ["p2", "p1", "p3"]   # observations' first-appearance order
+        assert cohort.event_hours.tolist() == [50.75, 30.25, 80.5]
+        assert cohort.died.tolist() == [True, True, False]
+
+        kept = filter_cohort(cohort)
+        assert kept.patient_ids == ["p2", "p3"]
+        assert kept.event_hours.tolist() == [50.75, 80.5]
+        assert kept.died.tolist() == [True, False]
+
+        # written back in patient order, not in the outcomes file's order
+        write_outcomes(cohort, out)
+        assert out.read_text() == "patient_id,event_hours,death_flag\np2,50.75,1\np1,30.25,1\np3,80.5,0\n"
+        assert same_cohort(load_cohort(obs, out), cohort)
 
 
 def heart_rate_cohort(patient_ids=("p1",), **columns):
-    """RawCohort of heart-rate rows; the columns default to one valid row."""
-    fields = dict(patient=[0], variable=[0], offset_minutes=[0], value=[80.0]) | columns
-    return RawCohort(
-        patient_ids=list(patient_ids),
-        vocabulary=("heart_rate",),
-        outcomes={pid: PatientOutcome(pid, 30.0, False) for pid in patient_ids},
-        **fields,
-    )
+    """RawCohort of heart-rate rows; the columns default to one valid row,
+    and each patient to a 30-hour stay that ended alive."""
+    fields = dict(
+        patient=[0], variable=[0], offset_minutes=[0], value=[80.0],
+        event_hours=[30.0] * len(patient_ids), died=[False] * len(patient_ids),
+    ) | columns
+    return RawCohort(patient_ids=list(patient_ids), vocabulary=("heart_rate",), **fields)
 
 
 class TestRawCohort:
     def test_mismatched_ids_rejected(self):
-        with pytest.raises(CohortError, match="different patients"):
-            RawCohort(
-                patient_ids=["p1"],
-                vocabulary=(),
-                patient=[],
-                variable=[],
-                offset_minutes=[],
-                value=[],
-                outcomes={"p2": PatientOutcome("p2", 30.0, False)},
-            )
+        # one patient id, but outcomes for two patients, or for none
+        for event_hours, died in (([30.0, 40.0], [False, True]), ([], np.array([], dtype=bool))):
+            with pytest.raises(CohortError, match="one entry per patient"):
+                RawCohort(
+                    patient_ids=["p1"],
+                    vocabulary=(),
+                    patient=[],
+                    variable=[],
+                    offset_minutes=[],
+                    value=[],
+                    event_hours=event_hours,
+                    died=died,
+                )
 
     def test_unsorted_observations_rejected(self):
         with pytest.raises(CohortError, match="sorted"):
@@ -369,6 +411,16 @@ class TestRawCohort:
             (dict(variable=[1]), "out of range"),
             (dict(patient=[1]), "out of range"),
             (dict(value=[1.0, 2.0]), "equal length"),
+            (dict(event_hours=[30.0, 30.0]), "one entry per patient"),
+            (dict(died=[False, True]), "one entry per patient"),
+            (dict(event_hours=[[30.0]]), "one entry per patient"),
+            (dict(event_hours=[np.nan]), r"event_hours must be finite and > 0, got nan for p1$"),
+            (dict(event_hours=[np.inf]), r"event_hours must be finite and > 0, got inf for p1$"),
+            (dict(event_hours=[0.0]), r"event_hours must be finite and > 0, got 0.0 for p1$"),
+            (dict(event_hours=[-2.5]), r"event_hours must be finite and > 0, got -2.5 for p1$"),
+            (dict(died=[1]), "died must be bool"),
+            (dict(died=[0.5]), "died must be bool"),
+            (dict(died=["yes"]), "died must be bool"),
         ],
     )
     def test_invalid_rows_rejected(self, bad, message):
@@ -502,9 +554,10 @@ class TestGenerator:
 
     def test_outcomes_positive_and_invariants_hold(self):
         cohort = generate_synthetic_cohort(self.CFG)
-        for out in cohort.outcomes.values():
-            assert out.event_hours > 0
-        assert set(cohort.patients) == set(cohort.outcomes)
+        assert cohort.event_hours.shape == cohort.died.shape == (cohort.n_patients,)
+        assert cohort.died.dtype == bool and cohort.died.any() and not cohort.died.all()
+        assert np.all(cohort.event_hours > 0)
+        assert set(cohort.patients) == set(cohort.patient_ids)
 
     def test_round_trip_through_csv(self, tmp_path):
         cohort = generate_synthetic_cohort(self.CFG)

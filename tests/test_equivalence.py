@@ -45,7 +45,6 @@ from hypothesis.extra.numpy import arrays
 from icurisk import cohort as cohort_module
 from icurisk.cohort import (
     ParseError,
-    PatientOutcome,
     SynthConfig,
     filter_cohort,
     generate_synthetic_cohort,
@@ -77,7 +76,8 @@ TABLE = load_default_score_table()
 DRAWN = ("gcs", "heart_rate", "temperature", "mystery")   # "mystery" is not in the spec
 SPEC_VARIABLES = ("age", "gcs", "heart_rate", "temperature")  # no patient has "age"
 REQUIRED = ("heart_rate", "gcs")
-COLUMNS = ("patient", "variable", "offset_minutes", "value")
+# Every array of a RawCohort: the observation columns and the outcome columns.
+COLUMNS = ("patient", "variable", "offset_minutes", "value", "event_hours", "died")
 WINDOW_HOURS = st.sampled_from([1, 5, 7, 8, 12, 24])
 
 EDGES = sorted({e for v in DRAWN[:3] for b in TABLE.bins[v] for e in (b.lower, b.upper)})
@@ -125,7 +125,7 @@ def test_feature_matrix_matches_oracle(cohort, window_hours):
 @given(cohorts(), WINDOW_HOURS)
 def test_filter_matches_oracle(cohort, window_hours):
     columns = {name: getattr(cohort, name).copy() for name in COLUMNS}
-    ids, outcomes = list(cohort.patient_ids), dict(cohort.outcomes)
+    ids = list(cohort.patient_ids)
     kept = filter_cohort(cohort, REQUIRED, window_hours)
     kept_ids = set(oracles.filter_ids(cohort, REQUIRED, window_hours))
     expected = oracles.subset(cohort, [pid in kept_ids for pid in cohort.patient_ids])
@@ -134,13 +134,12 @@ def test_filter_matches_oracle(cohort, window_hours):
     for name in COLUMNS:
         a, b = getattr(kept, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert list(kept.outcomes.items()) == list(expected.outcomes.items())
     assert kept.variables == expected.variables
     assert oracles.cohort_rows(kept) == {
-        pid: rows for pid, rows in oracles.cohort_rows(cohort).items() if pid in kept.outcomes
+        pid: rows for pid, rows in oracles.cohort_rows(cohort).items() if pid in kept_ids
     }
     # the cohort the caller kept is unchanged
-    assert cohort.patient_ids == ids and cohort.outcomes == outcomes
+    assert cohort.patient_ids == ids
     for name, column in columns.items():
         assert getattr(cohort, name).tobytes() == column.tobytes(), name
 
@@ -283,9 +282,10 @@ def test_t_tail_far_out_matches_mpmath():
     st.sampled_from([48, 48.0, 72.0, 120]),
 )
 def test_censoring_matches_loop_oracle(outcomes, target_hours):
-    outcomes = [PatientOutcome(f"p{i}", hours, died) for i, (hours, died) in enumerate(outcomes)]
-    got = censor_by_target(outcomes, target_hours)
-    expected = oracles.censor_by_target_loop(outcomes, target_hours)
+    event_hours = np.array([hours for hours, _ in outcomes], dtype=float)
+    died = np.array([died for _, died in outcomes], dtype=bool)
+    got = censor_by_target(event_hours, died, target_hours)
+    expected = oracles.censor_by_target_loop(event_hours, died, target_hours)
     for a, b in zip(got, expected):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -335,19 +335,18 @@ def test_density_normalizer_matches_all_samples_oracle(case):
 def imputed_training(small_cohort):
     cohort = filter_cohort(small_cohort)
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), TABLE)
-    outcomes = [cohort.outcomes[pid] for pid in matrix.patient_ids]
-    return fit_feature_stage(matrix, 4, seed=[0]).imputed, outcomes
+    return fit_feature_stage(matrix, 4, seed=[0]).imputed, cohort.event_hours, cohort.died
 
 
 @pytest.mark.parametrize("day", [2, 3, 4, 5])
 def test_state_labels_match_all_samples_oracle(imputed_training, day):
-    matrix, outcomes = imputed_training
+    matrix, event_hours, died = imputed_training
     target = TargetSpec(day, 12)
-    fits = fit_window_regressions(matrix, outcomes, target)
-    labels = label_hidden_states(matrix, outcomes, fits, target)
+    times, events = censor_by_target(event_hours, died, target.target_hours)
+    fits = fit_window_regressions(matrix, times, events)
+    labels = label_hidden_states(matrix, events, fits, target)
 
     theta = compute_priors(matrix, fits, target)
-    _, events = censor_by_target(outcomes, target.target_hours)
     for t in range(theta.shape[1] - 1):
         expected = oracles.normalize_all_samples(theta[:, t], events, theta[:, t])
         assert np.array_equal(labels.states[:, t], expected >= 0.5)
@@ -617,16 +616,10 @@ def test_ingest_into_columns_matches_row_oracle(kind, layout, block_bytes, tmp_p
 def assert_same_cohort_bits(got, expected):
     assert got.patient_ids == expected.patient_ids
     assert got.vocabulary == expected.vocabulary
-    for name in ("patient", "variable", "offset_minutes", "value"):
+    for name in COLUMNS:
         a, b = getattr(got, name), getattr(expected, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    assert list(got.outcomes) == list(expected.outcomes)
-    for pid, out in expected.outcomes.items():
-        mine = got.outcomes[pid]
-        assert type(mine.event_hours) is type(out.event_hours) is float
-        assert mine.event_hours.hex() == out.event_hours.hex()
-        assert type(mine.death_flag) is type(out.death_flag) is bool
-        assert mine.death_flag == out.death_flag
+    assert got.event_hours.dtype == np.float64 and got.died.dtype == bool
 
 
 # Samples a day: 1 (a 1440-minute interval, or a vast one whose offsets

@@ -221,15 +221,11 @@ def trained(small_cohort):
     stage = fit_feature_stage(matrix, 4, seed=[0])
     models = {
         day: fit_risk_model(
-            matrix, cohort.outcomes, TargetSpec(day, 12), table, stage=stage
+            matrix, cohort.event_hours, cohort.died, TargetSpec(day, 12), table, stage=stage
         )
         for day in (2, 3, 4, 5)
     }
     return cohort, matrix, models
-
-
-def died_flags(cohort, matrix):
-    return np.array([cohort.outcomes[pid].death_flag for pid in matrix.patient_ids])
 
 
 class TestRiskModel:
@@ -277,11 +273,20 @@ class TestRiskModel:
         table = load_default_score_table()
         stage = fit_feature_stage(matrix, 4, seed=[1])
         model = fit_risk_model(
-            matrix, cohort.outcomes, TargetSpec(3, 12, "remaining"), table, stage=stage
+            matrix, cohort.event_hours, cohort.died, TargetSpec(3, 12, "remaining"), table, stage=stage
         )
         etas = score_patients(model, matrix).eta
         assert np.all((etas >= 0) & (etas <= 1))
         assert len(np.unique(etas)) > 10  # still discriminates
+
+    def test_outcomes_must_match_matrix_patients(self, trained):
+        cohort, matrix, _ = trained
+        stage = fit_feature_stage(matrix, 4, seed=[0])
+        table = load_default_score_table()
+        with pytest.raises(ValueError, match="one entry per matrix patient"):
+            fit_risk_model(
+                matrix, cohort.event_hours[1:], cohort.died[1:], TargetSpec(2, 12), table, stage=stage
+            )
 
     def test_nan_cell_medians_survive_serialization(self, trained):
         cohort, matrix, models = trained
@@ -309,7 +314,7 @@ class TestRiskModel:
 class TestSurvivalCurve:
     def test_complement_of_risk(self, trained):
         cohort, matrix, models = trained
-        eta, died = score_patients(models[2], matrix).eta, died_flags(cohort, matrix)
+        eta, died = score_patients(models[2], matrix).eta, cohort.died
         bands = survival_curve({2: eta}, died)
         band = next(b for b in bands if b.group == "death")
         assert band.mean_survival == pytest.approx(1.0 - np.mean(eta[died]))
@@ -317,14 +322,14 @@ class TestSurvivalCurve:
     def test_bounds_and_order(self, trained):
         cohort, matrix, models = trained
         etas = {d: score_patients(models[d], matrix).eta for d in (2, 3, 4, 5)}
-        bands = survival_curve(etas, died_flags(cohort, matrix))
+        bands = survival_curve(etas, cohort.died)
         assert len(bands) == 8
         for b in bands:
             assert 0.0 <= b.ci_low <= b.mean_survival <= b.ci_high <= 1.0
 
     def test_single_patient_group_zero_width(self, trained):
         cohort, matrix, models = trained
-        eta, died = score_patients(models[2], matrix).eta, died_flags(cohort, matrix)
+        eta, died = score_patients(models[2], matrix).eta, cohort.died
         rows = np.concatenate((np.flatnonzero(died)[:1], np.flatnonzero(~died)))
         bands = survival_curve({2: eta[rows]}, died[rows])
         band = next(b for b in bands if b.group == "death")
@@ -332,7 +337,7 @@ class TestSurvivalCurve:
 
     def test_missing_group_warns_and_skips(self, trained):
         cohort, matrix, models = trained
-        eta, died = score_patients(models[2], matrix).eta, died_flags(cohort, matrix)
+        eta, died = score_patients(models[2], matrix).eta, cohort.died
         with pytest.warns(UserWarning, match="death"):
             bands = survival_curve({2: eta[~died]}, died[~died])
         assert all(b.group == "survival" for b in bands)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from icurisk.cohort import PatientOutcome
 from icurisk.features import FeatureMatrix, FeatureSpec
 from icurisk.survival import (
     DensityNormalizer,
@@ -54,15 +53,15 @@ class TestExposureDuration:
 
 class TestCensoring:
     def test_death_before_target_is_event(self):
-        times, events = censor_by_target([PatientOutcome("a", 30.0, True)], 48.0)
+        times, events = censor_by_target([30.0], [True], 48.0)
         assert events[0] == 1 and times[0] == 30.0
 
     def test_death_after_target_censored_at_target(self):
-        times, events = censor_by_target([PatientOutcome("a", 90.0, True)], 48.0)
+        times, events = censor_by_target([90.0], [True], 48.0)
         assert events[0] == 0 and times[0] == 48.0
 
     def test_discharge_before_target_censored_at_discharge(self):
-        times, events = censor_by_target([PatientOutcome("a", 30.0, False)], 48.0)
+        times, events = censor_by_target([30.0], [False], 48.0)
         assert events[0] == 0 and times[0] == 30.0
 
 
@@ -221,50 +220,47 @@ class TestLabeling:
         matrix = FeatureMatrix([f"p{i}" for i in range(n)], spec, y, b)
         event_hours = rng.uniform(10, 150, n)
         died = rng.random(n) < 0.5
-        outcomes = [
-            PatientOutcome(f"p{i}", float(event_hours[i]), bool(died[i]))
-            for i in range(n)
-        ]
-        return matrix, outcomes
+        return matrix, event_hours, died
+
+    @staticmethod
+    def _fit_and_label(matrix, event_hours, died, target):
+        times, events = censor_by_target(event_hours, died, target.target_hours)
+        fits = fit_window_regressions(matrix, times, events)
+        return fits, label_hidden_states(matrix, events, fits, target)
 
     def test_last_window_matches_outcome(self):
-        matrix, outcomes = self._inputs()
+        matrix, event_hours, died = self._inputs()
         target = TargetSpec(3, 12)
-        fits = fit_window_regressions(matrix, outcomes, target)
-        labels = label_hidden_states(matrix, outcomes, fits, target)
-        for i, out in enumerate(outcomes):
-            expected = out.death_flag and out.event_hours <= target.target_hours
+        _, labels = self._fit_and_label(matrix, event_hours, died, target)
+        for i, (hours, dead) in enumerate(zip(event_hours, died)):
+            expected = dead and hours <= target.target_hours
             assert labels.states[i, -1] == int(expected)
 
     def test_censored_by_target_counts_as_survival(self):
-        matrix, outcomes = self._inputs()
-        outcomes[0] = PatientOutcome("p0", 200.0, True)  # dies after day 3
-        target = TargetSpec(3, 12)
-        fits = fit_window_regressions(matrix, outcomes, target)
-        labels = label_hidden_states(matrix, outcomes, fits, target)
+        matrix, event_hours, died = self._inputs()
+        event_hours[0], died[0] = 200.0, True  # dies after day 3
+        _, labels = self._fit_and_label(matrix, event_hours, died, TargetSpec(3, 12))
         assert labels.states[0, -1] == 0
 
     def test_threshold_rule_on_earlier_windows(self):
-        matrix, outcomes = self._inputs()
-        target = TargetSpec(3, 12)
-        fits = fit_window_regressions(matrix, outcomes, target)
-        labels = label_hidden_states(matrix, outcomes, fits, target)
+        matrix, event_hours, died = self._inputs()
+        _, labels = self._fit_and_label(matrix, event_hours, died, TargetSpec(3, 12))
         lead = labels.probabilities[:, 0]
         assert np.array_equal(labels.states[:, 0], (lead >= 0.5).astype(np.uint8))
         assert np.all((lead >= 0) & (lead <= 1))
 
     def test_deterministic(self):
-        matrix, outcomes = self._inputs()
+        matrix, event_hours, died = self._inputs()
         target = TargetSpec(2, 12)
-        fits = fit_window_regressions(matrix, outcomes, target)
-        a = label_hidden_states(matrix, outcomes, fits, target)
-        b = label_hidden_states(matrix, outcomes, fits, target)
+        fits, a = self._fit_and_label(matrix, event_hours, died, target)
+        _, events = censor_by_target(event_hours, died, target.target_hours)
+        b = label_hidden_states(matrix, events, fits, target)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_priors_respect_exposure_mode(self):
-        matrix, outcomes = self._inputs()
-        fits = fit_window_regressions(matrix, outcomes, TargetSpec(2, 12))
+        matrix, event_hours, died = self._inputs()
+        fits, _ = self._fit_and_label(matrix, event_hours, died, TargetSpec(2, 12))
         theta_printed = compute_priors(matrix, fits, TargetSpec(2, 12, "as_printed"))
         theta_remaining = compute_priors(matrix, fits, TargetSpec(2, 12, "remaining"))
         assert np.all(theta_printed > theta_remaining)  # 60/72h vs 36/24h exposure
