@@ -300,14 +300,20 @@ def _as_strings(fields):
     return fields.view(f"S{8 * fields.shape[1]}").ravel()
 
 
-def _codes(fields, index):
-    """The code in `index` of each row's text (`_field_words` output).
-    `index` maps text to code and numbers the texts it lacks in order of
-    first appearance."""
+def _text_keys(fields):
+    """A 64-bit hash of each row's text (`_field_words` output)."""
     key = fields[:, 0].copy()
     for j in range(1, fields.shape[1]):
         key *= _MIX
         key ^= fields[:, j]
+    return key
+
+
+def _codes(fields, index):
+    """The code in `index` of each row's text (`_field_words` output).
+    `index` maps text to code and numbers the texts it lacks in order of
+    first appearance."""
+    key = _text_keys(fields)
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     if fields.shape[1] > 1 and not np.array_equal(fields, fields[first[inverse]]):
         # two texts share a hash: tell them apart by the text itself
@@ -317,6 +323,57 @@ def _codes(fields, index):
     for j in np.argsort(first).tolist():
         codes[j] = index.setdefault(texts[j].decode("ascii"), len(index))
     return codes[inverse]
+
+
+_MAX_WORDS = _MAX_FIELD_BYTES // 8
+
+
+class _SeenTexts:
+    """`_codes` for a column with few distinct texts, such as the variable
+    names: `index` maps text to code, and the texts numbered so far are kept
+    sorted by hash key, with their codes and words. A block's rows whose
+    text was seen before find its code by binary search and a comparison of
+    words; only the rest go through `_codes` and its sort."""
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+        self._keys = np.empty(0, dtype=np.uint64)
+        self._codes = np.empty(0, dtype=np.int64)
+        self._words = np.empty((_MAX_WORDS, 0), dtype=np.uint64)   # one column per text
+        self._n_words = np.empty(0, dtype=np.int64)   # nonzero words: a text holds no NUL
+
+    def codes(self, fields):
+        """`_codes(fields, self.index)`."""
+        # The key of the text padded to _MAX_WORDS words, whatever the
+        # widest field of this block: each zero word multiplies it by _MIX.
+        key = _text_keys(fields)
+        key *= np.uint64(pow(int(_MIX), _MAX_WORDS - fields.shape[1], 1 << 64))
+        if self._keys.size:
+            at = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
+            codes = self._codes.take(at)
+            seen = self._n_words.take(at) <= fields.shape[1]
+            for j in range(fields.shape[1]):
+                seen &= self._words[j].take(at) == fields[:, j]
+        else:
+            codes = np.empty(key.size, dtype=np.int64)
+            seen = np.zeros(key.size, dtype=bool)
+        if not seen.all():
+            rows = np.flatnonzero(~seen)
+            codes[rows] = _codes(fields[rows], self.index)
+            self._remember(key[rows], codes[rows], fields[rows])
+        return codes
+
+    def _remember(self, key, codes, fields):
+        """Add one row per text of `codes` to the sorted texts."""
+        _, first = np.unique(codes, return_index=True)
+        first = first[np.argsort(key[first], kind="stable")]
+        at = np.searchsorted(self._keys, key[first])
+        words = np.zeros((self._words.shape[0], first.size), dtype=np.uint64)
+        words[:fields.shape[1]] = fields[first].T
+        self._keys = np.insert(self._keys, at, key[first])
+        self._codes = np.insert(self._codes, at, codes[first])
+        self._words = np.insert(self._words, at, words, axis=1)
+        self._n_words = np.insert(self._n_words, at, np.count_nonzero(words, axis=0))
 
 
 def _digits(fields, n_digits):
@@ -484,7 +541,7 @@ def _parse_block(data, patients, variables):
     ids = _field_words(buf, id_at, id_len)
     runs = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]).any(axis=1))))
     patient = np.repeat(_codes(ids[runs], patients), np.diff(runs, append=ids.shape[0]))
-    variable = _codes(_field_words(buf, *name), variables)
+    variable = variables.codes(_field_words(buf, *name))
     return [patient, variable, offset, value]
 
 
@@ -618,7 +675,7 @@ def ingest_observations(stream) -> dict:
     """
     blocks = _LineBlocks(stream)
     patients: dict[str, int] = {}
-    variables: dict[str, int] = {}
+    variables = _SeenTexts()
     columns = None
     lines_done, declined = 0, False
     for data in blocks:
@@ -644,14 +701,14 @@ def ingest_observations(stream) -> dict:
             "observations",
             line_no=lines_done + 1,
         )
-        for parts in _row_loop(rows, patients, variables):
+        for parts in _row_loop(rows, patients, variables.index):
             if columns is None:
                 columns = _Columns(parts[0].size)
             columns.append(parts)
 
     if columns is None:
         raise CohortError("no observations")
-    return {"patient_ids": list(patients), "vocabulary": tuple(variables), **columns.finish()}
+    return {"patient_ids": list(patients), "vocabulary": tuple(variables.index), **columns.finish()}
 
 
 def ingest_outcomes(stream):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, filter_cohort
-from .features import FeatureSpec, ScoreTable, build_feature_matrix, worst_scores
+from .features import FeatureSpec, ScoreTable, build_feature_matrix, distinct_rows, worst_scores
 from .hmm import fit_feature_stage, fit_risk_model, score_patients
 from .survival import (
     TargetSpec,
@@ -212,30 +212,38 @@ def _sigmoid(z):
     return out
 
 
-def logistic_loglik(beta, X, y) -> float:
+def logistic_loglik(beta, X, y, counts=1.0) -> float:
     z = X @ beta
-    # log p for y=1, log(1-p) for y=0, written stably
-    return float(np.sum(y * z - np.logaddexp(0.0, z)))
+    # sum of log p over y positives and log(1-p) over counts - y negatives, written stably
+    return float(np.sum(y * z - counts * np.logaddexp(0.0, z)))
 
 
-def logistic_grad(beta, X, y) -> np.ndarray:
-    return X.T @ (y - _sigmoid(X @ beta))
+def logistic_grad(beta, X, y, counts=1.0) -> np.ndarray:
+    return X.T @ (y - counts * _sigmoid(X @ beta))
 
 
-def fit_logistic(X, y) -> np.ndarray:
-    """Logistic MLE by damped Newton (newton_maximize)."""
+def fit_logistic(X, y, counts=None) -> np.ndarray:
+    """Logistic MLE by damped Newton (newton_maximize).
+
+    Row i of X stands for counts[i] subjects (one each by default), y[i] of
+    them positive, so a design's distinct rows with summed outcomes give the
+    same MLE as its full rows: the log-likelihood is
+    sum(y * z - counts * log(1 + e^z)). Coefficients of aliased columns are
+    exactly 0.0.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if y.min() == y.max():
+    counts = np.ones_like(y) if counts is None else np.asarray(counts, dtype=float)
+    if not 0.0 < y.sum() < counts.sum():
         raise ValueError("logistic fit needs both classes")
 
     def hessian_weights(beta):
         p = _sigmoid(X @ beta)
-        return p * (1.0 - p)
+        return counts * p * (1.0 - p)
 
     beta, _, _ = newton_maximize(
-        lambda b: logistic_loglik(b, X, y),
-        lambda b: logistic_grad(b, X, y),
+        lambda b: logistic_loglik(b, X, y, counts),
+        lambda b: logistic_grad(b, X, y, counts),
         hessian_weights,
         X,
         np.zeros(X.shape[1]),
@@ -244,14 +252,17 @@ def fit_logistic(X, y) -> np.ndarray:
     return beta
 
 
-def baseline_logistic_scores(train_X, train_y, test_X) -> np.ndarray:
+def baseline_logistic_scores(train_X, train_y, test_X, *, counts=None) -> np.ndarray:
+    """Logistic probabilities for test_X, fit on train_X rows with `fit_logistic`'s
+    y and counts."""
     X = np.column_stack([np.ones(len(train_X)), train_X])
-    beta = fit_logistic(X, train_y)
+    beta = fit_logistic(X, train_y, counts)
     return _sigmoid(np.column_stack([np.ones(len(test_X)), test_X]) @ beta)
 
 
 def baseline_exp_survival_scores(train_X, times, events, test_X, target_hours) -> np.ndarray:
-    """Death probability by the target from an exponential fit on max scores."""
+    """Death probability by the target from an exponential fit on max scores
+    (train_X rows with `fit_exponential_regression`'s times and events)."""
     X = np.column_stack([np.ones(len(train_X)), train_X])
     fit = fit_exponential_regression(X, times, events)
     lam = hazard(fit.beta, np.column_stack([np.ones(len(test_X)), test_X]))
@@ -363,6 +374,10 @@ def run_cv(
     day_events = {day: ev for day, (_, ev) in day_censoring.items()}
     baseline_features = first_day_max_scores(cohort, variables, score_table)
     saps = baseline_saps_scores(baseline_features)
+    # The baselines are fit on the distinct first-day rows of each training
+    # fold, with outcomes summed per row: the rows are grouped once here and
+    # each fold regroups integer row ids.
+    baseline_first, baseline_group = distinct_rows(baseline_features)
 
     records: list[MetricRecord] = []
     metric_fns = {"aucpr": aucpr, "cstat": concordance, "auroc": auroc}
@@ -375,6 +390,9 @@ def run_cv(
             train_matrix = matrix.subset(train_idx)
             stage = fit_feature_stage(train_matrix, k_clusters, seed=[seed, repeat, fold])
             test_matrix = matrix.subset(test_idx)
+            present, train_group = np.unique(baseline_group[train_idx], return_inverse=True)
+            train_rows = baseline_features[baseline_first[present]]
+            train_counts = np.bincount(train_group)
             for day in target_days:
                 times, events = day_censoring[day]
                 model = fit_risk_model(
@@ -387,18 +405,20 @@ def run_cv(
                     stage=stage,
                 )
                 eta = score_patients(model, test_matrix).eta
+                train_events = np.bincount(train_group, weights=events[train_idx])
                 method_scores = {
                     METHOD_MODEL: eta,
                     METHOD_SAPS: saps[test_idx],
                     METHOD_LOGISTIC: baseline_logistic_scores(
-                        baseline_features[train_idx],
-                        events[train_idx],
+                        train_rows,
+                        train_events,
                         baseline_features[test_idx],
+                        counts=train_counts,
                     ),
                     METHOD_EXP_SURVIVAL: baseline_exp_survival_scores(
-                        baseline_features[train_idx],
-                        times[train_idx],
-                        events[train_idx],
+                        train_rows,
+                        np.bincount(train_group, weights=times[train_idx]),
+                        train_events,
                         baseline_features[test_idx],
                         targets[day].target_hours,
                     ),

@@ -278,15 +278,31 @@ class ClusterModel:
         return d.argmin(axis=1) + 1
 
 
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of a 2-D array.
+
+    Returns (first, group): the index of each distinct row's first
+    occurrence, with distinct rows in lexicographic order (column 0 first,
+    NaN last, the order of NumPy's `unique` along axis 0), and the group of
+    every row. Rows compare by value, so -0.0 equals 0.0 and a row holding
+    NaN equals no other row. One stable `np.lexsort` over the columns and
+    one comparison of sorted neighbours, with no per-row Python.
+    """
+    rows = np.asarray(rows)
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    group = np.empty(order.size, dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    return order[starts], group
+
+
 def _dedupe_rows(rows: np.ndarray):
     """Distinct rows in first-occurrence order, with multiplicities."""
-    uniq, first, inverse, counts = np.unique(
-        rows, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return uniq[order], counts[order], rank[inverse]
+    first, group = distinct_rows(rows)
+    order = np.argsort(first)
+    return rows[first[order]], np.bincount(group)[order]
 
 
 def _build_swap_medoids(dist: np.ndarray, weights: np.ndarray, k: int, trace=None) -> list[int]:
@@ -386,7 +402,7 @@ def pam_cluster(
         pick = np.sort(rng.choice(rows.shape[0], size=max_fit_rows, replace=False))
         fit_rows = rows[pick]
 
-    uniq, counts, _ = _dedupe_rows(fit_rows)
+    uniq, counts = _dedupe_rows(fit_rows)
     n_distinct = uniq.shape[0]
     if not 1 <= k <= n_distinct:
         raise ValueError(f"k must lie in 1..{n_distinct} (distinct rows), got {k}")
@@ -399,11 +415,10 @@ def pam_cluster(
         medoids = _build_swap_medoids(dist, weights, k)
 
     model = ClusterModel(medoids=uniq[medoids].copy(), kinds=tuple(kinds), ranges=np.asarray(ranges, dtype=float))
-    labels = model.assign(rows)
-    all_cost = float(
-        gower_matrix(rows, model.medoids, kinds, ranges).min(axis=1).sum()
-    )
-    return model, labels, all_cost
+    # One distance matrix gives the labels (as `model.assign`: ties to the
+    # lower cluster) and the total cost.
+    to_medoids = gower_matrix(rows, model.medoids, kinds, ranges)
+    return model, to_medoids.argmin(axis=1) + 1, float(to_medoids.min(axis=1).sum())
 
 
 def encode_observations(model: ClusterModel, matrix: FeatureMatrix) -> np.ndarray:

@@ -37,6 +37,7 @@ from .survival import (
     compute_priors,
     fit_window_regressions,
     label_hidden_states,
+    window_designs,
 )
 
 SURVIVAL, DEATH = 0, 1
@@ -161,12 +162,14 @@ def risk_score(theta, emissions, x_seq) -> float:
 
 @dataclass
 class FeatureStage:
-    """Target-independent part of training: medians, medoids, sequences."""
+    """Target-independent part of training: medians, medoids, sequences and
+    the hazard designs' distinct rows."""
 
     medians: Medians
     cluster: ClusterModel
     imputed: FeatureMatrix
     sequences: np.ndarray   # (N, T), 1-based cluster labels
+    designs: list           # `window_designs(imputed)`, shared by the target days
 
 
 @dataclass
@@ -198,7 +201,13 @@ def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0) -> Feature
     ranges = numeric_ranges(rows, kinds)
     cluster, labels, _ = pam_cluster(rows, k_clusters, seed, kinds=kinds, ranges=ranges)
     sequences = labels.reshape(matrix.n_patients, matrix.spec.n_windows)
-    return FeatureStage(medians=medians, cluster=cluster, imputed=imputed, sequences=sequences)
+    return FeatureStage(
+        medians=medians,
+        cluster=cluster,
+        imputed=imputed,
+        sequences=sequences,
+        designs=window_designs(imputed),
+    )
 
 
 def fit_risk_model(
@@ -223,7 +232,7 @@ def fit_risk_model(
     if len(event_hours) != matrix.n_patients or len(died) != matrix.n_patients:
         raise ValueError("event_hours and died must have one entry per matrix patient")
     times, events = censor_by_target(event_hours, died, target.target_hours)
-    fits = fit_window_regressions(stage.imputed, times, events)
+    fits = fit_window_regressions(stage.designs, times, events)
     labels: StateLabels = label_hidden_states(stage.imputed, events, fits, target)
     emissions = estimate_emissions(
         stage.sequences, labels.states, stage.cluster.k, smoothing_alpha

@@ -14,9 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import distinct_rows
+
 MAX_LOG_HAZARD = 700.0
 SEPARATION_LIMIT = 30.0
 NEWTON_TOL = 1e-8
+# A design column whose part outside the span of the columns before it is
+# below this share of its norm is aliased (the tolerance of R's glm.fit).
+ALIAS_TOL = 1e-11
 BANDWIDTH_FLOOR = 1e-3
 
 AS_PRINTED = "as_printed"
@@ -97,11 +102,38 @@ def exponential_grad(beta, X, times, events) -> np.ndarray:
     return X.T @ (events - lam * times)
 
 
+def _spanning_columns(X) -> np.ndarray:
+    """Mask of the columns of X a fit keeps: in order, each column that
+    raises the rank of the columns kept before it.
+
+    Modified Gram-Schmidt: each kept column, normalised, is projected out of
+    every later column. A column whose part left over is at most ALIAS_TOL
+    of its own norm does not raise the rank (an all-zero column, or an
+    all-ones indicator after the intercept) and is projected out of
+    nothing, so it cannot hide a later column.
+    """
+    rest = np.array(X.T, dtype=float)   # one row per column of X
+    limit = ALIAS_TOL**2 * (rest * rest).sum(axis=1)
+    keep = np.zeros(rest.shape[0], dtype=bool)
+    for j, column in enumerate(rest):
+        size = float(column @ column)
+        if size > limit[j]:
+            keep[j] = True
+            q = column / math.sqrt(size)
+            rest[j + 1:] -= (rest[j + 1:] @ q)[:, None] * q
+    return keep
+
+
 def newton_maximize(loglik, grad, hessian_weights, X, beta, max_iter: int, trace=None):
     """Maximize a concave log-likelihood by damped Newton.
 
-    The negative Hessian is X^T diag(hessian_weights(beta)) X. Pseudo-inverse
-    Newton steps are halved until the log-likelihood does not drop, with a
+    Columns of X that do not raise the rank of the columns before them
+    (`_spanning_columns`; the intercept comes first) are aliased: their
+    coefficients are set to, and stay, exactly 0.0, so the fit and its
+    result do not depend on the order of the rows. On the kept columns the
+    negative Hessian X^T diag(hessian_weights(beta)) X is positive definite
+    away from separation, and each Newton step is an `np.linalg.solve` with
+    it. Steps are halved until the log-likelihood does not drop, with a
     gradient-ascent fallback when a Newton direction fails to improve.
     Convergence is gradient max-norm <= NEWTON_TOL. `trace`, when a list,
     collects the log-likelihood after every iteration.
@@ -110,18 +142,19 @@ def newton_maximize(loglik, grad, hessian_weights, X, beta, max_iter: int, trace
     coefficient exceeds SEPARATION_LIMIT in magnitude, and RuntimeError when
     the line search stalls or max_iter iterations do not converge.
     """
+    keep = _spanning_columns(X)
+    kept = X[:, keep]
+    beta = np.where(keep, beta, 0.0)
     ll = loglik(beta)
     for iteration in range(1, max_iter + 1):
         g = grad(beta)
-        grad_norm = float(np.max(np.abs(g)))
+        grad_norm = float(np.abs(g).max())
         if grad_norm <= NEWTON_TOL:
             return beta, iteration - 1, grad_norm
 
         w = hessian_weights(beta)
-        hessian = X.T @ (w[:, None] * X)
-        # Minimum-norm Newton step; collinear columns (e.g. an all-ones
-        # indicator next to the intercept) leave the Hessian rank deficient.
-        step = np.linalg.pinv(hessian, hermitian=True) @ g
+        step = np.zeros(beta.shape)
+        step[keep] = np.linalg.solve(kept.T @ (w[:, None] * kept), g[keep])
 
         if 0.5 * float(g @ step) < 1e-9:
             # Predicted gain is below log-likelihood resolution: a line search
@@ -141,7 +174,7 @@ def newton_maximize(loglik, grad, hessian_weights, X, beta, max_iter: int, trace
             scale *= 0.5
         else:
             # Newton direction failed to improve; fall back to the gradient.
-            scale, step = 1.0 / max(grad_norm, 1.0), g
+            scale, step = 1.0 / max(grad_norm, 1.0), np.where(keep, g, 0.0)
             for _ in range(60):
                 trial = beta + scale * step
                 trial_ll = loglik(trial)
@@ -156,7 +189,7 @@ def newton_maximize(loglik, grad, hessian_weights, X, beta, max_iter: int, trace
         beta, ll = trial, trial_ll
         if trace is not None:
             trace.append(ll)
-        if np.max(np.abs(beta)) > SEPARATION_LIMIT:
+        if np.abs(beta).max() > SEPARATION_LIMIT:
             raise ValueError("quasi-separation: coefficient magnitude exceeded 30")
 
     grad_norm = float(np.max(np.abs(grad(beta))))
@@ -169,12 +202,17 @@ def fit_exponential_regression(X, times, events, *, trace=None) -> SurvivalFit:
     """Maximize the censored exponential log-likelihood by damped Newton.
 
     The log-likelihood is concave, so newton_maximize converges to the MLE.
+    A row may stand for one subject or for a group of subjects that share
+    the design row, with the group's summed exposure and event count: the
+    log-likelihood events . (X beta) - exp(X beta) . times has the same form
+    either way, so fitting a design's distinct rows changes only the order
+    of the sums. Coefficients of aliased columns are exactly 0.0.
 
     Parameters
     ----------
     X : (n, d) design matrix; the caller supplies the intercept column.
-    times : (n,) positive exposure durations in hours.
-    events : (n,) 1 for observed deaths, 0 for censored subjects.
+    times : (n,) positive exposure durations in hours, summed per row.
+    events : (n,) deaths per row: 1 or 0 for one subject, the count for a group.
     trace : optional list collecting the log-likelihood after every iteration.
     """
     X = np.asarray(X, dtype=float)
@@ -348,12 +386,27 @@ class StateLabels:
     probabilities: np.ndarray   # (N, T); last column is the 0/1 outcome itself
 
 
-def fit_window_regressions(matrix, times, events) -> list[SurvivalFit]:
-    """One censored exponential fit per window, with shared response
-    (`censor_by_target` times and events, in matrix order)."""
+def window_designs(matrix) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each window's design on its distinct rows: (the distinct rows, the
+    row of each patient), from `distinct_rows`. They do not depend on the
+    target, so one training matrix's designs serve every target day."""
+    designs = []
+    for t in range(matrix.spec.n_windows):
+        X = window_design(matrix, t)
+        first, group = distinct_rows(X)
+        designs.append((X[first], group))
+    return designs
+
+
+def fit_window_regressions(designs, times, events) -> list[SurvivalFit]:
+    """One censored exponential fit per window of `window_designs`, with
+    shared response (`censor_by_target` times and events, in matrix order)
+    summed per distinct design row."""
     return [
-        fit_exponential_regression(window_design(matrix, t), times, events)
-        for t in range(matrix.spec.n_windows)
+        fit_exponential_regression(
+            rows, np.bincount(group, weights=times), np.bincount(group, weights=events)
+        )
+        for rows, group in designs
     ]
 
 

@@ -53,6 +53,12 @@ only so tests can compare a library path with it:
   `csv.writer` row per observation or outcome. They check
   `icurisk.cohort.write_observations` and `write_outcomes`, which must write
   the same bytes.
+- `newton_maximize_pinv` takes minimum-norm pseudo-inverse Newton steps on
+  every column. It checks `icurisk.survival.newton_maximize`, which drops
+  aliased columns and solves; on a full-rank design both reach the same MLE.
+- `dedupe_rows_unique` groups rows with `np.unique(..., axis=0)`. It checks
+  `icurisk.features.distinct_rows` and the `_dedupe_rows` that PAM builds
+  on it, which must give the same groups and the same medoids.
 """
 
 import csv
@@ -583,3 +589,42 @@ def write_outcomes_rows(cohort: RawCohort, path) -> None:
         writer.writerow(OUTCOMES_HEADER)
         for i, pid in enumerate(cohort.patient_ids):
             writer.writerow([pid, repr(float(cohort.event_hours[i])), int(cohort.died[i])])
+
+
+def newton_maximize_pinv(loglik, grad, hessian_weights, X, beta, max_iter: int):
+    """Damped Newton with minimum-norm steps pinv(X^T diag(w) X) g on all
+    columns, halved until the log-likelihood does not drop, with a
+    gradient-ascent fallback. Returns (beta, iterations, gradient max-norm)."""
+    ll = loglik(beta)
+    for iteration in range(1, max_iter + 1):
+        g = grad(beta)
+        grad_norm = float(np.max(np.abs(g)))
+        if grad_norm <= 1e-8:
+            return beta, iteration - 1, grad_norm
+        w = hessian_weights(beta)
+        step = np.linalg.pinv(X.T @ (w[:, None] * X), hermitian=True) @ g
+        if 0.5 * float(g @ step) < 1e-9:
+            beta = beta + step
+            ll = loglik(beta)
+            continue
+        for scale, direction in [(0.5**i, step) for i in range(60)] + [
+            (0.5**i / max(grad_norm, 1.0), g) for i in range(60)
+        ]:
+            trial = beta + scale * direction
+            trial_ll = loglik(trial)
+            if trial_ll >= ll:
+                break
+        else:
+            raise RuntimeError(f"line search stalled at iteration {iteration}")
+        beta, ll = trial, trial_ll
+        if np.max(np.abs(beta)) > 30.0:
+            raise ValueError("quasi-separation: coefficient magnitude exceeded 30")
+    raise RuntimeError(f"no convergence after {max_iter} iterations")
+
+
+def dedupe_rows_unique(rows):
+    """Distinct rows in first-occurrence order, with multiplicities, from
+    `np.unique(rows, axis=0)`."""
+    uniq, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first, kind="stable")
+    return uniq[order], counts[order]

@@ -20,6 +20,10 @@ scores, and include all-censored and single-event sets. Generated scored
 sets for AUROC have mostly tied, all distinct or nearly constant scores,
 -0.0 beside 0.0, and may lack a class.
 
+Row sets for the distinct-row grouping mix -0.0 with 0.0 and hold NaN rows,
+or are all equal or all distinct; row sets for PAM are small enough for the
+exact medoid search or large enough for BUILD/SWAP and the subsample.
+
 Synthetic cohorts are generated with 1 to 8 variables (so age is absent,
 last or in the middle), 1 to 48 samples a day and no or most samples
 missing, and must match the per-patient generator bit for bit. Written
@@ -53,12 +57,19 @@ from icurisk.cohort import (
     write_outcomes,
 )
 from icurisk.evaluation import ScoredSet, _t_upper_tail, auroc, concordance, first_day_max_scores
+from icurisk import features as features_module
 from icurisk.features import (
+    NUMERIC,
+    BINARY,
     FeatureSpec,
     ScoreBin,
     ScoreTable,
     build_feature_matrix,
+    distinct_rows,
+    gower_matrix,
     load_default_score_table,
+    numeric_ranges,
+    pam_cluster,
 )
 from icurisk.hmm import fit_feature_stage
 from icurisk.survival import (
@@ -68,6 +79,7 @@ from icurisk.survival import (
     compute_priors,
     fit_window_regressions,
     label_hidden_states,
+    window_designs,
 )
 from conftest import cohort_from_rows
 import oracles
@@ -343,7 +355,7 @@ def test_state_labels_match_all_samples_oracle(imputed_training, day):
     matrix, event_hours, died = imputed_training
     target = TargetSpec(day, 12)
     times, events = censor_by_target(event_hours, died, target.target_hours)
-    fits = fit_window_regressions(matrix, times, events)
+    fits = fit_window_regressions(window_designs(matrix), times, events)
     labels = label_hidden_states(matrix, events, fits, target)
 
     theta = compute_priors(matrix, fits, target)
@@ -692,3 +704,88 @@ def test_writers_match_csv_writer_oracle(cohort):
 
 def test_seeded_cohort_writes_match_csv_writer_oracle(small_cohort, tmp_path):
     assert_writes_match_oracle(small_cohort, tmp_path)
+
+
+ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5, np.nan])
+
+
+@st.composite
+def row_sets(draw):
+    n, d = draw(st.integers(1, 30)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["mixed", "all equal", "all distinct"]))
+    if kind == "all equal":
+        return np.tile(draw(arrays(np.float64, d, elements=ROW_VALUES)), (n, 1))
+    if kind == "all distinct":
+        rows = np.arange(n * d, dtype=float).reshape(n, d)
+        return rows[draw(st.permutations(range(n)))]
+    return draw(arrays(np.float64, (n, d), elements=ROW_VALUES))
+
+
+@settings(deadline=None)
+@given(row_sets())
+def test_distinct_rows_match_unique_oracle(rows):
+    first, group = distinct_rows(rows)
+    uniq, expected_first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, expected_first)
+    assert np.array_equal(group, inverse.reshape(-1))
+    assert np.array_equal(rows[first], uniq, equal_nan=True)
+
+
+@st.composite
+def pam_inputs(draw):
+    n, d = draw(st.integers(1, 90)), draw(st.integers(1, 3))
+    values = st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0])
+    rows = draw(arrays(np.float64, (n, d), elements=values))
+    binary = draw(st.booleans()) and d > 1
+    if binary:   # the last column a 0/1 indicator, as in feature rows
+        rows[:, -1] = rows[:, -1] > 4
+    n_distinct = np.unique(rows, axis=0).shape[0]
+    k = draw(st.integers(1, min(4, n_distinct)))
+    max_fit_rows = draw(st.sampled_from([30, 2000]))
+    kinds = (NUMERIC,) * (d - binary) + (BINARY,) * binary
+    return rows, k, max_fit_rows, kinds
+
+
+@settings(deadline=None)
+@given(pam_inputs())
+def test_pam_matches_unique_dedupe_oracle(case):
+    rows, k, max_fit_rows, kinds = case
+    ranges = numeric_ranges(rows, kinds)
+    try:
+        model, labels, cost = pam_cluster(
+            rows, k, seed=5, kinds=kinds, ranges=ranges, max_fit_rows=max_fit_rows
+        )
+    except ValueError:   # the subsample holds fewer than k distinct rows
+        model = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features_module, "_dedupe_rows", oracles.dedupe_rows_unique)
+        try:
+            expected = pam_cluster(rows, k, seed=5, kinds=kinds, ranges=ranges, max_fit_rows=max_fit_rows)
+        except ValueError:
+            expected = None
+    assert (model is None) == (expected is None)
+    if model is None:
+        return
+    assert model.medoids.tobytes() == expected[0].medoids.tobytes()
+    assert np.array_equal(labels, expected[1])
+    assert cost == expected[2]
+    # Labels and cost from one distance matrix, as `assign` and a second matrix give them.
+    assert np.array_equal(labels, model.assign(rows))
+    assert cost == float(gower_matrix(rows, model.medoids, kinds, ranges).min(axis=1).sum())
+
+
+@pytest.mark.parametrize("collide", [False, True])
+@pytest.mark.parametrize("block_bytes", [8, 40, 200])
+def test_names_seen_in_earlier_blocks_match_row_oracle(collide, block_bytes, monkeypatch):
+    # Names come back in blocks whose widest name is wider or narrower than
+    # in the block that first held them; two 2-word names share a last word,
+    # and "heart_ra" is the first word of "heart_rate".
+    names = ["gcs", "heart_rate", "heart_ra", "blood_pressure_systolic", "aaaaaaaaX", "bbbbbbbbX", "hr"]
+    rng = np.random.default_rng(block_bytes)
+    picks = [names[i] for i in rng.integers(0, len(names), 120)] + ["newcomer_name"]
+    body = "".join(f"p{i // 7},{name},{i % 7},{i}\n" for i, name in enumerate(picks))
+    data = (HEADER + "\n" + body).encode()
+    monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+    if collide:
+        monkeypatch.setattr(cohort_module, "_MIX", np.uint64(0))
+    assert_ingest_matches_oracle(lambda: io.BytesIO(data))

@@ -23,7 +23,7 @@ from icurisk.evaluation import (
     paired_t_test_one_tailed,
     run_cv,
 )
-from icurisk.features import load_default_score_table
+from icurisk.features import distinct_rows, load_default_score_table
 from conftest import cohort_from_rows
 import oracles
 
@@ -209,11 +209,55 @@ class TestLogistic:
         with pytest.raises(ValueError, match="both classes"):
             fit_logistic(np.ones((4, 1)), np.ones(4))
 
+    def test_full_rank_design_matches_pinv_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            X = np.column_stack([np.ones(100), rng.normal(0, 1, (100, 2))])
+            y = (X[:, 1] + rng.normal(0, 1.5, 100) > 0).astype(float)
+
+            def weights(b):
+                p = 1.0 / (1.0 + np.exp(-(X @ b)))
+                return p * (1.0 - p)
+
+            beta, _, _ = oracles.newton_maximize_pinv(
+                lambda b: logistic_loglik(b, X, y),
+                lambda b: logistic_grad(b, X, y),
+                weights,
+                X,
+                np.zeros(3),
+                max_iter=200,
+            )
+            np.testing.assert_allclose(fit_logistic(X, y), beta, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_distinct_rows_fit_matches_full_rows_oracle(self, aliased):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            n = 400
+            X = np.column_stack([np.ones(n), rng.integers(0, 4, (n, 2))]).astype(float)
+            if aliased:   # an all-ones column and the sum of two columns
+                X = np.column_stack([X, np.ones(n), X[:, 1] + X[:, 2]])
+            y = (X[:, 1] + rng.normal(0, 2, n) > 1.5).astype(float)
+            full = fit_logistic(X, y)
+            first, group = distinct_rows(X)
+            grouped = fit_logistic(
+                X[first], np.bincount(group, weights=y), np.bincount(group).astype(float)
+            )
+            if aliased:
+                np.testing.assert_allclose(X @ grouped, X @ full, rtol=0, atol=1e-12)
+                assert grouped[3] == 0.0 and grouped[4] == 0.0
+            else:
+                np.testing.assert_allclose(grouped, full, rtol=0, atol=1e-12)
+
+    def test_grouped_single_class_rejected(self):
+        with pytest.raises(ValueError, match="both classes"):
+            fit_logistic(np.ones((2, 1)), np.array([3.0, 2.0]), np.array([3.0, 2.0]))
+
     def test_exhausted_line_search_raises(self, monkeypatch):
         # Every point but the start scores worse, so no step can be accepted.
         monkeypatch.setattr(
             "icurisk.evaluation.logistic_loglik",
-            lambda beta, X, y: 0.0 if not beta.any() else -1.0,
+            lambda beta, X, y, counts: 0.0 if not beta.any() else -1.0,
         )
         y = np.array([1, 1, 0, 0, 0, 0, 0, 1])
         with pytest.raises(RuntimeError, match="line search stalled"):

@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from icurisk.features import FeatureMatrix, FeatureSpec
+from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort
+from icurisk.features import (
+    FeatureMatrix,
+    FeatureSpec,
+    build_feature_matrix,
+    compute_medians,
+    distinct_rows,
+    impute_median,
+    load_default_score_table,
+)
 from icurisk.survival import (
     DensityNormalizer,
     TargetSpec,
@@ -16,7 +25,10 @@ from icurisk.survival import (
     fit_window_regressions,
     hazard,
     label_hidden_states,
+    window_design,
+    window_designs,
 )
+import oracles
 
 
 def random_censored_sample(rng, n=60, d=3):
@@ -119,6 +131,7 @@ class TestExponentialFit:
         X = np.column_stack([X, np.ones(100)])  # duplicates the intercept
         fit = fit_exponential_regression(X, times, events)
         assert fit.grad_norm <= 1e-8
+        assert fit.beta[-1] == 0.0   # aliased: dropped, not split with the intercept
 
     def test_separation_detected(self):
         # one group dies instantly, the other is only censored for ages
@@ -127,6 +140,114 @@ class TestExponentialFit:
         events = X[:, 1]
         with pytest.raises(ValueError, match="separation"):
             fit_exponential_regression(X, times, events)
+
+
+def repeated_rows_sample(rng, n=400, aliased=False):
+    """Few distinct design rows; with `aliased`, an all-ones column and the
+    sum of two columns are appended."""
+    X = np.column_stack([np.ones(n), rng.integers(0, 3, (n, 2)), rng.integers(0, 2, n)])
+    if aliased:
+        X = np.column_stack([X, np.ones(n), X[:, 1] + X[:, 2]])
+    times = rng.uniform(1, 100, n)
+    events = (rng.random(n) < 0.4).astype(float)
+    return X.astype(float), times, events
+
+
+class TestNewtonSolve:
+    def test_full_rank_design_matches_pinv_oracle(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            X, times, events = random_censored_sample(rng, n=120, d=4)
+            fit = fit_exponential_regression(X, times, events)
+            start = np.zeros(X.shape[1])
+            start[0] = math.log(events.sum() / times.sum())
+            beta, iterations, _ = oracles.newton_maximize_pinv(
+                lambda b: exponential_loglik(b, X, times, events),
+                lambda b: exponential_grad(b, X, times, events),
+                lambda b: np.exp(X @ b) * times,
+                X,
+                start,
+                max_iter=500,
+            )
+            np.testing.assert_allclose(fit.beta, beta, rtol=0, atol=1e-12)
+            assert fit.iterations == iterations
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_distinct_rows_fit_matches_full_rows_oracle(self, aliased):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            X, times, events = repeated_rows_sample(rng, aliased=aliased)
+            full = fit_exponential_regression(X, times, events)
+            first, group = distinct_rows(X)
+            assert first.size < 40
+            grouped = fit_exponential_regression(
+                X[first], np.bincount(group, weights=times), np.bincount(group, weights=events)
+            )
+            if aliased:
+                np.testing.assert_allclose(X @ grouped.beta, X @ full.beta, rtol=0, atol=1e-12)
+                assert grouped.beta[4] == 0.0 and grouped.beta[5] == 0.0
+            else:
+                np.testing.assert_allclose(grouped.beta, full.beta, rtol=0, atol=1e-12)
+
+    def test_all_zero_column_gets_zero_coefficient(self):
+        rng = np.random.default_rng(8)
+        X, times, events = random_censored_sample(rng, n=80, d=3)
+        X = np.column_stack([X[:, :1], np.zeros(80), X[:, 1:]])
+        fit = fit_exponential_regression(X, times, events)
+        reference = fit_exponential_regression(np.delete(X, 1, axis=1), times, events)
+        assert fit.beta[1] == 0.0
+        np.testing.assert_allclose(np.delete(fit.beta, 1), reference.beta, rtol=0, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def imputed_4k():
+    """The imputed feature matrix of 4,000 synthetic patients (the
+    benchmark's cohort settings), with day-2 times and events."""
+    config = SynthConfig(
+        n_patients=4000,
+        n_variables=5,
+        prevalence_target=0.15,
+        missing_rate=0.1,
+        sampling_rate_per_hour=1.0,
+        seed=11,
+    )
+    cohort = filter_cohort(generate_synthetic_cohort(config))
+    spec = FeatureSpec(tuple(cohort.variables), 12)
+    matrix = build_feature_matrix(cohort, spec, load_default_score_table())
+    times, events = censor_by_target(cohort.event_hours, cohort.died, 48.0)
+    return impute_median(matrix, compute_medians(matrix)), times, events
+
+
+class TestPatientOrder:
+    """The hazard fits of a design that has aliased columns do not depend on
+    the order of its rows: minimum-norm steps on every column left an
+    order-dependent share of the intercept on the aliased ones."""
+
+    @staticmethod
+    def _fits(matrix, times, events, perm):
+        full = window_design(matrix, 1)
+        permuted = matrix.subset(perm)
+        return [
+            (
+                fit_exponential_regression(full, times, events).beta,
+                fit_exponential_regression(full[perm], times[perm], events[perm]).beta,
+            ),
+            (
+                fit_window_regressions(window_designs(matrix), times, events)[1].beta,
+                fit_window_regressions(window_designs(permuted), times[perm], events[perm])[1].beta,
+            ),
+        ]
+
+    def test_window_fit_does_not_depend_on_patient_order(self, imputed_4k):
+        matrix, times, events = imputed_4k
+        perm = np.random.default_rng(3).permutation(matrix.n_patients)
+        X = window_design(matrix, 1)
+        constant = np.all(X == X[0], axis=0)
+        constant[0] = False   # the intercept
+        assert constant.sum() >= 4
+        for beta, permuted in self._fits(matrix, times, events, perm):
+            assert np.max(np.abs(beta - permuted)) <= 1e-12
+            assert np.all(beta[constant] == 0.0) and np.all(permuted[constant] == 0.0)
 
 
 class TestHazard:
@@ -225,7 +346,7 @@ class TestLabeling:
     @staticmethod
     def _fit_and_label(matrix, event_hours, died, target):
         times, events = censor_by_target(event_hours, died, target.target_hours)
-        fits = fit_window_regressions(matrix, times, events)
+        fits = fit_window_regressions(window_designs(matrix), times, events)
         return fits, label_hidden_states(matrix, events, fits, target)
 
     def test_last_window_matches_outcome(self):
