@@ -13,8 +13,6 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .cohort import (
     DEFAULT_REQUIRED_VARIABLES,
     SynthConfig,
@@ -30,9 +28,7 @@ from .features import (
     FeatureSpec,
     ScoreTable,
     build_feature_matrix,
-    compute_medians,
     feature_kinds,
-    impute_median,
     load_default_score_table,
     numeric_ranges,
     pam_cluster,
@@ -199,11 +195,8 @@ def _prepare_training_inputs(cfg: PipelineConfig):
     return table, cohort, matrix
 
 
-def _sweep_k(matrix, seed, max_rows: int = 2000) -> None:
+def _sweep_k(matrix, seed) -> None:
     rows = matrix.rows()
-    if rows.shape[0] > max_rows:  # keep the silhouette distance matrix small
-        rng = np.random.default_rng([seed])
-        rows = rows[np.sort(rng.choice(rows.shape[0], max_rows, replace=False))]
     kinds = feature_kinds(matrix.spec)
     ranges = numeric_ranges(rows, kinds)
     print("k  silhouette")
@@ -219,11 +212,9 @@ def _sweep_k(matrix, seed, max_rows: int = 2000) -> None:
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
     table, cohort, matrix = _prepare_training_inputs(cfg)
-    if args.sweep_k:
-        imputed = impute_median(matrix, compute_medians(matrix))
-        _sweep_k(imputed, cfg.seed)
-
     stage = fit_feature_stage(matrix, cfg.k_clusters, seed=[cfg.seed])
+    if args.sweep_k:
+        _sweep_k(stage.imputed, [cfg.seed])
     models = {}
     for day in cfg.target_days:
         target = TargetSpec(day, cfg.window_hours, cfg.duration_mode)

@@ -22,6 +22,8 @@ NUMERIC = "numeric"
 BINARY = "binary"
 
 MAX_EXACT_SETS = 20000
+MAX_FIT_ROWS = 2000       # distinct rows PAM searches medoids on
+SILHOUETTE_CHUNK = 2048   # rows per distance block in `silhouette`
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,13 +300,6 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[starts], group
 
 
-def _dedupe_rows(rows: np.ndarray):
-    """Distinct rows in first-occurrence order, with multiplicities."""
-    first, group = distinct_rows(rows)
-    order = np.argsort(first)
-    return rows[first[order]], np.bincount(group)[order]
-
-
 def _build_swap_medoids(dist: np.ndarray, weights: np.ndarray, k: int, trace=None) -> list[int]:
     """Classic BUILD initialization plus steepest-descent SWAP passes.
 
@@ -366,59 +361,51 @@ def _exact_medoids(dist: np.ndarray, weights: np.ndarray, k: int) -> list[int]:
     return best_set
 
 
-def pam_cluster(
-    rows: np.ndarray,
-    k: int,
-    seed=0,
-    *,
-    kinds=None,
-    ranges=None,
-    max_fit_rows: int = 2000,
-):
+def pam_cluster(rows: np.ndarray, k: int, seed=0, *, kinds=None, ranges=None):
     """K-medoids under Gower distance, exact at small scale.
 
-    Identical rows are collapsed with multiplicity weights first (the
-    objective is unchanged). When the number of candidate medoid sets is at
-    most MAX_EXACT_SETS the optimum is found by exhaustive enumeration;
-    otherwise BUILD plus steepest-descent SWAP passes run until no swap
-    lowers the total cost. When more than max_fit_rows rows remain after
-    deduplication, medoids are searched on a seeded subsample and every row
-    is still assigned afterwards. Ties break toward the lowest original row
-    index throughout.
+    All rows are grouped with `distinct_rows` first, and the medoids are
+    searched on the distinct rows weighted by count (the objective is
+    unchanged): by exhaustive enumeration when there are at most
+    MAX_EXACT_SETS candidate medoid sets, otherwise by BUILD plus
+    steepest-descent SWAP passes until no swap lowers the total cost. Ties
+    break toward the distinct row first in `distinct_rows`' sorted order,
+    so the medoids depend on the rows and their counts but not on their
+    order. Only above MAX_FIT_ROWS distinct rows is the search run on a
+    sample of that many, drawn with `seed` without replacement and weighted
+    by count.
 
-    Returns (ClusterModel, 1-based labels for all input rows, total cost).
+    Returns (ClusterModel, 1-based labels for all input rows, total cost),
+    the labels and cost from one (distinct rows x k) distance matrix.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("rows must be a nonempty 2-D array")
     if kinds is None:
         kinds = (NUMERIC,) * rows.shape[1]
+    first, group = distinct_rows(rows)
+    uniq = rows[first] + 0.0   # -0.0 groups with 0.0; keep 0.0 whichever came first
+    counts = np.bincount(group).astype(float)
     if ranges is None:
-        ranges = numeric_ranges(rows, kinds)
+        ranges = numeric_ranges(uniq, kinds)
 
-    fit_rows = rows
-    if rows.shape[0] > max_fit_rows:
+    fit = np.arange(uniq.shape[0])
+    if fit.size > MAX_FIT_ROWS:
         rng = np.random.default_rng(seed)
-        pick = np.sort(rng.choice(rows.shape[0], size=max_fit_rows, replace=False))
-        fit_rows = rows[pick]
+        fit = np.sort(rng.choice(fit.size, MAX_FIT_ROWS, replace=False, p=counts / counts.sum()))
+    if not 1 <= k <= fit.size:
+        raise ValueError(f"k must lie in 1..{fit.size} (distinct rows), got {k}")
 
-    uniq, counts = _dedupe_rows(fit_rows)
-    n_distinct = uniq.shape[0]
-    if not 1 <= k <= n_distinct:
-        raise ValueError(f"k must lie in 1..{n_distinct} (distinct rows), got {k}")
-
-    dist = gower_matrix(uniq, uniq, kinds, ranges)
-    weights = counts.astype(float)
-    if math.comb(n_distinct, k) <= MAX_EXACT_SETS:
-        medoids = _exact_medoids(dist, weights, k)
+    dist = gower_matrix(uniq[fit], uniq[fit], kinds, ranges)
+    if math.comb(fit.size, k) <= MAX_EXACT_SETS:
+        medoids = _exact_medoids(dist, counts[fit], k)
     else:
-        medoids = _build_swap_medoids(dist, weights, k)
+        medoids = _build_swap_medoids(dist, counts[fit], k)
 
-    model = ClusterModel(medoids=uniq[medoids].copy(), kinds=tuple(kinds), ranges=np.asarray(ranges, dtype=float))
-    # One distance matrix gives the labels (as `model.assign`: ties to the
-    # lower cluster) and the total cost.
-    to_medoids = gower_matrix(rows, model.medoids, kinds, ranges)
-    return model, to_medoids.argmin(axis=1) + 1, float(to_medoids.min(axis=1).sum())
+    model = ClusterModel(medoids=uniq[fit[medoids]], kinds=tuple(kinds), ranges=np.asarray(ranges, dtype=float))
+    # As `model.assign`: ties go to the lower cluster.
+    to_medoids = gower_matrix(uniq, model.medoids, kinds, ranges)
+    return model, to_medoids.argmin(axis=1)[group] + 1, float(to_medoids.min(axis=1) @ counts)
 
 
 def encode_observations(model: ClusterModel, matrix: FeatureMatrix) -> np.ndarray:
@@ -428,21 +415,31 @@ def encode_observations(model: ClusterModel, matrix: FeatureMatrix) -> np.ndarra
 
 
 def silhouette(rows: np.ndarray, labels: np.ndarray, kinds, ranges) -> float:
-    """Mean silhouette width under Gower distance; singleton clusters score 0."""
+    """Mean silhouette width under Gower distance; singleton clusters score 0.
+
+    Exact for every row: each distinct (row, label) pair is scored once,
+    weighted by its count, against all pairs in chunks of SILHOUETTE_CHUNK
+    pairs, so memory stays linear in the number of distinct pairs.
+    """
     rows = np.asarray(rows, dtype=float)
-    labels = np.asarray(labels)
-    values = np.unique(labels)
+    values, cluster = np.unique(np.asarray(labels), return_inverse=True)
     if values.size < 2:
         raise ValueError("silhouette needs at least two clusters")
-    dist = gower_matrix(rows, rows, kinds, ranges)
-    n = rows.shape[0]
-    scores = np.zeros(n)
-    for i in range(n):
-        own = labels == labels[i]
-        n_own = own.sum()
-        if n_own == 1:
-            continue
-        a = dist[i, own].sum() / (n_own - 1)
-        b = min(dist[i, labels == v].mean() for v in values if v != labels[i])
-        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
-    return float(scores.mean())
+    first, group = distinct_rows(np.column_stack([rows, cluster]))
+    counts = np.bincount(group).astype(float)
+    own = cluster[first]
+    members = np.zeros((first.size, values.size))   # count of each pair in its cluster
+    members[np.arange(first.size), own] = counts
+    sizes = members.sum(axis=0)
+    scores = np.zeros(first.size)
+    for start in range(0, first.size, SILHOUETTE_CHUNK):
+        part = slice(start, start + SILHOUETTE_CHUNK)
+        sums = gower_matrix(rows[first[part]], rows[first], kinds, ranges) @ members
+        mine, n_own = (np.arange(sums.shape[0]), own[part]), sizes[own[part]]
+        a = sums[mine] / np.maximum(n_own - 1, 1)
+        sums /= sizes
+        sums[mine] = np.inf
+        b = sums.min(axis=1)
+        with np.errstate(invalid="ignore"):   # a == b == 0 scores 0
+            scores[part] = np.where(n_own > 1, np.nan_to_num((b - a) / np.maximum(a, b)), 0.0)
+    return float(scores @ counts / counts.sum())

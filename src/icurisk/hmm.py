@@ -26,7 +26,6 @@ from .features import (
     encode_observations,
     feature_kinds,
     impute_median,
-    numeric_ranges,
     pam_cluster,
 )
 from .survival import (
@@ -162,8 +161,9 @@ def risk_score(theta, emissions, x_seq) -> float:
 
 @dataclass
 class FeatureStage:
-    """Target-independent part of training: medians, medoids, sequences and
-    the hazard designs' distinct rows."""
+    """Target-independent part of training, shared by every target day of a
+    training cohort and written once in `model.json`: medians, medoids,
+    sequences and the hazard designs' distinct rows."""
 
     medians: Medians
     cluster: ClusterModel
@@ -196,10 +196,7 @@ class PatientScores(NamedTuple):
 def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0) -> FeatureStage:
     medians = compute_medians(matrix)
     imputed = impute_median(matrix, medians)
-    rows = imputed.rows()
-    kinds = feature_kinds(matrix.spec)
-    ranges = numeric_ranges(rows, kinds)
-    cluster, labels, _ = pam_cluster(rows, k_clusters, seed, kinds=kinds, ranges=ranges)
+    cluster, labels, _ = pam_cluster(imputed.rows(), k_clusters, seed, kinds=feature_kinds(matrix.spec))
     sequences = labels.reshape(matrix.n_patients, matrix.spec.n_windows)
     return FeatureStage(
         medians=medians,
@@ -308,23 +305,44 @@ def survival_curve(eta_by_day: dict[int, np.ndarray], died: np.ndarray) -> list[
 # Serialization of trained bundles
 # --------------------------------------------------------------------------
 
+FORMAT_VERSION = 2
+
+
 def _nan_to_none(values):
     return [None if np.isnan(v) else float(v) for v in values]
 
 
-def _none_to_nan(values):
-    return np.array([np.nan if v is None else float(v) for v in values])
+def _stage_obj(model: RiskModel) -> dict:
+    return {
+        "medians": {
+            "cell": [_nan_to_none(row) for row in model.medians.cell],
+            "overall": _nan_to_none(model.medians.overall),
+        },
+        "cluster": {
+            "medoids": model.cluster.medoids.tolist(),
+            "ranges": model.cluster.ranges.tolist(),
+        },
+    }
 
 
 def models_to_obj(models: dict[int, RiskModel], config_echo: dict | None = None) -> dict:
+    """The `model.json` object, format 2: the feature spec, score table,
+    medians and cluster once at the top level, and per day its `target`,
+    `fits` and `emissions`. Raises ValueError when two days disagree on the
+    medians or the cluster."""
     days = sorted(models)
     first = models[days[0]]
+    stage = _stage_obj(first)
+    if any(_stage_obj(models[day]) != stage for day in days[1:]):
+        raise ValueError("target days disagree on the medians or the cluster")
     obj = {
+        "format_version": FORMAT_VERSION,
         "feature_spec": {
             "variable_names": list(first.spec.variable_names),
             "window_hours": first.spec.window_hours,
         },
         "score_table": first.score_table.to_json_obj(),
+        **stage,
         "config": config_echo or {},
         "days": {},
     }
@@ -335,15 +353,6 @@ def models_to_obj(models: dict[int, RiskModel], config_echo: dict | None = None)
                 "target_day": m.target.target_day,
                 "window_hours": m.target.window_hours,
                 "duration_mode": m.target.duration_mode,
-            },
-            "medians": {
-                "cell": [_nan_to_none(row) for row in m.medians.cell],
-                "overall": _nan_to_none(m.medians.overall),
-            },
-            "cluster": {
-                "medoids": m.cluster.medoids.tolist(),
-                "kinds": list(m.cluster.kinds),
-                "ranges": m.cluster.ranges.tolist(),
             },
             "fits": [
                 {
@@ -362,41 +371,71 @@ def models_to_obj(models: dict[int, RiskModel], config_echo: dict | None = None)
     return obj
 
 
+def _array(field: str, values, shape) -> np.ndarray:
+    """`values` as a float array of `shape` (None becomes NaN); a ValueError
+    names `field` otherwise."""
+    try:
+        array = np.array(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field} is not an array of numbers") from None
+    if array.shape != shape:
+        raise ValueError(f"{field} has shape {array.shape}, expected {shape}")
+    return array
+
+
 def models_from_obj(obj: dict) -> tuple[dict[int, RiskModel], dict]:
     """Rebuild the per-day bundles and the config echo written by models_to_obj.
 
-    Raises ValueError when an emission table is not a strictly positive,
+    Every day's RiskModel shares one Medians and one ClusterModel, whose
+    column kinds follow from the feature spec. Raises ValueError for a file
+    of another format version; naming the field, for an array whose shape
+    does not fit the spec (p variables, T windows) and the k medoids, and
+    for a day block whose target disagrees with its key or the spec's
+    windows; and for an emission table that is not a strictly positive,
     normalized distribution, since scoring with one gives NaN risks.
     """
+    version = obj.get("format_version", 1) if isinstance(obj, dict) else None
+    if version != FORMAT_VERSION:
+        raise ValueError(f"model format {version}; retrain")
     spec = FeatureSpec(
         tuple(obj["feature_spec"]["variable_names"]),
         int(obj["feature_spec"]["window_hours"]),
     )
+    p, T = spec.n_variables, spec.n_windows
     table = ScoreTable.from_json_obj(obj["score_table"])
+    medians = Medians(
+        cell=_array("medians.cell", obj["medians"]["cell"], (T, p)),
+        overall=_array("medians.overall", obj["medians"]["overall"], (p,)),
+    )
+    k = len(obj["cluster"]["medoids"])
+    cluster = ClusterModel(
+        medoids=_array("cluster.medoids", obj["cluster"]["medoids"], (max(k, 1), 2 * p)),
+        kinds=feature_kinds(spec),
+        ranges=_array("cluster.ranges", obj["cluster"]["ranges"], (2 * p,)),
+    )
     models = {}
     for day_key, block in obj["days"].items():
+        where = f"days.{day_key}"
         t = block["target"]
         target = TargetSpec(int(t["target_day"]), int(t["window_hours"]), t["duration_mode"])
-        medians = Medians(
-            cell=np.array([_none_to_nan(row) for row in block["medians"]["cell"]]),
-            overall=_none_to_nan(block["medians"]["overall"]),
-        )
-        cluster = ClusterModel(
-            medoids=np.array(block["cluster"]["medoids"], dtype=float),
-            kinds=tuple(block["cluster"]["kinds"]),
-            ranges=np.array(block["cluster"]["ranges"], dtype=float),
-        )
+        if (target.target_day, target.window_hours) != (int(day_key), spec.window_hours):
+            raise ValueError(
+                f"{where}.target is day {target.target_day} in {target.window_hours} h windows, "
+                f"expected day {day_key} in {spec.window_hours} h windows"
+            )
+        if len(block["fits"]) != T:
+            raise ValueError(f"{where}.fits has {len(block['fits'])} entries, expected {T}")
         fits = [
             SurvivalFit(
-                beta=np.array(f["beta"], dtype=float),
+                beta=_array(f"{where}.fits.{w}.beta", f["beta"], (1 + 2 * p,)),
                 iterations=int(f["iterations"]),
                 grad_norm=float(f["grad_norm"]),
             )
-            for f in block["fits"]
+            for w, f in enumerate(block["fits"])
         ]
         emissions = EmissionModel(
-            initial=np.array(block["emissions"]["initial"], dtype=float),
-            transition=np.array(block["emissions"]["transition"], dtype=float),
+            initial=_array(f"{where}.emissions.initial", block["emissions"]["initial"], (k, 2)),
+            transition=_array(f"{where}.emissions.transition", block["emissions"]["transition"], (k, k, 2)),
             alpha=float(block["emissions"]["alpha"]),
         )
         emissions.check_normalized()

@@ -57,8 +57,11 @@ only so tests can compare a library path with it:
   every column. It checks `icurisk.survival.newton_maximize`, which drops
   aliased columns and solves; on a full-rank design both reach the same MLE.
 - `dedupe_rows_unique` groups rows with `np.unique(..., axis=0)`. It checks
-  `icurisk.features.distinct_rows` and the `_dedupe_rows` that PAM builds
-  on it, which must give the same groups and the same medoids.
+  `icurisk.features.distinct_rows`, and `pam_cluster` must find the same
+  medoids, labels and cost with it in place of `distinct_rows`.
+- `silhouette_loop` builds the full n x n Gower matrix and scores one row
+  at a time. It checks `icurisk.features.silhouette`, which scores each
+  distinct (row, label) pair once, weighted by its count.
 """
 
 import csv
@@ -90,7 +93,7 @@ from icurisk.cohort import (
     _death_by_probability,
     synthetic_variable_names,
 )
-from icurisk.features import BINARY
+from icurisk.features import BINARY, gower_matrix
 from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _joint_logs
 from icurisk.survival import _silverman_bandwidth
 
@@ -623,8 +626,30 @@ def newton_maximize_pinv(loglik, grad, hessian_weights, X, beta, max_iter: int):
 
 
 def dedupe_rows_unique(rows):
-    """Distinct rows in first-occurrence order, with multiplicities, from
-    `np.unique(rows, axis=0)`."""
-    uniq, first, counts = np.unique(rows, axis=0, return_index=True, return_counts=True)
-    order = np.argsort(first, kind="stable")
-    return uniq[order], counts[order]
+    """`distinct_rows`' (first, group) from `np.unique(rows, axis=0)`: the
+    first occurrence of each distinct row in sorted order, and the group of
+    every row."""
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    return first, inverse.reshape(-1)
+
+
+def silhouette_loop(rows, labels, kinds, ranges) -> float:
+    """Mean silhouette width from the full Gower matrix, one row at a time;
+    singleton clusters score 0."""
+    rows = np.asarray(rows, dtype=float)
+    labels = np.asarray(labels)
+    values = np.unique(labels)
+    if values.size < 2:
+        raise ValueError("silhouette needs at least two clusters")
+    dist = gower_matrix(rows, rows, kinds, ranges)
+    n = rows.shape[0]
+    scores = np.zeros(n)
+    for i in range(n):
+        own = labels == labels[i]
+        n_own = own.sum()
+        if n_own == 1:
+            continue
+        a = dist[i, own].sum() / (n_own - 1)
+        b = min(dist[i, labels == v].mean() for v in values if v != labels[i])
+        scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
+    return float(scores.mean())

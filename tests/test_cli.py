@@ -134,6 +134,16 @@ class TestTrain:
         for block in model["days"].values():
             assert len(block["fits"]) == 2  # 12h windows over 24h
 
+    def test_shared_stage_written_once(self, workdir):
+        cfg = write_config(workdir)
+        assert run(["train", "--config", cfg]) == 0
+        model = json.loads((workdir / "out" / "model.json").read_text())
+        assert model["format_version"] == 2
+        assert set(model["medians"]) == {"cell", "overall"}
+        assert set(model["cluster"]) == {"medoids", "ranges"}
+        for block in model["days"].values():
+            assert set(block) == {"target", "fits", "emissions"}
+
     def test_retraining_is_byte_identical(self, workdir):
         cfg = write_config(workdir)
         run(["train", "--config", cfg, "--out-dir", workdir / "m1"])
@@ -161,6 +171,21 @@ class TestTrain:
         m1 = json.loads((workdir / "m1" / "model.json").read_text())
         m2 = json.loads((workdir / "m2" / "model.json").read_text())
         assert m1["config"]["seed"] != m2["config"]["seed"]
+
+
+# (field, change to a trained model.json that leaves the field misshapen)
+MISSHAPEN_MODELS = [
+    ("medians.cell", lambda m: m["medians"].update(cell=m["medians"]["cell"][:1])),
+    ("medians.overall", lambda m: m["medians"]["overall"].pop()),
+    ("cluster.medoids", lambda m: [row.pop() for row in m["cluster"]["medoids"]]),
+    ("cluster.ranges", lambda m: m["cluster"]["ranges"].pop()),
+    ("days.2.target", lambda m: m["days"]["2"]["target"].update(target_day=5)),
+    ("days.4.target", lambda m: m["days"]["4"]["target"].update(window_hours=6)),
+    ("days.2.fits", lambda m: m["days"]["2"]["fits"].pop()),
+    ("days.2.fits.0.beta", lambda m: m["days"]["2"]["fits"][0]["beta"].pop()),
+    ("days.3.emissions.initial", lambda m: m["days"]["3"]["emissions"]["initial"].pop()),
+    ("days.3.emissions.transition", lambda m: m["days"]["3"]["emissions"]["transition"][0].pop()),
+]
 
 
 class TestPredict:
@@ -213,6 +238,30 @@ class TestPredict:
         path.write_text(json.dumps(model))
         assert run(["predict", "--config", cfg]) == 1
         assert "model.json" in capsys.readouterr().err
+
+    def test_format_1_model_rejected(self, workdir, capsys):
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        path = workdir / "out" / "model.json"
+        model = json.loads(path.read_text())
+        del model["format_version"]
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        assert run(["predict", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {path}: model format 1; retrain\n"
+
+    @pytest.mark.parametrize("field, corrupt", MISSHAPEN_MODELS, ids=[f for f, _ in MISSHAPEN_MODELS])
+    def test_misshapen_model_names_file_and_field(self, workdir, capsys, field, corrupt):
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        path = workdir / "out" / "model.json"
+        model = json.loads(path.read_text())
+        corrupt(model)
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        assert run(["predict", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {field} ")
 
     def test_model_missing_key_names_file_and_key(self, workdir, capsys):
         cfg = write_config(workdir)

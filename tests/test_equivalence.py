@@ -22,7 +22,10 @@ sets for AUROC have mostly tied, all distinct or nearly constant scores,
 
 Row sets for the distinct-row grouping mix -0.0 with 0.0 and hold NaN rows,
 or are all equal or all distinct; row sets for PAM are small enough for the
-exact medoid search or large enough for BUILD/SWAP and the subsample.
+exact medoid search or large enough for BUILD/SWAP and, with a lowered
+`MAX_FIT_ROWS`, the sample of distinct rows. Labelled rows for the
+silhouette hold duplicates, equal rows under different labels and singleton
+clusters.
 
 Synthetic cohorts are generated with 1 to 8 variables (so age is absent,
 last or in the middle), 1 to 48 samples a day and no or most samples
@@ -743,35 +746,69 @@ def pam_inputs(draw):
     k = draw(st.integers(1, min(4, n_distinct)))
     max_fit_rows = draw(st.sampled_from([30, 2000]))
     kinds = (NUMERIC,) * (d - binary) + (BINARY,) * binary
-    return rows, k, max_fit_rows, kinds
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    return rows, k, max_fit_rows, kinds, perm
 
 
 @settings(deadline=None)
 @given(pam_inputs())
 def test_pam_matches_unique_dedupe_oracle(case):
-    rows, k, max_fit_rows, kinds = case
+    rows, k, max_fit_rows, kinds, _ = case
     ranges = numeric_ranges(rows, kinds)
-    try:
-        model, labels, cost = pam_cluster(
-            rows, k, seed=5, kinds=kinds, ranges=ranges, max_fit_rows=max_fit_rows
-        )
-    except ValueError:   # the subsample holds fewer than k distinct rows
-        model = None
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(features_module, "_dedupe_rows", oracles.dedupe_rows_unique)
-        try:
-            expected = pam_cluster(rows, k, seed=5, kinds=kinds, ranges=ranges, max_fit_rows=max_fit_rows)
-        except ValueError:
-            expected = None
-    assert (model is None) == (expected is None)
-    if model is None:
-        return
+        mp.setattr(features_module, "MAX_FIT_ROWS", max_fit_rows)
+        model, labels, cost = pam_cluster(rows, k, seed=5, kinds=kinds, ranges=ranges)
+        mp.setattr(features_module, "distinct_rows", oracles.dedupe_rows_unique)
+        expected = pam_cluster(rows, k, seed=5, kinds=kinds, ranges=ranges)
     assert model.medoids.tobytes() == expected[0].medoids.tobytes()
     assert np.array_equal(labels, expected[1])
     assert cost == expected[2]
-    # Labels and cost from one distance matrix, as `assign` and a second matrix give them.
+    # Labels and cost from one distance matrix over the distinct rows, as
+    # `assign` and a full-row matrix give them; the count-weighted sum
+    # reorders the cost's floating-point sum.
     assert np.array_equal(labels, model.assign(rows))
-    assert cost == float(gower_matrix(rows, model.medoids, kinds, ranges).min(axis=1).sum())
+    full = float(gower_matrix(rows, model.medoids, kinds, ranges).min(axis=1).sum())
+    assert cost == pytest.approx(full, rel=1e-12, abs=1e-15)
+
+
+@settings(deadline=None)
+@given(pam_inputs())
+def test_pam_does_not_depend_on_row_order(case):
+    rows, k, _, kinds, perm = case   # under the cap: no sample, no seed
+    ranges = numeric_ranges(rows, kinds)
+    model, labels, cost = pam_cluster(rows, k, seed=5, kinds=kinds, ranges=ranges)
+    permuted = pam_cluster(rows[perm], k, seed=6, kinds=kinds, ranges=ranges)
+    assert model.medoids.tobytes() == permuted[0].medoids.tobytes()
+    assert np.array_equal(labels[perm], permuted[1])
+    assert cost == permuted[2]
+
+
+ROWS_WITH_TIES = st.sampled_from([0.0, 1.0, 2.0, 5.0])
+
+
+@st.composite
+def labelled_rows(draw):
+    """Rows with duplicates, equal rows under different labels, and
+    clusters that may hold a single row."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 3))
+    rows = draw(arrays(np.float64, (n, d), elements=ROWS_WITH_TIES))
+    labels = draw(arrays(np.int64, n, elements=st.integers(1, 5)))
+    if np.unique(labels).size < 2:
+        labels[0] = 1 if labels[1] != 1 else 2
+    binary = draw(st.booleans()) and d > 1
+    if binary:
+        rows[:, -1] = rows[:, -1] > 1
+    kinds = (NUMERIC,) * (d - binary) + (BINARY,) * binary
+    return rows, labels, kinds
+
+
+@settings(deadline=None)
+@given(labelled_rows())
+def test_silhouette_matches_row_loop_oracle(case):
+    rows, labels, kinds = case
+    ranges = numeric_ranges(rows, kinds)
+    got = features_module.silhouette(rows, labels, kinds, ranges)
+    assert got == pytest.approx(oracles.silhouette_loop(rows, labels, kinds, ranges), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("collide", [False, True])

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from icurisk import features as features_module
 from icurisk.cohort import window_cells
 from icurisk.features import (
     BINARY,
@@ -310,11 +311,12 @@ class TestPam:
         row_set = {tuple(r) for r in rows}
         assert all(tuple(m) in row_set for m in model.medoids)
 
-    def test_subsampled_fit_is_deterministic(self):
+    def test_subsampled_fit_is_deterministic(self, monkeypatch):
+        monkeypatch.setattr(features_module, "MAX_FIT_ROWS", 100)
         rng = np.random.default_rng(7)
         rows = rng.uniform(0, 10, (300, 2))
-        a = pam_cluster(rows, 3, seed=1, max_fit_rows=100)
-        b = pam_cluster(rows, 3, seed=1, max_fit_rows=100)
+        a = pam_cluster(rows, 3, seed=1)
+        b = pam_cluster(rows, 3, seed=1)
         assert np.array_equal(a[0].medoids, b[0].medoids)
         assert np.array_equal(a[1], b[1])
 
@@ -357,3 +359,14 @@ def test_silhouette_prefers_true_structure():
     _, labels2, _ = pam_cluster(rows, 2, kinds=kinds, ranges=ranges)
     _, labels5, _ = pam_cluster(rows, 5, kinds=kinds, ranges=ranges)
     assert silhouette(rows, labels2, kinds, ranges) > silhouette(rows, labels5, kinds, ranges)
+
+
+def test_silhouette_is_the_same_in_small_chunks(monkeypatch):
+    rng = np.random.default_rng(22)
+    rows = rng.integers(0, 4, (200, 3)).astype(float)
+    labels = rng.integers(1, 5, 200)
+    kinds = (NUMERIC,) * 3
+    ranges = numeric_ranges(rows, kinds)
+    whole = silhouette(rows, labels, kinds, ranges)
+    monkeypatch.setattr(features_module, "SILHOUETTE_CHUNK", 7)
+    assert silhouette(rows, labels, kinds, ranges) == pytest.approx(whole, rel=1e-12)

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from icurisk.cohort import filter_cohort
+from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort
 from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
 from icurisk.hmm import (
     EmissionModel,
@@ -17,7 +18,7 @@ from icurisk.hmm import (
     score_patients,
     survival_curve,
 )
-from icurisk.survival import TargetSpec
+from icurisk.survival import TargetSpec, censor_by_target, label_hidden_states
 from oracles import eta_enumerate, sequence_joint_probability, total_sequence_probability
 
 
@@ -261,6 +262,24 @@ class TestRiskModel:
             revived = score_patients(restored[day], matrix).eta.tolist()
             assert original == revived
 
+    def test_days_share_one_stage_after_loading(self, trained):
+        _, _, models = trained
+        restored, _ = models_from_obj(json.loads(json.dumps(models_to_obj(models))))
+        assert all(m.medians is restored[2].medians for m in restored.values())
+        assert all(m.cluster is restored[2].cluster for m in restored.values())
+
+    @pytest.mark.parametrize("part", ["medians", "cluster"])
+    def test_days_that_disagree_on_the_stage_rejected(self, trained, part):
+        _, _, models = trained
+        model = models[3]
+        other = {
+            "medians": dataclasses.replace(model.medians, cell=model.medians.cell + 1.0),
+            "cluster": dataclasses.replace(model.cluster, medoids=model.cluster.medoids[::-1]),
+        }
+        changed = dataclasses.replace(model, **{part: other[part]})
+        with pytest.raises(ValueError, match="disagree on the medians or the cluster"):
+            models_to_obj({**models, 3: changed})
+
     def test_variable_mismatch_rejected(self, trained):
         cohort, matrix, models = trained
         other_spec = FeatureSpec(("something_else",), 12)
@@ -309,6 +328,40 @@ class TestRiskModel:
         assert np.array_equal(
             restored[2].medians.cell[1:], patched.medians.cell[1:], equal_nan=True
         )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_training_does_not_depend_on_patient_order(seed):
+    """A 4,000-patient cohort (the benchmark's settings) and the same
+    patients in another order train the same medoids, states and emission
+    tables: PAM searches all distinct rows, with ties in sorted order."""
+    cohort = filter_cohort(generate_synthetic_cohort(SynthConfig(
+        n_patients=4000, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
+        sampling_rate_per_hour=1.0, seed=seed,
+    )))
+    table = load_default_score_table()
+    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
+    perm = np.random.default_rng(seed).permutation(matrix.n_patients)
+    runs = []
+    for order in (np.arange(matrix.n_patients), perm):
+        ordered = matrix.subset(order)
+        hours, died = cohort.event_hours[order], cohort.died[order]
+        stage = fit_feature_stage(ordered, 4)
+        states, emissions = {}, {}
+        for day in (2, 3, 4, 5):
+            target = TargetSpec(day, 12)
+            _, events = censor_by_target(hours, died, target.target_hours)
+            model = fit_risk_model(ordered, hours, died, target, table, stage=stage)
+            states[day] = label_hidden_states(stage.imputed, events, model.fits, target).states
+            emissions[day] = model.emissions
+        runs.append((stage, states, emissions))
+    (stage, states, emissions), (p_stage, p_states, p_emissions) = runs
+    assert stage.cluster.medoids.tobytes() == p_stage.cluster.medoids.tobytes()
+    assert np.array_equal(stage.sequences[perm], p_stage.sequences)
+    for day in (2, 3, 4, 5):
+        assert np.array_equal(states[day][perm], p_states[day])
+        assert emissions[day].initial.tobytes() == p_emissions[day].initial.tobytes()
+        assert emissions[day].transition.tobytes() == p_emissions[day].transition.tobytes()
 
 
 class TestSurvivalCurve:
