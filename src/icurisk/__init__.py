@@ -23,6 +23,7 @@ from .features import (
     pam_cluster,
 )
 from .hmm import (
+    DayFit,
     EmissionModel,
     PatientScores,
     RiskModel,

@@ -42,7 +42,7 @@ from .hmm import (
     score_patients,
     survival_curve,
 )
-from .survival import TargetSpec
+from .survival import AS_PRINTED, REMAINING, TargetSpec
 
 
 class ConfigError(ValueError):
@@ -132,8 +132,10 @@ class PipelineConfig:
             raise ConfigError(f"invalid config value: {exc}") from None
         if not 1 <= cfg.window_hours <= 24:
             raise ConfigError("window_hours must lie in 1..24")
-        if any(d < 1 for d in cfg.target_days):
-            raise ConfigError("target_days must be positive")
+        if not cfg.target_days or min(cfg.target_days) < 1 or len(set(cfg.target_days)) < len(cfg.target_days):
+            raise ConfigError(f"target_days must be distinct positive days, got {list(cfg.target_days)}")
+        if cfg.duration_mode not in (AS_PRINTED, REMAINING):
+            raise ConfigError(f"duration_mode must be {AS_PRINTED!r} or {REMAINING!r}, got {cfg.duration_mode!r}")
         for key, value, least in (("cv.folds", cfg.cv_folds, 2), ("cv.repeats", cfg.cv_repeats, 1),
                                   ("k_clusters", cfg.k_clusters, 1)):
             if value < least:
@@ -215,18 +217,15 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     stage = fit_feature_stage(matrix, cfg.k_clusters, seed=[cfg.seed])
     if args.sweep_k:
         _sweep_k(stage.imputed, [cfg.seed])
-    models = {}
-    for day in cfg.target_days:
-        target = TargetSpec(day, cfg.window_hours, cfg.duration_mode)
-        models[day] = fit_risk_model(
-            matrix,
-            cohort.event_hours,
-            cohort.died,
-            target,
-            table,
-            smoothing_alpha=cfg.smoothing_alpha,
-            stage=stage,
-        )
+    model = fit_risk_model(
+        matrix,
+        cohort.event_hours,
+        cohort.died,
+        [TargetSpec(day, cfg.window_hours, cfg.duration_mode) for day in cfg.target_days],
+        table,
+        smoothing_alpha=cfg.smoothing_alpha,
+        stage=stage,
+    )
     echo = {
         "window_hours": cfg.window_hours,
         "k_clusters": cfg.k_clusters,
@@ -237,59 +236,57 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         "required_variables": list(cfg.required_variables),
     }
     out = _out_dir(cfg)
-    _dump_json(models_to_obj(models, echo), out / "model.json")
-    print(f"wrote {out / 'model.json'} ({len(models)} target days)")
+    _dump_json(models_to_obj(model, echo), out / "model.json")
+    print(f"wrote {out / 'model.json'} ({len(model.days)} target days)")
     return 0
 
 
-def _load_models(cfg: PipelineConfig):
-    """Trained models and the config they were trained with (model.json)."""
+def _load_model(cfg: PipelineConfig):
+    """The trained model and the config it was trained with (model.json)."""
     path = Path(cfg.out_dir) / "model.json"
     if not Path(path).exists():
         raise ConfigError(f"model file not found: {path} (run train first)")
     try:
         with open(path, "r", encoding="utf-8") as f:
-            models, echo = models_from_obj(json.load(f))
+            model, echo = models_from_obj(json.load(f))
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     if "required_variables" not in echo:
         raise ValueError(f"{path}: config echo lacks required_variables")
-    return models, echo
+    return model, echo
 
 
-def _scoring_matrix(cfg: PipelineConfig, models, echo):
+def _scoring_matrix(cfg: PipelineConfig, model, echo):
     """Filter and featurize the input cohort as the model's training cohort
     was: window size and required variables come from model.json, not from
     the current config."""
-    spec = next(iter(models.values())).spec
+    spec = model.spec
     cohort = filter_cohort(_load_input_cohort(cfg), echo["required_variables"], spec.window_hours)
     unknown = sorted(set(cohort.variables) - set(spec.variable_names))
     if unknown:
         raise ValueError(f"variables not in the trained model: {unknown}")
-    table = next(iter(models.values())).score_table
-    return cohort, build_feature_matrix(cohort, spec, table)
+    return cohort, build_feature_matrix(cohort, spec, model.score_table)
 
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:
-    models, echo = _load_models(cfg)
-    matrix = _scoring_matrix(cfg, models, echo)[1]
+    model, echo = _load_model(cfg)
+    matrix = _scoring_matrix(cfg, model, echo)[1]
     pids = _csv_fields(matrix.patient_ids)
     out = _out_dir(cfg)
     with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as f:
         f.write("patient_id,target_day,eta\n")
-        for day in sorted(models):
-            etas = score_patients(models[day], matrix).eta.tolist()
-            f.writelines(f"{pid},{day},{eta!r}\n" for pid, eta in zip(pids, etas))
+        for day, scores in score_patients(model, matrix).items():
+            f.writelines(f"{pid},{day},{eta!r}\n" for pid, eta in zip(pids, scores.eta.tolist()))
     print(f"wrote {out / 'predictions.csv'}")
     return 0
 
 
 def cmd_curves(cfg: PipelineConfig, args) -> int:
-    models, echo = _load_models(cfg)
-    cohort, matrix = _scoring_matrix(cfg, models, echo)
-    eta_by_day = {day: score_patients(models[day], matrix).eta for day in sorted(models)}
+    model, echo = _load_model(cfg)
+    cohort, matrix = _scoring_matrix(cfg, model, echo)
+    eta_by_day = {day: scores.eta for day, scores in score_patients(model, matrix).items()}
     bands = survival_curve(eta_by_day, cohort.died)
     out = _out_dir(cfg)
     with open(out / "curves.csv", "w", encoding="utf-8", newline="") as f:
@@ -348,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("synth", "generate a synthetic cohort (observations.csv, outcomes.csv)"),
-        ("train", "fit per-target-day risk models (model.json)"),
+        ("train", "fit the risk model for every target day (model.json)"),
         ("predict", "score a cohort with a trained model (predictions.csv)"),
         ("evaluate", "run the cross-validated comparison (report.json, metrics.csv)"),
         ("curves", "emit survival curves by outcome group (curves.csv)"),

@@ -393,21 +393,21 @@ def run_cv(
             present, train_group = np.unique(baseline_group[train_idx], return_inverse=True)
             train_rows = baseline_features[baseline_first[present]]
             train_counts = np.bincount(train_group)
+            model = fit_risk_model(
+                train_matrix,
+                cohort.event_hours[train_idx],
+                cohort.died[train_idx],
+                [targets[day] for day in target_days],  # a repeated day is an error
+                score_table,
+                smoothing_alpha=smoothing_alpha,
+                stage=stage,
+            )
+            model_scores = score_patients(model, test_matrix)
             for day in target_days:
                 times, events = day_censoring[day]
-                model = fit_risk_model(
-                    train_matrix,
-                    cohort.event_hours[train_idx],
-                    cohort.died[train_idx],
-                    targets[day],
-                    score_table,
-                    smoothing_alpha=smoothing_alpha,
-                    stage=stage,
-                )
-                eta = score_patients(model, test_matrix).eta
                 train_events = np.bincount(train_group, weights=events[train_idx])
                 method_scores = {
-                    METHOD_MODEL: eta,
+                    METHOD_MODEL: model_scores[day].eta,
                     METHOD_SAPS: saps[test_idx],
                     METHOD_LOGISTIC: baseline_logistic_scores(
                         train_rows,

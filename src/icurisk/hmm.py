@@ -29,7 +29,6 @@ from .features import (
     pam_cluster,
 )
 from .survival import (
-    StateLabels,
     SurvivalFit,
     TargetSpec,
     censor_by_target,
@@ -173,16 +172,29 @@ class FeatureStage:
 
 
 @dataclass
+class DayFit:
+    """One target day's part of a RiskModel: its horizon, per-window hazard
+    fits and emission tables."""
+
+    target: TargetSpec
+    fits: list[SurvivalFit]
+    emissions: EmissionModel
+
+
+@dataclass
 class RiskModel:
-    """Everything needed to score new patients for one target day."""
+    """Everything needed to score new patients at every target day: the
+    feature spec, score table, medians and cluster that all days share, and
+    one DayFit per target day. Iterating yields the days in ascending order."""
 
     spec: FeatureSpec
     score_table: ScoreTable
-    target: TargetSpec
     medians: Medians
     cluster: ClusterModel
-    fits: list[SurvivalFit]
-    emissions: EmissionModel
+    days: dict[int, DayFit]
+
+    def __iter__(self):
+        return iter(sorted(self.days))
 
 
 class PatientScores(NamedTuple):
@@ -211,48 +223,54 @@ def fit_risk_model(
     matrix: FeatureMatrix,
     event_hours: np.ndarray,
     died: np.ndarray,
-    target: TargetSpec,
+    targets: list[TargetSpec],
     score_table: ScoreTable,
     *,
     stage: FeatureStage,
     smoothing_alpha: float = 1.0,
 ) -> RiskModel:
-    """Train the full per-day bundle on one training cohort.
+    """Train the model for every TargetSpec in `targets` on one training cohort.
 
     `event_hours` and `died` are in matrix order. `stage` is
-    `fit_feature_stage` of `matrix`, shared by every target day of the same
-    training patients; the survival fits, state labels, and emission tables
-    are fit per day because the censoring scheme depends on the day.
+    `fit_feature_stage` of `matrix`, shared by every target day; the survival
+    fits, state labels, and emission tables are fit per day because the
+    censoring scheme depends on the day. Raises ValueError when `targets` is
+    empty or names a day twice.
     """
-    if target.window_hours != matrix.spec.window_hours:
+    targets = sorted(targets, key=lambda t: t.target_day)
+    days = [t.target_day for t in targets]
+    if not days or len(set(days)) != len(days):
+        raise ValueError(f"target days must be distinct and at least one, got {days}")
+    if any(t.window_hours != matrix.spec.window_hours for t in targets):
         raise ValueError("target spec and feature spec disagree on window_hours")
     if len(event_hours) != matrix.n_patients or len(died) != matrix.n_patients:
         raise ValueError("event_hours and died must have one entry per matrix patient")
-    times, events = censor_by_target(event_hours, died, target.target_hours)
-    fits = fit_window_regressions(stage.designs, times, events)
-    labels: StateLabels = label_hidden_states(stage.imputed, events, fits, target)
-    emissions = estimate_emissions(
-        stage.sequences, labels.states, stage.cluster.k, smoothing_alpha
-    )
-    return RiskModel(
-        spec=matrix.spec,
-        score_table=score_table,
-        target=target,
-        medians=stage.medians,
-        cluster=stage.cluster,
-        fits=fits,
-        emissions=emissions,
-    )
+    fitted = {}
+    for target in targets:
+        times, events = censor_by_target(event_hours, died, target.target_hours)
+        fits = fit_window_regressions(stage.designs, times, events)
+        labels = label_hidden_states(stage.imputed, events, fits, target)
+        emissions = estimate_emissions(
+            stage.sequences, labels.states, stage.cluster.k, smoothing_alpha
+        )
+        fitted[target.target_day] = DayFit(target, fits, emissions)
+    return RiskModel(matrix.spec, score_table, stage.medians, stage.cluster, fitted)
 
 
-def score_patients(model: RiskModel, matrix: FeatureMatrix) -> PatientScores:
-    """Risk scores for a (possibly unseen) cohort under a trained model."""
+def score_patients(model: RiskModel, matrix: FeatureMatrix) -> dict[int, PatientScores]:
+    """Risk scores for a (possibly unseen) cohort under a trained model, per
+    target day in ascending order. The matrix is imputed and cluster-encoded
+    once for all days."""
     if matrix.spec.variable_names != model.spec.variable_names:
         raise ValueError("feature variables do not match the trained model")
     imputed = impute_median(matrix, model.medians)
     sequences = encode_observations(model.cluster, imputed)
-    theta = compute_priors(imputed, model.fits, model.target)
-    return PatientScores(_eta_forward_batch(theta, model.emissions, sequences), theta, sequences)
+    scores = {}
+    for day in model:
+        day_fit = model.days[day]
+        theta = compute_priors(imputed, day_fit.fits, day_fit.target)
+        scores[day] = PatientScores(_eta_forward_batch(theta, day_fit.emissions, sequences), theta, sequences)
+    return scores
 
 
 # --------------------------------------------------------------------------
@@ -312,8 +330,17 @@ def _nan_to_none(values):
     return [None if np.isnan(v) else float(v) for v in values]
 
 
-def _stage_obj(model: RiskModel) -> dict:
+def models_to_obj(model: RiskModel, config_echo: dict | None = None) -> dict:
+    """The `model.json` object, format 2: the feature spec, score table,
+    medians and cluster once at the top level, and per day its `target`,
+    `fits` and `emissions`."""
     return {
+        "format_version": FORMAT_VERSION,
+        "feature_spec": {
+            "variable_names": list(model.spec.variable_names),
+            "window_hours": model.spec.window_hours,
+        },
+        "score_table": model.score_table.to_json_obj(),
         "medians": {
             "cell": [_nan_to_none(row) for row in model.medians.cell],
             "overall": _nan_to_none(model.medians.overall),
@@ -322,53 +349,31 @@ def _stage_obj(model: RiskModel) -> dict:
             "medoids": model.cluster.medoids.tolist(),
             "ranges": model.cluster.ranges.tolist(),
         },
-    }
-
-
-def models_to_obj(models: dict[int, RiskModel], config_echo: dict | None = None) -> dict:
-    """The `model.json` object, format 2: the feature spec, score table,
-    medians and cluster once at the top level, and per day its `target`,
-    `fits` and `emissions`. Raises ValueError when two days disagree on the
-    medians or the cluster."""
-    days = sorted(models)
-    first = models[days[0]]
-    stage = _stage_obj(first)
-    if any(_stage_obj(models[day]) != stage for day in days[1:]):
-        raise ValueError("target days disagree on the medians or the cluster")
-    obj = {
-        "format_version": FORMAT_VERSION,
-        "feature_spec": {
-            "variable_names": list(first.spec.variable_names),
-            "window_hours": first.spec.window_hours,
-        },
-        "score_table": first.score_table.to_json_obj(),
-        **stage,
         "config": config_echo or {},
-        "days": {},
+        "days": {
+            str(day): {
+                "target": {
+                    "target_day": d.target.target_day,
+                    "window_hours": d.target.window_hours,
+                    "duration_mode": d.target.duration_mode,
+                },
+                "fits": [
+                    {
+                        "beta": f.beta.tolist(),
+                        "iterations": f.iterations,
+                        "grad_norm": f.grad_norm,
+                    }
+                    for f in d.fits
+                ],
+                "emissions": {
+                    "alpha": d.emissions.alpha,
+                    "initial": d.emissions.initial.tolist(),
+                    "transition": d.emissions.transition.tolist(),
+                },
+            }
+            for day, d in model.days.items()
+        },
     }
-    for day in days:
-        m = models[day]
-        obj["days"][str(day)] = {
-            "target": {
-                "target_day": m.target.target_day,
-                "window_hours": m.target.window_hours,
-                "duration_mode": m.target.duration_mode,
-            },
-            "fits": [
-                {
-                    "beta": f.beta.tolist(),
-                    "iterations": f.iterations,
-                    "grad_norm": f.grad_norm,
-                }
-                for f in m.fits
-            ],
-            "emissions": {
-                "alpha": m.emissions.alpha,
-                "initial": m.emissions.initial.tolist(),
-                "transition": m.emissions.transition.tolist(),
-            },
-        }
-    return obj
 
 
 def _array(field: str, values, shape) -> np.ndarray:
@@ -383,16 +388,16 @@ def _array(field: str, values, shape) -> np.ndarray:
     return array
 
 
-def models_from_obj(obj: dict) -> tuple[dict[int, RiskModel], dict]:
-    """Rebuild the per-day bundles and the config echo written by models_to_obj.
+def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
+    """Rebuild the model and the config echo written by models_to_obj.
 
-    Every day's RiskModel shares one Medians and one ClusterModel, whose
-    column kinds follow from the feature spec. Raises ValueError for a file
-    of another format version; naming the field, for an array whose shape
-    does not fit the spec (p variables, T windows) and the k medoids, and
-    for a day block whose target disagrees with its key or the spec's
-    windows; and for an emission table that is not a strictly positive,
-    normalized distribution, since scoring with one gives NaN risks.
+    The cluster's column kinds follow from the feature spec. Raises
+    ValueError for a file of another format version; naming the field, for
+    an array whose shape does not fit the spec (p variables, T windows) and
+    the k medoids, for a `days` that is not a non-empty object, and for a day
+    block whose target disagrees with its key or the spec's windows; and for
+    an emission table that is not a strictly positive, normalized
+    distribution, since scoring with one gives NaN risks.
     """
     version = obj.get("format_version", 1) if isinstance(obj, dict) else None
     if version != FORMAT_VERSION:
@@ -413,7 +418,9 @@ def models_from_obj(obj: dict) -> tuple[dict[int, RiskModel], dict]:
         kinds=feature_kinds(spec),
         ranges=_array("cluster.ranges", obj["cluster"]["ranges"], (2 * p,)),
     )
-    models = {}
+    if not isinstance(obj["days"], dict) or not obj["days"]:
+        raise ValueError("days must be a non-empty object")
+    days = {}
     for day_key, block in obj["days"].items():
         where = f"days.{day_key}"
         t = block["target"]
@@ -439,13 +446,5 @@ def models_from_obj(obj: dict) -> tuple[dict[int, RiskModel], dict]:
             alpha=float(block["emissions"]["alpha"]),
         )
         emissions.check_normalized()
-        models[int(day_key)] = RiskModel(
-            spec=spec,
-            score_table=table,
-            target=target,
-            medians=medians,
-            cluster=cluster,
-            fits=fits,
-            emissions=emissions,
-        )
-    return models, obj.get("config", {})
+        days[int(day_key)] = DayFit(target, fits, emissions)
+    return RiskModel(spec, table, medians, cluster, days), obj.get("config", {})

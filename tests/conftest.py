@@ -46,6 +46,19 @@ def cohort_from_rows(rows, outcomes):
     )
 
 
+def count_calls(monkeypatch, module, *names):
+    """Replace each named function of `module` with one that counts its
+    calls; returns the live {name: count} dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def write_cohort_files(cohort, directory):
     obs = directory / "observations.csv"
     out = directory / "outcomes.csv"

@@ -301,12 +301,9 @@ def test_07_survival_curve_separation(synthetic_cohort):
     table = load_default_score_table()
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
     stage = fit_feature_stage(matrix, 4, seed=[ACCEPTANCE_SEED])
-    eta_by_day = {}
-    for day in (2, 3, 4, 5):
-        model = fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, TargetSpec(day, 12), table, stage=stage
-        )
-        eta_by_day[day] = score_patients(model, matrix).eta
+    targets = [TargetSpec(day, 12) for day in (2, 3, 4, 5)]
+    model = fit_risk_model(matrix, cohort.event_hours, cohort.died, targets, table, stage=stage)
+    eta_by_day = {day: scores.eta for day, scores in score_patients(model, matrix).items()}
     bands = survival_curve(eta_by_day, cohort.died)
     death = [b.mean_survival for b in bands if b.group == "death"]
     alive = [b.mean_survival for b in bands if b.group == "survival"]

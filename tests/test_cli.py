@@ -9,7 +9,7 @@ import pytest
 import icurisk
 from icurisk.cli import main
 from icurisk.cohort import write_observations, write_outcomes
-from conftest import cohort_from_rows, write_config, write_cohort_files
+from conftest import cohort_from_rows, count_calls, write_config, write_cohort_files
 
 
 @pytest.fixture()
@@ -89,11 +89,16 @@ class TestConfigHandling:
             ("k_clusters", 0, "k_clusters must be at least 1, got 0"),
             ("smoothing_alpha", 0, "smoothing_alpha must be > 0, got 0.0"),
             ("smoothing_alpha", float("nan"), "smoothing_alpha must be > 0, got nan"),
+            ("target_days", [2, 2], "target_days must be distinct positive days, got [2, 2]"),
+            ("target_days", [], "target_days must be distinct positive days, got []"),
+            ("target_days", [0, 2], "target_days must be distinct positive days, got [0, 2]"),
+            ("duration_mode", "midway", "duration_mode must be 'as_printed' or 'remaining', got 'midway'"),
         ],
         ids=[
             "cv-unknown-key", "target_days-fraction", "target_days-bool", "required_variables-number",
             "cv-one-fold", "cv-no-folds", "cv-no-repeats", "k_clusters-zero", "smoothing_alpha-zero",
-            "smoothing_alpha-nan",
+            "smoothing_alpha-nan", "target_days-repeated", "target_days-empty", "target_days-zero",
+            "duration_mode-unknown",
         ],
     )
     def test_bad_value_inside_container_rejected(self, tmp_path, capsys, key, value, message):
@@ -179,6 +184,7 @@ MISSHAPEN_MODELS = [
     ("medians.overall", lambda m: m["medians"]["overall"].pop()),
     ("cluster.medoids", lambda m: [row.pop() for row in m["cluster"]["medoids"]]),
     ("cluster.ranges", lambda m: m["cluster"]["ranges"].pop()),
+    ("days", lambda m: m.update(days={})),
     ("days.2.target", lambda m: m["days"]["2"]["target"].update(target_day=5)),
     ("days.4.target", lambda m: m["days"]["4"]["target"].update(window_hours=6)),
     ("days.2.fits", lambda m: m["days"]["2"]["fits"].pop()),
@@ -316,6 +322,15 @@ class TestCurves:
             group, day, mean, lo, hi = line.split(",")
             assert group in ("death", "survival")
             assert 0.0 <= float(lo) <= float(mean) <= float(hi) <= 1.0
+
+
+@pytest.mark.parametrize("command", ["predict", "curves"])
+def test_scoring_imputes_and_encodes_once_for_all_days(workdir, monkeypatch, command):
+    cfg = write_config(workdir)
+    run(["train", "--config", cfg])
+    calls = count_calls(monkeypatch, icurisk.hmm, "impute_median", "encode_observations")
+    assert run([command, "--config", cfg]) == 0
+    assert calls == {"impute_median": 1, "encode_observations": 1}
 
 
 @pytest.mark.slow

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import icurisk.hmm
 from icurisk.evaluation import (
     ALL_METHODS,
     ALL_METRICS,
@@ -24,7 +25,7 @@ from icurisk.evaluation import (
     run_cv,
 )
 from icurisk.features import distinct_rows, load_default_score_table
-from conftest import cohort_from_rows
+from conftest import cohort_from_rows, count_calls
 import oracles
 
 
@@ -350,6 +351,15 @@ class TestFolds:
         day_events = {2: np.array([1] + [0] * 8)}
         with pytest.raises(ValueError, match="attempts"):
             _draw_valid_folds(0, 0, death, day_events, 3)
+
+
+def test_each_fold_imputes_and_encodes_its_test_rows_once(small_cohort, monkeypatch):
+    """Per fold, the training stage imputes once (PAM labels its rows, so it
+    encodes nothing) and scoring imputes and encodes the test rows once for
+    all four target days."""
+    calls = count_calls(monkeypatch, icurisk.hmm, "impute_median", "encode_observations")
+    run_cv(small_cohort, load_default_score_table(), repeats=1, folds=3, seed=5)
+    assert calls == {"impute_median": 3 * 2, "encode_observations": 3}
 
 
 @pytest.fixture(scope="module")

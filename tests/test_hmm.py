@@ -220,81 +220,99 @@ def trained(small_cohort):
     table = load_default_score_table()
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
     stage = fit_feature_stage(matrix, 4, seed=[0])
-    models = {
-        day: fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, TargetSpec(day, 12), table, stage=stage
-        )
-        for day in (2, 3, 4, 5)
-    }
-    return cohort, matrix, models
+    targets = [TargetSpec(day, 12) for day in (2, 3, 4, 5)]
+    model = fit_risk_model(matrix, cohort.event_hours, cohort.died, targets, table, stage=stage)
+    return cohort, matrix, model
 
 
 class TestRiskModel:
     def test_scores_bounded(self, trained):
-        _, matrix, models = trained
-        for model in models.values():
-            eta = score_patients(model, matrix).eta
-            assert np.all((eta >= 0.0) & (eta <= 1.0))
+        _, matrix, model = trained
+        scores = score_patients(model, matrix)
+        assert list(scores) == list(model) == [2, 3, 4, 5]
+        for day_scores in scores.values():
+            assert np.all((day_scores.eta >= 0.0) & (day_scores.eta <= 1.0))
 
     def test_scoring_is_pure(self, trained):
-        _, matrix, models = trained
-        a = score_patients(models[2], matrix).eta.tolist()
-        b = score_patients(models[2], matrix).eta.tolist()
+        _, matrix, model = trained
+        a = score_patients(model, matrix)[2].eta.tolist()
+        b = score_patients(model, matrix)[2].eta.tolist()
         assert a == b
 
     def test_scores_are_arrays_in_matrix_order(self, trained):
-        _, matrix, models = trained
-        scores = score_patients(models[2], matrix)
+        _, matrix, model = trained
+        scores = score_patients(model, matrix)[2]
         n, T = matrix.n_patients, matrix.spec.n_windows
         assert scores.eta.shape == (n,)
         assert scores.priors.shape == scores.sequences.shape == (n, T)
         for i in (0, n // 2, n - 1):
-            eta = risk_score(scores.priors[i], models[2].emissions, scores.sequences[i])
+            eta = risk_score(scores.priors[i], model.days[2].emissions, scores.sequences[i])
             assert eta == pytest.approx(scores.eta[i], rel=1e-12, abs=1e-15)
 
+    def test_days_fit_together_equal_days_fit_alone(self, trained):
+        """Fitting all target days in one call, in any order, gives each day
+        the fits and emission tables it gets when fit alone."""
+        cohort, matrix, model = trained
+        stage = fit_feature_stage(matrix, 4, seed=[0])
+        table = load_default_score_table()
+        together = fit_risk_model(
+            matrix, cohort.event_hours, cohort.died, [TargetSpec(d, 12) for d in (5, 3, 2, 4)], table, stage=stage
+        )
+        assert list(together) == [2, 3, 4, 5]
+        for day in (2, 5):
+            alone = fit_risk_model(
+                matrix, cohort.event_hours, cohort.died, [TargetSpec(day, 12)], table, stage=stage
+            ).days[day]
+            for fit in (model.days[day], together.days[day]):
+                assert fit.target == alone.target
+                assert [f.beta.tobytes() for f in fit.fits] == [f.beta.tobytes() for f in alone.fits]
+                assert fit.emissions.transition.tobytes() == alone.emissions.transition.tobytes()
+            assert score_patients(together, matrix)[day].eta.tobytes() == score_patients(
+                model, matrix
+            )[day].eta.tobytes()
+
+    @pytest.mark.parametrize("days", [(2, 3, 2), ()], ids=["repeated", "none"])
+    def test_repeated_or_missing_target_days_rejected(self, trained, days):
+        cohort, matrix, _ = trained
+        stage = fit_feature_stage(matrix, 4, seed=[0])
+        with pytest.raises(ValueError, match="target days must be distinct and at least one"):
+            fit_risk_model(
+                matrix, cohort.event_hours, cohort.died, [TargetSpec(d, 12) for d in days],
+                load_default_score_table(), stage=stage,
+            )
+
     def test_serialization_round_trip(self, trained):
-        _, matrix, models = trained
-        obj = json.loads(json.dumps(models_to_obj(models, {"seed": 0}), sort_keys=True))
+        _, matrix, model = trained
+        obj = json.loads(json.dumps(models_to_obj(model, {"seed": 0}), sort_keys=True))
         restored, config = models_from_obj(obj)
         assert config == {"seed": 0}
-        for day, model in models.items():
-            original = score_patients(model, matrix).eta.tolist()
-            revived = score_patients(restored[day], matrix).eta.tolist()
-            assert original == revived
+        assert list(restored) == list(model)
+        original, revived = score_patients(model, matrix), score_patients(restored, matrix)
+        for day in model:
+            assert original[day].eta.tolist() == revived[day].eta.tolist()
 
-    def test_days_share_one_stage_after_loading(self, trained):
-        _, _, models = trained
-        restored, _ = models_from_obj(json.loads(json.dumps(models_to_obj(models))))
-        assert all(m.medians is restored[2].medians for m in restored.values())
-        assert all(m.cluster is restored[2].cluster for m in restored.values())
-
-    @pytest.mark.parametrize("part", ["medians", "cluster"])
-    def test_days_that_disagree_on_the_stage_rejected(self, trained, part):
-        _, _, models = trained
-        model = models[3]
-        other = {
-            "medians": dataclasses.replace(model.medians, cell=model.medians.cell + 1.0),
-            "cluster": dataclasses.replace(model.cluster, medoids=model.cluster.medoids[::-1]),
-        }
-        changed = dataclasses.replace(model, **{part: other[part]})
-        with pytest.raises(ValueError, match="disagree on the medians or the cluster"):
-            models_to_obj({**models, 3: changed})
+    @pytest.mark.parametrize("days", [[], None], ids=["list", "null"])
+    def test_days_not_an_object_rejected(self, trained, days):
+        obj = json.loads(json.dumps(models_to_obj(trained[2])))
+        obj["days"] = days
+        with pytest.raises(ValueError, match="^days must be a non-empty object$"):
+            models_from_obj(obj)
 
     def test_variable_mismatch_rejected(self, trained):
-        cohort, matrix, models = trained
+        cohort, matrix, model = trained
         other_spec = FeatureSpec(("something_else",), 12)
         bad = type(matrix)(matrix.patient_ids, other_spec, matrix.y[:, :, :1], matrix.b[:, :, :1])
         with pytest.raises(ValueError, match="variables"):
-            score_patients(models[2], bad)
+            score_patients(model, bad)
 
     def test_remaining_duration_mode_trains_and_scores(self, trained):
         cohort, matrix, _ = trained
         table = load_default_score_table()
         stage = fit_feature_stage(matrix, 4, seed=[1])
         model = fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, TargetSpec(3, 12, "remaining"), table, stage=stage
+            matrix, cohort.event_hours, cohort.died, [TargetSpec(3, 12, "remaining")], table, stage=stage
         )
-        etas = score_patients(model, matrix).eta
+        etas = score_patients(model, matrix)[3].eta
         assert np.all((etas >= 0) & (etas <= 1))
         assert len(np.unique(etas)) > 10  # still discriminates
 
@@ -304,29 +322,19 @@ class TestRiskModel:
         table = load_default_score_table()
         with pytest.raises(ValueError, match="one entry per matrix patient"):
             fit_risk_model(
-                matrix, cohort.event_hours[1:], cohort.died[1:], TargetSpec(2, 12), table, stage=stage
+                matrix, cohort.event_hours[1:], cohort.died[1:], [TargetSpec(2, 12)], table, stage=stage
             )
 
     def test_nan_cell_medians_survive_serialization(self, trained):
-        cohort, matrix, models = trained
-        model = models[2]
-        medians = model.medians
-        cell = medians.cell.copy()
+        cohort, matrix, model = trained
+        cell = model.medians.cell.copy()
         cell[0, 0] = np.nan  # a cell with no training data
-        patched = type(model)(
-            spec=model.spec,
-            score_table=model.score_table,
-            target=model.target,
-            medians=type(medians)(cell=cell, overall=medians.overall),
-            cluster=model.cluster,
-            fits=model.fits,
-            emissions=model.emissions,
-        )
-        obj = json.loads(json.dumps(models_to_obj({2: patched}), sort_keys=True))
+        patched = dataclasses.replace(model, medians=dataclasses.replace(model.medians, cell=cell))
+        obj = json.loads(json.dumps(models_to_obj(patched), sort_keys=True))
         restored, _ = models_from_obj(obj)
-        assert np.isnan(restored[2].medians.cell[0, 0])
+        assert np.isnan(restored.medians.cell[0, 0])
         assert np.array_equal(
-            restored[2].medians.cell[1:], patched.medians.cell[1:], equal_nan=True
+            restored.medians.cell[1:], patched.medians.cell[1:], equal_nan=True
         )
 
 
@@ -347,13 +355,12 @@ def test_training_does_not_depend_on_patient_order(seed):
         ordered = matrix.subset(order)
         hours, died = cohort.event_hours[order], cohort.died[order]
         stage = fit_feature_stage(ordered, 4)
+        model = fit_risk_model(ordered, hours, died, [TargetSpec(d, 12) for d in (2, 3, 4, 5)], table, stage=stage)
         states, emissions = {}, {}
-        for day in (2, 3, 4, 5):
-            target = TargetSpec(day, 12)
-            _, events = censor_by_target(hours, died, target.target_hours)
-            model = fit_risk_model(ordered, hours, died, target, table, stage=stage)
-            states[day] = label_hidden_states(stage.imputed, events, model.fits, target).states
-            emissions[day] = model.emissions
+        for day, day_fit in model.days.items():
+            _, events = censor_by_target(hours, died, day_fit.target.target_hours)
+            states[day] = label_hidden_states(stage.imputed, events, day_fit.fits, day_fit.target).states
+            emissions[day] = day_fit.emissions
         runs.append((stage, states, emissions))
     (stage, states, emissions), (p_stage, p_states, p_emissions) = runs
     assert stage.cluster.medoids.tobytes() == p_stage.cluster.medoids.tobytes()
@@ -366,31 +373,31 @@ def test_training_does_not_depend_on_patient_order(seed):
 
 class TestSurvivalCurve:
     def test_complement_of_risk(self, trained):
-        cohort, matrix, models = trained
-        eta, died = score_patients(models[2], matrix).eta, cohort.died
+        cohort, matrix, model = trained
+        eta, died = score_patients(model, matrix)[2].eta, cohort.died
         bands = survival_curve({2: eta}, died)
         band = next(b for b in bands if b.group == "death")
         assert band.mean_survival == pytest.approx(1.0 - np.mean(eta[died]))
 
     def test_bounds_and_order(self, trained):
-        cohort, matrix, models = trained
-        etas = {d: score_patients(models[d], matrix).eta for d in (2, 3, 4, 5)}
+        cohort, matrix, model = trained
+        etas = {d: scores.eta for d, scores in score_patients(model, matrix).items()}
         bands = survival_curve(etas, cohort.died)
         assert len(bands) == 8
         for b in bands:
             assert 0.0 <= b.ci_low <= b.mean_survival <= b.ci_high <= 1.0
 
     def test_single_patient_group_zero_width(self, trained):
-        cohort, matrix, models = trained
-        eta, died = score_patients(models[2], matrix).eta, cohort.died
+        cohort, matrix, model = trained
+        eta, died = score_patients(model, matrix)[2].eta, cohort.died
         rows = np.concatenate((np.flatnonzero(died)[:1], np.flatnonzero(~died)))
         bands = survival_curve({2: eta[rows]}, died[rows])
         band = next(b for b in bands if b.group == "death")
         assert band.ci_low == band.ci_high == band.mean_survival == pytest.approx(1.0 - eta[rows[0]])
 
     def test_missing_group_warns_and_skips(self, trained):
-        cohort, matrix, models = trained
-        eta, died = score_patients(models[2], matrix).eta, cohort.died
+        cohort, matrix, model = trained
+        eta, died = score_patients(model, matrix)[2].eta, cohort.died
         with pytest.warns(UserWarning, match="death"):
             bands = survival_curve({2: eta[~died]}, died[~died])
         assert all(b.group == "survival" for b in bands)
