@@ -197,15 +197,16 @@ def _prepare_training_inputs(cfg: PipelineConfig):
     return table, cohort, matrix
 
 
-def _sweep_k(matrix, seed) -> None:
-    rows = matrix.rows()
+def _sweep_k(matrix, rows, seed) -> None:
+    """Silhouettes of PAM at k = 2..8 on the imputed cells, weighted by patients."""
+    counts = matrix.counts()
     kinds = feature_kinds(matrix.spec)
     ranges = numeric_ranges(rows, kinds)
     print("k  silhouette")
     for k in range(2, 9):
         try:
-            _, labels, _ = pam_cluster(rows, k, seed, kinds=kinds, ranges=ranges)
-            value = silhouette(rows, labels, kinds, ranges)
+            _, labels, _ = pam_cluster(rows, k, seed, counts=counts, kinds=kinds, ranges=ranges)
+            value = silhouette(rows, labels, kinds, ranges, counts=counts)
         except ValueError as exc:
             print(f"{k}  n/a ({exc})")
             continue
@@ -216,7 +217,7 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
     table, cohort, matrix = _prepare_training_inputs(cfg)
     stage = fit_feature_stage(matrix, cfg.k_clusters, seed=[cfg.seed])
     if args.sweep_k:
-        _sweep_k(stage.imputed, [cfg.seed])
+        _sweep_k(matrix, stage.rows, [cfg.seed])
     model = fit_risk_model(
         matrix,
         cohort.event_hours,

@@ -9,10 +9,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, filter_cohort
-from .features import FeatureSpec, ScoreTable, build_feature_matrix, distinct_rows, worst_scores
+from .features import FeatureMatrix, FeatureSpec, ScoreTable, build_feature_matrix, worst_scores
 from .hmm import fit_feature_stage, fit_risk_model, score_patients
 from .survival import (
     TargetSpec,
+    _spanning_columns,
     censor_by_target,
     fit_exponential_regression,
     hazard,
@@ -246,6 +247,7 @@ def fit_logistic(X, y, counts=None) -> np.ndarray:
         lambda b: logistic_grad(b, X, y, counts),
         hessian_weights,
         X,
+        _spanning_columns(X),
         np.zeros(X.shape[1]),
         max_iter=200,
     )
@@ -374,10 +376,9 @@ def run_cv(
     day_events = {day: ev for day, (_, ev) in day_censoring.items()}
     baseline_features = first_day_max_scores(cohort, variables, score_table)
     saps = baseline_saps_scores(baseline_features)
-    # The baselines are fit on the distinct first-day rows of each training
-    # fold, with outcomes summed per row: the rows are grouped once here and
-    # each fold regroups integer row ids.
-    baseline_first, baseline_group = distinct_rows(baseline_features)
+    # The baselines are fit on the distinct first-day rows: a one-window cell table.
+    first_day = FeatureSpec(variables, 24)
+    baseline = FeatureMatrix.from_scores(cohort.patient_ids, first_day, baseline_features[:, None])
 
     records: list[MetricRecord] = []
     metric_fns = {"aucpr": aucpr, "cstat": concordance, "auroc": auroc}
@@ -390,9 +391,8 @@ def run_cv(
             train_matrix = matrix.subset(train_idx)
             stage = fit_feature_stage(train_matrix, k_clusters, seed=[seed, repeat, fold])
             test_matrix = matrix.subset(test_idx)
-            present, train_group = np.unique(baseline_group[train_idx], return_inverse=True)
-            train_rows = baseline_features[baseline_first[present]]
-            train_counts = np.bincount(train_group)
+            train_baseline = baseline.subset(train_idx)
+            train_group = train_baseline.cell_of[:, 0]
             model = fit_risk_model(
                 train_matrix,
                 cohort.event_hours[train_idx],
@@ -410,13 +410,13 @@ def run_cv(
                     METHOD_MODEL: model_scores[day].eta,
                     METHOD_SAPS: saps[test_idx],
                     METHOD_LOGISTIC: baseline_logistic_scores(
-                        train_rows,
+                        train_baseline.cells,
                         train_events,
                         baseline_features[test_idx],
-                        counts=train_counts,
+                        counts=train_baseline.counts(),
                     ),
                     METHOD_EXP_SURVIVAL: baseline_exp_survival_scores(
-                        train_rows,
+                        train_baseline.cells,
                         np.bincount(train_group, weights=times[train_idx]),
                         train_events,
                         baseline_features[test_idx],

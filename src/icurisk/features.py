@@ -127,32 +127,53 @@ class FeatureSpec:
 
 @dataclass
 class FeatureMatrix:
-    """Per patient, T rows of [y_1..y_p, b_1..b_p]; NaN in y marks missing."""
+    """Each patient's worst score per window and variable (-1 where the window
+    holds no sample of it) as one integer cell table per window: a window's
+    cells are its distinct score tuples, in `distinct_rows` order, stacked
+    window by window, and patient i's cell in window t is `cell_of[i, t]`.
+    Everything after the medians and medoids is computed once per cell."""
 
     patient_ids: list[str]
     spec: FeatureSpec
-    y: np.ndarray   # (N, T, p) float, NaN where no sample before imputation
-    b: np.ndarray   # (N, T, p) uint8
+    cells: np.ndarray     # (U, p) int64 score tuples, -1 where missing
+    window: np.ndarray    # (U,) window of each cell, ascending
+    cell_of: np.ndarray   # (N, T) cell of each patient and window
+
+    @classmethod
+    def from_scores(cls, patient_ids, spec: FeatureSpec, scores) -> "FeatureMatrix":
+        """Group (N, T, p) integer scores into cells: one `distinct_rows` per window."""
+        scores = np.asarray(scores, dtype=np.int64)
+        groups = [distinct_rows(scores[:, t]) for t in range(spec.n_windows)]
+        starts = np.cumsum([0] + [first.size for first, _ in groups])
+        cells = np.concatenate([scores[first, t] for t, (first, _) in enumerate(groups)])
+        window = np.repeat(np.arange(spec.n_windows), np.diff(starts))
+        cell_of = np.stack([group + start for (_, group), start in zip(groups, starts)], axis=1)
+        return cls(list(patient_ids), spec, cells, window, cell_of)
 
     @property
     def n_patients(self) -> int:
         return len(self.patient_ids)
 
-    def subset(self, indices) -> "FeatureMatrix":
-        indices = np.asarray(indices)
-        return FeatureMatrix(
-            patient_ids=[self.patient_ids[i] for i in indices],
-            spec=self.spec,
-            y=self.y[indices],
-            b=self.b[indices],
-        )
+    @property
+    def scores(self) -> np.ndarray:
+        """(N, T, p) worst scores, -1 where missing."""
+        return self.cells[self.cell_of]
 
-    def rows(self) -> np.ndarray:
-        """Flatten to one row per (patient, window): [y, b], windows fastest."""
-        n, t, p = self.y.shape
-        return np.concatenate(
-            [self.y.reshape(n * t, p), self.b.reshape(n * t, p).astype(float)], axis=1
-        )
+    def counts(self) -> np.ndarray:
+        """Number of patients in each cell, at least one."""
+        return np.bincount(self.cell_of.ravel())
+
+    def cells_in(self, t: int) -> slice:
+        """The cells of window t (0-based)."""
+        return slice(*np.searchsorted(self.window, [t, t + 1]).tolist())
+
+    def subset(self, indices) -> "FeatureMatrix":
+        """The patients at `indices` with the cells they use, in the same order."""
+        indices = np.asarray(indices, dtype=np.intp)
+        present, cell_of = np.unique(self.cell_of[indices].ravel(), return_inverse=True)
+        cell_of = cell_of.reshape(indices.size, self.spec.n_windows)
+        ids = [self.patient_ids[i] for i in indices]
+        return FeatureMatrix(ids, self.spec, self.cells[present], self.window[present], cell_of)
 
 
 def worst_scores(
@@ -172,16 +193,10 @@ def worst_scores(
 
 
 def build_feature_matrix(cohort: RawCohort, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:
-    """Scores y (NaN where a window has no sample) and indicators b (1 where
-    it has one) over the spec's windows of the first day."""
+    """Worst scores over the spec's windows of the first day, grouped into
+    each window's cells."""
     worst = worst_scores(cohort, spec.variable_names, table, 60 * spec.window_hours, spec.n_windows)
-    observed = worst >= 0
-    return FeatureMatrix(
-        patient_ids=list(cohort.patient_ids),
-        spec=spec,
-        y=np.where(observed, worst, np.nan),
-        b=observed.astype(np.uint8),
-    )
+    return FeatureMatrix.from_scores(cohort.patient_ids, spec, worst)
 
 
 @dataclass(frozen=True)
@@ -191,38 +206,29 @@ class Medians:
 
 
 def compute_medians(matrix: FeatureMatrix) -> Medians:
+    scores = matrix.scores
+    y = np.where(scores >= 0, scores, np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
-        cell = np.nanmedian(matrix.y, axis=0)
-        overall = np.nanmedian(matrix.y.reshape(-1, matrix.spec.n_variables), axis=0)
+        cell = np.nanmedian(y, axis=0)
+        overall = np.nanmedian(y.reshape(-1, matrix.spec.n_variables), axis=0)
     return Medians(cell=cell, overall=overall)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def impute_median(matrix: FeatureMatrix, medians: Medians) -> FeatureMatrix:
-    """Fill missing scores with training medians (cell first, then variable).
-
-    Scores stay integral: medians are rounded half-up. The b columns are never
-    touched. Raises when both the cell and the variable median are undefined.
-    """
-    y = matrix.y.copy()
-    miss = np.isnan(y)
-    for t in range(matrix.spec.n_windows):
-        for j in range(matrix.spec.n_variables):
-            hole = miss[:, t, j]
-            if not hole.any():
-                continue
-            m = medians.cell[t, j]
-            if np.isnan(m):
-                m = medians.overall[j]
-            if np.isnan(m):
-                var = matrix.spec.variable_names[j]
-                raise ValueError(f"no training values to impute {var!r} (window {t + 1})")
-            y[hole, t, j] = _round_half_up(float(m))
-    return FeatureMatrix(matrix.patient_ids, matrix.spec, y, matrix.b)
+def impute_median(matrix: FeatureMatrix, medians: Medians) -> np.ndarray:
+    """Each cell of the matrix as a float row [y_1..y_p, b_1..b_p], (U, 2p):
+    b is 1 where the score was observed, and a missing y is the training
+    median of its window (else of its variable) rounded half up, so scores
+    stay integral. Raises when both medians of a missing score are undefined."""
+    observed = matrix.cells >= 0
+    fill = np.floor(np.where(np.isnan(medians.cell), medians.overall, medians.cell) + 0.5)[matrix.window]
+    cell, column = np.nonzero(~observed & np.isnan(fill))
+    if cell.size:
+        t, j = min(zip(matrix.window[cell], column))
+        var = matrix.spec.variable_names[j]
+        raise ValueError(f"no training values to impute {var!r} (window {t + 1})")
+    y = np.where(observed, matrix.cells, fill)
+    return np.concatenate([y, observed], axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -361,12 +367,14 @@ def _exact_medoids(dist: np.ndarray, weights: np.ndarray, k: int) -> list[int]:
     return best_set
 
 
-def pam_cluster(rows: np.ndarray, k: int, seed=0, *, kinds=None, ranges=None):
+def pam_cluster(rows: np.ndarray, k: int, seed=0, *, counts=None, kinds=None, ranges=None):
     """K-medoids under Gower distance, exact at small scale.
 
-    All rows are grouped with `distinct_rows` first, and the medoids are
-    searched on the distinct rows weighted by count (the objective is
-    unchanged): by exhaustive enumeration when there are at most
+    Row i stands for counts[i] equal rows (one by default), so a matrix's
+    cells with their patient counts cluster as its per-patient rows do. All
+    rows are grouped with `distinct_rows` first, and the medoids are
+    searched on the distinct rows weighted by their summed counts (the
+    objective is unchanged): by exhaustive enumeration when there are at most
     MAX_EXACT_SETS candidate medoid sets, otherwise by BUILD plus
     steepest-descent SWAP passes until no swap lowers the total cost. Ties
     break toward the distinct row first in `distinct_rows`' sorted order,
@@ -385,7 +393,7 @@ def pam_cluster(rows: np.ndarray, k: int, seed=0, *, kinds=None, ranges=None):
         kinds = (NUMERIC,) * rows.shape[1]
     first, group = distinct_rows(rows)
     uniq = rows[first] + 0.0   # -0.0 groups with 0.0; keep 0.0 whichever came first
-    counts = np.bincount(group).astype(float)
+    counts = np.bincount(group, np.ones(rows.shape[0]) if counts is None else counts)
     if ranges is None:
         ranges = numeric_ranges(uniq, kinds)
 
@@ -408,15 +416,16 @@ def pam_cluster(rows: np.ndarray, k: int, seed=0, *, kinds=None, ranges=None):
     return model, to_medoids.argmin(axis=1)[group] + 1, float(to_medoids.min(axis=1) @ counts)
 
 
-def encode_observations(model: ClusterModel, matrix: FeatureMatrix) -> np.ndarray:
-    """Cluster-label sequences, one 1-based label per (patient, window)."""
-    labels = model.assign(matrix.rows())
-    return labels.reshape(matrix.n_patients, matrix.spec.n_windows)
+def encode_observations(model: ClusterModel, matrix: FeatureMatrix, rows: np.ndarray) -> np.ndarray:
+    """Cluster-label sequences, one 1-based label per (patient, window): each
+    of the matrix's imputed cell rows (`impute_median`) is assigned once."""
+    return model.assign(rows)[matrix.cell_of]
 
 
-def silhouette(rows: np.ndarray, labels: np.ndarray, kinds, ranges) -> float:
+def silhouette(rows: np.ndarray, labels: np.ndarray, kinds, ranges, *, counts=None) -> float:
     """Mean silhouette width under Gower distance; singleton clusters score 0.
 
+    Row i stands for counts[i] equal rows under its label (one by default).
     Exact for every row: each distinct (row, label) pair is scored once,
     weighted by its count, against all pairs in chunks of SILHOUETTE_CHUNK
     pairs, so memory stays linear in the number of distinct pairs.
@@ -426,7 +435,7 @@ def silhouette(rows: np.ndarray, labels: np.ndarray, kinds, ranges) -> float:
     if values.size < 2:
         raise ValueError("silhouette needs at least two clusters")
     first, group = distinct_rows(np.column_stack([rows, cluster]))
-    counts = np.bincount(group).astype(float)
+    counts = np.bincount(group, np.ones(rows.shape[0]) if counts is None else counts)
     own = cluster[first]
     members = np.zeros((first.size, values.size))   # count of each pair in its cluster
     members[np.arange(first.size), own] = counts

@@ -35,7 +35,6 @@ from .survival import (
     compute_priors,
     fit_window_regressions,
     label_hidden_states,
-    window_designs,
 )
 
 SURVIVAL, DEATH = 0, 1
@@ -160,15 +159,14 @@ def risk_score(theta, emissions, x_seq) -> float:
 
 @dataclass
 class FeatureStage:
-    """Target-independent part of training, shared by every target day of a
-    training cohort and written once in `model.json`: medians, medoids,
-    sequences and the hazard designs' distinct rows."""
+    """Target-independent part of training on one feature matrix, shared by
+    every target day: the medians and medoids, written once in `model.json`,
+    the matrix's cells as imputed rows, and each patient's cluster sequence."""
 
     medians: Medians
     cluster: ClusterModel
-    imputed: FeatureMatrix
+    rows: np.ndarray        # (U, 2p) `impute_median` row of each cell of the matrix
     sequences: np.ndarray   # (N, T), 1-based cluster labels
-    designs: list           # `window_designs(imputed)`, shared by the target days
 
 
 @dataclass
@@ -206,17 +204,13 @@ class PatientScores(NamedTuple):
 
 
 def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0) -> FeatureStage:
+    """Medians, imputed cells, and PAM on the cells weighted by patient counts."""
     medians = compute_medians(matrix)
-    imputed = impute_median(matrix, medians)
-    cluster, labels, _ = pam_cluster(imputed.rows(), k_clusters, seed, kinds=feature_kinds(matrix.spec))
-    sequences = labels.reshape(matrix.n_patients, matrix.spec.n_windows)
-    return FeatureStage(
-        medians=medians,
-        cluster=cluster,
-        imputed=imputed,
-        sequences=sequences,
-        designs=window_designs(imputed),
+    rows = impute_median(matrix, medians)
+    cluster, labels, _ = pam_cluster(
+        rows, k_clusters, seed, counts=matrix.counts(), kinds=feature_kinds(matrix.spec)
     )
+    return FeatureStage(medians=medians, cluster=cluster, rows=rows, sequences=labels[matrix.cell_of])
 
 
 def fit_risk_model(
@@ -245,30 +239,34 @@ def fit_risk_model(
         raise ValueError("target spec and feature spec disagree on window_hours")
     if len(event_hours) != matrix.n_patients or len(died) != matrix.n_patients:
         raise ValueError("event_hours and died must have one entry per matrix patient")
+    censored = [censor_by_target(event_hours, died, t.target_hours) for t in targets]
+    times, events = (np.array(part) for part in zip(*censored))   # (days, N) each
+    fits = fit_window_regressions(matrix, stage.rows, times, events)
+    T = matrix.spec.n_windows
     fitted = {}
-    for target in targets:
-        times, events = censor_by_target(event_hours, died, target.target_hours)
-        fits = fit_window_regressions(stage.designs, times, events)
-        labels = label_hidden_states(stage.imputed, events, fits, target)
+    for d, target in enumerate(targets):
+        day_fits = fits[d * T:(d + 1) * T]
+        labels = label_hidden_states(matrix, stage.rows, events[d], day_fits, target)
         emissions = estimate_emissions(
             stage.sequences, labels.states, stage.cluster.k, smoothing_alpha
         )
-        fitted[target.target_day] = DayFit(target, fits, emissions)
+        fitted[target.target_day] = DayFit(target, day_fits, emissions)
     return RiskModel(matrix.spec, score_table, stage.medians, stage.cluster, fitted)
 
 
 def score_patients(model: RiskModel, matrix: FeatureMatrix) -> dict[int, PatientScores]:
     """Risk scores for a (possibly unseen) cohort under a trained model, per
-    target day in ascending order. The matrix is imputed and cluster-encoded
-    once for all days."""
-    if matrix.spec.variable_names != model.spec.variable_names:
-        raise ValueError("feature variables do not match the trained model")
-    imputed = impute_median(matrix, model.medians)
-    sequences = encode_observations(model.cluster, imputed)
+    target day in ascending order. Each cell of the matrix is imputed,
+    encoded and given each day's prior once. Raises ValueError when the
+    matrix's feature spec (variables, window size) is not the model's."""
+    if matrix.spec != model.spec:
+        raise ValueError(f"feature spec {matrix.spec} does not match the trained model's {model.spec}")
+    rows = impute_median(matrix, model.medians)
+    sequences = encode_observations(model.cluster, matrix, rows)
     scores = {}
     for day in model:
         day_fit = model.days[day]
-        theta = compute_priors(imputed, day_fit.fits, day_fit.target)
+        theta = compute_priors(matrix, rows, day_fit.fits, day_fit.target)[matrix.cell_of]
         scores[day] = PatientScores(_eta_forward_batch(theta, day_fit.emissions, sequences), theta, sequences)
     return scores
 

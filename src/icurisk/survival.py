@@ -124,14 +124,13 @@ def _spanning_columns(X) -> np.ndarray:
     return keep
 
 
-def newton_maximize(loglik, grad, hessian_weights, X, beta, max_iter: int, trace=None):
+def newton_maximize(loglik, grad, hessian_weights, X, keep, beta, max_iter: int, trace=None):
     """Maximize a concave log-likelihood by damped Newton.
 
-    Columns of X that do not raise the rank of the columns before them
-    (`_spanning_columns`; the intercept comes first) are aliased: their
-    coefficients are set to, and stay, exactly 0.0, so the fit and its
-    result do not depend on the order of the rows. On the kept columns the
-    negative Hessian X^T diag(hessian_weights(beta)) X is positive definite
+    Columns of X outside `keep` (`_spanning_columns(X)`: the intercept comes
+    first) are aliased: their coefficients are set to, and stay, exactly
+    0.0, so the fit and its result do not depend on the order of the rows.
+    On the kept columns the negative Hessian X^T diag(hessian_weights(beta)) X is positive definite
     away from separation, and each Newton step is an `np.linalg.solve` with
     it. Steps are halved until the log-likelihood does not drop, with a
     gradient-ascent fallback when a Newton direction fails to improve.
@@ -142,7 +141,6 @@ def newton_maximize(loglik, grad, hessian_weights, X, beta, max_iter: int, trace
     coefficient exceeds SEPARATION_LIMIT in magnitude, and RuntimeError when
     the line search stalls or max_iter iterations do not converge.
     """
-    keep = _spanning_columns(X)
     kept = X[:, keep]
     beta = np.where(keep, beta, 0.0)
     ll = loglik(beta)
@@ -216,10 +214,15 @@ def fit_exponential_regression(X, times, events, *, trace=None) -> SurvivalFit:
     trace : optional list collecting the log-likelihood after every iteration.
     """
     X = np.asarray(X, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("need at least one subject")
+    return _fit_exponential(X, _spanning_columns(X), times, events, trace)
+
+
+def _fit_exponential(X, keep, times, events, trace=None) -> SurvivalFit:
+    """`fit_exponential_regression` of a 2-D X with `keep` = `_spanning_columns(X)`."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=float)
     if np.any(times <= 0):
         raise ValueError("exposure times must be positive")
     n_events = float(events.sum())
@@ -237,6 +240,7 @@ def fit_exponential_regression(X, times, events, *, trace=None) -> SurvivalFit:
         lambda b: exponential_grad(b, X, times, events),
         hessian_weights,
         X,
+        keep,
         beta,
         max_iter=500,
         trace=trace,
@@ -247,12 +251,14 @@ def fit_exponential_regression(X, times, events, *, trace=None) -> SurvivalFit:
 def hazard(beta, features):
     """lambda = exp(beta . y), events per hour.
 
-    Accepts a single feature vector or a stack of them. Linear predictors above
-    700 raise; below -700 the rate is clamped to the smallest positive normal.
+    Accepts a single feature vector or a stack of them. The linear predictor
+    is summed one column at a time, so a row's rate does not depend on the
+    rows scored with it. Linear predictors above 700 raise; below -700 the
+    rate is clamped to the smallest positive normal.
     """
     beta = np.asarray(beta, dtype=float)
     features = np.asarray(features, dtype=float)
-    score = features @ beta
+    score = sum(column * b for column, b in zip(np.moveaxis(features, -1, 0), beta, strict=True))
     if np.any(score > MAX_LOG_HAZARD):
         raise ValueError("hazard overflow: linear predictor exceeds 700")
     low = score < -MAX_LOG_HAZARD
@@ -287,24 +293,19 @@ def _kde(points: np.ndarray, values: np.ndarray, counts: np.ndarray, bandwidth: 
     """Gaussian kernel density of a sample given as distinct values and
     their counts, at each point.
 
-    Each distinct query is evaluated once, as the count-weighted kernel sum
-    over the distinct sample values, and broadcast back to its repeats:
-    O(U_q * U_s) time for U_q distinct queries and U_s distinct samples.
-    Within a window the priors take only as many values as there are
-    distinct design rows, hundreds against thousands of patients. Counts are
-    exact, but a count-weighted sum over distinct values rounds differently
-    from a sum with one term per sample, so the two agree only to the last
-    bits. Queries go in fixed-size chunks, so all-distinct input needs
-    O(chunk * n) memory.
+    Each point is the count-weighted kernel sum over the U_s distinct
+    sample values, in chunks of points, so memory is O(chunk * U_s). The
+    priors of a window take one value per cell, hundreds against thousands
+    of patients. A count-weighted sum rounds differently from a sum with one
+    term per sample, so the two agree only to the last bits.
     """
-    queries, inverse = np.unique(points, return_inverse=True)
     weights = counts.astype(float)
-    out = np.empty(queries.size)
+    out = np.empty(points.size)
     norm = weights.sum() * bandwidth * math.sqrt(2.0 * math.pi)
-    for start in range(0, queries.size, 2048):
-        z = (queries[start:start + 2048, None] - values[None, :]) / bandwidth
+    for start in range(0, points.size, 2048):
+        z = (points[start:start + 2048, None] - values[None, :]) / bandwidth
         out[start:start + 2048] = (np.exp(-0.5 * z * z) * weights).sum(axis=1) / norm
-    return out[inverse]
+    return out
 
 
 class DensityNormalizer:
@@ -360,21 +361,17 @@ class DensityNormalizer:
 # Prior computation and state labeling
 # --------------------------------------------------------------------------
 
-def window_design(matrix, t: int) -> np.ndarray:
-    """Design matrix for window t (0-based): intercept, scores, indicators."""
-    n = matrix.n_patients
-    return np.column_stack([np.ones(n), matrix.y[:, t, :], matrix.b[:, t, :]])
-
-
-def compute_priors(matrix, fits, target: TargetSpec) -> np.ndarray:
-    """Per-patient, per-window Death priors from the fitted hazards."""
-    T = matrix.spec.n_windows
-    if len(fits) != T:
+def compute_priors(matrix, rows, fits, target: TargetSpec) -> np.ndarray:
+    """Death prior of each cell of the matrix, (U,), from its imputed row
+    (`impute_median`) and its window's hazard fit. Patient i's prior in
+    window t is that of cell `matrix.cell_of[i, t]`."""
+    if len(fits) != matrix.spec.n_windows:
         raise ValueError("need one survival fit per window")
-    theta = np.empty((matrix.n_patients, T))
-    for t in range(T):
-        lam = hazard(fits[t].beta, window_design(matrix, t))
-        theta[:, t] = death_prior(lam, target.exposure_duration(t + 1))
+    theta = np.empty(rows.shape[0])
+    for t, fit in enumerate(fits):
+        cells = matrix.cells_in(t)
+        X = np.column_stack([np.ones(cells.stop - cells.start), rows[cells]])
+        theta[cells] = death_prior(hazard(fit.beta, X), target.exposure_duration(t + 1))
     return theta
 
 
@@ -386,47 +383,42 @@ class StateLabels:
     probabilities: np.ndarray   # (N, T); last column is the 0/1 outcome itself
 
 
-def window_designs(matrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each window's design on its distinct rows: (the distinct rows, the
-    row of each patient), from `distinct_rows`. They do not depend on the
-    target, so one training matrix's designs serve every target day."""
+def fit_window_regressions(matrix, rows, times, events) -> list[SurvivalFit]:
+    """Censored exponential fits, one per target day and window, day-major.
+
+    A window's design is its imputed cells `rows` as [1, y, b], in
+    `distinct_rows` order, and its kept columns are found once for all
+    days. Row d of `times` and `events` is day d's `censor_by_target`
+    response in matrix order, summed per design row.
+    """
     designs = []
     for t in range(matrix.spec.n_windows):
-        X = window_design(matrix, t)
+        cells = matrix.cells_in(t)
+        X = np.column_stack([np.ones(cells.stop - cells.start), rows[cells]])
         first, group = distinct_rows(X)
-        designs.append((X[first], group))
-    return designs
-
-
-def fit_window_regressions(designs, times, events) -> list[SurvivalFit]:
-    """One censored exponential fit per window of `window_designs`, with
-    shared response (`censor_by_target` times and events, in matrix order)
-    summed per distinct design row."""
+        designs.append((X[first], group[matrix.cell_of[:, t] - cells.start], _spanning_columns(X[first])))
     return [
-        fit_exponential_regression(
-            rows, np.bincount(group, weights=times), np.bincount(group, weights=events)
-        )
-        for rows, group in designs
+        _fit_exponential(X, keep, np.bincount(row, weights=day_times), np.bincount(row, weights=day_events))
+        for day_times, day_events in zip(times, events)
+        for X, row, keep in designs
     ]
 
 
-def label_hidden_states(matrix, events, fits, target: TargetSpec) -> StateLabels:
+def label_hidden_states(matrix, rows, events, fits, target: TargetSpec) -> StateLabels:
     """Hidden-state labels: outcome at the last window, thresholded normalized
     priors everywhere else.
 
-    `events` come from `censor_by_target`, in matrix order, so censoring by
-    the target time counts as Survival. For windows before the last, the
-    window's training priors are normalized against the outcome classes and
-    labeled Death when the normalized probability reaches 0.5.
+    `rows` are the matrix's imputed cells; `events` come from
+    `censor_by_target`, in matrix order, so censoring by the target time
+    counts as Survival. For windows before the last, the patients' priors
+    are normalized against the outcome classes, once per cell, and labeled
+    Death when the normalized probability reaches 0.5.
     """
-    theta = compute_priors(matrix, fits, target)
-    n, T = theta.shape
-    states = np.zeros((n, T), dtype=np.uint8)
-    probs = np.zeros((n, T))
-    states[:, T - 1] = events
-    probs[:, T - 1] = events
-    for t in range(T - 1):
-        normalized = DensityNormalizer().fit(theta[:, t], events).normalize(theta[:, t])
-        states[:, t] = normalized >= 0.5
-        probs[:, t] = normalized
-    return StateLabels(states=states, probabilities=probs)
+    theta = compute_priors(matrix, rows, fits, target)
+    probs = np.zeros(matrix.cell_of.shape)
+    probs[:, -1] = events
+    for t in range(probs.shape[1] - 1):
+        cells, cell_of = matrix.cells_in(t), matrix.cell_of[:, t]
+        normalized = DensityNormalizer().fit(theta[cell_of], events).normalize(theta[cells])
+        probs[:, t] = normalized[cell_of - cells.start]
+    return StateLabels(states=(probs >= 0.5).astype(np.uint8), probabilities=probs)

@@ -62,6 +62,14 @@ only so tests can compare a library path with it:
 - `silhouette_loop` builds the full n x n Gower matrix and scores one row
   at a time. It checks `icurisk.features.silhouette`, which scores each
   distinct (row, label) pair once, weighted by its count.
+- `patient_scores`, `impute_patients`, `patient_window_design`,
+  `patient_priors`, `risk_model_per_patient` and `score_per_patient` train
+  and score on one row per patient and window: float scores with NaN and
+  0/1 indicators, PAM over all N x T rows, each window's design grouped
+  from its N patient rows, and priors, KDE labels and cluster labels at
+  every patient. They check the cell path of `build_feature_matrix`,
+  `fit_feature_stage`, `fit_risk_model` and `score_patients`, which compute
+  each of these once per distinct window cell.
 """
 
 import csv
@@ -93,9 +101,14 @@ from icurisk.cohort import (
     _death_by_probability,
     synthetic_variable_names,
 )
-from icurisk.features import BINARY, gower_matrix
-from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _joint_logs
-from icurisk.survival import _silverman_bandwidth
+from icurisk.features import BINARY, compute_medians, distinct_rows, feature_kinds, gower_matrix, pam_cluster
+from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _eta_forward_batch, _joint_logs, estimate_emissions
+from icurisk.survival import (
+    DensityNormalizer,
+    _silverman_bandwidth,
+    censor_by_target,
+    fit_exponential_regression,
+)
 
 ENUMERATION_LIMIT = 16
 
@@ -653,3 +666,86 @@ def silhouette_loop(rows, labels, kinds, ranges) -> float:
         b = min(dist[i, labels == v].mean() for v in values if v != labels[i])
         scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return float(scores.mean())
+
+
+def patient_scores(matrix):
+    """The matrix as one row per patient and window: scores y, (N, T, p)
+    float with NaN where missing, and indicators b, (N, T, p) uint8."""
+    scores = matrix.scores
+    return np.where(scores >= 0, scores, np.nan), (scores >= 0).astype(np.uint8)
+
+
+def impute_patients(y, medians, spec):
+    """y with each patient's missing scores filled, one (window, variable) at
+    a time: the window's median, else the variable's, rounded half up."""
+    y = y.copy()
+    miss = np.isnan(y)
+    for t in range(spec.n_windows):
+        for j in range(spec.n_variables):
+            hole = miss[:, t, j]
+            if not hole.any():
+                continue
+            m = medians.cell[t, j]
+            if np.isnan(m):
+                m = medians.overall[j]
+            if np.isnan(m):
+                raise ValueError(f"no training values to impute {spec.variable_names[j]!r} (window {t + 1})")
+            y[hole, t, j] = math.floor(float(m) + 0.5)
+    return y
+
+
+def patient_window_design(y, b, t):
+    """Window t's hazard design, one row per patient: intercept, scores, indicators."""
+    return np.column_stack([np.ones(y.shape[0]), y[:, t, :], b[:, t, :]])
+
+
+def risk_model_per_patient(matrix, event_hours, died, targets, k, seed=0, alpha=1.0):
+    """Train on `matrix`, one row per patient and window.
+
+    Returns (medians, cluster, sequences, {day: (betas, states, emissions)}).
+    """
+    spec = matrix.spec
+    y, b = patient_scores(matrix)
+    medians = compute_medians(matrix)
+    imputed = impute_patients(y, medians, spec)
+    n, T, p = y.shape
+    rows = np.concatenate([imputed.reshape(n * T, p), b.reshape(n * T, p)], axis=1)
+    cluster, labels, _ = pam_cluster(rows, k, seed, kinds=feature_kinds(spec))
+    sequences = labels.reshape(n, T)
+    days = {}
+    for target in targets:
+        times, events = censor_by_target(event_hours, died, target.target_hours)
+        betas = []
+        for t in range(T):
+            X = patient_window_design(imputed, b, t)
+            first, group = distinct_rows(X)
+            fit = fit_exponential_regression(
+                X[first], np.bincount(group, weights=times), np.bincount(group, weights=events)
+            )
+            betas.append(fit.beta)
+        theta = patient_priors(imputed, b, betas, target)
+        states = np.zeros((n, T), dtype=np.uint8)
+        states[:, T - 1] = events
+        for t in range(T - 1):
+            states[:, t] = DensityNormalizer().fit(theta[:, t], events).normalize(theta[:, t]) >= 0.5
+        days[target.target_day] = (betas, states, estimate_emissions(sequences, states, k, alpha))
+    return medians, cluster, sequences, days
+
+
+def patient_priors(imputed, b, betas, target):
+    """(N, T) Death priors from exp(X beta) of every patient's design row."""
+    return np.column_stack([
+        -np.expm1(-np.exp(patient_window_design(imputed, b, t) @ beta) * target.exposure_duration(t + 1))
+        for t, beta in enumerate(betas)
+    ])
+
+
+def score_per_patient(matrix, medians, cluster, betas, emissions, target):
+    """(eta, sequences) of the matrix's patients, one row per patient and window."""
+    y, b = patient_scores(matrix)
+    imputed = impute_patients(y, medians, matrix.spec)
+    n, T, p = y.shape
+    rows = np.concatenate([imputed.reshape(n * T, p), b.reshape(n * T, p)], axis=1)
+    sequences = cluster.assign(rows).reshape(n, T)
+    theta = patient_priors(imputed, b, betas, target)
+    return _eta_forward_batch(theta, emissions, sequences), sequences

@@ -74,7 +74,7 @@ from icurisk.features import (
     numeric_ranges,
     pam_cluster,
 )
-from icurisk.hmm import fit_feature_stage
+from icurisk.hmm import fit_feature_stage, fit_risk_model, score_patients
 from icurisk.survival import (
     DensityNormalizer,
     TargetSpec,
@@ -82,7 +82,6 @@ from icurisk.survival import (
     compute_priors,
     fit_window_regressions,
     label_hidden_states,
-    window_designs,
 )
 from conftest import cohort_from_rows
 import oracles
@@ -124,10 +123,18 @@ def assert_matrix_matches_oracle(cohort, spec, table=TABLE):
     matrix = build_feature_matrix(cohort, spec, table)
     windowed = oracles.window_segment(cohort, spec)
     assert matrix.patient_ids == list(windowed)
-    y = oracles.discretize_scores(windowed, table, spec)
-    assert np.array_equal(matrix.y, y, equal_nan=True)
-    assert matrix.b.dtype == np.uint8
-    assert np.array_equal(matrix.b, oracles.missingness_indicators(windowed, spec))
+    y, b = oracles.patient_scores(matrix)
+    assert np.array_equal(y, oracles.discretize_scores(windowed, table, spec), equal_nan=True)
+    assert np.array_equal(b, oracles.missingness_indicators(windowed, spec))
+    # one cell per distinct score tuple of a window, windows ascending, each
+    # window's cells in `np.unique` order
+    assert matrix.cells.dtype == np.int64
+    for t in range(spec.n_windows):
+        cells = matrix.cells_in(t)
+        assert np.all(matrix.window[cells] == t)
+        uniq, inverse = np.unique(matrix.scores[:, t], axis=0, return_inverse=True)
+        assert np.array_equal(matrix.cells[cells], uniq.reshape(-1, spec.n_variables))
+        assert np.array_equal(matrix.cell_of[:, t] - cells.start, inverse.reshape(-1))
 
 
 @settings(deadline=None)
@@ -350,22 +357,55 @@ def test_density_normalizer_matches_all_samples_oracle(case):
 def imputed_training(small_cohort):
     cohort = filter_cohort(small_cohort)
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), TABLE)
-    return fit_feature_stage(matrix, 4, seed=[0]).imputed, cohort.event_hours, cohort.died
+    return matrix, fit_feature_stage(matrix, 4, seed=[0]).rows, cohort.event_hours, cohort.died
 
 
 @pytest.mark.parametrize("day", [2, 3, 4, 5])
 def test_state_labels_match_all_samples_oracle(imputed_training, day):
-    matrix, event_hours, died = imputed_training
+    matrix, rows, event_hours, died = imputed_training
     target = TargetSpec(day, 12)
     times, events = censor_by_target(event_hours, died, target.target_hours)
-    fits = fit_window_regressions(window_designs(matrix), times, events)
-    labels = label_hidden_states(matrix, events, fits, target)
+    fits = fit_window_regressions(matrix, rows, [times], [events])
+    labels = label_hidden_states(matrix, rows, events, fits, target)
 
-    theta = compute_priors(matrix, fits, target)
+    theta = compute_priors(matrix, rows, fits, target)[matrix.cell_of]
     for t in range(theta.shape[1] - 1):
         expected = oracles.normalize_all_samples(theta[:, t], events, theta[:, t])
         assert np.array_equal(labels.states[:, t], expected >= 0.5)
         np.testing.assert_allclose(labels.probabilities[:, t], expected, rtol=1e-12, atol=0)
+
+
+def test_cell_path_matches_per_patient_oracle():
+    """Training on 4,000 synthetic patients (the benchmark's settings) and
+    scoring others, once per window cell, gives the per-patient oracle's
+    medoids, sequences, state labels and hazard coefficient bytes, and its
+    risks within 1e-12 (the oracle's priors come from a BLAS product)."""
+    cohort = filter_cohort(generate_synthetic_cohort(SynthConfig(
+        n_patients=4000, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
+        sampling_rate_per_hour=1.0, seed=1,
+    )))
+    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), TABLE)
+    is_test = np.arange(matrix.n_patients) % 3 > 0
+    train, test = matrix.subset(np.flatnonzero(~is_test)), matrix.subset(np.flatnonzero(is_test))
+    hours, died = cohort.event_hours[~is_test], cohort.died[~is_test]
+    targets = [TargetSpec(day, 12) for day in (2, 3, 4, 5)]
+    stage = fit_feature_stage(train, 4, seed=[0])
+    model = fit_risk_model(train, hours, died, targets, TABLE, stage=stage)
+    scores = score_patients(model, test)
+
+    medians, cluster, sequences, days = oracles.risk_model_per_patient(train, hours, died, targets, 4, seed=[0])
+    assert stage.cluster.medoids.tobytes() == cluster.medoids.tobytes()
+    assert np.array_equal(stage.sequences, sequences)
+    for target in targets:
+        day = target.target_day
+        betas, states, emissions = days[day]
+        assert [f.beta.tobytes() for f in model.days[day].fits] == [beta.tobytes() for beta in betas]
+        _, events = censor_by_target(hours, died, target.target_hours)
+        labels = label_hidden_states(train, stage.rows, events, model.days[day].fits, target)
+        assert np.array_equal(labels.states, states)
+        eta, test_sequences = oracles.score_per_patient(test, medians, cluster, betas, emissions, target)
+        assert np.array_equal(scores[day].sequences, test_sequences)
+        np.testing.assert_allclose(scores[day].eta, eta, rtol=0, atol=1e-12)
 
 
 PLAIN_IDS = ["p1", "p2", "p10", "", " p1", "patient_000000001", "xatient_000000001"]

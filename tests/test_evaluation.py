@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import icurisk.evaluation
+import icurisk.features
 import icurisk.hmm
+import icurisk.survival
+from icurisk.cohort import filter_cohort
 from icurisk.evaluation import (
     ALL_METHODS,
     ALL_METRICS,
@@ -24,7 +28,7 @@ from icurisk.evaluation import (
     paired_t_test_one_tailed,
     run_cv,
 )
-from icurisk.features import distinct_rows, load_default_score_table
+from icurisk.features import FeatureSpec, build_feature_matrix, distinct_rows, load_default_score_table
 from conftest import cohort_from_rows, count_calls
 import oracles
 
@@ -360,6 +364,36 @@ def test_each_fold_imputes_and_encodes_its_test_rows_once(small_cohort, monkeypa
     calls = count_calls(monkeypatch, icurisk.hmm, "impute_median", "encode_observations")
     run_cv(small_cohort, load_default_score_table(), repeats=1, folds=3, seed=5)
     assert calls == {"impute_median": 3 * 2, "encode_observations": 3}
+
+
+def test_cohort_rows_are_grouped_only_before_the_folds(small_cohort, monkeypatch):
+    """`run_cv` groups cohort-sized arrays only before its fold loop: one
+    `distinct_rows` per window of the feature matrix and one for the
+    first-day baseline rows. Inside the loop it groups only cells, never
+    more rows than the cohort's window cells summed over windows."""
+    table = load_default_score_table()
+    cohort = filter_cohort(small_cohort)
+    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
+    calls, folds_drawn = [], []   # (inside the loop, rows) of each grouping
+    grouping, draw = distinct_rows, icurisk.evaluation._draw_valid_folds
+
+    def counted(rows):
+        calls.append((bool(folds_drawn), len(rows)))
+        return grouping(rows)
+
+    def drawn(*args, **kwargs):
+        folds_drawn.append(True)
+        return draw(*args, **kwargs)
+
+    for module in (icurisk.features, icurisk.survival, icurisk.hmm, icurisk.evaluation):
+        if getattr(module, "distinct_rows", None) is grouping:
+            monkeypatch.setattr(module, "distinct_rows", counted)
+    monkeypatch.setattr(icurisk.evaluation, "_draw_valid_folds", drawn)
+    run_cv(small_cohort, table, repeats=1, folds=3, seed=5)
+
+    assert [rows for inside, rows in calls if not inside] == [cohort.n_patients] * (matrix.spec.n_windows + 1)
+    inside = [rows for inside, rows in calls if inside]
+    assert inside and max(inside) <= matrix.cells.shape[0]
 
 
 @pytest.fixture(scope="module")

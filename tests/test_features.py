@@ -94,8 +94,8 @@ class TestWindowing:
         _, cell = window_cells(cohort, ("heart_rate",), 720, 2)
         _, window, _ = np.unravel_index(cell, (cohort.n_patients, 2, 1))
         assert window.tolist() == [0, 1]
-        b = build_feature_matrix(cohort, FeatureSpec(("heart_rate",), 12), HR_TABLE).b
-        assert b[0, :, 0].tolist() == [1, 1]
+        scores = build_feature_matrix(cohort, FeatureSpec(("heart_rate",), 12), HR_TABLE).scores
+        assert (scores[0, :, 0] >= 0).tolist() == [True, True]
 
     def test_sample_at_1440_discarded(self):
         cohort = make_cohort([(1439, 80.0), (1440, 80.0)])
@@ -127,20 +127,19 @@ class TestDiscretization:
 
     def test_worst_case_is_max(self):
         cohort = make_cohort([(10, 60.0), (20, 80.0), (30, 130.0)])  # scores 2, 0, 4
-        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).y
+        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).scores
         assert y[0, 0, 0] == 4
 
     def test_single_sample(self):
         cohort = make_cohort([(10, 60.0)])
-        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).y
+        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).scores
         assert y[0, 0, 0] == 2
 
     def test_empty_window_is_missing_with_zero_indicator(self):
         cohort = make_cohort([(10, 60.0)])
         matrix = build_feature_matrix(cohort, self.SPEC, HR_TABLE)
-        assert np.isnan(matrix.y[0, 1, 0])
-        assert matrix.b[0, 1, 0] == 0 and matrix.b[0, 0, 0] == 1
-        assert matrix.b.dtype == np.uint8
+        assert matrix.scores[0, 1, 0] == -1 and matrix.scores[0, 0, 0] == 2
+        assert matrix.cells.dtype == np.int64
 
     def test_variable_missing_from_table_is_config_error(self):
         spec = FeatureSpec(("unknown_var",), 12)
@@ -152,7 +151,7 @@ class TestDiscretization:
         rng = np.random.default_rng(8)
         values = rng.uniform(20, 200, 30)
         cohort = make_cohort([(int(i), float(v)) for i, v in enumerate(values)])
-        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).y
+        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).scores
         scores = [score_value(HR_TABLE, "heart_rate", v) for v in values]
         assert y[0, 0, 0] == max(scores)
 
@@ -161,35 +160,36 @@ class TestImputation:
     def _matrix(self, column, spec=None):
         spec = spec or FeatureSpec(("v",), 12)
         y = np.array(column, dtype=float).reshape(-1, spec.n_windows, 1)
-        b = (~np.isnan(y)).astype(np.uint8)
         ids = [f"p{i}" for i in range(y.shape[0])]
-        return FeatureMatrix(ids, spec, y, b)
+        return FeatureMatrix.from_scores(ids, spec, np.where(np.isnan(y), -1, y).astype(np.int64))
+
+    @staticmethod
+    def _impute(m, medians=None):
+        """Each patient's imputed row per window, (N, T, 2p): [y, b]."""
+        return impute_median(m, medians or compute_medians(m))[m.cell_of]
 
     def test_odd_count_median_fills(self):
         m = self._matrix([[0, 0], [2, 0], [7, 0], [np.nan, 0]])
-        out = impute_median(m, compute_medians(m))
-        assert out.y[3, 0, 0] == 2
+        assert self._impute(m)[3, 0, 0] == 2
 
     def test_half_median_rounds_up(self):
         m = self._matrix([[1, 0], [2, 0], [np.nan, 0]])
-        out = impute_median(m, compute_medians(m))
-        assert out.y[2, 0, 0] == 2  # median 1.5 rounds half-up
+        assert self._impute(m)[2, 0, 0] == 2  # median 1.5 rounds half-up
 
     def test_no_missing_is_identity(self):
         m = self._matrix([[1, 3], [2, 4]])
-        out = impute_median(m, compute_medians(m))
-        assert np.array_equal(out.y, m.y)
+        out = self._impute(m)
+        assert np.array_equal(out[:, :, :1], m.scores) and np.all(out[:, :, 1:] == 1)
 
     def test_indicators_never_imputed(self):
         m = self._matrix([[np.nan, 1]])
         medians = Medians(cell=np.array([[2.0], [2.0]]), overall=np.array([2.0]))
-        out = impute_median(m, medians)
-        assert out.b[0, 0, 0] == 0
+        out = self._impute(m, medians)
+        assert out[0, 0, 1] == 0 and out[0, 1, 1] == 1
 
     def test_empty_cell_falls_back_to_overall_median(self):
         m = self._matrix([[np.nan, 4], [np.nan, 2]])
-        out = impute_median(m, compute_medians(m))
-        assert out.y[0, 0, 0] == 3  # overall median of {4, 2}
+        assert self._impute(m)[0, 0, 0] == 3  # overall median of {4, 2}
 
     def test_never_observed_variable_errors(self):
         m = self._matrix([[np.nan, np.nan]])
@@ -200,8 +200,7 @@ class TestImputation:
         train = self._matrix([[0, 0], [2, 0], [7, 0]])
         medians = compute_medians(train)
         new = self._matrix([[np.nan, 1]])
-        out = impute_median(new, medians)
-        assert out.y[0, 0, 0] == 2
+        assert self._impute(new, medians)[0, 0, 0] == 2
 
 
 class TestGower:
@@ -330,9 +329,9 @@ class TestEncoding:
 
     def test_sequences_follow_assignments(self):
         spec = FeatureSpec(("v",), 12)
-        y = np.array([[[8.0], [0.0]]])
-        m = FeatureMatrix(["p1"], spec, y, np.ones_like(y, dtype=np.uint8))
-        assert encode_observations(self.MODEL, m).tolist() == [[3, 1]]
+        m = FeatureMatrix.from_scores(["p1", "p2"], spec, [[[8], [0]], [[0], [0]]])
+        rows = m.cells.astype(float)   # the cells, window by window: [8], [0], [0]
+        assert encode_observations(self.MODEL, m, rows).tolist() == [[3, 1], [1, 1]]
 
     def test_row_equal_to_medoid_gets_its_cluster(self):
         assert self.MODEL.assign(np.array([[4.0]]))[0] == 2

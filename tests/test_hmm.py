@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import icurisk.survival
 from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort
 from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
 from icurisk.hmm import (
@@ -19,6 +20,7 @@ from icurisk.hmm import (
     survival_curve,
 )
 from icurisk.survival import TargetSpec, censor_by_target, label_hidden_states
+from conftest import count_calls
 from oracles import eta_enumerate, sequence_joint_probability, total_sequence_probability
 
 
@@ -301,9 +303,43 @@ class TestRiskModel:
     def test_variable_mismatch_rejected(self, trained):
         cohort, matrix, model = trained
         other_spec = FeatureSpec(("something_else",), 12)
-        bad = type(matrix)(matrix.patient_ids, other_spec, matrix.y[:, :, :1], matrix.b[:, :, :1])
-        with pytest.raises(ValueError, match="variables"):
+        bad = type(matrix).from_scores(matrix.patient_ids, other_spec, matrix.scores[:, :, :1])
+        with pytest.raises(ValueError, match="something_else.*does not match the trained model"):
             score_patients(model, bad)
+
+    @pytest.mark.parametrize("window_hours", [6, 8, 24])
+    def test_window_size_mismatch_rejected(self, trained, window_hours):
+        """A matrix in other windows than the model's is refused with both
+        specs named, not scored with the wrong windows' fits."""
+        cohort, matrix, model = trained
+        spec = FeatureSpec(model.spec.variable_names, window_hours)
+        other = build_feature_matrix(cohort, spec, load_default_score_table())
+        with pytest.raises(ValueError, match=rf"window_hours={window_hours}\).*window_hours=12\)"):
+            score_patients(model, other)
+
+    def test_risk_does_not_depend_on_the_patients_scored_with_it(self, trained):
+        """A patient's risk has the same bytes scored alone, in reversed
+        patient order and in the whole cohort."""
+        _, matrix, model = trained
+        whole = score_patients(model, matrix)
+        backwards = score_patients(model, matrix.subset(np.arange(matrix.n_patients)[::-1]))
+        for day in model:
+            assert backwards[day].eta[::-1].tobytes() == whole[day].eta.tobytes()
+        for i in range(matrix.n_patients):
+            alone = score_patients(model, matrix.subset([i]))
+            assert [alone[day].eta.tobytes() for day in model] == [whole[day].eta[i:i + 1].tobytes() for day in model]
+
+    def test_each_window_design_ranked_once_for_all_days(self, trained, monkeypatch):
+        """The aliased columns of a window's design are found once and shared
+        by the fits of all four target days."""
+        cohort, matrix, _ = trained
+        stage = fit_feature_stage(matrix, 4, seed=[0])
+        calls = count_calls(monkeypatch, icurisk.survival, "_spanning_columns")
+        fit_risk_model(
+            matrix, cohort.event_hours, cohort.died, [TargetSpec(d, 12) for d in (2, 3, 4, 5)],
+            load_default_score_table(), stage=stage,
+        )
+        assert calls == {"_spanning_columns": matrix.spec.n_windows}
 
     def test_remaining_duration_mode_trains_and_scores(self, trained):
         cohort, matrix, _ = trained
@@ -359,7 +395,7 @@ def test_training_does_not_depend_on_patient_order(seed):
         states, emissions = {}, {}
         for day, day_fit in model.days.items():
             _, events = censor_by_target(hours, died, day_fit.target.target_hours)
-            states[day] = label_hidden_states(stage.imputed, events, day_fit.fits, day_fit.target).states
+            states[day] = label_hidden_states(ordered, stage.rows, events, day_fit.fits, day_fit.target).states
             emissions[day] = day_fit.emissions
         runs.append((stage, states, emissions))
     (stage, states, emissions), (p_stage, p_states, p_emissions) = runs

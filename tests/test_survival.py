@@ -25,8 +25,6 @@ from icurisk.survival import (
     fit_window_regressions,
     hazard,
     label_hidden_states,
-    window_design,
-    window_designs,
 )
 import oracles
 
@@ -201,8 +199,8 @@ class TestNewtonSolve:
 
 @pytest.fixture(scope="module")
 def imputed_4k():
-    """The imputed feature matrix of 4,000 synthetic patients (the
-    benchmark's cohort settings), with day-2 times and events."""
+    """The feature matrix of 4,000 synthetic patients (the benchmark's cohort
+    settings), its imputed cells, and day-2 times and events."""
     config = SynthConfig(
         n_patients=4000,
         n_variables=5,
@@ -215,7 +213,7 @@ def imputed_4k():
     spec = FeatureSpec(tuple(cohort.variables), 12)
     matrix = build_feature_matrix(cohort, spec, load_default_score_table())
     times, events = censor_by_target(cohort.event_hours, cohort.died, 48.0)
-    return impute_median(matrix, compute_medians(matrix)), times, events
+    return matrix, impute_median(matrix, compute_medians(matrix)), times, events
 
 
 class TestPatientOrder:
@@ -224,8 +222,8 @@ class TestPatientOrder:
     order-dependent share of the intercept on the aliased ones."""
 
     @staticmethod
-    def _fits(matrix, times, events, perm):
-        full = window_design(matrix, 1)
+    def _fits(matrix, rows, times, events, perm):
+        full = np.column_stack([np.ones(matrix.n_patients), rows[matrix.cell_of[:, 1]]])
         permuted = matrix.subset(perm)
         return [
             (
@@ -233,19 +231,20 @@ class TestPatientOrder:
                 fit_exponential_regression(full[perm], times[perm], events[perm]).beta,
             ),
             (
-                fit_window_regressions(window_designs(matrix), times, events)[1].beta,
-                fit_window_regressions(window_designs(permuted), times[perm], events[perm])[1].beta,
+                fit_window_regressions(matrix, rows, [times], [events])[1].beta,
+                # every patient is kept, so the permuted matrix has the same cells
+                fit_window_regressions(permuted, rows, [times[perm]], [events[perm]])[1].beta,
             ),
         ]
 
     def test_window_fit_does_not_depend_on_patient_order(self, imputed_4k):
-        matrix, times, events = imputed_4k
+        matrix, rows, times, events = imputed_4k
         perm = np.random.default_rng(3).permutation(matrix.n_patients)
-        X = window_design(matrix, 1)
+        X = np.column_stack([np.ones(matrix.n_patients), rows[matrix.cell_of[:, 1]]])
         constant = np.all(X == X[0], axis=0)
         constant[0] = False   # the intercept
         assert constant.sum() >= 4
-        for beta, permuted in self._fits(matrix, times, events, perm):
+        for beta, permuted in self._fits(matrix, rows, times, events, perm):
             assert np.max(np.abs(beta - permuted)) <= 1e-12
             assert np.all(beta[constant] == 0.0) and np.all(permuted[constant] == 0.0)
 
@@ -336,18 +335,18 @@ class TestLabeling:
     def _inputs(self, seed=9, n=80):
         rng = np.random.default_rng(seed)
         spec = FeatureSpec(("v", "w"), 12)
-        y = rng.integers(0, 8, (n, 2, 2)).astype(float)
-        b = np.ones_like(y, dtype=np.uint8)
-        matrix = FeatureMatrix([f"p{i}" for i in range(n)], spec, y, b)
+        scores = rng.integers(0, 8, (n, 2, 2))
+        matrix = FeatureMatrix.from_scores([f"p{i}" for i in range(n)], spec, scores)
         event_hours = rng.uniform(10, 150, n)
         died = rng.random(n) < 0.5
         return matrix, event_hours, died
 
     @staticmethod
     def _fit_and_label(matrix, event_hours, died, target):
+        rows = impute_median(matrix, compute_medians(matrix))   # nothing missing: [scores, 1]
         times, events = censor_by_target(event_hours, died, target.target_hours)
-        fits = fit_window_regressions(window_designs(matrix), times, events)
-        return fits, label_hidden_states(matrix, events, fits, target)
+        fits = fit_window_regressions(matrix, rows, [times], [events])
+        return fits, label_hidden_states(matrix, rows, events, fits, target)
 
     def test_last_window_matches_outcome(self):
         matrix, event_hours, died = self._inputs()
@@ -375,13 +374,14 @@ class TestLabeling:
         target = TargetSpec(2, 12)
         fits, a = self._fit_and_label(matrix, event_hours, died, target)
         _, events = censor_by_target(event_hours, died, target.target_hours)
-        b = label_hidden_states(matrix, events, fits, target)
+        b = label_hidden_states(matrix, impute_median(matrix, compute_medians(matrix)), events, fits, target)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_priors_respect_exposure_mode(self):
         matrix, event_hours, died = self._inputs()
         fits, _ = self._fit_and_label(matrix, event_hours, died, TargetSpec(2, 12))
-        theta_printed = compute_priors(matrix, fits, TargetSpec(2, 12, "as_printed"))
-        theta_remaining = compute_priors(matrix, fits, TargetSpec(2, 12, "remaining"))
+        rows = impute_median(matrix, compute_medians(matrix))
+        theta_printed = compute_priors(matrix, rows, fits, TargetSpec(2, 12, "as_printed"))
+        theta_remaining = compute_priors(matrix, rows, fits, TargetSpec(2, 12, "remaining"))
         assert np.all(theta_printed > theta_remaining)  # 60/72h vs 36/24h exposure
