@@ -35,12 +35,12 @@ from .hmm import (
     survival_curve,
 )
 from .survival import (
-    DensityNormalizer,
     SurvivalFit,
     TargetSpec,
     death_prior,
     fit_exponential_regression,
     hazard,
+    normalize_death_share,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .cohort import (
     _csv_fields,
     filter_cohort,
     generate_synthetic_cohort,
+    json_number,
     load_cohort,
     write_observations,
     write_outcomes,
@@ -60,6 +61,13 @@ _CONFIG_CONTAINERS = {
     "cv": (dict, "an object"),
     "required_variables": (list, "a list"),
     "target_days": (list, "a list"),
+    "synth": (dict, "an object"),
+}
+# Number keys, each setting the PipelineConfig field of its name with "." as "_":
+# int takes a JSON integer only, float any JSON number.
+_CONFIG_NUMBERS = {
+    "window_hours": int, "k_clusters": int, "smoothing_alpha": float, "seed": int,
+    "cv.folds": int, "cv.repeats": int,
 }
 
 
@@ -113,22 +121,19 @@ class PipelineConfig:
         cfg.outcomes_path = paths.get("outcomes")
         cfg.score_table = paths.get("score_table")
         cfg.out_dir = paths.get("out_dir", cfg.out_dir)
+        cfg.target_days = tuple(obj.get("target_days", cfg.target_days))
+        cfg.duration_mode = str(obj.get("duration_mode", cfg.duration_mode))
+        cfg.required_variables = tuple(obj.get("required_variables", cfg.required_variables))
+        given = {**obj, **{f"cv.{key}": value for key, value in obj.get("cv", {}).items()}}
         try:
-            cfg.window_hours = int(obj.get("window_hours", cfg.window_hours))
-            cfg.k_clusters = int(obj.get("k_clusters", cfg.k_clusters))
-            cfg.target_days = tuple(int(d) for d in obj.get("target_days", cfg.target_days))
-            cfg.duration_mode = str(obj.get("duration_mode", cfg.duration_mode))
-            cfg.smoothing_alpha = float(obj.get("smoothing_alpha", cfg.smoothing_alpha))
-            cv = obj.get("cv", {})
-            cfg.cv_folds = int(cv.get("folds", cfg.cv_folds))
-            cfg.cv_repeats = int(cv.get("repeats", cfg.cv_repeats))
-            cfg.seed = int(obj.get("seed", cfg.seed))
-            cfg.required_variables = tuple(
-                obj.get("required_variables", cfg.required_variables)
-            )
+            for key, kind in _CONFIG_NUMBERS.items():
+                if key in given:
+                    setattr(cfg, key.replace(".", "_"), json_number(key, given[key], kind))
             if "synth" in obj:
                 cfg.synth = SynthConfig.from_json_obj(obj["synth"])
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:   # a number key of another JSON type
+            raise ConfigError(str(exc)) from None
+        except ValueError as exc:
             raise ConfigError(f"invalid config value: {exc}") from None
         if not 1 <= cfg.window_hours <= 24:
             raise ConfigError("window_hours must lie in 1..24")

@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -871,6 +873,16 @@ def filter_cohort(
 # Synthetic cohort generation
 # --------------------------------------------------------------------------
 
+def json_number(key: str, value, kind: type):
+    """`kind(value)` when the JSON `value` is an integer, or for kind float
+    any number; a TypeError naming config key `key` otherwise (a bool is
+    neither)."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        what = "an integer" if kind is int else "a number"
+        raise TypeError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_patients: int
@@ -896,11 +908,10 @@ class SynthConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SynthConfig":
-        expected = {
-            "n_patients", "n_variables", "prevalence_target",
-            "missing_rate", "sampling_rate_per_hour", "seed",
-        }
-        keys = set(obj)
+        """The config from a config's `synth` object: every field, as a JSON
+        integer for an int field and any JSON number for a float field."""
+        kinds = typing.get_type_hints(cls)
+        keys, expected = set(obj), set(kinds)
         if keys != expected:
             extra = sorted(keys - expected)
             missing = sorted(expected - keys)
@@ -908,14 +919,7 @@ class SynthConfig:
                 f"synthetic config must have exactly {sorted(expected)}; "
                 f"missing {missing}, unexpected {extra}"
             )
-        return cls(
-            n_patients=int(obj["n_patients"]),
-            n_variables=int(obj["n_variables"]),
-            prevalence_target=float(obj["prevalence_target"]),
-            missing_rate=float(obj["missing_rate"]),
-            sampling_rate_per_hour=float(obj["sampling_rate_per_hour"]),
-            seed=int(obj["seed"]),
-        )
+        return cls(**{key: json_number(f"synth.{key}", obj[key], kind) for key, kind in kinds.items()})
 
 
 # Per-variable emission models: baseline, scale, noise sd, severity loading.

@@ -10,11 +10,12 @@ import numpy as np
 
 from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, filter_cohort
 from .features import FeatureMatrix, FeatureSpec, ScoreTable, build_feature_matrix, worst_scores
-from .hmm import fit_feature_stage, fit_risk_model, score_patients
+from .hmm import fit_feature_stage, fit_risk_model, normal_band, score_patients
 from .survival import (
     TargetSpec,
     _spanning_columns,
     censor_by_target,
+    death_prior,
     fit_exponential_regression,
     hazard,
     newton_maximize,
@@ -263,12 +264,12 @@ def baseline_logistic_scores(train_X, train_y, test_X, *, counts=None) -> np.nda
 
 
 def baseline_exp_survival_scores(train_X, times, events, test_X, target_hours) -> np.ndarray:
-    """Death probability by the target from an exponential fit on max scores
-    (train_X rows with `fit_exponential_regression`'s times and events)."""
+    """Death probability by the target, `death_prior` over target_hours,
+    from an exponential fit on max scores (train_X rows with
+    `fit_exponential_regression`'s times and events)."""
     X = np.column_stack([np.ones(len(train_X)), train_X])
     fit = fit_exponential_regression(X, times, events)
-    lam = hazard(fit.beta, np.column_stack([np.ones(len(test_X)), test_X]))
-    return -np.expm1(-np.atleast_1d(lam) * target_hours)
+    return death_prior(hazard(fit.beta, np.column_stack([np.ones(len(test_X)), test_X])), target_hours)
 
 
 # --------------------------------------------------------------------------
@@ -450,18 +451,8 @@ def _aggregate(records, target_days, day_events, folds, repeats, seed) -> Evalua
         for method in ALL_METHODS:
             summary[day][method] = {}
             for metric in ALL_METRICS:
-                values = np.array(by_key[(day, method, metric)])
-                mean = float(values.mean())
-                half = (
-                    1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
-                    if values.size > 1
-                    else 0.0
-                )
-                summary[day][method][metric] = {
-                    "mean": mean,
-                    "ci_low": mean - half,
-                    "ci_high": mean + half,
-                }
+                mean, half = normal_band(np.array(by_key[(day, method, metric)]))
+                summary[day][method][metric] = {"mean": mean, "ci_low": mean - half, "ci_high": mean + half}
         p_values[day] = {}
         for baseline in (METHOD_SAPS, METHOD_LOGISTIC, METHOD_EXP_SURVIVAL):
             p_values[day][baseline] = {}

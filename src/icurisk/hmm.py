@@ -284,8 +284,16 @@ class CurveBand:
     ci_high: float
 
 
+def normal_band(values: np.ndarray) -> tuple[float, float]:
+    """Mean of the 1-D `values` and the half-width of its normal 95% band,
+    1.96 * sd / sqrt(n) with the n - 1 sd, or 0.0 for a single value."""
+    half = 1.96 * float(values.std(ddof=1)) / math.sqrt(values.size) if values.size > 1 else 0.0
+    return float(values.mean()), half
+
+
 def survival_curve(eta_by_day: dict[int, np.ndarray], died: np.ndarray) -> list[CurveBand]:
-    """Group mean survival probabilities (1 - eta) with normal 95% bands.
+    """Group mean survival probabilities (1 - eta) with `normal_band`s,
+    clipped to [0, 1].
 
     Patients are grouped by their actual outcome, `died`, a boolean per
     patient in the order of each day's `eta`; a group missing entirely is
@@ -299,21 +307,8 @@ def survival_curve(eta_by_day: dict[int, np.ndarray], died: np.ndarray) -> list[
             if values.size == 0:
                 warnings.warn(f"no patients in the {group} group; band omitted")
                 continue
-            mean = float(values.mean())
-            half = (
-                1.96 * float(values.std(ddof=1)) / math.sqrt(values.size)
-                if values.size > 1
-                else 0.0
-            )
-            bands.append(
-                CurveBand(
-                    group=group,
-                    target_day=day,
-                    mean_survival=mean,
-                    ci_low=max(mean - half, 0.0),
-                    ci_high=min(mean + half, 1.0),
-                )
-            )
+            mean, half = normal_band(values)
+            bands.append(CurveBand(group, day, mean, max(mean - half, 0.0), min(mean + half, 1.0)))
     return bands
 
 

@@ -3,7 +3,7 @@
 Each time window gets its own log-linear hazard fit. The per-window death
 prior is the cumulative-hazard probability 1 - exp(-lambda * V), and training
 state labels come from a supervised density-ratio normalization of those
-priors, thresholded at 0.5.
+priors (`normalize_death_share`), thresholded at 0.5.
 """
 
 from __future__ import annotations
@@ -132,14 +132,15 @@ def newton_maximize(loglik, grad, hessian_weights, X, keep, beta, max_iter: int,
     0.0, so the fit and its result do not depend on the order of the rows.
     On the kept columns the negative Hessian X^T diag(hessian_weights(beta)) X is positive definite
     away from separation, and each Newton step is an `np.linalg.solve` with
-    it. Steps are halved until the log-likelihood does not drop, with a
-    gradient-ascent fallback when a Newton direction fails to improve.
+    it. Steps are halved until the log-likelihood does not drop.
     Convergence is gradient max-norm <= NEWTON_TOL. `trace`, when a list,
     collects the log-likelihood after every iteration.
 
     Returns (beta, iterations, gradient max-norm). Raises ValueError when a
-    coefficient exceeds SEPARATION_LIMIT in magnitude, and RuntimeError when
-    the line search stalls or max_iter iterations do not converge.
+    line-searched step takes a coefficient past SEPARATION_LIMIT in
+    magnitude, and RuntimeError when all 60 halvings of a Newton step lower
+    the log-likelihood (the line search stalls) or max_iter iterations do
+    not converge.
     """
     kept = X[:, keep]
     beta = np.where(keep, beta, 0.0)
@@ -171,19 +172,9 @@ def newton_maximize(loglik, grad, hessian_weights, X, keep, beta, max_iter: int,
                 break
             scale *= 0.5
         else:
-            # Newton direction failed to improve; fall back to the gradient.
-            scale, step = 1.0 / max(grad_norm, 1.0), np.where(keep, g, 0.0)
-            for _ in range(60):
-                trial = beta + scale * step
-                trial_ll = loglik(trial)
-                if trial_ll >= ll:
-                    break
-                scale *= 0.5
-            else:
-                raise RuntimeError(
-                    f"line search stalled at iteration {iteration}, "
-                    f"grad max-norm {grad_norm:.3e}"
-                )
+            raise RuntimeError(
+                f"line search stalled at iteration {iteration}, grad max-norm {grad_norm:.3e}"
+            )
         beta, ll = trial, trial_ll
         if trace is not None:
             trace.append(ll)
@@ -289,9 +280,9 @@ def _silverman_bandwidth(values: np.ndarray) -> float:
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
 
 
-def _kde(points: np.ndarray, values: np.ndarray, counts: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Gaussian kernel density of a sample given as distinct values and
-    their counts, at each point.
+def _kde(points: np.ndarray, sample: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density of `sample`, with its Silverman bandwidth, at
+    each point.
 
     Each point is the count-weighted kernel sum over the U_s distinct
     sample values, in chunks of points, so memory is O(chunk * U_s). The
@@ -299,6 +290,8 @@ def _kde(points: np.ndarray, values: np.ndarray, counts: np.ndarray, bandwidth: 
     of patients. A count-weighted sum rounds differently from a sum with one
     term per sample, so the two agree only to the last bits.
     """
+    values, counts = np.unique(sample, return_counts=True)
+    bandwidth = _silverman_bandwidth(sample)
     weights = counts.astype(float)
     out = np.empty(points.size)
     norm = weights.sum() * bandwidth * math.sqrt(2.0 * math.pi)
@@ -308,53 +301,35 @@ def _kde(points: np.ndarray, values: np.ndarray, counts: np.ndarray, bandwidth: 
     return out
 
 
-class DensityNormalizer:
-    """Recalibrates death probabilities by class-conditional density share.
+def normalize_death_share(probs, labels, queries) -> np.ndarray:
+    """The death class's share of the class-weighted densities at each of the
+    1-D `queries`.
 
-    One Gaussian kernel density is fit per outcome class over the training
-    probabilities; a query maps to the count-weighted share of the death-class
-    density in the total density at that point.
+    One Gaussian kernel density (`_kde`) is fit per outcome class over the
+    training `probs`, `labels` 1 for death, and weighted by the class's
+    share of the training points. Where both densities vanish, the share is
+    that weight, with a warning. Raises ValueError when either class has
+    fewer than 2 training points.
     """
-
-    def __init__(self):
-        self._death = None
-        self._survival = None
-        self._bw = (None, None)
-        self.death_weight = None
-
-    def fit(self, probs, labels) -> "DensityNormalizer":
-        probs = np.asarray(probs, dtype=float)
-        labels = np.asarray(labels).astype(bool)
-        death = probs[labels]
-        survival = probs[~labels]
-        if death.size < 2 or survival.size < 2:
-            raise ValueError("each outcome class needs at least 2 training points")
-        self._death = np.unique(death, return_counts=True)
-        self._survival = np.unique(survival, return_counts=True)
-        self._bw = (
-            _silverman_bandwidth(death),
-            _silverman_bandwidth(survival),
+    probs = np.asarray(probs, dtype=float)
+    labels = np.asarray(labels).astype(bool)
+    queries = np.asarray(queries, dtype=float)
+    death, survival = probs[labels], probs[~labels]
+    if death.size < 2 or survival.size < 2:
+        raise ValueError("each outcome class needs at least 2 training points")
+    weight = death.size / probs.size
+    f_death = _kde(queries, death) * weight
+    f_surv = _kde(queries, survival) * (1.0 - weight)
+    total = f_death + f_surv
+    dead_zone = total <= 0
+    if np.any(dead_zone):
+        warnings.warn(
+            "both class densities vanished at a query point; "
+            "falling back to the death-class prior"
         )
-        self.death_weight = death.size / probs.size
-        return self
-
-    def normalize(self, p):
-        if self._death is None:
-            raise RuntimeError("normalizer is not fitted")
-        q = np.atleast_1d(np.asarray(p, dtype=float))
-        f_death = _kde(q, *self._death, self._bw[0]) * self.death_weight
-        f_surv = _kde(q, *self._survival, self._bw[1]) * (1.0 - self.death_weight)
-        total = f_death + f_surv
-        dead_zone = total <= 0
-        if np.any(dead_zone):
-            warnings.warn(
-                "both class densities vanished at a query point; "
-                "falling back to the death-class prior"
-            )
-            total[dead_zone] = 1.0
-            f_death[dead_zone] = self.death_weight
-        out = f_death / total
-        return float(out[0]) if np.isscalar(p) or np.ndim(p) == 0 else out
+        total[dead_zone] = 1.0
+        f_death[dead_zone] = weight
+    return f_death / total
 
 
 # --------------------------------------------------------------------------
@@ -410,15 +385,15 @@ def label_hidden_states(matrix, rows, events, fits, target: TargetSpec) -> State
 
     `rows` are the matrix's imputed cells; `events` come from
     `censor_by_target`, in matrix order, so censoring by the target time
-    counts as Survival. For windows before the last, the patients' priors
-    are normalized against the outcome classes, once per cell, and labeled
-    Death when the normalized probability reaches 0.5.
+    counts as Survival. For windows before the last, `normalize_death_share`
+    of the patients' priors against their outcome classes is computed once
+    per cell, and a patient is labeled Death when it reaches 0.5.
     """
     theta = compute_priors(matrix, rows, fits, target)
     probs = np.zeros(matrix.cell_of.shape)
     probs[:, -1] = events
     for t in range(probs.shape[1] - 1):
         cells, cell_of = matrix.cells_in(t), matrix.cell_of[:, t]
-        normalized = DensityNormalizer().fit(theta[cell_of], events).normalize(theta[cells])
+        normalized = normalize_death_share(theta[cell_of], events, theta[cells])
         probs[:, t] = normalized[cell_of - cells.start]
     return StateLabels(states=(probs >= 0.5).astype(np.uint8), probabilities=probs)

@@ -38,7 +38,7 @@ only so tests can compare a library path with it:
   the rank-counting `icurisk.evaluation.concordance`.
 - `kde_all_samples` sums the kernel over every training sample at every
   query point, and `normalize_all_samples` builds the class-density share on
-  it. They check `icurisk.survival.DensityNormalizer` and
+  it. They check `icurisk.survival.normalize_death_share` and
   `label_hidden_states`, which sum over distinct values with counts.
 - `ingest_rows` parses an observations CSV one `csv` record at a time, with
   `int` and `float` per field. It checks the block-vectorised
@@ -104,10 +104,10 @@ from icurisk.cohort import (
 from icurisk.features import BINARY, compute_medians, distinct_rows, feature_kinds, gower_matrix, pam_cluster
 from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _eta_forward_batch, _joint_logs, estimate_emissions
 from icurisk.survival import (
-    DensityNormalizer,
     _silverman_bandwidth,
     censor_by_target,
     fit_exponential_regression,
+    normalize_death_share,
 )
 
 ENUMERATION_LIMIT = 16
@@ -727,7 +727,7 @@ def risk_model_per_patient(matrix, event_hours, died, targets, k, seed=0, alpha=
         states = np.zeros((n, T), dtype=np.uint8)
         states[:, T - 1] = events
         for t in range(T - 1):
-            states[:, t] = DensityNormalizer().fit(theta[:, t], events).normalize(theta[:, t]) >= 0.5
+            states[:, t] = normalize_death_share(theta[:, t], events, theta[:, t]) >= 0.5
         days[target.target_day] = (betas, states, estimate_emissions(sequences, states, k, alpha))
     return medians, cluster, sequences, days
 

@@ -66,6 +66,7 @@ class TestConfigHandling:
             ("paths", ["x"], "an object"),
             ("required_variables", "gcs", "a list"),
             ("target_days", "25", "a list"),
+            ("synth", 5, "an object"),
         ],
     )
     def test_container_key_of_wrong_type_rejected(self, tmp_path, capsys, key, value, what):
@@ -93,12 +94,23 @@ class TestConfigHandling:
             ("target_days", [], "target_days must be distinct positive days, got []"),
             ("target_days", [0, 2], "target_days must be distinct positive days, got [0, 2]"),
             ("duration_mode", "midway", "duration_mode must be 'as_printed' or 'remaining', got 'midway'"),
+            ("window_hours", 12.9, "config key 'window_hours' must be an integer, got 12.9"),
+            ("window_hours", "12", 'config key \'window_hours\' must be an integer, got "12"'),
+            ("k_clusters", True, "config key 'k_clusters' must be an integer, got true"),
+            ("seed", 1.5, "config key 'seed' must be an integer, got 1.5"),
+            ("seed", None, "config key 'seed' must be an integer, got null"),
+            ("cv", {"folds": "3"}, 'config key \'cv.folds\' must be an integer, got "3"'),
+            ("cv", {"repeats": 2.0}, "config key 'cv.repeats' must be an integer, got 2.0"),
+            ("smoothing_alpha", "1", 'config key \'smoothing_alpha\' must be a number, got "1"'),
+            ("smoothing_alpha", True, "config key 'smoothing_alpha' must be a number, got true"),
         ],
         ids=[
             "cv-unknown-key", "target_days-fraction", "target_days-bool", "required_variables-number",
             "cv-one-fold", "cv-no-folds", "cv-no-repeats", "k_clusters-zero", "smoothing_alpha-zero",
             "smoothing_alpha-nan", "target_days-repeated", "target_days-empty", "target_days-zero",
-            "duration_mode-unknown",
+            "duration_mode-unknown", "window_hours-fraction", "window_hours-string", "k_clusters-bool",
+            "seed-fraction", "seed-null", "cv-folds-string", "cv-repeats-float", "smoothing_alpha-string",
+            "smoothing_alpha-bool",
         ],
     )
     def test_bad_value_inside_container_rejected(self, tmp_path, capsys, key, value, message):
@@ -106,6 +118,27 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({key: value}))
         assert run(["evaluate", "--config", cfg]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, what",
+        [
+            ("n_patients", 40.7, "an integer"),
+            ("n_patients", "40", "an integer"),
+            ("n_variables", 5.0, "an integer"),
+            ("seed", True, "an integer"),
+            ("prevalence_target", "0.15", "a number"),
+            ("missing_rate", False, "a number"),
+            ("sampling_rate_per_hour", None, "a number"),
+        ],
+    )
+    def test_synth_number_of_wrong_type_rejected(self, tmp_path, capsys, key, value, what):
+        synth = json.loads(write_config(tmp_path).read_text())["synth"]
+        cfg = write_config(tmp_path, synth={**synth, key: value})
+        assert run(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: config key 'synth.{key}' must be {what}, got {json.dumps(value)}\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_synth_without_block(self, tmp_path):
         cfg = tmp_path / "config.json"

@@ -76,12 +76,12 @@ from icurisk.features import (
 )
 from icurisk.hmm import fit_feature_stage, fit_risk_model, score_patients
 from icurisk.survival import (
-    DensityNormalizer,
     TargetSpec,
     censor_by_target,
     compute_priors,
     fit_window_regressions,
     label_hidden_states,
+    normalize_death_share,
 )
 from conftest import cohort_from_rows
 import oracles
@@ -348,7 +348,7 @@ def test_density_normalizer_matches_all_samples_oracle(case):
     probs, labels, queries = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # far queries hit the dead-zone fallback in both
-        got = DensityNormalizer().fit(probs, labels).normalize(queries)
+        got = normalize_death_share(probs, labels, queries)
         expected = oracles.normalize_all_samples(probs, labels, queries)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 

@@ -14,7 +14,6 @@ from icurisk.features import (
     load_default_score_table,
 )
 from icurisk.survival import (
-    DensityNormalizer,
     TargetSpec,
     censor_by_target,
     compute_priors,
@@ -25,6 +24,7 @@ from icurisk.survival import (
     fit_window_regressions,
     hazard,
     label_hidden_states,
+    normalize_death_share,
 )
 import oracles
 
@@ -294,40 +294,38 @@ class TestDeathPrior:
             death_prior(1.0, 0.0)
 
 
-class TestDensityNormalizer:
+class TestNormalizeDeathShare:
     def test_mirrored_classes_give_half_at_center(self):
         rng = np.random.default_rng(7)
         surv = rng.uniform(0.0, 1.0, 200)
         death = 1.0 - surv  # exact mirror image around 0.5, equal counts
         probs = np.concatenate([surv, death])
         labels = np.concatenate([np.zeros(200), np.ones(200)])
-        assert DensityNormalizer().fit(probs, labels).normalize(0.5) == pytest.approx(0.5, abs=1e-12)
+        assert normalize_death_share(probs, labels, [0.5])[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_query_deep_in_death_mass(self):
         death = np.linspace(0.8, 0.95, 50)
         surv = np.linspace(0.05, 0.2, 50)
         probs = np.concatenate([surv, death])
         labels = np.concatenate([np.zeros(50), np.ones(50)])
-        assert DensityNormalizer().fit(probs, labels).normalize(0.9) == pytest.approx(1.0, abs=1e-6)
+        assert normalize_death_share(probs, labels, [0.9])[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_output_in_unit_interval(self):
         rng = np.random.default_rng(8)
         probs = rng.uniform(0, 1, 100)
         labels = (rng.random(100) < 0.3).astype(int)
-        norm = DensityNormalizer().fit(probs, labels)
-        values = norm.normalize(rng.uniform(0, 1, 50))
+        values = normalize_death_share(probs, labels, rng.uniform(0, 1, 50))
         assert np.all((values >= 0) & (values <= 1))
 
     def test_tiny_class_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            DensityNormalizer().fit([0.1, 0.2, 0.3], [1, 0, 0])
+            normalize_death_share([0.1, 0.2, 0.3], [1, 0, 0], [0.2])
 
     def test_distant_query_falls_back_to_prior(self):
         probs = np.concatenate([np.full(30, 0.1), np.full(10, 0.2)])
         labels = np.concatenate([np.zeros(30), np.ones(10)])
-        norm = DensityNormalizer().fit(probs, labels)
         with pytest.warns(UserWarning, match="prior"):
-            value = norm.normalize(1e6)
+            value = normalize_death_share(probs, labels, [1e6])[0]
         assert value == pytest.approx(0.25)
 
 
