@@ -13,6 +13,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .cohort import (
     DEFAULT_REQUIRED_VARIABLES,
     SynthConfig,
@@ -110,6 +112,9 @@ class PipelineConfig:
             bad = sorted(set(obj.get(key, {})) - known)
             if bad:
                 raise ConfigError(f"unknown {key} keys: {bad}")
+        for key, value in obj.get("paths", {}).items():
+            if not isinstance(value, str):
+                raise ConfigError(f"config key 'paths.{key}' must be a string, got {json.dumps(value)}")
         for key, kind, what in (("target_days", int, "integers"), ("required_variables", str, "strings")):
             bad = [v for v in obj.get(key, []) if not isinstance(v, kind) or isinstance(v, bool)]
             if bad:
@@ -276,15 +281,24 @@ def _scoring_matrix(cfg: PipelineConfig, model, echo):
     return cohort, build_feature_matrix(cohort, spec, model.score_table)
 
 
+def write_predictions(path, patient_ids, eta_by_day) -> None:
+    """predictions.csv, one `patient_id,target_day,repr(eta)` line per patient and day; each
+    day's distinct etas, told apart by bit pattern (0.0 and -0.0 too), are formatted once."""
+    pids = _csv_fields(patient_ids)
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write("patient_id,target_day,eta\n")
+        for day, eta in eta_by_day.items():
+            bits, text_of = np.unique(np.asarray(eta, dtype=np.float64).view(np.uint64), return_inverse=True)
+            texts = [f",{day},{value!r}\n" for value in bits.view(np.float64).tolist()]
+            f.writelines(pid + texts[i] for pid, i in zip(pids, text_of.tolist()))
+
+
 def cmd_predict(cfg: PipelineConfig, args) -> int:
     model, echo = _load_model(cfg)
     matrix = _scoring_matrix(cfg, model, echo)[1]
-    pids = _csv_fields(matrix.patient_ids)
     out = _out_dir(cfg)
-    with open(out / "predictions.csv", "w", encoding="utf-8", newline="") as f:
-        f.write("patient_id,target_day,eta\n")
-        for day, scores in score_patients(model, matrix).items():
-            f.writelines(f"{pid},{day},{eta!r}\n" for pid, eta in zip(pids, scores.eta.tolist()))
+    eta_by_day = {day: scores.eta for day, scores in score_patients(model, matrix).items()}
+    write_predictions(out / "predictions.csv", matrix.patient_ids, eta_by_day)
     print(f"wrote {out / 'predictions.csv'}")
     return 0
 

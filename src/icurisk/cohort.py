@@ -25,6 +25,7 @@ FIRST_DAY_MINUTES = 1440
 
 # Bytes of an observations file that `ingest_observations` parses at once.
 BLOCK_BYTES = 1 << 20
+WINDOW_CHUNK_ROWS = 1 << 16   # rows that `window_cells` callers place at once
 
 # Day used to anchor the synthetic generator's prevalence calibration.
 PREVALENCE_REFERENCE_DAY = 5
@@ -814,21 +815,21 @@ def write_outcomes(cohort: RawCohort, path) -> None:
         f.writelines(f"{pid},{hours!r},{int(died)}\n" for pid, hours, died in rows)
 
 
-def window_cells(cohort: RawCohort, variable_names, window_minutes: int, n_windows: int):
+def window_cells(cohort: RawCohort, variable_names, window_minutes: int, n_windows: int, start=0, stop=None):
     """The one window rule: window t (0-based) holds offsets in
     [window_minutes * t, window_minutes * (t + 1)). Rows at or past
     window_minutes * n_windows, and rows of other variables, are dropped.
 
-    Returns the kept row indices and, per kept row, its cell: the flat index
-    of (patient, window, position in `variable_names`) in a C-order array of
-    shape (n_patients, n_windows, len(variable_names)). Only the two int64
-    arrays of kept rows outlive the call.
+    Looks at rows [start, stop) only; callers place all their variables in
+    one pass of `WINDOW_CHUNK_ROWS`-row chunks. Returns the kept row indices
+    and, per kept row, its cell: the flat index of (patient, window, position
+    in `variable_names`) in a C-order (n_patients, n_windows, p) array.
     """
     position = {name: j for j, name in enumerate(variable_names)}
     column_of = np.array([position.get(name, -1) for name in cohort.vocabulary], dtype=np.int64)
-    keep = (column_of >= 0)[cohort.variable]
-    keep &= cohort.offset_minutes < window_minutes * n_windows   # offsets are >= 0
-    rows = np.flatnonzero(keep)
+    keep = (column_of >= 0)[cohort.variable[start:stop]]
+    keep &= cohort.offset_minutes[start:stop] < window_minutes * n_windows   # offsets are >= 0
+    rows = np.flatnonzero(keep) + start
     cell = cohort.patient[rows] * n_windows
     cell += cohort.offset_minutes[rows] // window_minutes
     cell *= len(variable_names)
@@ -845,18 +846,19 @@ def filter_cohort(
     """Keep patients with >= 24 h of follow-up and complete required coverage.
 
     A patient qualifies when event_hours >= min_stay_hours and every required
-    variable has at least one sample in every window of the first day.
+    variable has at least one sample in every window of the first day, as
+    marked by one chunked `window_cells` pass over all required variables.
 
     The kept rows are copied one column at a time after this function drops
     its reference to `cohort`: passed a cohort nothing else holds, it never
     holds two. A cohort the caller keeps is left unchanged.
     """
-    n_windows = 24 // window_hours
-    keep = cohort.event_hours >= min_stay_hours
-    for name in dict.fromkeys(required_variables):   # one variable's cells at a time
-        covered = np.zeros((cohort.n_patients, n_windows), dtype=bool)
-        covered.ravel()[window_cells(cohort, (name,), 60 * window_hours, n_windows)[1]] = True
-        keep &= covered.all(axis=1)
+    n_windows, required = 24 // window_hours, tuple(dict.fromkeys(required_variables))
+    covered = np.zeros((cohort.n_patients, n_windows * len(required)), dtype=bool)
+    for start in range(0, cohort.patient.size, WINDOW_CHUNK_ROWS):
+        stop = start + WINDOW_CHUNK_ROWS   # no chunk array outlives its iteration
+        covered.ravel()[window_cells(cohort, required, 60 * window_hours, n_windows, start, stop)[1]] = True
+    keep = (cohort.event_hours >= min_stay_hours) & covered.all(axis=1)
     ids = [pid for pid, kept in zip(cohort.patient_ids, keep.tolist()) if kept]
     event_hours, died = cohort.event_hours[keep], cohort.died[keep]
     counts = np.bincount(cohort.patient, minlength=cohort.n_patients)[keep]

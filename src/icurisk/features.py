@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .cohort import RawCohort, window_cells
+from .cohort import WINDOW_CHUNK_ROWS, RawCohort, window_cells
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -34,7 +34,7 @@ class ScoreBin:
 
 
 class ScoreTable:
-    """Per-variable score bins plus a default score for out-of-range values."""
+    """Per-variable score bins plus a default score for values in no bin; `scores` is the one rule."""
 
     def __init__(self, bins: dict[str, list[ScoreBin]], default_score: int):
         self.default_score = int(default_score)
@@ -68,6 +68,15 @@ class ScoreTable:
         values = np.asarray(values, dtype=float)
         last = np.searchsorted(lower, values, side="right") - 1
         return np.where(values < upper[last], score[last], self.default_score)
+
+    def edge_table(self, variables) -> tuple[np.ndarray, np.ndarray]:
+        """`scores` tabulated on the union of the variables' bin edges: sorted
+        edges (E,) and lut (len(variables), E + 1), where lut[j, i] is variable
+        j's score at the left end of interval i (column 0: below edges[0]). Every
+        bin bound is an edge, so `lut[j, np.searchsorted(edges, v, "right")]` is `scores`."""
+        edges = np.array(sorted({x for v in variables for b in self.bins.get(v, ()) for x in (b.lower, b.upper)}))
+        lut = [self.scores(v, np.concatenate([[-math.inf], edges])) for v in variables]
+        return edges, np.array(lut, dtype=np.int64).reshape(len(variables), edges.size + 1)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScoreTable":
@@ -182,14 +191,19 @@ def worst_scores(
     """Worst-case (max) bin score per patient, window and variable; -1 where
     the window holds no sample of the variable.
 
-    Rows are placed by `window_cells` and scored once, one variable at a
-    time, so each per-row array holds one variable's rows.
+    One chunked `window_cells` pass places all the variables' rows, scores
+    each by a lookup in the table's `edge_table` and folds the integer scores
+    into their cells with `np.maximum.at`: max is order-free, so chunks agree.
     """
-    worst = np.full((len(variable_names), cohort.n_patients, n_windows), -1, dtype=np.int64)
-    for j, name in enumerate(variable_names):
-        rows, cell = window_cells(cohort, (name,), window_minutes, n_windows)
-        np.maximum.at(worst[j].ravel(), cell, table.scores(name, cohort.value[rows]))
-    return np.ascontiguousarray(worst.transpose(1, 2, 0))
+    names = tuple(dict.fromkeys(variable_names))
+    edges, lut = table.edge_table(names)
+    worst = np.full((cohort.n_patients, n_windows, len(names)), -1, dtype=np.int64)
+    for start in range(0, cohort.patient.size, WINDOW_CHUNK_ROWS):
+        rows, cell = window_cells(cohort, names, window_minutes, n_windows, start, start + WINDOW_CHUNK_ROWS)
+        bin_of = np.searchsorted(edges, cohort.value[rows], side="right")
+        np.maximum.at(worst.ravel(), cell, lut[cell % len(names), bin_of])
+        del rows, cell, bin_of   # before the next chunk's arrays are made
+    return worst[..., [names.index(name) for name in variable_names]]
 
 
 def build_feature_matrix(cohort: RawCohort, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:

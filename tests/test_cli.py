@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import icurisk
-from icurisk.cli import main
-from icurisk.cohort import write_observations, write_outcomes
+from icurisk.cli import main, write_predictions
+from icurisk.cohort import _csv_fields, write_observations, write_outcomes
 from conftest import cohort_from_rows, count_calls, write_config, write_cohort_files
 
 
@@ -103,6 +104,10 @@ class TestConfigHandling:
             ("cv", {"repeats": 2.0}, "config key 'cv.repeats' must be an integer, got 2.0"),
             ("smoothing_alpha", "1", 'config key \'smoothing_alpha\' must be a number, got "1"'),
             ("smoothing_alpha", True, "config key 'smoothing_alpha' must be a number, got true"),
+            ("paths", {"out_dir": 5}, "config key 'paths.out_dir' must be a string, got 5"),
+            ("paths", {"observations": 3}, "config key 'paths.observations' must be a string, got 3"),
+            ("paths", {"score_table": None}, "config key 'paths.score_table' must be a string, got null"),
+            ("paths", {"outcomes": ["o.csv"]}, 'config key \'paths.outcomes\' must be a string, got ["o.csv"]'),
         ],
         ids=[
             "cv-unknown-key", "target_days-fraction", "target_days-bool", "required_variables-number",
@@ -110,7 +115,8 @@ class TestConfigHandling:
             "smoothing_alpha-nan", "target_days-repeated", "target_days-empty", "target_days-zero",
             "duration_mode-unknown", "window_hours-fraction", "window_hours-string", "k_clusters-bool",
             "seed-fraction", "seed-null", "cv-folds-string", "cv-repeats-float", "smoothing_alpha-string",
-            "smoothing_alpha-bool",
+            "smoothing_alpha-bool", "paths-out_dir-number", "paths-observations-number",
+            "paths-score_table-null", "paths-outcomes-list",
         ],
     )
     def test_bad_value_inside_container_rejected(self, tmp_path, capsys, key, value, message):
@@ -225,6 +231,31 @@ MISSHAPEN_MODELS = [
     ("days.3.emissions.initial", lambda m: m["days"]["3"]["emissions"]["initial"].pop()),
     ("days.3.emissions.transition", lambda m: m["days"]["3"]["emissions"]["transition"][0].pop()),
 ]
+
+
+class TestWritePredictions:
+    SUBNORMAL = float(np.nextafter(0.0, 1.0))
+
+    @pytest.mark.parametrize(
+        "etas",
+        [
+            [0.25, 0.5, 0.25, 0.25, 0.1, 0.5, 0.25, 0.1],
+            [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, 0.0],
+            [SUBNORMAL, 0.0, 3 * SUBNORMAL, SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308, 1.0, 0.1 + 0.2],
+            np.random.default_rng(5).random(8).tolist(),
+        ],
+        ids=["repeats", "signed-zeros", "subnormals", "all-distinct"],
+    )
+    def test_matches_row_oracle(self, tmp_path, etas):
+        ids = ["p1", "p2", "a,b", 'q"1', "p5", "p6", "p7", "p8"]
+        eta_by_day = {2: np.array(etas), 5: np.array(etas[::-1])}
+        write_predictions(tmp_path / "predictions.csv", ids, eta_by_day)
+        expected = "patient_id,target_day,eta\n" + "".join(
+            f"{pid},{day},{eta!r}\n"
+            for day, eta_of in eta_by_day.items()
+            for pid, eta in zip(_csv_fields(ids), eta_of.tolist())
+        )
+        assert (tmp_path / "predictions.csv").read_text(encoding="utf-8") == expected
 
 
 class TestPredict:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from icurisk import cohort as cohort_module
+from icurisk import features as features_module
 from icurisk.cohort import (
     CohortError,
     ParseError,
@@ -21,8 +22,8 @@ from icurisk.cohort import (
     write_outcomes,
 )
 from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
-from conftest import cohort_from_rows, write_cohort_files
-from oracles import cohort_rows
+from conftest import cohort_from_rows, count_calls, write_cohort_files
+from oracles import cohort_rows, filter_ids
 
 
 def obs_stream(*rows):
@@ -472,9 +473,43 @@ class TestFilter:
         # no samples in the second 12h window
         assert filter_cohort(self._cohort(offsets=(0, 300, 700))).n_patients == 0
 
+    def test_each_call_places_the_rows_once(self, monkeypatch, small_cohort):
+        assert small_cohort.value.size < cohort_module.WINDOW_CHUNK_ROWS
+        calls = count_calls(monkeypatch, cohort_module, "window_cells")
+        kept = filter_cohort(small_cohort, ("heart_rate", "blood_pressure", "gcs"))
+        assert calls == {"window_cells": 1}
+        calls = count_calls(monkeypatch, features_module, "window_cells")
+        spec = FeatureSpec(tuple(kept.variables), 12)
+        assert spec.n_variables == 5
+        build_feature_matrix(kept, spec, load_default_score_table())
+        assert calls == {"window_cells": 1}
+
+    def test_chunks_do_not_change_the_filter(self, monkeypatch, small_cohort):
+        required = ("heart_rate", "blood_pressure", "gcs")
+        expected = filter_ids(small_cohort, required, 8)
+        assert 0 < len(expected) < small_cohort.n_patients
+        monkeypatch.setattr(cohort_module, "WINDOW_CHUNK_ROWS", 1000)
+        assert filter_cohort(small_cohort, required, 8).patient_ids == expected
+
+    def test_feature_pass_holds_one_chunk(self, cohort_4k):
+        # An unchunked pass holds about 40 B per placed row; the chunked one
+        # holds that for one chunk, plus the (patient, window, variable) table.
+        spec = FeatureSpec(tuple(cohort_4k.variables), 12)
+        table = load_default_score_table()
+        column_bytes = sum(a.nbytes for a in (cohort_4k.patient, cohort_4k.variable,
+                                              cohort_4k.offset_minutes, cohort_4k.value))
+        tracemalloc.start()
+        try:
+            build_feature_matrix(cohort_4k, spec, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < column_bytes / 2
+        assert cohort_4k.value.size > 4 * cohort_module.WINDOW_CHUNK_ROWS
+
     def test_filter_and_features_memory_is_linear_in_rows(self, cohort_4k):
         # The kept columns take 4 x 8 bytes a row. Window cells are released
-        # before the columns are built, and scored one variable at a time.
+        # before the columns are built, and placed one chunk at a time.
         cohort = cohort_4k
         table = load_default_score_table()
         tracemalloc.start()
@@ -490,8 +525,8 @@ class TestFilter:
     def test_filter_frees_a_cohort_it_alone_holds(self, cohort_4k, tmp_path):
         # Passed the only reference to a loaded cohort, the filter frees each
         # loaded column once its kept rows are copied, so it never holds two
-        # cohorts (about 30 B a row more). Coverage is found one variable at
-        # a time, and the patient column is rebuilt from row counts.
+        # cohorts (about 30 B a row more). Coverage is found one chunk of
+        # rows at a time, and the patient column is rebuilt from row counts.
         paths = write_cohort_files(cohort_4k, tmp_path)
         tracemalloc.start()
         try:

@@ -24,8 +24,10 @@ from icurisk.features import (
     numeric_ranges,
     pam_cluster,
     silhouette,
+    worst_scores,
 )
 from conftest import cohort_from_rows
+import oracles
 from oracles import gower_distance, score_value
 
 HR_TABLE = ScoreTable(
@@ -65,6 +67,36 @@ class TestScoreTable:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ValueError, match="not in score table"):
             HR_TABLE.scores("gcs", [3.0])
+
+    @pytest.mark.parametrize(
+        "table", [HR_TABLE, GAPPED_TABLE, load_default_score_table()], ids=["hr", "gapped", "default"]
+    )
+    def test_edge_table_matches_scores(self, table):
+        variables = tuple(table.bins)
+        edges, lut = table.edge_table(variables)
+        assert lut.shape == (len(variables), edges.size + 1) and lut.dtype == np.int64
+        values = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            (edges[:-1] + edges[1:]) / 2,   # inside bins and in the gaps between them
+            [edges[0] - 1e6, edges[0] - 1.0, edges[-1] + 1.0, edges[-1] + 1e6, -0.0, 0.0],
+        ])
+        for j, var in enumerate(variables):
+            looked_up = lut[j, np.searchsorted(edges, values, "right")]
+            assert looked_up.tolist() == table.scores(var, values).tolist()
+
+    def test_edge_table_merges_the_edges_of_its_variables_only(self):
+        table = ScoreTable({**HR_TABLE.bins, **GAPPED_TABLE.bins}, default_score=7)
+        edges, lut = table.edge_table(("x",))
+        assert edges.tolist() == [10.0, 20.0, 30.0, 40.0] and lut.tolist() == [[7, 3, 7, 5, 7]]
+        edges, lut = table.edge_table(("x", "heart_rate"))
+        assert edges.tolist() == [0.0, 10.0, 20.0, 30.0, 40.0, 70.0, 120.0, 160.0]
+        assert lut.tolist() == [[7, 7, 3, 7, 5, 7, 7, 7, 7], [7, 11, 11, 11, 11, 2, 0, 4, 7]]
+
+    def test_edge_table_unknown_variable_rejected(self):
+        with pytest.raises(ValueError, match="variable 'gcs' not in score table"):
+            HR_TABLE.edge_table(("heart_rate", "gcs"))
 
     def test_variable_without_bins_scores_default(self):
         table = ScoreTable({"x": []}, default_score=2)
@@ -154,6 +186,25 @@ class TestDiscretization:
         y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).scores
         scores = [score_value(HR_TABLE, "heart_rate", v) for v in values]
         assert y[0, 0, 0] == max(scores)
+
+
+class TestOnePass:
+    TABLE = load_default_score_table()
+
+    def test_chunks_do_not_change_the_scores(self, monkeypatch, small_cohort):
+        spec = FeatureSpec(tuple(small_cohort.variables), 8)
+        whole = worst_scores(small_cohort, spec.variable_names, self.TABLE, 480, spec.n_windows)
+        monkeypatch.setattr(features_module, "WINDOW_CHUNK_ROWS", 1000)
+        chunked = worst_scores(small_cohort, spec.variable_names, self.TABLE, 480, spec.n_windows)
+        assert np.array_equal(chunked, whole)
+        expected = oracles.discretize_scores(oracles.window_segment(small_cohort, spec), self.TABLE, spec)
+        assert np.array_equal(chunked, np.nan_to_num(expected, nan=-1))
+
+    def test_repeated_variable_gets_its_scores_in_each_column(self, small_cohort):
+        names = ("heart_rate", "gcs", "heart_rate")
+        worst = worst_scores(small_cohort, names, self.TABLE, 720, 2)
+        single = worst_scores(small_cohort, ("gcs", "heart_rate"), self.TABLE, 720, 2)
+        assert np.array_equal(worst, single[..., [1, 0, 1]])
 
 
 class TestImputation:
