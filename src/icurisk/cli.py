@@ -163,13 +163,21 @@ def _load_score_table(cfg: PipelineConfig) -> ScoreTable:
     return ScoreTable.from_file(cfg.score_table)
 
 
-def _load_input_cohort(cfg: PipelineConfig):
+def _input_paths(cfg: PipelineConfig):
     for label, path in (("observations", cfg.observations_path), ("outcomes", cfg.outcomes_path)):
         if path is None:
             raise ConfigError(f"config paths.{label} is required for this command")
         if not Path(path).exists():
             raise ConfigError(f"{label} file not found: {path}")
-    return load_cohort(cfg.observations_path, cfg.outcomes_path)
+    return cfg.observations_path, cfg.outcomes_path
+
+
+def _kept_tables(cfg: PipelineConfig, required_variables, window_hours: int, table: ScoreTable):
+    """The input files folded into window tables (`load_cohort` given the
+    window size), scored with `table`, filtered to the patients that
+    qualify: the rows themselves are never held."""
+    tables = load_cohort(*_input_paths(cfg), 60 * window_hours, table)
+    return filter_cohort(tables, required_variables, window_hours)
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
@@ -198,13 +206,11 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
 
 def _prepare_training_inputs(cfg: PipelineConfig):
     table = _load_score_table(cfg)
-    # no name is bound to the loaded cohort: the filter frees it column by column
-    cohort = filter_cohort(_load_input_cohort(cfg), cfg.required_variables, cfg.window_hours)
-    if cohort.n_patients == 0:
+    tables = _kept_tables(cfg, cfg.required_variables, cfg.window_hours, table)
+    if tables.n_patients == 0:
         raise ValueError("no patients left after filtering")
-    spec = FeatureSpec(tuple(cohort.variables), cfg.window_hours)
-    matrix = build_feature_matrix(cohort, spec, table)
-    return table, cohort, matrix
+    matrix = build_feature_matrix(tables, FeatureSpec(tuple(tables.variables), cfg.window_hours), table)
+    return table, tables, matrix
 
 
 def _sweep_k(matrix, rows, seed) -> None:
@@ -224,14 +230,14 @@ def _sweep_k(matrix, rows, seed) -> None:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
-    table, cohort, matrix = _prepare_training_inputs(cfg)
+    table, tables, matrix = _prepare_training_inputs(cfg)
     stage = fit_feature_stage(matrix, cfg.k_clusters, seed=[cfg.seed])
     if args.sweep_k:
         _sweep_k(matrix, stage.rows, [cfg.seed])
     model = fit_risk_model(
         matrix,
-        cohort.event_hours,
-        cohort.died,
+        tables.event_hours,
+        tables.died,
         [TargetSpec(day, cfg.window_hours, cfg.duration_mode) for day in cfg.target_days],
         table,
         smoothing_alpha=cfg.smoothing_alpha,
@@ -274,11 +280,11 @@ def _scoring_matrix(cfg: PipelineConfig, model, echo):
     was: window size and required variables come from model.json, not from
     the current config."""
     spec = model.spec
-    cohort = filter_cohort(_load_input_cohort(cfg), echo["required_variables"], spec.window_hours)
-    unknown = sorted(set(cohort.variables) - set(spec.variable_names))
+    tables = _kept_tables(cfg, echo["required_variables"], spec.window_hours, model.score_table)
+    unknown = sorted(set(tables.variables) - set(spec.variable_names))
     if unknown:
         raise ValueError(f"variables not in the trained model: {unknown}")
-    return cohort, build_feature_matrix(cohort, spec, model.score_table)
+    return tables, build_feature_matrix(tables, spec, model.score_table)
 
 
 def write_predictions(path, patient_ids, eta_by_day) -> None:
@@ -305,9 +311,9 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
 
 def cmd_curves(cfg: PipelineConfig, args) -> int:
     model, echo = _load_model(cfg)
-    cohort, matrix = _scoring_matrix(cfg, model, echo)
+    tables, matrix = _scoring_matrix(cfg, model, echo)
     eta_by_day = {day: scores.eta for day, scores in score_patients(model, matrix).items()}
-    bands = survival_curve(eta_by_day, cohort.died)
+    bands = survival_curve(eta_by_day, tables.died)
     out = _out_dir(cfg)
     with open(out / "curves.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
@@ -328,9 +334,9 @@ def cmd_curves(cfg: PipelineConfig, args) -> int:
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     table = _load_score_table(cfg)
-    # no name is bound to the loaded cohort: run_cv holds only the filtered one
+    # no name is bound to the loaded cohort: run_cv drops it once it is folded
     report = run_cv(
-        _load_input_cohort(cfg),
+        load_cohort(*_input_paths(cfg)),
         table,
         target_days=cfg.target_days,
         window_hours=cfg.window_hours,

@@ -2,17 +2,22 @@
 
 A cohort is one table of observations in parallel columns (patient, variable,
 offset, value), one row per CSV row, plus per-patient event_hours and died.
-`window_cells` is the one rule that places rows in first-day windows; patient
-filtering, the feature matrix and the baseline features all use it.
+`WindowTables` is the one rule that places rows in first-day windows: it
+folds rows, part by part, into per-patient tables, from a RawCohort's chunks
+(`window_tables`) or straight from the parsed blocks of a file
+(`load_cohort` given `window_minutes`). Patient filtering, the feature matrix
+and the baseline features all read those tables.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import itertools
 import json
 import math
+import re
 import typing
 from dataclasses import dataclass
 
@@ -25,7 +30,7 @@ FIRST_DAY_MINUTES = 1440
 
 # Bytes of an observations file that `ingest_observations` parses at once.
 BLOCK_BYTES = 1 << 20
-WINDOW_CHUNK_ROWS = 1 << 16   # rows that `window_cells` callers place at once
+WINDOW_CHUNK_ROWS = 1 << 16   # rows of a RawCohort that `window_tables` folds at once
 
 # Day used to anchor the synthetic generator's prevalence calibration.
 PREVALENCE_REFERENCE_DAY = 5
@@ -81,6 +86,8 @@ class RawCohort:
             raise CohortError("event_hours and died must be 1-D with one entry per patient")
         if self.died.dtype != bool:
             raise CohortError(f"died must be bool, got {self.died.dtype}")
+        if len(set(self.vocabulary)) != len(self.vocabulary):
+            raise CohortError("vocabulary names must be distinct")
         bad = ~((self.event_hours > 0) & (self.event_hours < np.inf))   # NaN fails both
         if bad.any():
             j = int(np.argmax(bad))
@@ -650,36 +657,32 @@ class _Columns:
 
 
 def _first_capacity(blocks, n_bytes, n_rows):
-    """Rows to allocate for on seeing the first block, `n_rows` rows in
-    `n_bytes`: for a seekable stream, the rows the bytes left would
-    hold at the first block's bytes per row, with 1/16 to spare; for any
-    other stream, the first block's rows."""
+    """Rows to allocate for on seeing the first part, `n_rows` rows in
+    `n_bytes`: for a block of a seekable stream, the rows the bytes left
+    would hold at the block's bytes per row, with 1/16 to spare; for any
+    other stream, or a part of the row loop (`n_bytes` None), its rows."""
     left = blocks.bytes_left()
-    if left is None:
+    if left is None or n_bytes is None:
         return n_rows
     estimate = n_rows + left * n_rows // n_bytes
     return estimate + estimate // 16
 
 
-def ingest_observations(stream) -> dict:
-    """Parse an observations CSV into every RawCohort field but the outcomes.
+def _observation_parts(blocks, patients: dict, variables: _SeenTexts):
+    """(patient, variable, offset_minutes, value) of consecutive rows of an
+    observations CSV (a `_LineBlocks`), part by part, with the bytes of the
+    block a part was parsed from (None for a part of the row loop).
 
-    The stream must be binary, UTF-8 CSV with header patient_id,variable,offset_minutes,value.
-    Patients and variables are numbered in order of first appearance; rows
-    at or beyond minute 1440 are kept.
-
+    Patients and variables are numbered in `patients` and `variables` in
+    order of first appearance; rows at or beyond minute 1440 are kept.
     The file is read in blocks of whole lines, each parsed with NumPy by
     `_parse_block`, which reads plain decimal values exactly without a
     Python float per row. From the first block that parser declines to the
     end of the file, rows go through `_row_loop`, one `csv` record at a
     time, which accepts all of CSV (quoted fields, CRLF line endings, empty
-    lines) and raises every ParseError. Both give the same columns, bit for
-    bit, and both write them straight into the preallocated `_Columns`.
+    lines) and raises every ParseError. Both give the same rows, bit for bit.
+    A file without rows raises "no observations".
     """
-    blocks = _LineBlocks(stream)
-    patients: dict[str, int] = {}
-    variables = _SeenTexts()
-    columns = None
     lines_done, declined = 0, False
     for data in blocks:
         header = lines_done == 0
@@ -692,9 +695,7 @@ def ingest_observations(stream) -> dict:
         if declined:
             break
         if data:
-            if columns is None:
-                columns = _Columns(_first_capacity(blocks, len(data), parts[0].size))
-            columns.append(parts)
+            yield parts, len(data)
             lines_done += parts[0].size
         lines_done += header
     if declined:
@@ -705,12 +706,26 @@ def ingest_observations(stream) -> dict:
             line_no=lines_done + 1,
         )
         for parts in _row_loop(rows, patients, variables.index):
-            if columns is None:
-                columns = _Columns(parts[0].size)
-            columns.append(parts)
-
-    if columns is None:
+            yield parts, None
+    if not patients:
         raise CohortError("no observations")
+
+
+def ingest_observations(stream) -> dict:
+    """Parse an observations CSV into every RawCohort field but the outcomes.
+
+    The stream must be binary, UTF-8 CSV with header patient_id,variable,offset_minutes,value,
+    parsed by `_observation_parts`. Its parts are written straight into the
+    preallocated `_Columns`, which are sorted by patient, then offset.
+    """
+    blocks = _LineBlocks(stream)
+    patients: dict[str, int] = {}
+    variables = _SeenTexts()
+    columns = None
+    for parts, n_bytes in _observation_parts(blocks, patients, variables):
+        if columns is None:
+            columns = _Columns(_first_capacity(blocks, n_bytes, parts[0].size))
+        columns.append(parts)
     return {"patient_ids": list(patients), "vocabulary": tuple(variables.index), **columns.finish()}
 
 
@@ -756,34 +771,72 @@ def _ingest_file(path, ingest):
             raise CohortError(f"{path}: {exc}") from None
 
 
-def load_cohort(observations_path, outcomes_path) -> RawCohort:
+def _paired_outcomes(ids, observations_path, outcomes_path):
+    """(event_hours, died) of the patients `ids` of the observations file,
+    read from the outcomes file and paired by id."""
+    rows, event_hours, died = _ingest_file(outcomes_path, ingest_outcomes)
+    order = np.array([rows.get(pid, -1) for pid in ids], dtype=np.int64)
+    if len(rows) != len(ids) or (order < 0).any():
+        missing = sorted(set(ids).symmetric_difference(rows))[:5]
+        raise CohortError(
+            f"{observations_path}, {outcomes_path}: "
+            f"observations and outcomes cover different patients (e.g. {missing})"
+        )
+    return event_hours[order], died[order]
+
+
+def load_cohort(observations_path, outcomes_path, window_minutes=None, table=None):
     """The cohort in an observations and an outcomes CSV file (see
     `ingest_observations` and `ingest_outcomes`), checked as a RawCohort.
 
     Rows come out sorted by patient, then offset; outcomes pair by id. A
     ParseError names the file and line; any other CohortError names the
     file or, for a mismatch between the two, both files.
+
+    Given `window_minutes`, the rows are not kept: each part of the
+    observations file is folded into WindowTables of `window_minutes`
+    windows, scored with `table`, as soon as it is parsed, and then dropped,
+    so memory is O(patients + one block), not O(rows). The tables equal
+    `window_tables(load_cohort(...), window_minutes, table)`, with the same
+    patient numbering and errors; an unsorted file needs no sort, as max is
+    order-free.
     """
-    columns = _ingest_file(observations_path, ingest_observations)
-    rows, event_hours, died = _ingest_file(outcomes_path, ingest_outcomes)
-    ids = columns["patient_ids"]
-    order = np.array([rows.get(pid, -1) for pid in ids], dtype=np.int64)
-    try:
-        if len(rows) != len(ids) or (order < 0).any():
-            missing = sorted(set(ids).symmetric_difference(rows))[:5]
-            raise CohortError(f"observations and outcomes cover different patients (e.g. {missing})")
-        return RawCohort(**columns, event_hours=event_hours[order], died=died[order])
-    except CohortError as exc:
-        raise CohortError(f"{observations_path}, {outcomes_path}: {exc}") from None
+    if window_minutes is None:
+        columns = _ingest_file(observations_path, ingest_observations)
+        event_hours, died = _paired_outcomes(columns["patient_ids"], observations_path, outcomes_path)
+        try:
+            return RawCohort(**columns, event_hours=event_hours, died=died)
+        except CohortError as exc:
+            raise CohortError(f"{observations_path}, {outcomes_path}: {exc}") from None
+    tables = WindowTables(window_minutes, table)
+    patients: dict[str, int] = {}
+    variables = _SeenTexts()
+
+    def fold(stream):
+        for parts, _ in _observation_parts(_LineBlocks(stream), patients, variables):
+            tables.add(parts, variables.index)
+
+    _ingest_file(observations_path, fold)
+    ids = list(patients)
+    return tables.finish(ids, variables.index, *_paired_outcomes(ids, observations_path, outcomes_path))
+
+
+# Texts `csv.writer` writes as they are: no delimiter, quote, space or line break.
+_PLAIN_FIELD = re.compile(r"[A-Za-z0-9_.\-]+")
 
 
 def _csv_fields(texts) -> list[str]:
     """Each text as `csv.writer` writes it among other fields of a row:
-    quoted where the csv module's minimal quoting says so."""
+    quoted where the csv module's minimal quoting says so. Texts of ASCII
+    letters, digits, "_", "-" and "." pass through unchanged; every other
+    text is written by `csv.writer` itself."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     fields = []
     for text in texts:
+        if _PLAIN_FIELD.fullmatch(text):
+            fields.append(text)
+            continue
         buffer.seek(0)
         buffer.truncate()
         writer.writerow((text, ""))
@@ -815,56 +868,184 @@ def write_outcomes(cohort: RawCohort, path) -> None:
         f.writelines(f"{pid},{hours!r},{int(died)}\n" for pid, hours, died in rows)
 
 
-def window_cells(cohort: RawCohort, variable_names, window_minutes: int, n_windows: int, start=0, stop=None):
-    """The one window rule: window t (0-based) holds offsets in
-    [window_minutes * t, window_minutes * (t + 1)). Rows at or past
-    window_minutes * n_windows, and rows of other variables, are dropped.
+class WindowTables:
+    """What the model reads of a cohort's rows, per patient: the worst score
+    of each variable in each first-day window, and which variables it has
+    rows of.
 
-    Looks at rows [start, stop) only; callers place all their variables in
-    one pass of `WINDOW_CHUNK_ROWS`-row chunks. Returns the kept row indices
-    and, per kept row, its cell: the flat index of (patient, window, position
-    in `variable_names`) in a C-order (n_patients, n_windows, p) array.
+    The one window rule: window t holds offsets in [window_minutes * t,
+    window_minutes * (t + 1)) below minute 1440, so the last window may be
+    shorter, and rows at or past minute 1440 are dropped. `worst[i, t, c]`
+    is the max score of patient i's rows of variable `vocabulary[c]` in
+    window t, -1 where there are none. A row is scored by a lookup in
+    `score_table`'s `edge_table`; a variable the table has no bins for, and
+    with no table every variable, scores 0, so `worst >= 0` marks a sample.
+    `seen[i, c]` is whether patient i has a row of variable c at any
+    offset, and `n_rows[i]` how many rows it has. `event_hours` and `died`
+    are the outcomes, as in a RawCohort.
+
+    Rows are folded in part by part (`add`), from a RawCohort's chunks
+    (`window_tables`) or straight from the parsed blocks of a file
+    (`load_cohort` given `window_minutes`). The tables grow, doubling, as
+    parts bring new patients or variables, and `finish` cuts them to size
+    and attaches the ids and outcomes. They hold O(patients) memory.
     """
-    position = {name: j for j, name in enumerate(variable_names)}
-    column_of = np.array([position.get(name, -1) for name in cohort.vocabulary], dtype=np.int64)
-    keep = (column_of >= 0)[cohort.variable[start:stop]]
-    keep &= cohort.offset_minutes[start:stop] < window_minutes * n_windows   # offsets are >= 0
-    rows = np.flatnonzero(keep) + start
-    cell = cohort.patient[rows] * n_windows
-    cell += cohort.offset_minutes[rows] // window_minutes
-    cell *= len(variable_names)
-    cell += column_of[cohort.variable[rows]]
-    return rows, cell
+
+    def __init__(self, window_minutes: int, table=None, n_patients: int = 0):
+        self.window_minutes, self.score_table = window_minutes, table
+        n_windows = -(-FIRST_DAY_MINUTES // window_minutes)
+        self.worst = np.full((n_patients, n_windows, 0), -1, dtype=np.int64)
+        self.seen = np.zeros((n_patients, 0), dtype=bool)
+        self.n_rows = np.zeros(n_patients, dtype=np.int64)
+        self.patient_ids: list[str] = []
+        self.vocabulary: tuple[str, ...] = ()
+        self.event_hours = self.died = None
+        self._edges, self._lut = np.empty(0), np.zeros((0, 1), dtype=np.int64)
+
+    def _grow(self, n_patients: int, vocabulary) -> None:
+        """Room for `n_patients` and every variable of `vocabulary`, which
+        extends the vocabulary seen so far."""
+        rows, n_windows, columns = self.worst.shape
+        if n_patients > rows or len(vocabulary) > columns:
+            size = [have if need <= have else max(need, 2 * have)
+                    for have, need in ((rows, n_patients), (columns, len(vocabulary)))]
+            worst = np.full((size[0], n_windows, size[1]), -1, dtype=np.int64)
+            worst[:rows, :, :columns] = self.worst
+            seen = np.zeros(size, dtype=bool)
+            seen[:rows, :columns] = self.seen
+            n_rows = np.zeros(size[0], dtype=np.int64)
+            n_rows[:rows] = self.n_rows
+            self.worst, self.seen, self.n_rows = worst, seen, n_rows
+        if len(vocabulary) > len(self.vocabulary):
+            self.vocabulary = tuple(vocabulary)
+            bins = {} if self.score_table is None else self.score_table.bins
+            scored = [code for code, name in enumerate(self.vocabulary) if name in bins]
+            self._edges, lut = self.score_table.edge_table([self.vocabulary[c] for c in scored]) if scored else (self._edges, 0)
+            self._lut = np.zeros((len(self.vocabulary), self._edges.size + 1), dtype=np.int64)
+            self._lut[scored] = lut
+
+    def add(self, parts, vocabulary) -> None:
+        """Fold the rows (patient, variable, offset_minutes, value) in, their
+        variable codes indexing `vocabulary`. Max is order-free, so neither
+        the order of the rows nor how they are cut into parts matters."""
+        patient, variable, offset, value = parts
+        self._grow(int(patient.max()) + 1, vocabulary)
+        self.n_rows += np.bincount(patient, minlength=self.n_rows.size)
+        self.seen[patient, variable] = True
+        early = offset < FIRST_DAY_MINUTES   # offsets are >= 0
+        if not early.all():
+            patient, variable, offset, value = (column[early] for column in (patient, variable, offset, value))
+        n_windows, n_columns = self.worst.shape[1:]
+        cell = patient * n_windows
+        cell += offset // self.window_minutes
+        cell *= n_columns
+        cell += variable
+        score = self._lut[variable, np.searchsorted(self._edges, value, side="right")]
+        np.maximum.at(self.worst.ravel(), cell, score)
+
+    def finish(self, patient_ids, vocabulary, event_hours, died) -> "WindowTables":
+        """The tables cut to `patient_ids` and `vocabulary`, which may name
+        patients and variables no row was folded for, with the outcomes."""
+        n_patients, n_variables = len(patient_ids), len(vocabulary)
+        self._grow(n_patients, vocabulary)
+        self.worst = self.worst[:n_patients, :, :n_variables]
+        self.seen, self.n_rows = self.seen[:n_patients, :n_variables], self.n_rows[:n_patients]
+        self.patient_ids, self.event_hours, self.died = list(patient_ids), event_hours, died
+        return self
+
+    @property
+    def n_patients(self) -> int:
+        return len(self.patient_ids)
+
+    @property
+    def variables(self) -> list[str]:
+        """Sorted names of the variables these patients have rows of, as
+        `RawCohort.variables`."""
+        return sorted(self.vocabulary[code] for code in np.flatnonzero(self.seen.any(axis=0)).tolist())
+
+    @property
+    def patients(self) -> dict[str, range]:
+        """Each patient's rows, numbered from 0, in patient order: as
+        `RawCohort.patients`, but the tables hold only how many there are."""
+        return {pid: range(n) for pid, n in zip(self.patient_ids, self.n_rows.tolist())}
+
+    def _columns(self, variable_names) -> dict:
+        index = {name: code for code, name in enumerate(self.vocabulary)}
+        return {j: index[name] for j, name in enumerate(variable_names) if name in index}
+
+    def kept(self, required_variables, window_hours: int, min_stay_hours: float) -> np.ndarray:
+        """The patients `filter_cohort` keeps: event_hours >= min_stay_hours,
+        and a sample of every required variable in each of the first day's
+        24 // window_hours windows, which must be these tables' windows."""
+        n_windows, required = 24 // window_hours, tuple(dict.fromkeys(required_variables))
+        if self.window_minutes != 60 * window_hours:
+            raise ValueError(f"tables of {self.window_minutes}-minute windows, not {window_hours} h")
+        columns = self._columns(required)
+        covered = np.zeros(self.n_patients, dtype=bool)
+        if len(columns) == len(required):
+            covered = (self.worst[:, :n_windows, list(columns.values())] >= 0).all(axis=(1, 2))
+        return (self.event_hours >= min_stay_hours) & covered
+
+    def subset(self, keep) -> "WindowTables":
+        """The patients where the bool mask `keep` is set, in the same order."""
+        kept = copy.copy(self)
+        kept.patient_ids = [pid for pid, k in zip(self.patient_ids, keep.tolist()) if k]
+        for name in ("worst", "seen", "n_rows", "event_hours", "died"):
+            setattr(kept, name, getattr(self, name)[keep])
+        return kept
+
+    def scores(self, variable_names, n_windows=None) -> np.ndarray:
+        """(patients, n_windows, len(variable_names)) worst scores of the
+        named variables in the first n_windows windows (all by default), -1
+        where missing. A name the score table lacks raises, as in
+        `ScoreTable.scores`."""
+        if self.score_table is not None:
+            self.score_table.require(variable_names)
+        n_windows = self.worst.shape[1] if n_windows is None else n_windows
+        out = np.full((self.n_patients, n_windows, len(variable_names)), -1, dtype=np.int64)
+        for j, code in self._columns(variable_names).items():
+            out[:, :, j] = self.worst[:, :n_windows, code]
+        return out
+
+
+def window_tables(cohort: RawCohort, window_minutes: int, table=None) -> WindowTables:
+    """A RawCohort's rows folded into WindowTables of `window_minutes`
+    windows, scored with `table` (a ScoreTable, or None for sample marks
+    only), `WINDOW_CHUNK_ROWS` rows at a time: one pass for all variables,
+    holding one chunk's arrays beside the tables."""
+    tables = WindowTables(window_minutes, table, cohort.n_patients)
+    columns = (cohort.patient, cohort.variable, cohort.offset_minutes, cohort.value)
+    for start in range(0, cohort.patient.size, WINDOW_CHUNK_ROWS):
+        tables.add([column[start : start + WINDOW_CHUNK_ROWS] for column in columns], cohort.vocabulary)
+    return tables.finish(cohort.patient_ids, cohort.vocabulary, cohort.event_hours, cohort.died)
 
 
 def filter_cohort(
-    cohort: RawCohort,
+    cohort: RawCohort | WindowTables,
     required_variables=DEFAULT_REQUIRED_VARIABLES,
     window_hours: int = 12,
     min_stay_hours: float = 24.0,
-) -> RawCohort:
+):
     """Keep patients with >= 24 h of follow-up and complete required coverage.
 
     A patient qualifies when event_hours >= min_stay_hours and every required
-    variable has at least one sample in every window of the first day, as
-    marked by one chunked `window_cells` pass over all required variables.
-
-    The kept rows are copied one column at a time after this function drops
-    its reference to `cohort`: passed a cohort nothing else holds, it never
+    variable has at least one sample in every window of the first day:
+    `WindowTables.kept`. Given WindowTables (the CLI commands fold the files
+    into them), returns the kept patients' tables. Given a RawCohort, it
+    folds the rows once with `window_tables` and returns a RawCohort of the
+    kept rows, copied one column at a time after this function drops its
+    reference to `cohort`: passed a cohort nothing else holds, it never
     holds two. A cohort the caller keeps is left unchanged.
     """
-    n_windows, required = 24 // window_hours, tuple(dict.fromkeys(required_variables))
-    covered = np.zeros((cohort.n_patients, n_windows * len(required)), dtype=bool)
-    for start in range(0, cohort.patient.size, WINDOW_CHUNK_ROWS):
-        stop = start + WINDOW_CHUNK_ROWS   # no chunk array outlives its iteration
-        covered.ravel()[window_cells(cohort, required, 60 * window_hours, n_windows, start, stop)[1]] = True
-    keep = (cohort.event_hours >= min_stay_hours) & covered.all(axis=1)
+    if isinstance(cohort, WindowTables):
+        return cohort.subset(cohort.kept(required_variables, window_hours, min_stay_hours))
+    tables = window_tables(cohort, 60 * window_hours)
+    keep = tables.kept(required_variables, window_hours, min_stay_hours)
     ids = [pid for pid, kept in zip(cohort.patient_ids, keep.tolist()) if kept]
-    event_hours, died = cohort.event_hours[keep], cohort.died[keep]
-    counts = np.bincount(cohort.patient, minlength=cohort.n_patients)[keep]
+    event_hours, died, counts = cohort.event_hours[keep], cohort.died[keep], tables.n_rows[keep]
     vocabulary, rows = cohort.vocabulary, keep[cohort.patient]
     columns = [cohort.variable, cohort.offset_minutes, cohort.value]
-    del cohort
+    del cohort, tables
     for i in range(len(columns)):   # each loaded column is freed once its kept rows are copied
         columns[i] = columns[i][rows]
     # Rows are sorted by patient, so the kept rows are the kept patients' runs.

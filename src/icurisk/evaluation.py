@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, filter_cohort
-from .features import FeatureMatrix, FeatureSpec, ScoreTable, build_feature_matrix, worst_scores
+from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, WindowTables, filter_cohort, window_tables
+from .features import FeatureMatrix, FeatureSpec, ScoreTable, build_feature_matrix
 from .hmm import fit_feature_stage, fit_risk_model, normal_band, score_patients
 from .survival import (
     TargetSpec,
@@ -190,14 +190,19 @@ def paired_t_test_one_tailed(a, b) -> float:
 # Baselines on per-variable worst-case scores
 # --------------------------------------------------------------------------
 
-def first_day_max_scores(cohort: RawCohort, variables, table: ScoreTable) -> np.ndarray:
+def first_day_max_scores(cohort: RawCohort | WindowTables, variables, table: ScoreTable) -> np.ndarray:
     """Per-patient, per-variable maximum bin score over the full first day.
 
     One window of [0, 1440) minutes, even when the window size does not
-    divide 24 h. Unobserved variables score 0.
+    divide 24 h: the max over the windows of WindowTables folded with
+    `table`, or of one chunked `window_tables` fold of a RawCohort's rows.
+    Unobserved variables score 0.
     """
-    worst = worst_scores(cohort, variables, table, FIRST_DAY_MINUTES, 1)
-    return np.maximum(worst[:, 0, :], 0).astype(float)
+    if isinstance(cohort, RawCohort):
+        cohort = window_tables(cohort, FIRST_DAY_MINUTES, table)
+    elif cohort.score_table is not table:
+        raise ValueError("tables folded with another score table")
+    return np.maximum(cohort.scores(variables).max(axis=1), 0).astype(float)
 
 
 def baseline_saps_scores(max_features: np.ndarray) -> np.ndarray:
@@ -359,32 +364,38 @@ def run_cv(
     times if any fold lacks an outcome class for some target day). All fitting
     (medians, medoids, survival coefficients, state labels, emissions, and the
     baseline regressions) happens on training folds only.
+
+    The cohort's rows are folded once, by `window_tables`, into the window
+    scores of the model and of the first-day baselines; the patients are
+    filtered on those tables, so no row is copied, and the rows are not
+    referenced during the CV loop.
     """
-    cohort = filter_cohort(cohort, required_variables, window_hours)
-    if cohort.n_patients == 0:
+    tables = filter_cohort(window_tables(cohort, 60 * window_hours, score_table), required_variables, window_hours)
+    del cohort
+    if tables.n_patients == 0:
         raise ValueError("no patients left after filtering")
-    variables = cohort.variables
+    variables = tables.variables
     spec = FeatureSpec(tuple(variables), window_hours)
-    matrix = build_feature_matrix(cohort, spec, score_table)
+    matrix = build_feature_matrix(tables, spec, score_table)
 
     targets = {
         day: TargetSpec(day, window_hours, duration_mode) for day in target_days
     }
     day_censoring = {
-        day: censor_by_target(cohort.event_hours, cohort.died, t.target_hours)
+        day: censor_by_target(tables.event_hours, tables.died, t.target_hours)
         for day, t in targets.items()
     }
     day_events = {day: ev for day, (_, ev) in day_censoring.items()}
-    baseline_features = first_day_max_scores(cohort, variables, score_table)
+    baseline_features = first_day_max_scores(tables, variables, score_table)
     saps = baseline_saps_scores(baseline_features)
     # The baselines are fit on the distinct first-day rows: a one-window cell table.
     first_day = FeatureSpec(variables, 24)
-    baseline = FeatureMatrix.from_scores(cohort.patient_ids, first_day, baseline_features[:, None])
+    baseline = FeatureMatrix.from_scores(tables.patient_ids, first_day, baseline_features[:, None])
 
     records: list[MetricRecord] = []
     metric_fns = {"aucpr": aucpr, "cstat": concordance, "auroc": auroc}
     for repeat in range(repeats):
-        fold_of = _draw_valid_folds(seed, repeat, cohort.died, day_events, folds)
+        fold_of = _draw_valid_folds(seed, repeat, tables.died, day_events, folds)
         for fold in range(folds):
             test = fold_of == fold
             train_idx = np.flatnonzero(~test)
@@ -396,8 +407,8 @@ def run_cv(
             train_group = train_baseline.cell_of[:, 0]
             model = fit_risk_model(
                 train_matrix,
-                cohort.event_hours[train_idx],
-                cohort.died[train_idx],
+                tables.event_hours[train_idx],
+                tables.died[train_idx],
                 [targets[day] for day in target_days],  # a repeated day is an error
                 score_table,
                 smoothing_alpha=smoothing_alpha,

@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .cohort import WINDOW_CHUNK_ROWS, RawCohort, window_cells
+from .cohort import RawCohort, WindowTables, window_tables
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -57,8 +57,7 @@ class ScoreTable:
     def scores(self, variable: str, values) -> np.ndarray:
         """Bin score of each value: the score of the bin with lower <= value <
         upper, or default_score in gaps between bins and out of range."""
-        if variable not in self.bins:
-            raise ValueError(f"variable {variable!r} not in score table")
+        self.require((variable,))
         # A leading empty bin [-inf, -inf) gives every value a last bin with
         # lower <= value; the value lies in that bin when it is below upper.
         bins = (ScoreBin(-math.inf, -math.inf, 0),) + self.bins[variable]
@@ -68,6 +67,12 @@ class ScoreTable:
         values = np.asarray(values, dtype=float)
         last = np.searchsorted(lower, values, side="right") - 1
         return np.where(values < upper[last], score[last], self.default_score)
+
+    def require(self, variables) -> None:
+        """Raise for the first of `variables` that has no bins here."""
+        for variable in variables:
+            if variable not in self.bins:
+                raise ValueError(f"variable {variable!r} not in score table")
 
     def edge_table(self, variables) -> tuple[np.ndarray, np.ndarray]:
         """`scores` tabulated on the union of the variables' bin edges: sorted
@@ -185,32 +190,18 @@ class FeatureMatrix:
         return FeatureMatrix(ids, self.spec, self.cells[present], self.window[present], cell_of)
 
 
-def worst_scores(
-    cohort: RawCohort, variable_names, table: ScoreTable, window_minutes: int, n_windows: int
-) -> np.ndarray:
-    """Worst-case (max) bin score per patient, window and variable; -1 where
-    the window holds no sample of the variable.
-
-    One chunked `window_cells` pass places all the variables' rows, scores
-    each by a lookup in the table's `edge_table` and folds the integer scores
-    into their cells with `np.maximum.at`: max is order-free, so chunks agree.
-    """
-    names = tuple(dict.fromkeys(variable_names))
-    edges, lut = table.edge_table(names)
-    worst = np.full((cohort.n_patients, n_windows, len(names)), -1, dtype=np.int64)
-    for start in range(0, cohort.patient.size, WINDOW_CHUNK_ROWS):
-        rows, cell = window_cells(cohort, names, window_minutes, n_windows, start, start + WINDOW_CHUNK_ROWS)
-        bin_of = np.searchsorted(edges, cohort.value[rows], side="right")
-        np.maximum.at(worst.ravel(), cell, lut[cell % len(names), bin_of])
-        del rows, cell, bin_of   # before the next chunk's arrays are made
-    return worst[..., [names.index(name) for name in variable_names]]
-
-
-def build_feature_matrix(cohort: RawCohort, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:
+def build_feature_matrix(cohort: RawCohort | WindowTables, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:
     """Worst scores over the spec's windows of the first day, grouped into
-    each window's cells."""
-    worst = worst_scores(cohort, spec.variable_names, table, 60 * spec.window_hours, spec.n_windows)
-    return FeatureMatrix.from_scores(cohort.patient_ids, spec, worst)
+    each window's cells: read from WindowTables folded in the spec's
+    windows with `table`, or from one `window_tables` fold of a RawCohort's
+    rows, which scores each row once by a lookup in the table's
+    `edge_table`."""
+    if isinstance(cohort, RawCohort):
+        cohort = window_tables(cohort, 60 * spec.window_hours, table)
+    elif cohort.window_minutes != 60 * spec.window_hours or cohort.score_table is not table:
+        raise ValueError(f"tables folded in {cohort.window_minutes}-minute windows, or with another "
+                         f"score table, for a feature matrix of {spec.window_hours} h windows")
+    return FeatureMatrix.from_scores(cohort.patient_ids, spec, cohort.scores(spec.variable_names, spec.n_windows))
 
 
 @dataclass(frozen=True)

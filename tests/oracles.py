@@ -16,7 +16,8 @@ only so tests can compare a library path with it:
   `filter_ids` and `first_day_max_scores` walk each patient's rows one at a
   time, with the windows as nested dicts of lists. They check the columnar
   `build_feature_matrix`, `filter_cohort` and
-  `icurisk.evaluation.first_day_max_scores`, which share `window_cells`.
+  `icurisk.evaluation.first_day_max_scores`, which share one window fold
+  (`icurisk.cohort.window_tables`).
 - `subset` takes the patients of a boolean mask with one fancy index per
   column and a gather-and-remap of the patient column. It checks
   `icurisk.cohort.filter_cohort`, which copies one column at a time and

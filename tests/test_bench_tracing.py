@@ -68,6 +68,8 @@ def test_traced_commands_give_every_layer_metric(tmp_path, monkeypatch):
         assert sorted(metrics) == sorted(LAYER_UNITS), command
         assert all(math.isfinite(value) for value in metrics.values()), (command, metrics)
         assert metrics["cohort.load_cohort.rows_per_s"] > 0, command
+        assert metrics["features.build_feature_matrix.us_per_row"] > 0, command
+        assert 0 < metrics["cohort.filter_cohort.kept_share"] <= 1, command
         if command != "predict":
             assert metrics["survival.newton_iterations"] > 0, command
     for name in ("report.json", "metrics.csv", "model.json", "predictions.csv"):

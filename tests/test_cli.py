@@ -10,6 +10,7 @@ import pytest
 import icurisk
 from icurisk.cli import main, write_predictions
 from icurisk.cohort import _csv_fields, write_observations, write_outcomes
+from icurisk.features import load_default_score_table
 from conftest import cohort_from_rows, count_calls, write_config, write_cohort_files
 
 
@@ -386,6 +387,44 @@ class TestCurves:
             group, day, mean, lo, hi = line.split(",")
             assert group in ("death", "survival")
             assert 0.0 <= float(lo) <= float(mean) <= float(hi) <= 1.0
+
+
+class TestFoldedInputErrors:
+    """train, predict and curves fold the input files into window tables,
+    with the messages the loaded cohort gave."""
+
+    def test_unknown_variable_named_by_predict_and_curves(self, workdir, small_cohort, capsys):
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        with open(workdir / "observations.csv", "a", encoding="utf-8") as f:
+            f.writelines(f"{pid},mystery,1439,1.0\n" for pid in small_cohort.patient_ids)
+        capsys.readouterr()
+        for command in ("predict", "curves"):
+            assert run([command, "--config", cfg]) == 1
+            assert capsys.readouterr().err == "error: variables not in the trained model: ['mystery']\n"
+
+    def test_variable_missing_from_score_table_named_by_train(self, workdir, capsys):
+        table = load_default_score_table().to_json_obj()
+        del table["age"]
+        (workdir / "table.json").write_text(json.dumps(table))
+        paths = json.loads(Path(write_config(workdir)).read_text())["paths"]
+        cfg = write_config(workdir, paths={**paths, "score_table": str(workdir / "table.json")})
+        assert run(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: variable 'age' not in score table\n"
+
+    def test_files_covering_different_patients_named(self, workdir, capsys):
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        observations, outcomes = workdir / "observations.csv", workdir / "outcomes.csv"
+        with open(outcomes, "a", encoding="utf-8") as f:
+            f.write("zz,30,0\n")
+        capsys.readouterr()
+        for command in ("train", "predict", "curves"):
+            assert run([command, "--config", cfg]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {observations}, {outcomes}: "
+                "observations and outcomes cover different patients (e.g. ['zz'])\n"
+            )
 
 
 @pytest.mark.parametrize("command", ["predict", "curves"])

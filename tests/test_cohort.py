@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from icurisk import cohort as cohort_module
-from icurisk import features as features_module
 from icurisk.cohort import (
     CohortError,
     ParseError,
@@ -17,13 +16,23 @@ from icurisk.cohort import (
     ingest_observations,
     ingest_outcomes,
     load_cohort,
-    window_cells,
+    window_tables,
     write_observations,
     write_outcomes,
 )
 from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
 from conftest import cohort_from_rows, count_calls, write_cohort_files
 from oracles import cohort_rows, filter_ids
+
+
+def traced_peak(run):
+    """The tracemalloc peak of `run()`."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def obs_stream(*rows):
@@ -93,8 +102,8 @@ class TestIngestObservations:
         columns = ingest_observations(obs_stream("p1,heart_rate,1440,80"))
         assert columns["offset_minutes"].tolist() == [1440]
         cohort = RawCohort(**columns, event_hours=[30.0], died=[False])
-        rows, _ = window_cells(cohort, ("heart_rate",), 720, 2)
-        assert rows.size == 0
+        tables = window_tables(cohort, 720)
+        assert tables.seen.tolist() == [[True]] and (tables.worst == -1).all()
 
     def test_negative_offset_names_line(self):
         with pytest.raises(ParseError, match="line 3: offset_minutes must be >= 0"):
@@ -201,6 +210,33 @@ class TestIngestObservations:
             tracemalloc.stop()
         assert parsed["value"].size == n
         assert peak < 2 * (4 * 8 * n) + 4 * cohort_module.BLOCK_BYTES
+
+    def test_fold_memory_does_not_grow_with_rows(self, tmp_path):
+        # The fold holds per-patient tables and the parse of one block, so
+        # for 2,000 patients its peak is the same at 200,000 and 400,000
+        # rows, and below that of loading the columns.
+        table = load_default_score_table()
+        rng = np.random.default_rng(2)
+        names = ("heart_rate", "blood_pressure", "gcs", "temperature", "age")
+        obs, out = tmp_path / "observations.csv", tmp_path / "outcomes.csv"
+        out.write_text("patient_id,event_hours,death_flag\n" + "".join(f"p{i:04d},48.0,0\n" for i in range(2000)))
+        peaks = []
+        for n in (200_000, 400_000):
+            per_patient = n // 2000
+            values = (100 + 20 * rng.standard_normal(n)).tolist()
+            with open(obs, "w", encoding="utf-8") as f:
+                f.write("patient_id,variable,offset_minutes,value\n")
+                f.writelines(
+                    f"p{i // per_patient:04d},{names[i % 5]},{(i % per_patient) * 1400 // per_patient},{v!r}\n"
+                    for i, v in enumerate(values)
+                )
+            del values
+            peaks.append([traced_peak(lambda: load(obs, out)) for load in (
+                lambda o, u: load_cohort(o, u, 720, table), load_cohort,
+            )])
+        (fold_small, load_small), (fold_large, load_large) = peaks
+        assert abs(fold_large - fold_small) <= 0.05 * fold_small
+        assert fold_small < load_small and fold_large < load_large
 
     def test_unsorted_file_is_reordered_one_column_at_a_time(self, monkeypatch):
         # A shuffled file of 4,000 patients. Sorting it holds the columns
@@ -428,6 +464,11 @@ class TestRawCohort:
         with pytest.raises(CohortError, match=message):
             heart_rate_cohort(**bad)
 
+    def test_repeated_variable_name_rejected(self):
+        # window tables keep one column per code, so two codes of one name would split its rows
+        with pytest.raises(CohortError, match="vocabulary names must be distinct"):
+            RawCohort(["p1"], ("gcs", "gcs"), [0, 0], [0, 1], [5, 6], [9.0, 8.0], [30.0], [False])
+
     def test_patients_map_ids_to_their_rows(self):
         cohort = cohort_from_rows(
             [("a", "gcs", 5, 9.0), ("c", "gcs", 1, 9.0), ("a", "gcs", 2, 9.0)],
@@ -469,20 +510,23 @@ class TestFilter:
     def test_short_stay_dropped(self):
         assert filter_cohort(self._cohort(event_hours=20.0)).n_patients == 0
 
+    def test_stay_of_exactly_the_minimum_kept(self):
+        assert filter_cohort(self._cohort(event_hours=24.0)).n_patients == 1
+        assert filter_cohort(self._cohort(event_hours=np.nextafter(24.0, 0))).n_patients == 0
+
     def test_missing_required_window_dropped(self):
         # no samples in the second 12h window
         assert filter_cohort(self._cohort(offsets=(0, 300, 700))).n_patients == 0
 
     def test_each_call_places_the_rows_once(self, monkeypatch, small_cohort):
         assert small_cohort.value.size < cohort_module.WINDOW_CHUNK_ROWS
-        calls = count_calls(monkeypatch, cohort_module, "window_cells")
+        calls = count_calls(monkeypatch, cohort_module.WindowTables, "add")
         kept = filter_cohort(small_cohort, ("heart_rate", "blood_pressure", "gcs"))
-        assert calls == {"window_cells": 1}
-        calls = count_calls(monkeypatch, features_module, "window_cells")
+        assert calls == {"add": 1}
         spec = FeatureSpec(tuple(kept.variables), 12)
         assert spec.n_variables == 5
         build_feature_matrix(kept, spec, load_default_score_table())
-        assert calls == {"window_cells": 1}
+        assert calls == {"add": 2}
 
     def test_chunks_do_not_change_the_filter(self, monkeypatch, small_cohort):
         required = ("heart_rate", "blood_pressure", "gcs")

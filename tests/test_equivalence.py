@@ -34,6 +34,7 @@ files must match `csv.writer`'s bytes for ids and names that need quoting
 and values whose `repr` is unusual.
 """
 
+import csv
 import functools
 import io
 import math
@@ -51,11 +52,14 @@ from hypothesis.extra.numpy import arrays
 
 from icurisk import cohort as cohort_module
 from icurisk.cohort import (
+    CohortError,
     ParseError,
     SynthConfig,
+    _csv_fields,
     filter_cohort,
     generate_synthetic_cohort,
     ingest_observations,
+    load_cohort,
     write_observations,
     write_outcomes,
 )
@@ -83,7 +87,7 @@ from icurisk.survival import (
     label_hidden_states,
     normalize_death_share,
 )
-from conftest import cohort_from_rows
+from conftest import cohort_from_rows, count_calls
 import oracles
 
 TABLE = load_default_score_table()
@@ -747,6 +751,139 @@ def test_writers_match_csv_writer_oracle(cohort):
 
 def test_seeded_cohort_writes_match_csv_writer_oracle(small_cohort, tmp_path):
     assert_writes_match_oracle(small_cohort, tmp_path)
+
+
+def csv_writer_field(text):
+    """`text` as `csv.writer` writes it before another field."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text, ""))
+    return buffer.getvalue()[:-2]
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(
+    st.text(),
+    st.text("abcXYZ019_-.", max_size=12),   # the texts passed through unchanged
+    st.text("ab_.,\"\r\n \t'", max_size=6),
+)))
+def test_csv_fields_match_csv_writer(texts):
+    assert _csv_fields(texts) == [csv_writer_field(text) for text in texts]
+
+
+def fold_and_load(observations, outcomes, window_hours, table=TABLE):
+    """What train, predict and curves read of the files, by the fold
+    (`load_cohort` given the window size, filtered as tables) and by the
+    loaded RawCohort, filtered (`filter_cohort`, `build_feature_matrix`):
+    kept ids, event_hours, died, variables, the matrix and the first-day
+    maxima, each an exception where it raises."""
+    def folded():
+        tables = filter_cohort(load_cohort(observations, outcomes, 60 * window_hours, table), REQUIRED, window_hours)
+        return (tables, lambda spec: build_feature_matrix(tables, spec, table),
+                lambda v: first_day_max_scores(tables, v, table))
+
+    def loaded():
+        cohort = filter_cohort(load_cohort(observations, outcomes), REQUIRED, window_hours)
+        return (cohort, lambda spec: build_feature_matrix(cohort, spec, table),
+                lambda v: first_day_max_scores(cohort, v, table))
+
+    results = []
+    for kept, matrix, first_day in (folded(), loaded()):
+        variables = kept.variables
+        results.append((
+            kept.patient_ids, kept.event_hours.tobytes(), kept.died.tolist(), variables,
+            ingest_outcome(lambda v: matrix(FeatureSpec(tuple(v), window_hours)), variables),
+            ingest_outcome(first_day, variables),
+        ))
+    return results
+
+
+def assert_fold_matches_load(observations, outcomes, window_hours):
+    (*folded, matrix, first_day), (*loaded, expected, expected_first_day) = fold_and_load(
+        observations, outcomes, window_hours
+    )
+    assert folded == loaded
+    for got, want in ((matrix, expected), (first_day, expected_first_day)):
+        assert type(got) is type(want)
+        if isinstance(want, Exception):
+            assert str(got) == str(want)
+    if not isinstance(expected, Exception):
+        assert matrix.patient_ids == expected.patient_ids and matrix.spec == expected.spec
+        for name in ("cells", "window", "cell_of"):
+            a, b = getattr(matrix, name), getattr(expected, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert first_day.dtype == expected_first_day.dtype
+        assert np.array_equal(first_day, expected_first_day)
+
+
+@st.composite
+def fold_files(draw):
+    """The lines of an observations file of up to 8 patients, in any
+    order, with offsets at and past minute 1440, values on score-bin edges
+    and a variable outside the score table; maybe a quoted id mid-file,
+    which sends the rest of the file to the row loop; and the outcomes
+    lines of its patients, in another order."""
+    ids = [f"p{i}" for i in range(draw(st.integers(1, 8)))]
+    rows = draw(st.lists(st.tuples(st.sampled_from(ids), ROW), min_size=1, max_size=60))
+    lines = [f"{pid},{var},{off},{val!r}" for pid, (var, off, val) in draw(st.permutations(rows))]
+    if draw(st.booleans()):
+        pid, (var, off, val) = draw(st.sampled_from(rows))
+        lines.insert(draw(st.integers(0, len(lines))), f'"{pid}",{var},{off},{val!r}')
+    seen = draw(st.permutations(sorted({pid for pid, _ in rows})))
+    outcomes = [f"{pid},{draw(st.sampled_from(['5.0', '23.9', '24.0', '48.0']))},{draw(st.sampled_from('01'))}"
+                for pid in seen]
+    return lines, outcomes
+
+
+def write_fold_files(directory, lines, outcomes):
+    observations, outcomes_path = Path(directory) / "observations.csv", Path(directory) / "outcomes.csv"
+    observations.write_text("\n".join([HEADER] + lines) + "\n")
+    outcomes_path.write_text("\n".join(["patient_id,event_hours,death_flag"] + outcomes) + "\n")
+    return observations, outcomes_path
+
+
+@settings(deadline=None)
+@given(fold_files(), WINDOW_HOURS, st.sampled_from([16, 64, cohort_module.BLOCK_BYTES]))
+def test_fold_matches_load_filter_and_features(files, window_hours, block_bytes):
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+        assert_fold_matches_load(*write_fold_files(directory, *files), window_hours)
+
+
+@pytest.mark.parametrize("layout", ["sorted", "row_loop_tail", "unsorted"])
+@pytest.mark.parametrize("window_hours", [7, 12])
+def test_fold_of_parsed_blocks_and_row_loop_matches_load(layout, window_hours, tmp_path, monkeypatch):
+    # 300 rows of 43 patients in blocks of 64 bytes; the row loop takes the
+    # "row_loop_tail" from its quoted id on, in parts of 16 rows.
+    monkeypatch.setattr(cohort_module, "BLOCK_BYTES", 64)
+    monkeypatch.setattr(cohort_module, "_ROW_LOOP_CHUNK", 16)
+    data = columns_test_file(layout)
+    ids = ingest_observations(io.BytesIO(data))["patient_ids"]
+    outcomes = [f"{csv_writer_field(pid)},{24.0 + i},{i % 2}" for i, pid in enumerate(ids)]
+    observations, outcomes_path = write_fold_files(tmp_path, [], outcomes)
+    observations.write_bytes(data)
+    parts = count_calls(monkeypatch, cohort_module.WindowTables, "add")
+    row_loops = count_calls(monkeypatch, cohort_module, "_row_loop")
+    assert_fold_matches_load(observations, outcomes_path, window_hours)
+    assert parts["add"] > 50   # the fold's parts, then one chunk for each pass over the loaded cohort
+    assert row_loops["_row_loop"] == 2 * (layout == "row_loop_tail")   # once by each path
+
+
+def test_fold_errors_name_the_files(tmp_path):
+    # The fold raises load_cohort's errors, with the same messages.
+    lines = ["p1,heart_rate,30,112", "p1,heart_rate,31,x"]
+    observations, outcomes = write_fold_files(tmp_path, lines, ["p1,30,0"])
+    for load in (lambda o, u: load_cohort(o, u, 720, TABLE), load_cohort):
+        with pytest.raises(ParseError, match=f"^{observations}: line 3: non-numeric value 'x'$"):
+            load(observations, outcomes)
+    observations, outcomes = write_fold_files(tmp_path, ["p2,heart_rate,30,112", "p3,gcs,5,9"], ["p1,30,0", "p2,30,0"])
+    for load in (lambda o, u: load_cohort(o, u, 720, TABLE), load_cohort):
+        with pytest.raises(CohortError, match=rf"^{observations}, {outcomes}: observations and outcomes cover "
+                                                rf"different patients \(e.g. \['p1', 'p3'\]\)$"):
+            load(observations, outcomes)
+    observations.write_text(HEADER + "\n")
+    for load in (lambda o, u: load_cohort(o, u, 720, TABLE), load_cohort):
+        with pytest.raises(CohortError, match=f"^{observations}: no observations$"):
+            load(observations, outcomes)
 
 
 ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5, np.nan])

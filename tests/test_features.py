@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from icurisk import cohort as cohort_module
 from icurisk import features as features_module
-from icurisk.cohort import window_cells
+from icurisk.cohort import window_tables
 from icurisk.features import (
     BINARY,
     NUMERIC,
@@ -24,7 +25,6 @@ from icurisk.features import (
     numeric_ranges,
     pam_cluster,
     silhouette,
-    worst_scores,
 )
 from conftest import cohort_from_rows
 import oracles
@@ -123,35 +123,40 @@ class TestWindowing:
 
     def test_boundary_sample_belongs_to_later_window(self):
         cohort = make_cohort([(719, 60.0), (720, 80.0)])
-        _, cell = window_cells(cohort, ("heart_rate",), 720, 2)
-        _, window, _ = np.unravel_index(cell, (cohort.n_patients, 2, 1))
-        assert window.tolist() == [0, 1]
+        worst = window_tables(cohort, 720, HR_TABLE).worst
+        assert worst[0, :, 0].tolist() == [2, 0]   # 60 scores 2, 80 scores 0
         scores = build_feature_matrix(cohort, FeatureSpec(("heart_rate",), 12), HR_TABLE).scores
         assert (scores[0, :, 0] >= 0).tolist() == [True, True]
 
     def test_sample_at_1440_discarded(self):
         cohort = make_cohort([(1439, 80.0), (1440, 80.0)])
-        rows, _ = window_cells(cohort, ("heart_rate",), 720, 2)
-        assert rows.tolist() == [0]
+        assert window_tables(cohort, 720).worst[0, :, 0].tolist() == [-1, 0]
+        # 7 h windows end with a shortened fourth, [1260, 1440), where 1440 // 420 would land
+        late = window_tables(make_cohort([(1440, 80.0)]), 420)
+        assert late.seen.tolist() == [[True]] and late.worst[0, :, 0].tolist() == [-1] * 4
 
     def test_each_retained_sample_lands_in_exactly_one_window(self):
+        # one patient per sample, so each window table row shows where its sample went
         spec = FeatureSpec(("heart_rate",), 8)
         rng = np.random.default_rng(3)
         offsets = rng.integers(0, 1500, 200)
-        cohort = make_cohort([(int(o), 80.0) for o in offsets])
-        rows, cell = window_cells(cohort, spec.variable_names, 60 * 8, spec.n_windows)
-        _, window, _ = np.unravel_index(cell, (cohort.n_patients, spec.n_windows, 1))
-        assert rows.size == int((offsets < 60 * 8 * spec.n_windows).sum())
-        assert np.array_equal(window, cohort.offset_minutes[rows] // (60 * 8))
-        assert window.min() >= 0 and window.max() < spec.n_windows
+        ids = [f"p{i:03d}" for i in range(offsets.size)]
+        cohort = cohort_from_rows(
+            [(pid, "heart_rate", int(o), 80.0) for pid, o in zip(ids, offsets)],
+            {pid: (48.0, False) for pid in ids},
+        )
+        marked = window_tables(cohort, 60 * 8).worst[:, :, 0] >= 0
+        retained = offsets < 60 * 8 * spec.n_windows
+        assert marked.sum(axis=1).tolist() == retained.astype(int).tolist()
+        assert np.array_equal(marked.argmax(axis=1)[retained], offsets[retained] // (60 * 8))
 
     def test_other_variables_dropped(self):
         cohort = cohort_from_rows(
             [("p1", "gcs", 5, 9.0), ("p1", "heart_rate", 6, 80.0)], {"p1": (48.0, False)}
         )
-        rows, cell = window_cells(cohort, ("heart_rate", "age"), 720, 2)
-        patient, _, column = np.unravel_index(cell, (cohort.n_patients, 2, 2))
-        assert rows.tolist() == [1] and patient.tolist() == [0] and column.tolist() == [0]
+        table = load_default_score_table()
+        scores = window_tables(cohort, 720, table).scores(("heart_rate", "age"))
+        assert scores.tolist() == [[[table.scores("heart_rate", [80.0])[0], -1], [-1, -1]]]
 
 
 class TestDiscretization:
@@ -193,17 +198,17 @@ class TestOnePass:
 
     def test_chunks_do_not_change_the_scores(self, monkeypatch, small_cohort):
         spec = FeatureSpec(tuple(small_cohort.variables), 8)
-        whole = worst_scores(small_cohort, spec.variable_names, self.TABLE, 480, spec.n_windows)
-        monkeypatch.setattr(features_module, "WINDOW_CHUNK_ROWS", 1000)
-        chunked = worst_scores(small_cohort, spec.variable_names, self.TABLE, 480, spec.n_windows)
+        whole = window_tables(small_cohort, 480, self.TABLE).scores(spec.variable_names)
+        monkeypatch.setattr(cohort_module, "WINDOW_CHUNK_ROWS", 1000)
+        chunked = window_tables(small_cohort, 480, self.TABLE).scores(spec.variable_names)
         assert np.array_equal(chunked, whole)
         expected = oracles.discretize_scores(oracles.window_segment(small_cohort, spec), self.TABLE, spec)
         assert np.array_equal(chunked, np.nan_to_num(expected, nan=-1))
 
     def test_repeated_variable_gets_its_scores_in_each_column(self, small_cohort):
         names = ("heart_rate", "gcs", "heart_rate")
-        worst = worst_scores(small_cohort, names, self.TABLE, 720, 2)
-        single = worst_scores(small_cohort, ("gcs", "heart_rate"), self.TABLE, 720, 2)
+        tables = window_tables(small_cohort, 720, self.TABLE)
+        worst, single = tables.scores(names), tables.scores(("gcs", "heart_rate"))
         assert np.array_equal(worst, single[..., [1, 0, 1]])
 
 
