@@ -11,6 +11,7 @@ from .cohort import (
     filter_cohort,
     generate_synthetic_cohort,
     load_cohort,
+    window_tables,
 )
 from .evaluation import EvaluationReport, ScoredSet, aucpr, auroc, concordance, run_cv
 from .features import (

@@ -173,9 +173,9 @@ def _input_paths(cfg: PipelineConfig):
 
 
 def _kept_tables(cfg: PipelineConfig, required_variables, window_hours: int, table: ScoreTable):
-    """The input files folded into window tables (`load_cohort` given the
-    window size), scored with `table`, filtered to the patients that
-    qualify: the rows themselves are never held."""
+    """The input files folded into window tables (`load_cohort`), scored
+    with `table`, filtered to the patients that qualify: the rows
+    themselves are never held."""
     tables = load_cohort(*_input_paths(cfg), 60 * window_hours, table)
     return filter_cohort(tables, required_variables, window_hours)
 

@@ -1,12 +1,12 @@
 """Patient data model, CSV ingestion, and a seeded synthetic cohort generator.
 
-A cohort is one table of observations in parallel columns (patient, variable,
-offset, value), one row per CSV row, plus per-patient event_hours and died.
-`WindowTables` is the one rule that places rows in first-day windows: it
-folds rows, part by part, into per-patient tables, from a RawCohort's chunks
-(`window_tables`) or straight from the parsed blocks of a file
-(`load_cohort` given `window_minutes`). Patient filtering, the feature matrix
-and the baseline features all read those tables.
+A cohort is what the model reads of its rows: `WindowTables`, per patient
+the worst score of each variable in each first-day window, plus event_hours
+and died. `WindowTables` is the one rule that places rows in windows: it
+folds rows in part by part, straight from the parsed blocks of a file
+(`load_cohort`) or from the chunks of a RawCohort (`window_tables`), the
+synthetic generator's rows in parallel columns. Patient filtering, the
+feature matrix and the baseline features all read those tables.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ class CohortError(ValueError):
 
 
 class ParseError(CohortError):
-    """Malformed CSV input; carries the 1-based line number and, when
-    `load_cohort` read it from a file, the file's path."""
+    """Malformed CSV input; carries the 1-based line number and, from
+    `load_cohort`, the file's path (None from a stream parser)."""
 
     def __init__(self, line_no, message, path=None):
         where = f"line {line_no}" if path is None else f"{path}: line {line_no}"
@@ -54,7 +54,9 @@ class ParseError(CohortError):
 
 @dataclass(eq=False)
 class RawCohort:
-    """Observations as parallel columns, plus two outcome columns.
+    """Observations as parallel columns, plus two outcome columns: what the
+    synthetic generator makes, `write_observations` and `write_outcomes`
+    write, and `window_tables` folds.
 
     Row i is variable `vocabulary[variable[i]]` of patient
     `patient_ids[patient[i]]`, sampled `offset_minutes[i]` after admission
@@ -230,16 +232,6 @@ class _LineBlocks:
 
     def rest(self):
         return _text_lines(self._stream, self._block + self._carry)
-
-    def bytes_left(self):
-        """Bytes of a seekable stream not yet yielded, or None."""
-        seekable = getattr(self._stream, "seekable", None)
-        if not (seekable and seekable()):
-            return None
-        here = self._stream.tell()
-        end = self._stream.seek(0, io.SEEK_END)
-        self._stream.seek(here)
-        return end - here + len(self._carry)
 
 
 _OBSERVATIONS_HEADER_LINE = ",".join(OBSERVATIONS_HEADER).encode() + b"\n"
@@ -565,7 +557,6 @@ def _steps_back(patient, offset) -> np.ndarray:
 
 # Rows `_row_loop` holds as Python lists before it yields them as arrays.
 _ROW_LOOP_CHUNK = 1 << 16
-_COLUMN_NAMES = ("patient", "variable", "offset_minutes", "value")
 _COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.float64)
 
 
@@ -613,76 +604,21 @@ def _chunk_arrays(columns):
     return arrays
 
 
-class _Columns:
-    """The four observation columns, written part by part into arrays
-    allocated ahead. They double when full; `finish` cuts them to their
-    rows. Tracks whether the rows so far are in (patient, offset) order."""
-
-    def __init__(self, capacity):
-        self.size = 0
-        self.arrays = [np.empty(capacity, dtype) for dtype in _COLUMN_DTYPES]
-        self.in_order, self._last = True, None
-
-    def append(self, parts):
-        patient, _, offset, _ = parts
-        first = (int(patient[0]), int(offset[0]))
-        self.in_order = (
-            self.in_order and (self._last is None or self._last <= first)
-            and not _steps_back(patient, offset).any()
-        )
-        self._last = (int(patient[-1]), int(offset[-1]))
-        end = self.size + patient.size
-        if end > self.arrays[0].size:
-            capacity = max(end, 2 * self.arrays[0].size)
-            for i, column in enumerate(self.arrays):   # one column held twice at a time
-                grown = np.empty(capacity, column.dtype)
-                grown[: self.size] = column[: self.size]
-                self.arrays[i] = grown
-        for column, part in zip(self.arrays, parts):
-            column[self.size : end] = part
-        self.size = end
-
-    def finish(self) -> dict:
-        """The columns by name, of exact size, sorted by (patient, offset)."""
-        columns = dict(zip(_COLUMN_NAMES, self.arrays))
-        self.arrays = None
-        for column in columns.values():
-            # In place, so no column is copied: nothing views these arrays.
-            column.resize(self.size, refcheck=False)
-        if not self.in_order:
-            order = np.lexsort((columns["offset_minutes"], columns["patient"]))  # stable: ties keep file order
-            for name in _COLUMN_NAMES:   # each original is freed before the next is copied
-                columns[name] = columns[name][order]
-        return columns
-
-
-def _first_capacity(blocks, n_bytes, n_rows):
-    """Rows to allocate for on seeing the first part, `n_rows` rows in
-    `n_bytes`: for a block of a seekable stream, the rows the bytes left
-    would hold at the block's bytes per row, with 1/16 to spare; for any
-    other stream, or a part of the row loop (`n_bytes` None), its rows."""
-    left = blocks.bytes_left()
-    if left is None or n_bytes is None:
-        return n_rows
-    estimate = n_rows + left * n_rows // n_bytes
-    return estimate + estimate // 16
-
-
-def _observation_parts(blocks, patients: dict, variables: _SeenTexts):
-    """(patient, variable, offset_minutes, value) of consecutive rows of an
-    observations CSV (a `_LineBlocks`), part by part, with the bytes of the
-    block a part was parsed from (None for a part of the row loop).
+def _observation_parts(stream, patients: dict, variables: _SeenTexts):
+    """(patient, variable, offset_minutes, value) of consecutive rows of a
+    binary observations CSV stream, part by part, in file order.
 
     Patients and variables are numbered in `patients` and `variables` in
     order of first appearance; rows at or beyond minute 1440 are kept.
-    The file is read in blocks of whole lines, each parsed with NumPy by
-    `_parse_block`, which reads plain decimal values exactly without a
-    Python float per row. From the first block that parser declines to the
-    end of the file, rows go through `_row_loop`, one `csv` record at a
-    time, which accepts all of CSV (quoted fields, CRLF line endings, empty
-    lines) and raises every ParseError. Both give the same rows, bit for bit.
-    A file without rows raises "no observations".
+    The file is read in blocks of whole lines (`_LineBlocks`), each parsed
+    with NumPy by `_parse_block`, which reads plain decimal values exactly
+    without a Python float per row. From the first block that parser
+    declines to the end of the file, rows go through `_row_loop`, one `csv`
+    record at a time, which accepts all of CSV (quoted fields, CRLF line
+    endings, empty lines) and raises every ParseError. Both give the same
+    rows, bit for bit. A file without rows raises "no observations".
     """
+    blocks = _LineBlocks(stream)
     lines_done, declined = 0, False
     for data in blocks:
         header = lines_done == 0
@@ -695,7 +631,7 @@ def _observation_parts(blocks, patients: dict, variables: _SeenTexts):
         if declined:
             break
         if data:
-            yield parts, len(data)
+            yield parts
             lines_done += parts[0].size
         lines_done += header
     if declined:
@@ -705,28 +641,9 @@ def _observation_parts(blocks, patients: dict, variables: _SeenTexts):
             "observations",
             line_no=lines_done + 1,
         )
-        for parts in _row_loop(rows, patients, variables.index):
-            yield parts, None
+        yield from _row_loop(rows, patients, variables.index)
     if not patients:
         raise CohortError("no observations")
-
-
-def ingest_observations(stream) -> dict:
-    """Parse an observations CSV into every RawCohort field but the outcomes.
-
-    The stream must be binary, UTF-8 CSV with header patient_id,variable,offset_minutes,value,
-    parsed by `_observation_parts`. Its parts are written straight into the
-    preallocated `_Columns`, which are sorted by patient, then offset.
-    """
-    blocks = _LineBlocks(stream)
-    patients: dict[str, int] = {}
-    variables = _SeenTexts()
-    columns = None
-    for parts, n_bytes in _observation_parts(blocks, patients, variables):
-        if columns is None:
-            columns = _Columns(_first_capacity(blocks, n_bytes, parts[0].size))
-        columns.append(parts)
-    return {"patient_ids": list(patients), "vocabulary": tuple(variables.index), **columns.finish()}
 
 
 def ingest_outcomes(stream):
@@ -785,35 +702,25 @@ def _paired_outcomes(ids, observations_path, outcomes_path):
     return event_hours[order], died[order]
 
 
-def load_cohort(observations_path, outcomes_path, window_minutes=None, table=None):
-    """The cohort in an observations and an outcomes CSV file (see
-    `ingest_observations` and `ingest_outcomes`), checked as a RawCohort.
+def load_cohort(observations_path, outcomes_path, window_minutes: int, table) -> "WindowTables":
+    """The cohort in an observations and an outcomes CSV file, folded into
+    WindowTables of `window_minutes` windows, scored with `table` (a
+    ScoreTable, or None for sample marks only).
 
-    Rows come out sorted by patient, then offset; outcomes pair by id. A
-    ParseError names the file and line; any other CohortError names the
-    file or, for a mismatch between the two, both files.
-
-    Given `window_minutes`, the rows are not kept: each part of the
-    observations file is folded into WindowTables of `window_minutes`
-    windows, scored with `table`, as soon as it is parsed, and then dropped,
-    so memory is O(patients + one block), not O(rows). The tables equal
-    `window_tables(load_cohort(...), window_minutes, table)`, with the same
-    patient numbering and errors; an unsorted file needs no sort, as max is
-    order-free.
+    Each part of the observations file (`_observation_parts`) is folded in
+    as soon as it is parsed, and then dropped, so memory is O(patients +
+    one block), not O(rows); an unsorted file needs no sort, as max is
+    order-free. Patients are numbered in order of first appearance, and
+    their outcomes (`ingest_outcomes`) pair by id. A ParseError names the
+    file and line; any other CohortError names the file or, for a mismatch
+    between the two, both files.
     """
-    if window_minutes is None:
-        columns = _ingest_file(observations_path, ingest_observations)
-        event_hours, died = _paired_outcomes(columns["patient_ids"], observations_path, outcomes_path)
-        try:
-            return RawCohort(**columns, event_hours=event_hours, died=died)
-        except CohortError as exc:
-            raise CohortError(f"{observations_path}, {outcomes_path}: {exc}") from None
     tables = WindowTables(window_minutes, table)
     patients: dict[str, int] = {}
     variables = _SeenTexts()
 
     def fold(stream):
-        for parts, _ in _observation_parts(_LineBlocks(stream), patients, variables):
+        for parts in _observation_parts(stream, patients, variables):
             tables.add(parts, variables.index)
 
     _ingest_file(observations_path, fold)
@@ -884,14 +791,17 @@ class WindowTables:
     offset, and `n_rows[i]` how many rows it has. `event_hours` and `died`
     are the outcomes, as in a RawCohort.
 
-    Rows are folded in part by part (`add`), from a RawCohort's chunks
-    (`window_tables`) or straight from the parsed blocks of a file
-    (`load_cohort` given `window_minutes`). The tables grow, doubling, as
-    parts bring new patients or variables, and `finish` cuts them to size
-    and attaches the ids and outcomes. They hold O(patients) memory.
+    Rows are folded in part by part (`add`), straight from the parsed
+    blocks of a file (`load_cohort`) or from a RawCohort's chunks
+    (`window_tables`). The tables grow, doubling, as parts bring new
+    patients or variables, and `finish` cuts them to size and attaches the
+    ids and outcomes. They hold O(patients) memory. A window size outside
+    1 to 1440 minutes raises a ValueError.
     """
 
     def __init__(self, window_minutes: int, table=None, n_patients: int = 0):
+        if not 1 <= window_minutes <= FIRST_DAY_MINUTES:
+            raise ValueError(f"window_minutes must lie in 1..{FIRST_DAY_MINUTES}, got {window_minutes}")
         self.window_minutes, self.score_table = window_minutes, table
         n_windows = -(-FIRST_DAY_MINUTES // window_minutes)
         self.worst = np.full((n_patients, n_windows, 0), -1, dtype=np.int64)
@@ -1017,7 +927,8 @@ def window_tables(cohort: RawCohort, window_minutes: int, table=None) -> WindowT
     """A RawCohort's rows folded into WindowTables of `window_minutes`
     windows, scored with `table` (a ScoreTable, or None for sample marks
     only), `WINDOW_CHUNK_ROWS` rows at a time: one pass for all variables,
-    holding one chunk's arrays beside the tables."""
+    holding one chunk's arrays beside the tables. The one way from rows in
+    memory to the tables the library reads."""
     tables = WindowTables(window_minutes, table, cohort.n_patients)
     columns = (cohort.patient, cohort.variable, cohort.offset_minutes, cohort.value)
     for start in range(0, cohort.patient.size, WINDOW_CHUNK_ROWS):
@@ -1026,35 +937,24 @@ def window_tables(cohort: RawCohort, window_minutes: int, table=None) -> WindowT
 
 
 def filter_cohort(
-    cohort: RawCohort | WindowTables,
+    cohort: WindowTables,
     required_variables=DEFAULT_REQUIRED_VARIABLES,
     window_hours: int = 12,
     min_stay_hours: float = 24.0,
-):
-    """Keep patients with >= 24 h of follow-up and complete required coverage.
+) -> WindowTables:
+    """The tables of the patients with >= 24 h of follow-up and complete
+    required coverage.
 
     A patient qualifies when event_hours >= min_stay_hours and every required
     variable has at least one sample in every window of the first day:
-    `WindowTables.kept`. Given WindowTables (the CLI commands fold the files
-    into them), returns the kept patients' tables. Given a RawCohort, it
-    folds the rows once with `window_tables` and returns a RawCohort of the
-    kept rows, copied one column at a time after this function drops its
-    reference to `cohort`: passed a cohort nothing else holds, it never
-    holds two. A cohort the caller keeps is left unchanged.
+    `WindowTables.kept`. The tables must be folded in `window_hours` windows.
+    A RawCohort is folded first, without a score table: this one statement
+    serves the benchmark's set-up, which counts the kept patients and rows
+    of its synthetic cohort, and goes once that set-up calls `window_tables`.
     """
-    if isinstance(cohort, WindowTables):
-        return cohort.subset(cohort.kept(required_variables, window_hours, min_stay_hours))
-    tables = window_tables(cohort, 60 * window_hours)
-    keep = tables.kept(required_variables, window_hours, min_stay_hours)
-    ids = [pid for pid, kept in zip(cohort.patient_ids, keep.tolist()) if kept]
-    event_hours, died, counts = cohort.event_hours[keep], cohort.died[keep], tables.n_rows[keep]
-    vocabulary, rows = cohort.vocabulary, keep[cohort.patient]
-    columns = [cohort.variable, cohort.offset_minutes, cohort.value]
-    del cohort, tables
-    for i in range(len(columns)):   # each loaded column is freed once its kept rows are copied
-        columns[i] = columns[i][rows]
-    # Rows are sorted by patient, so the kept rows are the kept patients' runs.
-    return RawCohort(ids, vocabulary, np.repeat(np.arange(len(ids)), counts), *columns, event_hours, died)
+    if isinstance(cohort, RawCohort):
+        cohort = window_tables(cohort, 60 * window_hours)
+    return cohort.subset(cohort.kept(required_variables, window_hours, min_stay_hours))
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import DEFAULT_REQUIRED_VARIABLES, FIRST_DAY_MINUTES, RawCohort, WindowTables, filter_cohort, window_tables
+from .cohort import DEFAULT_REQUIRED_VARIABLES, WindowTables, filter_cohort
 from .features import FeatureMatrix, FeatureSpec, ScoreTable, build_feature_matrix
 from .hmm import fit_feature_stage, fit_risk_model, normal_band, score_patients
 from .survival import (
@@ -190,17 +190,14 @@ def paired_t_test_one_tailed(a, b) -> float:
 # Baselines on per-variable worst-case scores
 # --------------------------------------------------------------------------
 
-def first_day_max_scores(cohort: RawCohort | WindowTables, variables, table: ScoreTable) -> np.ndarray:
+def first_day_max_scores(cohort: WindowTables, variables, table: ScoreTable) -> np.ndarray:
     """Per-patient, per-variable maximum bin score over the full first day.
 
     One window of [0, 1440) minutes, even when the window size does not
     divide 24 h: the max over the windows of WindowTables folded with
-    `table`, or of one chunked `window_tables` fold of a RawCohort's rows.
-    Unobserved variables score 0.
+    `table`. Unobserved variables score 0.
     """
-    if isinstance(cohort, RawCohort):
-        cohort = window_tables(cohort, FIRST_DAY_MINUTES, table)
-    elif cohort.score_table is not table:
+    if cohort.score_table is not table:
         raise ValueError("tables folded with another score table")
     return np.maximum(cohort.scores(variables).max(axis=1), 0).astype(float)
 
@@ -345,7 +342,7 @@ def _draw_valid_folds(seed, repeat, died, day_events, n_folds, max_attempts=20):
 
 
 def run_cv(
-    cohort: RawCohort | WindowTables,
+    cohort: WindowTables,
     score_table: ScoreTable,
     *,
     target_days=(2, 3, 4, 5),
@@ -366,14 +363,11 @@ def run_cv(
     baseline regressions) happens on training folds only.
 
     `cohort` is WindowTables folded in `window_hours` windows with
-    `score_table` (`load_cohort` given the window size, as `icurisk
-    evaluate` does), or a RawCohort, whose rows are folded once by
-    `window_tables` and not referenced during the CV loop. The patients are
-    filtered on the tables, so no row is copied; the model's window scores
-    and the first-day baselines are read from them.
+    `score_table`: `load_cohort`, as `icurisk evaluate` does, or
+    `window_tables` of rows in memory. The patients are filtered on the
+    tables; the model's window scores and the first-day baselines are read
+    from them.
     """
-    if isinstance(cohort, RawCohort):
-        cohort = window_tables(cohort, 60 * window_hours, score_table)
     tables = filter_cohort(cohort, required_variables, window_hours)
     del cohort
     if tables.n_patients == 0:

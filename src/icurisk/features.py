@@ -16,7 +16,7 @@ from importlib import resources
 
 import numpy as np
 
-from .cohort import RawCohort, WindowTables, window_tables
+from .cohort import WindowTables
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -190,15 +190,11 @@ class FeatureMatrix:
         return FeatureMatrix(ids, self.spec, self.cells[present], self.window[present], cell_of)
 
 
-def build_feature_matrix(cohort: RawCohort | WindowTables, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:
+def build_feature_matrix(cohort: WindowTables, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:
     """Worst scores over the spec's windows of the first day, grouped into
-    each window's cells: read from WindowTables folded in the spec's
-    windows with `table`, or from one `window_tables` fold of a RawCohort's
-    rows, which scores each row once by a lookup in the table's
-    `edge_table`."""
-    if isinstance(cohort, RawCohort):
-        cohort = window_tables(cohort, 60 * spec.window_hours, table)
-    elif cohort.window_minutes != 60 * spec.window_hours or cohort.score_table is not table:
+    each window's cells, read from WindowTables folded in the spec's
+    windows with `table` (`load_cohort` or `window_tables`)."""
+    if cohort.window_minutes != 60 * spec.window_hours or cohort.score_table is not table:
         raise ValueError(f"tables folded in {cohort.window_minutes}-minute windows, or with another "
                          f"score table, for a feature matrix of {spec.window_hours} h windows")
     return FeatureMatrix.from_scores(cohort.patient_ids, spec, cohort.scores(spec.variable_names, spec.n_windows))

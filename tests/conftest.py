@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from icurisk.cohort import (
     RawCohort,
     SynthConfig,
+    _observation_parts,
+    _SeenTexts,
     generate_synthetic_cohort,
     write_observations,
     write_outcomes,
 )
+import oracles
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +48,49 @@ def cohort_from_rows(rows, outcomes):
         event_hours=np.array([hours for hours, _ in outcomes.values()], dtype=float),
         died=np.array([died for _, died in outcomes.values()], dtype=bool),
     )
+
+
+def parse_observations(stream) -> dict:
+    """The observation columns the library parses from a binary CSV stream,
+    in the form of `oracles.ingest_rows`: the parts of `_observation_parts`
+    concatenated, then sorted by patient and offset, ties in file order."""
+    patients, variables = {}, _SeenTexts()
+    parts = list(_observation_parts(stream, patients, variables))
+    patient, variable, offset, value = (np.concatenate(column) for column in zip(*parts))
+    order = np.lexsort((offset, patient))
+    return {
+        "patient_ids": list(patients),
+        "vocabulary": tuple(variables.index),
+        "patient": patient[order],
+        "variable": variable[order],
+        "offset_minutes": offset[order],
+        "value": value[order],
+    }
+
+
+def rows_cohort(observations, outcomes) -> RawCohort:
+    """The cohort in two CSV files as `oracles.ingest_rows` reads the
+    observations, one record at a time, with the outcomes paired by id."""
+    with open(observations, "rb") as f:
+        columns = oracles.ingest_rows(f)
+    with open(outcomes, encoding="utf-8", newline="") as f:
+        rows = {pid: (float(hours), flag == "1") for pid, hours, flag in [r for r in csv.reader(f) if r][1:]}
+    outcome = [rows[pid] for pid in columns["patient_ids"]]
+    return RawCohort(**columns, event_hours=[h for h, _ in outcome], died=[d for _, d in outcome])
+
+
+TABLE_ARRAYS = ("worst", "seen", "n_rows", "event_hours", "died")
+
+
+def assert_same_tables(got, expected):
+    """Two WindowTables alike in every field, bit for bit."""
+    assert got.patient_ids == expected.patient_ids
+    assert got.vocabulary == expected.vocabulary
+    assert got.window_minutes == expected.window_minutes
+    assert got.score_table is expected.score_table
+    for name in TABLE_ARRAYS:
+        a, b = getattr(got, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def count_calls(monkeypatch, module, *names):

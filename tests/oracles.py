@@ -20,8 +20,8 @@ only so tests can compare a library path with it:
   (`icurisk.cohort.window_tables`).
 - `subset` takes the patients of a boolean mask with one fancy index per
   column and a gather-and-remap of the patient column. It checks
-  `icurisk.cohort.filter_cohort`, which copies one column at a time and
-  rebuilds the patient column from the kept patients' row counts.
+  `icurisk.cohort.filter_cohort`, which takes the kept patients out of the
+  window tables: they must equal `window_tables` of the subset.
 - `auroc_rankdata` ranks the scores with `scipy.stats.rankdata`. It checks
   `icurisk.evaluation.auroc`, which builds the same mid-ranks with NumPy
   and must give the same float.
@@ -42,9 +42,12 @@ only so tests can compare a library path with it:
   it. They check `icurisk.survival.normalize_death_share` and
   `label_hidden_states`, which sum over distinct values with counts.
 - `ingest_rows` parses an observations CSV one `csv` record at a time, with
-  `int` and `float` per field. It checks the block-vectorised
-  `icurisk.cohort.ingest_observations`. A binary stream that is not UTF-8
-  makes it raise the decoder's bare UnicodeDecodeError.
+  `int` and `float` per field. It checks the block-vectorised parser
+  (`icurisk.cohort._observation_parts`, its parts joined and sorted by
+  `conftest.parse_observations`), and `window_tables` of the cohort it reads
+  checks the fold of the files, `icurisk.cohort.load_cohort`. A binary
+  stream that is not UTF-8 makes it raise the decoder's bare
+  UnicodeDecodeError.
 - `generate_patient_loop` builds the synthetic cohort one patient and one
   variable at a time, drawing each distribution with its location and scale
   and concatenating per-variable arrays. It checks the array-based

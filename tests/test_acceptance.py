@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from icurisk.cli import main as cli_main
-from icurisk.cohort import SynthConfig, generate_synthetic_cohort, filter_cohort
+from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort, window_tables
 from icurisk.evaluation import (
     ScoredSet,
     auroc,
@@ -271,9 +271,10 @@ def test_05_metric_oracles():
 @pytest.mark.slow
 def test_06_directional_replication(synthetic_cohort):
     start = time.monotonic()
+    table = load_default_score_table()
     rep = run_cv(
-        synthetic_cohort,
-        load_default_score_table(),
+        window_tables(synthetic_cohort, 720, table),
+        table,
         repeats=10,
         seed=ACCEPTANCE_SEED,
     )
@@ -297,8 +298,8 @@ def test_06_directional_replication(synthetic_cohort):
 @pytest.mark.acceptance
 @pytest.mark.slow
 def test_07_survival_curve_separation(synthetic_cohort):
-    cohort = filter_cohort(synthetic_cohort)
     table = load_default_score_table()
+    cohort = filter_cohort(window_tables(synthetic_cohort, 720, table))
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
     stage = fit_feature_stage(matrix, 4, seed=[ACCEPTANCE_SEED])
     targets = [TargetSpec(day, 12) for day in (2, 3, 4, 5)]

@@ -11,7 +11,8 @@ import icurisk
 from icurisk import cli as cli_module
 from icurisk import cohort as cohort_module
 from icurisk.cli import main, write_predictions
-from icurisk.cohort import _csv_fields, write_observations, write_outcomes
+from icurisk.cohort import _csv_fields, window_tables, write_observations, write_outcomes
+from icurisk.evaluation import run_cv
 from icurisk.features import load_default_score_table
 from conftest import cohort_from_rows, count_calls, write_config, write_cohort_files
 
@@ -451,17 +452,24 @@ class TestEvaluate:
         rows = (workdir / "out" / "metrics.csv").read_text().splitlines()
         assert len(rows) == 1 + 4 * 4 * 3 * 2 * 3  # days x methods x metrics x repeats x folds
 
-    def test_outputs_match_run_cv_on_the_loaded_cohort(self, workdir, monkeypatch):
-        # evaluate folds the files into window tables; loading them as a
-        # RawCohort, which run_cv folds itself, writes the same bytes.
+    def test_outputs_match_run_cv_on_the_written_cohort(self, workdir, small_cohort):
+        # evaluate folds the files it reads into window tables; run_cv on the
+        # fold of the cohort that was written to them gives the same bytes.
         cfg = write_config(workdir)
         assert run(["evaluate", "--config", cfg]) == 0
-        folded = {name: (workdir / "out" / name).read_bytes() for name in ("report.json", "metrics.csv")}
-        monkeypatch.setattr(cli_module, "load_cohort", lambda obs, out, *_: cohort_module.load_cohort(obs, out))
-        assert run(["evaluate", "--config", cfg]) == 0
-        assert {name: (workdir / "out" / name).read_bytes() for name in folded} == folded
+        table = load_default_score_table()
+        report = run_cv(window_tables(small_cohort, 720, table), table, repeats=2, seed=11)
+        cli_module._dump_json(report.to_json_obj(), workdir / "expected.json")
+        out = workdir / "out"
+        assert (out / "report.json").read_bytes() == (workdir / "expected.json").read_bytes()
+        assert (out / "metrics.csv").read_text() == "".join(row + "\n" for row in report.csv_rows())
 
-    def test_never_builds_a_raw_cohort(self, workdir, monkeypatch):
-        monkeypatch.setattr(cohort_module, "ingest_observations", None)   # calling it would fail
-        cfg = write_config(workdir, cv={"folds": 3, "repeats": 1})
-        assert run(["evaluate", "--config", cfg]) == 0
+
+def test_commands_never_build_a_raw_cohort(workdir, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a RawCohort was built")
+
+    monkeypatch.setattr(cohort_module.RawCohort, "__post_init__", refuse)
+    cfg = write_config(workdir, cv={"folds": 3, "repeats": 1})
+    for command in ("train", "predict", "curves", "evaluate"):
+        assert run([command, "--config", cfg]) == 0, command

@@ -7,13 +7,14 @@ import pytest
 
 from icurisk import cohort as cohort_module
 from icurisk.cohort import (
+    DEFAULT_REQUIRED_VARIABLES,
     CohortError,
     ParseError,
     RawCohort,
     SynthConfig,
+    WindowTables,
     filter_cohort,
     generate_synthetic_cohort,
-    ingest_observations,
     ingest_outcomes,
     load_cohort,
     window_tables,
@@ -21,7 +22,14 @@ from icurisk.cohort import (
     write_outcomes,
 )
 from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
-from conftest import cohort_from_rows, count_calls, write_cohort_files
+from conftest import (
+    assert_same_tables,
+    cohort_from_rows,
+    count_calls,
+    parse_observations,
+    rows_cohort,
+    write_cohort_files,
+)
 from oracles import cohort_rows, filter_ids
 
 
@@ -61,7 +69,7 @@ def death_fraction_by(cohort, day) -> float:
 
 class TestIngestObservations:
     def test_single_row_maps_fields(self):
-        parsed = ingest_observations(obs_stream("p1,heart_rate,30,112"))
+        parsed = parse_observations(obs_stream("p1,heart_rate,30,112"))
         assert parsed["patient_ids"] == ["p1"]
         assert parsed["vocabulary"] == ("heart_rate",)
         assert parsed["patient"].tolist() == [0]
@@ -71,17 +79,17 @@ class TestIngestObservations:
 
     def test_non_numeric_offset_names_line(self):
         with pytest.raises(ParseError, match="line 2"):
-            ingest_observations(obs_stream("p1,heart_rate,abc,112"))
+            parse_observations(obs_stream("p1,heart_rate,abc,112"))
 
     def test_rows_sorted_by_offset(self):
-        parsed = ingest_observations(
+        parsed = parse_observations(
             obs_stream("p1,heart_rate,90,80", "p1,heart_rate,30,70")
         )
         assert parsed["offset_minutes"].tolist() == [30, 90]
         assert parsed["value"].tolist() == [70.0, 80.0]
 
     def test_rows_grouped_by_patient_in_first_appearance_order(self):
-        parsed = ingest_observations(
+        parsed = parse_observations(
             obs_stream(
                 "p2,gcs,50,9",
                 "p1,heart_rate,40,70",
@@ -99,7 +107,7 @@ class TestIngestObservations:
 
     def test_beyond_first_day_retained_and_flagged(self):
         # the row is kept, and the window rule is what leaves it out
-        columns = ingest_observations(obs_stream("p1,heart_rate,1440,80"))
+        columns = parse_observations(obs_stream("p1,heart_rate,1440,80"))
         assert columns["offset_minutes"].tolist() == [1440]
         cohort = RawCohort(**columns, event_hours=[30.0], died=[False])
         tables = window_tables(cohort, 720)
@@ -107,37 +115,37 @@ class TestIngestObservations:
 
     def test_negative_offset_names_line(self):
         with pytest.raises(ParseError, match="line 3: offset_minutes must be >= 0"):
-            ingest_observations(obs_stream("p1,heart_rate,30,112", "p1,heart_rate,-5,112"))
+            parse_observations(obs_stream("p1,heart_rate,30,112", "p1,heart_rate,-5,112"))
 
     def test_wrong_arity(self):
         with pytest.raises(ParseError, match="4 fields"):
-            ingest_observations(obs_stream("p1,heart_rate,30"))
+            parse_observations(obs_stream("p1,heart_rate,30"))
 
     def test_non_numeric_value(self):
         with pytest.raises(ParseError, match="value"):
-            ingest_observations(obs_stream("p1,heart_rate,30,high"))
+            parse_observations(obs_stream("p1,heart_rate,30,high"))
 
     def test_duplicate_header_row(self):
         with pytest.raises(ParseError, match="duplicate header"):
-            ingest_observations(
+            parse_observations(
                 obs_stream("p1,heart_rate,30,112", "patient_id,variable,offset_minutes,value")
             )
 
     def test_empty_file(self):
         with pytest.raises(CohortError, match="no observations"):
-            ingest_observations(io.BytesIO(b""))
+            parse_observations(io.BytesIO(b""))
 
     def test_header_only_file(self):
         with pytest.raises(CohortError, match="no observations"):
-            ingest_observations(io.BytesIO(b"patient_id,variable,offset_minutes,value\n"))
+            parse_observations(io.BytesIO(b"patient_id,variable,offset_minutes,value\n"))
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(ParseError, match="line 2: non-finite"):
-            ingest_observations(obs_stream("p1,heart_rate,30,nan"))
+            parse_observations(obs_stream("p1,heart_rate,30,nan"))
 
     @pytest.mark.parametrize(
         "ingest, stream",
-        [(ingest_observations, obs_stream("p1,heart_rate,30,112")), (ingest_outcomes, out_stream("p1,10,0"))],
+        [(parse_observations, obs_stream("p1,heart_rate,30,112")), (ingest_outcomes, out_stream("p1,10,0"))],
         ids=["observations", "outcomes"],
     )
     def test_text_stream_rejected_and_left_open(self, ingest, stream):
@@ -149,39 +157,39 @@ class TestIngestObservations:
     def test_stream_stays_open_after_parse_error(self):
         stream = obs_stream("p1,heart_rate,abc,112")
         with pytest.raises(ParseError):
-            ingest_observations(stream)
+            parse_observations(stream)
         assert not stream.closed
 
     def test_path_rejected(self):
         with pytest.raises(TypeError, match="file-like"):
-            ingest_observations("observations.csv")
+            parse_observations("observations.csv")
 
     def test_invalid_utf8_names_line(self):
         stream = io.BytesIO(
             b"patient_id,variable,offset_minutes,value\np1,hr,5,1\np1,hr,5,\xff2\np1,hr,6,x\n"
         )
         with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8 byte 0xff$"):
-            ingest_observations(stream)
+            parse_observations(stream)
 
     def test_invalid_utf8_in_header_names_line_1(self):
         with pytest.raises(ParseError, match="^line 1: invalid UTF-8"):
-            ingest_observations(io.BytesIO(b"patient_id\xc3,variable\n"))
+            parse_observations(io.BytesIO(b"patient_id\xc3,variable\n"))
 
     def test_invalid_utf8_after_quoted_newline_counts_records(self):
         stream = io.BytesIO(obs_stream('"p\n1",hr,5,1', "p2,hr,5,?").getvalue().replace(b"?", b"\xfe"))
         with pytest.raises(ParseError, match="^line 3: invalid UTF-8 byte 0xfe"):
-            ingest_observations(stream)
+            parse_observations(stream)
 
     def test_plain_file_never_reaches_row_loop(self, monkeypatch):
         monkeypatch.setattr(cohort_module, "BLOCK_BYTES", 16)
         monkeypatch.setattr(cohort_module, "_row_loop", None)   # calling it would fail
-        parsed = ingest_observations(obs_stream("p1,heart_rate,30,112", "p1,gcs,45,14.5"))
+        parsed = parse_observations(obs_stream("p1,heart_rate,30,112", "p1,gcs,45,14.5"))
         assert parsed["patient_ids"] == ["p1"]
         assert parsed["value"].tolist() == [112.0, 14.5]
 
     def test_quoted_and_crlf_files_parse_alike(self):
-        plain = ingest_observations(obs_stream("p1,heart_rate,30,112", "p2,gcs,5,14"))
-        quoted = ingest_observations(
+        plain = parse_observations(obs_stream("p1,heart_rate,30,112", "p2,gcs,5,14"))
+        quoted = parse_observations(
             io.BytesIO(b'patient_id,variable,offset_minutes,value\r\n"p1",heart_rate,30,112\r\n'
                        b'p2,"gcs",5,14\r\n')
         )
@@ -190,32 +198,12 @@ class TestIngestObservations:
         for name in ("patient", "variable", "offset_minutes", "value"):
             assert np.array_equal(quoted[name], plain[name])
 
-    def test_memory_is_linear_in_rows(self):
-        # The columns take 4 x 8 bytes a row, allocated ahead with 1/16 to
-        # spare; parsing one block needs a few blocks' worth.
-        n = 200_000
-        rng = np.random.default_rng(0)
-        names = ("heart_rate", "blood_pressure", "gcs", "temperature", "age")
-        lines = [
-            f"p{i // 100:05d},{names[i % 5]},{(i % 100) * 14},{v!r}\n"
-            for i, v in enumerate((100 + 20 * rng.standard_normal(n)).tolist())
-        ]
-        stream = io.BytesIO(("patient_id,variable,offset_minutes,value\n" + "".join(lines)).encode())
-        del lines
-        tracemalloc.start()
-        try:
-            parsed = ingest_observations(stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert parsed["value"].size == n
-        assert peak < 2 * (4 * 8 * n) + 4 * cohort_module.BLOCK_BYTES
-
     def test_fold_memory_does_not_grow_with_rows(self, tmp_path):
         # The fold holds per-patient tables and the parse of one block, so
         # for 2,000 patients its peak is the same at 200,000 and 400,000
-        # rows, below that of loading the columns, and below 4 MiB: a
-        # block's parse takes a few times BLOCK_BYTES.
+        # rows, below 16 B a row (half of what holding the four columns
+        # took), and below 4 MiB: a block's parse takes a few times
+        # BLOCK_BYTES.
         table = load_default_score_table()
         rng = np.random.default_rng(2)
         names = ("heart_rate", "blood_pressure", "gcs", "temperature", "age")
@@ -232,39 +220,11 @@ class TestIngestObservations:
                     for i, v in enumerate(values)
                 )
             del values
-            peaks.append([traced_peak(lambda: load(obs, out)) for load in (
-                lambda o, u: load_cohort(o, u, 720, table), load_cohort,
-            )])
-        (fold_small, load_small), (fold_large, load_large) = peaks
+            peaks.append(traced_peak(lambda: load_cohort(obs, out, 720, table)))
+        fold_small, fold_large = peaks
         assert abs(fold_large - fold_small) <= 0.05 * fold_small
-        assert fold_small < load_small and fold_large < load_large
+        assert fold_small < 16 * 200_000 and fold_large < 16 * 400_000
         assert max(fold_small, fold_large) < 4 << 20
-
-    def test_unsorted_file_is_reordered_one_column_at_a_time(self, monkeypatch):
-        # A shuffled file of 4,000 patients. Sorting it holds the columns
-        # (32 B a row), lexsort's order and one reordered column (8 B a row
-        # each); reordering all four columns at once would hold 72 B a row.
-        monkeypatch.setattr(cohort_module, "BLOCK_BYTES", 1 << 18)
-        rng = np.random.default_rng(1)
-        names = ("heart_rate", "blood_pressure", "gcs", "temperature", "age")
-        n_patients, per_patient = 4000, 87
-        n = n_patients * per_patient
-        lines = [
-            f"p{i // per_patient:04d},{names[i % 5]},{(i % per_patient) * 16},{v!r}\n"
-            for i, v in enumerate((100 + 20 * rng.standard_normal(n)).tolist())
-        ]
-        stream = io.BytesIO(
-            ("patient_id,variable,offset_minutes,value\n" + "".join(lines[i] for i in rng.permutation(n))).encode()
-        )
-        del lines
-        tracemalloc.start()
-        try:
-            parsed = ingest_observations(stream)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not cohort_module._steps_back(parsed["patient"], parsed["offset_minutes"]).any()
-        assert peak < 56 * n + 4 * cohort_module.BLOCK_BYTES
 
     def test_written_values_are_read_as_plain_decimals(self, small_cohort, tmp_path, monkeypatch):
         # Values that miss the exact decimal parse are still read right, by
@@ -282,7 +242,7 @@ class TestIngestObservations:
 
         monkeypatch.setattr(cohort_module, "_plain_decimals", counting)
         with open(path, "rb") as f:
-            parsed = ingest_observations(f)
+            parsed = parse_observations(f)
         assert sum(rows) == parsed["value"].size   # every row was parsed in blocks
         assert sum(left) <= 0.01 * sum(rows)
 
@@ -321,12 +281,12 @@ class TestLoadCohort:
         obs.write_bytes(obs_stream("p1,heart_rate,30,112", "p1,heart_rate,31,x").getvalue())
         out.write_bytes(out_stream("p1,30,0").getvalue())
         with pytest.raises(ParseError, match=f"^{obs}: line 3: non-numeric value 'x'$") as info:
-            load_cohort(obs, out)
+            load_cohort(obs, out, 720, None)
         assert info.value.line_no == 3 and info.value.path == obs
         out.write_bytes(out_stream("p1,30,2").getvalue())
         obs.write_bytes(obs_stream("p1,heart_rate,30,112").getvalue())
         with pytest.raises(ParseError, match=f"^{out}: line 2: death_flag"):
-            load_cohort(obs, out)
+            load_cohort(obs, out, 720, None)
 
     def test_field_over_csv_limit_names_file_and_line(self, tmp_path):
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
@@ -335,7 +295,7 @@ class TestLoadCohort:
         out.write_bytes(out_stream("p1,30,0").getvalue())
         message = "field larger than field limit (131072)"
         with pytest.raises(ParseError, match=rf"^{obs}: line 3: {re.escape(message)}$"):
-            load_cohort(obs, out)
+            load_cohort(obs, out, 720, None)
         with pytest.raises(ParseError, match=rf"^line 2: {re.escape(message)}$"):
             ingest_outcomes(out_stream(f"{long_id},30,0"))
 
@@ -344,20 +304,20 @@ class TestLoadCohort:
         obs.write_bytes(b"patient_id,variable,offset_minutes,value\n")
         out.write_bytes(out_stream("p1,30,0").getvalue())
         with pytest.raises(CohortError, match=f"^{obs}: no observations$"):
-            load_cohort(obs, out)
+            load_cohort(obs, out, 720, None)
         obs.write_bytes(obs_stream("p2,heart_rate,30,112").getvalue())
         with pytest.raises(CohortError, match=f"^{obs}, {out}: observations and outcomes cover"):
-            load_cohort(obs, out)
+            load_cohort(obs, out, 720, None)
         # as many patients on each side, but not the same ones
         out.write_bytes(out_stream("p1,30,0", "p2,30,0").getvalue())
         obs.write_bytes(obs_stream("p2,heart_rate,30,112", "p3,heart_rate,30,112").getvalue())
         mismatch = rf"^{obs}, {out}: observations and outcomes cover different patients"
         with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. \['p1', 'p3'\]\)$"):
-            load_cohort(obs, out)
+            load_cohort(obs, out, 720, None)
         # a patient with outcomes but no observations
         out.write_bytes(out_stream("p2,30,0", "p3,30,0", "p4,30,0").getvalue())
         with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. \['p4'\]\)$"):
-            load_cohort(obs, out)
+            load_cohort(obs, out, 720, None)
 
     def test_outcomes_align_by_id_not_by_row(self, tmp_path):
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
@@ -369,20 +329,21 @@ class TestLoadCohort:
         ]
         obs.write_bytes(obs_stream(*rows).getvalue())
         out.write_bytes(out_stream("p3,80.5,0", "p1,30.25,1", "p2,50.75,1").getvalue())
-        cohort = load_cohort(obs, out)
-        assert cohort.patient_ids == ["p2", "p1", "p3"]   # observations' first-appearance order
-        assert cohort.event_hours.tolist() == [50.75, 30.25, 80.5]
-        assert cohort.died.tolist() == [True, True, False]
+        tables = load_cohort(obs, out, 720, None)
+        assert tables.patient_ids == ["p2", "p1", "p3"]   # observations' first-appearance order
+        assert tables.event_hours.tolist() == [50.75, 30.25, 80.5]
+        assert tables.died.tolist() == [True, True, False]
 
-        kept = filter_cohort(cohort)
+        kept = filter_cohort(tables)
         assert kept.patient_ids == ["p2", "p3"]
         assert kept.event_hours.tolist() == [50.75, 80.5]
         assert kept.died.tolist() == [True, False]
 
         # written back in patient order, not in the outcomes file's order
+        cohort = rows_cohort(obs, out)
         write_outcomes(cohort, out)
         assert out.read_text() == "patient_id,event_hours,death_flag\np2,50.75,1\np1,30.25,1\np3,80.5,0\n"
-        assert same_cohort(load_cohort(obs, out), cohort)
+        assert_same_tables(load_cohort(obs, out, 720, None), tables)
 
 
 def heart_rate_cohort(patient_ids=("p1",), **columns):
@@ -485,11 +446,11 @@ class TestRawCohort:
             {"a": (30.0, False), "b": (30.0, False)},
         )
         assert cohort.variables == ["age", "gcs", "heart_rate"]
-        kept = filter_cohort(cohort, ("gcs",), 24)
+        kept = filter_cohort(window_tables(cohort, 1440), ("gcs",), 24)
         assert kept.patient_ids == ["a"]
         assert kept.variables == ["gcs", "heart_rate"]
         assert kept.vocabulary == cohort.vocabulary  # codes keep their meaning
-        assert cohort_rows(kept) == {"a": cohort_rows(cohort)["a"]}
+        assert kept.patients == {"a": range(2)}
 
 
 @pytest.fixture(scope="module")
@@ -498,94 +459,109 @@ def cohort_4k():
 
 
 class TestFilter:
-    def _cohort(self, event_hours=48.0, offsets=(0, 700, 720, 1400)):
+    def _tables(self, event_hours=48.0, offsets=(0, 700, 720, 1400)):
         rows = [
             ("p1", var, off, 100.0)
             for var in ("heart_rate", "blood_pressure", "gcs")
             for off in offsets
         ]
-        return cohort_from_rows(rows, {"p1": (event_hours, False)})
+        return window_tables(cohort_from_rows(rows, {"p1": (event_hours, False)}), 720)
 
     def test_complete_patient_kept(self):
-        assert filter_cohort(self._cohort()).n_patients == 1
+        assert filter_cohort(self._tables()).n_patients == 1
 
     def test_short_stay_dropped(self):
-        assert filter_cohort(self._cohort(event_hours=20.0)).n_patients == 0
+        assert filter_cohort(self._tables(event_hours=20.0)).n_patients == 0
 
     def test_stay_of_exactly_the_minimum_kept(self):
-        assert filter_cohort(self._cohort(event_hours=24.0)).n_patients == 1
-        assert filter_cohort(self._cohort(event_hours=np.nextafter(24.0, 0))).n_patients == 0
+        assert filter_cohort(self._tables(event_hours=24.0)).n_patients == 1
+        assert filter_cohort(self._tables(event_hours=np.nextafter(24.0, 0))).n_patients == 0
 
     def test_missing_required_window_dropped(self):
         # no samples in the second 12h window
-        assert filter_cohort(self._cohort(offsets=(0, 300, 700))).n_patients == 0
+        assert filter_cohort(self._tables(offsets=(0, 300, 700))).n_patients == 0
 
-    def test_each_call_places_the_rows_once(self, monkeypatch, small_cohort):
+    def test_tables_of_other_windows_rejected(self):
+        with pytest.raises(ValueError, match="tables of 720-minute windows, not 8 h"):
+            filter_cohort(self._tables(), window_hours=8)
+
+    def test_each_row_is_placed_once(self, monkeypatch, small_cohort):
         assert small_cohort.value.size < cohort_module.WINDOW_CHUNK_ROWS
+        table = load_default_score_table()
         calls = count_calls(monkeypatch, cohort_module.WindowTables, "add")
-        kept = filter_cohort(small_cohort, ("heart_rate", "blood_pressure", "gcs"))
+        kept = filter_cohort(window_tables(small_cohort, 720, table), ("heart_rate", "blood_pressure", "gcs"))
         assert calls == {"add": 1}
         spec = FeatureSpec(tuple(kept.variables), 12)
         assert spec.n_variables == 5
-        build_feature_matrix(kept, spec, load_default_score_table())
-        assert calls == {"add": 2}
+        build_feature_matrix(kept, spec, table)
+        assert calls == {"add": 1}
 
     def test_chunks_do_not_change_the_filter(self, monkeypatch, small_cohort):
         required = ("heart_rate", "blood_pressure", "gcs")
         expected = filter_ids(small_cohort, required, 8)
         assert 0 < len(expected) < small_cohort.n_patients
         monkeypatch.setattr(cohort_module, "WINDOW_CHUNK_ROWS", 1000)
-        assert filter_cohort(small_cohort, required, 8).patient_ids == expected
+        assert filter_cohort(window_tables(small_cohort, 480), required, 8).patient_ids == expected
 
-    def test_feature_pass_holds_one_chunk(self, cohort_4k):
+    def test_fold_holds_one_chunk(self, cohort_4k):
         # An unchunked pass holds about 40 B per placed row; the chunked one
         # holds that for one chunk, plus the (patient, window, variable) table.
-        spec = FeatureSpec(tuple(cohort_4k.variables), 12)
         table = load_default_score_table()
         column_bytes = sum(a.nbytes for a in (cohort_4k.patient, cohort_4k.variable,
                                               cohort_4k.offset_minutes, cohort_4k.value))
         tracemalloc.start()
         try:
-            build_feature_matrix(cohort_4k, spec, table)
+            window_tables(cohort_4k, 720, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < column_bytes / 2
         assert cohort_4k.value.size > 4 * cohort_module.WINDOW_CHUNK_ROWS
 
-    def test_filter_and_features_memory_is_linear_in_rows(self, cohort_4k):
-        # The kept columns take 4 x 8 bytes a row. Window cells are released
-        # before the columns are built, and placed one chunk at a time.
-        cohort = cohort_4k
+    def test_fold_filter_and_features_memory_is_linear_in_rows(self, cohort_4k):
+        # The tables are O(patients); the fold places one chunk of rows at a time.
         table = load_default_score_table()
         tracemalloc.start()
         try:
-            kept = filter_cohort(cohort)
+            kept = filter_cohort(window_tables(cohort_4k, 720, table))
             build_feature_matrix(kept, FeatureSpec(tuple(kept.variables), 12), table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert kept.n_patients > 3000
-        assert peak < 60 * cohort.value.size
+        assert peak < 60 * cohort_4k.value.size
 
-    def test_filter_frees_a_cohort_it_alone_holds(self, cohort_4k, tmp_path):
-        # Passed the only reference to a loaded cohort, the filter frees each
-        # loaded column once its kept rows are copied, so it never holds two
-        # cohorts (about 30 B a row more). Coverage is found one chunk of
-        # rows at a time, and the patient column is rebuilt from row counts.
-        paths = write_cohort_files(cohort_4k, tmp_path)
-        tracemalloc.start()
-        try:
-            held = [load_cohort(*paths)]
-            n_rows = held[0].value.size
-            loaded = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            kept = filter_cohort(held.pop())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert kept.n_patients > 3000
-        assert peak - loaded < 16 * n_rows
+    def test_synthetic_cohort_filter_gives_the_kept_patients_and_rows(self):
+        # The benchmark's set-up filters its synthetic cohort and records
+        # the kept patients and their rows, past minute 1440 included.
+        cohort = generate_synthetic_cohort(SynthConfig(500, 5, 0.15, 0.1, 1.0, 47))
+        kept = filter_cohort(cohort, window_hours=12)
+        ids = filter_ids(cohort, DEFAULT_REQUIRED_VARIABLES, 12)
+        assert 0 < kept.n_patients == len(ids) < cohort.n_patients
+        assert kept.patient_ids == ids
+        rows = cohort_rows(cohort)
+        assert sum(len(r) for r in kept.patients.values()) == sum(len(rows[pid]) for pid in ids)
+        # rows past the first day count, though no window holds them
+        late = cohort_from_rows(
+            [("p1", var, off, 100.0) for var in DEFAULT_REQUIRED_VARIABLES for off in (0, 720, 1440, 2000)],
+            {"p1": (48.0, False)},
+        )
+        assert filter_cohort(late, window_hours=12).patients == {"p1": range(12)}
+
+
+class TestWindowTables:
+    @pytest.mark.parametrize("minutes", [0, -5, 1441])
+    def test_window_size_outside_the_first_day_rejected(self, minutes, small_cohort, tmp_path):
+        message = rf"^window_minutes must lie in 1\.\.1440, got {minutes}$"
+        with pytest.raises(ValueError, match=message):
+            WindowTables(minutes)
+        with pytest.raises(ValueError, match=message):
+            window_tables(small_cohort, minutes)
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        obs.write_bytes(obs_stream("p1,heart_rate,30,112").getvalue())
+        out.write_bytes(out_stream("p1,30,0").getvalue())
+        with pytest.raises(ValueError, match=message):
+            load_cohort(obs, out, minutes, None)
 
 
 class TestSynthConfig:
@@ -643,7 +619,13 @@ class TestGenerator:
     def test_round_trip_through_csv(self, tmp_path):
         cohort = generate_synthetic_cohort(self.CFG)
         obs_path, out_path = write_cohort_files(cohort, tmp_path)
-        assert same_cohort(load_cohort(obs_path, out_path), cohort)
+        with open(obs_path, "rb") as f:
+            parsed = RawCohort(**parse_observations(f), event_hours=cohort.event_hours, died=cohort.died)
+        assert same_cohort(parsed, cohort)
+        assert same_cohort(rows_cohort(obs_path, out_path), cohort)
+        table = load_default_score_table()
+        expected = window_tables(rows_cohort(obs_path, out_path), 720, table)
+        assert_same_tables(load_cohort(obs_path, out_path, 720, table), expected)
 
     def test_memory_is_linear_in_rows(self):
         # The (patient, variable, sample) arrays, then the columns and their sorted copies.

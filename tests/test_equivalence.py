@@ -58,8 +58,8 @@ from icurisk.cohort import (
     _csv_fields,
     filter_cohort,
     generate_synthetic_cohort,
-    ingest_observations,
     load_cohort,
+    window_tables,
     write_observations,
     write_outcomes,
 )
@@ -87,7 +87,7 @@ from icurisk.survival import (
     label_hidden_states,
     normalize_death_share,
 )
-from conftest import cohort_from_rows, count_calls
+from conftest import assert_same_tables, cohort_from_rows, count_calls, parse_observations, rows_cohort
 import oracles
 
 TABLE = load_default_score_table()
@@ -125,8 +125,10 @@ def cohorts(draw):
     return cohort_from_rows(rows, outcomes)
 
 
-def assert_matrix_matches_oracle(cohort, spec, table=TABLE):
-    matrix = build_feature_matrix(cohort, spec, table)
+def assert_matrix_matches_oracle(tables, cohort, spec, table=TABLE):
+    """The feature matrix of `tables` against the oracles on the rows of
+    `cohort`, the RawCohort of the same patients."""
+    matrix = build_feature_matrix(tables, spec, table)
     windowed = oracles.window_segment(cohort, spec)
     assert matrix.patient_ids == list(windowed)
     y, b = oracles.patient_scores(matrix)
@@ -146,37 +148,31 @@ def assert_matrix_matches_oracle(cohort, spec, table=TABLE):
 @settings(deadline=None)
 @given(cohorts(), WINDOW_HOURS)
 def test_feature_matrix_matches_oracle(cohort, window_hours):
-    assert_matrix_matches_oracle(cohort, FeatureSpec(SPEC_VARIABLES, window_hours))
+    tables = window_tables(cohort, 60 * window_hours, TABLE)
+    assert_matrix_matches_oracle(tables, cohort, FeatureSpec(SPEC_VARIABLES, window_hours))
 
 
 @settings(deadline=None)
 @given(cohorts(), WINDOW_HOURS)
 def test_filter_matches_oracle(cohort, window_hours):
-    columns = {name: getattr(cohort, name).copy() for name in COLUMNS}
-    ids = list(cohort.patient_ids)
-    kept = filter_cohort(cohort, REQUIRED, window_hours)
+    tables = window_tables(cohort, 60 * window_hours)
+    kept = filter_cohort(tables, REQUIRED, window_hours)
     kept_ids = set(oracles.filter_ids(cohort, REQUIRED, window_hours))
     expected = oracles.subset(cohort, [pid in kept_ids for pid in cohort.patient_ids])
-    assert kept.patient_ids == expected.patient_ids
-    assert kept.vocabulary == expected.vocabulary
-    for name in COLUMNS:
-        a, b = getattr(kept, name), getattr(expected, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert_same_tables(kept, window_tables(expected, 60 * window_hours))
     assert kept.variables == expected.variables
-    assert oracles.cohort_rows(kept) == {
-        pid: rows for pid, rows in oracles.cohort_rows(cohort).items() if pid in kept_ids
-    }
-    # the cohort the caller kept is unchanged
-    assert cohort.patient_ids == ids
-    for name, column in columns.items():
-        assert getattr(cohort, name).tobytes() == column.tobytes(), name
+    assert kept.patients == {pid: range(len(rows)) for pid, rows in expected.patients.items()}
+    # a RawCohort is folded first, alike; the tables the caller kept are unchanged
+    assert_same_tables(filter_cohort(cohort, REQUIRED, window_hours), kept)
+    assert_same_tables(tables, window_tables(cohort, 60 * window_hours))
 
 
 @settings(deadline=None)
-@given(cohorts())
-def test_first_day_max_scores_match_oracle(cohort):
+@given(cohorts(), WINDOW_HOURS)
+def test_first_day_max_scores_match_oracle(cohort, window_hours):
+    # the max over the windows of any size, whether or not it divides 24 h
     assert np.array_equal(
-        first_day_max_scores(cohort, SPEC_VARIABLES, TABLE),
+        first_day_max_scores(window_tables(cohort, 60 * window_hours, TABLE), SPEC_VARIABLES, TABLE),
         oracles.first_day_max_scores(cohort, SPEC_VARIABLES, TABLE),
     )
 
@@ -209,13 +205,16 @@ def test_score_lookup_matches_oracle(table_values):
 def test_seeded_cohort_matches_oracles(small_cohort):
     variables = tuple(small_cohort.variables)
     for window_hours in (12, 8):
-        kept = filter_cohort(small_cohort, REQUIRED, window_hours)
-        assert kept.patient_ids == oracles.filter_ids(small_cohort, REQUIRED, window_hours)
-        assert_matrix_matches_oracle(kept, FeatureSpec(variables, window_hours))
-    assert np.array_equal(
-        first_day_max_scores(small_cohort, variables, TABLE),
-        oracles.first_day_max_scores(small_cohort, variables, TABLE),
-    )
+        tables = window_tables(small_cohort, 60 * window_hours, TABLE)
+        kept = filter_cohort(tables, REQUIRED, window_hours)
+        kept_ids = oracles.filter_ids(small_cohort, REQUIRED, window_hours)
+        assert kept.patient_ids == kept_ids
+        expected = oracles.subset(small_cohort, np.isin(small_cohort.patient_ids, kept_ids))
+        assert_matrix_matches_oracle(kept, expected, FeatureSpec(variables, window_hours))
+        assert np.array_equal(
+            first_day_max_scores(tables, variables, TABLE),
+            oracles.first_day_max_scores(small_cohort, variables, TABLE),
+        )
 
 
 @st.composite
@@ -361,7 +360,7 @@ def test_density_normalizer_matches_all_samples_oracle(case):
 
 @pytest.fixture(scope="module")
 def imputed_training(small_cohort):
-    cohort = filter_cohort(small_cohort)
+    cohort = filter_cohort(window_tables(small_cohort, 720, TABLE))
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), TABLE)
     return matrix, fit_feature_stage(matrix, 4, seed=[0]).rows, cohort.event_hours, cohort.died
 
@@ -386,10 +385,10 @@ def test_cell_path_matches_per_patient_oracle():
     scoring others, once per window cell, gives the per-patient oracle's
     medoids, sequences, state labels and hazard coefficient bytes, and its
     risks within 1e-12 (the oracle's priors come from a BLAS product)."""
-    cohort = filter_cohort(generate_synthetic_cohort(SynthConfig(
+    cohort = filter_cohort(window_tables(generate_synthetic_cohort(SynthConfig(
         n_patients=4000, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
         sampling_rate_per_hour=1.0, seed=1,
-    )))
+    )), 720, TABLE))
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), TABLE)
     is_test = np.arange(matrix.n_patients) % 3 > 0
     train, test = matrix.subset(np.flatnonzero(~is_test)), matrix.subset(np.flatnonzero(is_test))
@@ -473,7 +472,7 @@ def ingest_outcome(ingest, stream):
 
 
 def assert_ingest_matches_oracle(make_stream):
-    got = ingest_outcome(ingest_observations, make_stream())
+    got = ingest_outcome(parse_observations, make_stream())
     expected = ingest_outcome(oracles.ingest_rows, make_stream())
     if isinstance(expected, UnicodeDecodeError):
         assert isinstance(got, ParseError)   # the row loop names the line instead
@@ -490,7 +489,6 @@ def assert_same_columns(got, expected):
     assert got["vocabulary"] == expected["vocabulary"]
     for name in ("patient", "variable", "offset_minutes", "value"):
         a, b = got[name], expected[name]
-        assert a.base is None   # owns its data: not a view of a larger buffer
         assert a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()   # bit for bit: -0.0 is not 0.0
 
@@ -600,7 +598,7 @@ def test_double_rounding_case_is_read_exactly():
     mantissa, places = int(DOUBLE_ROUNDING.replace(".", "")), len(DOUBLE_ROUNDING.split(".")[1])
     quotient = np.longdouble(mantissa) / np.longdouble(10**places)
     assert float(quotient) != float(DOUBLE_ROUNDING)   # the midpoint check is what keeps it right
-    parsed = ingest_observations(io.BytesIO(values_file([DOUBLE_ROUNDING])))
+    parsed = parse_observations(io.BytesIO(values_file([DOUBLE_ROUNDING])))
     assert parsed["value"].tolist() == [float(DOUBLE_ROUNDING)]
 
 
@@ -630,10 +628,9 @@ class Unseekable(io.RawIOBase):
 
 
 def columns_test_file(layout):
-    """An observations file of 300 rows whose first 20 are longer than the
-    rest, so that a file's first block underestimates its rows: "sorted",
-    with a quoted row that sends the "row_loop_tail" to the row loop, or
-    "unsorted"."""
+    """An observations file of 300 rows, the first 20 longer than the rest:
+    "sorted", with a quoted row that sends the "row_loop_tail" to the row
+    loop, or "unsorted"."""
     rng = np.random.default_rng(8)
     values = [repr(v) for v in rng.normal(80, 20, 20).tolist()] + [str(v) for v in range(280)]
     names = ("hr", "gcs", "heart_rate")
@@ -648,7 +645,7 @@ def columns_test_file(layout):
 @pytest.mark.parametrize("block_bytes", [64, cohort_module.BLOCK_BYTES, LARGE_BLOCK])
 @pytest.mark.parametrize("layout", ["sorted", "row_loop_tail", "unsorted"])
 @pytest.mark.parametrize("kind", ["binary_file", "bytes_io", "unseekable"])
-def test_ingest_into_columns_matches_row_oracle(kind, layout, block_bytes, tmp_path, monkeypatch):
+def test_parsed_parts_match_row_oracle(kind, layout, block_bytes, tmp_path, monkeypatch):
     data = columns_test_file(layout)
     path = tmp_path / "observations.csv"
     path.write_bytes(data)
@@ -659,19 +656,9 @@ def test_ingest_into_columns_matches_row_oracle(kind, layout, block_bytes, tmp_p
     }
     monkeypatch.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(cohort_module, "_ROW_LOOP_CHUNK", 16)
-    capacities = []
-    append = cohort_module._Columns.append
-
-    def recording_append(self, parts):
-        append(self, parts)
-        capacities.append(self.arrays[0].size)
-
-    monkeypatch.setattr(cohort_module._Columns, "append", recording_append)
     with streams[kind]() as stream:
-        got = ingest_observations(stream)
+        got = parse_observations(stream)
     assert_same_columns(got, oracles.ingest_rows(io.BytesIO(data)))
-    if block_bytes == 64 or layout == "row_loop_tail":
-        assert len(set(capacities)) > 1   # the columns grew
 
 
 def assert_same_cohort_bits(got, expected):
@@ -772,49 +759,15 @@ def test_csv_fields_match_csv_writer(texts):
     assert _csv_fields(texts) == [csv_writer_field(text) for text in texts]
 
 
-def fold_and_load(observations, outcomes, window_hours, table=TABLE):
-    """What train, predict and curves read of the files, by the fold
-    (`load_cohort` given the window size, filtered as tables) and by the
-    loaded RawCohort, filtered (`filter_cohort`, `build_feature_matrix`):
-    kept ids, event_hours, died, variables, the matrix and the first-day
-    maxima, each an exception where it raises."""
-    def folded():
-        tables = filter_cohort(load_cohort(observations, outcomes, 60 * window_hours, table), REQUIRED, window_hours)
-        return (tables, lambda spec: build_feature_matrix(tables, spec, table),
-                lambda v: first_day_max_scores(tables, v, table))
-
-    def loaded():
-        cohort = filter_cohort(load_cohort(observations, outcomes), REQUIRED, window_hours)
-        return (cohort, lambda spec: build_feature_matrix(cohort, spec, table),
-                lambda v: first_day_max_scores(cohort, v, table))
-
-    results = []
-    for kept, matrix, first_day in (folded(), loaded()):
-        variables = kept.variables
-        results.append((
-            kept.patient_ids, kept.event_hours.tobytes(), kept.died.tolist(), variables,
-            ingest_outcome(lambda v: matrix(FeatureSpec(tuple(v), window_hours)), variables),
-            ingest_outcome(first_day, variables),
-        ))
-    return results
-
-
-def assert_fold_matches_load(observations, outcomes, window_hours):
-    (*folded, matrix, first_day), (*loaded, expected, expected_first_day) = fold_and_load(
-        observations, outcomes, window_hours
-    )
-    assert folded == loaded
-    for got, want in ((matrix, expected), (first_day, expected_first_day)):
-        assert type(got) is type(want)
-        if isinstance(want, Exception):
-            assert str(got) == str(want)
-    if not isinstance(expected, Exception):
-        assert matrix.patient_ids == expected.patient_ids and matrix.spec == expected.spec
-        for name in ("cells", "window", "cell_of"):
-            a, b = getattr(matrix, name), getattr(expected, name)
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert first_day.dtype == expected_first_day.dtype
-        assert np.array_equal(first_day, expected_first_day)
+def assert_fold_matches_row_oracle(observations, outcomes, window_hours, table=TABLE):
+    """The fold of the files (`load_cohort`) equals `window_tables` of the
+    cohort that `oracles.ingest_rows` reads from them, bit for bit, and
+    keeps the patients `oracles.filter_ids` keeps."""
+    cohort = rows_cohort(observations, outcomes)
+    tables = load_cohort(observations, outcomes, 60 * window_hours, table)
+    assert_same_tables(tables, window_tables(cohort, 60 * window_hours, table))
+    kept = filter_cohort(tables, REQUIRED, window_hours)
+    assert kept.patient_ids == oracles.filter_ids(cohort, REQUIRED, window_hours)
 
 
 @st.composite
@@ -845,47 +798,43 @@ def write_fold_files(directory, lines, outcomes):
 
 @settings(deadline=None)
 @given(fold_files(), WINDOW_HOURS, st.sampled_from([16, 64, cohort_module.BLOCK_BYTES]))
-def test_fold_matches_load_filter_and_features(files, window_hours, block_bytes):
+def test_fold_matches_row_oracle(files, window_hours, block_bytes):
     with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
         mp.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
-        assert_fold_matches_load(*write_fold_files(directory, *files), window_hours)
+        assert_fold_matches_row_oracle(*write_fold_files(directory, *files), window_hours)
 
 
 @pytest.mark.parametrize("layout", ["sorted", "row_loop_tail", "unsorted"])
 @pytest.mark.parametrize("window_hours", [7, 12])
-def test_fold_of_parsed_blocks_and_row_loop_matches_load(layout, window_hours, tmp_path, monkeypatch):
+def test_fold_of_parsed_blocks_and_row_loop_matches_row_oracle(layout, window_hours, tmp_path, monkeypatch):
     # 300 rows of 43 patients in blocks of 64 bytes; the row loop takes the
     # "row_loop_tail" from its quoted id on, in parts of 16 rows.
     monkeypatch.setattr(cohort_module, "BLOCK_BYTES", 64)
     monkeypatch.setattr(cohort_module, "_ROW_LOOP_CHUNK", 16)
     data = columns_test_file(layout)
-    ids = ingest_observations(io.BytesIO(data))["patient_ids"]
+    ids = oracles.ingest_rows(io.BytesIO(data))["patient_ids"]
     outcomes = [f"{csv_writer_field(pid)},{24.0 + i},{i % 2}" for i, pid in enumerate(ids)]
     observations, outcomes_path = write_fold_files(tmp_path, [], outcomes)
     observations.write_bytes(data)
     parts = count_calls(monkeypatch, cohort_module.WindowTables, "add")
     row_loops = count_calls(monkeypatch, cohort_module, "_row_loop")
-    assert_fold_matches_load(observations, outcomes_path, window_hours)
-    assert parts["add"] > 50   # the fold's parts, then one chunk for each pass over the loaded cohort
-    assert row_loops["_row_loop"] == 2 * (layout == "row_loop_tail")   # once by each path
+    assert_fold_matches_row_oracle(observations, outcomes_path, window_hours)
+    assert parts["add"] > 50   # the fold's parts, then the oracle cohort's one chunk
+    assert row_loops["_row_loop"] == (layout == "row_loop_tail")
 
 
 def test_fold_errors_name_the_files(tmp_path):
-    # The fold raises load_cohort's errors, with the same messages.
     lines = ["p1,heart_rate,30,112", "p1,heart_rate,31,x"]
     observations, outcomes = write_fold_files(tmp_path, lines, ["p1,30,0"])
-    for load in (lambda o, u: load_cohort(o, u, 720, TABLE), load_cohort):
-        with pytest.raises(ParseError, match=f"^{observations}: line 3: non-numeric value 'x'$"):
-            load(observations, outcomes)
+    with pytest.raises(ParseError, match=f"^{observations}: line 3: non-numeric value 'x'$"):
+        load_cohort(observations, outcomes, 720, TABLE)
     observations, outcomes = write_fold_files(tmp_path, ["p2,heart_rate,30,112", "p3,gcs,5,9"], ["p1,30,0", "p2,30,0"])
-    for load in (lambda o, u: load_cohort(o, u, 720, TABLE), load_cohort):
-        with pytest.raises(CohortError, match=rf"^{observations}, {outcomes}: observations and outcomes cover "
-                                                rf"different patients \(e.g. \['p1', 'p3'\]\)$"):
-            load(observations, outcomes)
+    with pytest.raises(CohortError, match=rf"^{observations}, {outcomes}: observations and outcomes cover "
+                                            rf"different patients \(e.g. \['p1', 'p3'\]\)$"):
+        load_cohort(observations, outcomes, 720, TABLE)
     observations.write_text(HEADER + "\n")
-    for load in (lambda o, u: load_cohort(o, u, 720, TABLE), load_cohort):
-        with pytest.raises(CohortError, match=f"^{observations}: no observations$"):
-            load(observations, outcomes)
+    with pytest.raises(CohortError, match=f"^{observations}: no observations$"):
+        load_cohort(observations, outcomes, 720, TABLE)
 
 
 ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5, np.nan])

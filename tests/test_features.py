@@ -41,6 +41,11 @@ def make_cohort(offset_values, variable="heart_rate", event_hours=48.0):
     return cohort_from_rows(rows, {"p1": (event_hours, False)})
 
 
+def feature_matrix(cohort, spec, table):
+    """`build_feature_matrix` of the cohort folded in the spec's windows."""
+    return build_feature_matrix(window_tables(cohort, 60 * spec.window_hours, table), spec, table)
+
+
 GAPPED_TABLE = ScoreTable({"x": [ScoreBin(10, 20, 3), ScoreBin(30, 40, 5)]}, default_score=1)
 
 
@@ -125,7 +130,7 @@ class TestWindowing:
         cohort = make_cohort([(719, 60.0), (720, 80.0)])
         worst = window_tables(cohort, 720, HR_TABLE).worst
         assert worst[0, :, 0].tolist() == [2, 0]   # 60 scores 2, 80 scores 0
-        scores = build_feature_matrix(cohort, FeatureSpec(("heart_rate",), 12), HR_TABLE).scores
+        scores = feature_matrix(cohort, FeatureSpec(("heart_rate",), 12), HR_TABLE).scores
         assert (scores[0, :, 0] >= 0).tolist() == [True, True]
 
     def test_sample_at_1440_discarded(self):
@@ -164,17 +169,17 @@ class TestDiscretization:
 
     def test_worst_case_is_max(self):
         cohort = make_cohort([(10, 60.0), (20, 80.0), (30, 130.0)])  # scores 2, 0, 4
-        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).scores
+        y = feature_matrix(cohort, self.SPEC, HR_TABLE).scores
         assert y[0, 0, 0] == 4
 
     def test_single_sample(self):
         cohort = make_cohort([(10, 60.0)])
-        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).scores
+        y = feature_matrix(cohort, self.SPEC, HR_TABLE).scores
         assert y[0, 0, 0] == 2
 
     def test_empty_window_is_missing_with_zero_indicator(self):
         cohort = make_cohort([(10, 60.0)])
-        matrix = build_feature_matrix(cohort, self.SPEC, HR_TABLE)
+        matrix = feature_matrix(cohort, self.SPEC, HR_TABLE)
         assert matrix.scores[0, 1, 0] == -1 and matrix.scores[0, 0, 0] == 2
         assert matrix.cells.dtype == np.int64
 
@@ -182,13 +187,13 @@ class TestDiscretization:
         spec = FeatureSpec(("unknown_var",), 12)
         cohort = make_cohort([(10, 60.0)], variable="unknown_var")
         with pytest.raises(ValueError, match="score table"):
-            build_feature_matrix(cohort, spec, HR_TABLE)
+            feature_matrix(cohort, spec, HR_TABLE)
 
     def test_worst_case_dominates_every_sample(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(20, 200, 30)
         cohort = make_cohort([(int(i), float(v)) for i, v in enumerate(values)])
-        y = build_feature_matrix(cohort, self.SPEC, HR_TABLE).scores
+        y = feature_matrix(cohort, self.SPEC, HR_TABLE).scores
         scores = [score_value(HR_TABLE, "heart_rate", v) for v in values]
         assert y[0, 0, 0] == max(scores)
 

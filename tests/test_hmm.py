@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import icurisk.survival
-from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort
+from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort, window_tables
 from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
 from icurisk.hmm import (
     EmissionModel,
@@ -218,8 +218,8 @@ class TestRiskScore:
 
 @pytest.fixture(scope="module")
 def trained(small_cohort):
-    cohort = filter_cohort(small_cohort)
     table = load_default_score_table()
+    cohort = filter_cohort(window_tables(small_cohort, 720, table))
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
     stage = fit_feature_stage(matrix, 4, seed=[0])
     targets = [TargetSpec(day, 12) for day in (2, 3, 4, 5)]
@@ -308,12 +308,13 @@ class TestRiskModel:
             score_patients(model, bad)
 
     @pytest.mark.parametrize("window_hours", [6, 8, 24])
-    def test_window_size_mismatch_rejected(self, trained, window_hours):
+    def test_window_size_mismatch_rejected(self, trained, small_cohort, window_hours):
         """A matrix in other windows than the model's is refused with both
         specs named, not scored with the wrong windows' fits."""
-        cohort, matrix, model = trained
+        _, _, model = trained
         spec = FeatureSpec(model.spec.variable_names, window_hours)
-        other = build_feature_matrix(cohort, spec, load_default_score_table())
+        table = load_default_score_table()
+        other = build_feature_matrix(window_tables(small_cohort, 60 * window_hours, table), spec, table)
         with pytest.raises(ValueError, match=rf"window_hours={window_hours}\).*window_hours=12\)"):
             score_patients(model, other)
 
@@ -379,11 +380,11 @@ def test_training_does_not_depend_on_patient_order(seed):
     """A 4,000-patient cohort (the benchmark's settings) and the same
     patients in another order train the same medoids, states and emission
     tables: PAM searches all distinct rows, with ties in sorted order."""
-    cohort = filter_cohort(generate_synthetic_cohort(SynthConfig(
+    table = load_default_score_table()
+    cohort = filter_cohort(window_tables(generate_synthetic_cohort(SynthConfig(
         n_patients=4000, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
         sampling_rate_per_hour=1.0, seed=seed,
-    )))
-    table = load_default_score_table()
+    )), 720, table))
     matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
     perm = np.random.default_rng(seed).permutation(matrix.n_patients)
     runs = []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort
+from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort, window_tables
 from icurisk.features import (
     FeatureMatrix,
     FeatureSpec,
@@ -209,9 +209,10 @@ def imputed_4k():
         sampling_rate_per_hour=1.0,
         seed=11,
     )
-    cohort = filter_cohort(generate_synthetic_cohort(config))
+    table = load_default_score_table()
+    cohort = filter_cohort(window_tables(generate_synthetic_cohort(config), 720, table))
     spec = FeatureSpec(tuple(cohort.variables), 12)
-    matrix = build_feature_matrix(cohort, spec, load_default_score_table())
+    matrix = build_feature_matrix(cohort, spec, table)
     times, events = censor_by_target(cohort.event_hours, cohort.died, 48.0)
     return matrix, impute_median(matrix, compute_medians(matrix)), times, events
 
