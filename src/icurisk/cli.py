@@ -28,7 +28,6 @@ from .cohort import (
 )
 from .evaluation import run_cv
 from .features import (
-    FeatureSpec,
     ScoreTable,
     build_feature_matrix,
     feature_kinds,
@@ -205,12 +204,10 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
 
 
 def _prepare_training_inputs(cfg: PipelineConfig):
-    table = _load_score_table(cfg)
-    tables = _kept_tables(cfg, cfg.required_variables, cfg.window_hours, table)
+    tables = _kept_tables(cfg, cfg.required_variables, cfg.window_hours, _load_score_table(cfg))
     if tables.n_patients == 0:
         raise ValueError("no patients left after filtering")
-    matrix = build_feature_matrix(tables, FeatureSpec(tuple(tables.variables), cfg.window_hours), table)
-    return table, tables, matrix
+    return tables, build_feature_matrix(tables, tables.variables)
 
 
 def _sweep_k(matrix, rows, seed) -> None:
@@ -230,7 +227,7 @@ def _sweep_k(matrix, rows, seed) -> None:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
-    table, tables, matrix = _prepare_training_inputs(cfg)
+    tables, matrix = _prepare_training_inputs(cfg)
     stage = fit_feature_stage(matrix, cfg.k_clusters, seed=[cfg.seed])
     if args.sweep_k:
         _sweep_k(matrix, stage.rows, [cfg.seed])
@@ -238,8 +235,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         matrix,
         tables.event_hours,
         tables.died,
-        [TargetSpec(day, cfg.window_hours, cfg.duration_mode) for day in cfg.target_days],
-        table,
+        [TargetSpec(day, cfg.duration_mode) for day in cfg.target_days],
+        tables.score_table,
         smoothing_alpha=cfg.smoothing_alpha,
         stage=stage,
     )
@@ -284,7 +281,7 @@ def _scoring_matrix(cfg: PipelineConfig, model, echo):
     unknown = sorted(set(tables.variables) - set(spec.variable_names))
     if unknown:
         raise ValueError(f"variables not in the trained model: {unknown}")
-    return tables, build_feature_matrix(tables, spec, model.score_table)
+    return tables, build_feature_matrix(tables, spec.variable_names)
 
 
 def write_predictions(path, patient_ids, eta_by_day) -> None:
@@ -333,13 +330,10 @@ def cmd_curves(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
-    table = _load_score_table(cfg)
     # the files are folded into window tables as they are parsed: no rows are held
     report = run_cv(
-        load_cohort(*_input_paths(cfg), 60 * cfg.window_hours, table),
-        table,
+        load_cohort(*_input_paths(cfg), 60 * cfg.window_hours, _load_score_table(cfg)),
         target_days=cfg.target_days,
-        window_hours=cfg.window_hours,
         k_clusters=cfg.k_clusters,
         smoothing_alpha=cfg.smoothing_alpha,
         folds=cfg.cv_folds,

@@ -795,11 +795,13 @@ class WindowTables:
     blocks of a file (`load_cohort`) or from a RawCohort's chunks
     (`window_tables`). The tables grow, doubling, as parts bring new
     patients or variables, and `finish` cuts them to size and attaches the
-    ids and outcomes. They hold O(patients) memory. A window size outside
-    1 to 1440 minutes raises a ValueError.
+    ids and outcomes. They hold O(patients) memory. A window size that is
+    not an int (a bool is not) from 1 to 1440 minutes raises a ValueError.
     """
 
     def __init__(self, window_minutes: int, table=None, n_patients: int = 0):
+        if type(window_minutes) is not int:
+            raise ValueError(f"window_minutes must be an int, got {window_minutes!r}")
         if not 1 <= window_minutes <= FIRST_DAY_MINUTES:
             raise ValueError(f"window_minutes must lie in 1..{FIRST_DAY_MINUTES}, got {window_minutes}")
         self.window_minutes, self.score_table = window_minutes, table

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import DEFAULT_REQUIRED_VARIABLES, WindowTables, filter_cohort
-from .features import FeatureMatrix, FeatureSpec, ScoreTable, build_feature_matrix
+from .features import FeatureMatrix, FeatureSpec, build_feature_matrix, window_hours_of
 from .hmm import fit_feature_stage, fit_risk_model, normal_band, score_patients
 from .survival import (
     TargetSpec,
@@ -190,15 +190,14 @@ def paired_t_test_one_tailed(a, b) -> float:
 # Baselines on per-variable worst-case scores
 # --------------------------------------------------------------------------
 
-def first_day_max_scores(cohort: WindowTables, variables, table: ScoreTable) -> np.ndarray:
+def first_day_max_scores(cohort: WindowTables, variables) -> np.ndarray:
     """Per-patient, per-variable maximum bin score over the full first day.
 
     One window of [0, 1440) minutes, even when the window size does not
-    divide 24 h: the max over the windows of WindowTables folded with
-    `table`. Unobserved variables score 0.
+    divide 24 h: the max over the tables' windows, scored with their score
+    table; the tables pass `window_hours_of`. Unobserved variables score 0.
     """
-    if cohort.score_table is not table:
-        raise ValueError("tables folded with another score table")
+    window_hours_of(cohort)
     return np.maximum(cohort.scores(variables).max(axis=1), 0).astype(float)
 
 
@@ -343,10 +342,8 @@ def _draw_valid_folds(seed, repeat, died, day_events, n_folds, max_attempts=20):
 
 def run_cv(
     cohort: WindowTables,
-    score_table: ScoreTable,
     *,
     target_days=(2, 3, 4, 5),
-    window_hours: int = 12,
     k_clusters: int = 4,
     smoothing_alpha: float = 1.0,
     folds: int = 3,
@@ -362,29 +359,26 @@ def run_cv(
     (medians, medoids, survival coefficients, state labels, emissions, and the
     baseline regressions) happens on training folds only.
 
-    `cohort` is WindowTables folded in `window_hours` windows with
-    `score_table`: `load_cohort`, as `icurisk evaluate` does, or
-    `window_tables` of rows in memory. The patients are filtered on the
+    `cohort` is WindowTables: `load_cohort`, as `icurisk evaluate` does, or
+    `window_tables` of rows in memory. Their window size and score table are
+    the model's (`window_hours_of`). The patients are filtered on the
     tables; the model's window scores and the first-day baselines are read
     from them.
     """
-    tables = filter_cohort(cohort, required_variables, window_hours)
+    tables = filter_cohort(cohort, required_variables, window_hours_of(cohort))
     del cohort
     if tables.n_patients == 0:
         raise ValueError("no patients left after filtering")
     variables = tables.variables
-    spec = FeatureSpec(tuple(variables), window_hours)
-    matrix = build_feature_matrix(tables, spec, score_table)
+    matrix = build_feature_matrix(tables, variables)
 
-    targets = {
-        day: TargetSpec(day, window_hours, duration_mode) for day in target_days
-    }
+    targets = {day: TargetSpec(day, duration_mode) for day in target_days}
     day_censoring = {
         day: censor_by_target(tables.event_hours, tables.died, t.target_hours)
         for day, t in targets.items()
     }
     day_events = {day: ev for day, (_, ev) in day_censoring.items()}
-    baseline_features = first_day_max_scores(tables, variables, score_table)
+    baseline_features = first_day_max_scores(tables, variables)
     saps = baseline_saps_scores(baseline_features)
     # The baselines are fit on the distinct first-day rows: a one-window cell table.
     first_day = FeatureSpec(variables, 24)
@@ -408,7 +402,7 @@ def run_cv(
                 tables.event_hours[train_idx],
                 tables.died[train_idx],
                 [targets[day] for day in target_days],  # a repeated day is an error
-                score_table,
+                tables.score_table,
                 smoothing_alpha=smoothing_alpha,
                 stage=stage,
             )

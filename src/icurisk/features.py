@@ -190,13 +190,24 @@ class FeatureMatrix:
         return FeatureMatrix(ids, self.spec, self.cells[present], self.window[present], cell_of)
 
 
-def build_feature_matrix(cohort: WindowTables, spec: FeatureSpec, table: ScoreTable) -> FeatureMatrix:
-    """Worst scores over the spec's windows of the first day, grouped into
-    each window's cells, read from WindowTables folded in the spec's
-    windows with `table` (`load_cohort` or `window_tables`)."""
-    if cohort.window_minutes != 60 * spec.window_hours or cohort.score_table is not table:
-        raise ValueError(f"tables folded in {cohort.window_minutes}-minute windows, or with another "
-                         f"score table, for a feature matrix of {spec.window_hours} h windows")
+def window_hours_of(cohort: WindowTables) -> int:
+    """The window hours of the tables features are read from: a TypeError if
+    they are not WindowTables (see `window_tables`), a ValueError for windows
+    of a fraction of an hour or tables folded without a score table."""
+    if not isinstance(cohort, WindowTables):
+        raise TypeError(f"expected WindowTables, got {type(cohort).__name__}: fold the rows with window_tables")
+    if cohort.window_minutes % 60:
+        raise ValueError(f"tables of {cohort.window_minutes}-minute windows: features need whole-hour windows")
+    if cohort.score_table is None:
+        raise ValueError("tables folded without a score table: features need one")
+    return cohort.window_minutes // 60
+
+
+def build_feature_matrix(cohort: WindowTables, variable_names) -> FeatureMatrix:
+    """Worst scores of `variable_names` over the first day's windows, grouped
+    into each window's cells: the window size and scores are those the
+    tables were folded with (`load_cohort` or `window_tables`, checked by `window_hours_of`)."""
+    spec = FeatureSpec(tuple(variable_names), window_hours_of(cohort))
     return FeatureMatrix.from_scores(cohort.patient_ids, spec, cohort.scores(spec.variable_names, spec.n_windows))
 
 

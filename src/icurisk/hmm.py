@@ -235,8 +235,6 @@ def fit_risk_model(
     days = [t.target_day for t in targets]
     if not days or len(set(days)) != len(days):
         raise ValueError(f"target days must be distinct and at least one, got {days}")
-    if any(t.window_hours != matrix.spec.window_hours for t in targets):
-        raise ValueError("target spec and feature spec disagree on window_hours")
     if len(event_hours) != matrix.n_patients or len(died) != matrix.n_patients:
         raise ValueError("event_hours and died must have one entry per matrix patient")
     censored = [censor_by_target(event_hours, died, t.target_hours) for t in targets]
@@ -325,8 +323,8 @@ def _nan_to_none(values):
 
 def models_to_obj(model: RiskModel, config_echo: dict | None = None) -> dict:
     """The `model.json` object, format 2: the feature spec, score table,
-    medians and cluster once at the top level, and per day its `target`,
-    `fits` and `emissions`."""
+    medians and cluster once at the top level, and per day its `target` (the
+    spec's `window_hours` again), `fits` and `emissions`."""
     return {
         "format_version": FORMAT_VERSION,
         "feature_spec": {
@@ -347,7 +345,7 @@ def models_to_obj(model: RiskModel, config_echo: dict | None = None) -> dict:
             str(day): {
                 "target": {
                     "target_day": d.target.target_day,
-                    "window_hours": d.target.window_hours,
+                    "window_hours": model.spec.window_hours,
                     "duration_mode": d.target.duration_mode,
                 },
                 "fits": [
@@ -417,10 +415,10 @@ def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
     for day_key, block in obj["days"].items():
         where = f"days.{day_key}"
         t = block["target"]
-        target = TargetSpec(int(t["target_day"]), int(t["window_hours"]), t["duration_mode"])
-        if (target.target_day, target.window_hours) != (int(day_key), spec.window_hours):
+        target, window_hours = TargetSpec(int(t["target_day"]), t["duration_mode"]), int(t["window_hours"])
+        if (target.target_day, window_hours) != (int(day_key), spec.window_hours):
             raise ValueError(
-                f"{where}.target is day {target.target_day} in {target.window_hours} h windows, "
+                f"{where}.target is day {target.target_day} in {window_hours} h windows, "
                 f"expected day {day_key} in {spec.window_hours} h windows"
             )
         if len(block["fits"]) != T:

@@ -33,14 +33,11 @@ class TargetSpec:
     """Prediction horizon and how per-window exposure durations are formed."""
 
     target_day: int
-    window_hours: int
     duration_mode: str = AS_PRINTED
 
     def __post_init__(self):
         if self.target_day < 1:
             raise ValueError("target_day must be a positive integer")
-        if not 1 <= self.window_hours <= 24:
-            raise ValueError("window_hours must lie in 1..24")
         if self.duration_mode not in (AS_PRINTED, REMAINING):
             raise ValueError(f"unknown duration_mode {self.duration_mode!r}")
 
@@ -48,15 +45,15 @@ class TargetSpec:
     def target_hours(self) -> float:
         return 24.0 * self.target_day
 
-    def exposure_duration(self, t: int) -> float:
-        """Exposure V_t (hours) for 1-based window t.
+    def exposure_duration(self, t: int, window_hours: int) -> float:
+        """Exposure V_t (hours) for 1-based window t of `window_hours` hours.
 
         The default mode adds elapsed window time to the horizon; the
         alternative subtracts it (time remaining until the target).
         """
         if t < 1:
             raise ValueError("window index is 1-based")
-        elapsed = float(self.window_hours * t)
+        elapsed = float(window_hours * t)
         if self.duration_mode == AS_PRINTED:
             return self.target_hours + elapsed
         if elapsed >= self.target_hours:
@@ -338,15 +335,15 @@ def normalize_death_share(probs, labels, queries) -> np.ndarray:
 
 def compute_priors(matrix, rows, fits, target: TargetSpec) -> np.ndarray:
     """Death prior of each cell of the matrix, (U,), from its imputed row
-    (`impute_median`) and its window's hazard fit. Patient i's prior in
-    window t is that of cell `matrix.cell_of[i, t]`."""
+    (`impute_median`), its window's hazard fit and the matrix's window size.
+    Patient i's prior in window t is that of cell `matrix.cell_of[i, t]`."""
     if len(fits) != matrix.spec.n_windows:
         raise ValueError("need one survival fit per window")
     theta = np.empty(rows.shape[0])
     for t, fit in enumerate(fits):
         cells = matrix.cells_in(t)
         X = np.column_stack([np.ones(cells.stop - cells.start), rows[cells]])
-        theta[cells] = death_prior(hazard(fit.beta, X), target.exposure_duration(t + 1))
+        theta[cells] = death_prior(hazard(fit.beta, X), target.exposure_duration(t + 1, matrix.spec.window_hours))
     return theta
 
 

@@ -727,7 +727,7 @@ def risk_model_per_patient(matrix, event_hours, died, targets, k, seed=0, alpha=
                 X[first], np.bincount(group, weights=times), np.bincount(group, weights=events)
             )
             betas.append(fit.beta)
-        theta = patient_priors(imputed, b, betas, target)
+        theta = patient_priors(imputed, b, betas, target, spec.window_hours)
         states = np.zeros((n, T), dtype=np.uint8)
         states[:, T - 1] = events
         for t in range(T - 1):
@@ -736,10 +736,11 @@ def risk_model_per_patient(matrix, event_hours, died, targets, k, seed=0, alpha=
     return medians, cluster, sequences, days
 
 
-def patient_priors(imputed, b, betas, target):
-    """(N, T) Death priors from exp(X beta) of every patient's design row."""
+def patient_priors(imputed, b, betas, target, window_hours):
+    """(N, T) Death priors from exp(X beta) of every patient's design row in
+    windows of `window_hours`."""
     return np.column_stack([
-        -np.expm1(-np.exp(patient_window_design(imputed, b, t) @ beta) * target.exposure_duration(t + 1))
+        -np.expm1(-np.exp(patient_window_design(imputed, b, t) @ beta) * target.exposure_duration(t + 1, window_hours))
         for t, beta in enumerate(betas)
     ])
 
@@ -751,5 +752,5 @@ def score_per_patient(matrix, medians, cluster, betas, emissions, target):
     n, T, p = y.shape
     rows = np.concatenate([imputed.reshape(n * T, p), b.reshape(n * T, p)], axis=1)
     sequences = cluster.assign(rows).reshape(n, T)
-    theta = patient_priors(imputed, b, betas, target)
+    theta = patient_priors(imputed, b, betas, target, matrix.spec.window_hours)
     return _eta_forward_batch(theta, emissions, sequences), sequences

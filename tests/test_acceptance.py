@@ -25,7 +25,6 @@ from icurisk.evaluation import (
     run_cv,
 )
 from icurisk.features import (
-    FeatureSpec,
     NUMERIC,
     BINARY,
     build_feature_matrix,
@@ -274,7 +273,6 @@ def test_06_directional_replication(synthetic_cohort):
     table = load_default_score_table()
     rep = run_cv(
         window_tables(synthetic_cohort, 720, table),
-        table,
         repeats=10,
         seed=ACCEPTANCE_SEED,
     )
@@ -300,9 +298,9 @@ def test_06_directional_replication(synthetic_cohort):
 def test_07_survival_curve_separation(synthetic_cohort):
     table = load_default_score_table()
     cohort = filter_cohort(window_tables(synthetic_cohort, 720, table))
-    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
+    matrix = build_feature_matrix(cohort, cohort.variables)
     stage = fit_feature_stage(matrix, 4, seed=[ACCEPTANCE_SEED])
-    targets = [TargetSpec(day, 12) for day in (2, 3, 4, 5)]
+    targets = [TargetSpec(day) for day in (2, 3, 4, 5)]
     model = fit_risk_model(matrix, cohort.event_hours, cohort.died, targets, table, stage=stage)
     eta_by_day = {day: scores.eta for day, scores in score_patients(model, matrix).items()}
     bands = survival_curve(eta_by_day, cohort.died)

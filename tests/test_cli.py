@@ -458,7 +458,7 @@ class TestEvaluate:
         cfg = write_config(workdir)
         assert run(["evaluate", "--config", cfg]) == 0
         table = load_default_score_table()
-        report = run_cv(window_tables(small_cohort, 720, table), table, repeats=2, seed=11)
+        report = run_cv(window_tables(small_cohort, 720, table), repeats=2, seed=11)
         cli_module._dump_json(report.to_json_obj(), workdir / "expected.json")
         out = workdir / "out"
         assert (out / "report.json").read_bytes() == (workdir / "expected.json").read_bytes()

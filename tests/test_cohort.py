@@ -21,7 +21,7 @@ from icurisk.cohort import (
     write_observations,
     write_outcomes,
 )
-from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
+from icurisk.features import build_feature_matrix, load_default_score_table
 from conftest import (
     assert_same_tables,
     cohort_from_rows,
@@ -491,9 +491,8 @@ class TestFilter:
         calls = count_calls(monkeypatch, cohort_module.WindowTables, "add")
         kept = filter_cohort(window_tables(small_cohort, 720, table), ("heart_rate", "blood_pressure", "gcs"))
         assert calls == {"add": 1}
-        spec = FeatureSpec(tuple(kept.variables), 12)
-        assert spec.n_variables == 5
-        build_feature_matrix(kept, spec, table)
+        assert len(kept.variables) == 5
+        build_feature_matrix(kept, kept.variables)
         assert calls == {"add": 1}
 
     def test_chunks_do_not_change_the_filter(self, monkeypatch, small_cohort):
@@ -524,7 +523,7 @@ class TestFilter:
         tracemalloc.start()
         try:
             kept = filter_cohort(window_tables(cohort_4k, 720, table))
-            build_feature_matrix(kept, FeatureSpec(tuple(kept.variables), 12), table)
+            build_feature_matrix(kept, kept.variables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,6 +561,15 @@ class TestWindowTables:
         out.write_bytes(out_stream("p1,30,0").getvalue())
         with pytest.raises(ValueError, match=message):
             load_cohort(obs, out, minutes, None)
+
+    @pytest.mark.parametrize("minutes", [True, 720.0])
+    def test_window_size_that_is_not_an_int_rejected(self, minutes, small_cohort):
+        # a bool is no window size, and the feature spec's hours are window_minutes // 60
+        message = rf"^window_minutes must be an int, got {minutes!r}$"
+        with pytest.raises(ValueError, match=message):
+            WindowTables(minutes)
+        with pytest.raises(ValueError, match=message):
+            window_tables(small_cohort, minutes)
 
 
 class TestSynthConfig:

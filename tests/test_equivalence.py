@@ -127,8 +127,9 @@ def cohorts(draw):
 
 def assert_matrix_matches_oracle(tables, cohort, spec, table=TABLE):
     """The feature matrix of `tables` against the oracles on the rows of
-    `cohort`, the RawCohort of the same patients."""
-    matrix = build_feature_matrix(tables, spec, table)
+    `cohort`, the RawCohort of the same patients: its spec is `spec`."""
+    matrix = build_feature_matrix(tables, spec.variable_names)
+    assert matrix.spec == spec
     windowed = oracles.window_segment(cohort, spec)
     assert matrix.patient_ids == list(windowed)
     y, b = oracles.patient_scores(matrix)
@@ -172,7 +173,7 @@ def test_filter_matches_oracle(cohort, window_hours):
 def test_first_day_max_scores_match_oracle(cohort, window_hours):
     # the max over the windows of any size, whether or not it divides 24 h
     assert np.array_equal(
-        first_day_max_scores(window_tables(cohort, 60 * window_hours, TABLE), SPEC_VARIABLES, TABLE),
+        first_day_max_scores(window_tables(cohort, 60 * window_hours, TABLE), SPEC_VARIABLES),
         oracles.first_day_max_scores(cohort, SPEC_VARIABLES, TABLE),
     )
 
@@ -212,7 +213,7 @@ def test_seeded_cohort_matches_oracles(small_cohort):
         expected = oracles.subset(small_cohort, np.isin(small_cohort.patient_ids, kept_ids))
         assert_matrix_matches_oracle(kept, expected, FeatureSpec(variables, window_hours))
         assert np.array_equal(
-            first_day_max_scores(tables, variables, TABLE),
+            first_day_max_scores(tables, variables),
             oracles.first_day_max_scores(small_cohort, variables, TABLE),
         )
 
@@ -361,14 +362,14 @@ def test_density_normalizer_matches_all_samples_oracle(case):
 @pytest.fixture(scope="module")
 def imputed_training(small_cohort):
     cohort = filter_cohort(window_tables(small_cohort, 720, TABLE))
-    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), TABLE)
+    matrix = build_feature_matrix(cohort, cohort.variables)
     return matrix, fit_feature_stage(matrix, 4, seed=[0]).rows, cohort.event_hours, cohort.died
 
 
 @pytest.mark.parametrize("day", [2, 3, 4, 5])
 def test_state_labels_match_all_samples_oracle(imputed_training, day):
     matrix, rows, event_hours, died = imputed_training
-    target = TargetSpec(day, 12)
+    target = TargetSpec(day)
     times, events = censor_by_target(event_hours, died, target.target_hours)
     fits = fit_window_regressions(matrix, rows, [times], [events])
     labels = label_hidden_states(matrix, rows, events, fits, target)
@@ -389,11 +390,11 @@ def test_cell_path_matches_per_patient_oracle():
         n_patients=4000, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
         sampling_rate_per_hour=1.0, seed=1,
     )), 720, TABLE))
-    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), TABLE)
+    matrix = build_feature_matrix(cohort, cohort.variables)
     is_test = np.arange(matrix.n_patients) % 3 > 0
     train, test = matrix.subset(np.flatnonzero(~is_test)), matrix.subset(np.flatnonzero(is_test))
     hours, died = cohort.event_hours[~is_test], cohort.died[~is_test]
-    targets = [TargetSpec(day, 12) for day in (2, 3, 4, 5)]
+    targets = [TargetSpec(day) for day in (2, 3, 4, 5)]
     stage = fit_feature_stage(train, 4, seed=[0])
     model = fit_risk_model(train, hours, died, targets, TABLE, stage=stage)
     scores = score_patients(model, test)

@@ -28,7 +28,7 @@ from icurisk.evaluation import (
     paired_t_test_one_tailed,
     run_cv,
 )
-from icurisk.features import FeatureSpec, build_feature_matrix, distinct_rows, load_default_score_table
+from icurisk.features import build_feature_matrix, distinct_rows, load_default_score_table
 from conftest import cohort_from_rows, count_calls
 import oracles
 
@@ -281,7 +281,7 @@ def tiny_cohort(hr_values=(60.0, 130.0), include_late=True):
 
 def max_scores(cohort, variables, table):
     """`first_day_max_scores` of the cohort folded in 12 h windows."""
-    return first_day_max_scores(window_tables(cohort, 720, table), variables, table)
+    return first_day_max_scores(window_tables(cohort, 720, table), variables)
 
 
 class TestBaselines:
@@ -368,7 +368,7 @@ def test_each_fold_imputes_and_encodes_its_test_rows_once(small_cohort, monkeypa
     all four target days."""
     calls = count_calls(monkeypatch, icurisk.hmm, "impute_median", "encode_observations")
     table = load_default_score_table()
-    run_cv(window_tables(small_cohort, 720, table), table, repeats=1, folds=3, seed=5)
+    run_cv(window_tables(small_cohort, 720, table), repeats=1, folds=3, seed=5)
     assert calls == {"impute_median": 3 * 2, "encode_observations": 3}
 
 
@@ -380,7 +380,7 @@ def test_cohort_rows_are_grouped_only_before_the_folds(small_cohort, monkeypatch
     table = load_default_score_table()
     tables = window_tables(small_cohort, 720, table)
     cohort = filter_cohort(tables)
-    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
+    matrix = build_feature_matrix(cohort, cohort.variables)
     calls, folds_drawn = [], []   # (inside the loop, rows) of each grouping
     grouping, draw = distinct_rows, icurisk.evaluation._draw_valid_folds
 
@@ -396,7 +396,7 @@ def test_cohort_rows_are_grouped_only_before_the_folds(small_cohort, monkeypatch
         if getattr(module, "distinct_rows", None) is grouping:
             monkeypatch.setattr(module, "distinct_rows", counted)
     monkeypatch.setattr(icurisk.evaluation, "_draw_valid_folds", drawn)
-    run_cv(tables, table, repeats=1, folds=3, seed=5)
+    run_cv(tables, repeats=1, folds=3, seed=5)
 
     assert [rows for inside, rows in calls if not inside] == [cohort.n_patients] * (matrix.spec.n_windows + 1)
     inside = [rows for inside, rows in calls if inside]
@@ -404,22 +404,49 @@ def test_cohort_rows_are_grouped_only_before_the_folds(small_cohort, monkeypatch
 
 
 class TestRunCvOnTables:
-    """`run_cv` given WindowTables, as `icurisk evaluate` gives it."""
+    """`run_cv`, `build_feature_matrix` and `first_day_max_scores` take the
+    window size and the score table from the WindowTables they read."""
 
-    def test_tables_of_other_windows_rejected(self, small_cohort):
-        table = load_default_score_table()
-        with pytest.raises(ValueError, match="^tables of 360-minute windows, not 12 h$"):
-            run_cv(window_tables(small_cohort, 360, table), table, repeats=1)
+    def test_six_hour_tables_give_six_hour_features(self, small_cohort):
+        tables = window_tables(small_cohort, 360, load_default_score_table())
+        matrix = build_feature_matrix(tables, small_cohort.variables)
+        assert (matrix.spec.window_hours, matrix.spec.n_windows) == (6, 4)
+        report = run_cv(tables, repeats=1, seed=5)
+        assert len(report.records) == 4 * 4 * 3 * 3   # days x methods x metrics x folds
 
-    def test_tables_of_another_score_table_rejected(self, small_cohort):
-        with pytest.raises(ValueError, match="^tables folded in 720-minute windows, or with another score table"):
-            run_cv(window_tables(small_cohort, 720, load_default_score_table()), load_default_score_table(), repeats=1)
+    @pytest.mark.parametrize(
+        ("minutes", "table", "message"),
+        [
+            (90, load_default_score_table(), "^tables of 90-minute windows: features need whole-hour windows$"),
+            (720, None, "^tables folded without a score table: features need one$"),
+        ],
+        ids=["90-minute", "no-score-table"],
+    )
+    def test_tables_features_cannot_read_rejected(self, small_cohort, minutes, table, message):
+        tables = window_tables(small_cohort, minutes, table)
+        variables = small_cohort.variables
+        with pytest.raises(ValueError, match=message):
+            build_feature_matrix(tables, variables)
+        with pytest.raises(ValueError, match=message):
+            first_day_max_scores(tables, variables)
+        with pytest.raises(ValueError, match=message):
+            run_cv(tables, repeats=1)
+
+    def test_rows_not_folded_rejected(self, small_cohort):
+        message = "^expected WindowTables, got RawCohort: fold the rows with window_tables$"
+        variables = small_cohort.variables
+        with pytest.raises(TypeError, match=message):
+            build_feature_matrix(small_cohort, variables)
+        with pytest.raises(TypeError, match=message):
+            first_day_max_scores(small_cohort, variables)
+        with pytest.raises(TypeError, match=message):
+            run_cv(small_cohort, repeats=1)
 
 
 @pytest.fixture(scope="module")
 def report(small_cohort):
     table = load_default_score_table()
-    return run_cv(window_tables(small_cohort, 720, table), table, repeats=2, seed=5)
+    return run_cv(window_tables(small_cohort, 720, table), repeats=2, seed=5)
 
 
 @pytest.mark.slow
@@ -444,7 +471,7 @@ class TestRunCv:
 
     def test_deterministic(self, small_cohort, report):
         table = load_default_score_table()
-        again = run_cv(window_tables(small_cohort, 720, table), table, repeats=2, seed=5)
+        again = run_cv(window_tables(small_cohort, 720, table), repeats=2, seed=5)
         assert json.dumps(again.to_json_obj(), sort_keys=True) == json.dumps(
             report.to_json_obj(), sort_keys=True
         )

@@ -43,7 +43,7 @@ def make_cohort(offset_values, variable="heart_rate", event_hours=48.0):
 
 def feature_matrix(cohort, spec, table):
     """`build_feature_matrix` of the cohort folded in the spec's windows."""
-    return build_feature_matrix(window_tables(cohort, 60 * spec.window_hours, table), spec, table)
+    return build_feature_matrix(window_tables(cohort, 60 * spec.window_hours, table), spec.variable_names)
 
 
 GAPPED_TABLE = ScoreTable({"x": [ScoreBin(10, 20, 3), ScoreBin(30, 40, 5)]}, default_score=1)

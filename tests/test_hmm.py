@@ -220,9 +220,9 @@ class TestRiskScore:
 def trained(small_cohort):
     table = load_default_score_table()
     cohort = filter_cohort(window_tables(small_cohort, 720, table))
-    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
+    matrix = build_feature_matrix(cohort, cohort.variables)
     stage = fit_feature_stage(matrix, 4, seed=[0])
-    targets = [TargetSpec(day, 12) for day in (2, 3, 4, 5)]
+    targets = [TargetSpec(day) for day in (2, 3, 4, 5)]
     model = fit_risk_model(matrix, cohort.event_hours, cohort.died, targets, table, stage=stage)
     return cohort, matrix, model
 
@@ -258,12 +258,12 @@ class TestRiskModel:
         stage = fit_feature_stage(matrix, 4, seed=[0])
         table = load_default_score_table()
         together = fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, [TargetSpec(d, 12) for d in (5, 3, 2, 4)], table, stage=stage
+            matrix, cohort.event_hours, cohort.died, [TargetSpec(d) for d in (5, 3, 2, 4)], table, stage=stage
         )
         assert list(together) == [2, 3, 4, 5]
         for day in (2, 5):
             alone = fit_risk_model(
-                matrix, cohort.event_hours, cohort.died, [TargetSpec(day, 12)], table, stage=stage
+                matrix, cohort.event_hours, cohort.died, [TargetSpec(day)], table, stage=stage
             ).days[day]
             for fit in (model.days[day], together.days[day]):
                 assert fit.target == alone.target
@@ -279,7 +279,7 @@ class TestRiskModel:
         stage = fit_feature_stage(matrix, 4, seed=[0])
         with pytest.raises(ValueError, match="target days must be distinct and at least one"):
             fit_risk_model(
-                matrix, cohort.event_hours, cohort.died, [TargetSpec(d, 12) for d in days],
+                matrix, cohort.event_hours, cohort.died, [TargetSpec(d) for d in days],
                 load_default_score_table(), stage=stage,
             )
 
@@ -312,9 +312,8 @@ class TestRiskModel:
         """A matrix in other windows than the model's is refused with both
         specs named, not scored with the wrong windows' fits."""
         _, _, model = trained
-        spec = FeatureSpec(model.spec.variable_names, window_hours)
         table = load_default_score_table()
-        other = build_feature_matrix(window_tables(small_cohort, 60 * window_hours, table), spec, table)
+        other = build_feature_matrix(window_tables(small_cohort, 60 * window_hours, table), model.spec.variable_names)
         with pytest.raises(ValueError, match=rf"window_hours={window_hours}\).*window_hours=12\)"):
             score_patients(model, other)
 
@@ -337,7 +336,7 @@ class TestRiskModel:
         stage = fit_feature_stage(matrix, 4, seed=[0])
         calls = count_calls(monkeypatch, icurisk.survival, "_spanning_columns")
         fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, [TargetSpec(d, 12) for d in (2, 3, 4, 5)],
+            matrix, cohort.event_hours, cohort.died, [TargetSpec(d) for d in (2, 3, 4, 5)],
             load_default_score_table(), stage=stage,
         )
         assert calls == {"_spanning_columns": matrix.spec.n_windows}
@@ -347,7 +346,7 @@ class TestRiskModel:
         table = load_default_score_table()
         stage = fit_feature_stage(matrix, 4, seed=[1])
         model = fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, [TargetSpec(3, 12, "remaining")], table, stage=stage
+            matrix, cohort.event_hours, cohort.died, [TargetSpec(3, "remaining")], table, stage=stage
         )
         etas = score_patients(model, matrix)[3].eta
         assert np.all((etas >= 0) & (etas <= 1))
@@ -359,7 +358,7 @@ class TestRiskModel:
         table = load_default_score_table()
         with pytest.raises(ValueError, match="one entry per matrix patient"):
             fit_risk_model(
-                matrix, cohort.event_hours[1:], cohort.died[1:], [TargetSpec(2, 12)], table, stage=stage
+                matrix, cohort.event_hours[1:], cohort.died[1:], [TargetSpec(2)], table, stage=stage
             )
 
     def test_nan_cell_medians_survive_serialization(self, trained):
@@ -385,14 +384,14 @@ def test_training_does_not_depend_on_patient_order(seed):
         n_patients=4000, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
         sampling_rate_per_hour=1.0, seed=seed,
     )), 720, table))
-    matrix = build_feature_matrix(cohort, FeatureSpec(tuple(cohort.variables), 12), table)
+    matrix = build_feature_matrix(cohort, cohort.variables)
     perm = np.random.default_rng(seed).permutation(matrix.n_patients)
     runs = []
     for order in (np.arange(matrix.n_patients), perm):
         ordered = matrix.subset(order)
         hours, died = cohort.event_hours[order], cohort.died[order]
         stage = fit_feature_stage(ordered, 4)
-        model = fit_risk_model(ordered, hours, died, [TargetSpec(d, 12) for d in (2, 3, 4, 5)], table, stage=stage)
+        model = fit_risk_model(ordered, hours, died, [TargetSpec(d) for d in (2, 3, 4, 5)], table, stage=stage)
         states, emissions = {}, {}
         for day, day_fit in model.days.items():
             _, events = censor_by_target(hours, died, day_fit.target.target_hours)

@@ -40,25 +40,25 @@ def random_censored_sample(rng, n=60, d=3):
 
 class TestExposureDuration:
     def test_as_printed_adds_elapsed_time(self):
-        spec = TargetSpec(2, 12, "as_printed")
-        assert spec.exposure_duration(1) == 60.0
+        spec = TargetSpec(2, "as_printed")
+        assert spec.exposure_duration(1, 12) == 60.0
 
     def test_remaining_subtracts_elapsed_time(self):
-        spec = TargetSpec(2, 12, "remaining")
-        assert spec.exposure_duration(1) == 36.0
+        spec = TargetSpec(2, "remaining")
+        assert spec.exposure_duration(1, 12) == 36.0
 
     def test_day5_last_window(self):
-        spec = TargetSpec(5, 12, "as_printed")
-        assert spec.exposure_duration(2) == 144.0
+        spec = TargetSpec(5, "as_printed")
+        assert spec.exposure_duration(2, 12) == 144.0
 
     def test_remaining_exhausted_errors(self):
-        spec = TargetSpec(1, 24, "remaining")
+        spec = TargetSpec(1, "remaining")
         with pytest.raises(ValueError, match="remaining"):
-            spec.exposure_duration(1)
+            spec.exposure_duration(1, 24)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            TargetSpec(2, 12, "sideways")
+            TargetSpec(2, "sideways")
 
 
 class TestCensoring:
@@ -211,8 +211,7 @@ def imputed_4k():
     )
     table = load_default_score_table()
     cohort = filter_cohort(window_tables(generate_synthetic_cohort(config), 720, table))
-    spec = FeatureSpec(tuple(cohort.variables), 12)
-    matrix = build_feature_matrix(cohort, spec, table)
+    matrix = build_feature_matrix(cohort, cohort.variables)
     times, events = censor_by_target(cohort.event_hours, cohort.died, 48.0)
     return matrix, impute_median(matrix, compute_medians(matrix)), times, events
 
@@ -349,7 +348,7 @@ class TestLabeling:
 
     def test_last_window_matches_outcome(self):
         matrix, event_hours, died = self._inputs()
-        target = TargetSpec(3, 12)
+        target = TargetSpec(3)
         _, labels = self._fit_and_label(matrix, event_hours, died, target)
         for i, (hours, dead) in enumerate(zip(event_hours, died)):
             expected = dead and hours <= target.target_hours
@@ -358,19 +357,19 @@ class TestLabeling:
     def test_censored_by_target_counts_as_survival(self):
         matrix, event_hours, died = self._inputs()
         event_hours[0], died[0] = 200.0, True  # dies after day 3
-        _, labels = self._fit_and_label(matrix, event_hours, died, TargetSpec(3, 12))
+        _, labels = self._fit_and_label(matrix, event_hours, died, TargetSpec(3))
         assert labels.states[0, -1] == 0
 
     def test_threshold_rule_on_earlier_windows(self):
         matrix, event_hours, died = self._inputs()
-        _, labels = self._fit_and_label(matrix, event_hours, died, TargetSpec(3, 12))
+        _, labels = self._fit_and_label(matrix, event_hours, died, TargetSpec(3))
         lead = labels.probabilities[:, 0]
         assert np.array_equal(labels.states[:, 0], (lead >= 0.5).astype(np.uint8))
         assert np.all((lead >= 0) & (lead <= 1))
 
     def test_deterministic(self):
         matrix, event_hours, died = self._inputs()
-        target = TargetSpec(2, 12)
+        target = TargetSpec(2)
         fits, a = self._fit_and_label(matrix, event_hours, died, target)
         _, events = censor_by_target(event_hours, died, target.target_hours)
         b = label_hidden_states(matrix, impute_median(matrix, compute_medians(matrix)), events, fits, target)
@@ -379,8 +378,8 @@ class TestLabeling:
 
     def test_priors_respect_exposure_mode(self):
         matrix, event_hours, died = self._inputs()
-        fits, _ = self._fit_and_label(matrix, event_hours, died, TargetSpec(2, 12))
+        fits, _ = self._fit_and_label(matrix, event_hours, died, TargetSpec(2))
         rows = impute_median(matrix, compute_medians(matrix))
-        theta_printed = compute_priors(matrix, rows, fits, TargetSpec(2, 12, "as_printed"))
-        theta_remaining = compute_priors(matrix, rows, fits, TargetSpec(2, 12, "remaining"))
+        theta_printed = compute_priors(matrix, rows, fits, TargetSpec(2, "as_printed"))
+        theta_remaining = compute_priors(matrix, rows, fits, TargetSpec(2, "remaining"))
         assert np.all(theta_printed > theta_remaining)  # 60/72h vs 36/24h exposure
