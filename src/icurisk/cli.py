@@ -17,6 +17,7 @@ import numpy as np
 
 from .cohort import (
     DEFAULT_REQUIRED_VARIABLES,
+    CohortError,
     SynthConfig,
     _csv_fields,
     filter_cohort,
@@ -132,13 +133,13 @@ class PipelineConfig:
         try:
             for key, kind in _CONFIG_NUMBERS.items():
                 if key in given:
-                    setattr(cfg, key.replace(".", "_"), json_number(key, given[key], kind))
+                    setattr(cfg, key.replace(".", "_"), json_number(f"config key {key!r}", given[key], kind))
             if "synth" in obj:
                 cfg.synth = SynthConfig.from_json_obj(obj["synth"])
-        except TypeError as exc:   # a number key of another JSON type
-            raise ConfigError(str(exc)) from None
-        except ValueError as exc:
+        except CohortError as exc:
             raise ConfigError(f"invalid config value: {exc}") from None
+        except ValueError as exc:   # a number key of another JSON type
+            raise ConfigError(str(exc)) from None
         if not 1 <= cfg.window_hours <= 24:
             raise ConfigError("window_hours must lie in 1..24")
         if not cfg.target_days or min(cfg.target_days) < 1 or len(set(cfg.target_days)) < len(cfg.target_days):
@@ -203,11 +204,11 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _prepare_training_inputs(cfg: PipelineConfig):
+def _training_matrix(cfg: PipelineConfig):
     tables = _kept_tables(cfg, cfg.required_variables, cfg.window_hours, _load_score_table(cfg))
     if tables.n_patients == 0:
         raise ValueError("no patients left after filtering")
-    return tables, build_feature_matrix(tables, tables.variables)
+    return build_feature_matrix(tables, tables.variables)
 
 
 def _sweep_k(matrix, rows, seed) -> None:
@@ -227,19 +228,12 @@ def _sweep_k(matrix, rows, seed) -> None:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
-    tables, matrix = _prepare_training_inputs(cfg)
+    matrix = _training_matrix(cfg)
     stage = fit_feature_stage(matrix, cfg.k_clusters, seed=[cfg.seed])
     if args.sweep_k:
         _sweep_k(matrix, stage.rows, [cfg.seed])
-    model = fit_risk_model(
-        matrix,
-        tables.event_hours,
-        tables.died,
-        [TargetSpec(day, cfg.duration_mode) for day in cfg.target_days],
-        tables.score_table,
-        smoothing_alpha=cfg.smoothing_alpha,
-        stage=stage,
-    )
+    targets = [TargetSpec(day, cfg.duration_mode) for day in cfg.target_days]
+    model = fit_risk_model(stage, targets, smoothing_alpha=cfg.smoothing_alpha)
     echo = {
         "window_hours": cfg.window_hours,
         "k_clusters": cfg.k_clusters,
@@ -274,14 +268,14 @@ def _load_model(cfg: PipelineConfig):
 
 def _scoring_matrix(cfg: PipelineConfig, model, echo):
     """Filter and featurize the input cohort as the model's training cohort
-    was: window size and required variables come from model.json, not from
-    the current config."""
+    was: window size, score table and required variables come from
+    model.json, not from the current config."""
     spec = model.spec
-    tables = _kept_tables(cfg, echo["required_variables"], spec.window_hours, model.score_table)
+    tables = _kept_tables(cfg, echo["required_variables"], spec.window_hours, spec.score_table)
     unknown = sorted(set(tables.variables) - set(spec.variable_names))
     if unknown:
         raise ValueError(f"variables not in the trained model: {unknown}")
-    return tables, build_feature_matrix(tables, spec.variable_names)
+    return build_feature_matrix(tables, spec.variable_names)
 
 
 def write_predictions(path, patient_ids, eta_by_day) -> None:
@@ -298,7 +292,7 @@ def write_predictions(path, patient_ids, eta_by_day) -> None:
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:
     model, echo = _load_model(cfg)
-    matrix = _scoring_matrix(cfg, model, echo)[1]
+    matrix = _scoring_matrix(cfg, model, echo)
     out = _out_dir(cfg)
     eta_by_day = {day: scores.eta for day, scores in score_patients(model, matrix).items()}
     write_predictions(out / "predictions.csv", matrix.patient_ids, eta_by_day)
@@ -308,9 +302,9 @@ def cmd_predict(cfg: PipelineConfig, args) -> int:
 
 def cmd_curves(cfg: PipelineConfig, args) -> int:
     model, echo = _load_model(cfg)
-    tables, matrix = _scoring_matrix(cfg, model, echo)
+    matrix = _scoring_matrix(cfg, model, echo)
     eta_by_day = {day: scores.eta for day, scores in score_patients(model, matrix).items()}
-    bands = survival_curve(eta_by_day, tables.died)
+    bands = survival_curve(eta_by_day, matrix.died)
     out = _out_dir(cfg)
     with open(out / "curves.csv", "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")

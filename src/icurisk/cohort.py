@@ -963,13 +963,13 @@ def filter_cohort(
 # Synthetic cohort generation
 # --------------------------------------------------------------------------
 
-def json_number(key: str, value, kind: type):
+def json_number(field: str, value, kind: type):
     """`kind(value)` when the JSON `value` is an integer, or for kind float
-    any number; a TypeError naming config key `key` otherwise (a bool is
-    neither)."""
+    any number; a ValueError naming `field` otherwise (a bool is neither):
+    "`field` must be an integer, got 2.5", never a truncated value."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         what = "an integer" if kind is int else "a number"
-        raise TypeError(f"config key {key!r} must be {what}, got {json.dumps(value)}")
+        raise ValueError(f"{field} must be {what}, got {json.dumps(value)}")
     return kind(value)
 
 
@@ -1009,7 +1009,7 @@ class SynthConfig:
                 f"synthetic config must have exactly {sorted(expected)}; "
                 f"missing {missing}, unexpected {extra}"
             )
-        return cls(**{key: json_number(f"synth.{key}", obj[key], kind) for key, kind in kinds.items()})
+        return cls(**{key: json_number(f"config key 'synth.{key}'", obj[key], kind) for key, kind in kinds.items()})
 
 
 # Per-variable emission models: baseline, scale, noise sd, severity loading.

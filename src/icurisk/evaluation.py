@@ -373,6 +373,7 @@ def run_cv(
     matrix = build_feature_matrix(tables, variables)
 
     targets = {day: TargetSpec(day, duration_mode) for day in target_days}
+    day_targets = [targets[day] for day in target_days]  # a repeated day is an error
     day_censoring = {
         day: censor_by_target(tables.event_hours, tables.died, t.target_hours)
         for day, t in targets.items()
@@ -381,8 +382,9 @@ def run_cv(
     baseline_features = first_day_max_scores(tables, variables)
     saps = baseline_saps_scores(baseline_features)
     # The baselines are fit on the distinct first-day rows: a one-window cell table.
-    first_day = FeatureSpec(variables, 24)
-    baseline = FeatureMatrix.from_scores(tables.patient_ids, first_day, baseline_features[:, None])
+    first_day = FeatureSpec(variables, 24, tables.score_table)
+    outcomes = tables.event_hours, tables.died
+    baseline = FeatureMatrix.from_scores(tables.patient_ids, first_day, baseline_features[:, None], *outcomes)
 
     records: list[MetricRecord] = []
     metric_fns = {"aucpr": aucpr, "cstat": concordance, "auroc": auroc}
@@ -397,15 +399,7 @@ def run_cv(
             test_matrix = matrix.subset(test_idx)
             train_baseline = baseline.subset(train_idx)
             train_group = train_baseline.cell_of[:, 0]
-            model = fit_risk_model(
-                train_matrix,
-                tables.event_hours[train_idx],
-                tables.died[train_idx],
-                [targets[day] for day in target_days],  # a repeated day is an error
-                tables.score_table,
-                smoothing_alpha=smoothing_alpha,
-                stage=stage,
-            )
+            model = fit_risk_model(stage, day_targets, smoothing_alpha=smoothing_alpha)
             model_scores = score_patients(model, test_matrix)
             for day in target_days:
                 times, events = day_censoring[day]

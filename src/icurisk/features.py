@@ -11,12 +11,12 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .cohort import WindowTables
+from .cohort import WindowTables, json_number
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -83,19 +83,24 @@ class ScoreTable:
         lut = [self.scores(v, np.concatenate([[-math.inf], edges])) for v in variables]
         return edges, np.array(lut, dtype=np.int64).reshape(len(variables), edges.size + 1)
 
+    def __eq__(self, other) -> bool:   # by value: two loads of one file are equal
+        return isinstance(other, ScoreTable) and (self.bins, self.default_score) == (other.bins, other.default_score)
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.bins.items()), self.default_score))
+
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScoreTable":
+        """The table of a JSON object; a score or default score that is not
+        a JSON integer raises a ValueError naming its field."""
         if "default_score" not in obj:
             raise ValueError("score table is missing 'default_score'")
-        bins = {}
-        for var, entries in obj.items():
-            if var == "default_score":
-                continue
-            bins[var] = [
-                ScoreBin(float(e["lower"]), float(e["upper"]), int(e["score"]))
-                for e in entries
-            ]
-        return cls(bins, obj["default_score"])
+        bins = {
+            var: [ScoreBin(float(e["lower"]), float(e["upper"]), json_number(f"score_table.{var}.{i}.score", e["score"], int))
+                  for i, e in enumerate(entries)]
+            for var, entries in obj.items() if var != "default_score"
+        }
+        return cls(bins, json_number("score_table.default_score", obj["default_score"], int))
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -118,10 +123,12 @@ def load_default_score_table() -> ScoreTable:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """Which variables feed the model and how the first day is segmented."""
+    """Which variables feed the model, how the first day is segmented, and
+    the score table the tables were folded with (compared by value)."""
 
     variable_names: tuple[str, ...]
     window_hours: int
+    score_table: ScoreTable = field(repr=False)
 
     def __post_init__(self):
         if len(self.variable_names) < 1:
@@ -145,24 +152,27 @@ class FeatureMatrix:
     holds no sample of it) as one integer cell table per window: a window's
     cells are its distinct score tuples, in `distinct_rows` order, stacked
     window by window, and patient i's cell in window t is `cell_of[i, t]`.
-    Everything after the medians and medoids is computed once per cell."""
+    Everything after the medians and medoids is computed once per cell.
+    With its patients' outcomes, the matrix is the whole training set."""
 
     patient_ids: list[str]
     spec: FeatureSpec
     cells: np.ndarray     # (U, p) int64 score tuples, -1 where missing
     window: np.ndarray    # (U,) window of each cell, ascending
     cell_of: np.ndarray   # (N, T) cell of each patient and window
+    event_hours: np.ndarray   # (N,) float
+    died: np.ndarray          # (N,) bool
 
     @classmethod
-    def from_scores(cls, patient_ids, spec: FeatureSpec, scores) -> "FeatureMatrix":
-        """Group (N, T, p) integer scores into cells: one `distinct_rows` per window."""
+    def from_scores(cls, patient_ids, spec: FeatureSpec, scores, event_hours, died) -> "FeatureMatrix":
+        """Group (N, T, p) integer scores into cells, one `distinct_rows` per window; outcomes are not copied."""
         scores = np.asarray(scores, dtype=np.int64)
         groups = [distinct_rows(scores[:, t]) for t in range(spec.n_windows)]
         starts = np.cumsum([0] + [first.size for first, _ in groups])
         cells = np.concatenate([scores[first, t] for t, (first, _) in enumerate(groups)])
         window = np.repeat(np.arange(spec.n_windows), np.diff(starts))
         cell_of = np.stack([group + start for (_, group), start in zip(groups, starts)], axis=1)
-        return cls(list(patient_ids), spec, cells, window, cell_of)
+        return cls(list(patient_ids), spec, cells, window, cell_of, event_hours, died)
 
     @property
     def n_patients(self) -> int:
@@ -182,12 +192,13 @@ class FeatureMatrix:
         return slice(*np.searchsorted(self.window, [t, t + 1]).tolist())
 
     def subset(self, indices) -> "FeatureMatrix":
-        """The patients at `indices` with the cells they use, in the same order."""
+        """The patients at `indices` with the cells they use and their outcomes, in the same order."""
         indices = np.asarray(indices, dtype=np.intp)
         present, cell_of = np.unique(self.cell_of[indices].ravel(), return_inverse=True)
         cell_of = cell_of.reshape(indices.size, self.spec.n_windows)
         ids = [self.patient_ids[i] for i in indices]
-        return FeatureMatrix(ids, self.spec, self.cells[present], self.window[present], cell_of)
+        return FeatureMatrix(ids, self.spec, self.cells[present], self.window[present], cell_of,
+                             self.event_hours[indices], self.died[indices])
 
 
 def window_hours_of(cohort: WindowTables) -> int:
@@ -205,10 +216,12 @@ def window_hours_of(cohort: WindowTables) -> int:
 
 def build_feature_matrix(cohort: WindowTables, variable_names) -> FeatureMatrix:
     """Worst scores of `variable_names` over the first day's windows, grouped
-    into each window's cells: the window size and scores are those the
-    tables were folded with (`load_cohort` or `window_tables`, checked by `window_hours_of`)."""
-    spec = FeatureSpec(tuple(variable_names), window_hours_of(cohort))
-    return FeatureMatrix.from_scores(cohort.patient_ids, spec, cohort.scores(spec.variable_names, spec.n_windows))
+    into each window's cells, with the tables' outcome arrays (not copies):
+    the window size and score table are those the tables were folded with
+    (`load_cohort` or `window_tables`, checked by `window_hours_of`)."""
+    spec = FeatureSpec(tuple(variable_names), window_hours_of(cohort), cohort.score_table)
+    scores = cohort.scores(spec.variable_names, spec.n_windows)
+    return FeatureMatrix.from_scores(cohort.patient_ids, spec, scores, cohort.event_hours, cohort.died)
 
 
 @dataclass(frozen=True)

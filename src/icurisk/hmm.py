@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cohort import json_number
 from .features import (
     ClusterModel,
     FeatureMatrix,
@@ -73,7 +74,7 @@ def estimate_emissions(sequences, states, k: int, alpha: float = 1.0) -> Emissio
         raise ValueError("empty training set")
     if sequences.shape != states.shape:
         raise ValueError("sequences and state labels must align")
-    if alpha <= 0:
+    if not alpha > 0:   # NaN included
         raise ValueError("smoothing alpha must be positive")
     if sequences.min() < 1 or sequences.max() > k:
         raise ValueError("sequence symbols must lie in 1..k")
@@ -160,9 +161,11 @@ def risk_score(theta, emissions, x_seq) -> float:
 @dataclass
 class FeatureStage:
     """Target-independent part of training on one feature matrix, shared by
-    every target day: the medians and medoids, written once in `model.json`,
-    the matrix's cells as imputed rows, and each patient's cluster sequence."""
+    every target day: the matrix itself, the training set `fit_risk_model`
+    reads; the medians and medoids, written once in `model.json`; the
+    matrix's cells as imputed rows; and each patient's cluster sequence."""
 
+    matrix: FeatureMatrix
     medians: Medians
     cluster: ClusterModel
     rows: np.ndarray        # (U, 2p) `impute_median` row of each cell of the matrix
@@ -182,11 +185,11 @@ class DayFit:
 @dataclass
 class RiskModel:
     """Everything needed to score new patients at every target day: the
-    feature spec, score table, medians and cluster that all days share, and
-    one DayFit per target day. Iterating yields the days in ascending order."""
+    feature spec (with the score table the training set was scored with),
+    medians and cluster that all days share, and one DayFit per target
+    day. Iterating yields the days in ascending order."""
 
     spec: FeatureSpec
-    score_table: ScoreTable
     medians: Medians
     cluster: ClusterModel
     days: dict[int, DayFit]
@@ -210,34 +213,23 @@ def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0) -> Feature
     cluster, labels, _ = pam_cluster(
         rows, k_clusters, seed, counts=matrix.counts(), kinds=feature_kinds(matrix.spec)
     )
-    return FeatureStage(medians=medians, cluster=cluster, rows=rows, sequences=labels[matrix.cell_of])
+    return FeatureStage(matrix, medians, cluster, rows, labels[matrix.cell_of])
 
 
-def fit_risk_model(
-    matrix: FeatureMatrix,
-    event_hours: np.ndarray,
-    died: np.ndarray,
-    targets: list[TargetSpec],
-    score_table: ScoreTable,
-    *,
-    stage: FeatureStage,
-    smoothing_alpha: float = 1.0,
-) -> RiskModel:
-    """Train the model for every TargetSpec in `targets` on one training cohort.
-
-    `event_hours` and `died` are in matrix order. `stage` is
-    `fit_feature_stage` of `matrix`, shared by every target day; the survival
-    fits, state labels, and emission tables are fit per day because the
-    censoring scheme depends on the day. Raises ValueError when `targets` is
-    empty or names a day twice.
+def fit_risk_model(stage: FeatureStage, targets: list[TargetSpec], *, smoothing_alpha: float = 1.0) -> RiskModel:
+    """Train the model for every TargetSpec in `targets` on the matrix `stage`
+    was fit on (`fit_feature_stage`): its outcomes, and its feature spec,
+    score table included, which the model keeps. The stage is shared by
+    every day; the survival fits, state labels and emission tables are fit
+    per day, as the censoring depends on the day. Raises ValueError when
+    `targets` is empty or names a day twice.
     """
+    matrix = stage.matrix
     targets = sorted(targets, key=lambda t: t.target_day)
     days = [t.target_day for t in targets]
     if not days or len(set(days)) != len(days):
         raise ValueError(f"target days must be distinct and at least one, got {days}")
-    if len(event_hours) != matrix.n_patients or len(died) != matrix.n_patients:
-        raise ValueError("event_hours and died must have one entry per matrix patient")
-    censored = [censor_by_target(event_hours, died, t.target_hours) for t in targets]
+    censored = [censor_by_target(matrix.event_hours, matrix.died, t.target_hours) for t in targets]
     times, events = (np.array(part) for part in zip(*censored))   # (days, N) each
     fits = fit_window_regressions(matrix, stage.rows, times, events)
     T = matrix.spec.n_windows
@@ -249,16 +241,18 @@ def fit_risk_model(
             stage.sequences, labels.states, stage.cluster.k, smoothing_alpha
         )
         fitted[target.target_day] = DayFit(target, day_fits, emissions)
-    return RiskModel(matrix.spec, score_table, stage.medians, stage.cluster, fitted)
+    return RiskModel(matrix.spec, stage.medians, stage.cluster, fitted)
 
 
 def score_patients(model: RiskModel, matrix: FeatureMatrix) -> dict[int, PatientScores]:
     """Risk scores for a (possibly unseen) cohort under a trained model, per
     target day in ascending order. Each cell of the matrix is imputed,
-    encoded and given each day's prior once. Raises ValueError when the
-    matrix's feature spec (variables, window size) is not the model's."""
+    encoded and given each day's prior once. Raises ValueError, naming the
+    parts that differ, when the matrix's feature spec (variables, window
+    size, score table) is not the model's."""
     if matrix.spec != model.spec:
-        raise ValueError(f"feature spec {matrix.spec} does not match the trained model's {model.spec}")
+        differ = " and ".join(name for name, value in vars(matrix.spec).items() if value != getattr(model.spec, name))
+        raise ValueError(f"feature spec {matrix.spec} does not match the trained model's {model.spec} in {differ}")
     rows = impute_median(matrix, model.medians)
     sequences = encode_observations(model.cluster, matrix, rows)
     scores = {}
@@ -322,16 +316,17 @@ def _nan_to_none(values):
 
 
 def models_to_obj(model: RiskModel, config_echo: dict | None = None) -> dict:
-    """The `model.json` object, format 2: the feature spec, score table,
-    medians and cluster once at the top level, and per day its `target` (the
-    spec's `window_hours` again), `fits` and `emissions`."""
+    """The `model.json` object, format 2: the feature spec (its score table
+    under `score_table`), medians and cluster once at the top level, and per
+    day its `target` (the spec's `window_hours` again), `fits` and
+    `emissions`."""
     return {
         "format_version": FORMAT_VERSION,
         "feature_spec": {
             "variable_names": list(model.spec.variable_names),
             "window_hours": model.spec.window_hours,
         },
-        "score_table": model.score_table.to_json_obj(),
+        "score_table": model.spec.score_table.to_json_obj(),
         "medians": {
             "cell": [_nan_to_none(row) for row in model.medians.cell],
             "overall": _nan_to_none(model.medians.overall),
@@ -384,21 +379,23 @@ def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
 
     The cluster's column kinds follow from the feature spec. Raises
     ValueError for a file of another format version; naming the field, for
-    an array whose shape does not fit the spec (p variables, T windows) and
-    the k medoids, for a `days` that is not a non-empty object, and for a day
-    block whose target disagrees with its key or the spec's windows; and for
-    an emission table that is not a strictly positive, normalized
-    distribution, since scoring with one gives NaN risks.
+    an integer field (window hours, target day, iterations, a score) that
+    is not a JSON integer, for an array whose shape does not fit the spec
+    (p variables, T windows) and the k medoids, for a `days` that is not a
+    non-empty object, and for a day block whose target disagrees with its
+    key or the spec's windows; and for an emission table that is not a
+    strictly positive, normalized distribution, since scoring with one
+    gives NaN risks.
     """
     version = obj.get("format_version", 1) if isinstance(obj, dict) else None
     if version != FORMAT_VERSION:
         raise ValueError(f"model format {version}; retrain")
     spec = FeatureSpec(
         tuple(obj["feature_spec"]["variable_names"]),
-        int(obj["feature_spec"]["window_hours"]),
+        json_number("feature_spec.window_hours", obj["feature_spec"]["window_hours"], int),
+        ScoreTable.from_json_obj(obj["score_table"]),
     )
     p, T = spec.n_variables, spec.n_windows
-    table = ScoreTable.from_json_obj(obj["score_table"])
     medians = Medians(
         cell=_array("medians.cell", obj["medians"]["cell"], (T, p)),
         overall=_array("medians.overall", obj["medians"]["overall"], (p,)),
@@ -415,7 +412,8 @@ def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
     for day_key, block in obj["days"].items():
         where = f"days.{day_key}"
         t = block["target"]
-        target, window_hours = TargetSpec(int(t["target_day"]), t["duration_mode"]), int(t["window_hours"])
+        day, window_hours = (json_number(f"{where}.target.{key}", t[key], int) for key in ("target_day", "window_hours"))
+        target = TargetSpec(day, t["duration_mode"])
         if (target.target_day, window_hours) != (int(day_key), spec.window_hours):
             raise ValueError(
                 f"{where}.target is day {target.target_day} in {window_hours} h windows, "
@@ -426,7 +424,7 @@ def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
         fits = [
             SurvivalFit(
                 beta=_array(f"{where}.fits.{w}.beta", f["beta"], (1 + 2 * p,)),
-                iterations=int(f["iterations"]),
+                iterations=json_number(f"{where}.fits.{w}.iterations", f["iterations"], int),
                 grad_norm=float(f["grad_norm"]),
             )
             for w, f in enumerate(block["fits"])
@@ -438,4 +436,4 @@ def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
         )
         emissions.check_normalized()
         days[int(day_key)] = DayFit(target, fits, emissions)
-    return RiskModel(spec, table, medians, cluster, days), obj.get("config", {})
+    return RiskModel(spec, medians, cluster, days), obj.get("config", {})

@@ -301,7 +301,7 @@ def test_07_survival_curve_separation(synthetic_cohort):
     matrix = build_feature_matrix(cohort, cohort.variables)
     stage = fit_feature_stage(matrix, 4, seed=[ACCEPTANCE_SEED])
     targets = [TargetSpec(day) for day in (2, 3, 4, 5)]
-    model = fit_risk_model(matrix, cohort.event_hours, cohort.died, targets, table, stage=stage)
+    model = fit_risk_model(stage, targets)
     eta_by_day = {day: scores.eta for day, scores in score_patients(model, matrix).items()}
     bands = survival_curve(eta_by_day, cohort.died)
     death = [b.mean_survival for b in bands if b.group == "death"]

@@ -234,6 +234,14 @@ MISSHAPEN_MODELS = [
     ("days.2.fits.0.beta", lambda m: m["days"]["2"]["fits"][0]["beta"].pop()),
     ("days.3.emissions.initial", lambda m: m["days"]["3"]["emissions"]["initial"].pop()),
     ("days.3.emissions.transition", lambda m: m["days"]["3"]["emissions"]["transition"][0].pop()),
+    # integer fields are read as JSON integers, never truncated
+    ("feature_spec.window_hours", lambda m: m["feature_spec"].update(window_hours=12.5)),
+    ("feature_spec.window_hours", lambda m: m["feature_spec"].update(window_hours="12")),
+    ("days.2.target.target_day", lambda m: m["days"]["2"]["target"].update(target_day=2.9)),
+    ("days.5.target.window_hours", lambda m: m["days"]["5"]["target"].update(window_hours=12.0)),
+    ("days.3.fits.1.iterations", lambda m: m["days"]["3"]["fits"][1].update(iterations=3.7)),
+    ("score_table.heart_rate.0.score", lambda m: m["score_table"]["heart_rate"][0].update(score=2.7)),
+    ("score_table.default_score", lambda m: m["score_table"].update(default_score=1.5)),
 ]
 
 
@@ -299,7 +307,13 @@ class TestPredict:
         run(["train", "--config", cfg])
         assert run(["predict", "--config", cfg]) == 0
         expected = (workdir / "out" / "predictions.csv").read_bytes()
-        changed = write_config(workdir, window_hours=1, required_variables=["heart_rate"])
+        # another window size, required variables and score table: predict scores with model.json's
+        table = load_default_score_table().to_json_obj()
+        table["heart_rate"] = [{"lower": 0, "upper": 1000, "score": 1}]
+        (workdir / "table.json").write_text(json.dumps(table))
+        paths = json.loads(Path(cfg).read_text())["paths"]
+        changed = write_config(workdir, window_hours=1, required_variables=["heart_rate"],
+                               paths={**paths, "score_table": str(workdir / "table.json")})
         assert run(["predict", "--config", changed]) == 0
         assert (workdir / "out" / "predictions.csv").read_bytes() == expected
 
@@ -414,6 +428,20 @@ class TestFoldedInputErrors:
         cfg = write_config(workdir, paths={**paths, "score_table": str(workdir / "table.json")})
         assert run(["train", "--config", cfg]) == 1
         assert capsys.readouterr().err == "error: variable 'age' not in score table\n"
+
+    @pytest.mark.parametrize("field, value", [("heart_rate.1.score", 2.7), ("default_score", 1.5)])
+    def test_score_table_file_score_that_is_not_an_integer_named(self, workdir, capsys, field, value):
+        table = load_default_score_table().to_json_obj()
+        if field == "default_score":
+            table["default_score"] = value
+        else:
+            table["heart_rate"][1]["score"] = value
+        (workdir / "table.json").write_text(json.dumps(table))
+        paths = json.loads(Path(write_config(workdir)).read_text())["paths"]
+        cfg = write_config(workdir, paths={**paths, "score_table": str(workdir / "table.json")})
+        for command in ("train", "evaluate"):
+            assert run([command, "--config", cfg]) == 1
+            assert capsys.readouterr().err == f"error: score_table.{field} must be an integer, got {value}\n"
 
     def test_files_covering_different_patients_named(self, workdir, capsys):
         cfg = write_config(workdir)

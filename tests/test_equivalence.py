@@ -125,15 +125,18 @@ def cohorts(draw):
     return cohort_from_rows(rows, outcomes)
 
 
-def assert_matrix_matches_oracle(tables, cohort, spec, table=TABLE):
+def assert_matrix_matches_oracle(tables, cohort, spec):
     """The feature matrix of `tables` against the oracles on the rows of
-    `cohort`, the RawCohort of the same patients: its spec is `spec`."""
+    `cohort`, the RawCohort of the same patients: its spec is `spec`, and
+    its outcomes are the tables' arrays, not copies."""
     matrix = build_feature_matrix(tables, spec.variable_names)
     assert matrix.spec == spec
+    assert matrix.event_hours is tables.event_hours and matrix.died is tables.died
+    assert np.array_equal(matrix.event_hours, cohort.event_hours) and np.array_equal(matrix.died, cohort.died)
     windowed = oracles.window_segment(cohort, spec)
     assert matrix.patient_ids == list(windowed)
     y, b = oracles.patient_scores(matrix)
-    assert np.array_equal(y, oracles.discretize_scores(windowed, table, spec), equal_nan=True)
+    assert np.array_equal(y, oracles.discretize_scores(windowed, spec.score_table, spec), equal_nan=True)
     assert np.array_equal(b, oracles.missingness_indicators(windowed, spec))
     # one cell per distinct score tuple of a window, windows ascending, each
     # window's cells in `np.unique` order
@@ -150,7 +153,7 @@ def assert_matrix_matches_oracle(tables, cohort, spec, table=TABLE):
 @given(cohorts(), WINDOW_HOURS)
 def test_feature_matrix_matches_oracle(cohort, window_hours):
     tables = window_tables(cohort, 60 * window_hours, TABLE)
-    assert_matrix_matches_oracle(tables, cohort, FeatureSpec(SPEC_VARIABLES, window_hours))
+    assert_matrix_matches_oracle(tables, cohort, FeatureSpec(SPEC_VARIABLES, window_hours, TABLE))
 
 
 @settings(deadline=None)
@@ -211,7 +214,7 @@ def test_seeded_cohort_matches_oracles(small_cohort):
         kept_ids = oracles.filter_ids(small_cohort, REQUIRED, window_hours)
         assert kept.patient_ids == kept_ids
         expected = oracles.subset(small_cohort, np.isin(small_cohort.patient_ids, kept_ids))
-        assert_matrix_matches_oracle(kept, expected, FeatureSpec(variables, window_hours))
+        assert_matrix_matches_oracle(kept, expected, FeatureSpec(variables, window_hours, TABLE))
         assert np.array_equal(
             first_day_max_scores(tables, variables),
             oracles.first_day_max_scores(small_cohort, variables, TABLE),
@@ -396,7 +399,7 @@ def test_cell_path_matches_per_patient_oracle():
     hours, died = cohort.event_hours[~is_test], cohort.died[~is_test]
     targets = [TargetSpec(day) for day in (2, 3, 4, 5)]
     stage = fit_feature_stage(train, 4, seed=[0])
-    model = fit_risk_model(train, hours, died, targets, TABLE, stage=stage)
+    model = fit_risk_model(stage, targets)
     scores = score_patients(model, test)
 
     medians, cluster, sequences, days = oracles.risk_model_per_patient(train, hours, died, targets, 4, seed=[0])

@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import numpy as np
 import pytest
@@ -41,12 +43,13 @@ def make_cohort(offset_values, variable="heart_rate", event_hours=48.0):
     return cohort_from_rows(rows, {"p1": (event_hours, False)})
 
 
-def feature_matrix(cohort, spec, table):
-    """`build_feature_matrix` of the cohort folded in the spec's windows."""
-    return build_feature_matrix(window_tables(cohort, 60 * spec.window_hours, table), spec.variable_names)
+def feature_matrix(cohort, spec):
+    """`build_feature_matrix` of the cohort folded in the spec's windows with its score table."""
+    return build_feature_matrix(window_tables(cohort, 60 * spec.window_hours, spec.score_table), spec.variable_names)
 
 
 GAPPED_TABLE = ScoreTable({"x": [ScoreBin(10, 20, 3), ScoreBin(30, 40, 5)]}, default_score=1)
+V_TABLE = ScoreTable({"v": [ScoreBin(0, 10, 0)]}, default_score=1)   # for matrices built from scores
 
 
 class TestScoreTable:
@@ -120,17 +123,41 @@ class TestScoreTable:
         with pytest.raises(ValueError, match="default_score"):
             ScoreTable.from_json_obj({"x": [{"lower": 0, "upper": 1, "score": 0}]})
 
+    def test_equal_by_value(self):
+        # two loads of one file are equal, and so are the feature specs that hold them
+        a, b = load_default_score_table(), ScoreTable.from_json_obj(load_default_score_table().to_json_obj())
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert FeatureSpec(("gcs",), 12, a) == FeatureSpec(("gcs",), 12, b)
+        other = load_default_score_table().to_json_obj()
+        other["gcs"][0]["score"] += 1
+        assert ScoreTable.from_json_obj(other) != a and HR_TABLE != a and a != a.to_json_obj()
+        assert ScoreTable(HR_TABLE.bins, default_score=8) != HR_TABLE
+
+    @pytest.mark.parametrize("field, value", [
+        ("score_table.x.1.score", 2.7), ("score_table.x.1.score", "2"), ("score_table.x.1.score", True),
+        ("score_table.default_score", 1.5), ("score_table.default_score", None),
+    ])
+    def test_score_that_is_not_an_integer_rejected(self, field, value):
+        obj = {"x": [{"lower": 0, "upper": 1, "score": 0}, {"lower": 1, "upper": 2, "score": 3}], "default_score": 0}
+        if field.endswith("default_score"):
+            obj["default_score"] = value
+        else:
+            obj["x"][1]["score"] = value
+        message = f"{field} must be an integer, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScoreTable.from_json_obj(obj)
+
 
 class TestWindowing:
     def test_12h_windows_gives_two(self):
-        spec = FeatureSpec(("heart_rate",), 12)
+        spec = FeatureSpec(("heart_rate",), 12, HR_TABLE)
         assert spec.n_windows == 2
 
     def test_boundary_sample_belongs_to_later_window(self):
         cohort = make_cohort([(719, 60.0), (720, 80.0)])
         worst = window_tables(cohort, 720, HR_TABLE).worst
         assert worst[0, :, 0].tolist() == [2, 0]   # 60 scores 2, 80 scores 0
-        scores = feature_matrix(cohort, FeatureSpec(("heart_rate",), 12), HR_TABLE).scores
+        scores = feature_matrix(cohort, FeatureSpec(("heart_rate",), 12, HR_TABLE)).scores
         assert (scores[0, :, 0] >= 0).tolist() == [True, True]
 
     def test_sample_at_1440_discarded(self):
@@ -142,7 +169,7 @@ class TestWindowing:
 
     def test_each_retained_sample_lands_in_exactly_one_window(self):
         # one patient per sample, so each window table row shows where its sample went
-        spec = FeatureSpec(("heart_rate",), 8)
+        spec = FeatureSpec(("heart_rate",), 8, HR_TABLE)
         rng = np.random.default_rng(3)
         offsets = rng.integers(0, 1500, 200)
         ids = [f"p{i:03d}" for i in range(offsets.size)]
@@ -165,35 +192,35 @@ class TestWindowing:
 
 
 class TestDiscretization:
-    SPEC = FeatureSpec(("heart_rate",), 12)
+    SPEC = FeatureSpec(("heart_rate",), 12, HR_TABLE)
 
     def test_worst_case_is_max(self):
         cohort = make_cohort([(10, 60.0), (20, 80.0), (30, 130.0)])  # scores 2, 0, 4
-        y = feature_matrix(cohort, self.SPEC, HR_TABLE).scores
+        y = feature_matrix(cohort, self.SPEC).scores
         assert y[0, 0, 0] == 4
 
     def test_single_sample(self):
         cohort = make_cohort([(10, 60.0)])
-        y = feature_matrix(cohort, self.SPEC, HR_TABLE).scores
+        y = feature_matrix(cohort, self.SPEC).scores
         assert y[0, 0, 0] == 2
 
     def test_empty_window_is_missing_with_zero_indicator(self):
         cohort = make_cohort([(10, 60.0)])
-        matrix = feature_matrix(cohort, self.SPEC, HR_TABLE)
+        matrix = feature_matrix(cohort, self.SPEC)
         assert matrix.scores[0, 1, 0] == -1 and matrix.scores[0, 0, 0] == 2
         assert matrix.cells.dtype == np.int64
 
     def test_variable_missing_from_table_is_config_error(self):
-        spec = FeatureSpec(("unknown_var",), 12)
+        spec = FeatureSpec(("unknown_var",), 12, HR_TABLE)
         cohort = make_cohort([(10, 60.0)], variable="unknown_var")
         with pytest.raises(ValueError, match="score table"):
-            feature_matrix(cohort, spec, HR_TABLE)
+            feature_matrix(cohort, spec)
 
     def test_worst_case_dominates_every_sample(self):
         rng = np.random.default_rng(8)
         values = rng.uniform(20, 200, 30)
         cohort = make_cohort([(int(i), float(v)) for i, v in enumerate(values)])
-        y = feature_matrix(cohort, self.SPEC, HR_TABLE).scores
+        y = feature_matrix(cohort, self.SPEC).scores
         scores = [score_value(HR_TABLE, "heart_rate", v) for v in values]
         assert y[0, 0, 0] == max(scores)
 
@@ -202,7 +229,7 @@ class TestOnePass:
     TABLE = load_default_score_table()
 
     def test_chunks_do_not_change_the_scores(self, monkeypatch, small_cohort):
-        spec = FeatureSpec(tuple(small_cohort.variables), 8)
+        spec = FeatureSpec(tuple(small_cohort.variables), 8, self.TABLE)
         whole = window_tables(small_cohort, 480, self.TABLE).scores(spec.variable_names)
         monkeypatch.setattr(cohort_module, "WINDOW_CHUNK_ROWS", 1000)
         tables = window_tables(small_cohort, 480, self.TABLE)
@@ -243,11 +270,12 @@ class TestOnePass:
 
 
 class TestImputation:
-    def _matrix(self, column, spec=None):
-        spec = spec or FeatureSpec(("v",), 12)
+    def _matrix(self, column):
+        spec = FeatureSpec(("v",), 12, V_TABLE)
         y = np.array(column, dtype=float).reshape(-1, spec.n_windows, 1)
-        ids = [f"p{i}" for i in range(y.shape[0])]
-        return FeatureMatrix.from_scores(ids, spec, np.where(np.isnan(y), -1, y).astype(np.int64))
+        n = y.shape[0]
+        scores = np.where(np.isnan(y), -1, y).astype(np.int64)
+        return FeatureMatrix.from_scores([f"p{i}" for i in range(n)], spec, scores, np.full(n, 48.0), np.zeros(n, bool))
 
     @staticmethod
     def _impute(m, medians=None):
@@ -414,10 +442,20 @@ class TestEncoding:
     )
 
     def test_sequences_follow_assignments(self):
-        spec = FeatureSpec(("v",), 12)
-        m = FeatureMatrix.from_scores(["p1", "p2"], spec, [[[8], [0]], [[0], [0]]])
+        spec = FeatureSpec(("v",), 12, V_TABLE)
+        m = FeatureMatrix.from_scores(["p1", "p2"], spec, [[[8], [0]], [[0], [0]]], np.full(2, 48.0), np.zeros(2, bool))
         rows = m.cells.astype(float)   # the cells, window by window: [8], [0], [0]
         assert encode_observations(self.MODEL, m, rows).tolist() == [[3, 1], [1, 1]]
+
+    def test_subset_takes_the_outcomes_along(self):
+        spec = FeatureSpec(("v",), 12, V_TABLE)
+        hours, died = np.array([30.0, 40.0, 50.0]), np.array([True, False, True])
+        m = FeatureMatrix.from_scores(["p1", "p2", "p3"], spec, [[[8], [0]], [[0], [0]], [[4], [4]]], hours, died)
+        assert m.event_hours is hours and m.died is died
+        part = m.subset([2, 0])
+        assert part.patient_ids == ["p3", "p1"] and part.spec is spec
+        assert part.event_hours.tolist() == [50.0, 30.0] and part.died.tolist() == [True, True]
+        assert part.scores.tolist() == [[[4], [4]], [[8], [0]]]
 
     def test_row_equal_to_medoid_gets_its_cluster(self):
         assert self.MODEL.assign(np.array([[4.0]]))[0] == 2

@@ -6,7 +6,7 @@ import pytest
 
 import icurisk.survival
 from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort, window_tables
-from icurisk.features import FeatureSpec, build_feature_matrix, load_default_score_table
+from icurisk.features import FeatureSpec, ScoreTable, build_feature_matrix, load_default_score_table
 from icurisk.hmm import (
     EmissionModel,
     _eta_forward_batch,
@@ -67,6 +67,12 @@ class TestEstimateEmissions:
     def test_symbol_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="1..k"):
             estimate_emissions(np.array([[5, 1]]), np.array([[0, 0]]), k=3)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan")])
+    def test_smoothing_alpha_that_is_not_positive_rejected(self, alpha):
+        # NaN fails `alpha <= 0` too, and would give all-NaN tables
+        with pytest.raises(ValueError, match="^smoothing alpha must be positive$"):
+            estimate_emissions(np.array([[1, 2]]), np.array([[0, 0]]), k=3, alpha=alpha)
 
 
 class TestJointProbability:
@@ -216,6 +222,12 @@ class TestRiskScore:
             assert abs(batch[i] - eta_enumerate(theta[i], em, seqs[i])) <= 1e-12
 
 
+def one_bin_heart_rate_table():
+    """The default table with one bin, score 1, for every heart rate."""
+    obj = load_default_score_table().to_json_obj()
+    return ScoreTable.from_json_obj({**obj, "heart_rate": [{"lower": 0, "upper": 1000, "score": 1}]})
+
+
 @pytest.fixture(scope="module")
 def trained(small_cohort):
     table = load_default_score_table()
@@ -223,7 +235,7 @@ def trained(small_cohort):
     matrix = build_feature_matrix(cohort, cohort.variables)
     stage = fit_feature_stage(matrix, 4, seed=[0])
     targets = [TargetSpec(day) for day in (2, 3, 4, 5)]
-    model = fit_risk_model(matrix, cohort.event_hours, cohort.died, targets, table, stage=stage)
+    model = fit_risk_model(stage, targets)
     return cohort, matrix, model
 
 
@@ -256,15 +268,10 @@ class TestRiskModel:
         the fits and emission tables it gets when fit alone."""
         cohort, matrix, model = trained
         stage = fit_feature_stage(matrix, 4, seed=[0])
-        table = load_default_score_table()
-        together = fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, [TargetSpec(d) for d in (5, 3, 2, 4)], table, stage=stage
-        )
+        together = fit_risk_model(stage, [TargetSpec(d) for d in (5, 3, 2, 4)])
         assert list(together) == [2, 3, 4, 5]
         for day in (2, 5):
-            alone = fit_risk_model(
-                matrix, cohort.event_hours, cohort.died, [TargetSpec(day)], table, stage=stage
-            ).days[day]
+            alone = fit_risk_model(stage, [TargetSpec(day)]).days[day]
             for fit in (model.days[day], together.days[day]):
                 assert fit.target == alone.target
                 assert [f.beta.tobytes() for f in fit.fits] == [f.beta.tobytes() for f in alone.fits]
@@ -278,10 +285,7 @@ class TestRiskModel:
         cohort, matrix, _ = trained
         stage = fit_feature_stage(matrix, 4, seed=[0])
         with pytest.raises(ValueError, match="target days must be distinct and at least one"):
-            fit_risk_model(
-                matrix, cohort.event_hours, cohort.died, [TargetSpec(d) for d in days],
-                load_default_score_table(), stage=stage,
-            )
+            fit_risk_model(stage, [TargetSpec(d) for d in days])
 
     def test_serialization_round_trip(self, trained):
         _, matrix, model = trained
@@ -302,10 +306,43 @@ class TestRiskModel:
 
     def test_variable_mismatch_rejected(self, trained):
         cohort, matrix, model = trained
-        other_spec = FeatureSpec(("something_else",), 12)
-        bad = type(matrix).from_scores(matrix.patient_ids, other_spec, matrix.scores[:, :, :1])
-        with pytest.raises(ValueError, match="something_else.*does not match the trained model"):
+        other_spec = FeatureSpec(("something_else",), 12, model.spec.score_table)
+        bad = type(matrix).from_scores(
+            matrix.patient_ids, other_spec, matrix.scores[:, :, :1], matrix.event_hours, matrix.died
+        )
+        with pytest.raises(ValueError, match="something_else.*does not match the trained model.*in variable_names$"):
             score_patients(model, bad)
+
+    def test_matrix_of_another_score_table_rejected(self, trained, small_cohort):
+        """A matrix folded with another score table is refused, naming the
+        table, not scored with the model's fits; one folded with an equal
+        table loaded on its own is scored as the training matrix is."""
+        _, matrix, model = trained
+        other = load_default_score_table().to_json_obj()
+        other["default_score"] += 1
+        message = r"does not match the trained model's FeatureSpec\(.*\) in score_table$"
+        for table in (ScoreTable.from_json_obj(other), one_bin_heart_rate_table()):
+            tables = filter_cohort(window_tables(small_cohort, 720, table))
+            with pytest.raises(ValueError, match=message):
+                score_patients(model, build_feature_matrix(tables, model.spec.variable_names))
+        again = ScoreTable.from_json_obj(load_default_score_table().to_json_obj())
+        tables = filter_cohort(window_tables(small_cohort, 720, again))
+        same = score_patients(model, build_feature_matrix(tables, model.spec.variable_names))
+        whole = score_patients(model, matrix)
+        assert [same[day].eta.tobytes() for day in model] == [whole[day].eta.tobytes() for day in model]
+
+    def test_model_records_the_table_its_matrix_was_folded_with(self, trained, small_cohort):
+        """The model's spec, and so `model.json`, hold the table the training
+        tables were folded with: no other table can be given to the fit."""
+        _, _, model = trained
+        table = one_bin_heart_rate_table()
+        tables = filter_cohort(window_tables(small_cohort, 720, table))
+        matrix = build_feature_matrix(tables, tables.variables)
+        other = fit_risk_model(fit_feature_stage(matrix, 4, seed=[0]), [TargetSpec(2)])
+        assert other.spec is matrix.spec and other.spec.score_table is table
+        assert models_to_obj(other)["score_table"] == table.to_json_obj()
+        assert models_to_obj(model)["score_table"] == load_default_score_table().to_json_obj()
+        assert not hasattr(other, "score_table")
 
     @pytest.mark.parametrize("window_hours", [6, 8, 24])
     def test_window_size_mismatch_rejected(self, trained, small_cohort, window_hours):
@@ -335,31 +372,16 @@ class TestRiskModel:
         cohort, matrix, _ = trained
         stage = fit_feature_stage(matrix, 4, seed=[0])
         calls = count_calls(monkeypatch, icurisk.survival, "_spanning_columns")
-        fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, [TargetSpec(d) for d in (2, 3, 4, 5)],
-            load_default_score_table(), stage=stage,
-        )
+        fit_risk_model(stage, [TargetSpec(d) for d in (2, 3, 4, 5)])
         assert calls == {"_spanning_columns": matrix.spec.n_windows}
 
     def test_remaining_duration_mode_trains_and_scores(self, trained):
-        cohort, matrix, _ = trained
-        table = load_default_score_table()
+        _, matrix, _ = trained
         stage = fit_feature_stage(matrix, 4, seed=[1])
-        model = fit_risk_model(
-            matrix, cohort.event_hours, cohort.died, [TargetSpec(3, "remaining")], table, stage=stage
-        )
+        model = fit_risk_model(stage, [TargetSpec(3, "remaining")])
         etas = score_patients(model, matrix)[3].eta
         assert np.all((etas >= 0) & (etas <= 1))
         assert len(np.unique(etas)) > 10  # still discriminates
-
-    def test_outcomes_must_match_matrix_patients(self, trained):
-        cohort, matrix, _ = trained
-        stage = fit_feature_stage(matrix, 4, seed=[0])
-        table = load_default_score_table()
-        with pytest.raises(ValueError, match="one entry per matrix patient"):
-            fit_risk_model(
-                matrix, cohort.event_hours[1:], cohort.died[1:], [TargetSpec(2)], table, stage=stage
-            )
 
     def test_nan_cell_medians_survive_serialization(self, trained):
         cohort, matrix, model = trained
@@ -391,7 +413,7 @@ def test_training_does_not_depend_on_patient_order(seed):
         ordered = matrix.subset(order)
         hours, died = cohort.event_hours[order], cohort.died[order]
         stage = fit_feature_stage(ordered, 4)
-        model = fit_risk_model(ordered, hours, died, [TargetSpec(d) for d in (2, 3, 4, 5)], table, stage=stage)
+        model = fit_risk_model(stage, [TargetSpec(d) for d in (2, 3, 4, 5)])
         states, emissions = {}, {}
         for day, day_fit in model.days.items():
             _, events = censor_by_target(hours, died, day_fit.target.target_hours)

@@ -332,11 +332,11 @@ class TestNormalizeDeathShare:
 class TestLabeling:
     def _inputs(self, seed=9, n=80):
         rng = np.random.default_rng(seed)
-        spec = FeatureSpec(("v", "w"), 12)
+        spec = FeatureSpec(("v", "w"), 12, load_default_score_table())
         scores = rng.integers(0, 8, (n, 2, 2))
-        matrix = FeatureMatrix.from_scores([f"p{i}" for i in range(n)], spec, scores)
         event_hours = rng.uniform(10, 150, n)
         died = rng.random(n) < 0.5
+        matrix = FeatureMatrix.from_scores([f"p{i}" for i in range(n)], spec, scores, event_hours, died)
         return matrix, event_hours, died
 
     @staticmethod
