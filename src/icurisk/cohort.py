@@ -17,7 +17,11 @@ import io
 import itertools
 import json
 import math
+import os
+import pickle
 import re
+import signal
+import threading
 import typing
 from dataclasses import dataclass
 
@@ -31,6 +35,8 @@ FIRST_DAY_MINUTES = 1440
 # Bytes of an observations file parsed at once; a block's temporaries take a few times this.
 BLOCK_BYTES = 1 << 18
 WINDOW_CHUNK_ROWS = 1 << 16   # rows of a RawCohort that `window_tables` folds at once
+# Bytes of an observations file that warrant a range of their own (`_fold_in_ranges`).
+_RANGE_BYTES = 4 << 20
 
 # Day used to anchor the synthetic generator's prevalence calibration.
 PREVALENCE_REFERENCE_DAY = 5
@@ -208,19 +214,20 @@ def _csv_rows(lines, header, what, line_no=1):
 
 
 class _LineBlocks:
-    """A binary stream read as blocks of whole lines: BLOCK_BYTES at a time,
-    cut after the last newline. The last block may lack its final newline.
-    After a block is declined, `rest()` gives that block and everything
-    after it as text lines, for `_csv_rows`.
+    """A binary stream, or its next `size` bytes, read as blocks of whole
+    lines: BLOCK_BYTES at a time, cut after the last newline. The last block
+    may lack its final newline. After a block is declined, `rest()` gives
+    that block and everything after it as text lines, for `_csv_rows`.
     """
 
-    def __init__(self, stream):
+    def __init__(self, stream, size=math.inf):
         _check_stream(stream)
-        self._stream = stream
+        self._stream, self._left = stream, size
         self._block = self._carry = b""
 
     def __iter__(self):
-        while data := self._stream.read(BLOCK_BYTES):
+        while data := self._stream.read(min(BLOCK_BYTES, self._left)):
+            self._left -= len(data)
             data = self._carry + data
             cut = data.rfind(b"\n") + 1
             self._block, self._carry = data[:cut], data[cut:]
@@ -702,6 +709,83 @@ def _paired_outcomes(ids, observations_path, outcomes_path):
     return event_hours[order], died[order]
 
 
+def _fold_range(path, start, stop, window_minutes, table) -> "WindowTables | None":
+    """The whole lines of bytes [start, stop) of the observations file folded
+    on their own, without outcomes; None if `_parse_block` declines a block."""
+    tables, patients, variables = WindowTables(window_minutes, table), {}, _SeenTexts()
+    with open(path, "rb") as f:
+        f.seek(start)
+        for data in _LineBlocks(f, stop - start):
+            if (parts := _parse_block(data, patients, variables)) is None:
+                return None
+            tables.add(parts, variables.index)
+    return tables.finish(list(patients), variables.index, None, None)
+
+
+def _merge_ranges(folds) -> "WindowTables":
+    """The folds of consecutive ranges, in file order, as one fold, bit for bit:
+    codes renumbered by first appearance; worst by max, seen by or, n_rows by sum."""
+    tables, patients, vocabulary = WindowTables(folds[0].window_minutes, folds[0].score_table), {}, {}
+    for fold in folds:
+        patient = np.array([patients.setdefault(pid, len(patients)) for pid in fold.patient_ids], dtype=np.int64)
+        variable = np.array([vocabulary.setdefault(name, len(vocabulary)) for name in fold.vocabulary], dtype=np.int64)
+        tables._grow(len(patients), vocabulary)
+        cells = np.ix_(patient, np.arange(tables.worst.shape[1]), variable)   # each cell once: no max lost
+        tables.worst[cells] = np.maximum(tables.worst[cells], fold.worst)
+        tables.seen[np.ix_(patient, variable)] |= fold.seen
+        tables.n_rows[patient] += fold.n_rows
+    return tables.finish(list(patients), vocabulary, None, None)
+
+
+def _fold_in_ranges(path, window_minutes, table) -> "WindowTables | None":
+    """The file's fold from n ranges cut at newlines, the first folded here and
+    the others in forked children; None, with no fork, unless n = min(usable
+    CPUs, bytes past the header // _RANGE_BYTES) >= 2, the file is regular and
+    starts with the header, and this is the process's one thread; None too if a
+    range is declined or a child sends no fold. Every child is reaped."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    head, size = len(_OBSERVATIONS_HEADER_LINE), os.stat(path).st_size
+    n = min(usable, (size - head) // _RANGE_BYTES)
+    if n < 2 or not os.path.isfile(path) or threading.active_count() > 1:
+        return None
+    with open(path, "rb") as f:
+        if f.read(head) != _OBSERVATIONS_HEADER_LINE:
+            return None
+        cuts = [head]
+        for i in range(1, n):   # the first line start at or after each share
+            f.seek(head + i * (size - head) // n - 1)
+            f.readline()
+            cuts.append(f.tell())
+    ranges = list(zip(cuts, cuts[1:] + [size]))
+    children = []   # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for start, stop in ranges[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:   # the child exits here, whatever is raised
+                try:
+                    with open(write, "wb") as pipe:
+                        pickle.dump(_fold_range(path, start, stop, window_minutes, table), pipe, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        folds = [_fold_range(path, *ranges[0], window_minutes, table)]
+        while children and folds[-1] is not None:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            folds.append(pickle.loads(data) if status == 0 and data else None)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return None if folds[-1] is None else _merge_ranges(folds)
+
+
 def load_cohort(observations_path, outcomes_path, window_minutes: int, table) -> "WindowTables":
     """The cohort in an observations and an outcomes CSV file, folded into
     WindowTables of `window_minutes` windows, scored with `table` (a
@@ -713,19 +797,24 @@ def load_cohort(observations_path, outcomes_path, window_minutes: int, table) ->
     order-free. Patients are numbered in order of first appearance, and
     their outcomes (`ingest_outcomes`) pair by id. A ParseError names the
     file and line; any other CohortError names the file or, for a mismatch
-    between the two, both files.
+    between the two, both files. A regular file with 2 * _RANGE_BYTES past
+    its header is folded in line-aligned ranges at once, one per usable CPU,
+    here and in forked children, each holding one block's parse and its
+    range's tables (`_fold_in_ranges`). A declined range sends the whole file
+    through the serial fold, so the tables and every error are the same.
     """
-    tables = WindowTables(window_minutes, table)
-    patients: dict[str, int] = {}
-    variables = _SeenTexts()
+    tables = _fold_in_ranges(observations_path, window_minutes, table)
+    if tables is None:
+        tables, patients, variables = WindowTables(window_minutes, table), {}, _SeenTexts()
 
-    def fold(stream):
-        for parts in _observation_parts(stream, patients, variables):
-            tables.add(parts, variables.index)
+        def fold(stream):
+            for parts in _observation_parts(stream, patients, variables):
+                tables.add(parts, variables.index)
 
-    _ingest_file(observations_path, fold)
-    ids = list(patients)
-    return tables.finish(ids, variables.index, *_paired_outcomes(ids, observations_path, outcomes_path))
+        _ingest_file(observations_path, fold)
+        tables.finish(list(patients), variables.index, None, None)
+    ids = tables.patient_ids
+    return tables.finish(ids, tables.vocabulary, *_paired_outcomes(ids, observations_path, outcomes_path))
 
 
 # Texts `csv.writer` writes as they are: no delimiter, quote, space or line break.

@@ -91,12 +91,14 @@ class ScoreTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScoreTable":
-        """The table of a JSON object; a score or default score that is not
-        a JSON integer raises a ValueError naming its field."""
+        """The table of a JSON object; a bin bound that is not a JSON number
+        and a score or default score that is not a JSON integer, missing
+        ones included, raise a ValueError naming the field."""
         if "default_score" not in obj:
             raise ValueError("score table is missing 'default_score'")
         bins = {
-            var: [ScoreBin(float(e["lower"]), float(e["upper"]), json_number(f"score_table.{var}.{i}.score", e["score"], int))
+            var: [ScoreBin(*(json_number(f"score_table.{var}.{i}.{key}", e[key] if key in e else None, kind)
+                             for key, kind in (("lower", float), ("upper", float), ("score", int))))
                   for i, e in enumerate(entries)]
             for var, entries in obj.items() if var != "default_score"
         }

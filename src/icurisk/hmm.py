@@ -363,10 +363,12 @@ def models_to_obj(model: RiskModel, config_echo: dict | None = None) -> dict:
 
 
 def _array(field: str, values, shape) -> np.ndarray:
-    """`values` as a float array of `shape` (None becomes NaN); a ValueError
-    names `field` otherwise."""
+    """`values` as a float array of `shape`, of JSON numbers or null (NaN);
+    a ValueError names `field` otherwise (a bool or a string is no number)."""
     try:
         array = np.array(values, dtype=float)
+        if any(type(v) not in (int, float, type(None)) for v in np.array(values, dtype=object).flat):
+            raise ValueError
     except (TypeError, ValueError):
         raise ValueError(f"{field} is not an array of numbers") from None
     if array.shape != shape:
@@ -425,14 +427,14 @@ def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
             SurvivalFit(
                 beta=_array(f"{where}.fits.{w}.beta", f["beta"], (1 + 2 * p,)),
                 iterations=json_number(f"{where}.fits.{w}.iterations", f["iterations"], int),
-                grad_norm=float(f["grad_norm"]),
+                grad_norm=json_number(f"{where}.fits.{w}.grad_norm", f["grad_norm"], float),
             )
             for w, f in enumerate(block["fits"])
         ]
         emissions = EmissionModel(
             initial=_array(f"{where}.emissions.initial", block["emissions"]["initial"], (k, 2)),
             transition=_array(f"{where}.emissions.transition", block["emissions"]["transition"], (k, k, 2)),
-            alpha=float(block["emissions"]["alpha"]),
+            alpha=json_number(f"{where}.emissions.alpha", block["emissions"]["alpha"], float),
         )
         emissions.check_normalized()
         days[int(day_key)] = DayFit(target, fits, emissions)

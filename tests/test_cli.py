@@ -242,6 +242,16 @@ MISSHAPEN_MODELS = [
     ("days.3.fits.1.iterations", lambda m: m["days"]["3"]["fits"][1].update(iterations=3.7)),
     ("score_table.heart_rate.0.score", lambda m: m["score_table"]["heart_rate"][0].update(score=2.7)),
     ("score_table.default_score", lambda m: m["score_table"].update(default_score=1.5)),
+    # float fields are JSON numbers: no bool or string, and null only inside an array (NaN)
+    ("score_table.heart_rate.0.lower", lambda m: m["score_table"]["heart_rate"][0].update(lower=True)),
+    ("score_table.heart_rate.1.upper", lambda m: m["score_table"]["heart_rate"][1].update(upper="5")),
+    ("score_table.gcs.0.lower", lambda m: m["score_table"]["gcs"][0].pop("lower")),
+    ("days.2.fits.0.grad_norm", lambda m: m["days"]["2"]["fits"][0].update(grad_norm="0.001")),
+    ("days.3.emissions.alpha", lambda m: m["days"]["3"]["emissions"].update(alpha=True)),
+    ("days.4.emissions.alpha", lambda m: m["days"]["4"]["emissions"].update(alpha=None)),
+    ("cluster.ranges", lambda m: m["cluster"].update(ranges=[True] + m["cluster"]["ranges"][1:])),
+    ("medians.overall", lambda m: m["medians"].update(overall=["100"] + m["medians"]["overall"][1:])),
+    ("days.5.fits.1.beta", lambda m: m["days"]["5"]["fits"][1].update(beta=[False] + m["days"]["5"]["fits"][1]["beta"][1:])),
 ]
 
 

@@ -1,6 +1,11 @@
+import gc
 import io
+import os
+import pickle
 import re
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -198,12 +203,17 @@ class TestIngestObservations:
         for name in ("patient", "variable", "offset_minutes", "value"):
             assert np.array_equal(quoted[name], plain[name])
 
-    def test_fold_memory_does_not_grow_with_rows(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "ranges"])
+    def test_fold_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch, cpus):
         # The fold holds per-patient tables and the parse of one block, so
         # for 2,000 patients its peak is the same at 200,000 and 400,000
         # rows, below 16 B a row (half of what holding the four columns
         # took), and below 4 MiB: a block's parse takes a few times
-        # BLOCK_BYTES.
+        # BLOCK_BYTES. Both files (6 and 12 MB) take the same path: serial
+        # with one usable CPU, in two ranges with two, where this process
+        # folds one range and merges (a child's memory is not traced here).
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(cohort_module, "_RANGE_BYTES", 1 << 20)
         table = load_default_score_table()
         rng = np.random.default_rng(2)
         names = ("heart_rate", "blood_pressure", "gcs", "temperature", "age")
@@ -344,6 +354,188 @@ class TestLoadCohort:
         write_outcomes(cohort, out)
         assert out.read_text() == "patient_id,event_hours,death_flag\np2,50.75,1\np1,30.25,1\np3,80.5,0\n"
         assert_same_tables(load_cohort(obs, out, 720, None), tables)
+
+
+def finished(merged, serial):
+    """Merged range folds given the serial fold's outcomes, to compare
+    with it field by field."""
+    return merged.finish(merged.patient_ids, merged.vocabulary, serial.event_hours, serial.died)
+
+
+class TestRangeFold:
+    """`_fold_range` and `_merge_ranges` in this process: the merge of
+    line-aligned ranges equals the serial fold."""
+
+    LINES = [
+        "p1,heart_rate,30,112",
+        "p1,gcs,40,14",               # a cut after this line: p1 straddles it
+        "p1,heart_rate,800,131.5",
+        "p2,heart_rate,10,70",
+        "p2,temperature,5,38.5",      # a variable first seen in a later range
+        "p1,blood_pressure,1500,80",  # unsorted: p1 again, after p2, past minute 1440
+        "p3,gcs,700,9",
+    ]
+
+    def test_merged_ranges_equal_the_serial_fold(self, tmp_path):
+        table = load_default_score_table()
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        obs.write_bytes(obs_stream(*self.LINES).getvalue())
+        out.write_bytes(out_stream("p3,30,0", "p2,50,1", "p1,20,0").getvalue())
+        data = obs.read_bytes()
+        starts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]   # the header's end first
+        # ranges of 2, 0 (an empty one), 1, 3 and 1 lines
+        cuts = [starts[0], starts[2], starts[2], starts[3], starts[6], len(data)]
+        folds = [cohort_module._fold_range(obs, a, b, 720, table) for a, b in zip(cuts, cuts[1:])]
+        assert [fold.patient_ids for fold in folds] == [["p1"], [], ["p1"], ["p2", "p1"], ["p3"]]
+        assert folds[1].worst.shape == (0, 2, 0)
+        serial = load_cohort(obs, out, 720, table)
+        assert serial.patient_ids == ["p1", "p2", "p3"]
+        assert serial.vocabulary == ("heart_rate", "gcs", "temperature", "blood_pressure")
+        assert_same_tables(finished(cohort_module._merge_ranges(folds), serial), serial)
+
+    def test_declined_block_declines_its_range(self, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_bytes(obs_stream("p1,heart_rate,30,112", '"p2",gcs,40,14').getvalue())
+        head = len(b"patient_id,variable,offset_minutes,value\n")
+        cut = head + len(b"p1,heart_rate,30,112\n")
+        assert cohort_module._fold_range(obs, head, cut, 720, None) is not None
+        assert cohort_module._fold_range(obs, cut, obs.stat().st_size, 720, None) is None
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRangesInChildren:
+    """`load_cohort` of a file of about 7 kB cut into ranges of at least
+    1,000 bytes, one per usable CPU: 3 of them, so 2 forked children."""
+
+    TABLE = load_default_score_table()
+
+    @pytest.fixture
+    def ranges(self, monkeypatch, tmp_path):
+        """(write, load, forks): write the observations lines, and outcomes
+        for their patients; load them with `cpus` usable CPUs, or with
+        nothing patched for None; the live count of forks."""
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        forks = count_calls(monkeypatch, os, "fork")
+
+        def write(lines):
+            obs.write_bytes(obs_stream(*lines).getvalue())
+            ids = dict.fromkeys(line.split(",")[0].strip('"') for line in lines)
+            out.write_bytes(out_stream(*(f"{pid},30,0" for pid in ids)).getvalue())
+            return obs
+
+        def load(cpus=3):
+            with monkeypatch.context() as mp, warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if cpus:
+                    mp.setattr(cohort_module, "_RANGE_BYTES", 1000)
+                    mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                try:
+                    return load_cohort(obs, out, 720, self.TABLE)
+                finally:
+                    gc.collect()
+                    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+                    no_child_left()
+
+        return write, load, forks
+
+    LINES = [f"p{i // 9},{('heart_rate', 'gcs', 'blood_pressure')[i % 3]},{i % 9 * 170},{60 + i % 70}.5"
+             for i in range(300)]
+
+    def test_ranges_give_the_serial_tables(self, ranges):
+        write, load, forks = ranges
+        assert write(self.LINES).stat().st_size // 1000 >= 3
+        serial = load(None)
+        assert forks["fork"] == 0
+        assert_same_tables(load(), serial)
+        assert forks["fork"] == 2
+
+    @pytest.mark.parametrize("odd", ['"p98",gcs,5,9', "p98,gcs,5,9\r"], ids=["quoted", "crlf"])
+    @pytest.mark.parametrize("bad", [False, True], ids=["valid", "error"])
+    def test_declined_last_range_gives_the_serial_result(self, ranges, odd, bad):
+        write, load, forks = ranges
+        lines = self.LINES + [odd] + ["p99,heart_rate,30,x"] * bad + self.LINES[:5]
+        write(lines)
+        if not bad:
+            assert_same_tables(load(), load(None))
+            assert forks["fork"] == 2
+            return
+        with pytest.raises(ParseError) as serial:
+            load(None)
+        with pytest.raises(ParseError) as in_ranges:
+            load()
+        assert forks["fork"] == 2
+        assert (in_ranges.value.path, in_ranges.value.line_no, in_ranges.value.message) == (
+            serial.value.path, serial.value.line_no, serial.value.message)
+        assert serial.value.line_no == 303 and serial.value.message == "non-numeric value 'x'"
+
+    def test_file_without_the_header_line_gives_the_serial_error(self, ranges):
+        write, load, forks = ranges
+        obs = write(self.LINES)
+        obs.write_bytes(obs.read_bytes().replace(b"offset_minutes", b"offset", 1))
+        with pytest.raises(ParseError, match=f"^{obs}: line 1: expected header patient_id,variable,"):
+            load()
+        assert forks["fork"] == 0
+
+    @staticmethod
+    def fold_range_in_parent_or_child(monkeypatch, in_parent, in_child):
+        """`_fold_range` calls `in_parent` here and `in_child` in a forked
+        child, then folds as before."""
+        parent, fold_range = os.getpid(), cohort_module._fold_range
+
+        def fold(*args):
+            (in_parent if os.getpid() == parent else in_child)()
+            return fold_range(*args)
+
+        monkeypatch.setattr(cohort_module, "_fold_range", fold)
+
+    @pytest.mark.parametrize("how", ["exit", "torn"])
+    def test_child_without_its_fold_gives_the_serial_tables(self, ranges, monkeypatch, how):
+        # a child exits 0 before it sends anything, or fails halfway through sending
+        write, load, forks = ranges
+        write(self.LINES)
+        serial = load(None)
+        if how == "exit":
+            self.fold_range_in_parent_or_child(monkeypatch, lambda: None, lambda: os._exit(0))
+        else:
+            def torn(fold, pipe, protocol):   # only a child sends a fold
+                pipe.write(pickle.dumps(fold, protocol)[:100])
+                raise OSError("connection lost")
+
+            monkeypatch.setattr(pickle, "dump", torn)
+        assert_same_tables(load(), serial)
+        assert forks["fork"] == 2
+
+    def test_interrupt_leaves_no_child(self, ranges, monkeypatch):
+        write, load, forks = ranges
+        write(self.LINES)
+
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.fold_range_in_parent_or_child(monkeypatch, interrupt, lambda: None)
+        with pytest.raises(KeyboardInterrupt):
+            load()
+        assert forks["fork"] == 2
+
+    def test_one_usable_cpu_or_a_second_thread_never_forks(self, ranges, monkeypatch):
+        write, load, forks = ranges
+        write(self.LINES)
+        serial = load(None)
+        assert_same_tables(load(cpus=1), serial)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert_same_tables(load(), serial)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks["fork"] == 0
 
 
 def heart_rate_cohort(patient_ids=("p1",), **columns):

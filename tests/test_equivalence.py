@@ -808,6 +808,25 @@ def test_fold_matches_row_oracle(files, window_hours, block_bytes):
         assert_fold_matches_row_oracle(*write_fold_files(directory, *files), window_hours)
 
 
+@settings(deadline=None)
+@given(fold_files(), WINDOW_HOURS, st.data())
+def test_merged_range_folds_match_the_serial_fold(files, window_hours, data):
+    """Folded on their own in this process, line-aligned ranges of a file
+    cut anywhere, empty ranges and patients across cuts among them, merge
+    to the serial fold, bit for bit."""
+    lines, outcomes = files
+    lines = [line for line in lines if not line.startswith('"')]   # a range with one is declined
+    with tempfile.TemporaryDirectory() as directory:
+        observations, outcomes_path = write_fold_files(directory, lines, outcomes)
+        body = observations.read_bytes()
+        starts = [at + 1 for at, byte in enumerate(body) if byte == ord("\n")]   # the header's end first
+        cuts = [starts[0], *sorted(data.draw(st.lists(st.sampled_from(starts), max_size=5))), len(body)]
+        folds = [cohort_module._fold_range(observations, a, b, 60 * window_hours, TABLE) for a, b in zip(cuts, cuts[1:])]
+        serial = load_cohort(observations, outcomes_path, 60 * window_hours, TABLE)
+    merged = cohort_module._merge_ranges(folds)
+    assert_same_tables(merged.finish(merged.patient_ids, merged.vocabulary, serial.event_hours, serial.died), serial)
+
+
 @pytest.mark.parametrize("layout", ["sorted", "row_loop_tail", "unsorted"])
 @pytest.mark.parametrize("window_hours", [7, 12])
 def test_fold_of_parsed_blocks_and_row_loop_matches_row_oracle(layout, window_hours, tmp_path, monkeypatch):

@@ -148,6 +148,25 @@ class TestScoreTable:
             ScoreTable.from_json_obj(obj)
 
 
+    @pytest.mark.parametrize("key, value", [
+        ("lower", True), ("lower", "0"), ("upper", "5"), ("upper", None), ("upper", False),
+    ])
+    def test_bound_that_is_not_a_number_rejected(self, key, value):
+        obj = {"x": [{"lower": 0, "upper": 1, "score": 0}, {"lower": 1, "upper": 2, "score": 3}], "default_score": 0}
+        obj["x"][1][key] = value
+        message = f"score_table.x.1.{key} must be a number, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScoreTable.from_json_obj(obj)
+
+    @pytest.mark.parametrize("key", ["lower", "upper", "score"])
+    def test_missing_bin_field_named(self, key):
+        obj = {"x": [{"lower": 0, "upper": 1, "score": 0}, {"lower": 1, "upper": 2, "score": 3}], "default_score": 0}
+        del obj["x"][1][key]
+        what = "an integer" if key == "score" else "a number"
+        with pytest.raises(ValueError, match=rf"^score_table\.x\.1\.{key} must be {what}, got null$"):
+            ScoreTable.from_json_obj(obj)
+
+
 class TestWindowing:
     def test_12h_windows_gives_two(self):
         spec = FeatureSpec(("heart_rate",), 12, HR_TABLE)
