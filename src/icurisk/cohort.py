@@ -742,7 +742,7 @@ def _fold_in_ranges(path, window_minutes, table) -> "WindowTables | None":
     the others in forked children; None, with no fork, unless n = min(usable
     CPUs, bytes past the header // _RANGE_BYTES) >= 2, the file is regular and
     starts with the header, and this is the process's one thread; None too if a
-    range is declined or a child sends no fold. Every child is reaped."""
+    range is declined, a fork fails or a child sends no fold. Every child is reaped."""
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     head, size = len(_OBSERVATIONS_HEADER_LINE), os.stat(path).st_size
     n = min(usable, (size - head) // _RANGE_BYTES)
@@ -751,17 +751,20 @@ def _fold_in_ranges(path, window_minutes, table) -> "WindowTables | None":
     with open(path, "rb") as f:
         if f.read(head) != _OBSERVATIONS_HEADER_LINE:
             return None
-        cuts = [head]
-        for i in range(1, n):   # the first line start at or after each share
-            f.seek(head + i * (size - head) // n - 1)
-            f.readline()
-            cuts.append(f.tell())
+        # each cut is the first line start at or after its share: seek's position plus the line read
+        cuts = [head] + [f.seek(head + i * (size - head) // n - 1) + len(f.readline()) for i in range(1, n)]
     ranges = list(zip(cuts, cuts[1:] + [size]))
     children = []   # (pid, read end of its pipe) of each child not yet reaped
     try:
         for start, stop in ranges[1:]:
             read, write = os.pipe()
-            if (pid := os.fork()) == 0:   # the child exits here, whatever is raised
+            try:
+                pid = os.fork()
+            except OSError:   # no process to spare: kill the children so far, fold serially
+                os.close(read)
+                os.close(write)
+                return None
+            if pid == 0:   # the child exits here, whatever is raised
                 try:
                     with open(write, "wb") as pipe:
                         pickle.dump(_fold_range(path, start, stop, window_minutes, table), pipe, pickle.HIGHEST_PROTOCOL)

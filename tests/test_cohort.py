@@ -509,6 +509,22 @@ class TestRangesInChildren:
         assert_same_tables(load(), serial)
         assert forks["fork"] == 2
 
+    def test_failed_fork_gives_the_serial_tables(self, ranges, monkeypatch):
+        write, load, forks = ranges
+        write(self.LINES)
+        serial = load(None)
+        fork, calls = os.fork, []
+
+        def second_fails():   # the first child is forked, then no process is to be had
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise BlockingIOError("Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert_same_tables(load(), serial)
+        assert len(calls) == 2
+
     def test_interrupt_leaves_no_child(self, ranges, monkeypatch):
         write, load, forks = ranges
         write(self.LINES)
