@@ -33,7 +33,6 @@ from .features import (
     build_feature_matrix,
     feature_kinds,
     load_default_score_table,
-    numeric_ranges,
     pam_cluster,
     silhouette,
 )
@@ -147,7 +146,7 @@ class PipelineConfig:
         if cfg.duration_mode not in (AS_PRINTED, REMAINING):
             raise ConfigError(f"duration_mode must be {AS_PRINTED!r} or {REMAINING!r}, got {cfg.duration_mode!r}")
         for key, value, least in (("cv.folds", cfg.cv_folds, 2), ("cv.repeats", cfg.cv_repeats, 1),
-                                  ("k_clusters", cfg.k_clusters, 1)):
+                                  ("k_clusters", cfg.k_clusters, 1), ("seed", cfg.seed, 0)):
             if value < least:
                 raise ConfigError(f"{key} must be at least {least}, got {value}")
         if not cfg.smoothing_alpha > 0:   # NaN included
@@ -215,12 +214,11 @@ def _sweep_k(matrix, rows, seed) -> None:
     """Silhouettes of PAM at k = 2..8 on the imputed cells, weighted by patients."""
     counts = matrix.counts()
     kinds = feature_kinds(matrix.spec)
-    ranges = numeric_ranges(rows, kinds)
     print("k  silhouette")
     for k in range(2, 9):
         try:
-            _, labels, _ = pam_cluster(rows, k, seed, counts=counts, kinds=kinds, ranges=ranges)
-            value = silhouette(rows, labels, kinds, ranges, counts=counts)
+            _, labels, _ = pam_cluster(rows, k, seed, counts=counts, kinds=kinds)
+            value = silhouette(rows, labels, kinds, counts=counts)
         except ValueError as exc:
             print(f"{k}  n/a ({exc})")
             continue
@@ -390,6 +388,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = PipelineConfig.from_file(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
         if args.seed is not None and args.command != "synth":
             cfg.seed = args.seed
         if args.out_dir is not None:

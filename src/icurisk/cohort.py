@@ -31,6 +31,7 @@ OBSERVATIONS_HEADER = ("patient_id", "variable", "offset_minutes", "value")
 OUTCOMES_HEADER = ("patient_id", "event_hours", "death_flag")
 
 FIRST_DAY_MINUTES = 1440
+MIN_STAY_HOURS = 24.0   # follow-up a patient needs to be kept: the first day
 
 # Bytes of an observations file parsed at once; a block's temporaries take a few times this.
 BLOCK_BYTES = 1 << 18
@@ -982,18 +983,16 @@ class WindowTables:
         index = {name: code for code, name in enumerate(self.vocabulary)}
         return {j: index[name] for j, name in enumerate(variable_names) if name in index}
 
-    def kept(self, required_variables, window_hours: int, min_stay_hours: float) -> np.ndarray:
-        """The patients `filter_cohort` keeps: event_hours >= min_stay_hours,
-        and a sample of every required variable in each of the first day's
-        24 // window_hours windows, which must be these tables' windows."""
-        n_windows, required = 24 // window_hours, tuple(dict.fromkeys(required_variables))
-        if self.window_minutes != 60 * window_hours:
-            raise ValueError(f"tables of {self.window_minutes}-minute windows, not {window_hours} h")
+    def kept(self, required_variables) -> np.ndarray:
+        """The patients `filter_cohort` keeps: event_hours >= MIN_STAY_HOURS,
+        and a sample of every required variable in each full window of the
+        first day, FIRST_DAY_MINUTES // window_minutes of them."""
+        n_windows, required = FIRST_DAY_MINUTES // self.window_minutes, tuple(dict.fromkeys(required_variables))
         columns = self._columns(required)
         covered = np.zeros(self.n_patients, dtype=bool)
         if len(columns) == len(required):
             covered = (self.worst[:, :n_windows, list(columns.values())] >= 0).all(axis=(1, 2))
-        return (self.event_hours >= min_stay_hours) & covered
+        return (self.event_hours >= MIN_STAY_HOURS) & covered
 
     def subset(self, keep) -> "WindowTables":
         """The patients where the bool mask `keep` is set, in the same order."""
@@ -1031,24 +1030,20 @@ def window_tables(cohort: RawCohort, window_minutes: int, table=None) -> WindowT
 
 
 def filter_cohort(
-    cohort: WindowTables,
-    required_variables=DEFAULT_REQUIRED_VARIABLES,
-    window_hours: int = 12,
-    min_stay_hours: float = 24.0,
+    cohort: WindowTables, required_variables=DEFAULT_REQUIRED_VARIABLES, window_hours: int = 12
 ) -> WindowTables:
-    """The tables of the patients with >= 24 h of follow-up and complete
-    required coverage.
-
-    A patient qualifies when event_hours >= min_stay_hours and every required
-    variable has at least one sample in every window of the first day:
-    `WindowTables.kept`. The tables must be folded in `window_hours` windows.
-    A RawCohort is folded first, without a score table: this one statement
-    serves the benchmark's set-up, which counts the kept patients and rows
-    of its synthetic cohort, and goes once that set-up calls `window_tables`.
+    """The tables of the patients with >= MIN_STAY_HOURS of follow-up and
+    complete required coverage (`WindowTables.kept`). The tables must be
+    folded in `window_hours` windows. A RawCohort is folded first, without a
+    score table: this one statement serves the benchmark's set-up, which
+    counts the kept patients and rows of its synthetic cohort, and goes once
+    that set-up calls `window_tables`.
     """
     if isinstance(cohort, RawCohort):
         cohort = window_tables(cohort, 60 * window_hours)
-    return cohort.subset(cohort.kept(required_variables, window_hours, min_stay_hours))
+    if cohort.window_minutes != 60 * window_hours:
+        raise ValueError(f"tables of {cohort.window_minutes}-minute windows, not {window_hours} h")
+    return cohort.subset(cohort.kept(required_variables))
 
 
 # --------------------------------------------------------------------------

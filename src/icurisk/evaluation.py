@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cohort import DEFAULT_REQUIRED_VARIABLES, WindowTables, filter_cohort
-from .features import FeatureMatrix, FeatureSpec, build_feature_matrix, window_hours_of
+from .features import build_feature_matrix, distinct_rows, window_hours_of
 from .hmm import fit_feature_stage, fit_risk_model, normal_band, score_patients
 from .survival import (
     TargetSpec,
@@ -381,10 +381,8 @@ def run_cv(
     day_events = {day: ev for day, (_, ev) in day_censoring.items()}
     baseline_features = first_day_max_scores(tables, variables)
     saps = baseline_saps_scores(baseline_features)
-    # The baselines are fit on the distinct first-day rows: a one-window cell table.
-    first_day = FeatureSpec(variables, 24, tables.score_table)
-    outcomes = tables.event_hours, tables.died
-    baseline = FeatureMatrix.from_scores(tables.patient_ids, first_day, baseline_features[:, None], *outcomes)
+    # The baselines are fit on distinct first-day rows: grouped once here, regrouped per fold.
+    first, baseline_group = distinct_rows(baseline_features)
 
     records: list[MetricRecord] = []
     metric_fns = {"aucpr": aucpr, "cstat": concordance, "auroc": auroc}
@@ -397,8 +395,8 @@ def run_cv(
             train_matrix = matrix.subset(train_idx)
             stage = fit_feature_stage(train_matrix, k_clusters, seed=[seed, repeat, fold])
             test_matrix = matrix.subset(test_idx)
-            train_baseline = baseline.subset(train_idx)
-            train_group = train_baseline.cell_of[:, 0]
+            present, train_group = np.unique(baseline_group[train_idx], return_inverse=True)
+            train_rows, train_counts = baseline_features[first[present]], np.bincount(train_group)
             model = fit_risk_model(stage, day_targets, smoothing_alpha=smoothing_alpha)
             model_scores = score_patients(model, test_matrix)
             for day in target_days:
@@ -408,13 +406,13 @@ def run_cv(
                     METHOD_MODEL: model_scores[day].eta,
                     METHOD_SAPS: saps[test_idx],
                     METHOD_LOGISTIC: baseline_logistic_scores(
-                        train_baseline.cells,
+                        train_rows,
                         train_events,
                         baseline_features[test_idx],
-                        counts=train_baseline.counts(),
+                        counts=train_counts,
                     ),
                     METHOD_EXP_SURVIVAL: baseline_exp_survival_scores(
-                        train_baseline.cells,
+                        train_rows,
                         np.bincount(train_group, weights=times[train_idx]),
                         train_events,
                         baseline_features[test_idx],

@@ -91,17 +91,24 @@ class ScoreTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ScoreTable":
-        """The table of a JSON object; a bin bound that is not a JSON number
-        and a score or default score that is not a JSON integer, missing
-        ones included, raise a ValueError naming the field."""
-        if "default_score" not in obj:
-            raise ValueError("score table is missing 'default_score'")
-        bins = {
-            var: [ScoreBin(*(json_number(f"score_table.{var}.{i}.{key}", e[key] if key in e else None, kind)
-                             for key, kind in (("lower", float), ("upper", float), ("score", int))))
-                  for i, e in enumerate(entries)]
-            for var, entries in obj.items() if var != "default_score"
-        }
+        """The table of a JSON object; bins that are not a list of objects,
+        a bin bound that is not a JSON number and a score or default score
+        that is not a JSON integer, missing ones included, raise a
+        ValueError naming the field."""
+        if not isinstance(obj, dict) or "default_score" not in obj:
+            raise ValueError("score table is not an object with a 'default_score'")
+        bins = {}
+        for var, entries in obj.items():
+            if var == "default_score":
+                continue
+            if not isinstance(entries, list):
+                raise ValueError(f"score_table.{var} must be a list of bins, got {json.dumps(entries)}")
+            bins[var] = []
+            for i, e in enumerate(entries):
+                if not isinstance(e, dict):
+                    raise ValueError(f"score_table.{var}.{i} must be an object, got {json.dumps(e)}")
+                bins[var].append(ScoreBin(*(json_number(f"score_table.{var}.{i}.{key}", e.get(key), kind)
+                                            for key, kind in (("lower", float), ("upper", float), ("score", int)))))
         return cls(bins, json_number("score_table.default_score", obj["default_score"], int))
 
     def to_json_obj(self) -> dict:
@@ -394,7 +401,7 @@ def _exact_medoids(dist: np.ndarray, weights: np.ndarray, k: int) -> list[int]:
     return best_set
 
 
-def pam_cluster(rows: np.ndarray, k: int, seed=0, *, counts=None, kinds=None, ranges=None):
+def pam_cluster(rows: np.ndarray, k: int, seed=0, *, counts=None, kinds=None):
     """K-medoids under Gower distance, exact at small scale.
 
     Row i stands for counts[i] equal rows (one by default), so a matrix's
@@ -408,7 +415,7 @@ def pam_cluster(rows: np.ndarray, k: int, seed=0, *, counts=None, kinds=None, ra
     so the medoids depend on the rows and their counts but not on their
     order. Only above MAX_FIT_ROWS distinct rows is the search run on a
     sample of that many, drawn with `seed` without replacement and weighted
-    by count.
+    by count. The Gower ranges are the rows' `numeric_ranges`.
 
     Returns (ClusterModel, 1-based labels for all input rows, total cost),
     the labels and cost from one (distinct rows x k) distance matrix.
@@ -421,8 +428,7 @@ def pam_cluster(rows: np.ndarray, k: int, seed=0, *, counts=None, kinds=None, ra
     first, group = distinct_rows(rows)
     uniq = rows[first] + 0.0   # -0.0 groups with 0.0; keep 0.0 whichever came first
     counts = np.bincount(group, np.ones(rows.shape[0]) if counts is None else counts)
-    if ranges is None:
-        ranges = numeric_ranges(uniq, kinds)
+    ranges = numeric_ranges(uniq, kinds)
 
     fit = np.arange(uniq.shape[0])
     if fit.size > MAX_FIT_ROWS:
@@ -437,7 +443,7 @@ def pam_cluster(rows: np.ndarray, k: int, seed=0, *, counts=None, kinds=None, ra
     else:
         medoids = _build_swap_medoids(dist, counts[fit], k)
 
-    model = ClusterModel(medoids=uniq[fit[medoids]], kinds=tuple(kinds), ranges=np.asarray(ranges, dtype=float))
+    model = ClusterModel(medoids=uniq[fit[medoids]], kinds=tuple(kinds), ranges=ranges)
     # As `model.assign`: ties go to the lower cluster.
     to_medoids = gower_matrix(uniq, model.medoids, kinds, ranges)
     return model, to_medoids.argmin(axis=1)[group] + 1, float(to_medoids.min(axis=1) @ counts)
@@ -449,8 +455,9 @@ def encode_observations(model: ClusterModel, matrix: FeatureMatrix, rows: np.nda
     return model.assign(rows)[matrix.cell_of]
 
 
-def silhouette(rows: np.ndarray, labels: np.ndarray, kinds, ranges, *, counts=None) -> float:
-    """Mean silhouette width under Gower distance; singleton clusters score 0.
+def silhouette(rows: np.ndarray, labels: np.ndarray, kinds, *, counts=None) -> float:
+    """Mean silhouette width under Gower distance with the `numeric_ranges`
+    of the rows, as `pam_cluster`; singleton clusters score 0.
 
     Row i stands for counts[i] equal rows under its label (one by default).
     Exact for every row: each distinct (row, label) pair is scored once,
@@ -463,6 +470,7 @@ def silhouette(rows: np.ndarray, labels: np.ndarray, kinds, ranges, *, counts=No
         raise ValueError("silhouette needs at least two clusters")
     first, group = distinct_rows(np.column_stack([rows, cluster]))
     counts = np.bincount(group, np.ones(rows.shape[0]) if counts is None else counts)
+    ranges = numeric_ranges(rows, kinds)
     own = cluster[first]
     members = np.zeros((first.size, values.size))   # count of each pair in its cluster
     members[np.arange(first.size), own] = counts

@@ -53,12 +53,12 @@ class EmissionModel:
     def k(self) -> int:
         return self.initial.shape[0]
 
-    def check_normalized(self, tol: float = 1e-12) -> None:
+    def check_normalized(self) -> None:
         if np.any(self.initial <= 0) or np.any(self.transition <= 0):
             raise ValueError("emission tables must be strictly positive")
-        if np.max(np.abs(self.initial.sum(axis=0) - 1.0)) > tol:
+        if np.max(np.abs(self.initial.sum(axis=0) - 1.0)) > 1e-12:
             raise ValueError("initial emission columns must sum to 1")
-        if np.max(np.abs(self.transition.sum(axis=0) - 1.0)) > tol:
+        if np.max(np.abs(self.transition.sum(axis=0) - 1.0)) > 1e-12:
             raise ValueError("transition emission columns must sum to 1")
 
 

@@ -281,13 +281,13 @@ def subset(cohort, keep) -> RawCohort:
     )
 
 
-def filter_ids(cohort, required_variables, window_hours, min_stay_hours=24.0) -> list:
-    """Ids of patients with enough follow-up and every required variable
-    sampled in every window of the first day."""
+def filter_ids(cohort, required_variables, window_hours) -> list:
+    """Ids of patients with 24 h of follow-up or more and every required
+    variable sampled in every full window of the first day."""
     n_windows = 24 // window_hours
     kept = []
     for (pid, rows), hours in zip(cohort_rows(cohort).items(), cohort.event_hours.tolist()):
-        if hours < min_stay_hours:
+        if hours < 24.0:
             continue
         seen = {(v, t): False for v in required_variables for t in range(n_windows)}
         for variable, offset, _ in rows:

@@ -194,7 +194,7 @@ def test_04_pam_small_scale_optimality():
         distinct = {tuple(r) for r in rows}
         if k > len(distinct):
             continue
-        _, _, cost = pam_cluster(rows, k, kinds=kinds, ranges=ranges)
+        _, _, cost = pam_cluster(rows, k, kinds=kinds)
         dist = gower_matrix(rows, rows, kinds, ranges)
         uniq_idx = list({tuple(rows[i]): i for i in range(n)}.values())
         optimum = min(

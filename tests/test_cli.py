@@ -104,6 +104,7 @@ class TestConfigHandling:
             ("k_clusters", True, "config key 'k_clusters' must be an integer, got true"),
             ("seed", 1.5, "config key 'seed' must be an integer, got 1.5"),
             ("seed", None, "config key 'seed' must be an integer, got null"),
+            ("seed", -1, "seed must be at least 0, got -1"),
             ("cv", {"folds": "3"}, 'config key \'cv.folds\' must be an integer, got "3"'),
             ("cv", {"repeats": 2.0}, "config key 'cv.repeats' must be an integer, got 2.0"),
             ("smoothing_alpha", "1", 'config key \'smoothing_alpha\' must be a number, got "1"'),
@@ -118,8 +119,8 @@ class TestConfigHandling:
             "cv-one-fold", "cv-no-folds", "cv-no-repeats", "k_clusters-zero", "smoothing_alpha-zero",
             "smoothing_alpha-nan", "target_days-repeated", "target_days-empty", "target_days-zero",
             "duration_mode-unknown", "window_hours-fraction", "window_hours-string", "k_clusters-bool",
-            "seed-fraction", "seed-null", "cv-folds-string", "cv-repeats-float", "smoothing_alpha-string",
-            "smoothing_alpha-bool", "paths-out_dir-number", "paths-observations-number",
+            "seed-fraction", "seed-null", "seed-negative", "cv-folds-string", "cv-repeats-float",
+            "smoothing_alpha-string", "smoothing_alpha-bool", "paths-out_dir-number", "paths-observations-number",
             "paths-score_table-null", "paths-outcomes-list",
         ],
     )
@@ -154,6 +155,20 @@ class TestConfigHandling:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"paths": {"out_dir": str(tmp_path / "out")}}))
         assert run(["synth", "--config", cfg]) == 2
+
+    def test_negative_config_seed_trains_no_model(self, workdir, capsys):
+        # train would write model.json, and evaluate then fail in NumPy's SeedSequence
+        cfg = write_config(workdir, seed=-1)
+        assert run(["train", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: seed must be at least 0, got -1\n"
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train", "predict", "evaluate", "curves"])
+    def test_negative_seed_flag_rejected_by_every_command(self, workdir, capsys, command):
+        cfg = write_config(workdir)
+        assert run([command, "--config", cfg, "--seed", -5]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be at least 0, got -5\n"
+        assert not (workdir / "out").exists()
 
 
 class TestSynth:
@@ -252,6 +267,11 @@ MISSHAPEN_MODELS = [
     ("cluster.ranges", lambda m: m["cluster"].update(ranges=[True] + m["cluster"]["ranges"][1:])),
     ("medians.overall", lambda m: m["medians"].update(overall=["100"] + m["medians"]["overall"][1:])),
     ("days.5.fits.1.beta", lambda m: m["days"]["5"]["fits"][1].update(beta=[False] + m["days"]["5"]["fits"][1]["beta"][1:])),
+    # a variable's bins are a list of objects
+    ("score_table.gcs", lambda m: m["score_table"].update(gcs=5)),
+    ("score_table.gcs", lambda m: m["score_table"].update(gcs={"lower": 0})),
+    ("score_table.gcs", lambda m: m["score_table"].update(gcs="abc")),
+    ("score_table.gcs.0", lambda m: m["score_table"].update(gcs=[3])),
 ]
 
 
@@ -452,6 +472,22 @@ class TestFoldedInputErrors:
         for command in ("train", "evaluate"):
             assert run([command, "--config", cfg]) == 1
             assert capsys.readouterr().err == f"error: score_table.{field} must be an integer, got {value}\n"
+
+    @pytest.mark.parametrize("bins, message", [
+        (5, "score_table.gcs must be a list of bins, got 5"),
+        ({"lower": 0}, 'score_table.gcs must be a list of bins, got {"lower": 0}'),
+        ("abc", 'score_table.gcs must be a list of bins, got "abc"'),
+        ([3], "score_table.gcs.0 must be an object, got 3"),
+    ], ids=["number", "object", "string", "list-of-numbers"])
+    def test_score_table_file_bins_that_are_not_a_list_of_objects_named(self, workdir, capsys, bins, message):
+        table = load_default_score_table().to_json_obj()
+        table["gcs"] = bins
+        (workdir / "table.json").write_text(json.dumps(table))
+        paths = json.loads(Path(write_config(workdir)).read_text())["paths"]
+        cfg = write_config(workdir, paths={**paths, "score_table": str(workdir / "table.json")})
+        for command in ("train", "evaluate"):
+            assert run([command, "--config", cfg]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_files_covering_different_patients_named(self, workdir, capsys):
         cfg = write_config(workdir)

@@ -1,8 +1,10 @@
+import contextlib
 import gc
 import io
 import os
 import pickle
 import re
+import signal
 import threading
 import tracemalloc
 import warnings
@@ -552,6 +554,60 @@ class TestRangesInChildren:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert forks["fork"] == 0
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """A TimeoutError in this thread if the block takes `seconds` or more."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result in {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+class TestPipeInput:
+    """`load_cohort` of a named pipe fed by a writer thread: the pipe can be
+    read once, so it takes the one-CPU fold, even with ranges asked for."""
+
+    TABLE = load_default_score_table()
+
+    @pytest.mark.parametrize("odd", [[], ['"p98",gcs,5,9']], ids=["plain", "quoted"])
+    def test_pipe_gives_the_regular_files_tables(self, monkeypatch, tmp_path, odd):
+        # a quoted id mid-file sends the rest through the row loop, after
+        # the blocks before it (`_LineBlocks.rest` and `_Prepended`)
+        lines = TestRangesInChildren.LINES + odd + TestRangesInChildren.LINES[:5]
+        obs, out, pipe = tmp_path / "obs.csv", tmp_path / "out.csv", tmp_path / "obs.pipe"
+        obs.write_bytes(obs_stream(*lines).getvalue())
+        ids = dict.fromkeys(line.split(",")[0].strip('"') for line in lines)
+        out.write_bytes(out_stream(*(f"{pid},30,0" for pid in ids)).getvalue())
+        monkeypatch.setattr(cohort_module, "BLOCK_BYTES", 512)   # blocks before the quoted id
+        expected = load_cohort(obs, out, 720, self.TABLE)
+        os.mkfifo(pipe)
+        forks = count_calls(monkeypatch, os, "fork")
+        monkeypatch.setattr(cohort_module, "_RANGE_BYTES", 1000)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+        monkeypatch.setattr(threading, "active_count", lambda: 1)   # the writer is not what gates the ranges
+        row_loop = count_calls(monkeypatch, cohort_module, "_row_loop")
+        writer = threading.Thread(target=pipe.write_bytes, args=(obs.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            with time_limit(30):
+                piped = load_cohort(pipe, out, 720, self.TABLE)
+        finally:
+            if writer.is_alive():   # the pipe was never opened for reading: let the writer go
+                os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert_same_tables(piped, expected)
+        assert forks["fork"] == 0
+        assert row_loop["_row_loop"] == len(odd)
 
 
 def heart_rate_cohort(patient_ids=("p1",), **columns):

@@ -908,9 +908,9 @@ def test_pam_matches_unique_dedupe_oracle(case):
     ranges = numeric_ranges(rows, kinds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(features_module, "MAX_FIT_ROWS", max_fit_rows)
-        model, labels, cost = pam_cluster(rows, k, seed=5, kinds=kinds, ranges=ranges)
+        model, labels, cost = pam_cluster(rows, k, seed=5, kinds=kinds)
         mp.setattr(features_module, "distinct_rows", oracles.dedupe_rows_unique)
-        expected = pam_cluster(rows, k, seed=5, kinds=kinds, ranges=ranges)
+        expected = pam_cluster(rows, k, seed=5, kinds=kinds)
     assert model.medoids.tobytes() == expected[0].medoids.tobytes()
     assert np.array_equal(labels, expected[1])
     assert cost == expected[2]
@@ -926,9 +926,8 @@ def test_pam_matches_unique_dedupe_oracle(case):
 @given(pam_inputs())
 def test_pam_does_not_depend_on_row_order(case):
     rows, k, _, kinds, perm = case   # under the cap: no sample, no seed
-    ranges = numeric_ranges(rows, kinds)
-    model, labels, cost = pam_cluster(rows, k, seed=5, kinds=kinds, ranges=ranges)
-    permuted = pam_cluster(rows[perm], k, seed=6, kinds=kinds, ranges=ranges)
+    model, labels, cost = pam_cluster(rows, k, seed=5, kinds=kinds)
+    permuted = pam_cluster(rows[perm], k, seed=6, kinds=kinds)
     assert model.medoids.tobytes() == permuted[0].medoids.tobytes()
     assert np.array_equal(labels[perm], permuted[1])
     assert cost == permuted[2]
@@ -958,7 +957,7 @@ def labelled_rows(draw):
 def test_silhouette_matches_row_loop_oracle(case):
     rows, labels, kinds = case
     ranges = numeric_ranges(rows, kinds)
-    got = features_module.silhouette(rows, labels, kinds, ranges)
+    got = features_module.silhouette(rows, labels, kinds)
     assert got == pytest.approx(oracles.silhouette_loop(rows, labels, kinds, ranges), rel=0, abs=1e-12)
 
 

@@ -166,6 +166,22 @@ class TestScoreTable:
         with pytest.raises(ValueError, match=rf"^score_table\.x\.1\.{key} must be {what}, got null$"):
             ScoreTable.from_json_obj(obj)
 
+    @pytest.mark.parametrize("bins, message", [
+        (5, "score_table.gcs must be a list of bins, got 5"),
+        ({"lower": 0}, 'score_table.gcs must be a list of bins, got {"lower": 0}'),
+        ("abc", 'score_table.gcs must be a list of bins, got "abc"'),
+        ([3], "score_table.gcs.0 must be an object, got 3"),
+        ([{"lower": 0, "upper": 1, "score": 0}, None], "score_table.gcs.1 must be an object, got null"),
+    ], ids=["number", "object", "string", "list-of-numbers", "null-bin"])
+    def test_bins_that_are_not_a_list_of_objects_named(self, bins, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScoreTable.from_json_obj({"gcs": bins, "default_score": 0})
+
+    @pytest.mark.parametrize("obj", [[], 5], ids=["list", "number"])
+    def test_table_that_is_not_an_object_with_a_default_score_rejected(self, obj):
+        with pytest.raises(ValueError, match="^score table is not an object with a 'default_score'$"):
+            ScoreTable.from_json_obj(obj)
+
 
 class TestWindowing:
     def test_12h_windows_gives_two(self):
@@ -417,7 +433,7 @@ class TestPam:
             rows = rng.uniform(0, 10, (n, int(rng.integers(1, 4))))
             kinds = (NUMERIC,) * rows.shape[1]
             ranges = numeric_ranges(rows, kinds)
-            _, _, cost = pam_cluster(rows, k, kinds=kinds, ranges=ranges)
+            _, _, cost = pam_cluster(rows, k, kinds=kinds)
             dist = gower_matrix(rows, rows, kinds, ranges)
             best = min(
                 dist[:, list(c)].min(axis=1).sum()
@@ -497,10 +513,9 @@ def test_silhouette_prefers_true_structure():
         rng.normal(5, 0.3, (20, 2)),
     ])
     kinds = (NUMERIC, NUMERIC)
-    ranges = numeric_ranges(rows, kinds)
-    _, labels2, _ = pam_cluster(rows, 2, kinds=kinds, ranges=ranges)
-    _, labels5, _ = pam_cluster(rows, 5, kinds=kinds, ranges=ranges)
-    assert silhouette(rows, labels2, kinds, ranges) > silhouette(rows, labels5, kinds, ranges)
+    _, labels2, _ = pam_cluster(rows, 2, kinds=kinds)
+    _, labels5, _ = pam_cluster(rows, 5, kinds=kinds)
+    assert silhouette(rows, labels2, kinds) > silhouette(rows, labels5, kinds)
 
 
 def test_silhouette_is_the_same_in_small_chunks(monkeypatch):
@@ -508,7 +523,6 @@ def test_silhouette_is_the_same_in_small_chunks(monkeypatch):
     rows = rng.integers(0, 4, (200, 3)).astype(float)
     labels = rng.integers(1, 5, 200)
     kinds = (NUMERIC,) * 3
-    ranges = numeric_ranges(rows, kinds)
-    whole = silhouette(rows, labels, kinds, ranges)
+    whole = silhouette(rows, labels, kinds)
     monkeypatch.setattr(features_module, "SILHOUETTE_CHUNK", 7)
-    assert silhouette(rows, labels, kinds, ranges) == pytest.approx(whole, rel=1e-12)
+    assert silhouette(rows, labels, kinds) == pytest.approx(whole, rel=1e-12)
