@@ -390,6 +390,8 @@ def main(argv=None) -> int:
         cfg = PipelineConfig.from_file(args.config)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be at least 0, got {args.seed}")
+        if args.seed is not None and args.seed >= 2**64:   # synth's seed is a uint64
+            raise ConfigError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
         if args.seed is not None and args.command != "synth":
             cfg.seed = args.seed
         if args.out_dir is not None:

@@ -23,6 +23,7 @@ import re
 import signal
 import threading
 import typing
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -738,16 +739,71 @@ def _merge_ranges(folds) -> "WindowTables":
     return tables.finish(list(patients), vocabulary, None, None)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (1 without `os.sched_getaffinity`)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def map_in_children(fn, items) -> "list | None":
+    """[fn(item) for item in items]: the first here, each other in a forked
+    child that pickles its result and warnings back over a pipe; the children's
+    warnings are shown here afterwards, in item order. None, with no fork, for
+    fewer than 2 items or a second live thread; None too if a fork fails or a
+    child exits without its result, as on an exception in fn: the caller then
+    runs serially and raises the serial error. Every child is reaped on every path."""
+    if len(items) < 2 or threading.active_count() > 1:
+        return None
+    children = []   # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for item in items[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:   # no process to spare: kill the children so far
+                os.close(read)
+                os.close(write)
+                return None
+            if pid == 0:   # the child exits here, whatever is raised
+                try:
+                    with open(write, "wb") as pipe, warnings.catch_warnings(record=True) as caught:
+                        result = fn(item)   # its warnings pass the filters here, then go with it
+                        warned = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+                        pickle.dump((result, warned), pipe, pickle.HIGHEST_PROTOCOL)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results, caught = [fn(items[0])], []
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status != 0 or not data:
+                return None
+            result, warned = pickle.loads(data)
+            results.append(result)
+            caught += warned
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for shown in caught:
+        warnings.showwarning(*shown)
+    return results
+
+
 def _fold_in_ranges(path, window_minutes, table) -> "WindowTables | None":
-    """The file's fold from n ranges cut at newlines, the first folded here and
-    the others in forked children; None, with no fork, unless n = min(usable
-    CPUs, bytes past the header // _RANGE_BYTES) >= 2, the file is regular and
-    starts with the header, and this is the process's one thread; None too if a
-    range is declined, a fork fails or a child sends no fold. Every child is reaped."""
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    """The file's fold from n ranges cut at newlines, folded at once
+    (`map_in_children`); None unless n = min(usable CPUs, bytes past the header
+    // _RANGE_BYTES) >= 2, the file is regular and starts with the header, and
+    every range was folded."""
     head, size = len(_OBSERVATIONS_HEADER_LINE), os.stat(path).st_size
-    n = min(usable, (size - head) // _RANGE_BYTES)
-    if n < 2 or not os.path.isfile(path) or threading.active_count() > 1:
+    n = min(usable_cpus(), (size - head) // _RANGE_BYTES)
+    if n < 2 or not os.path.isfile(path):
         return None
     with open(path, "rb") as f:
         if f.read(head) != _OBSERVATIONS_HEADER_LINE:
@@ -755,39 +811,8 @@ def _fold_in_ranges(path, window_minutes, table) -> "WindowTables | None":
         # each cut is the first line start at or after its share: seek's position plus the line read
         cuts = [head] + [f.seek(head + i * (size - head) // n - 1) + len(f.readline()) for i in range(1, n)]
     ranges = list(zip(cuts, cuts[1:] + [size]))
-    children = []   # (pid, read end of its pipe) of each child not yet reaped
-    try:
-        for start, stop in ranges[1:]:
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:   # no process to spare: kill the children so far, fold serially
-                os.close(read)
-                os.close(write)
-                return None
-            if pid == 0:   # the child exits here, whatever is raised
-                try:
-                    with open(write, "wb") as pipe:
-                        pickle.dump(_fold_range(path, start, stop, window_minutes, table), pipe, pickle.HIGHEST_PROTOCOL)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            os.close(write)
-            children.append((pid, open(read, "rb")))
-        folds = [_fold_range(path, *ranges[0], window_minutes, table)]
-        while children and folds[-1] is not None:
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            folds.append(pickle.loads(data) if status == 0 and data else None)
-    finally:
-        for pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return None if folds[-1] is None else _merge_ranges(folds)
+    folds = map_in_children(lambda cut: _fold_range(path, *cut, window_minutes, table), ranges)
+    return None if folds is None or any(fold is None for fold in folds) else _merge_ranges(folds)
 
 
 def load_cohort(observations_path, outcomes_path, window_minutes: int, table) -> "WindowTables":

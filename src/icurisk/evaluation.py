@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cohort import DEFAULT_REQUIRED_VARIABLES, WindowTables, filter_cohort
+from .cohort import DEFAULT_REQUIRED_VARIABLES, WindowTables, filter_cohort, map_in_children, usable_cpus
 from .features import build_feature_matrix, distinct_rows, window_hours_of
 from .hmm import fit_feature_stage, fit_risk_model, normal_band, score_patients
 from .survival import (
@@ -364,6 +364,13 @@ def run_cv(
     the model's (`window_hours_of`). The patients are filtered on the
     tables; the model's window scores and the first-day baselines are read
     from them.
+
+    The (repeat, fold) units depend only on the tables, `seed` and their own
+    indexes, so they run in n = min(usable CPUs, units) blocks of consecutive
+    units, here and in forked children (`map_in_children`); the records join
+    in unit order, bit for bit the serial ones, a child's warnings are shown
+    in unit order and an error is the serial one. With one usable CPU
+    (`taskset -c 0`) the units run here in turn.
     """
     tables = filter_cohort(cohort, required_variables, window_hours_of(cohort))
     del cohort
@@ -384,11 +391,14 @@ def run_cv(
     # The baselines are fit on distinct first-day rows: grouped once here, regrouped per fold.
     first, baseline_group = distinct_rows(baseline_features)
 
-    records: list[MetricRecord] = []
     metric_fns = {"aucpr": aucpr, "cstat": concordance, "auroc": auroc}
-    for repeat in range(repeats):
-        fold_of = _draw_valid_folds(seed, repeat, tables.died, day_events, folds)
-        for fold in range(folds):
+
+    def block_records(block) -> list[MetricRecord]:
+        """The records of consecutive (repeat, fold) units, in unit order."""
+        records = []
+        for repeat, fold in block:
+            if fold == 0 or (repeat, fold) == block[0]:
+                fold_of = _draw_valid_folds(seed, repeat, tables.died, day_events, folds)
             test = fold_of == fold
             train_idx = np.flatnonzero(~test)
             test_idx = np.flatnonzero(test)
@@ -430,7 +440,12 @@ def run_cv(
                         records.append(
                             MetricRecord(day, method, metric, repeat, fold, fn(scored))
                         )
+        return records
 
+    units = [(repeat, fold) for repeat in range(repeats) for fold in range(folds)]
+    n = min(usable_cpus(), len(units))
+    blocks = [units[i * len(units) // n:(i + 1) * len(units) // n] for i in range(n)]
+    records = [r for block in map_in_children(block_records, blocks) or [block_records(units)] for r in block]
     return _aggregate(records, target_days, day_events, folds, repeats, seed)
 
 

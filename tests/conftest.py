@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -104,6 +105,12 @@ def count_calls(monkeypatch, module, *names):
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def no_child_left():
+    """This process has no child, live or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_cohort_files(cohort, directory):

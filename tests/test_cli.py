@@ -170,6 +170,23 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "config error: --seed must be at least 0, got -5\n"
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "train", "predict", "evaluate", "curves"])
+    def test_seed_flag_past_64_bits_rejected_by_every_command(self, workdir, capsys, command):
+        cfg = write_config(workdir)
+        assert run([command, "--config", cfg, "--seed", 2**64]) == 2
+        assert capsys.readouterr().err == f"config error: --seed must fit in 64 unsigned bits, got {2**64}\n"
+        assert not (workdir / "out").exists()
+
+    def test_synth_seed_past_64_bits_is_a_usage_error_as_flag_or_config(self, workdir, capsys):
+        # the same value through the config's synth block: also exit 2, naming the seed
+        synth = json.loads(write_config(workdir).read_text())["synth"]
+        cfg = write_config(workdir, synth={**synth, "seed": 2**64})
+        assert run(["synth", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: invalid config value: seed must fit in 64 unsigned bits\n"
+        assert run(["synth", "--config", write_config(workdir), "--seed", 2**64 - 1, "--out-dir", workdir / "max"]) == 0
+        assert (workdir / "max" / "observations.csv").stat().st_size > 0
+        assert not (workdir / "out").exists()
+
 
 class TestSynth:
     def test_writes_deterministic_csvs(self, tmp_path):

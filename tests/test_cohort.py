@@ -33,6 +33,7 @@ from conftest import (
     assert_same_tables,
     cohort_from_rows,
     count_calls,
+    no_child_left,
     parse_observations,
     rows_cohort,
     write_cohort_files,
@@ -402,11 +403,6 @@ class TestRangeFold:
         cut = head + len(b"p1,heart_rate,30,112\n")
         assert cohort_module._fold_range(obs, head, cut, 720, None) is not None
         assert cohort_module._fold_range(obs, cut, obs.stat().st_size, 720, None) is None
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 class TestRangesInChildren:

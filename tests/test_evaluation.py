@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pickle
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ import icurisk.evaluation
 import icurisk.features
 import icurisk.hmm
 import icurisk.survival
-from icurisk.cohort import filter_cohort, window_tables
+from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort, window_tables
 from icurisk.evaluation import (
     ALL_METHODS,
     ALL_METRICS,
@@ -29,7 +33,7 @@ from icurisk.evaluation import (
     run_cv,
 )
 from icurisk.features import build_feature_matrix, distinct_rows, load_default_score_table
-from conftest import cohort_from_rows, count_calls
+from conftest import cohort_from_rows, count_calls, no_child_left
 import oracles
 
 
@@ -367,6 +371,7 @@ def test_each_fold_imputes_and_encodes_its_test_rows_once(small_cohort, monkeypa
     encodes nothing) and scoring imputes and encodes the test rows once for
     all four target days."""
     calls = count_calls(monkeypatch, icurisk.hmm, "impute_median", "encode_observations")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})   # counted here: every fold in this process
     table = load_default_score_table()
     run_cv(window_tables(small_cohort, 720, table), repeats=1, folds=3, seed=5)
     assert calls == {"impute_median": 3 * 2, "encode_observations": 3}
@@ -485,3 +490,160 @@ class TestRunCv:
         assert "normal" in report.metadata["ci_method"]
         assert "average precision" in report.metadata["aucpr_estimator"]
         assert set(report.metadata["aucpr_baseline"]) == {"2", "3", "4", "5"}
+
+
+def cv_with_cpus(monkeypatch, tables, cpus, **kwargs):
+    """`run_cv` of `tables`, 2 repeats at seed 5 unless given, with `cpus`
+    usable CPUs; no child is left afterwards, whatever it raised."""
+    with monkeypatch.context() as mp:
+        mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        try:
+            return run_cv(tables, **{"repeats": 2, "seed": 5, **kwargs})
+        finally:
+            no_child_left()
+
+
+def report_bytes(report):
+    """What `icurisk evaluate` writes of a report: report.json's object and metrics.csv's rows."""
+    return json.dumps(report.to_json_obj(), sort_keys=True), list(report.csv_rows())
+
+
+class TestCvInChildren:
+    """`run_cv`'s (repeat, fold) units in blocks of consecutive units, one
+    per usable CPU, the first here and the others in forked children."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, small_cohort):
+        return window_tables(small_cohort, 720, load_default_score_table())
+
+    @pytest.fixture(scope="class")
+    def serial(self, tables):
+        """The report of 2 repeats with one usable CPU, in bytes."""
+        with pytest.MonkeyPatch.context() as mp:
+            forks = count_calls(mp, os, "fork")
+            report = cv_with_cpus(mp, tables, 1)
+        assert forks["fork"] == 0
+        return report_bytes(report)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        return count_calls(monkeypatch, os, "fork")
+
+    @staticmethod
+    def draw_in_parent_or_child(monkeypatch, in_parent, in_child):
+        """`_draw_valid_folds`, which each block calls first, calls `in_parent`
+        here and `in_child` in a forked child, then draws as before."""
+        parent, draw = os.getpid(), icurisk.evaluation._draw_valid_folds
+
+        def drawn(*args):
+            (in_parent if os.getpid() == parent else in_child)()
+            return draw(*args)
+
+        monkeypatch.setattr(icurisk.evaluation, "_draw_valid_folds", drawn)
+
+    @pytest.mark.parametrize(("cpus", "repeats"), [(3, 2), (2, 3), (4, 1)], ids=["2+2+2", "4+5", "1+1+1"])
+    def test_blocks_give_the_serial_report(self, monkeypatch, tables, forks, cpus, repeats):
+        serial = report_bytes(cv_with_cpus(monkeypatch, tables, 1, repeats=repeats))
+        assert forks["fork"] == 0
+        drawn = []   # fold draws here: one per repeat of the first block, none of a serial rerun
+        self.draw_in_parent_or_child(monkeypatch, lambda: drawn.append(True), lambda: None)
+        assert report_bytes(cv_with_cpus(monkeypatch, tables, cpus, repeats=repeats)) == serial
+        units = [(repeat, fold) for repeat in range(repeats) for fold in range(3)]
+        assert forks["fork"] == min(cpus, len(units)) - 1
+        first_block = units[:len(units) // min(cpus, len(units))]
+        assert len(drawn) == len({repeat for repeat, _ in first_block})
+
+    @pytest.mark.parametrize("how", ["exit", "torn"])
+    def test_child_without_its_records_gives_the_serial_report(self, monkeypatch, tables, serial, forks, how):
+        # a child exits 0 before it sends anything, or fails halfway through sending
+        if how == "exit":
+            self.draw_in_parent_or_child(monkeypatch, lambda: None, lambda: os._exit(0))
+        else:
+            def torn(records, pipe, protocol):   # only a child sends records
+                pipe.write(pickle.dumps(records, protocol)[:100])
+                raise OSError("connection lost")
+
+            monkeypatch.setattr(pickle, "dump", torn)
+        assert report_bytes(cv_with_cpus(monkeypatch, tables, 3)) == serial
+        assert forks["fork"] == 2
+
+    def test_failed_fork_gives_the_serial_report(self, monkeypatch, tables, serial):
+        fork, calls = os.fork, []
+
+        def second_fails():   # the first child is forked, then no process is to be had
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise BlockingIOError("Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert report_bytes(cv_with_cpus(monkeypatch, tables, 3)) == serial
+        assert len(calls) == 2
+
+    def test_interrupt_leaves_no_child(self, monkeypatch, tables, forks):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        self.draw_in_parent_or_child(monkeypatch, interrupt, lambda: None)
+        with pytest.raises(KeyboardInterrupt):
+            cv_with_cpus(monkeypatch, tables, 3)
+        assert forks["fork"] == 2
+
+    def test_second_thread_never_forks(self, monkeypatch, tables, serial, forks):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert report_bytes(cv_with_cpus(monkeypatch, tables, 3)) == serial
+        finally:
+            stop.set()
+            thread.join()
+        assert forks["fork"] == 0
+
+    @pytest.mark.parametrize(("seed", "drawn"), [(9, [0]), (2, [0, 0, 1])], ids=["in-parent", "in-child"])
+    def test_error_is_the_serial_error(self, monkeypatch, forks, seed, drawn):
+        # On this cohort the logistic baseline of one fold hits quasi-separation:
+        # at seed 9 in repeat 0, the parent's block; at seed 2 in repeat 1, the
+        # child's, so the parent's block is drawn again in the serial run.
+        cohort = generate_synthetic_cohort(SynthConfig(
+            n_patients=500, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
+            sampling_rate_per_hour=1.0, seed=9,
+        ))
+        tables = window_tables(cohort, 720, load_default_score_table())
+        with pytest.raises(ValueError) as serial:
+            cv_with_cpus(monkeypatch, tables, 1, seed=seed)
+        assert str(serial.value) == "quasi-separation: coefficient magnitude exceeded 30"
+        draws, draw = [], icurisk.evaluation._draw_valid_folds
+        monkeypatch.setattr(icurisk.evaluation, "_draw_valid_folds", lambda *args: draws.append(args[1]) or draw(*args))
+        with pytest.raises(ValueError) as in_blocks:
+            cv_with_cpus(monkeypatch, tables, 2, seed=seed)
+        assert str(in_blocks.value) == str(serial.value)
+        assert forks["fork"] == 1
+        assert draws == drawn
+
+    def test_child_warnings_are_shown_in_unit_order(self, monkeypatch, tables, forks):
+        # (0, 2) is the parent's last unit, (1, 0) and (1, 2) the child's first and last
+        unit, fit_stage, label = [None], icurisk.evaluation.fit_feature_stage, icurisk.survival.label_hidden_states
+
+        def stage(matrix, k, seed):
+            unit[0] = tuple(seed[1:])
+            return fit_stage(matrix, k, seed=seed)
+
+        def labelled(*args):
+            if unit[0] in ((0, 2), (1, 0), (1, 2)):
+                warnings.warn(f"unit {unit[0]}, day {args[4].target_day}", UserWarning)
+            return label(*args)
+
+        monkeypatch.setattr(icurisk.evaluation, "fit_feature_stage", stage)
+        for module in (icurisk.survival, icurisk.hmm):
+            monkeypatch.setattr(module, "label_hidden_states", labelled)
+        shown = {}
+        for cpus in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cv_with_cpus(monkeypatch, tables, cpus)
+            shown[cpus] = [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+        assert forks["fork"] == 1
+        assert [message for _, message, _, _ in shown[1]] == [
+            f"unit {u}, day {day}" for u in ((0, 2), (1, 0), (1, 2)) for day in (2, 3, 4, 5)]
+        assert shown[2] == shown[1]
