@@ -72,6 +72,14 @@ _CONFIG_NUMBERS = {
 }
 
 
+def _check_seed(key: str, seed: int) -> None:
+    """The one bound of a seed, from the config or --seed: a uint64, as synth's."""
+    if seed < 0:
+        raise ConfigError(f"{key} must be at least 0, got {seed}")
+    if seed >= 2**64:
+        raise ConfigError(f"{key} must fit in 64 unsigned bits, got {seed}")
+
+
 @dataclass
 class PipelineConfig:
     observations_path: str | None = None
@@ -146,9 +154,10 @@ class PipelineConfig:
         if cfg.duration_mode not in (AS_PRINTED, REMAINING):
             raise ConfigError(f"duration_mode must be {AS_PRINTED!r} or {REMAINING!r}, got {cfg.duration_mode!r}")
         for key, value, least in (("cv.folds", cfg.cv_folds, 2), ("cv.repeats", cfg.cv_repeats, 1),
-                                  ("k_clusters", cfg.k_clusters, 1), ("seed", cfg.seed, 0)):
+                                  ("k_clusters", cfg.k_clusters, 1)):
             if value < least:
                 raise ConfigError(f"{key} must be at least {least}, got {value}")
+        _check_seed("seed", cfg.seed)
         if not cfg.smoothing_alpha > 0:   # NaN included
             raise ConfigError(f"smoothing_alpha must be > 0, got {cfg.smoothing_alpha}")
         return cfg
@@ -388,10 +397,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = PipelineConfig.from_file(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be at least 0, got {args.seed}")
-        if args.seed is not None and args.seed >= 2**64:   # synth's seed is a uint64
-            raise ConfigError(f"--seed must fit in 64 unsigned bits, got {args.seed}")
+        if args.seed is not None:
+            _check_seed("--seed", args.seed)
         if args.seed is not None and args.command != "synth":
             cfg.seed = args.seed
         if args.out_dir is not None:

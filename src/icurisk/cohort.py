@@ -217,49 +217,74 @@ def _csv_rows(lines, header, what, line_no=1):
 
 class _LineBlocks:
     """A binary stream, or its next `size` bytes, read as blocks of whole
-    lines: BLOCK_BYTES at a time, cut after the last newline. The last block
-    may lack its final newline. After a block is declined, `rest()` gives
-    that block and everything after it as text lines, for `_csv_rows`.
+    lines, BLOCK_BYTES at a time, cut after the last newline, into one
+    buffer that every block reuses. Each block is (data, lo, hi): its lines
+    are bytes [lo, hi) of `data`, with _PAD bytes before them and, after
+    them, the next line's start, a newline and _MAX_FIELD_BYTES zero bytes,
+    so that they are parsed in place (`_line_fields`) until the next block
+    is read. A last line without its newline takes that newline. After a
+    block is declined, `rest()` gives that block and everything after it as
+    text lines, for `_csv_rows`.
     """
 
     def __init__(self, stream, size=math.inf):
         _check_stream(stream)
         self._stream, self._left = stream, size
-        self._block = self._carry = b""
+        self._rest = b"", _PAD
 
     def __iter__(self):
-        while data := self._stream.read(min(BLOCK_BYTES, self._left)):
-            self._left -= len(data)
-            data = self._carry + data
-            cut = data.rfind(b"\n") + 1
-            self._block, self._carry = data[:cut], data[cut:]
-            if cut:
-                yield self._block
-        if self._carry:
-            self._block, self._carry = self._carry, b""
-            yield self._block
+        data, end = bytearray(), _PAD   # the bytes read so far end at `end`
+        while True:
+            want = min(BLOCK_BYTES, self._left)
+            if len(data) < end + want + len(_TAIL):
+                data = data[:end] + bytearray(2 * (want + len(_TAIL)))
+            read = self._stream.readinto(memoryview(data)[end : end + want])
+            self._left -= read
+            end += read
+            data[end : end + len(_TAIL)] = _TAIL
+            if read:
+                hi = data.rfind(b"\n", _PAD, end) + 1   # 0 before a whole line
+            else:
+                hi = end + 1 if end > _PAD else 0   # a last line takes the tail's newline
+            if hi:
+                self._rest = data, end
+                yield data, _PAD, hi
+            if not read:
+                return
+            if hi > _PAD:   # the next line's start begins the next block
+                data[_PAD : _PAD + end - hi] = data[hi:end]
+                end -= hi - _PAD
 
     def rest(self):
-        return _text_lines(self._stream, self._block + self._carry)
+        data, end = self._rest
+        return _text_lines(self._stream, bytes(data[_PAD:end]))
 
 
 _OBSERVATIONS_HEADER_LINE = ",".join(OBSERVATIONS_HEADER).encode() + b"\n"
+_OUTCOMES_HEADER_LINE = ",".join(OUTCOMES_HEADER).encode() + b"\n"
 # The vectorised parser leaves rows with a longer field to the row loop,
 # which also enforces csv's field size limit.
 _MAX_FIELD_BYTES = 64
-_MIX = np.uint64(0x9E3779B97F4A7C15)   # odd multiplier of the field hash
-_SEPARATORS = np.array([ord(","), ord(","), ord(","), ord("\n")], dtype=np.uint8)
+_MAX_WORDS = _MAX_FIELD_BYTES // 8
+# Bytes a block's lines have before them (`_LineBlocks`): room for the 3
+# words that end at a number field of up to 19 bytes (`_number_words`).
+# After them come a newline, for a last line without one, and room for the
+# words of a field that starts in the last line (`_field_words`).
+_PAD = 24
+_TAIL = b"\n" + bytes(_MAX_FIELD_BYTES)
+_MIX = np.uint64(0x9E3779B97F4A7C15)   # odd multiplier of the text hash
 
 
 def _each_byte(byte):
     return np.uint64(int.from_bytes(bytes([byte]) * 8, "little"))
 
 
-# Word-wise constants of the field, digit and decimal parsers. Blocks are
-# ASCII, so no byte has its high bit set and adding 0x76 or 0x7f to one
-# carries into none.
-_ZEROS, _DOTS = _each_byte(ord("0")), _each_byte(ord("."))
-_DOT_TO_ZERO = np.uint64(ord(".") ^ ord("0"))
+# Word-wise constants of the digit and decimal parsers. Blocks are ASCII, so
+# no byte has its high bit set, and adding 0x76 or 0x7f to one carries into
+# none; a byte minus "0" is a digit's value, and 0x1e for a ".".
+_ZEROS, _ONES = _each_byte(ord("0")), _each_byte(1)
+_DOT_DIGIT = np.uint64(ord(".") ^ ord("0"))
+_DOT_DIGITS = _each_byte(ord(".") ^ ord("0"))
 _ABOVE_NINE = _each_byte(0x80 - 10)     # sets the high bit of a byte over 9
 _LOW_BITS, _HIGH_BITS = _each_byte(0x7F), _each_byte(0x80)
 _SEVEN, _TOP_BYTE = np.uint64(7), np.uint64(56)
@@ -273,18 +298,16 @@ _SWAR_STEPS = tuple(
     )
 )
 _POW10 = np.array([10**n for n in range(20)], dtype=np.uint64)
-_NINE_POW10 = 9 * _POW10[:19]
 _POW10_LONG = _POW10.astype(np.longdouble)
-# Indexed [j, n] for a field of n bytes: its bytes in word j, a mask that
-# keeps them, the left shift that takes them to the top of the word (a
-# shift of 64 gives 0), and 10 to their number.
-_IN_WORD = np.clip(np.arange(_MAX_FIELD_BYTES + 1) - 8 * np.arange(_MAX_FIELD_BYTES // 8)[:, None], 0, 8)
-_KEEP_IN_WORD = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)[_IN_WORD]
-_ALIGN_IN_WORD = (64 - 8 * _IN_WORD).astype(np.uint64)
-_POW10_IN_WORD = _POW10[_IN_WORD]
-# The top byte of a word with 1 in byte p alone, times _DOT_PLACE[j], is
-# 8j + p + 1: the place of a "." in word j of a field, counted from 1.
-_DOT_PLACE = [np.uint64(int.from_bytes(bytes(8 * j + 8 - i for i in range(8)), "little")) for j in range(3)]
+# Indexed [j, n] for a field of n bytes: how many of its bytes lie in word j
+# counted from its start (`_field_words`) or from its end (`_number_words`),
+# and a mask that keeps them: the low bytes of a word, or the high ones.
+_IN_WORD = np.clip(np.arange(_MAX_FIELD_BYTES + 1) - 8 * np.arange(_MAX_WORDS)[:, None], 0, 8)
+_KEEP_LOW = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)[_IN_WORD]
+_KEEP_HIGH = np.array([((1 << 8 * n) - 1) << (64 - 8 * n) for n in range(9)], dtype=np.uint64)[_IN_WORD]
+# The top byte of a word with 1 in byte p alone, times _AFTER_DOT[i], is
+# 7 - p + 8i: the bytes after byte p of word i counted from a field's end.
+_AFTER_DOT = np.array([int.from_bytes(bytes(q + 8 * i for q in range(8)), "little") for i in range(3)], dtype=np.uint64)
 # Rows `_values` hands `_plain_decimals` at a time: few enough that its
 # temporaries stay small and in cache.
 _DECIMAL_ROWS = 1 << 14
@@ -294,16 +317,67 @@ _DECIMAL_ROWS = 1 << 14
 _EXACT_QUOTIENTS = np.finfo(np.longdouble).nmant >= 63 and np.finfo(np.longdouble).nexp > 11
 
 
+def _line_fields(data, lo, hi, n_fields):
+    """(buf, end, length) of the lines of n_fields comma-separated fields in
+    bytes [lo, hi) of `data`, which hold _PAD bytes before them and
+    _MAX_FIELD_BYTES bytes after them (`_LineBlocks`): `buf`, those bytes as
+    uint8, from _PAD before `lo`, and (lines, n_fields) arrays of the byte
+    after each field, counted from `lo`, and of its length. None when
+    the lines hold a `"`, a carriage return, a NUL or a non-ASCII byte, a
+    line without exactly n_fields - 1 commas (empty lines and quoted fields
+    among them), or a field over _MAX_FIELD_BYTES.
+    """
+    if hi <= lo or any(data.find(c, lo, hi) >= 0 for c in (b'"', b"\r", b"\0")):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8, offset=lo - _PAD)
+    text = buf[_PAD : _PAD + hi - lo]
+    if text.max() >= 0x80:
+        return None
+    separator = np.flatnonzero(text <= ord(","))
+    kind = text[separator]
+    pattern = np.array([ord(",")] * (n_fields - 1) + [ord("\n")], dtype=np.uint8)
+    for _ in range(2):
+        if kind.size % n_fields == 0 and (kind.reshape(-1, n_fields) == pattern).all():
+            break
+        # the other bytes up to "," (a "+" or a space in a value) separate nothing
+        keep = (kind == ord(",")) | (kind == ord("\n"))
+        separator, kind = separator[keep], kind[keep]
+    else:
+        return None
+    length = np.empty_like(separator)
+    length[0] = separator[0]
+    np.subtract(separator[1:], separator[:-1], out=length[1:])
+    length[1:] -= 1
+    if int(length.max()) > _MAX_FIELD_BYTES:
+        return None
+    return buf, separator.reshape(-1, n_fields), length.reshape(-1, n_fields)
+
+
 def _field_words(buf, start, length):
-    """Each row's field of `length` bytes from byte `start` of `buf`,
-    zero-padded to whole 8-byte words: a (rows, n) '<u8' array. `buf` holds
-    _MAX_FIELD_BYTES bytes past the end of any field."""
+    """Each row's field of `length` bytes from byte `start` of a block
+    (`_line_fields`), zero-padded to whole 8-byte words: a (rows, n) '<u8'
+    array."""
     n = max(1, -(-int(length.max()) // 8))
-    spans = np.ndarray((buf.size - 8 * n + 1,), dtype=f"V{8 * n}", buffer=buf, strides=(1,))
+    spans = np.ndarray((buf.size - _PAD - 8 * n + 1,), dtype=f"V{8 * n}", buffer=buf, offset=_PAD, strides=(1,))
     out = spans[start].view("<u8").reshape(start.size, n)
     for j in range(n):
-        out[:, j] &= _KEEP_IN_WORD[j].take(length)
+        out[:, j] &= _KEEP_LOW[j].take(length)
     return out
+
+
+def _number_words(buf, end, size):
+    """The last `size` (at most 24) bytes of each field ending before byte
+    `end` of a block, each minus "0" (a digit's value), at the end of n
+    '<u8' words and 0 before them: an (n, fields) array, so that each word
+    is contiguous. Digits are right-aligned: word j holds the digits of
+    10**(8 * (n - 1 - j)) whatever the field's size."""
+    n = max(1, -(-int(size.max()) // 8))
+    spans = np.ndarray((buf.size - _PAD + 1,), dtype=f"V{8 * n}", buffer=buf, offset=_PAD - 8 * n, strides=(1,))
+    words = spans[end].view("<u8").reshape(end.size, n).T.copy()
+    words ^= _ZEROS
+    for j in range(n):
+        words[j] &= _KEEP_HIGH[n - 1 - j].take(size)
+    return words
 
 
 def _as_strings(fields):
@@ -311,117 +385,202 @@ def _as_strings(fields):
     return fields.view(f"S{8 * fields.shape[1]}").ravel()
 
 
-def _text_keys(fields):
-    """A 64-bit hash of each row's text (`_field_words` output)."""
-    key = fields[:, 0].copy()
-    for j in range(1, fields.shape[1]):
-        key *= _MIX
-        key ^= fields[:, j]
-    return key
+def _texts(ids) -> list[str]:
+    """Ids as str: `_field_words` output, decoded in one pass (a block's
+    texts hold no newline), or an object array of str."""
+    if ids.dtype == object:
+        return ids.tolist()
+    return b"\n".join(_as_strings(ids).tolist()).decode("ascii").split("\n") if len(ids) else []
 
 
-def _codes(fields, index):
+def _widened(words, n):
+    """`_field_words` output with zero words up to n words a row."""
+    out = np.zeros((words.shape[0], n), dtype=np.uint64)
+    out[:, : words.shape[1]] = words
+    return out
+
+
+def _text_keys(words):
+    """A 64-bit hash of each row's text (`_field_words` output), the same for
+    any number of zero words after it: word j weighs _MIX**(_MAX_WORDS - 1 - j)."""
+    weight = [np.uint64(pow(int(_MIX), _MAX_WORDS - 1 - j, 1 << 64)) for j in range(words.shape[1])]
+    keys = words[:, 0] * weight[0]
+    for j in range(1, words.shape[1]):
+        keys += words[:, j] * weight[j]
+    return keys
+
+
+def _first_appearance(words):
+    """(rank, first) of the rows' texts (`_field_words` output): rank[i]
+    numbers row i's text in order of first appearance, and first[r] is the
+    first row of text r."""
+    _, first, inverse = np.unique(_text_keys(words), return_index=True, return_inverse=True)
+    if not np.array_equal(words, words[first[inverse]]):
+        # two texts share a hash: tell them apart by the text itself
+        _, first, inverse = np.unique(_as_strings(words), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()], first[order]
+
+
+def _codes(words, index):
     """The code in `index` of each row's text (`_field_words` output).
     `index` maps text to code and numbers the texts it lacks in order of
     first appearance."""
-    key = _text_keys(fields)
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    if fields.shape[1] > 1 and not np.array_equal(fields, fields[first[inverse]]):
-        # two texts share a hash: tell them apart by the text itself
-        _, first, inverse = np.unique(_as_strings(fields), return_index=True, return_inverse=True)
-    texts = _as_strings(fields[first]).tolist()
-    codes = np.empty(first.size, dtype=np.int64)
-    for j in np.argsort(first).tolist():
-        codes[j] = index.setdefault(texts[j].decode("ascii"), len(index))
-    return codes[inverse]
-
-
-_MAX_WORDS = _MAX_FIELD_BYTES // 8
+    rank, first = _first_appearance(words)
+    texts = _as_strings(words[first]).tolist()
+    return np.array([index.setdefault(text.decode("ascii"), len(index)) for text in texts], dtype=np.int64)[rank]
 
 
 class _SeenTexts:
     """`_codes` for a column with few distinct texts, such as the variable
-    names: `index` maps text to code, and the texts numbered so far are kept
-    sorted by hash key, with their codes and words. A block's rows whose
-    text was seen before find its code by binary search and a comparison of
-    words; only the rest go through `_codes` and its sort."""
+    names: `index` maps text to code. Each text numbered so far also sits in
+    a table of slots addressed by the top bits of its hash key, with its
+    code, byte length and words. A block's row finds its code in its slot
+    and a comparison of words confirms it; only the rest, new texts and
+    texts that lost their slot to another, go through `_codes`."""
 
     def __init__(self):
         self.index: dict[str, int] = {}
-        self._keys = np.empty(0, dtype=np.uint64)
-        self._codes = np.empty(0, dtype=np.int64)
-        self._words = np.empty((_MAX_WORDS, 0), dtype=np.uint64)   # one column per text
-        self._n_words = np.empty(0, dtype=np.int64)   # nonzero words: a text holds no NUL
+        self._words = np.empty((0, 1), dtype=np.uint64)   # per code, its text's words
+        self._lengths = np.empty(0, dtype=np.int64)
+        self._shift = np.uint64(63)   # 64 - log2 of the slot count
+        self._slot_code = np.zeros(2, dtype=np.int64)
+        self._slot_length = np.full(2, -1, dtype=np.int64)   # -1: no text
+        self._slot_words = np.zeros((1, 2), dtype=np.uint64)   # one row per word
 
-    def codes(self, fields):
-        """`_codes(fields, self.index)`."""
-        # The key of the text padded to _MAX_WORDS words, whatever the
-        # widest field of this block: each zero word multiplies it by _MIX.
-        key = _text_keys(fields)
-        key *= np.uint64(pow(int(_MIX), _MAX_WORDS - fields.shape[1], 1 << 64))
-        if self._keys.size:
-            at = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
-            codes = self._codes.take(at)
-            seen = self._n_words.take(at) <= fields.shape[1]
-            for j in range(fields.shape[1]):
-                seen &= self._words[j].take(at) == fields[:, j]
-        else:
-            codes = np.empty(key.size, dtype=np.int64)
-            seen = np.zeros(key.size, dtype=bool)
+    def codes(self, words, length):
+        """`_codes(words, self.index)`, given each row's byte length."""
+        slot = (_text_keys(words) >> self._shift).view(np.int64)
+        codes = self._slot_code.take(slot)
+        seen = self._slot_length.take(slot) == length
+        for j in range(min(words.shape[1], self._slot_words.shape[0])):
+            seen &= self._slot_words[j].take(slot) == words[:, j]
         if not seen.all():
             rows = np.flatnonzero(~seen)
-            codes[rows] = _codes(fields[rows], self.index)
-            self._remember(key[rows], codes[rows], fields[rows])
+            known = len(self.index)
+            codes[rows] = _codes(words[rows], self.index)
+            if len(self.index) > known:
+                self._remember(words[rows], length[rows], codes[rows] - known)
         return codes
 
-    def _remember(self, key, codes, fields):
-        """Add one row per text of `codes` to the sorted texts."""
-        _, first = np.unique(codes, return_index=True)
-        first = first[np.argsort(key[first], kind="stable")]
-        at = np.searchsorted(self._keys, key[first])
-        words = np.zeros((self._words.shape[0], first.size), dtype=np.uint64)
-        words[:fields.shape[1]] = fields[first].T
-        self._keys = np.insert(self._keys, at, key[first])
-        self._codes = np.insert(self._codes, at, codes[first])
-        self._words = np.insert(self._words, at, words, axis=1)
-        self._n_words = np.insert(self._n_words, at, np.count_nonzero(words, axis=0))
+    def _remember(self, words, length, new):
+        """Add the texts numbered `new` >= 0 (first rows with each) and lay
+        out the slots again: the fewest, from twice the texts on, that give
+        every text a slot of its own, or 2**16 slots."""
+        _, first = np.unique(new, return_index=True)
+        first = first[new[first] >= 0]
+        n = max(words.shape[1], self._words.shape[1])
+        self._words = np.concatenate((_widened(self._words, n), _widened(words[first], n)))
+        self._lengths = np.concatenate((self._lengths, length[first]))
+        keys = _text_keys(self._words)
+        for bits in range(min(16, max(1, (2 * keys.size - 1).bit_length())), 17):
+            slots = np.sort(keys >> np.uint64(64 - bits))
+            if (slots[1:] != slots[:-1]).all():
+                break
+        self._shift = np.uint64(64 - bits)
+        slots = (keys >> self._shift).view(np.int64)
+        self._slot_code = np.zeros(1 << bits, dtype=np.int64)
+        self._slot_code[slots] = np.arange(keys.size)
+        self._slot_length = np.full(1 << bits, -1, dtype=np.int64)
+        self._slot_length[slots] = self._lengths
+        self._slot_words = np.zeros((n, 1 << bits), dtype=np.uint64)
+        self._slot_words[:, slots] = self._words.T
 
 
-def _digits(fields, n_digits):
-    """The number that each row of `fields` (`_field_words` output for
-    fields of `n_digits` bytes) writes in ASCII digits, as uint64, exact up
-    to 19 digits; and whether its bytes are all digits.
+# Table rows past which a fold numbers its patients and merges their rows
+# once the rows have doubled since it last did: patients split across
+# blocks, or an unsorted file, cannot grow the tables beyond twice this or
+# twice the patients, plus one block's runs.
+_MERGE_ROWS = 1 << 15
 
-    Eight digits at a time: the SWAR ("SIMD within a register") steps add
-    up the digits of one word in pairs, fours and eights. All arithmetic
-    stays in uint64 with np.uint64 scalars, as NumPy 1 makes a float64 of
-    uint64 mixed with int64.
+
+class _RowIds:
+    """The patient id of each row of a fold's tables, in row order. A block
+    gives each run of equal ids a row of its own (`runs`), so a patient may
+    have several rows until `merge` numbers the patients in order of first
+    appearance and folds each one's rows into one. Ids are the words of
+    `_field_words`; the row loop's are text, one row per patient it meets."""
+
+    def __init__(self):
+        self.words = []      # per block, the words of its runs' ids
+        self.size = 0        # rows numbered by blocks
+        self.index = None    # {id: row} of the row loop's patients, once it runs
+        self.merged = 0      # rows after the last merge
+
+    def __len__(self):
+        return self.size + len(self.index or ())
+
+    def runs(self, ids):
+        """The table row of each of a block's rows, whose ids are `ids`
+        (`_field_words` output): a new row at each change of id."""
+        change = np.empty(ids.shape[0], dtype=bool)
+        change[0] = True
+        np.not_equal(ids[1:, 0], ids[:-1, 0], out=change[1:])
+        for j in range(1, ids.shape[1]):
+            change[1:] |= ids[1:, j] != ids[:-1, j]
+        row = np.cumsum(change, dtype=np.int64)
+        row += self.size - 1
+        self.words.append(ids[change])
+        self.size = int(row[-1]) + 1
+        return row
+
+    def numbering(self):
+        """(patient of each row, the patients' ids in order of first
+        appearance: words, or an object array of str after the row loop)."""
+        n = max((words.shape[1] for words in self.words), default=1)
+        words = np.concatenate([_widened(words, n) for words in self.words] or [np.zeros((0, n), dtype=np.uint64)])
+        if self.index is None:
+            rank, first = _first_appearance(words)
+            return rank, words[first]
+        patients: dict[str, int] = {}
+        rank = [patients.setdefault(pid, len(patients)) for pid in _texts(words) + list(self.index)]
+        return np.array(rank, dtype=np.int64), np.array(list(patients), dtype=object)
+
+    def merge(self, tables):
+        """Number the patients (`numbering`) and fold each one's rows of
+        `tables` into one; their ids."""
+        rank, ids = self.numbering()
+        tables._merge_rows(rank, len(ids))
+        if self.index is None:
+            self.words, self.size, self.merged = [ids], len(ids), len(ids)
+        return ids
+
+
+def _digits(words, scratch=None):
+    """The number that each field of `_number_words` output writes in
+    digits, as uint64, exact up to 19 digits; and whether its bytes are all
+    digits. `words` is overwritten, and `scratch`, an array of its shape,
+    if given.
+
+    Eight digits at a time, on all words at once: the SWAR ("SIMD within a
+    register") steps add up the digits of a word in pairs, fours and
+    eights. All arithmetic stays in uint64 with np.uint64 scalars, as NumPy
+    1 makes a float64 of uint64 mixed with int64.
     """
-    number = np.zeros(fields.shape[0], dtype=np.uint64)
-    over_nine = np.zeros(fields.shape[0], dtype=np.uint64)
-    for j in range(fields.shape[1]):
-        word = fields[:, j] ^ _ZEROS            # a digit byte becomes its value
-        word <<= _ALIGN_IN_WORD[j].take(n_digits)   # the digits to the top, after zero bytes
-        over_nine |= word + _ABOVE_NINE
-        for multiply, shift, mask in _SWAR_STEPS:
-            word *= multiply
-            word >>= shift
-            if mask:
-                word &= mask
-        number *= _POW10_IN_WORD[j].take(n_digits)
-        number += word
-    return number, (over_nine & _HIGH_BITS) == 0
+    over_nine = np.add(words, _ABOVE_NINE, out=scratch)
+    for multiply, shift, mask in _SWAR_STEPS:
+        words *= multiply
+        words >>= shift
+        if mask:
+            words &= mask
+    number, over = words[0], over_nine[0]
+    for j in range(1, len(words)):
+        number = number * _POW10[8] + words[j]
+        over |= over_nine[j]
+    return number, (over & _HIGH_BITS) == 0
 
 
-def _offsets(buf, start, length):
+def _offsets(buf, end, length):
     """Offsets of fields of 1 to 18 plain digits, or None."""
     if length.min() < 1 or length.max() > 18:
         return None
-    offset, digits = _digits(_field_words(buf, start, length), length)
+    offset, digits = _digits(_number_words(buf, end, length))
     return offset.view(np.int64) if digits.all() else None
 
 
-def _plain_decimals(buf, start, length):
+def _plain_decimals(buf, start, end):
     """Each field that is a plain decimal (an optional "-", then 1 to 19
     digits with at most one "." before, among or after them) as `float`
     reads it: (values, indices of the other rows, whose values are unset).
@@ -432,44 +591,44 @@ def _plain_decimals(buf, start, length):
     errs only when the quotient lies on a float64 midpoint: those rows are
     left out too.
     """
-    negative = buf[start] == ord("-")
-    size = length - negative
+    negative = buf[_PAD:][start] == ord("-")
+    size = end - start
+    size -= negative
     size[size > 19] = 0                         # too long for a uint64: not plain
-    fields = _field_words(buf, start + negative, size)
-    dots = np.zeros(start.size, dtype=np.uint64)    # bit 8p + j: a "." in byte p of word j
-    point = np.zeros(start.size, dtype=np.uint64)   # 1 + the place of the ".", or 0
-    for j in range(fields.shape[1]):
-        word = fields[:, j]
-        hit = word ^ _DOTS
-        hit += _LOW_BITS
-        np.invert(hit, out=hit)
-        hit &= _HIGH_BITS
-        hit >>= _SEVEN                          # 1 in each byte that holds a "."
-        word ^= hit * _DOT_TO_ZERO              # which is read as a 0 digit
-        point += (hit * _DOT_PLACE[j]) >> _TOP_BYTE
-        hit <<= np.uint64(j)
-        dots |= hit
-    one_dot = (dots & (dots - np.uint64(1))) == 0   # or none
-    has_dot = (dots != 0).view(np.int8)
-    del dots
-    after = point.view(np.int64)                # k with a "."; the digit count without one
-    np.subtract(size, after, out=after)
-    mantissa, plain = _digits(fields, size)
-    del fields
-    plain &= one_dot
+    words = _number_words(buf, end, size)
+    dots = words ^ _DOT_DIGITS
+    dots += _LOW_BITS
+    np.invert(dots, out=dots)
+    dots &= _HIGH_BITS
+    dots >>= _SEVEN                             # 1 in each byte that holds a "."
+    # With one "." among the words, the products' sum has its place in the
+    # top byte; their count is the byte sum of the words' sum.
+    places = dots * _AFTER_DOT[len(words) - 1 :: -1, None]
+    after, n_dots = places[0], dots[0].copy()
+    for j in range(1, len(words)):
+        after += places[j]
+        n_dots += dots[j]
+    after >>= _TOP_BYTE                         # digits after the "."
+    n_dots *= _ONES
+    n_dots >>= _TOP_BYTE                        # the count of "."s
+    dots *= _DOT_DIGIT
+    words -= dots                               # a "." is read as a 0 digit
+    mantissa, plain = _digits(words, dots)
+    del words, dots, places
+    plain &= n_dots <= 1
+    has_dot = n_dots.astype(bool)
     plain &= size > has_dot
+    after = after.view(np.int64)                # k, 0 without a "."
     # With the "." read as 0, mantissa = a * 10**(k + 1) + b for the digits
     # a before it and the k digits b after it; the true mantissa is a * 10**k + b.
-    whole = mantissa // _POW10.take(after + 1, mode="clip")
-    whole *= _NINE_POW10.take(after, mode="clip")
-    mantissa -= whole
-    del whole
-    after *= has_dot
-    quotient = mantissa.astype(np.longdouble)
-    del mantissa
+    whole, part = np.divmod(mantissa, _POW10.take(after + has_dot, mode="clip"))
+    whole *= _POW10.take(after, mode="clip")
+    whole += part
+    quotient = whole.astype(np.longdouble)
+    del whole, part, mantissa
     quotient /= _POW10_LONG.take(after, mode="clip")
     value = quotient.astype(np.float64)
-    quotient -= value.astype(np.longdouble)
+    quotient -= value
     # Exact for a 64-bit significand (11 significant bits at most); with a
     # longer one, rounding can only make more rows look like midpoints.
     error = quotient.astype(np.float64)
@@ -482,7 +641,7 @@ def _plain_decimals(buf, start, length):
     return value, np.flatnonzero(~plain)
 
 
-def _values(buf, start, length):
+def _values(buf, start, end):
     """`float` of each field, or None if one is rejected or not finite.
 
     Plain decimals are read by `_plain_decimals`; every other row is cast
@@ -493,14 +652,14 @@ def _values(buf, start, length):
         other = []
         for at in range(0, start.size, _DECIMAL_ROWS):
             rows = slice(at, at + _DECIMAL_ROWS)
-            value[rows], left = _plain_decimals(buf, start[rows], length[rows])
+            value[rows], left = _plain_decimals(buf, start[rows], end[rows])
             other.append(left + at)
         other = np.concatenate(other)
     else:
         other = np.arange(start.size)
     if other.size:
         try:
-            value[other] = _as_strings(_field_words(buf, start[other], length[other])).astype(np.float64)
+            value[other] = _as_strings(_field_words(buf, start[other], end[other] - start[other])).astype(np.float64)
         except ValueError:
             return None
         if not np.isfinite(value[other]).all():
@@ -508,51 +667,33 @@ def _values(buf, start, length):
     return value
 
 
-def _parse_block(data, patients, variables):
-    """(patient, variable, offset_minutes, value) of the rows in `data`, whole
-    lines of the observations file after its header; None when a row needs
-    the general parser.
+def _parse_block(data, lo, hi, patients: _RowIds, variables: _SeenTexts):
+    """(patient, variable, offset_minutes, value) of the rows in bytes [lo,
+    hi) of `data` (`_LineBlocks`), whole lines of the observations file
+    after its header, each run of equal patient ids a row of `patients`;
+    None when a row needs the general parser.
 
-    A block is declined when it holds a `"`, a carriage return, a NUL or a
-    non-ASCII byte, a line without exactly three commas (empty lines and
-    quoted fields among them), a field over _MAX_FIELD_BYTES, an offset that
-    is not 1 to 18 plain digits, or a value that `float` would reject or
-    make non-finite. Every row of an accepted block parses to what the row
-    loop would give it. Offsets and plain decimal values (-?digits[.digits],
-    1 to 19 digits) are parsed with integer arithmetic on 8-byte words;
-    other values (exponents, a "+", "_", spaces, "nan", longer digit
-    strings) and the rare decimal whose quotient lands on a float64
-    midpoint go through NumPy's bytes-to-float64 `astype`, as `float` would
-    read them.
+    A block is declined when `_line_fields` declines it (a `"`, a carriage
+    return, a NUL or a non-ASCII byte, a line without exactly three commas,
+    a field over _MAX_FIELD_BYTES), or for an offset that is not 1 to 18
+    plain digits, or a value that `float` would reject or make non-finite.
+    Every row of an accepted block parses to what the row loop would give
+    it. Offsets and plain decimal values (-?digits[.digits], 1 to 19
+    digits) are parsed with integer arithmetic on 8-byte words; other
+    values (exponents, a "+", "_", spaces, "nan", longer digit strings) and
+    the rare decimal whose quotient lands on a float64 midpoint go through
+    NumPy's bytes-to-float64 `astype`, as `float` would read them.
     """
-    if not data.isascii() or b'"' in data or b"\r" in data or b"\0" in data:
+    if (fields := _line_fields(data, lo, hi, 4)) is None:
         return None
-    n_bytes = len(data) + (not data.endswith(b"\n"))
-    buf = np.frombuffer(b"".join((data, b"\n", bytes(_MAX_FIELD_BYTES))), dtype=np.uint8)
-    separator = np.flatnonzero(buf[:n_bytes] <= ord(","))
-    kind = buf[separator]
-    keep = (kind == ord(",")) | (kind == ord("\n"))
-    if not keep.all():
-        separator, kind = separator[keep], kind[keep]
-    if kind.size % 4 or not (kind.reshape(-1, 4) == _SEPARATORS).all():
-        return None
-    c0, c1, c2, end = separator.reshape(-1, 4).T
-    line_start = np.concatenate(([0], end[:-1] + 1))
-    # (first byte, length) of each line's id, name, offset and value field
-    (id_at, id_len), name, offset, value = (
-        (a, b - a) for a, b in ((line_start, c0), (c0 + 1, c1), (c1 + 1, c2), (c2 + 1, end))
-    )
-    if max(int(length.max()) for length in (id_len, name[1], offset[1], value[1])) > _MAX_FIELD_BYTES:
-        return None
-    offset = _offsets(buf, *offset)
-    value = None if offset is None else _values(buf, *value)
+    buf, end, length = fields
+    offset = _offsets(buf, end[:, 2], length[:, 2])
+    value = None if offset is None else _values(buf, end[:, 3] - length[:, 3], end[:, 3])
     if value is None:
         return None
     # Nothing is declined past this point, so the indexes only gain texts of accepted rows.
-    ids = _field_words(buf, id_at, id_len)
-    runs = np.flatnonzero(np.concatenate(([True], (ids[1:] != ids[:-1]).any(axis=1))))
-    patient = np.repeat(_codes(ids[runs], patients), np.diff(runs, append=ids.shape[0]))
-    variable = variables.codes(_field_words(buf, *name))
+    patient = patients.runs(_field_words(buf, end[:, 0] - length[:, 0], length[:, 0]))
+    variable = variables.codes(_field_words(buf, end[:, 1] - length[:, 1], length[:, 1]), length[:, 1])
     return [patient, variable, offset, value]
 
 
@@ -569,9 +710,11 @@ _ROW_LOOP_CHUNK = 1 << 16
 _COLUMN_DTYPES = (np.int64, np.int64, np.int64, np.float64)
 
 
-def _row_loop(rows, patient_index, variable_code):
-    """The general parser: one `csv` record at a time. Yields the columns
-    of every _ROW_LOOP_CHUNK rows, then of the rest."""
+def _row_loop(rows, patients: _RowIds, variable_code):
+    """The general parser: one `csv` record at a time, each patient a row of
+    `patients` of its own. Yields the columns of every _ROW_LOOP_CHUNK rows,
+    then of the rest."""
+    index, first = patients.index, patients.size
     patient, variable, offsets, values = columns = [], [], [], []
     for line_no, row in rows:
         if not row:
@@ -595,7 +738,7 @@ def _row_loop(rows, patient_index, variable_code):
             raise ParseError(line_no, f"offset_minutes must be < 2**63, got {offset}")
         if not math.isfinite(value):
             raise ParseError(line_no, f"non-finite value for {pid}/{name}")
-        patient.append(patient_index.setdefault(pid, len(patient_index)))
+        patient.append(index.setdefault(pid, first + len(index)))
         variable.append(variable_code.setdefault(name, len(variable_code)))
         offsets.append(offset)
         values.append(value)
@@ -613,33 +756,34 @@ def _chunk_arrays(columns):
     return arrays
 
 
-def _observation_parts(stream, patients: dict, variables: _SeenTexts):
+def _observation_parts(stream, patients: _RowIds, variables: _SeenTexts):
     """(patient, variable, offset_minutes, value) of consecutive rows of a
     binary observations CSV stream, part by part, in file order.
 
-    Patients and variables are numbered in `patients` and `variables` in
-    order of first appearance; rows at or beyond minute 1440 are kept.
-    The file is read in blocks of whole lines (`_LineBlocks`), each parsed
-    with NumPy by `_parse_block`, which reads plain decimal values exactly
-    without a Python float per row. From the first block that parser
-    declines to the end of the file, rows go through `_row_loop`, one `csv`
-    record at a time, which accepts all of CSV (quoted fields, CRLF line
-    endings, empty lines) and raises every ParseError. Both give the same
-    rows, bit for bit. A file without rows raises "no observations".
+    Patients are rows of `patients` (`_RowIds.numbering` numbers them),
+    and variables are numbered in `variables` in order of first appearance;
+    rows at or beyond minute 1440 are kept. The file is read in blocks of
+    whole lines (`_LineBlocks`), each parsed with NumPy by `_parse_block`,
+    which reads plain decimal values exactly without a Python float per
+    row. From the first block that parser declines to the end of the file,
+    rows go through `_row_loop`, one `csv` record at a time, which accepts
+    all of CSV (quoted fields, CRLF line endings, empty lines) and raises
+    every ParseError. Both give the same rows, bit for bit. A file without
+    rows raises "no observations".
     """
     blocks = _LineBlocks(stream)
     lines_done, declined = 0, False
-    for data in blocks:
+    for data, lo, hi in blocks:
         header = lines_done == 0
         if header:
-            declined = not data.startswith(_OBSERVATIONS_HEADER_LINE)
-            data = data[len(_OBSERVATIONS_HEADER_LINE):]
-        if data and not declined:
-            parts = _parse_block(data, patients, variables)
+            declined = not data.startswith(_OBSERVATIONS_HEADER_LINE, lo)
+            lo += len(_OBSERVATIONS_HEADER_LINE)
+        if lo < hi and not declined:
+            parts = _parse_block(data, lo, hi, patients, variables)
             declined = parts is None
         if declined:
             break
-        if data:
+        if lo < hi:
             yield parts
             lines_done += parts[0].size
         lines_done += header
@@ -650,18 +794,47 @@ def _observation_parts(stream, patients: dict, variables: _SeenTexts):
             "observations",
             line_no=lines_done + 1,
         )
+        patients.index = {}
         yield from _row_loop(rows, patients, variables.index)
-    if not patients:
+    if not len(patients):
         raise CohortError("no observations")
+
+
+def _outcome_columns(data):
+    """(ids, event_hours, died) of a whole outcomes file, parsed as a block
+    (`_line_fields`): ids as `_field_words`, hours by `_values`, the flag
+    byte. None unless every row is as the row loop accepts it and the ids'
+    hash keys are distinct, which no duplicate id passes."""
+    lo, hi = len(_OUTCOMES_HEADER_LINE), len(data) + (not data.endswith(b"\n"))
+    if not data.startswith(_OUTCOMES_HEADER_LINE) or (fields := _line_fields(data + _TAIL, lo, hi, 3)) is None:
+        return None
+    buf, end, length = fields
+    event_hours = _values(buf, end[:, 1] - length[:, 1], end[:, 1])
+    flag = buf[_PAD:][end[:, 2] - 1]
+    died = flag == ord("1")
+    if event_hours is None or not (event_hours > 0).all() or not ((length[:, 2] == 1) & (died | (flag == ord("0")))).all():
+        return None
+    ids = _field_words(buf, end[:, 0] - length[:, 0], length[:, 0])
+    keys = np.sort(_text_keys(ids))
+    return None if (keys[1:] == keys[:-1]).any() else (ids, event_hours, died)
 
 
 def ingest_outcomes(stream):
     """Parse a binary outcomes CSV, exactly one row per patient_id, into
-    ({patient_id: row, in file order}, event_hours, died)."""
+    (ids, event_hours, died), in file order: ids as `_field_words` output,
+    or, from the `csv` row loop, an object array of str.
+
+    The file is read whole and parsed as one block (`_outcome_columns`);
+    a file that parser declines (a quote, CR, non-ASCII byte, empty line,
+    a flag other than 0 or 1, an hour that is not finite and > 0, a
+    duplicate id) goes through the row loop, which raises every error."""
     _check_stream(stream)
+    data = stream.read()
+    if (columns := _outcome_columns(data)) is not None:
+        return columns
     rows: dict[str, int] = {}
     event_hours, died = [], []
-    for line_no, row in _csv_rows(_text_lines(stream), OUTCOMES_HEADER, "outcomes"):
+    for line_no, row in _csv_rows(_text_lines(stream, data), OUTCOMES_HEADER, "outcomes"):
         if not row:
             continue
         if len(row) != 3:
@@ -683,7 +856,7 @@ def ingest_outcomes(stream):
 
     if not rows:
         raise CohortError("no outcomes")
-    return rows, np.array(event_hours, dtype=float), np.array(died, dtype=bool)
+    return np.array(list(rows), dtype=object), np.array(event_hours, dtype=float), np.array(died, dtype=bool)
 
 
 def _ingest_file(path, ingest):
@@ -697,46 +870,98 @@ def _ingest_file(path, ingest):
             raise CohortError(f"{path}: {exc}") from None
 
 
+def _outcome_rows(ids, outcome_ids):
+    """The row of `outcome_ids` that holds each of the distinct `ids`, or
+    None if the two hold different ids. Words on both sides (the block
+    parsers', whose outcome keys are distinct) pair by sorted hash key and a
+    comparison of words; text on either side pairs through a dict."""
+    if len(ids) != len(outcome_ids):
+        return None
+    if ids.dtype == object or outcome_ids.dtype == object:
+        rows = {pid: row for row, pid in enumerate(_texts(outcome_ids))}
+        row = np.array([rows.get(pid, -1) for pid in _texts(ids)], dtype=np.int64)
+        return None if (row < 0).any() else row
+    n = max(ids.shape[1], outcome_ids.shape[1])
+    ids, outcome_ids = _widened(ids, n), _widened(outcome_ids, n)
+    keys = _text_keys(outcome_ids)
+    order = np.argsort(keys)
+    row = order.take(np.searchsorted(keys, _text_keys(ids), sorter=order), mode="clip")
+    return row if np.array_equal(outcome_ids[row], ids) else None
+
+
 def _paired_outcomes(ids, observations_path, outcomes_path):
-    """(event_hours, died) of the patients `ids` of the observations file,
-    read from the outcomes file and paired by id."""
-    rows, event_hours, died = _ingest_file(outcomes_path, ingest_outcomes)
-    order = np.array([rows.get(pid, -1) for pid in ids], dtype=np.int64)
-    if len(rows) != len(ids) or (order < 0).any():
-        missing = sorted(set(ids).symmetric_difference(rows))[:5]
+    """(event_hours, died) of the patients `ids` (`_RowIds.numbering`) of
+    the observations file, read from the outcomes file and paired by id."""
+    outcome_ids, event_hours, died = _ingest_file(outcomes_path, ingest_outcomes)
+    row = _outcome_rows(ids, outcome_ids)
+    if row is None:
+        missing = sorted(set(_texts(ids)).symmetric_difference(_texts(outcome_ids)))[:5]
         raise CohortError(
             f"{observations_path}, {outcomes_path}: "
             f"observations and outcomes cover different patients (e.g. {missing})"
         )
-    return event_hours[order], died[order]
+    return event_hours[row], died[row]
 
 
-def _fold_range(path, start, stop, window_minutes, table) -> "WindowTables | None":
+class _Fold:
+    """Observation rows folded into window tables as they are parsed, with
+    the ids of the tables' rows (`_RowIds`) and the variable names."""
+
+    def __init__(self, window_minutes, table):
+        self.tables = WindowTables(window_minutes, table)
+        self.patients, self.variables = _RowIds(), _SeenTexts()
+
+    def add(self, parts):
+        """Fold a part in; merge each patient's rows if blocks have doubled
+        the rows past _MERGE_ROWS since the last merge."""
+        self.tables.add(parts, self.variables.index)
+        patients = self.patients
+        if patients.index is None and patients.size > max(2 * patients.merged, _MERGE_ROWS):
+            patients.merge(self.tables)
+
+    def finish(self, observations_path, outcomes_path) -> "WindowTables":
+        """The tables, one row per patient in order of first appearance,
+        with the patients' outcomes paired by id."""
+        ids = self.patients.merge(self.tables)
+        event_hours, died = _paired_outcomes(ids, observations_path, outcomes_path)
+        return self.tables.finish(_texts(ids), self.variables.index, event_hours, died)
+
+
+def _fold_range(path, start, stop, window_minutes, table) -> "_Fold | None":
     """The whole lines of bytes [start, stop) of the observations file folded
     on their own, without outcomes; None if `_parse_block` declines a block."""
-    tables, patients, variables = WindowTables(window_minutes, table), {}, _SeenTexts()
+    fold = _Fold(window_minutes, table)
     with open(path, "rb") as f:
         f.seek(start)
-        for data in _LineBlocks(f, stop - start):
-            if (parts := _parse_block(data, patients, variables)) is None:
+        for data, lo, hi in _LineBlocks(f, stop - start):
+            if (parts := _parse_block(data, lo, hi, fold.patients, fold.variables)) is None:
                 return None
-            tables.add(parts, variables.index)
-    return tables.finish(list(patients), variables.index, None, None)
+            fold.add(parts)
+    fold.tables._cut(fold.patients.size, fold.variables.index)
+    return fold
 
 
-def _merge_ranges(folds) -> "WindowTables":
-    """The folds of consecutive ranges, in file order, as one fold, bit for bit:
-    codes renumbered by first appearance; worst by max, seen by or, n_rows by sum."""
-    tables, patients, vocabulary = WindowTables(folds[0].window_minutes, folds[0].score_table), {}, {}
+def _merge_ranges(folds) -> "_Fold":
+    """The folds of consecutive ranges, in file order, as one fold, bit for
+    bit: their rows one after another, with the variables numbered again by
+    first appearance. `_Fold.finish` merges each patient's rows."""
+    merged = _Fold(folds[0].tables.window_minutes, folds[0].tables.score_table)
+    vocabulary = merged.variables.index
+    for name in (name for fold in folds for name in fold.variables.index):
+        vocabulary.setdefault(name, len(vocabulary))
+    tables = merged.tables
+    tables._grow(sum(fold.patients.size for fold in folds), vocabulary)
+    at = 0
     for fold in folds:
-        patient = np.array([patients.setdefault(pid, len(patients)) for pid in fold.patient_ids], dtype=np.int64)
-        variable = np.array([vocabulary.setdefault(name, len(vocabulary)) for name in fold.vocabulary], dtype=np.int64)
-        tables._grow(len(patients), vocabulary)
-        cells = np.ix_(patient, np.arange(tables.worst.shape[1]), variable)   # each cell once: no max lost
-        tables.worst[cells] = np.maximum(tables.worst[cells], fold.worst)
-        tables.seen[np.ix_(patient, variable)] |= fold.seen
-        tables.n_rows[patient] += fold.n_rows
-    return tables.finish(list(patients), vocabulary, None, None)
+        rows = slice(at, at + fold.patients.size)
+        columns = np.array([vocabulary[name] for name in fold.variables.index], dtype=np.intp)
+        tables.worst[rows, :, columns] = fold.tables.worst
+        tables.seen[rows, columns] = fold.tables.seen
+        tables.n_rows[rows] = fold.tables.n_rows
+        merged.patients.words += fold.patients.words
+        at = rows.stop
+    merged.patients.size = at
+    return merged
 
 
 def usable_cpus() -> int:
@@ -796,7 +1021,7 @@ def map_in_children(fn, items) -> "list | None":
     return results
 
 
-def _fold_in_ranges(path, window_minutes, table) -> "WindowTables | None":
+def _fold_in_ranges(path, window_minutes, table) -> "_Fold | None":
     """The file's fold from n ranges cut at newlines, folded at once
     (`map_in_children`); None unless n = min(usable CPUs, bytes past the header
     // _RANGE_BYTES) >= 2, the file is regular and starts with the header, and
@@ -832,29 +1057,32 @@ def load_cohort(observations_path, outcomes_path, window_minutes: int, table) ->
     range's tables (`_fold_in_ranges`). A declined range sends the whole file
     through the serial fold, so the tables and every error are the same.
     """
-    tables = _fold_in_ranges(observations_path, window_minutes, table)
-    if tables is None:
-        tables, patients, variables = WindowTables(window_minutes, table), {}, _SeenTexts()
+    fold = _fold_in_ranges(observations_path, window_minutes, table)
+    if fold is None:
+        fold = _Fold(window_minutes, table)
 
-        def fold(stream):
-            for parts in _observation_parts(stream, patients, variables):
-                tables.add(parts, variables.index)
+        def parse(stream):
+            for parts in _observation_parts(stream, fold.patients, fold.variables):
+                fold.add(parts)
 
-        _ingest_file(observations_path, fold)
-        tables.finish(list(patients), variables.index, None, None)
-    ids = tables.patient_ids
-    return tables.finish(ids, tables.vocabulary, *_paired_outcomes(ids, observations_path, outcomes_path))
+        _ingest_file(observations_path, parse)
+    return fold.finish(observations_path, outcomes_path)
 
 
-# Texts `csv.writer` writes as they are: no delimiter, quote, space or line break.
-_PLAIN_FIELD = re.compile(r"[A-Za-z0-9_.\-]+")
+# Texts `csv.writer` writes as they are among other fields: no delimiter,
+# quote, space or line break (an empty text included).
+_PLAIN_FIELD = re.compile(r"[A-Za-z0-9_.\-]*")
 
 
 def _csv_fields(texts) -> list[str]:
     """Each text as `csv.writer` writes it among other fields of a row:
     quoted where the csv module's minimal quoting says so. Texts of ASCII
-    letters, digits, "_", "-" and "." pass through unchanged; every other
-    text is written by `csv.writer` itself."""
+    letters, digits, "_", "-" and "." pass through unchanged, all checked
+    at once when all are; every other text is written by `csv.writer`
+    itself."""
+    texts = list(texts)
+    if _PLAIN_FIELD.fullmatch("".join(texts)):
+        return texts
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     fields = []
@@ -978,13 +1206,28 @@ class WindowTables:
         score = self._lut[variable, edge]
         np.maximum.at(self.worst.ravel(), cell, score)
 
+    def _cut(self, n_rows: int, vocabulary) -> None:
+        """The tables cut to their first n_rows rows and to `vocabulary`."""
+        self._grow(n_rows, vocabulary)
+        self.worst = self.worst[:n_rows, :, : len(vocabulary)]
+        self.seen, self.n_rows = self.seen[:n_rows, : len(vocabulary)], self.n_rows[:n_rows]
+
+    def _merge_rows(self, patient, n_patients: int) -> None:
+        """Fold row i into row patient[i] of n_patients, where every patient
+        has a row: worst by max, seen by or, n_rows by sum. Rows already in
+        patient order, as a sorted file's are, are not sorted again."""
+        order = None if (patient[1:] >= patient[:-1]).all() else np.argsort(patient, kind="stable")
+        grouped = patient if order is None else patient[order]
+        starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+        for name, merge in (("worst", np.maximum), ("seen", np.logical_or), ("n_rows", np.add)):
+            rows = getattr(self, name)[: patient.size]
+            rows = rows if order is None else rows[order]
+            setattr(self, name, merge.reduceat(rows, starts) if n_patients else rows)
+
     def finish(self, patient_ids, vocabulary, event_hours, died) -> "WindowTables":
         """The tables cut to `patient_ids` and `vocabulary`, which may name
         patients and variables no row was folded for, with the outcomes."""
-        n_patients, n_variables = len(patient_ids), len(vocabulary)
-        self._grow(n_patients, vocabulary)
-        self.worst = self.worst[:n_patients, :, :n_variables]
-        self.seen, self.n_rows = self.seen[:n_patients, :n_variables], self.n_rows[:n_patients]
+        self._cut(len(patient_ids), vocabulary)
         self.patient_ids, self.event_hours, self.died = list(patient_ids), event_hours, died
         return self
 

@@ -312,7 +312,10 @@ def _stratified_folds(rng, strata: np.ndarray, n_folds: int) -> np.ndarray:
     """Fold id per subject; each stratum is shuffled and dealt round-robin."""
     fold_of = np.empty(strata.size, dtype=int)
     offset = 0
-    for value in np.unique(strata):
+    ordered = np.sort(strata)
+    first = np.ones(ordered.size, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    for value in ordered[first]:   # the distinct strata, ascending
         idx = np.flatnonzero(strata == value)
         rng.shuffle(idx)
         fold_of[idx] = (np.arange(idx.size) + offset) % n_folds

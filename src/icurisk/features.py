@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -239,14 +238,27 @@ class Medians:
     overall: np.ndarray   # (p,), NaN where a variable was never observed
 
 
+def _median_of_counts(counts) -> np.ndarray:
+    """The median of the scores each row of `counts` counts (counts[..., s]
+    of score s), as np.nanmedian of the scores gives it; NaN for none."""
+    below = counts.cumsum(axis=-1)              # counts of the scores <= s
+    n = below[..., -1:]
+    low = (below <= (n - 1) // 2).sum(axis=-1)  # the score at rank (n - 1) // 2
+    high = (below <= n // 2).sum(axis=-1)       # and at rank n // 2
+    return np.where(n[..., 0] > 0, (low + high) / 2, np.nan)
+
+
 def compute_medians(matrix: FeatureMatrix) -> Medians:
-    scores = matrix.scores
-    y = np.where(scores >= 0, scores, np.nan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
-        cell = np.nanmedian(y, axis=0)
-        overall = np.nanmedian(y.reshape(-1, matrix.spec.n_variables), axis=0)
-    return Medians(cell=cell, overall=overall)
+    """The median observed score of each window and variable, and of each
+    variable over all windows: from the count of each score, weighted by
+    the cells' patients, as the scores are small integers."""
+    n_windows, n_variables = matrix.spec.n_windows, matrix.spec.n_variables
+    n_scores = int(matrix.cells.max(initial=0)) + 2   # -1 (missing) to the top score
+    key = (matrix.window[:, None] * n_variables + np.arange(n_variables)) * n_scores + matrix.cells + 1
+    weights = np.repeat(matrix.counts(), n_variables)
+    counts = np.bincount(key.ravel(), weights, minlength=n_windows * n_variables * n_scores).astype(np.int64)
+    counts = counts.reshape(n_windows, n_variables, n_scores)[..., 1:]
+    return Medians(cell=_median_of_counts(counts), overall=_median_of_counts(counts.sum(axis=0)))
 
 
 def impute_median(matrix: FeatureMatrix, medians: Medians) -> np.ndarray:

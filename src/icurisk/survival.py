@@ -269,10 +269,24 @@ def death_prior(lam, duration):
 # Supervised density normalization
 # --------------------------------------------------------------------------
 
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """np.percentile(values, [25, 75]), by its default linear interpolation
+    between sorted values, without the partition that makes NumPy 2 import
+    numpy.ma. Equal as numbers: where -0.0 and 0.0 meet, sort and partition
+    may order them apart."""
+    ordered = np.sort(values)
+    at = (ordered.size - 1) * np.array([0.25, 0.75])
+    below = np.floor(at).astype(np.int64)
+    t = at - below
+    a, b = ordered[below], ordered[np.minimum(below + 1, ordered.size - 1)]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
+
+
 def _silverman_bandwidth(values: np.ndarray) -> float:
     n = values.size
     sd = float(np.std(values, ddof=1))
-    iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
+    low, high = _quartiles(values)
+    iqr = float(high - low)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
 

@@ -9,7 +9,9 @@ from icurisk.cohort import (
     RawCohort,
     SynthConfig,
     _observation_parts,
+    _RowIds,
     _SeenTexts,
+    _texts,
     generate_synthetic_cohort,
     write_observations,
     write_outcomes,
@@ -54,13 +56,17 @@ def cohort_from_rows(rows, outcomes):
 def parse_observations(stream) -> dict:
     """The observation columns the library parses from a binary CSV stream,
     in the form of `oracles.ingest_rows`: the parts of `_observation_parts`
-    concatenated, then sorted by patient and offset, ties in file order."""
-    patients, variables = {}, _SeenTexts()
+    concatenated, with the patients numbered by first appearance
+    (`_RowIds.numbering`), then sorted by patient and offset, ties in file
+    order."""
+    patients, variables = _RowIds(), _SeenTexts()
     parts = list(_observation_parts(stream, patients, variables))
     patient, variable, offset, value = (np.concatenate(column) for column in zip(*parts))
+    rank, ids = patients.numbering()
+    patient = rank[patient]
     order = np.lexsort((offset, patient))
     return {
-        "patient_ids": list(patients),
+        "patient_ids": _texts(ids),
         "vocabulary": tuple(variables.index),
         "patient": patient[order],
         "variable": variable[order],

@@ -40,6 +40,20 @@ def test_cli_import_leaves_out_scipy_stats():
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0", reason="NumPy 1 imports numpy.ma with numpy")
+def test_evaluate_leaves_out_numpy_ma(workdir):
+    # numpy.ma takes about 10 ms to import, in the command and again in a CV
+    # child: neither the medians, the fold split nor the KDE bandwidth needs it.
+    src = str(Path(icurisk.__file__).resolve().parents[1])
+    code = "import sys, icurisk.cli; code = icurisk.cli.main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code, "evaluate", "--config", str(write_config(workdir))],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
 class TestConfigHandling:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run(["synth", "--config", tmp_path / "absent.json"]) == 2
@@ -176,6 +190,14 @@ class TestConfigHandling:
         assert run([command, "--config", cfg, "--seed", 2**64]) == 2
         assert capsys.readouterr().err == f"config error: --seed must fit in 64 unsigned bits, got {2**64}\n"
         assert not (workdir / "out").exists()
+
+    def test_config_seed_past_64_bits_trains_no_model(self, workdir, capsys):
+        # the top-level seed has the bound of --seed: exit 2, naming the key
+        assert run(["train", "--config", write_config(workdir, seed=2**64)]) == 2
+        assert capsys.readouterr().err == f"config error: seed must fit in 64 unsigned bits, got {2**64}\n"
+        assert not (workdir / "out").exists()
+        assert run(["train", "--config", write_config(workdir, seed=2**64 - 1)]) == 0
+        assert (workdir / "out" / "model.json").stat().st_size > 0
 
     def test_synth_seed_past_64_bits_is_a_usage_error_as_flag_or_config(self, workdir, capsys):
         # the same value through the config's synth block: also exit 2, naming the seed

@@ -262,8 +262,8 @@ class TestIngestObservations:
 
 class TestIngestOutcomes:
     def test_direct_mapping(self):
-        rows, event_hours, died = ingest_outcomes(out_stream("p1,132.5,1", "p0,40,0"))
-        assert rows == {"p1": 0, "p0": 1}
+        ids, event_hours, died = ingest_outcomes(out_stream("p1,132.5,1", "p0,40,0"))
+        assert cohort_module._texts(ids) == ["p1", "p0"]
         assert event_hours.dtype == np.float64 and event_hours.tolist() == [132.5, 40.0]
         assert died.dtype == bool and died.tolist() == [True, False]
 
@@ -332,6 +332,28 @@ class TestLoadCohort:
         with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. \['p4'\]\)$"):
             load_cohort(obs, out, 720, None)
 
+    def test_outcomes_pair_by_id_from_either_parser(self, tmp_path):
+        # Block-parsed ids pair by sorted hash key, row-loop ids (CRLF or a
+        # quoted id, in either file) through a dict: the same pairs, or the
+        # same message for extra and missing patients.
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        rows = ["p1,10.5,1", "p2,20.5,0", "p3,30.5,1"]
+        for newline in (b"\n", b"\r\n"):
+            obs.write_bytes(obs_stream("p3,heart_rate,30,100", "p1,gcs,5,9", "p2,gcs,5,9").getvalue().replace(b"\n", newline))
+            for body in (rows, rows[::-1], ['"p1",10.5,1', *rows[1:]]):
+                for out_newline in (b"\n", b"\r\n"):
+                    out.write_bytes(out_stream(*body).getvalue().replace(b"\n", out_newline))
+                    tables = load_cohort(obs, out, 720, None)
+                    assert tables.patient_ids == ["p3", "p1", "p2"]
+                    assert tables.event_hours.tolist() == [30.5, 10.5, 20.5]
+                    assert tables.died.tolist() == [True, True, False]
+            mismatch = rf"^{obs}, {out}: observations and outcomes cover different patients"
+            for body, shown in ((["p1,10,1", "p2,20,0", "p4,5,0"], "['p3', 'p4']"), ([*rows, "p5,5,0"], "['p5']"),
+                                (rows[:2], "['p3']"), (['"p1",10,1', "p2,20,0", "p4,5,0"], "['p3', 'p4']")):
+                out.write_bytes(out_stream(*body).getvalue())
+                with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. {re.escape(shown)}\)$"):
+                    load_cohort(obs, out, 720, None)
+
     def test_outcomes_align_by_id_not_by_row(self, tmp_path):
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
         rows = [
@@ -359,12 +381,6 @@ class TestLoadCohort:
         assert_same_tables(load_cohort(obs, out, 720, None), tables)
 
 
-def finished(merged, serial):
-    """Merged range folds given the serial fold's outcomes, to compare
-    with it field by field."""
-    return merged.finish(merged.patient_ids, merged.vocabulary, serial.event_hours, serial.died)
-
-
 class TestRangeFold:
     """`_fold_range` and `_merge_ranges` in this process: the merge of
     line-aligned ranges equals the serial fold."""
@@ -389,12 +405,13 @@ class TestRangeFold:
         # ranges of 2, 0 (an empty one), 1, 3 and 1 lines
         cuts = [starts[0], starts[2], starts[2], starts[3], starts[6], len(data)]
         folds = [cohort_module._fold_range(obs, a, b, 720, table) for a, b in zip(cuts, cuts[1:])]
-        assert [fold.patient_ids for fold in folds] == [["p1"], [], ["p1"], ["p2", "p1"], ["p3"]]
-        assert folds[1].worst.shape == (0, 2, 0)
+        ids = [cohort_module._texts(fold.patients.numbering()[1]) for fold in folds]
+        assert ids == [["p1"], [], ["p1"], ["p2", "p1"], ["p3"]]
+        assert folds[1].tables.worst.shape == (0, 2, 0)
         serial = load_cohort(obs, out, 720, table)
         assert serial.patient_ids == ["p1", "p2", "p3"]
         assert serial.vocabulary == ("heart_rate", "gcs", "temperature", "blood_pressure")
-        assert_same_tables(finished(cohort_module._merge_ranges(folds), serial), serial)
+        assert_same_tables(cohort_module._merge_ranges(folds).finish(obs, out), serial)
 
     def test_declined_block_declines_its_range(self, tmp_path):
         obs = tmp_path / "obs.csv"

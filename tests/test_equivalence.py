@@ -27,6 +27,11 @@ exact medoid search or large enough for BUILD/SWAP and, with a lowered
 silhouette hold duplicates, equal rows under different labels and singleton
 clusters.
 
+Generated outcomes files mix plain rows with quoted, repeated and non-UTF-8
+ids, hours such as `+5`, `1e3`, `nan` and `-0.0`, flags of 0 to 3 bytes,
+CRLF, empty lines and a bad header. Generated score matrices for the
+medians hold windows and variables with no sample at all.
+
 Synthetic cohorts are generated with 1 to 8 variables (so age is absent,
 last or in the middle), 1 to 48 samples a day and no or most samples
 missing, and must match the per-patient generator bit for bit. Written
@@ -58,6 +63,7 @@ from icurisk.cohort import (
     _csv_fields,
     filter_cohort,
     generate_synthetic_cohort,
+    ingest_outcomes,
     load_cohort,
     window_tables,
     write_observations,
@@ -68,10 +74,12 @@ from icurisk import features as features_module
 from icurisk.features import (
     NUMERIC,
     BINARY,
+    FeatureMatrix,
     FeatureSpec,
     ScoreBin,
     ScoreTable,
     build_feature_matrix,
+    compute_medians,
     distinct_rows,
     gower_matrix,
     load_default_score_table,
@@ -80,7 +88,10 @@ from icurisk.features import (
 )
 from icurisk.hmm import fit_feature_stage, fit_risk_model, score_patients
 from icurisk.survival import (
+    BANDWIDTH_FLOOR,
     TargetSpec,
+    _quartiles,
+    _silverman_bandwidth,
     censor_by_target,
     compute_priors,
     fit_window_regressions,
@@ -809,6 +820,29 @@ def test_fold_matches_row_oracle(files, window_hours, block_bytes):
 
 
 @settings(deadline=None)
+@given(fold_files(), WINDOW_HOURS, st.sampled_from([8, 16, 64]))
+def test_fold_merging_runs_as_it_goes_matches_row_oracle(files, window_hours, block_bytes):
+    """A fold whose rows are merged by patient whenever they have doubled,
+    as for an unsorted file past _MERGE_ROWS rows, gives the tables of the
+    row oracle, and never holds more than twice the patients' rows plus a
+    block's."""
+    merges = []
+    merge = cohort_module._RowIds.merge
+
+    def counted(self, tables):
+        merges.append(self.size)
+        return merge(self, tables)
+
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohort_module, "BLOCK_BYTES", block_bytes)
+        mp.setattr(cohort_module, "_MERGE_ROWS", 2)
+        mp.setattr(cohort_module._RowIds, "merge", counted)
+        assert_fold_matches_row_oracle(*write_fold_files(directory, *files), window_hours)
+    n_patients = len(files[1])
+    assert all(rows <= 2 * max(n_patients, 2) + block_bytes for rows in merges)
+
+
+@settings(deadline=None)
 @given(fold_files(), WINDOW_HOURS, st.data())
 def test_merged_range_folds_match_the_serial_fold(files, window_hours, data):
     """Folded on their own in this process, line-aligned ranges of a file
@@ -823,8 +857,8 @@ def test_merged_range_folds_match_the_serial_fold(files, window_hours, data):
         cuts = [starts[0], *sorted(data.draw(st.lists(st.sampled_from(starts), max_size=5))), len(body)]
         folds = [cohort_module._fold_range(observations, a, b, 60 * window_hours, TABLE) for a, b in zip(cuts, cuts[1:])]
         serial = load_cohort(observations, outcomes_path, 60 * window_hours, TABLE)
-    merged = cohort_module._merge_ranges(folds)
-    assert_same_tables(merged.finish(merged.patient_ids, merged.vocabulary, serial.event_hours, serial.died), serial)
+        merged = cohort_module._merge_ranges(folds).finish(observations, outcomes_path)
+    assert_same_tables(merged, serial)
 
 
 @pytest.mark.parametrize("layout", ["sorted", "row_loop_tail", "unsorted"])
@@ -976,3 +1010,101 @@ def test_names_seen_in_earlier_blocks_match_row_oracle(collide, block_bytes, mon
     if collide:
         monkeypatch.setattr(cohort_module, "_MIX", np.uint64(0))
     assert_ingest_matches_oracle(lambda: io.BytesIO(data))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_medians_from_counts_match_nanmedian(data):
+    """`compute_medians` counts each score; np.nanmedian of the scores is
+    the oracle, bit for bit, NaN where a window's cell or a variable has no
+    sample at all."""
+    names = ("heart_rate", "blood_pressure", "gcs", "temperature")[: data.draw(st.integers(1, 4))]
+    spec = FeatureSpec(names, data.draw(st.sampled_from([5, 8, 12, 24])), TABLE)
+    n = data.draw(st.integers(1, 30))
+    scores = data.draw(arrays(np.int64, (n, spec.n_windows, len(names)), elements=st.integers(-1, 6)))
+    if data.draw(st.booleans()):
+        scores[:, :, data.draw(st.integers(0, len(names) - 1))] = -1   # a variable never observed
+    if data.draw(st.booleans()):
+        scores[:, data.draw(st.integers(0, spec.n_windows - 1)), data.draw(st.integers(0, len(names) - 1))] = -1
+    matrix = FeatureMatrix.from_scores([f"p{i}" for i in range(n)], spec, scores, np.full(n, 48.0), np.zeros(n, bool))
+    medians = compute_medians(matrix)
+    observed = np.where(scores >= 0, scores, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # all-NaN slices
+        cell = np.nanmedian(observed, axis=0)
+        overall = np.nanmedian(observed.reshape(-1, len(names)), axis=0)
+    assert medians.cell.tobytes() == cell.tobytes()
+    assert medians.overall.tobytes() == overall.tobytes()
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.integers(1, 60), elements=st.one_of(
+    st.sampled_from([0.0, -0.0, 1.5, -2.0]), st.floats(-1e6, 1e6, allow_subnormal=False))))
+def test_quartiles_match_percentile(values):
+    # Equal as numbers: where -0.0 and 0.0 meet, sort and partition may
+    # order them apart, and the bandwidth reads the spread only through iqr > 0.
+    assert np.array_equal(_quartiles(values), np.percentile(values, [25, 75]))
+    if values.size > 1:
+        sd = float(np.std(values, ddof=1))
+        iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
+        spread = min(sd, iqr / 1.34) if iqr > 0 else sd
+        assert _silverman_bandwidth(values) == max(0.9 * spread * values.size ** (-0.2), BANDWIDTH_FLOOR)
+
+
+OUTCOME_HOURS = st.sampled_from(["+5", "1e3", " 7", "nan", "-0.0", "0", "-4", "inf", "x", "", "1_0"])
+OUTCOME_FLAGS = st.sampled_from(["2", "", " 1", "001", "10"])
+
+
+@st.composite
+def outcome_files(draw):
+    """The bytes of an outcomes file. Some rows are odd: a quoted id, a
+    repeated id, an id that is not UTF-8; hours the block parser declines
+    (`+5`, `nan`, `-0.0`, ...) or reads by `astype` (`1e3`); a flag of 0
+    to 3 bytes. The file may be CRLF, hold an empty line, lack its last
+    newline or have a bad header."""
+    rows = []
+    for i in range(draw(st.integers(0, 12))):
+        pid, hours, flag = f"p{i}", draw(st.sampled_from(["5.0", "48", "24.25", "107.23456789012345"])), draw(st.sampled_from("01"))
+        odd = draw(st.sampled_from(["", "", "", "", "id", "hours", "flag"]))
+        if odd == "id":
+            pid = draw(st.sampled_from([f'"p{i}"', f'"p,{i}"', f"p\xff{i}", f"p {i}", "", "p0"]))
+        elif odd == "hours":
+            hours = draw(OUTCOME_HOURS)
+        elif odd == "flag":
+            flag = draw(OUTCOME_FLAGS)
+        rows.append(f"{pid},{hours},{flag}")
+    if draw(st.integers(0, 4)) == 0:
+        rows.insert(draw(st.integers(0, len(rows))), "")
+    header = "patient_id,event_hours,death_flag" if draw(st.integers(0, 9)) else "patient_id,hours,flag"
+    newline = "\n" if draw(st.integers(0, 3)) else "\r\n"
+    body = newline.join([header] + rows) + (newline if draw(st.integers(0, 3)) else "")
+    return body.encode().replace("\xff".encode(), b"\xff")
+
+
+def outcomes_or_error(data):
+    try:
+        ids, event_hours, died = ingest_outcomes(io.BytesIO(data))
+    except (ParseError, CohortError) as exc:
+        return type(exc), str(exc)
+    return cohort_module._texts(ids), event_hours.tobytes(), died.tolist()
+
+
+@settings(deadline=None)
+@given(outcome_files())
+def test_outcomes_block_path_matches_row_loop(data):
+    """A whole outcomes file parsed as a block gives what the `csv` row
+    loop gives: the same ids, hours and flags, or the same error, line and
+    message."""
+    block = outcomes_or_error(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cohort_module, "_outcome_columns", lambda data: None)
+        assert block == outcomes_or_error(data)
+
+
+def test_written_outcomes_take_the_block_path(small_cohort, tmp_path):
+    path = tmp_path / "outcomes.csv"
+    write_outcomes(small_cohort, path)
+    ids, event_hours, died = cohort_module._outcome_columns(path.read_bytes())
+    assert cohort_module._texts(ids) == small_cohort.patient_ids
+    assert event_hours.tobytes() == small_cohort.event_hours.tobytes()
+    assert np.array_equal(died, small_cohort.died)
