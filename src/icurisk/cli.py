@@ -17,9 +17,15 @@ import numpy as np
 
 from .cohort import (
     DEFAULT_REQUIRED_VARIABLES,
+    _NEWLINE,
     CohortError,
     SynthConfig,
+    _constant,
     _csv_fields,
+    _lines,
+    _rows,
+    _text_pieces,
+    _value_table,
     filter_cohort,
     generate_synthetic_cohort,
     json_number,
@@ -286,15 +292,20 @@ def _scoring_matrix(cfg: PipelineConfig, model, echo):
 
 
 def write_predictions(path, patient_ids, eta_by_day) -> None:
-    """predictions.csv, one `patient_id,target_day,repr(eta)` line per patient and day; each
-    day's distinct etas, told apart by bit pattern (0.0 and -0.0 too), are formatted once."""
-    pids = _csv_fields(patient_ids)
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("patient_id,target_day,eta\n")
+    """predictions.csv, one `patient_id,target_day,repr(eta)` line per patient and day, laid out
+    as bytes (`cohort._lines`); each day's distinct etas, told apart by bit pattern (0.0 and -0.0
+    too), are formatted once."""
+    pids = _text_pieces(_csv_fields(patient_ids))
+    with open(path, "wb") as f:
+        f.write(b"patient_id,target_day,eta\n")
         for day, eta in eta_by_day.items():
             bits, text_of = np.unique(np.asarray(eta, dtype=np.float64).view(np.uint64), return_inverse=True)
-            texts = [f",{day},{value!r}\n" for value in bits.view(np.float64).tolist()]
-            f.writelines(pid + texts[i] for pid, i in zip(pids, text_of.tolist()))
+            etas, day_field = _value_table(bits.view(np.float64)), _constant(f",{day},".encode())
+
+            def line(rows):
+                return [*_rows(pids, rows), day_field, *_rows(etas, text_of[rows]), _NEWLINE]
+
+            f.writelines(_lines(line, 0, len(patient_ids)))
 
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:

@@ -39,6 +39,10 @@ BLOCK_BYTES = 1 << 18
 WINDOW_CHUNK_ROWS = 1 << 16   # rows of a RawCohort that `window_tables` folds at once
 # Bytes of an observations file that warrant a range of their own (`_fold_in_ranges`).
 _RANGE_BYTES = 4 << 20
+# Rows of a CSV file laid out at once (`_lines`): a few MB of bytes and masks.
+_LINE_ROWS = 1 << 13
+# Rows of a cohort that warrant a range of their own (`write_observations`).
+_WRITE_RANGE_ROWS = 1 << 17
 
 # Day used to anchor the synthetic generator's prevalence calibration.
 PREVALENCE_REFERENCE_DAY = 5
@@ -297,14 +301,25 @@ _SWAR_STEPS = tuple(
         (10000 << 32 | 1, 32, 0),
     )
 )
+# (divisor, multiply, shift, mask, lane bits): a lane below 10**8, 10**4
+# or 100 to its quotient and remainder by 10**4, 100 or 10 (`_ascii_digits`).
+_SWAR_SPLITS = tuple(
+    tuple(np.uint64(n) for n in split)
+    for split in (
+        (10000, 109951163, 40, 0, 32),
+        (100, 10486, 20, 0x0000007F0000007F, 16),
+        (10, 103, 10, 0x000F000F000F000F, 8),
+    )
+)
 _POW10 = np.array([10**n for n in range(20)], dtype=np.uint64)
-_POW10_LONG = _POW10.astype(np.longdouble)
+_POW10_LONG = np.array([float(10**n) for n in range(21)], dtype=np.longdouble)   # exact as float64 too
 # Indexed [j, n] for a field of n bytes: how many of its bytes lie in word j
 # counted from its start (`_field_words`) or from its end (`_number_words`),
 # and a mask that keeps them: the low bytes of a word, or the high ones.
 _IN_WORD = np.clip(np.arange(_MAX_FIELD_BYTES + 1) - 8 * np.arange(_MAX_WORDS)[:, None], 0, 8)
 _KEEP_LOW = np.array([(1 << 8 * n) - 1 for n in range(9)], dtype=np.uint64)[_IN_WORD]
 _KEEP_HIGH = np.array([((1 << 8 * n) - 1) << (64 - 8 * n) for n in range(9)], dtype=np.uint64)[_IN_WORD]
+_KEEP_LAST = _KEEP_HIGH & _ONES   # the same bytes as bool: 1, not 0xFF
 # The top byte of a word with 1 in byte p alone, times _AFTER_DOT[i], is
 # 7 - p + 8i: the bytes after byte p of word i counted from a field's end.
 _AFTER_DOT = np.array([int.from_bytes(bytes(q + 8 * i for q in range(8)), "little") for i in range(3)], dtype=np.uint64)
@@ -586,10 +601,8 @@ def _plain_decimals(buf, start, end):
     reads it: (values, indices of the other rows, whose values are unset).
 
     The digits make an exact uint64 mantissa w, with k of them after the
-    point, and w / 10**k is rounded once, in np.longdouble, where both are
-    exact. Rounding that quotient to float64 is a second rounding, which
-    errs only when the quotient lies on a float64 midpoint: those rows are
-    left out too.
+    point, and w / 10**k goes to float64 through `_quotients`; a row whose
+    quotient is not certain is left out too.
     """
     negative = buf[_PAD:][start] == ord("-")
     size = end - start
@@ -626,19 +639,104 @@ def _plain_decimals(buf, start, end):
     whole += part
     quotient = whole.astype(np.longdouble)
     del whole, part, mantissa
+    value, certain = _quotients(quotient, after)
+    plain &= certain
+    np.negative(value, out=value, where=negative)
+    return value, np.flatnonzero(~plain)
+
+
+def _quotients(quotient, after):
+    """(float64 of each quotient / 10**after, whether it is certainly the
+    correctly rounded one) for `quotient` an np.longdouble array of
+    integers below 2**64, which this overwrites, and `after` in 0..20.
+
+    The quotient is rounded once, in np.longdouble, where both are exact
+    (_EXACT_QUOTIENTS). Rounding it to float64 is a second rounding, which
+    errs only when the quotient lies on a float64 midpoint: those rows are
+    not certain.
+    """
     quotient /= _POW10_LONG.take(after, mode="clip")
     value = quotient.astype(np.float64)
     quotient -= value
     # Exact for a 64-bit significand (11 significant bits at most); with a
     # longer one, rounding can only make more rows look like midpoints.
     error = quotient.astype(np.float64)
-    del quotient
     # On a midpoint, value + 2 * error is the float64 next to value; off
     # one, it lies between the two and rounds to one of them.
     error *= 2
-    plain &= (error == 0) | ((value + error) - value != error)
-    np.negative(value, out=value, where=negative)
-    return value, np.flatnonzero(~plain)
+    return value, (error == 0) | ((value + error) - value != error)
+
+
+def _nearest_decimals(value, places):
+    """(nearest, back, certain): nearest = rint(value * 10**places), the
+    nearest multiple of 10**-places to each positive float64 `value`, as
+    uint64; whether nearest / 10**places reads back as `value`; and whether
+    both are certain. value * 10**places is rounded once, in np.longdouble,
+    so nearest is certain unless that product lies within a few of its
+    units in the last place of a half-integer."""
+    scaled = value.astype(np.longdouble)
+    scaled *= _POW10_LONG.take(places)
+    nearest = np.rint(scaled)
+    certain = np.longdouble(0.5) - np.abs(scaled - nearest) > scaled * np.longdouble(2.0**-62)
+    digits = nearest.astype(np.uint64)
+    back, exact = _quotients(nearest, places)
+    return digits, back == value, certain & exact
+
+
+def _shortest_decimals(values):
+    """`repr` of each float64 as parts of its fixed notation: (whole,
+    fraction, places, other), where |value| is written as the digits of
+    `whole`, ".", and `fraction` zero-padded to `places` digits, except for
+    the rows in bool mask `other`, whose text only `repr` can give.
+
+    Integral values below 1e16 are their integer with ".0". A non-integral
+    value v in [1e-4, 2**52) is written with the fewest places k for which
+    the nearest multiple of 10**-k reads back as v (shortest round trip, as
+    `repr` has it; Steele & White 1990, Adams 2018): 16 significant digits
+    first, 17 where those do not read back, and where they do, fewer while
+    they still do, trailing zeros stripped on the way. A row is left to
+    `repr` if any step is not certain (`_nearest_decimals`), and so is every
+    other value (exponent form in repr, or no np.longdouble to round in).
+    """
+    size = np.abs(values)
+    whole, fraction = np.zeros(size.size, dtype=np.uint64), np.zeros(size.size, dtype=np.uint64)
+    places = np.ones(size.size, dtype=np.int64)
+    other = np.ones(size.size, dtype=bool)
+    if not _EXACT_QUOTIENTS:
+        return whole, fraction, places, other
+
+    def found(rows, digits, at):
+        whole[rows], fraction[rows] = np.divmod(digits, _POW10.take(np.minimum(at, 19)))
+        places[rows] = at
+        other[rows] = False
+
+    integral = size < 1e16   # False for NaN
+    integral[integral] = size[integral] == np.floor(size[integral])
+    found(np.flatnonzero(integral), size[integral].astype(np.uint64) * _POW10[1], 1)
+    rows = np.flatnonzero((size >= 1e-4) & (size < 2.0**52) & ~integral)
+    value = size[rows]
+    at = np.maximum(15 - np.floor(np.log10(value)).astype(np.int64), 1)   # 16 digits
+    nearest, back, certain = _nearest_decimals(value, at)
+    up = np.flatnonzero(certain & ~back)
+    digits, back_up, certain_up = _nearest_decimals(value[up], at[up] + 1)
+    ok = back_up & certain_up
+    found(rows[up[ok]], digits[ok], at[up[ok]] + 1)
+    down = certain & back
+    rows, value, at, digits = rows[down], value[down], at[down], nearest[down]
+    while rows.size:
+        # a decimal that reads back with trailing zeros does so with fewer places
+        zeros = np.flatnonzero(digits % _POW10[1] == 0)
+        for n in (16, 8, 4, 2, 1):
+            strip = zeros[digits[zeros] % _POW10[n] == 0]
+            digits[strip] //= _POW10[n]
+            at[strip] -= n
+        nearest, back, certain = _nearest_decimals(value, np.maximum(at - 1, 1))
+        back &= at > 1   # one place is the fewest a non-integral value can have
+        done = certain & ~back
+        found(rows[done], digits[done], at[done])
+        down = certain & back
+        rows, value, at, digits = rows[down], value[down], at[down] - 1, nearest[down]
+    return whole, fraction, places, other
 
 
 def _values(buf, start, end):
@@ -1097,28 +1195,167 @@ def _csv_fields(texts) -> list[str]:
     return fields
 
 
+def _ascii_digits(numbers, n_words):
+    """The last 8 * n_words decimal digits of each uint64 number, zero-padded,
+    as ASCII: a (rows, 8 * n_words) uint8 array.
+
+    The reverse of `_digits`, 8 digits a word: each step splits every lane
+    of a word into its quotient and remainder by 10**4, 100 and 10, and
+    moves the remainder into the lane's upper half, so the first digit
+    ends in the lowest byte. Multiply-and-shift divides exactly for the
+    lanes' ranges."""
+    out = np.empty((numbers.size, n_words), dtype="<u8")
+    rest = numbers
+    for j in range(n_words - 1, -1, -1):
+        rest, word = np.divmod(rest, _POW10[8]) if j else (None, rest.astype(np.uint64))
+        for divisor, multiply, shift, mask, lane in _SWAR_SPLITS:
+            quotient = (word * multiply) >> shift
+            if mask:
+                quotient &= mask
+            word -= quotient * divisor
+            word <<= lane
+            word |= quotient
+        word |= _ZEROS
+        out[:, j] = word
+    return out.view(np.uint8)
+
+
+def _number_piece(numbers, count=None, keep=None):
+    """uint64 numbers as a piece of lines (`_joined`): their last `count`
+    digits (default: all, at least one), in rows where `keep` is True."""
+    if count is None:
+        count = np.maximum(np.searchsorted(_POW10, numbers, side="right"), 1)
+    if keep is not None:
+        count = count * keep
+    n_words = max(1, -(-int(count.max(initial=1)) // 8))
+    mask = np.empty((numbers.size, n_words), dtype="<u8")
+    for j in range(n_words):
+        mask[:, j] = _KEEP_LAST[n_words - 1 - j].take(count)
+    return _ascii_digits(numbers, n_words), mask.view(np.bool_)
+
+
+def _text_pieces(texts):
+    """Texts as UTF-8, one row each: a one-piece list (`_joined`)."""
+    texts = list(texts)
+    try:   # ASCII texts, a byte a character, encoded by NumPy without a bytes object each
+        return _byte_pieces(np.array(texts, dtype=bytes), np.fromiter(map(len, texts), np.int64, len(texts)))
+    except UnicodeEncodeError:
+        return _byte_pieces([text.encode() for text in texts])
+
+
+def _byte_pieces(encoded, length=None):
+    """Bytes strings, a list or an "S" array with their `length`, one row
+    each: a one-piece list (`_joined`)."""
+    if length is None:
+        length = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    width = int(length.max(initial=0))
+    data = np.asarray(encoded, dtype=f"S{max(width, 1)}").view(np.uint8).reshape(len(length), max(width, 1))
+    return [(data[:, :width], np.arange(width) < length[:, None])]
+
+
+def _value_pieces(values):
+    """float64 values as their `repr`: pieces of lines (`_joined`)."""
+    whole, fraction, places, other = _shortest_decimals(values)
+    [(texts, kept)] = _text_pieces([repr(value) for value in values[other].tolist()])
+    written = np.zeros((values.size, texts.shape[1]), dtype=np.uint8)
+    written[other] = texts
+    fallback = np.zeros(written.shape, dtype=bool)
+    fallback[other] = kept
+    decimal = ~other
+    return [
+        (np.full((values.size, 1), ord("-"), dtype=np.uint8), (decimal & np.signbit(values))[:, None]),
+        _number_piece(whole, keep=decimal),
+        (np.full((values.size, 1), ord("."), dtype=np.uint8), decimal[:, None]),
+        _number_piece(fraction, places, keep=decimal),
+        (written, fallback),
+    ]
+
+
+def _value_table(values):
+    """float64 values as their `repr`, one row each: a one-piece list
+    (`_joined`) of the texts, laid out _LINE_ROWS values at a time."""
+    lines = _lines(lambda rows: [*_value_pieces(values[rows]), _NEWLINE], 0, values.size)
+    return _byte_pieces(b"".join(lines).split(b"\n")[:-1])
+
+
+def _rows(pieces, index):
+    """The rows `index` (an index array or a slice) of a table's pieces."""
+    return [(data[index], mask[index]) for data, mask in pieces]
+
+
+def _constant(text):
+    """The same bytes in every line: a piece (`_joined`)."""
+    return np.frombuffer(text, dtype=np.uint8)[None, :], None
+
+
+_COMMA, _NEWLINE = _constant(b","), _constant(b"\n")
+
+
+def _joined(n, pieces) -> np.ndarray:
+    """The bytes of n lines laid out in pieces, as a uint8 array: a piece
+    is a (data, mask) pair of a (rows, width) uint8 array of bytes,
+    fixed-width with one row per line or one row for all, and a (rows,
+    width) bool mask of the bytes each line keeps (None: all). Each line is
+    the kept bytes of its pieces, in order; the lines are compressed out of
+    the byte matrix at once."""
+    data = np.concatenate([np.broadcast_to(d, (n, d.shape[1])) for d, _ in pieces], axis=1)
+    mask = np.concatenate([np.broadcast_to(True if m is None else m, (n, d.shape[1])) for d, m in pieces], axis=1)
+    return data[mask]
+
+
+def _lines(line, start, stop):
+    """The lines of rows [start, stop) laid out by `line(rows)`, a list of
+    pieces for a slice of rows, as uint8 arrays of their bytes (`_joined`),
+    _LINE_ROWS rows at a time."""
+    for at in range(start, stop, _LINE_ROWS):
+        rows = slice(at, min(at + _LINE_ROWS, stop))
+        yield _joined(rows.stop - rows.start, line(rows))
+
+
 def write_observations(cohort: RawCohort, path) -> None:
     """The observations CSV: one row per observation, in cohort order, each
-    value as its `repr`; byte for byte what `csv.writer` writes."""
-    pids = np.array(_csv_fields(cohort.patient_ids), dtype=object)
-    names = np.array(_csv_fields(cohort.vocabulary), dtype=object)
-    rows = zip(
-        pids[cohort.patient].tolist(),
-        names[cohort.variable].tolist(),
-        cohort.offset_minutes.tolist(),
-        cohort.value.tolist(),
-    )
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(OBSERVATIONS_HEADER) + "\n")
-        f.writelines(f"{pid},{name},{offset},{value!r}\n" for pid, name, offset, value in rows)
+    value as its `repr`; byte for byte what `csv.writer` writes.
+
+    Lines are laid out as bytes (`_lines`), values by `_shortest_decimals`.
+    A cohort of 2 * _WRITE_RANGE_ROWS rows or more is cut into n = min(usable
+    CPUs, rows // _WRITE_RANGE_ROWS) contiguous ranges, laid out at once here
+    and in forked children (`map_in_children`) and written in order; with
+    fewer, or if a child fails, the rows are laid out serially, to the same
+    bytes.
+    """
+    pids, names = _text_pieces(_csv_fields(cohort.patient_ids)), _text_pieces(_csv_fields(cohort.vocabulary))
+
+    def line(rows):
+        return [
+            *_rows(pids, cohort.patient[rows]), _COMMA,
+            *_rows(names, cohort.variable[rows]), _COMMA,
+            _number_piece(cohort.offset_minutes[rows].view(np.uint64)), _COMMA,
+            *_value_pieces(cohort.value[rows]), _NEWLINE,
+        ]
+
+    n_rows = cohort.patient.size
+    n = max(1, min(usable_cpus(), n_rows // _WRITE_RANGE_ROWS))
+    cuts = [n_rows * i // n for i in range(n + 1)]
+    ranges = map_in_children(lambda cut: list(_lines(line, *cut)), list(zip(cuts, cuts[1:])))
+    with open(path, "wb") as f:
+        f.write(_OBSERVATIONS_HEADER_LINE)
+        f.writelines(_lines(line, 0, n_rows) if ranges is None else itertools.chain(*ranges))
 
 
 def write_outcomes(cohort: RawCohort, path) -> None:
     """The outcomes CSV: one row per patient, in patient order."""
-    rows = zip(_csv_fields(cohort.patient_ids), cohort.event_hours.tolist(), cohort.died.tolist())
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write(",".join(OUTCOMES_HEADER) + "\n")
-        f.writelines(f"{pid},{hours!r},{int(died)}\n" for pid, hours, died in rows)
+    pids = _text_pieces(_csv_fields(cohort.patient_ids))
+
+    def line(rows):
+        return [
+            *_rows(pids, rows), _COMMA,
+            *_value_pieces(cohort.event_hours[rows]), _COMMA,
+            _number_piece(cohort.died[rows].astype(np.uint64)), _NEWLINE,
+        ]
+
+    with open(path, "wb") as f:
+        f.write(_OUTCOMES_HEADER_LINE)
+        f.writelines(_lines(line, 0, cohort.n_patients))
 
 
 class WindowTables:
@@ -1546,7 +1783,14 @@ def generate_synthetic_cohort(config: SynthConfig) -> RawCohort:
     offsets = offsets[keep].astype(np.int64)  # whole minutes, truncated
     values = values[keep]
     del noise, keep   # with offsets and values rebound, no cell array outlives this line
-    order = np.lexsort((offsets, patient))
+    # One sort key, patient then offset. Offsets are below 1440, or below
+    # one sampling interval for rates under one a day; only intervals near
+    # 2**63 / patients minutes (rates near 1e-16 an hour) overflow the key.
+    stride = int(offsets.max(initial=0)) + 1
+    if n_patients * stride < 2**63:
+        order = np.argsort(patient * stride + offsets, kind="stable")
+    else:
+        order = np.lexsort((offsets, patient))
     return RawCohort(
         patient_ids=[f"p{i:0{width}d}" for i in range(1, n_patients + 1)],
         vocabulary=tuple(variables),

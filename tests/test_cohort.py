@@ -569,6 +569,71 @@ class TestRangesInChildren:
         assert forks["fork"] == 0
 
 
+class TestWriteInRanges:
+    """`write_observations` of the 600-patient cohort (about 52,000 rows)
+    cut into ranges of at least 20,000 rows, one per usable CPU."""
+
+    COLUMNS = ("patient", "variable", "offset_minutes", "value", "event_hours", "died")
+
+    @pytest.fixture
+    def write(self, monkeypatch, tmp_path, small_cohort):
+        """(write, forks): write(cpus) writes the cohort with `cpus` usable
+        CPUs and returns the file's bytes; the live count of forks."""
+        forks = count_calls(monkeypatch, os, "fork")
+
+        def write(cpus):
+            before = [getattr(small_cohort, name).copy() for name in self.COLUMNS]
+            path = tmp_path / "observations.csv"
+            with monkeypatch.context() as mp:
+                mp.setattr(cohort_module, "_WRITE_RANGE_ROWS", 20_000)
+                mp.setattr(cohort_module, "usable_cpus", lambda: cpus)
+                try:
+                    write_observations(small_cohort, path)
+                finally:
+                    no_child_left()
+            for name, column in zip(self.COLUMNS, before):   # the writer left the cohort as it was
+                assert getattr(small_cohort, name).tobytes() == column.tobytes(), name
+            return path.read_bytes()
+
+        return write, forks
+
+    def test_ranges_write_the_serial_bytes(self, write):
+        write, forks = write
+        serial = write(1)
+        assert forks["fork"] == 0
+        assert write(2) == serial
+        assert forks["fork"] == 1
+        assert write(3) == serial   # 52,000 // 20,000: still 2 ranges
+        assert forks["fork"] == 2
+
+    @pytest.mark.parametrize("how", ["exit", "raise"])
+    def test_failing_child_writes_serially(self, write, monkeypatch, how):
+        write, forks = write
+        serial = write(1)
+        parent, lines = os.getpid(), cohort_module._lines
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if how == "exit":
+                    os._exit(0)
+                raise OSError("no space left on device")
+            return lines(*args)
+
+        monkeypatch.setattr(cohort_module, "_lines", failing)
+        assert write(2) == serial
+        assert forks["fork"] == 1
+
+    def test_serial_writer_memory_does_not_grow_with_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cohort_module, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(cohort_module, "_LINE_ROWS", 1 << 12)
+        peaks = []
+        for n_patients in (200, 800):   # about 17,000 and 70,000 rows
+            cohort = generate_synthetic_cohort(SynthConfig(n_patients, 5, 0.35, 0.1, 1.0, 3))
+            peaks.append(traced_peak(lambda: write_observations(cohort, tmp_path / "observations.csv")))
+        small, large = peaks
+        assert large <= 1.1 * small and large < 4 << 20
+
+
 @contextlib.contextmanager
 def time_limit(seconds):
     """A TimeoutError in this thread if the block takes `seconds` or more."""

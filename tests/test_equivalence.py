@@ -36,7 +36,8 @@ Synthetic cohorts are generated with 1 to 8 variables (so age is absent,
 last or in the middle), 1 to 48 samples a day and no or most samples
 missing, and must match the per-patient generator bit for bit. Written
 files must match `csv.writer`'s bytes for ids and names that need quoting
-and values whose `repr` is unusual.
+and values whose `repr` is unusual; the values the writers lay out must
+equal `repr` for any double, seeded bulk sets and edge values.
 """
 
 import csv
@@ -57,10 +58,14 @@ from hypothesis.extra.numpy import arrays
 
 from icurisk import cohort as cohort_module
 from icurisk.cohort import (
+    _NEWLINE,
     CohortError,
     ParseError,
     SynthConfig,
     _csv_fields,
+    _joined,
+    _shortest_decimals,
+    _value_pieces,
     filter_cohort,
     generate_synthetic_cohort,
     ingest_outcomes,
@@ -712,6 +717,12 @@ def test_generator_matches_patient_loop_oracle(n_patients, n_variables, rate, mi
 def test_seeded_generator_matches_patient_loop_oracle(small_cohort):
     config = SynthConfig(600, 5, 0.35, 0.1, 1.0, 424242)   # the small_cohort fixture
     assert_same_cohort_bits(small_cohort, oracles.generate_patient_loop(config))
+    # Sampled every minute or every 60/7 minutes, most rows tie on (patient,
+    # offset) with a row of another variable, and ties keep variable order;
+    # offsets near 6e17 minutes leave no one sort key that fits in 64 bits.
+    for n_patients, rate in ((40, 60.0), (200, 7.0), (50, 1e-16)):
+        config = SynthConfig(n_patients, 8, 0.35, 0.1, rate, 5)
+        assert_same_cohort_bits(generate_synthetic_cohort(config), oracles.generate_patient_loop(config))
 
 
 # Texts csv.writer quotes or leaves alone, and values with unusual reprs.
@@ -755,6 +766,52 @@ def test_writers_match_csv_writer_oracle(cohort):
 
 def test_seeded_cohort_writes_match_csv_writer_oracle(small_cohort, tmp_path):
     assert_writes_match_oracle(small_cohort, tmp_path)
+
+
+def test_writes_without_long_double_match_csv_writer_oracle(small_cohort, tmp_path, monkeypatch):
+    monkeypatch.setattr(cohort_module, "_EXACT_QUOTIENTS", False)
+    assert _shortest_decimals(small_cohort.value)[3].all()   # every value through repr
+    assert_writes_match_oracle(small_cohort, tmp_path)
+
+
+def value_texts(values):
+    """Each value as the line builder writes it (`_value_pieces`)."""
+    return _joined(values.size, [*_value_pieces(values), _NEWLINE]).tobytes().decode("ascii").split("\n")[:-1]
+
+
+@settings(deadline=None)
+@given(arrays(np.float64, st.integers(1, 40), elements=st.floats()))
+def test_value_texts_match_repr(values):
+    assert value_texts(values) == [repr(value) for value in values.tolist()]
+
+
+def edge_values():
+    """Integers near 1e16 and 2**53, powers of two and ten, the bounds of
+    the kernel's range (1e-4, 2**52, 1e16), the doubles next to each, and
+    their negatives."""
+    values = [1e16 - 2 * i for i in range(4)] + [2.0**53 + i for i in range(-3, 4)] + [2.0**52 - 0.5, 2.0**52 + 1]
+    values += [2.0**e for e in range(-20, 64)] + [10.0**e for e in range(-8, 23)] + [1e-4, 2.0**52, 1e16]
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+    return np.concatenate([values, -values])
+
+
+def test_value_texts_match_repr_on_seeded_and_edge_sets():
+    rng = np.random.default_rng(29)
+    for values in (
+        rng.normal(0, 50, 20_000),
+        rng.lognormal(0, 6, 20_000),
+        rng.random(20_000),
+        rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),   # any bit pattern
+        np.concatenate([np.round(rng.normal(0, 100, 4_000), places) for places in range(6)]),
+        edge_values(),
+    ):
+        assert value_texts(values) == [repr(value) for value in values.tolist()]
+
+
+def test_few_seeded_cohort_values_need_repr():
+    values = generate_synthetic_cohort(SynthConfig(16_000, 5, 0.15, 0.1, 1.0, 123)).value
+    assert _shortest_decimals(values)[3].mean() <= 0.02
 
 
 def csv_writer_field(text):
