@@ -13,25 +13,17 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .cohort import (
     DEFAULT_REQUIRED_VARIABLES,
-    _NEWLINE,
     CohortError,
     SynthConfig,
-    _constant,
-    _csv_fields,
-    _lines,
-    _rows,
-    _text_pieces,
-    _value_table,
     filter_cohort,
     generate_synthetic_cohort,
     json_number,
     load_cohort,
     write_observations,
     write_outcomes,
+    write_predictions,
 )
 from .evaluation import run_cv
 from .features import (
@@ -247,15 +239,8 @@ def cmd_train(cfg: PipelineConfig, args) -> int:
         _sweep_k(matrix, stage.rows, [cfg.seed])
     targets = [TargetSpec(day, cfg.duration_mode) for day in cfg.target_days]
     model = fit_risk_model(stage, targets, smoothing_alpha=cfg.smoothing_alpha)
-    echo = {
-        "window_hours": cfg.window_hours,
-        "k_clusters": cfg.k_clusters,
-        "target_days": list(cfg.target_days),
-        "duration_mode": cfg.duration_mode,
-        "smoothing_alpha": cfg.smoothing_alpha,
-        "seed": cfg.seed,
-        "required_variables": list(cfg.required_variables),
-    }
+    # the two settings no field of the model holds
+    echo = {"seed": cfg.seed, "required_variables": list(cfg.required_variables)}
     out = _out_dir(cfg)
     _dump_json(models_to_obj(model, echo), out / "model.json")
     print(f"wrote {out / 'model.json'} ({len(model.days)} target days)")
@@ -289,23 +274,6 @@ def _scoring_matrix(cfg: PipelineConfig, model, echo):
     if unknown:
         raise ValueError(f"variables not in the trained model: {unknown}")
     return build_feature_matrix(tables, spec.variable_names)
-
-
-def write_predictions(path, patient_ids, eta_by_day) -> None:
-    """predictions.csv, one `patient_id,target_day,repr(eta)` line per patient and day, laid out
-    as bytes (`cohort._lines`); each day's distinct etas, told apart by bit pattern (0.0 and -0.0
-    too), are formatted once."""
-    pids = _text_pieces(_csv_fields(patient_ids))
-    with open(path, "wb") as f:
-        f.write(b"patient_id,target_day,eta\n")
-        for day, eta in eta_by_day.items():
-            bits, text_of = np.unique(np.asarray(eta, dtype=np.float64).view(np.uint64), return_inverse=True)
-            etas, day_field = _value_table(bits.view(np.float64)), _constant(f",{day},".encode())
-
-            def line(rows):
-                return [*_rows(pids, rows), day_field, *_rows(etas, text_of[rows]), _NEWLINE]
-
-            f.writelines(_lines(line, 0, len(patient_ids)))
 
 
 def cmd_predict(cfg: PipelineConfig, args) -> int:

@@ -668,19 +668,20 @@ def _quotients(quotient, after):
 
 
 def _nearest_decimals(value, places):
-    """(nearest, back, certain): nearest = rint(value * 10**places), the
-    nearest multiple of 10**-places to each positive float64 `value`, as
-    uint64; whether nearest / 10**places reads back as `value`; and whether
-    both are certain. value * 10**places is rounded once, in np.longdouble,
-    so nearest is certain unless that product lies within a few of its
-    units in the last place of a half-integer."""
+    """(nearest, back, certain, halfway): nearest = rint(value * 10**places),
+    the nearest multiple of 10**-places to each positive float64 `value`, as
+    uint64; whether nearest / 10**places reads back as `value`; whether both
+    are certain; and whether value * 10**places lies so near a half-integer
+    that nearest is not. That product is rounded once, in np.longdouble, so
+    `halfway` holds only within a few of its units in the last place of a
+    half-integer."""
     scaled = value.astype(np.longdouble)
     scaled *= _POW10_LONG.take(places)
     nearest = np.rint(scaled)
-    certain = np.longdouble(0.5) - np.abs(scaled - nearest) > scaled * np.longdouble(2.0**-62)
+    halfway = np.longdouble(0.5) - np.abs(scaled - nearest) <= scaled * np.longdouble(2.0**-62)
     digits = nearest.astype(np.uint64)
     back, exact = _quotients(nearest, places)
-    return digits, back == value, certain & exact
+    return digits, back == value, ~halfway & exact, halfway
 
 
 def _shortest_decimals(values):
@@ -695,8 +696,10 @@ def _shortest_decimals(values):
     `repr` has it; Steele & White 1990, Adams 2018): 16 significant digits
     first, 17 where those do not read back, and where they do, fewer while
     they still do, trailing zeros stripped on the way. A row is left to
-    `repr` if any step is not certain (`_nearest_decimals`), and so is every
-    other value (exponent form in repr, or no np.longdouble to round in).
+    `repr` if any step is not certain (`_nearest_decimals`), except a step
+    down to a value's half-step (2.25 at one place), which cannot read back;
+    and so is every other value (exponent form in repr, or no np.longdouble
+    to round in).
     """
     size = np.abs(values)
     whole, fraction = np.zeros(size.size, dtype=np.uint64), np.zeros(size.size, dtype=np.uint64)
@@ -716,9 +719,9 @@ def _shortest_decimals(values):
     rows = np.flatnonzero((size >= 1e-4) & (size < 2.0**52) & ~integral)
     value = size[rows]
     at = np.maximum(15 - np.floor(np.log10(value)).astype(np.int64), 1)   # 16 digits
-    nearest, back, certain = _nearest_decimals(value, at)
+    nearest, back, certain, _ = _nearest_decimals(value, at)
     up = np.flatnonzero(certain & ~back)
-    digits, back_up, certain_up = _nearest_decimals(value[up], at[up] + 1)
+    digits, back_up, certain_up, _ = _nearest_decimals(value[up], at[up] + 1)
     ok = back_up & certain_up
     found(rows[up[ok]], digits[ok], at[up[ok]] + 1)
     down = certain & back
@@ -730,11 +733,14 @@ def _shortest_decimals(values):
             strip = zeros[digits[zeros] % _POW10[n] == 0]
             digits[strip] //= _POW10[n]
             at[strip] -= n
-        nearest, back, certain = _nearest_decimals(value, np.maximum(at - 1, 1))
-        back &= at > 1   # one place is the fewest a non-integral value can have
-        done = certain & ~back
+        nearest, back, certain, halfway = _nearest_decimals(value, np.maximum(at - 1, 1))
+        # One place is the fewest a non-integral value can have. At 15
+        # significant digits or fewer, the decimals a half-step either side
+        # of a value are each more than an ulp from it: neither reads back.
+        fewer = (at > 1) & ~halfway
+        done = ~fewer | (certain & ~back)
         found(rows[done], digits[done], at[done])
-        down = certain & back
+        down = fewer & certain & back
         rows, value, at, digits = rows[down], value[down], at[down] - 1, nearest[down]
     return whole, fraction, places, other
 
@@ -1356,6 +1362,23 @@ def write_outcomes(cohort: RawCohort, path) -> None:
     with open(path, "wb") as f:
         f.write(_OUTCOMES_HEADER_LINE)
         f.writelines(_lines(line, 0, cohort.n_patients))
+
+
+def write_predictions(path, patient_ids, eta_by_day) -> None:
+    """predictions.csv, one `patient_id,target_day,repr(eta)` line per patient and day, laid out
+    as bytes (`_lines`); each day's distinct etas, told apart by bit pattern (0.0 and -0.0
+    too), are formatted once."""
+    pids = _text_pieces(_csv_fields(patient_ids))
+    with open(path, "wb") as f:
+        f.write(b"patient_id,target_day,eta\n")
+        for day, eta in eta_by_day.items():
+            bits, text_of = np.unique(np.asarray(eta, dtype=np.float64).view(np.uint64), return_inverse=True)
+            etas, day_field = _value_table(bits.view(np.float64)), _constant(f",{day},".encode())
+
+            def line(rows):
+                return [*_rows(pids, rows), day_field, *_rows(etas, text_of[rows]), _NEWLINE]
+
+            f.writelines(_lines(line, 0, len(patient_ids)))
 
 
 class WindowTables:

@@ -10,6 +10,7 @@ enumeration it must agree with lives with the tests as their oracle.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -308,7 +309,7 @@ def survival_curve(eta_by_day: dict[int, np.ndarray], died: np.ndarray) -> list[
 # Serialization of trained bundles
 # --------------------------------------------------------------------------
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _nan_to_none(values):
@@ -316,10 +317,11 @@ def _nan_to_none(values):
 
 
 def models_to_obj(model: RiskModel, config_echo: dict | None = None) -> dict:
-    """The `model.json` object, format 2: the feature spec (its score table
-    under `score_table`), medians and cluster once at the top level, and per
-    day its `target` (the spec's `window_hours` again), `fits` and
-    `emissions`."""
+    """The `model.json` object, format 3, where each setting is said once:
+    the feature spec (the window size; its score table under
+    `score_table`), medians and cluster at the top level, and under `days`
+    one block per target day, keyed by the day, with its `duration_mode`,
+    `fits` and `emissions` (the smoothing alpha)."""
     return {
         "format_version": FORMAT_VERSION,
         "feature_spec": {
@@ -338,11 +340,7 @@ def models_to_obj(model: RiskModel, config_echo: dict | None = None) -> dict:
         "config": config_echo or {},
         "days": {
             str(day): {
-                "target": {
-                    "target_day": d.target.target_day,
-                    "window_hours": model.spec.window_hours,
-                    "duration_mode": d.target.duration_mode,
-                },
+                "duration_mode": d.target.duration_mode,
                 "fits": [
                     {
                         "beta": f.beta.tolist(),
@@ -379,15 +377,15 @@ def _array(field: str, values, shape) -> np.ndarray:
 def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
     """Rebuild the model and the config echo written by models_to_obj.
 
-    The cluster's column kinds follow from the feature spec. Raises
-    ValueError for a file of another format version; naming the field, for
-    an integer field (window hours, target day, iterations, a score) that
-    is not a JSON integer, for an array whose shape does not fit the spec
-    (p variables, T windows) and the k medoids, for a `days` that is not a
-    non-empty object, and for a day block whose target disagrees with its
-    key or the spec's windows; and for an emission table that is not a
-    strictly positive, normalized distribution, since scoring with one
-    gives NaN risks.
+    The cluster's column kinds follow from the feature spec, and each day
+    from its key. Raises ValueError for a file of another format version
+    (1 and 2 included: retrain); naming the field, for an integer field
+    (window hours, iterations, a score) that is not a JSON integer, for a
+    `days` key that is not a positive decimal integer, for an array whose
+    shape does not fit the spec (p variables, T windows) and the k medoids,
+    and for a `days` that is not a non-empty object; and for an emission
+    table that is not a strictly positive, normalized distribution, since
+    scoring with one gives NaN risks.
     """
     version = obj.get("format_version", 1) if isinstance(obj, dict) else None
     if version != FORMAT_VERSION:
@@ -413,14 +411,9 @@ def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
     days = {}
     for day_key, block in obj["days"].items():
         where = f"days.{day_key}"
-        t = block["target"]
-        day, window_hours = (json_number(f"{where}.target.{key}", t[key], int) for key in ("target_day", "window_hours"))
-        target = TargetSpec(day, t["duration_mode"])
-        if (target.target_day, window_hours) != (int(day_key), spec.window_hours):
-            raise ValueError(
-                f"{where}.target is day {target.target_day} in {window_hours} h windows, "
-                f"expected day {day_key} in {spec.window_hours} h windows"
-            )
+        if not re.fullmatch("[1-9][0-9]*", day_key):
+            raise ValueError(f"{where} is not a target day (a positive decimal integer)")
+        target = TargetSpec(int(day_key), block["duration_mode"])
         if len(block["fits"]) != T:
             raise ValueError(f"{where}.fits has {len(block['fits'])} entries, expected {T}")
         fits = [
@@ -437,5 +430,5 @@ def models_from_obj(obj: dict) -> tuple[RiskModel, dict]:
             alpha=json_number(f"{where}.emissions.alpha", block["emissions"]["alpha"], float),
         )
         emissions.check_normalized()
-        days[int(day_key)] = DayFit(target, fits, emissions)
+        days[target.target_day] = DayFit(target, fits, emissions)
     return RiskModel(spec, medians, cluster, days), obj.get("config", {})

@@ -10,8 +10,8 @@ import pytest
 import icurisk
 from icurisk import cli as cli_module
 from icurisk import cohort as cohort_module
-from icurisk.cli import main, write_predictions
-from icurisk.cohort import _csv_fields, window_tables, write_observations, write_outcomes
+from icurisk.cli import main
+from icurisk.cohort import _csv_fields, window_tables, write_observations, write_outcomes, write_predictions
 from icurisk.evaluation import run_cv
 from icurisk.features import load_default_score_table
 from conftest import cohort_from_rows, count_calls, write_config, write_cohort_files
@@ -240,11 +240,32 @@ class TestTrain:
         cfg = write_config(workdir)
         assert run(["train", "--config", cfg]) == 0
         model = json.loads((workdir / "out" / "model.json").read_text())
-        assert model["format_version"] == 2
+        assert model["format_version"] == 3
         assert set(model["medians"]) == {"cell", "overall"}
         assert set(model["cluster"]) == {"medoids", "ranges"}
         for block in model["days"].values():
-            assert set(block) == {"target", "fits", "emissions"}
+            assert set(block) == {"duration_mode", "fits", "emissions"}
+
+    def test_model_says_each_setting_once(self, workdir):
+        """The window size is the feature spec's alone, each day is its key,
+        and the config echo holds only what no field of the model says."""
+        cfg = write_config(workdir)
+        assert run(["train", "--config", cfg]) == 0
+        model = json.loads((workdir / "out" / "model.json").read_text())
+
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from keys(value)
+
+        names = list(keys(model))
+        assert names.count("window_hours") == 1 and model["feature_spec"]["window_hours"] == 12
+        assert "target_day" not in names and "target" not in names
+        assert sorted(model["config"]) == ["required_variables", "seed"]
 
     def test_retraining_is_byte_identical(self, workdir):
         cfg = write_config(workdir)
@@ -282,8 +303,8 @@ MISSHAPEN_MODELS = [
     ("cluster.medoids", lambda m: [row.pop() for row in m["cluster"]["medoids"]]),
     ("cluster.ranges", lambda m: m["cluster"]["ranges"].pop()),
     ("days", lambda m: m.update(days={})),
-    ("days.2.target", lambda m: m["days"]["2"]["target"].update(target_day=5)),
-    ("days.4.target", lambda m: m["days"]["4"]["target"].update(window_hours=6)),
+    # a day is its key, a positive decimal integer
+    ("days.2x", lambda m: m["days"].update({"2x": m["days"].pop("2")})),
     ("days.2.fits", lambda m: m["days"]["2"]["fits"].pop()),
     ("days.2.fits.0.beta", lambda m: m["days"]["2"]["fits"][0]["beta"].pop()),
     ("days.3.emissions.initial", lambda m: m["days"]["3"]["emissions"]["initial"].pop()),
@@ -291,8 +312,6 @@ MISSHAPEN_MODELS = [
     # integer fields are read as JSON integers, never truncated
     ("feature_spec.window_hours", lambda m: m["feature_spec"].update(window_hours=12.5)),
     ("feature_spec.window_hours", lambda m: m["feature_spec"].update(window_hours="12")),
-    ("days.2.target.target_day", lambda m: m["days"]["2"]["target"].update(target_day=2.9)),
-    ("days.5.target.window_hours", lambda m: m["days"]["5"]["target"].update(window_hours=12.0)),
     ("days.3.fits.1.iterations", lambda m: m["days"]["3"]["fits"][1].update(iterations=3.7)),
     ("score_table.heart_rate.0.score", lambda m: m["score_table"]["heart_rate"][0].update(score=2.7)),
     ("score_table.default_score", lambda m: m["score_table"].update(default_score=1.5)),
@@ -406,6 +425,23 @@ class TestPredict:
         capsys.readouterr()
         assert run(["predict", "--config", cfg]) == 1
         assert capsys.readouterr().err == f"error: {path}: model format 1; retrain\n"
+
+    def test_format_2_model_rejected(self, workdir, capsys):
+        """A file in format 2's layout, where each day's `target` block and
+        the config echo said the window size, day and mode again."""
+        cfg = write_config(workdir)
+        run(["train", "--config", cfg])
+        path = workdir / "out" / "model.json"
+        model = json.loads(path.read_text())
+        model["format_version"] = 2
+        for day, block in model["days"].items():
+            block["target"] = {"target_day": int(day), "window_hours": 12, "duration_mode": block.pop("duration_mode")}
+        model["config"].update(window_hours=12, k_clusters=4, target_days=[2, 3, 4, 5],
+                               duration_mode="as_printed", smoothing_alpha=1.0)
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        assert run(["predict", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error: {path}: model format 2; retrain\n"
 
     @pytest.mark.parametrize("field, corrupt", MISSHAPEN_MODELS, ids=[f for f, _ in MISSHAPEN_MODELS])
     def test_misshapen_model_names_file_and_field(self, workdir, capsys, field, corrupt):

@@ -814,6 +814,15 @@ def test_few_seeded_cohort_values_need_repr():
     assert _shortest_decimals(values)[3].mean() <= 0.02
 
 
+def test_few_two_place_values_need_repr():
+    """A value a half-step between two shorter decimals (x.25, x.75, 0.125)
+    keeps its own text: neither neighbour can read back, so no `repr`."""
+    values = np.round(np.random.default_rng(29).normal(0, 50, 300_000), 2)
+    assert _shortest_decimals(values)[3].mean() < 0.001
+    assert not _shortest_decimals(np.array([2.25, 7.75, 0.125, 101.25]))[3].any()
+    assert value_texts(values) == [repr(value) for value in values.tolist()]
+
+
 def csv_writer_field(text):
     """`text` as `csv.writer` writes it before another field."""
     buffer = io.StringIO()
