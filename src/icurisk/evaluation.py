@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -13,10 +14,10 @@ from .features import build_feature_matrix, distinct_rows, window_hours_of
 from .hmm import fit_feature_stage, fit_risk_model, normal_band, score_patients
 from .survival import (
     TargetSpec,
+    _fit_exponential,
     _spanning_columns,
     censor_by_target,
     death_prior,
-    fit_exponential_regression,
     hazard,
     newton_maximize,
 )
@@ -29,26 +30,79 @@ ALL_METHODS = (METHOD_MODEL, METHOD_SAPS, METHOD_LOGISTIC, METHOD_EXP_SURVIVAL)
 ALL_METRICS = ("aucpr", "cstat", "auroc")
 
 
-@dataclass
-class ScoredSet:
-    """Scores plus the survival ground truth needed by all three metrics."""
+def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`np.unique(values, return_inverse=True, return_counts=True)[1:]` of
+    1-D values without NaN: each value's rank among the distinct values
+    (equal values, -0.0 and 0.0 among them, share one) and each rank's
+    count, from one sort."""
+    order = np.argsort(values)
+    ordered = values[order]
+    first = np.ones(values.size, dtype=bool)   # each distinct value's first copy, in sorted order
+    first[1:] = ordered[1:] != ordered[:-1]
+    rank = np.empty(values.size, dtype=np.intp)
+    rank[order] = np.cumsum(first) - 1
+    return rank, np.diff(np.flatnonzero(np.append(first, True)))
 
-    scores: np.ndarray
-    labels: np.ndarray    # death by target, 0/1
-    times: np.ndarray     # hours, censored at the target
-    events: np.ndarray    # 0/1, same as labels under by-target censoring
 
-    def __post_init__(self):
-        self.scores = np.asarray(self.scores, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        self.times = np.asarray(self.times, dtype=float)
-        self.events = np.asarray(self.events, dtype=int)
-        if not np.all(np.isfinite(self.scores)):
-            raise ValueError("scores must be finite")
+class Outcomes:
+    """The survival ground truth of a set of subjects, checked and ranked
+    once for every ScoredSet on it: labels (death by target, 0/1), times
+    (hours, censored at the target) and events (0/1, the labels under
+    by-target censoring). Each subject's band is the number of events
+    before its time, so subject j outlives an event i exactly when
+    band[j] > band[i]; `n_comparable` counts concordance's pairs, and
+    `band_keys`, `start` and `even` are the parts of its keys and queries
+    that do not depend on the scores."""
+
+    def __init__(self, labels, times, events):
+        self.labels = np.asarray(labels, dtype=int)
+        self.times = np.asarray(times, dtype=float)
+        self.events = np.asarray(events, dtype=int)
         if np.any(np.isnan(self.times)):
             raise ValueError("times must not be NaN")
         if np.any((self.labels != 0) & (self.labels != 1)):
             raise ValueError("labels must be 0/1")
+        self.positive = self.labels == 1
+        self.event = self.events == 1
+        n, event_times = self.times.size, np.sort(self.times[self.event])
+        band = np.searchsorted(event_times, self.times, side="left")
+        later = n - np.cumsum(np.bincount(band, minlength=event_times.size + 1))
+        self.n_comparable = int(later[band[self.event]].sum())
+        # per bit b, the keys (band >> b) * n, offset above every key of the bits before
+        bit = np.arange(max(event_times.size.bit_length(), 1))[:, None]
+        offset = bit * ((event_times.size + 2) * n)
+        self.band_keys = (band >> bit) * n + offset
+        prefix = band[self.event] >> bit
+        self.even = (prefix & 1) == 0
+        self.start = (offset + (prefix + 1) * n)[self.even]
+
+
+class ScoredSet:
+    """Scores plus the survival ground truth (`Outcomes`) needed by all three
+    metrics, with the scores ranked once for all of them: `rank` and `count`
+    are `_dense_ranks` of the scores."""
+
+    def __init__(self, scores, labels, times, events):
+        self._rank(scores)
+        self.outcomes = Outcomes(labels, times, events)
+
+    @classmethod
+    def sharing(cls, outcomes: Outcomes, scores) -> "ScoredSet":
+        """Scores on the subjects of `outcomes`, which several sets share."""
+        scored = cls.__new__(cls)
+        scored._rank(scores)
+        scored.outcomes = outcomes
+        return scored
+
+    def _rank(self, scores) -> None:
+        self.scores = np.asarray(scores, dtype=float)
+        if not np.all(np.isfinite(self.scores)):
+            raise ValueError("scores must be finite")
+        self.rank, self.count = _dense_ranks(self.scores)
+
+    labels = property(lambda self: self.outcomes.labels)
+    times = property(lambda self: self.outcomes.times)
+    events = property(lambda self: self.outcomes.events)
 
 
 def auroc(s: ScoredSet) -> float:
@@ -58,14 +112,13 @@ def auroc(s: ScoredSet) -> float:
     Tied scores share their mid-rank. Mid-ranks are half-integers, exact in
     float64, so the rank sum is what `scipy.stats.rankdata` gives.
     """
-    pos = s.labels == 1
+    pos = s.outcomes.positive
     n_pos = int(pos.sum())
-    n_neg = s.labels.size - n_pos
+    n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUROC needs both classes")
-    _, inverse, count = np.unique(s.scores, return_inverse=True, return_counts=True)
-    first = np.cumsum(count) - count   # sorted position of each distinct score's first copy
-    ranks = (first + 1 + (count - 1) / 2.0)[inverse]
+    first = np.cumsum(s.count) - s.count   # sorted position of each distinct score's first copy
+    ranks = (first + 1 + (s.count - 1) / 2.0)[s.rank]
     u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
@@ -76,10 +129,12 @@ def aucpr(s: ScoredSet) -> float:
     Ties are broken by the original (stable) order; the random-classifier
     reference value equals the positive prevalence.
     """
-    n_pos = int((s.labels == 1).sum())
+    n_pos = int(s.outcomes.positive.sum())
     if n_pos == 0:
         raise ValueError("AUCPR needs at least one positive")
-    order = np.argsort(-s.scores, kind="stable")
+    n = s.rank.size
+    # descending score rank, then ascending index: distinct keys, so any sort is stable
+    order = np.sort((s.count.size - 1 - s.rank) * n + np.arange(n)) % n
     labels = s.labels[order]
     precision = np.cumsum(labels) / np.arange(1, labels.size + 1)
     return float(precision[labels == 1].sum() / n_pos)
@@ -91,41 +146,30 @@ def concordance(s: ScoredSet) -> float:
     A pair is comparable when its strictly shorter-time member had an event;
     score ties credit half. Censored-before-event pairs are incomparable.
 
-    O(N log^2 N) time and O(N) memory, with no N x N array. Times and
-    scores become dense ranks g and r, with G time groups. For an event i,
-    each j with r_j < r_i has one highest bit b where r_j and r_i differ, and
-    r_i has the 1 there, so r_j >> b == (r_i >> b) - 1 with r_i >> b odd. Per
-    bit, one sort of the keys (r >> b) * G + g and two binary searches per
-    event count the j with that prefix and a strictly later time group;
-    score ties are the same count on the key r_i itself. Concordant, tied and
-    comparable pairs are integer counts combined once, and every partial sum
-    of the pairwise 1 and 1/2 credits is exact in float64, so the result
-    equals the pairwise sum bit for bit.
+    O(N log^2 N) time and O(N log N) memory, with no N x N array. Scores
+    are dense ranks r (`ScoredSet.rank`, below N) and times are bands k
+    (`Outcomes`): j outlives an event i when k_j > k_i. Each such j has one
+    highest bit b where k_j and k_i differ, and k_j has the 1 there, so
+    k_j >> b == (k_i >> b) + 1 with k_i >> b even. One sort of the keys
+    (k >> b) * N + r of every bit, offset per bit, and binary searches per
+    event and bit count those j with a lower score rank (keys in [P * N,
+    P * N + r_i) for that prefix P) and with a tied one (the key P * N + r_i).
+    Concordant, tied and comparable pairs are integer counts combined once,
+    and every partial sum of the pairwise 1 and 1/2 credits is exact in
+    float64, so the result equals the pairwise sum bit for bit.
     """
-    time_rank = np.unique(s.times, return_inverse=True)[1]
-    score_rank = np.unique(s.scores, return_inverse=True)[1]
-    event = s.events == 1
-    g, r = time_rank[event], score_rank[event]
-    n_comparable = int((s.times.size - np.searchsorted(np.sort(time_rank), g, side="right")).sum())
-    if n_comparable == 0:
+    truth = s.outcomes
+    if truth.n_comparable == 0:
         raise ValueError("no comparable pairs")
-    n_groups = int(time_rank.max()) + 1
+    packed = np.sort((truth.band_keys + s.rank).ravel())
+    own = truth.start + np.broadcast_to(s.rank[truth.event], truth.even.shape)[truth.even]
 
-    def later_with_key(keys, wanted, group):
-        """Number of (event, j) pairs with keys[j] == wanted[event] and j in a
-        later time group than group[event]."""
-        packed = np.sort(keys * n_groups + time_rank)
-        upper = np.searchsorted(packed, (wanted + 1) * n_groups, side="left")
-        lower = np.searchsorted(packed, wanted * n_groups + group, side="right")
-        return int((upper - lower).sum())
+    def below(keys):
+        """The number of (query, packed key) pairs with the key below the query."""
+        return int(np.searchsorted(packed, np.sort(keys)).sum())
 
-    tied = later_with_key(score_rank, r, g)
-    concordant = 0
-    for b in range(int(score_rank.max()).bit_length()):
-        prefix = r >> b
-        odd = (prefix & 1) == 1
-        concordant += later_with_key(score_rank >> b, prefix[odd] - 1, g[odd])
-    return (2 * concordant + tied) / 2 / n_comparable
+    # twice the concordant keys, in [start, own), plus the tied ones, own itself
+    return (below(own) + below(own + 1) - 2 * below(truth.start)) / 2 / truth.n_comparable
 
 
 def _betainc(a: float, b: float, x: float) -> float:
@@ -216,13 +260,26 @@ def _sigmoid(z):
 
 
 def logistic_loglik(beta, X, y, counts=1.0) -> float:
-    z = X @ beta
-    # sum of log p over y positives and log(1-p) over counts - y negatives, written stably
-    return float(np.sum(y * z - counts * np.logaddexp(0.0, z)))
+    return _logistic_loglik(X @ beta, y, counts)[0]
 
 
 def logistic_grad(beta, X, y, counts=1.0) -> np.ndarray:
-    return X.T @ (y - counts * _sigmoid(X @ beta))
+    return X.T @ _logistic_slope(X @ beta, y, counts)[0]
+
+
+def _logistic_loglik(z, y, counts):
+    """The log-likelihood at the linear predictor z = X beta, and z for
+    `_logistic_slope`."""
+    # sum of log p over y positives and log(1-p) over counts - y negatives, written stably
+    return float(np.sum(y * z - counts * np.logaddexp(0.0, z))), z
+
+
+def _logistic_slope(z, y, counts):
+    """(r, w) at z: the gradient is X^T r and the negative Hessian
+    X^T diag(w) X, w = counts * p * (1 - p)."""
+    p = _sigmoid(z)
+    expected = counts * p
+    return y - expected, expected * (1.0 - p)
 
 
 def fit_logistic(X, y, counts=None) -> np.ndarray:
@@ -235,42 +292,53 @@ def fit_logistic(X, y, counts=None) -> np.ndarray:
     exactly 0.0.
     """
     X = np.asarray(X, dtype=float)
+    return _fit_logistic(X, _spanning_columns(X), y, counts)
+
+
+def _fit_logistic(X, keep, y, counts=None) -> np.ndarray:
+    """`fit_logistic` of a 2-D float X with `keep` = `_spanning_columns(X)`."""
     y = np.asarray(y, dtype=float)
     counts = np.ones_like(y) if counts is None else np.asarray(counts, dtype=float)
     if not 0.0 < y.sum() < counts.sum():
         raise ValueError("logistic fit needs both classes")
-
-    def hessian_weights(beta):
-        p = _sigmoid(X @ beta)
-        return counts * p * (1.0 - p)
-
     beta, _, _ = newton_maximize(
-        lambda b: logistic_loglik(b, X, y, counts),
-        lambda b: logistic_grad(b, X, y, counts),
-        hessian_weights,
+        lambda z: _logistic_loglik(z, y, counts),
+        lambda z: _logistic_slope(z, y, counts),
         X,
-        _spanning_columns(X),
+        keep,
         np.zeros(X.shape[1]),
         max_iter=200,
     )
     return beta
 
 
-def baseline_logistic_scores(train_X, train_y, test_X, *, counts=None) -> np.ndarray:
-    """Logistic probabilities for test_X, fit on train_X rows with `fit_logistic`'s
-    y and counts."""
-    X = np.column_stack([np.ones(len(train_X)), train_X])
-    beta = fit_logistic(X, train_y, counts)
-    return _sigmoid(np.column_stack([np.ones(len(test_X)), test_X]) @ beta)
+class BaselineDesign(NamedTuple):
+    """The designs [1, max scores] of the regression baselines: the training
+    rows' with the columns a fit keeps (`_spanning_columns`), and the rows
+    to score. A CV unit builds them once for every target day."""
+
+    train: np.ndarray
+    keep: np.ndarray
+    test: np.ndarray
 
 
-def baseline_exp_survival_scores(train_X, times, events, test_X, target_hours) -> np.ndarray:
-    """Death probability by the target, `death_prior` over target_hours,
-    from an exponential fit on max scores (train_X rows with
-    `fit_exponential_regression`'s times and events)."""
-    X = np.column_stack([np.ones(len(train_X)), train_X])
-    fit = fit_exponential_regression(X, times, events)
-    return death_prior(hazard(fit.beta, np.column_stack([np.ones(len(test_X)), test_X])), target_hours)
+def baseline_design(train_X, test_X) -> BaselineDesign:
+    train = np.column_stack([np.ones(len(train_X)), train_X])
+    return BaselineDesign(train, _spanning_columns(train), np.column_stack([np.ones(len(test_X)), test_X]))
+
+
+def baseline_logistic_scores(design: BaselineDesign, train_y, *, counts=None) -> np.ndarray:
+    """Logistic probabilities for the design's test rows, fit on its
+    training rows with `fit_logistic`'s y and counts."""
+    return _sigmoid(design.test @ _fit_logistic(design.train, design.keep, train_y, counts))
+
+
+def baseline_exp_survival_scores(design: BaselineDesign, times, events, target_hours) -> np.ndarray:
+    """Death probability by the target, `death_prior` over target_hours, of
+    the design's test rows, from an exponential fit on its training rows
+    with `fit_exponential_regression`'s times and events."""
+    fit = _fit_exponential(design.train, design.keep, times, events)
+    return death_prior(hazard(fit.beta, design.test), target_hours)
 
 
 # --------------------------------------------------------------------------
@@ -375,6 +443,10 @@ def run_cv(
     in unit order and an error is the serial one. With one usable CPU
     (`taskset -c 0`) the units run here in turn.
     """
+    if folds < 2:
+        raise ValueError(f"folds must be at least 2, got {folds}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     tables = filter_cohort(cohort, required_variables, window_hours_of(cohort))
     del cohort
     if tables.n_patients == 0:
@@ -409,7 +481,8 @@ def run_cv(
             stage = fit_feature_stage(train_matrix, k_clusters, seed=[seed, repeat, fold])
             test_matrix = matrix.subset(test_idx)
             present, train_group = np.unique(baseline_group[train_idx], return_inverse=True)
-            train_rows, train_counts = baseline_features[first[present]], np.bincount(train_group)
+            train_counts = np.bincount(train_group)
+            design = baseline_design(baseline_features[first[present]], baseline_features[test_idx])
             model = fit_risk_model(stage, day_targets, smoothing_alpha=smoothing_alpha)
             model_scores = score_patients(model, test_matrix)
             for day in target_days:
@@ -418,27 +491,17 @@ def run_cv(
                 method_scores = {
                     METHOD_MODEL: model_scores[day].eta,
                     METHOD_SAPS: saps[test_idx],
-                    METHOD_LOGISTIC: baseline_logistic_scores(
-                        train_rows,
-                        train_events,
-                        baseline_features[test_idx],
-                        counts=train_counts,
-                    ),
+                    METHOD_LOGISTIC: baseline_logistic_scores(design, train_events, counts=train_counts),
                     METHOD_EXP_SURVIVAL: baseline_exp_survival_scores(
-                        train_rows,
+                        design,
                         np.bincount(train_group, weights=times[train_idx]),
                         train_events,
-                        baseline_features[test_idx],
                         targets[day].target_hours,
                     ),
                 }
+                outcomes = Outcomes(events[test_idx], times[test_idx], events[test_idx])
                 for method, scores in method_scores.items():
-                    scored = ScoredSet(
-                        scores=scores,
-                        labels=events[test_idx],
-                        times=times[test_idx],
-                        events=events[test_idx],
-                    )
+                    scored = ScoredSet.sharing(outcomes, scores)
                     for metric, fn in metric_fns.items():
                         records.append(
                             MetricRecord(day, method, metric, repeat, fold, fn(scored))

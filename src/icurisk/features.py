@@ -202,9 +202,12 @@ class FeatureMatrix:
     def subset(self, indices) -> "FeatureMatrix":
         """The patients at `indices` with the cells they use and their outcomes, in the same order."""
         indices = np.asarray(indices, dtype=np.intp)
-        present, cell_of = np.unique(self.cell_of[indices].ravel(), return_inverse=True)
-        cell_of = cell_of.reshape(indices.size, self.spec.n_windows)
-        ids = [self.patient_ids[i] for i in indices]
+        cell_of = self.cell_of[indices]
+        used = np.zeros(self.cells.shape[0], dtype=bool)
+        used[cell_of] = True
+        present = np.flatnonzero(used)
+        cell_of = (np.cumsum(used) - 1)[cell_of]   # renumbered among the cells used, in order
+        ids = list(map(self.patient_ids.__getitem__, indices.tolist()))
         return FeatureMatrix(ids, self.spec, self.cells[present], self.window[present], cell_of,
                              self.event_hours[indices], self.died[indices])
 
@@ -300,16 +303,20 @@ def gower_matrix(rows_a: np.ndarray, rows_b: np.ndarray, kinds, ranges) -> np.nd
 
     Numeric columns contribute |a-b|/range (0 when the training range is
     degenerate, capped at 1 for out-of-range queries); binary columns
-    contribute 0 on match and 1 on mismatch. Vectorized one column at a time.
+    contribute 0 on match and 1 on mismatch. Vectorized one column at a
+    time, into one reused buffer.
     """
     out = np.zeros((rows_a.shape[0], rows_b.shape[0]))
+    part = np.empty_like(out)
     for j, kind in enumerate(kinds):
         a = rows_a[:, j][:, None]
         b = rows_b[:, j][None, :]
         if kind == BINARY:
-            out += a != b
+            out += np.not_equal(a, b, out=part)
         elif ranges[j] > 0:
-            out += np.minimum(np.abs(a - b) / ranges[j], 1.0)
+            np.abs(np.subtract(a, b, out=part), out=part)
+            part /= ranges[j]
+            out += np.minimum(part, 1.0, out=part)
     out /= len(kinds)
     return out
 
@@ -364,8 +371,9 @@ def _build_swap_medoids(dist: np.ndarray, weights: np.ndarray, k: int, trace=Non
     totals = dist @ weights
     medoids = [int(np.argmin(totals))]
     dmin = dist[medoids[0]].copy()
+    work = np.empty_like(dist)
     while len(medoids) < k:
-        gain = np.maximum(dmin[None, :] - dist, 0.0) @ weights
+        gain = np.maximum(np.subtract(dmin[None, :], dist, out=work), 0.0, out=work) @ weights
         gain[medoids] = -np.inf
         c = int(np.argmax(gain))
         medoids.append(c)
@@ -378,11 +386,13 @@ def _build_swap_medoids(dist: np.ndarray, weights: np.ndarray, k: int, trace=Non
     candidates[medoids] = False
     while True:
         best = (cost, None, None)
+        cand = np.flatnonzero(candidates)
+        to_cand = dist[:, cand]
+        trial = work.reshape(-1)[:to_cand.size].reshape(to_cand.shape)
         for mi in range(k):
             others = [m for i, m in enumerate(medoids) if i != mi]
             dmin_excl = dist[others].min(axis=0) if others else np.full(n, np.inf)
-            cand = np.flatnonzero(candidates)
-            trial_costs = weights @ np.minimum(dmin_excl[:, None], dist[:, cand])
+            trial_costs = weights @ np.minimum(dmin_excl[:, None], to_cand, out=trial)
             j = int(np.argmin(trial_costs))
             if trial_costs[j] < best[0]:
                 best = (float(trial_costs[j]), mi, int(cand[j]))

@@ -86,17 +86,27 @@ class SurvivalFit:
 
 def exponential_loglik(beta, X, times, events) -> float:
     """Right-censored exponential log-likelihood with log-linear rates."""
-    xb = X @ beta
-    with np.errstate(over="ignore"):
-        lam = np.exp(xb)
-    return float(events @ xb - lam @ times)
+    return _exponential_loglik(X @ beta, times, events)[0]
 
 
 def exponential_grad(beta, X, times, events) -> np.ndarray:
-    xb = X @ beta
+    _, lam = _exponential_loglik(X @ beta, times, events)
+    return X.T @ _exponential_slope(lam, times, events)[0]
+
+
+def _exponential_loglik(xb, times, events):
+    """The log-likelihood at the linear predictor xb = X beta, and the rates
+    exp(xb) `_exponential_slope` takes."""
     with np.errstate(over="ignore"):
         lam = np.exp(xb)
-    return X.T @ (events - lam * times)
+    return float(events @ xb - lam @ times), lam
+
+
+def _exponential_slope(lam, times, events):
+    """(r, w) at the rates lam: the gradient is X^T r and the negative
+    Hessian X^T diag(w) X."""
+    exposure = lam * times
+    return events - exposure, exposure
 
 
 def _spanning_columns(X) -> np.ndarray:
@@ -121,17 +131,22 @@ def _spanning_columns(X) -> np.ndarray:
     return keep
 
 
-def newton_maximize(loglik, grad, hessian_weights, X, keep, beta, max_iter: int, trace=None):
-    """Maximize a concave log-likelihood by damped Newton.
+def newton_maximize(loglik, slope, X, keep, beta, max_iter: int, trace=None):
+    """Maximize a concave log-likelihood of the linear predictor X beta by
+    damped Newton.
 
+    `loglik(z)` returns the log-likelihood at z = X beta and what `slope`
+    takes (z, or its exp), and `slope` returns (r, w): the gradient is
+    X^T r and the negative Hessian X^T diag(w) X. Each iterate computes
+    X beta, its log-likelihood and its slope once.
     Columns of X outside `keep` (`_spanning_columns(X)`: the intercept comes
     first) are aliased: their coefficients are set to, and stay, exactly
     0.0, so the fit and its result do not depend on the order of the rows.
-    On the kept columns the negative Hessian X^T diag(hessian_weights(beta)) X is positive definite
-    away from separation, and each Newton step is an `np.linalg.solve` with
-    it. Steps are halved until the log-likelihood does not drop.
-    Convergence is gradient max-norm <= NEWTON_TOL. `trace`, when a list,
-    collects the log-likelihood after every iteration.
+    On the kept columns the negative Hessian is positive definite away from
+    separation, and each Newton step is an `np.linalg.solve` with it. Steps
+    are halved until the log-likelihood does not drop. Convergence is
+    gradient max-norm <= NEWTON_TOL. `trace`, when a list, collects the
+    log-likelihood after every iteration.
 
     Returns (beta, iterations, gradient max-norm). Raises ValueError when a
     line-searched step takes a coefficient past SEPARATION_LIMIT in
@@ -141,14 +156,14 @@ def newton_maximize(loglik, grad, hessian_weights, X, keep, beta, max_iter: int,
     """
     kept = X[:, keep]
     beta = np.where(keep, beta, 0.0)
-    ll = loglik(beta)
+    ll, at = loglik(X @ beta)
     for iteration in range(1, max_iter + 1):
-        g = grad(beta)
+        r, w = slope(at)
+        g = X.T @ r
         grad_norm = float(np.abs(g).max())
         if grad_norm <= NEWTON_TOL:
             return beta, iteration - 1, grad_norm
 
-        w = hessian_weights(beta)
         step = np.zeros(beta.shape)
         step[keep] = np.linalg.solve(kept.T @ (w[:, None] * kept), g[keep])
 
@@ -156,7 +171,7 @@ def newton_maximize(loglik, grad, hessian_weights, X, keep, beta, max_iter: int,
             # Predicted gain is below log-likelihood resolution: a line search
             # cannot see it, but the full Newton step still kills the gradient.
             beta = beta + step
-            ll = loglik(beta)
+            ll, at = loglik(X @ beta)
             if trace is not None:
                 trace.append(ll)
             continue
@@ -164,7 +179,7 @@ def newton_maximize(loglik, grad, hessian_weights, X, keep, beta, max_iter: int,
         scale = 1.0
         for _ in range(60):
             trial = beta + scale * step
-            trial_ll = loglik(trial)
+            trial_ll, trial_at = loglik(X @ trial)
             if trial_ll >= ll:
                 break
             scale *= 0.5
@@ -172,13 +187,13 @@ def newton_maximize(loglik, grad, hessian_weights, X, keep, beta, max_iter: int,
             raise RuntimeError(
                 f"line search stalled at iteration {iteration}, grad max-norm {grad_norm:.3e}"
             )
-        beta, ll = trial, trial_ll
+        beta, ll, at = trial, trial_ll, trial_at
         if trace is not None:
             trace.append(ll)
         if np.abs(beta).max() > SEPARATION_LIMIT:
             raise ValueError("quasi-separation: coefficient magnitude exceeded 30")
 
-    grad_norm = float(np.max(np.abs(grad(beta))))
+    grad_norm = float(np.max(np.abs(X.T @ slope(at)[0])))
     raise RuntimeError(
         f"no convergence after {max_iter} iterations (grad max-norm {grad_norm:.3e})"
     )
@@ -217,16 +232,11 @@ def _fit_exponential(X, keep, times, events, trace=None) -> SurvivalFit:
     if n_events == 0:
         raise ValueError("no events to fit")
 
-    def hessian_weights(beta):
-        with np.errstate(over="ignore"):
-            return np.exp(X @ beta) * times
-
     beta = np.zeros(X.shape[1])
     beta[0] = math.log(n_events / float(times.sum()))  # closed-form intercept start
     beta, iterations, grad_norm = newton_maximize(
-        lambda b: exponential_loglik(b, X, times, events),
-        lambda b: exponential_grad(b, X, times, events),
-        hessian_weights,
+        lambda xb: _exponential_loglik(xb, times, events),
+        lambda lam: _exponential_slope(lam, times, events),
         X,
         keep,
         beta,
@@ -274,7 +284,11 @@ def _quartiles(values: np.ndarray) -> np.ndarray:
     between sorted values, without the partition that makes NumPy 2 import
     numpy.ma. Equal as numbers: where -0.0 and 0.0 meet, sort and partition
     may order them apart."""
-    ordered = np.sort(values)
+    return _sorted_quartiles(np.sort(values))
+
+
+def _sorted_quartiles(ordered: np.ndarray) -> np.ndarray:
+    """`_quartiles` of values sorted ascending."""
     at = (ordered.size - 1) * np.array([0.25, 0.75])
     below = np.floor(at).astype(np.int64)
     t = at - below
@@ -283,9 +297,14 @@ def _quartiles(values: np.ndarray) -> np.ndarray:
 
 
 def _silverman_bandwidth(values: np.ndarray) -> float:
+    return _bandwidth(values, np.sort(values))
+
+
+def _bandwidth(values: np.ndarray, ordered: np.ndarray) -> float:
+    """`_silverman_bandwidth` of `values`, given them sorted as `ordered`."""
     n = values.size
     sd = float(np.std(values, ddof=1))
-    low, high = _quartiles(values)
+    low, high = _sorted_quartiles(ordered)
     iqr = float(high - low)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
     return max(0.9 * spread * n ** (-0.2), BANDWIDTH_FLOOR)
@@ -299,16 +318,30 @@ def _kde(points: np.ndarray, sample: np.ndarray) -> np.ndarray:
     sample values, in chunks of points, so memory is O(chunk * U_s). The
     priors of a window take one value per cell, hundreds against thousands
     of patients. A count-weighted sum rounds differently from a sum with one
-    term per sample, so the two agree only to the last bits.
+    term per sample, so the two agree only to the last bits. The sample is
+    sorted once, for its distinct values and its quartiles, and each chunk's
+    kernel terms are computed in place in two reused buffers.
     """
-    values, counts = np.unique(sample, return_counts=True)
-    bandwidth = _silverman_bandwidth(sample)
-    weights = counts.astype(float)
+    ordered = np.sort(sample)
+    first = np.ones(ordered.size, dtype=bool)   # each distinct value's first copy
+    first[1:] = ordered[1:] != ordered[:-1]
+    values = ordered[first]
+    weights = np.diff(np.append(np.flatnonzero(first), ordered.size)).astype(float)
+    bandwidth = _bandwidth(sample, ordered)
     out = np.empty(points.size)
     norm = weights.sum() * bandwidth * math.sqrt(2.0 * math.pi)
+    z = np.empty((min(points.size, 2048), values.size))
+    kernel = np.empty_like(z)
     for start in range(0, points.size, 2048):
-        z = (points[start:start + 2048, None] - values[None, :]) / bandwidth
-        out[start:start + 2048] = (np.exp(-0.5 * z * z) * weights).sum(axis=1) / norm
+        chunk = points[start:start + 2048, None]
+        zc, kc = z[:chunk.shape[0]], kernel[:chunk.shape[0]]
+        np.subtract(chunk, values, out=zc)
+        zc /= bandwidth
+        np.multiply(-0.5, zc, out=kc)   # the terms exp(-0.5 * z * z) * weights
+        kc *= zc
+        np.exp(kc, out=kc)
+        kc *= weights
+        out[start:start + 2048] = kc.sum(axis=1) / norm
     return out
 
 

@@ -60,6 +60,15 @@ only so tests can compare a library path with it:
 - `newton_maximize_pinv` takes minimum-norm pseudo-inverse Newton steps on
   every column. It checks `icurisk.survival.newton_maximize`, which drops
   aliased columns and solves; on a full-rank design both reach the same MLE.
+- `newton_maximize_callables` is the damped Newton loop with three
+  callables of beta (log-likelihood, gradient, Hessian weights), each of
+  which computes X beta, with the `exponential_*` and `logistic_*`
+  callables that go with it. It checks `icurisk.survival.newton_maximize`,
+  which computes X beta once per iterate: `fit_exponential_regression`,
+  `_fit_exponential` and `fit_logistic` must give the same bytes of beta,
+  iterations and gradient norm.
+- `aucpr_stable_argsort` orders the scores by a stable descending argsort.
+  It checks `icurisk.evaluation.aucpr`, which orders them by their ranks.
 - `dedupe_rows_unique` groups rows with `np.unique(..., axis=0)`. It checks
   `icurisk.features.distinct_rows`, and `pam_cluster` must find the same
   medoids, labels and cost with it in place of `distinct_rows`.
@@ -310,6 +319,17 @@ def first_day_max_scores(cohort, variables, table) -> np.ndarray:
                 continue
             out[i, j] = max(out[i, j], score_value(table, variable, value))
     return out
+
+
+def aucpr_stable_argsort(s) -> float:
+    """Average precision over positives, the scores ordered by a stable
+    descending argsort."""
+    n_pos = int((s.labels == 1).sum())
+    if n_pos == 0:
+        raise ValueError("AUCPR needs at least one positive")
+    labels = s.labels[np.argsort(-s.scores, kind="stable")]
+    precision = np.cumsum(labels) / np.arange(1, labels.size + 1)
+    return float(precision[labels == 1].sum() / n_pos)
 
 
 def auroc_rankdata(s) -> float:
@@ -640,6 +660,106 @@ def newton_maximize_pinv(loglik, grad, hessian_weights, X, beta, max_iter: int):
         if np.max(np.abs(beta)) > 30.0:
             raise ValueError("quasi-separation: coefficient magnitude exceeded 30")
     raise RuntimeError(f"no convergence after {max_iter} iterations")
+
+
+def newton_maximize_callables(loglik, grad, hessian_weights, X, keep, beta, max_iter: int, small_gain=None):
+    """`icurisk.survival.newton_maximize` with the log-likelihood, gradient
+    and Hessian weights as three callables of beta, each computing X beta.
+    `small_gain`, when a list, collects the iterations that took the full
+    step below log-likelihood resolution. Returns (beta, iterations,
+    gradient max-norm)."""
+    kept = X[:, keep]
+    beta = np.where(keep, beta, 0.0)
+    ll = loglik(beta)
+    for iteration in range(1, max_iter + 1):
+        g = grad(beta)
+        grad_norm = float(np.abs(g).max())
+        if grad_norm <= 1e-8:
+            return beta, iteration - 1, grad_norm
+        w = hessian_weights(beta)
+        step = np.zeros(beta.shape)
+        step[keep] = np.linalg.solve(kept.T @ (w[:, None] * kept), g[keep])
+        if 0.5 * float(g @ step) < 1e-9:
+            if small_gain is not None:
+                small_gain.append(iteration)
+            beta = beta + step
+            ll = loglik(beta)
+            continue
+        scale = 1.0
+        for _ in range(60):
+            trial = beta + scale * step
+            trial_ll = loglik(trial)
+            if trial_ll >= ll:
+                break
+            scale *= 0.5
+        else:
+            raise RuntimeError(f"line search stalled at iteration {iteration}, grad max-norm {grad_norm:.3e}")
+        beta, ll = trial, trial_ll
+        if np.abs(beta).max() > 30.0:
+            raise ValueError("quasi-separation: coefficient magnitude exceeded 30")
+    grad_norm = float(np.max(np.abs(grad(beta))))
+    raise RuntimeError(f"no convergence after {max_iter} iterations (grad max-norm {grad_norm:.3e})")
+
+
+def exponential_callables(X, times, events):
+    """Log-likelihood, gradient and Hessian weights of the censored
+    exponential regression, for `newton_maximize_callables`."""
+
+    def loglik(beta):
+        xb = X @ beta
+        with np.errstate(over="ignore"):
+            lam = np.exp(xb)
+        return float(events @ xb - lam @ times)
+
+    def grad(beta):
+        with np.errstate(over="ignore"):
+            lam = np.exp(X @ beta)
+        return X.T @ (events - lam * times)
+
+    def hessian_weights(beta):
+        with np.errstate(over="ignore"):
+            return np.exp(X @ beta) * times
+
+    return loglik, grad, hessian_weights
+
+
+def fit_exponential_callables(X, keep, times, events, small_gain=None):
+    """`icurisk.survival._fit_exponential` on `newton_maximize_callables`."""
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=float)
+    beta = np.zeros(X.shape[1])
+    beta[0] = math.log(float(events.sum()) / float(times.sum()))
+    return newton_maximize_callables(
+        *exponential_callables(X, times, events), X, keep, beta, max_iter=500, small_gain=small_gain
+    )
+
+
+def fit_logistic_callables(X, keep, y, counts=None):
+    """`icurisk.evaluation.fit_logistic` on `newton_maximize_callables`."""
+    y = np.asarray(y, dtype=float)
+    counts = np.ones_like(y) if counts is None else np.asarray(counts, dtype=float)
+
+    def sigmoid(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def hessian_weights(beta):
+        p = sigmoid(X @ beta)
+        return counts * p * (1.0 - p)
+
+    return newton_maximize_callables(
+        lambda b: float(np.sum(y * (X @ b) - counts * np.logaddexp(0.0, X @ b))),
+        lambda b: X.T @ (y - counts * sigmoid(X @ b)),
+        hessian_weights,
+        X,
+        keep,
+        np.zeros(X.shape[1]),
+        max_iter=200,
+    )
 
 
 def dedupe_rows_unique(rows):

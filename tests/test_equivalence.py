@@ -74,7 +74,7 @@ from icurisk.cohort import (
     write_observations,
     write_outcomes,
 )
-from icurisk.evaluation import ScoredSet, _t_upper_tail, auroc, concordance, first_day_max_scores
+from icurisk.evaluation import Outcomes, ScoredSet, _t_upper_tail, aucpr, auroc, concordance, first_day_max_scores
 from icurisk import features as features_module
 from icurisk.features import (
     NUMERIC,
@@ -267,6 +267,43 @@ def outcome(fn, s):
 @given(scored_sets())
 def test_concordance_matches_pairwise_oracle(s):
     assert outcome(concordance, s) == outcome(oracles.concordance_pairs, s)
+
+
+@st.composite
+def shared_truths(draw):
+    """One (labels, times, events) truth on up to 200 subjects, with events
+    that may be absent, and several score sets on it: heavily tied, mixing
+    -0.0 and 0.0, or continuous."""
+    n = draw(st.integers(2, 200))
+    times = draw(arrays(float, n, elements=st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.5, 7.0, 24.0])))
+    events = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    score_sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        elements = draw(st.sampled_from([
+            st.sampled_from([0.0, 1.0]),
+            st.sampled_from([-0.0, 0.0, 0.5]),
+            st.floats(-1e3, 1e3),
+        ]))
+        score_sets.append(draw(arrays(float, n, elements=elements)))
+    return events, times, score_sets
+
+
+@settings(deadline=None)
+@given(shared_truths())
+def test_shared_rankings_match_oracles(truth):
+    # Every ScoredSet of a (day, fold) shares one Outcomes: its checks and
+    # its time ranking are made once, and each set ranks its scores once.
+    events, times, score_sets = truth
+    outcomes = Outcomes(events, times, events)
+    for scores in score_sets:
+        shared = ScoredSet.sharing(outcomes, scores)
+        alone = ScoredSet(scores, events, times, events)
+        for fn, oracle in (
+            (concordance, oracles.concordance_pairs),
+            (auroc, oracles.auroc_rankdata),
+            (aucpr, oracles.aucpr_stable_argsort),
+        ):
+            assert outcome(fn, shared) == outcome(oracle, shared) == outcome(fn, alone)
 
 
 @st.composite

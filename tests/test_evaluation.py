@@ -21,6 +21,7 @@ from icurisk.evaluation import (
     _stratified_folds,
     aucpr,
     auroc,
+    baseline_design,
     baseline_exp_survival_scores,
     baseline_logistic_scores,
     baseline_saps_scores,
@@ -265,8 +266,8 @@ class TestLogistic:
     def test_exhausted_line_search_raises(self, monkeypatch):
         # Every point but the start scores worse, so no step can be accepted.
         monkeypatch.setattr(
-            "icurisk.evaluation.logistic_loglik",
-            lambda beta, X, y, counts: 0.0 if not beta.any() else -1.0,
+            "icurisk.evaluation._logistic_loglik",
+            lambda z, y, counts: (0.0 if not z.any() else -1.0, z),
         )
         y = np.array([1, 1, 0, 0, 0, 0, 0, 1])
         with pytest.raises(RuntimeError, match="line search stalled"):
@@ -321,8 +322,8 @@ class TestBaselines:
         times = rng.uniform(1, 100, 60)
         events = (rng.random(60) < 0.4).astype(int)
         events[0] = 1
-        day2 = baseline_exp_survival_scores(X, times, events, X, 48.0)
-        day5 = baseline_exp_survival_scores(X, times, events, X, 120.0)
+        day2 = baseline_exp_survival_scores(baseline_design(X, X), times, events, 48.0)
+        day5 = baseline_exp_survival_scores(baseline_design(X, X), times, events, 120.0)
         assert np.all(day5 > day2)
         assert np.all((day2 > 0) & (day2 < 1))
 
@@ -330,7 +331,7 @@ class TestBaselines:
         times = np.array([10.0, 20.0, 30.0, 40.0])
         events = np.array([1, 0, 1, 0])
         scores = baseline_exp_survival_scores(
-            np.zeros((4, 0)), times, events, np.zeros((1, 0)), 48.0
+            baseline_design(np.zeros((4, 0)), np.zeros((1, 0))), times, events, 48.0
         )
         lam = events.sum() / times.sum()
         assert scores[0] == pytest.approx(1.0 - math.exp(-lam * 48.0), rel=1e-9)
@@ -339,7 +340,7 @@ class TestBaselines:
         rng = np.random.default_rng(19)
         X = rng.uniform(0, 5, (80, 2))
         y = (X[:, 0] + rng.normal(0, 2, 80) > 2.5).astype(int)
-        probs = baseline_logistic_scores(X, y, X)
+        probs = baseline_logistic_scores(baseline_design(X, X), y)
         assert np.all((probs > 0) & (probs < 1))
 
 
@@ -436,6 +437,20 @@ class TestRunCvOnTables:
             first_day_max_scores(tables, variables)
         with pytest.raises(ValueError, match=message):
             run_cv(tables, repeats=1)
+
+    @pytest.mark.parametrize(
+        ("kwargs", "message"),
+        [
+            ({"repeats": 0}, "^repeats must be at least 1, got 0$"),
+            ({"folds": 0}, "^folds must be at least 2, got 0$"),
+            ({"folds": 1}, "^folds must be at least 2, got 1$"),
+        ],
+        ids=["no-repeats", "no-folds", "one-fold"],
+    )
+    def test_folds_and_repeats_checked_up_front(self, small_cohort, kwargs, message):
+        tables = window_tables(small_cohort, 720, load_default_score_table())
+        with pytest.raises(ValueError, match=message):
+            run_cv(tables, **{"repeats": 1, **kwargs})
 
     def test_rows_not_folded_rejected(self, small_cohort):
         message = "^expected WindowTables, got RawCohort: fold the rows with window_tables$"

@@ -13,8 +13,11 @@ from icurisk.features import (
     impute_median,
     load_default_score_table,
 )
+from icurisk.evaluation import fit_logistic
 from icurisk.survival import (
     TargetSpec,
+    _fit_exponential,
+    _spanning_columns,
     censor_by_target,
     compute_priors,
     death_prior,
@@ -149,6 +152,69 @@ def repeated_rows_sample(rng, n=400, aliased=False):
     times = rng.uniform(1, 100, n)
     events = (rng.random(n) < 0.4).astype(float)
     return X.astype(float), times, events
+
+
+def same_fit(fit, reference):
+    """A SurvivalFit against (beta, iterations, grad_norm) of an oracle, bit for bit."""
+    beta, iterations, grad_norm = reference
+    assert fit.beta.tobytes() == beta.tobytes()
+    assert (fit.iterations, fit.grad_norm) == (iterations, grad_norm)
+
+
+class TestNewtonBitForBit:
+    """`newton_maximize` computes X beta once per iterate; the fits must give
+    the bytes of `oracles.newton_maximize_callables`, whose three callables
+    each compute it."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exponential_matches_callables(self, seed):
+        rng = np.random.default_rng(seed)
+        X, times, events = random_censored_sample(rng, n=150, d=4)
+        same_fit(fit_exponential_regression(X, times, events),
+                 oracles.fit_exponential_callables(X, _spanning_columns(X), times, events))
+
+    @pytest.mark.parametrize("aliased", [False, True])
+    def test_grouped_rows_with_a_shared_keep_match_callables(self, aliased):
+        rng = np.random.default_rng(8)
+        X, times, events = repeated_rows_sample(rng, aliased=aliased)
+        first, group = distinct_rows(X)
+        keep = _spanning_columns(X[first])
+        assert keep.all() != aliased
+        for day in range(3):   # one keep shared by several responses, as for the target days
+            day_times = times * (day + 1)
+            summed = np.bincount(group, weights=day_times), np.bincount(group, weights=events)
+            same_fit(_fit_exponential(X[first], keep, *summed),
+                     oracles.fit_exponential_callables(X[first], keep, *summed))
+
+    def test_small_gain_step_matches_callables(self):
+        # A covariate nearly orthogonal to the intercept-only residual: the
+        # first Newton step's predicted gain is below 1e-9.
+        rng = np.random.default_rng(11)
+        times = rng.uniform(1, 100, 200)
+        events = (rng.random(200) < 0.4).astype(float)
+        residual = events - events.sum() / times.sum() * times
+        x = rng.normal(size=200)
+        x -= (x @ residual) / (residual @ residual) * residual - 1e-7 * residual
+        X = np.column_stack([np.ones(200), x])
+        small_gain = []
+        reference = oracles.fit_exponential_callables(X, _spanning_columns(X), times, events, small_gain)
+        assert small_gain and small_gain[0] == 1
+        same_fit(fit_exponential_regression(X, times, events), reference)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_logistic_matches_callables(self, seed):
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(120), rng.integers(0, 4, (120, 2)), np.ones(120)]).astype(float)
+        y = (rng.random(120) < 0.3 + 0.1 * X[:, 1]).astype(float)
+        first, group = distinct_rows(X)
+        counts, positives = np.bincount(group), np.bincount(group, weights=y)
+        keep = _spanning_columns(X[first])
+        for beta, reference in (
+            (fit_logistic(X, y), oracles.fit_logistic_callables(X, _spanning_columns(X), y)),
+            (fit_logistic(X[first], positives, counts),
+             oracles.fit_logistic_callables(X[first], keep, positives, counts)),
+        ):
+            assert beta.tobytes() == reference[0].tobytes()
 
 
 class TestNewtonSolve:
