@@ -183,7 +183,7 @@ def _kept_tables(cfg: PipelineConfig, required_variables, window_hours: int, tab
     with `table`, filtered to the patients that qualify: the rows
     themselves are never held."""
     tables = load_cohort(*_input_paths(cfg), 60 * window_hours, table)
-    return filter_cohort(tables, required_variables, window_hours)
+    return filter_cohort(tables, required_variables)
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:

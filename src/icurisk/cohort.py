@@ -1558,18 +1558,20 @@ def window_tables(cohort: RawCohort, window_minutes: int, table=None) -> WindowT
 
 
 def filter_cohort(
-    cohort: WindowTables, required_variables=DEFAULT_REQUIRED_VARIABLES, window_hours: int = 12
+    cohort: WindowTables, required_variables=DEFAULT_REQUIRED_VARIABLES, window_hours: int | None = None
 ) -> WindowTables:
     """The tables of the patients with >= MIN_STAY_HOURS of follow-up and
-    complete required coverage (`WindowTables.kept`). The tables must be
-    folded in `window_hours` windows. A RawCohort is folded first, without a
-    score table: this one statement serves the benchmark's set-up, which
-    counts the kept patients and rows of its synthetic cohort, and goes once
-    that set-up calls `window_tables`.
+    complete required coverage (`WindowTables.kept`); a `window_hours` that
+    is given must be the tables' size. A RawCohort is folded first, in
+    `window_hours` windows without a score table: this one statement serves
+    the benchmark's set-up, which counts the kept patients and rows of its
+    synthetic cohort, and goes once that set-up calls `window_tables`.
     """
     if isinstance(cohort, RawCohort):
+        if window_hours is None:
+            raise ValueError("filter_cohort of a RawCohort needs window_hours to fold it in")
         cohort = window_tables(cohort, 60 * window_hours)
-    if cohort.window_minutes != 60 * window_hours:
+    if window_hours is not None and cohort.window_minutes != 60 * window_hours:
         raise ValueError(f"tables of {cohort.window_minutes}-minute windows, not {window_hours} h")
     return cohort.subset(cohort.kept(required_variables))
 

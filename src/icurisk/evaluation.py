@@ -11,7 +11,7 @@ import numpy as np
 
 from .cohort import DEFAULT_REQUIRED_VARIABLES, WindowTables, filter_cohort, map_in_children, usable_cpus
 from .features import build_feature_matrix, distinct_rows, window_hours_of
-from .hmm import fit_feature_stage, fit_risk_model, normal_band, score_patients
+from .hmm import PatientScores, fit_feature_stage, fit_risk_model, normal_band, score_patients
 from .survival import (
     TargetSpec,
     _fit_exponential,
@@ -21,14 +21,6 @@ from .survival import (
     hazard,
     newton_maximize,
 )
-
-METHOD_MODEL = "chf_ar_hmm"
-METHOD_SAPS = "saps"
-METHOD_LOGISTIC = "logistic"
-METHOD_EXP_SURVIVAL = "exp_survival"
-ALL_METHODS = (METHOD_MODEL, METHOD_SAPS, METHOD_LOGISTIC, METHOD_EXP_SURVIVAL)
-ALL_METRICS = ("aucpr", "cstat", "auroc")
-
 
 def _dense_ranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`np.unique(values, return_inverse=True, return_counts=True)[1:]` of
@@ -259,14 +251,6 @@ def _sigmoid(z):
     return out
 
 
-def logistic_loglik(beta, X, y, counts=1.0) -> float:
-    return _logistic_loglik(X @ beta, y, counts)[0]
-
-
-def logistic_grad(beta, X, y, counts=1.0) -> np.ndarray:
-    return X.T @ _logistic_slope(X @ beta, y, counts)[0]
-
-
 def _logistic_loglik(z, y, counts):
     """The log-likelihood at the linear predictor z = X beta, and z for
     `_logistic_slope`."""
@@ -344,6 +328,35 @@ def baseline_exp_survival_scores(design: BaselineDesign, times, events, target_h
 # --------------------------------------------------------------------------
 # Cross-validation protocol
 # --------------------------------------------------------------------------
+
+class Unit(NamedTuple):
+    """What the scorers read of a fitted (repeat, fold) unit, for its test
+    patients or its baseline design's training rows."""
+
+    model: dict[int, PatientScores]   # day -> the test patients' scores
+    saps: np.ndarray                  # the test patients' summed first-day scores
+    design: BaselineDesign
+    counts: np.ndarray                # the patients on each training row
+    days: dict[int, tuple]            # day -> summed censored times, events, and target hours
+
+
+# The compared methods in the paper's order, the model first, which
+# `_aggregate` pairs every other one with: (name, scorer of a Unit and a
+# target day). Scorers and metrics look up the functions they call when
+# called, so a wrapper set on this module (tracing) is the one called.
+METHODS = (
+    ("chf_ar_hmm", lambda unit, day: unit.model[day].eta),
+    ("saps", lambda unit, day: unit.saps),
+    ("logistic", lambda unit, day: baseline_logistic_scores(unit.design, unit.days[day][1], counts=unit.counts)),
+    ("exp_survival", lambda unit, day: baseline_exp_survival_scores(unit.design, *unit.days[day])),
+)
+# The metrics of each method's scores: (name, function of a ScoredSet).
+METRICS = (
+    ("aucpr", lambda scored: aucpr(scored)),
+    ("cstat", lambda scored: concordance(scored)),
+    ("auroc", lambda scored: auroc(scored)),
+)
+
 
 @dataclass(frozen=True)
 class MetricRecord:
@@ -447,7 +460,8 @@ def run_cv(
         raise ValueError(f"folds must be at least 2, got {folds}")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    tables = filter_cohort(cohort, required_variables, window_hours_of(cohort))
+    window_hours_of(cohort)   # tables the features can read, checked before they are filtered
+    tables = filter_cohort(cohort, required_variables)
     del cohort
     if tables.n_patients == 0:
         raise ValueError("no patients left after filtering")
@@ -466,8 +480,6 @@ def run_cv(
     # The baselines are fit on distinct first-day rows: grouped once here, regrouped per fold.
     first, baseline_group = distinct_rows(baseline_features)
 
-    metric_fns = {"aucpr": aucpr, "cstat": concordance, "auroc": auroc}
-
     def block_records(block) -> list[MetricRecord]:
         """The records of consecutive (repeat, fold) units, in unit order."""
         records = []
@@ -481,31 +493,23 @@ def run_cv(
             stage = fit_feature_stage(train_matrix, k_clusters, seed=[seed, repeat, fold])
             test_matrix = matrix.subset(test_idx)
             present, train_group = np.unique(baseline_group[train_idx], return_inverse=True)
-            train_counts = np.bincount(train_group)
             design = baseline_design(baseline_features[first[present]], baseline_features[test_idx])
             model = fit_risk_model(stage, day_targets, smoothing_alpha=smoothing_alpha)
-            model_scores = score_patients(model, test_matrix)
+            unit = Unit(score_patients(model, test_matrix), saps[test_idx], design, np.bincount(train_group), {
+                day: (
+                    np.bincount(train_group, weights=times[train_idx]),
+                    np.bincount(train_group, weights=events[train_idx]),
+                    targets[day].target_hours,
+                )
+                for day, (times, events) in day_censoring.items()
+            })
             for day in target_days:
+                scores = [(method, scorer(unit, day)) for method, scorer in METHODS]
                 times, events = day_censoring[day]
-                train_events = np.bincount(train_group, weights=events[train_idx])
-                method_scores = {
-                    METHOD_MODEL: model_scores[day].eta,
-                    METHOD_SAPS: saps[test_idx],
-                    METHOD_LOGISTIC: baseline_logistic_scores(design, train_events, counts=train_counts),
-                    METHOD_EXP_SURVIVAL: baseline_exp_survival_scores(
-                        design,
-                        np.bincount(train_group, weights=times[train_idx]),
-                        train_events,
-                        targets[day].target_hours,
-                    ),
-                }
                 outcomes = Outcomes(events[test_idx], times[test_idx], events[test_idx])
-                for method, scores in method_scores.items():
-                    scored = ScoredSet.sharing(outcomes, scores)
-                    for metric, fn in metric_fns.items():
-                        records.append(
-                            MetricRecord(day, method, metric, repeat, fold, fn(scored))
-                        )
+                for method, method_scores in scores:
+                    scored = ScoredSet.sharing(outcomes, method_scores)
+                    records += (MetricRecord(day, method, metric, repeat, fold, fn(scored)) for metric, fn in METRICS)
         return records
 
     units = [(repeat, fold) for repeat in range(repeats) for fold in range(folds)]
@@ -521,19 +525,20 @@ def _aggregate(records, target_days, day_events, folds, repeats, seed) -> Evalua
     by_key: dict = {}
     for r in records:
         by_key.setdefault((r.day, r.method, r.metric), []).append(r.value)
+    (model, _), *baselines = METHODS
 
     for day in target_days:
         summary[day] = {}
-        for method in ALL_METHODS:
+        for method, _ in METHODS:
             summary[day][method] = {}
-            for metric in ALL_METRICS:
+            for metric, _ in METRICS:
                 mean, half = normal_band(np.array(by_key[(day, method, metric)]))
                 summary[day][method][metric] = {"mean": mean, "ci_low": mean - half, "ci_high": mean + half}
         p_values[day] = {}
-        for baseline in (METHOD_SAPS, METHOD_LOGISTIC, METHOD_EXP_SURVIVAL):
+        for baseline, _ in baselines:
             p_values[day][baseline] = {}
-            for metric in ALL_METRICS:
-                a = np.array(by_key[(day, METHOD_MODEL, metric)])
+            for metric, _ in METRICS:
+                a = np.array(by_key[(day, model, metric)])
                 b = np.array(by_key[(day, baseline, metric)])
                 try:
                     p = paired_t_test_one_tailed(a, b)

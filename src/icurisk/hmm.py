@@ -37,6 +37,7 @@ from .survival import (
     compute_priors,
     fit_window_regressions,
     label_hidden_states,
+    window_designs,
 )
 
 SURVIVAL, DEATH = 0, 1
@@ -220,10 +221,10 @@ def fit_feature_stage(matrix: FeatureMatrix, k_clusters: int, seed=0) -> Feature
 def fit_risk_model(stage: FeatureStage, targets: list[TargetSpec], *, smoothing_alpha: float = 1.0) -> RiskModel:
     """Train the model for every TargetSpec in `targets` on the matrix `stage`
     was fit on (`fit_feature_stage`): its outcomes, and its feature spec,
-    score table included, which the model keeps. The stage is shared by
-    every day; the survival fits, state labels and emission tables are fit
-    per day, as the censoring depends on the day. Raises ValueError when
-    `targets` is empty or names a day twice.
+    score table included, which the model keeps. The stage and the window
+    designs serve every day; the survival fits, state labels and emission
+    tables are fit per day, as the censoring depends on the day. Raises
+    ValueError when `targets` is empty or names a day twice.
     """
     matrix = stage.matrix
     targets = sorted(targets, key=lambda t: t.target_day)
@@ -232,12 +233,13 @@ def fit_risk_model(stage: FeatureStage, targets: list[TargetSpec], *, smoothing_
         raise ValueError(f"target days must be distinct and at least one, got {days}")
     censored = [censor_by_target(matrix.event_hours, matrix.died, t.target_hours) for t in targets]
     times, events = (np.array(part) for part in zip(*censored))   # (days, N) each
-    fits = fit_window_regressions(matrix, stage.rows, times, events)
+    designs = window_designs(matrix, stage.rows)
+    fits = fit_window_regressions(matrix, designs, times, events)
     T = matrix.spec.n_windows
     fitted = {}
     for d, target in enumerate(targets):
         day_fits = fits[d * T:(d + 1) * T]
-        labels = label_hidden_states(matrix, stage.rows, events[d], day_fits, target)
+        labels = label_hidden_states(matrix, designs, events[d], day_fits, target)
         emissions = estimate_emissions(
             stage.sequences, labels.states, stage.cluster.k, smoothing_alpha
         )
@@ -247,19 +249,20 @@ def fit_risk_model(stage: FeatureStage, targets: list[TargetSpec], *, smoothing_
 
 def score_patients(model: RiskModel, matrix: FeatureMatrix) -> dict[int, PatientScores]:
     """Risk scores for a (possibly unseen) cohort under a trained model, per
-    target day in ascending order. Each cell of the matrix is imputed,
-    encoded and given each day's prior once. Raises ValueError, naming the
-    parts that differ, when the matrix's feature spec (variables, window
-    size, score table) is not the model's."""
+    target day in ascending order. Each cell is imputed and encoded once,
+    and each window's design built once for every day. Raises ValueError,
+    naming the parts that differ, when the matrix's feature spec (variables,
+    window size, score table) is not the model's."""
     if matrix.spec != model.spec:
         differ = " and ".join(name for name, value in vars(matrix.spec).items() if value != getattr(model.spec, name))
         raise ValueError(f"feature spec {matrix.spec} does not match the trained model's {model.spec} in {differ}")
     rows = impute_median(matrix, model.medians)
     sequences = encode_observations(model.cluster, matrix, rows)
+    designs = window_designs(matrix, rows)
     scores = {}
     for day in model:
         day_fit = model.days[day]
-        theta = compute_priors(matrix, rows, day_fit.fits, day_fit.target)[matrix.cell_of]
+        theta = compute_priors(matrix, designs, day_fit.fits, day_fit.target)[matrix.cell_of]
         scores[day] = PatientScores(_eta_forward_batch(theta, day_fit.emissions, sequences), theta, sequences)
     return scores
 

@@ -84,16 +84,6 @@ class SurvivalFit:
     grad_norm: float
 
 
-def exponential_loglik(beta, X, times, events) -> float:
-    """Right-censored exponential log-likelihood with log-linear rates."""
-    return _exponential_loglik(X @ beta, times, events)[0]
-
-
-def exponential_grad(beta, X, times, events) -> np.ndarray:
-    _, lam = _exponential_loglik(X @ beta, times, events)
-    return X.T @ _exponential_slope(lam, times, events)[0]
-
-
 def _exponential_loglik(xb, times, events):
     """The log-likelihood at the linear predictor xb = X beta, and the rates
     exp(xb) `_exponential_slope` takes."""
@@ -279,16 +269,11 @@ def death_prior(lam, duration):
 # Supervised density normalization
 # --------------------------------------------------------------------------
 
-def _quartiles(values: np.ndarray) -> np.ndarray:
-    """np.percentile(values, [25, 75]), by its default linear interpolation
-    between sorted values, without the partition that makes NumPy 2 import
-    numpy.ma. Equal as numbers: where -0.0 and 0.0 meet, sort and partition
-    may order them apart."""
-    return _sorted_quartiles(np.sort(values))
-
-
 def _sorted_quartiles(ordered: np.ndarray) -> np.ndarray:
-    """`_quartiles` of values sorted ascending."""
+    """np.percentile(ordered, [25, 75]) of values sorted ascending, by its
+    default linear interpolation between sorted values, without the
+    partition that makes NumPy 2 import numpy.ma. Equal as numbers: where
+    -0.0 and 0.0 meet, sort and partition may order them apart."""
     at = (ordered.size - 1) * np.array([0.25, 0.75])
     below = np.floor(at).astype(np.int64)
     t = at - below
@@ -296,12 +281,9 @@ def _sorted_quartiles(ordered: np.ndarray) -> np.ndarray:
     return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
-def _silverman_bandwidth(values: np.ndarray) -> float:
-    return _bandwidth(values, np.sort(values))
-
-
 def _bandwidth(values: np.ndarray, ordered: np.ndarray) -> float:
-    """`_silverman_bandwidth` of `values`, given them sorted as `ordered`."""
+    """Silverman's rule-of-thumb bandwidth of `values`, given them sorted as
+    `ordered`, floored at BANDWIDTH_FLOOR."""
     n = values.size
     sd = float(np.std(values, ddof=1))
     low, high = _sorted_quartiles(ordered)
@@ -380,18 +362,30 @@ def normalize_death_share(probs, labels, queries) -> np.ndarray:
 # Prior computation and state labeling
 # --------------------------------------------------------------------------
 
-def compute_priors(matrix, rows, fits, target: TargetSpec) -> np.ndarray:
-    """Death prior of each cell of the matrix, (U,), from its imputed row
-    (`impute_median`), its window's hazard fit and the matrix's window size.
-    Patient i's prior in window t is that of cell `matrix.cell_of[i, t]`."""
-    if len(fits) != matrix.spec.n_windows:
-        raise ValueError("need one survival fit per window")
-    theta = np.empty(rows.shape[0])
-    for t, fit in enumerate(fits):
+def window_designs(matrix, rows) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each window's hazard design on the matrix's imputed cells `rows`
+    (`impute_median`): the distinct rows X of [1, y, b], in `distinct_rows`
+    order, and the row of X of each of the window's cells. Built once per
+    matrix, for its hazard fits and for every day's priors."""
+    designs = []
+    for t in range(matrix.spec.n_windows):
         cells = matrix.cells_in(t)
         X = np.column_stack([np.ones(cells.stop - cells.start), rows[cells]])
-        theta[cells] = death_prior(hazard(fit.beta, X), target.exposure_duration(t + 1, matrix.spec.window_hours))
-    return theta
+        first, row = distinct_rows(X)
+        designs.append((X[first], row))
+    return designs
+
+
+def compute_priors(matrix, designs, fits, target: TargetSpec) -> np.ndarray:
+    """Death prior of each cell of the matrix, (U,), from its window's design
+    row (`window_designs`), hazard fit and the matrix's window size. Patient
+    i's prior in window t is that of cell `matrix.cell_of[i, t]`."""
+    if len(fits) != matrix.spec.n_windows:
+        raise ValueError("need one survival fit per window")
+    return np.concatenate([
+        death_prior(hazard(fit.beta, X), target.exposure_duration(t + 1, matrix.spec.window_hours))[row]
+        for t, ((X, row), fit) in enumerate(zip(designs, fits))
+    ])
 
 
 @dataclass
@@ -402,38 +396,36 @@ class StateLabels:
     probabilities: np.ndarray   # (N, T); last column is the 0/1 outcome itself
 
 
-def fit_window_regressions(matrix, rows, times, events) -> list[SurvivalFit]:
+def fit_window_regressions(matrix, designs, times, events) -> list[SurvivalFit]:
     """Censored exponential fits, one per target day and window, day-major.
 
-    A window's design is its imputed cells `rows` as [1, y, b], in
-    `distinct_rows` order, and its kept columns are found once for all
-    days. Row d of `times` and `events` is day d's `censor_by_target`
-    response in matrix order, summed per design row.
+    Each window's design is the matrix's (`window_designs`), and its kept
+    columns are found once for all days. Row d of `times` and `events` is
+    day d's `censor_by_target` response in matrix order, summed per design
+    row.
     """
-    designs = []
-    for t in range(matrix.spec.n_windows):
-        cells = matrix.cells_in(t)
-        X = np.column_stack([np.ones(cells.stop - cells.start), rows[cells]])
-        first, group = distinct_rows(X)
-        designs.append((X[first], group[matrix.cell_of[:, t] - cells.start], _spanning_columns(X[first])))
+    windows = [
+        (X, row[matrix.cell_of[:, t] - matrix.cells_in(t).start], _spanning_columns(X))
+        for t, (X, row) in enumerate(designs)
+    ]
     return [
         _fit_exponential(X, keep, np.bincount(row, weights=day_times), np.bincount(row, weights=day_events))
         for day_times, day_events in zip(times, events)
-        for X, row, keep in designs
+        for X, row, keep in windows
     ]
 
 
-def label_hidden_states(matrix, rows, events, fits, target: TargetSpec) -> StateLabels:
+def label_hidden_states(matrix, designs, events, fits, target: TargetSpec) -> StateLabels:
     """Hidden-state labels: outcome at the last window, thresholded normalized
     priors everywhere else.
 
-    `rows` are the matrix's imputed cells; `events` come from
+    `designs` are the matrix's (`window_designs`); `events` come from
     `censor_by_target`, in matrix order, so censoring by the target time
     counts as Survival. For windows before the last, `normalize_death_share`
     of the patients' priors against their outcome classes is computed once
     per cell, and a patient is labeled Death when it reaches 0.5.
     """
-    theta = compute_priors(matrix, rows, fits, target)
+    theta = compute_priors(matrix, designs, fits, target)
     probs = np.zeros(matrix.cell_of.shape)
     probs[:, -1] = events
     for t in range(probs.shape[1] - 1):

@@ -37,6 +37,19 @@ only so tests can compare a library path with it:
 - `concordance_pairs` builds the N x N comparable-pair and credit matrices,
   and `brute_force_concordance` loops over every pair in Python. They check
   the rank-counting `icurisk.evaluation.concordance`.
+- `quartiles` and `silverman_bandwidth` sort the values first. They give
+  `icurisk.survival._sorted_quartiles` and `_bandwidth` (which `_kde`
+  calls on a sample it has sorted) values in any order, to check them
+  against `np.percentile`.
+- `exponential_loglik`, `exponential_grad`, `logistic_loglik` and
+  `logistic_grad` take beta and the design. They check, by finite
+  differences, that the slopes the fits step with are the gradients of
+  the log-likelihoods they maximize.
+- `compute_priors_per_cell` builds each window's hazard design on every
+  call and takes the hazard at every cell. It checks
+  `icurisk.survival.compute_priors`, which reads the designs
+  `window_designs` builds once per matrix: the priors must be the same
+  bytes.
 - `kde_all_samples` sums the kernel over every training sample at every
   query point, and `normalize_all_samples` builds the class-density share on
   it. They check `icurisk.survival.normalize_death_share` and
@@ -116,10 +129,16 @@ from icurisk.cohort import (
 )
 from icurisk.features import BINARY, compute_medians, distinct_rows, feature_kinds, gower_matrix, pam_cluster
 from icurisk.hmm import DEATH, SURVIVAL, _check_sequence, _eta_forward_batch, _joint_logs, estimate_emissions
+from icurisk.evaluation import _logistic_loglik, _logistic_slope
 from icurisk.survival import (
-    _silverman_bandwidth,
+    _bandwidth,
+    _exponential_loglik,
+    _exponential_slope,
+    _sorted_quartiles,
     censor_by_target,
+    death_prior,
     fit_exponential_regression,
+    hazard,
     normalize_death_share,
 )
 
@@ -422,6 +441,16 @@ def brute_force_concordance(s) -> float:
     return num / den
 
 
+def quartiles(values) -> np.ndarray:
+    """`icurisk.survival._sorted_quartiles` of `values` in any order."""
+    return _sorted_quartiles(np.sort(values))
+
+
+def silverman_bandwidth(values) -> float:
+    """`icurisk.survival._bandwidth` of `values` in any order."""
+    return _bandwidth(values, np.sort(values))
+
+
 def kde_all_samples(points, samples, bandwidth) -> np.ndarray:
     """Gaussian kernel density summed over every sample at every point."""
     # Chunked so the (m, n) kernel matrix stays small.
@@ -442,8 +471,8 @@ def normalize_all_samples(probs, labels, queries) -> np.ndarray:
     queries = np.atleast_1d(np.asarray(queries, dtype=float))
     death, survival = probs[labels], probs[~labels]
     weight = death.size / probs.size
-    f_death = kde_all_samples(queries, death, _silverman_bandwidth(death)) * weight
-    f_surv = kde_all_samples(queries, survival, _silverman_bandwidth(survival)) * (1.0 - weight)
+    f_death = kde_all_samples(queries, death, silverman_bandwidth(death)) * weight
+    f_surv = kde_all_samples(queries, survival, silverman_bandwidth(survival)) * (1.0 - weight)
     total = f_death + f_surv
     dead_zone = total <= 0
     total[dead_zone] = 1.0
@@ -631,6 +660,31 @@ def write_outcomes_rows(cohort: RawCohort, path) -> None:
             writer.writerow([pid, repr(float(cohort.event_hours[i])), int(cohort.died[i])])
 
 
+def exponential_loglik(beta, X, times, events) -> float:
+    """Right-censored exponential log-likelihood with log-linear rates, from
+    the `_exponential_loglik` the fits maximize."""
+    return _exponential_loglik(X @ beta, times, events)[0]
+
+
+def exponential_grad(beta, X, times, events) -> np.ndarray:
+    """The gradient X^T r of `exponential_loglik`, from the
+    `_exponential_slope` the fits step with."""
+    _, lam = _exponential_loglik(X @ beta, times, events)
+    return X.T @ _exponential_slope(lam, times, events)[0]
+
+
+def logistic_loglik(beta, X, y, counts=1.0) -> float:
+    """Logistic log-likelihood of grouped rows, from the `_logistic_loglik`
+    the fits maximize."""
+    return _logistic_loglik(X @ beta, y, counts)[0]
+
+
+def logistic_grad(beta, X, y, counts=1.0) -> np.ndarray:
+    """The gradient X^T r of `logistic_loglik`, from the `_logistic_slope`
+    the fits step with."""
+    return X.T @ _logistic_slope(X @ beta, y, counts)[0]
+
+
 def newton_maximize_pinv(loglik, grad, hessian_weights, X, beta, max_iter: int):
     """Damped Newton with minimum-norm steps pinv(X^T diag(w) X) g on all
     columns, halved until the log-likelihood does not drop, with a
@@ -790,6 +844,20 @@ def silhouette_loop(rows, labels, kinds, ranges) -> float:
         b = min(dist[i, labels == v].mean() for v in values if v != labels[i])
         scores[i] = (b - a) / max(a, b) if max(a, b) > 0 else 0.0
     return float(scores.mean())
+
+
+def compute_priors_per_cell(matrix, rows, fits, target) -> np.ndarray:
+    """Death prior of each cell of the matrix, (U,), with each window's
+    design [1, rows] built again for every call and the hazard taken at
+    every cell."""
+    if len(fits) != matrix.spec.n_windows:
+        raise ValueError("need one survival fit per window")
+    theta = np.empty(rows.shape[0])
+    for t, fit in enumerate(fits):
+        cells = matrix.cells_in(t)
+        X = np.column_stack([np.ones(cells.stop - cells.start), rows[cells]])
+        theta[cells] = death_prior(hazard(fit.beta, X), target.exposure_duration(t + 1, matrix.spec.window_hours))
+    return theta
 
 
 def patient_scores(matrix):

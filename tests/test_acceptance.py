@@ -19,8 +19,6 @@ from icurisk.evaluation import (
     auroc,
     aucpr,
     concordance,
-    logistic_grad,
-    logistic_loglik,
     paired_t_test_one_tailed,
     run_cv,
 )
@@ -43,11 +41,16 @@ from icurisk.hmm import (
 )
 from icurisk.survival import (
     TargetSpec,
-    exponential_grad,
-    exponential_loglik,
     fit_exponential_regression,
 )
-from oracles import eta_enumerate, total_sequence_probability
+from oracles import (
+    eta_enumerate,
+    exponential_grad,
+    exponential_loglik,
+    logistic_grad,
+    logistic_loglik,
+    total_sequence_probability,
+)
 
 ACCEPTANCE_SEED = 123
 

@@ -12,13 +12,16 @@ import importlib
 import inspect
 import json
 import math
+import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from icurisk import cli
-from icurisk.cohort import SynthConfig, generate_synthetic_cohort, write_observations, write_outcomes
+from icurisk import cli, evaluation
+from icurisk.cohort import SynthConfig, generate_synthetic_cohort, window_tables, write_observations, write_outcomes
+from icurisk.features import load_default_score_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from tracing import COMMAND_SPAN, LAYER_UNITS, TARGETS, Tracer, layer_metrics, traced  # noqa: E402
@@ -74,3 +77,19 @@ def test_traced_commands_give_every_layer_metric(tmp_path, monkeypatch):
             assert metrics["survival.newton_iterations"] > 0, command
     for name in ("report.json", "metrics.csv", "model.json", "predictions.csv"):
         assert (tmp_path / "out" / name).stat().st_size > 0
+
+
+def test_cv_calls_every_traced_function(small_cohort, monkeypatch):
+    """A one-repeat `run_cv` on one usable CPU, under the benchmark's tracer,
+    calls the traced functions its method, metric and design code reaches.
+    `layer_metrics` reads a span that is never opened as 0.0, so only this
+    count shows a table that holds a function object from before tracing."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    tables = window_tables(small_cohort, WINDOW_HOURS * 60, load_default_score_table())
+    tracer = Tracer()
+    with traced(tracer):
+        evaluation.run_cv(tables, repeats=1, seed=5)
+    calls = Counter(name for name, *_ in tracer.spans)
+    for span in ("evaluation.concordance", "evaluation.rank_metrics", "evaluation.baselines",
+                 "survival.compute_priors", "survival.label_hidden_states", "survival.fit_window_regressions"):
+        assert calls[span] > 0, span

@@ -827,6 +827,14 @@ class TestFilter:
         with pytest.raises(ValueError, match="tables of 720-minute windows, not 8 h"):
             filter_cohort(self._tables(), window_hours=8)
 
+    def test_tables_filtered_in_their_own_windows(self, small_cohort):
+        tables = window_tables(small_cohort, 360, load_default_score_table())
+        assert_same_tables(filter_cohort(tables), filter_cohort(tables, window_hours=6))
+
+    def test_rows_need_the_window_size(self, small_cohort):
+        with pytest.raises(ValueError, match="^filter_cohort of a RawCohort needs window_hours to fold it in$"):
+            filter_cohort(small_cohort)
+
     def test_each_row_is_placed_once(self, monkeypatch, small_cohort):
         assert small_cohort.value.size < cohort_module.WINDOW_CHUNK_ROWS
         table = load_default_score_table()

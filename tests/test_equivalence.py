@@ -76,6 +76,7 @@ from icurisk.cohort import (
 )
 from icurisk.evaluation import Outcomes, ScoredSet, _t_upper_tail, aucpr, auroc, concordance, first_day_max_scores
 from icurisk import features as features_module
+from icurisk import hmm as hmm_module
 from icurisk.features import (
     NUMERIC,
     BINARY,
@@ -87,6 +88,7 @@ from icurisk.features import (
     compute_medians,
     distinct_rows,
     gower_matrix,
+    impute_median,
     load_default_score_table,
     numeric_ranges,
     pam_cluster,
@@ -95,13 +97,12 @@ from icurisk.hmm import fit_feature_stage, fit_risk_model, score_patients
 from icurisk.survival import (
     BANDWIDTH_FLOOR,
     TargetSpec,
-    _quartiles,
-    _silverman_bandwidth,
     censor_by_target,
     compute_priors,
     fit_window_regressions,
     label_hidden_states,
     normalize_death_share,
+    window_designs,
 )
 from conftest import assert_same_tables, cohort_from_rows, count_calls, parse_observations, rows_cohort
 import oracles
@@ -427,14 +428,41 @@ def test_state_labels_match_all_samples_oracle(imputed_training, day):
     matrix, rows, event_hours, died = imputed_training
     target = TargetSpec(day)
     times, events = censor_by_target(event_hours, died, target.target_hours)
-    fits = fit_window_regressions(matrix, rows, [times], [events])
-    labels = label_hidden_states(matrix, rows, events, fits, target)
+    designs = window_designs(matrix, rows)
+    fits = fit_window_regressions(matrix, designs, [times], [events])
+    labels = label_hidden_states(matrix, designs, events, fits, target)
 
-    theta = compute_priors(matrix, rows, fits, target)[matrix.cell_of]
+    theta = compute_priors(matrix, designs, fits, target)[matrix.cell_of]
     for t in range(theta.shape[1] - 1):
         expected = oracles.normalize_all_samples(theta[:, t], events, theta[:, t])
         assert np.array_equal(labels.states[:, t], expected >= 0.5)
         np.testing.assert_allclose(labels.probabilities[:, t], expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("window_hours", [12, 6, 4])
+def test_shared_designs_give_the_per_call_priors(small_cohort, monkeypatch, window_hours):
+    """Each window's hazard design, built once per matrix (`window_designs`),
+    gives every day's priors the bytes of the oracle that builds the design
+    on every call, on the training matrix and on a scored one:
+    `fit_risk_model` builds the designs once, and `score_patients` once."""
+    cohort = filter_cohort(window_tables(small_cohort, 60 * window_hours, TABLE))
+    matrix = build_feature_matrix(cohort, cohort.variables)
+    is_test = np.arange(matrix.n_patients) % 3 == 0
+    train, test = matrix.subset(np.flatnonzero(~is_test)), matrix.subset(np.flatnonzero(is_test))
+    stage = fit_feature_stage(train, 4, seed=[0])
+    built = count_calls(monkeypatch, hmm_module, "window_designs")
+    model = fit_risk_model(stage, [TargetSpec(day) for day in (2, 3, 4, 5)])
+    assert built == {"window_designs": 1}
+    scores = score_patients(model, test)
+    assert built == {"window_designs": 2}
+    assert test.spec.n_windows == 24 // window_hours
+    test_rows = impute_median(test, model.medians)
+    for day, day_fit in model.days.items():
+        for scored, rows in ((train, stage.rows), (test, test_rows)):
+            expected = oracles.compute_priors_per_cell(scored, rows, day_fit.fits, day_fit.target)
+            theta = compute_priors(scored, window_designs(scored, rows), day_fit.fits, day_fit.target)
+            assert theta.tobytes() == expected.tobytes()
+        assert scores[day].priors.tobytes() == expected[test.cell_of].tobytes()
 
 
 def test_cell_path_matches_per_patient_oracle():
@@ -463,7 +491,7 @@ def test_cell_path_matches_per_patient_oracle():
         betas, states, emissions = days[day]
         assert [f.beta.tobytes() for f in model.days[day].fits] == [beta.tobytes() for beta in betas]
         _, events = censor_by_target(hours, died, target.target_hours)
-        labels = label_hidden_states(train, stage.rows, events, model.days[day].fits, target)
+        labels = label_hidden_states(train, window_designs(train, stage.rows), events, model.days[day].fits, target)
         assert np.array_equal(labels.states, states)
         eta, test_sequences = oracles.score_per_patient(test, medians, cluster, betas, emissions, target)
         assert np.array_equal(scores[day].sequences, test_sequences)
@@ -1146,12 +1174,12 @@ def test_medians_from_counts_match_nanmedian(data):
 def test_quartiles_match_percentile(values):
     # Equal as numbers: where -0.0 and 0.0 meet, sort and partition may
     # order them apart, and the bandwidth reads the spread only through iqr > 0.
-    assert np.array_equal(_quartiles(values), np.percentile(values, [25, 75]))
+    assert np.array_equal(oracles.quartiles(values), np.percentile(values, [25, 75]))
     if values.size > 1:
         sd = float(np.std(values, ddof=1))
         iqr = float(np.percentile(values, 75) - np.percentile(values, 25))
         spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-        assert _silverman_bandwidth(values) == max(0.9 * spread * values.size ** (-0.2), BANDWIDTH_FLOOR)
+        assert oracles.silverman_bandwidth(values) == max(0.9 * spread * values.size ** (-0.2), BANDWIDTH_FLOOR)
 
 
 OUTCOME_HOURS = st.sampled_from(["+5", "1e3", " 7", "nan", "-0.0", "0", "-4", "inf", "x", "", "1_0"])

@@ -14,8 +14,8 @@ import icurisk.hmm
 import icurisk.survival
 from icurisk.cohort import SynthConfig, filter_cohort, generate_synthetic_cohort, window_tables
 from icurisk.evaluation import (
-    ALL_METHODS,
-    ALL_METRICS,
+    METHODS,
+    METRICS,
     ScoredSet,
     _draw_valid_folds,
     _stratified_folds,
@@ -28,8 +28,6 @@ from icurisk.evaluation import (
     concordance,
     first_day_max_scores,
     fit_logistic,
-    logistic_grad,
-    logistic_loglik,
     paired_t_test_one_tailed,
     run_cv,
 )
@@ -202,11 +200,11 @@ class TestLogistic:
             X = np.column_stack([np.ones(n), rng.normal(0, 1, (n, d - 1))])
             y = rng.integers(0, 2, n).astype(float)
             beta = rng.normal(0, 0.4, d)
-            grad = logistic_grad(beta, X, y)
+            grad = oracles.logistic_grad(beta, X, y)
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
-                fd = (logistic_loglik(beta + e, X, y) - logistic_loglik(beta - e, X, y)) / (2 * h)
+                fd = (oracles.logistic_loglik(beta + e, X, y) - oracles.logistic_loglik(beta - e, X, y)) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-6)
 
     def test_separable_data_raises(self):
@@ -230,8 +228,8 @@ class TestLogistic:
                 return p * (1.0 - p)
 
             beta, _, _ = oracles.newton_maximize_pinv(
-                lambda b: logistic_loglik(b, X, y),
-                lambda b: logistic_grad(b, X, y),
+                lambda b: oracles.logistic_loglik(b, X, y),
+                lambda b: oracles.logistic_grad(b, X, y),
                 weights,
                 X,
                 np.zeros(3),
@@ -476,16 +474,16 @@ class TestRunCv:
 
     def test_summary_shape_and_ci_order(self, report):
         for day in (2, 3, 4, 5):
-            assert set(report.summary[day]) == set(ALL_METHODS)
-            for method in ALL_METHODS:
-                for metric in ALL_METRICS:
+            assert list(report.summary[day]) == [method for method, _ in METHODS]
+            for method, _ in METHODS:
+                for metric, _ in METRICS:
                     cell = report.summary[day][method][metric]
                     assert cell["ci_low"] <= cell["mean"] <= cell["ci_high"]
 
     def test_p_values_present(self, report):
         for day in (2, 3, 4, 5):
             for baseline in ("saps", "logistic", "exp_survival"):
-                for metric in ALL_METRICS:
+                for metric, _ in METRICS:
                     p = report.p_values[day][baseline][metric]
                     assert p is None or 0.0 <= p <= 1.0
 
@@ -635,6 +633,26 @@ class TestCvInChildren:
         assert str(in_blocks.value) == str(serial.value)
         assert forks["fork"] == 1
         assert draws == drawn
+
+    def test_added_scorer_runs_alone_and_in_blocks(self, monkeypatch, tables, serial, forks):
+        """One more entry in the method table, the model's last-window prior,
+        gets its records, summary and p-values against the model; the forked
+        blocks inherit the table, so 1 and 3 usable CPUs give the same report;
+        and the four paper methods' records are those of the table alone."""
+        def last_window_prior(unit, day):
+            return unit.model[day].priors[:, -1]
+
+        monkeypatch.setattr(icurisk.evaluation, "METHODS", METHODS + (("last_window_prior", last_window_prior),))
+        alone = cv_with_cpus(monkeypatch, tables, 1)
+        assert report_bytes(cv_with_cpus(monkeypatch, tables, 3)) == report_bytes(alone)
+        assert forks["fork"] == 2
+        added = [r for r in alone.records if r.method == "last_window_prior"]
+        assert len(added) == 4 * 3 * 2 * 3   # days x metrics x repeats x folds
+        metrics = [metric for metric, _ in METRICS]
+        for day in (2, 3, 4, 5):
+            assert list(alone.summary[day]["last_window_prior"]) == metrics
+            assert list(alone.p_values[day]["last_window_prior"]) == metrics
+        assert [row for row in alone.csv_rows() if ",last_window_prior," not in row] == serial[1]
 
     def test_child_warnings_are_shown_in_unit_order(self, monkeypatch, tables, forks):
         # (0, 2) is the parent's last unit, (1, 0) and (1, 2) the child's first and last

@@ -19,7 +19,7 @@ from icurisk.hmm import (
     score_patients,
     survival_curve,
 )
-from icurisk.survival import TargetSpec, censor_by_target, label_hidden_states
+from icurisk.survival import TargetSpec, censor_by_target, label_hidden_states, window_designs
 from conftest import count_calls
 from oracles import eta_enumerate, sequence_joint_probability, total_sequence_probability
 
@@ -414,10 +414,10 @@ def test_training_does_not_depend_on_patient_order(seed):
         hours, died = cohort.event_hours[order], cohort.died[order]
         stage = fit_feature_stage(ordered, 4)
         model = fit_risk_model(stage, [TargetSpec(d) for d in (2, 3, 4, 5)])
-        states, emissions = {}, {}
+        states, emissions, designs = {}, {}, window_designs(ordered, stage.rows)
         for day, day_fit in model.days.items():
             _, events = censor_by_target(hours, died, day_fit.target.target_hours)
-            states[day] = label_hidden_states(ordered, stage.rows, events, day_fit.fits, day_fit.target).states
+            states[day] = label_hidden_states(ordered, designs, events, day_fit.fits, day_fit.target).states
             emissions[day] = day_fit.emissions
         runs.append((stage, states, emissions))
     (stage, states, emissions), (p_stage, p_states, p_emissions) = runs

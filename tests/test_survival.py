@@ -21,13 +21,12 @@ from icurisk.survival import (
     censor_by_target,
     compute_priors,
     death_prior,
-    exponential_grad,
-    exponential_loglik,
     fit_exponential_regression,
     fit_window_regressions,
     hazard,
     label_hidden_states,
     normalize_death_share,
+    window_designs,
 )
 import oracles
 
@@ -101,13 +100,13 @@ class TestExponentialFit:
         for _ in range(20):
             X, times, events = random_censored_sample(rng)
             beta = rng.normal(0, 0.3, X.shape[1])
-            grad = exponential_grad(beta, X, times, events)
+            grad = oracles.exponential_grad(beta, X, times, events)
             for j in range(len(beta)):
                 e = np.zeros_like(beta)
                 e[j] = h
                 fd = (
-                    exponential_loglik(beta + e, X, times, events)
-                    - exponential_loglik(beta - e, X, times, events)
+                    oracles.exponential_loglik(beta + e, X, times, events)
+                    - oracles.exponential_loglik(beta - e, X, times, events)
                 ) / (2 * h)
                 assert grad[j] == pytest.approx(fd, rel=1e-6)
 
@@ -226,8 +225,8 @@ class TestNewtonSolve:
             start = np.zeros(X.shape[1])
             start[0] = math.log(events.sum() / times.sum())
             beta, iterations, _ = oracles.newton_maximize_pinv(
-                lambda b: exponential_loglik(b, X, times, events),
-                lambda b: exponential_grad(b, X, times, events),
+                lambda b: oracles.exponential_loglik(b, X, times, events),
+                lambda b: oracles.exponential_grad(b, X, times, events),
                 lambda b: np.exp(X @ b) * times,
                 X,
                 start,
@@ -297,9 +296,9 @@ class TestPatientOrder:
                 fit_exponential_regression(full[perm], times[perm], events[perm]).beta,
             ),
             (
-                fit_window_regressions(matrix, rows, [times], [events])[1].beta,
+                fit_window_regressions(matrix, window_designs(matrix, rows), [times], [events])[1].beta,
                 # every patient is kept, so the permuted matrix has the same cells
-                fit_window_regressions(permuted, rows, [times[perm]], [events[perm]])[1].beta,
+                fit_window_regressions(permuted, window_designs(permuted, rows), [times[perm]], [events[perm]])[1].beta,
             ),
         ]
 
@@ -409,8 +408,9 @@ class TestLabeling:
     def _fit_and_label(matrix, event_hours, died, target):
         rows = impute_median(matrix, compute_medians(matrix))   # nothing missing: [scores, 1]
         times, events = censor_by_target(event_hours, died, target.target_hours)
-        fits = fit_window_regressions(matrix, rows, [times], [events])
-        return fits, label_hidden_states(matrix, rows, events, fits, target)
+        designs = window_designs(matrix, rows)
+        fits = fit_window_regressions(matrix, designs, [times], [events])
+        return fits, label_hidden_states(matrix, designs, events, fits, target)
 
     def test_last_window_matches_outcome(self):
         matrix, event_hours, died = self._inputs()
@@ -438,14 +438,15 @@ class TestLabeling:
         target = TargetSpec(2)
         fits, a = self._fit_and_label(matrix, event_hours, died, target)
         _, events = censor_by_target(event_hours, died, target.target_hours)
-        b = label_hidden_states(matrix, impute_median(matrix, compute_medians(matrix)), events, fits, target)
+        designs = window_designs(matrix, impute_median(matrix, compute_medians(matrix)))
+        b = label_hidden_states(matrix, designs, events, fits, target)
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.probabilities, b.probabilities)
 
     def test_priors_respect_exposure_mode(self):
         matrix, event_hours, died = self._inputs()
         fits, _ = self._fit_and_label(matrix, event_hours, died, TargetSpec(2))
-        rows = impute_median(matrix, compute_medians(matrix))
-        theta_printed = compute_priors(matrix, rows, fits, TargetSpec(2, "as_printed"))
-        theta_remaining = compute_priors(matrix, rows, fits, TargetSpec(2, "remaining"))
+        designs = window_designs(matrix, impute_median(matrix, compute_medians(matrix)))
+        theta_printed = compute_priors(matrix, designs, fits, TargetSpec(2, "as_printed"))
+        theta_remaining = compute_priors(matrix, designs, fits, TargetSpec(2, "remaining"))
         assert np.all(theta_printed > theta_remaining)  # 60/72h vs 36/24h exposure
