@@ -194,11 +194,14 @@ def _invalid_utf8(row):
 def _csv_rows(lines, header, what, line_no=1):
     """(line number, row) for each CSV record of `lines`, from `_text_lines`.
 
-    With `header`, the first record must equal it and is not yielded; with
+    With `header`, `lines` start the file: one leading byte-order mark is
+    skipped, and the first record must equal it and is not yielded; with
     None, records are numbered from `line_no` on. A record holding bytes
     that were not UTF-8 raises a ParseError, as does a record `csv` rejects
     (a field over its size limit).
     """
+    if header is not None and (first := next(lines, "").removeprefix(_MARK.decode())):
+        lines = itertools.chain([first], lines)
     reader = csv.reader(lines)
     for line_no in itertools.count(line_no):
         try:
@@ -266,6 +269,16 @@ class _LineBlocks:
 
 _OBSERVATIONS_HEADER_LINE = ",".join(OBSERVATIONS_HEADER).encode() + b"\n"
 _OUTCOMES_HEADER_LINE = ",".join(OUTCOMES_HEADER).encode() + b"\n"
+_MARK = b"\xef\xbb\xbf"   # the UTF-8 byte-order mark that many exports put before the header
+
+
+def _after_header(data, header_line, lo=0):
+    """The index of `data` past `header_line` where that line starts at
+    `lo`, after at most one byte-order mark; None where it does not."""
+    lo += len(_MARK) * data.startswith(_MARK, lo)
+    return lo + len(header_line) if data.startswith(header_line, lo) else None
+
+
 # The vectorised parser leaves rows with a longer field to the row loop,
 # which also enforces csv's field size limit.
 _MAX_FIELD_BYTES = 64
@@ -872,17 +885,18 @@ def _observation_parts(stream, patients: _RowIds, variables: _SeenTexts):
     row. From the first block that parser declines to the end of the file,
     rows go through `_row_loop`, one `csv` record at a time, which accepts
     all of CSV (quoted fields, CRLF line endings, empty lines) and raises
-    every ParseError. Both give the same rows, bit for bit. A file without
-    rows raises "no observations".
+    every ParseError. Both give the same rows, bit for bit, and both skip
+    one byte-order mark before the header. A file without rows raises "no
+    observations".
     """
     blocks = _LineBlocks(stream)
     lines_done, declined = 0, False
     for data, lo, hi in blocks:
         header = lines_done == 0
         if header:
-            declined = not data.startswith(_OBSERVATIONS_HEADER_LINE, lo)
-            lo += len(_OBSERVATIONS_HEADER_LINE)
-        if lo < hi and not declined:
+            lo = _after_header(data, _OBSERVATIONS_HEADER_LINE, lo)
+            declined = lo is None
+        if not declined and lo < hi:
             parts = _parse_block(data, lo, hi, patients, variables)
             declined = parts is None
         if declined:
@@ -909,8 +923,8 @@ def _outcome_columns(data):
     (`_line_fields`): ids as `_field_words`, hours by `_values`, the flag
     byte. None unless every row is as the row loop accepts it and the ids'
     hash keys are distinct, which no duplicate id passes."""
-    lo, hi = len(_OUTCOMES_HEADER_LINE), len(data) + (not data.endswith(b"\n"))
-    if not data.startswith(_OUTCOMES_HEADER_LINE) or (fields := _line_fields(data + _TAIL, lo, hi, 3)) is None:
+    lo, hi = _after_header(data, _OUTCOMES_HEADER_LINE), len(data) + (not data.endswith(b"\n"))
+    if lo is None or (fields := _line_fields(data + _TAIL, lo, hi, 3)) is None:
         return None
     buf, end, length = fields
     event_hours = _values(buf, end[:, 1] - length[:, 1], end[:, 1])
@@ -931,7 +945,8 @@ def ingest_outcomes(stream):
     The file is read whole and parsed as one block (`_outcome_columns`);
     a file that parser declines (a quote, CR, non-ASCII byte, empty line,
     a flag other than 0 or 1, an hour that is not finite and > 0, a
-    duplicate id) goes through the row loop, which raises every error."""
+    duplicate id) goes through the row loop, which raises every error.
+    Both skip one byte-order mark before the header."""
     _check_stream(stream)
     data = stream.read()
     if (columns := _outcome_columns(data)) is not None:
@@ -1060,7 +1075,6 @@ def _merge_ranges(folds) -> "_Fold":
         rows = slice(at, at + fold.patients.size)
         columns = np.array([vocabulary[name] for name in fold.variables.index], dtype=np.intp)
         tables.worst[rows, :, columns] = fold.tables.worst
-        tables.seen[rows, columns] = fold.tables.seen
         tables.n_rows[rows] = fold.tables.n_rows
         merged.patients.words += fold.patients.words
         at = rows.stop
@@ -1128,14 +1142,14 @@ def map_in_children(fn, items) -> "list | None":
 def _fold_in_ranges(path, window_minutes, table) -> "_Fold | None":
     """The file's fold from n ranges cut at newlines, folded at once
     (`map_in_children`); None unless n = min(usable CPUs, bytes past the header
-    // _RANGE_BYTES) >= 2, the file is regular and starts with the header, and
-    every range was folded."""
+    // _RANGE_BYTES) >= 2, the file is regular and starts with the header,
+    after at most one byte-order mark, and every range was folded."""
     head, size = len(_OBSERVATIONS_HEADER_LINE), os.stat(path).st_size
     n = min(usable_cpus(), (size - head) // _RANGE_BYTES)
     if n < 2 or not os.path.isfile(path):
         return None
     with open(path, "rb") as f:
-        if f.read(head) != _OBSERVATIONS_HEADER_LINE:
+        if (head := _after_header(f.read(len(_MARK) + head), _OBSERVATIONS_HEADER_LINE)) is None:
             return None
         # each cut is the first line start at or after its share: seek's position plus the line read
         cuts = [head] + [f.seek(head + i * (size - head) // n - 1) + len(f.readline()) for i in range(1, n)]
@@ -1383,8 +1397,7 @@ def write_predictions(path, patient_ids, eta_by_day) -> None:
 
 class WindowTables:
     """What the model reads of a cohort's rows, per patient: the worst score
-    of each variable in each first-day window, and which variables it has
-    rows of.
+    of each variable in each first-day window, and how many rows it has.
 
     The one window rule: window t holds offsets in [window_minutes * t,
     window_minutes * (t + 1)) below minute 1440, so the last window may be
@@ -1392,13 +1405,15 @@ class WindowTables:
     is the max score of patient i's rows of variable `vocabulary[c]` in
     window t, -1 where there are none. A row is scored by a lookup in
     `score_table`'s `edge_table`; a variable the table has no bins for, and
-    with no table every variable, scores 0, so `worst >= 0` marks a sample.
-    `seen[i, c]` is whether patient i has a row of variable c at any
-    offset, and `n_rows[i]` how many rows it has. `event_hours` and `died`
-    are the outcomes, as in a RawCohort.
+    with no table every variable, scores 0, so `worst >= 0` marks a sample:
+    the one sampling mark, which `variables` reads too. `n_rows[i]` is how
+    many rows patient i has, those at or past minute 1440 included, so a
+    variable with only such rows counts there but is not one of the
+    `variables`. `event_hours` and `died` are the outcomes, as in a RawCohort.
 
     Rows are folded in part by part (`add`), straight from the parsed
-    blocks of a file (`load_cohort`) or from a RawCohort's chunks
+    blocks of a file (`load_cohort`, which skips one byte-order mark before
+    a header) or from a RawCohort's chunks
     (`window_tables`). The tables grow, doubling, as parts bring new
     patients or variables, and `finish` cuts them to size and attaches the
     ids and outcomes. They hold O(patients) memory. A window size that is
@@ -1413,7 +1428,6 @@ class WindowTables:
         self.window_minutes, self.score_table = window_minutes, table
         n_windows = -(-FIRST_DAY_MINUTES // window_minutes)
         self.worst = np.full((n_patients, n_windows, 0), -1, dtype=np.int64)
-        self.seen = np.zeros((n_patients, 0), dtype=bool)
         self.n_rows = np.zeros(n_patients, dtype=np.int64)
         self.patient_ids: list[str] = []
         self.vocabulary: tuple[str, ...] = ()
@@ -1429,11 +1443,9 @@ class WindowTables:
                     for have, need in ((rows, n_patients), (columns, len(vocabulary)))]
             worst = np.full((size[0], n_windows, size[1]), -1, dtype=np.int64)
             worst[:rows, :, :columns] = self.worst
-            seen = np.zeros(size, dtype=bool)
-            seen[:rows, :columns] = self.seen
             n_rows = np.zeros(size[0], dtype=np.int64)
             n_rows[:rows] = self.n_rows
-            self.worst, self.seen, self.n_rows = worst, seen, n_rows
+            self.worst, self.n_rows = worst, n_rows
         if len(vocabulary) > len(self.vocabulary):
             self.vocabulary = tuple(vocabulary)
             bins = {} if self.score_table is None else self.score_table.bins
@@ -1450,7 +1462,6 @@ class WindowTables:
         low, high = int(patient.min()), int(patient.max()) + 1
         self._grow(high, vocabulary)
         self.n_rows[low:high] += np.bincount(patient - low, minlength=high - low)
-        self.seen[patient, variable] = True
         early = offset < FIRST_DAY_MINUTES   # offsets are >= 0
         if not early.all():
             patient, variable, offset, value = (column[early] for column in (patient, variable, offset, value))
@@ -1469,17 +1480,16 @@ class WindowTables:
     def _cut(self, n_rows: int, vocabulary) -> None:
         """The tables cut to their first n_rows rows and to `vocabulary`."""
         self._grow(n_rows, vocabulary)
-        self.worst = self.worst[:n_rows, :, : len(vocabulary)]
-        self.seen, self.n_rows = self.seen[:n_rows, : len(vocabulary)], self.n_rows[:n_rows]
+        self.worst, self.n_rows = self.worst[:n_rows, :, : len(vocabulary)], self.n_rows[:n_rows]
 
     def _merge_rows(self, patient, n_patients: int) -> None:
         """Fold row i into row patient[i] of n_patients, where every patient
-        has a row: worst by max, seen by or, n_rows by sum. Rows already in
+        has a row: worst by max, n_rows by sum. Rows already in
         patient order, as a sorted file's are, are not sorted again."""
         order = None if (patient[1:] >= patient[:-1]).all() else np.argsort(patient, kind="stable")
         grouped = patient if order is None else patient[order]
         starts = np.flatnonzero(np.diff(grouped, prepend=-1))
-        for name, merge in (("worst", np.maximum), ("seen", np.logical_or), ("n_rows", np.add)):
+        for name, merge in (("worst", np.maximum), ("n_rows", np.add)):
             rows = getattr(self, name)[: patient.size]
             rows = rows if order is None else rows[order]
             setattr(self, name, merge.reduceat(rows, starts) if n_patients else rows)
@@ -1497,9 +1507,10 @@ class WindowTables:
 
     @property
     def variables(self) -> list[str]:
-        """Sorted names of the variables these patients have rows of, as
-        `RawCohort.variables`."""
-        return sorted(self.vocabulary[code] for code in np.flatnonzero(self.seen.any(axis=0)).tolist())
+        """Sorted names of the variables these patients have a sample of
+        in some first-day window (`worst >= 0`): a variable with rows only
+        at or past minute 1440 is not one, though `n_rows` counts them."""
+        return sorted(self.vocabulary[code] for code in np.flatnonzero((self.worst >= 0).any(axis=(0, 1))).tolist())
 
     @property
     def patients(self) -> dict[str, range]:
@@ -1526,7 +1537,7 @@ class WindowTables:
         """The patients where the bool mask `keep` is set, in the same order."""
         kept = copy.copy(self)
         kept.patient_ids = [pid for pid, k in zip(self.patient_ids, keep.tolist()) if k]
-        for name in ("worst", "seen", "n_rows", "event_hours", "died"):
+        for name in ("worst", "n_rows", "event_hours", "died"):
             setattr(kept, name, getattr(self, name)[keep])
         return kept
 

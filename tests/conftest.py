@@ -86,7 +86,7 @@ def rows_cohort(observations, outcomes) -> RawCohort:
     return RawCohort(**columns, event_hours=[h for h, _ in outcome], died=[d for _, d in outcome])
 
 
-TABLE_ARRAYS = ("worst", "seen", "n_rows", "event_hours", "died")
+TABLE_ARRAYS = ("worst", "n_rows", "event_hours", "died")
 
 
 def assert_same_tables(got, expected):

@@ -326,6 +326,12 @@ def filter_ids(cohort, required_variables, window_hours) -> list:
     return kept
 
 
+def first_day_variables(cohort) -> list:
+    """Sorted names of the variables with a row before minute 1440."""
+    rows = cohort_rows(cohort).values()
+    return sorted({variable for patient in rows for variable, offset, _ in patient if offset < FIRST_DAY_MINUTES})
+
+
 def first_day_max_scores(cohort, variables, table) -> np.ndarray:
     """Per-patient, per-variable maximum bin score over minutes [0, 1440);
     0 where a variable was not sampled."""

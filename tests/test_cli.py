@@ -11,7 +11,14 @@ import icurisk
 from icurisk import cli as cli_module
 from icurisk import cohort as cohort_module
 from icurisk.cli import main
-from icurisk.cohort import _csv_fields, window_tables, write_observations, write_outcomes, write_predictions
+from icurisk.cohort import (
+    RawCohort,
+    _csv_fields,
+    window_tables,
+    write_observations,
+    write_outcomes,
+    write_predictions,
+)
 from icurisk.evaluation import run_cv
 from icurisk.features import load_default_score_table
 from conftest import cohort_from_rows, count_calls, write_config, write_cohort_files
@@ -577,6 +584,45 @@ class TestFoldedInputErrors:
                 f"error: {observations}, {outcomes}: "
                 "observations and outcomes cover different patients (e.g. ['zz'])\n"
             )
+
+
+def moved_past_first_day(cohort, name):
+    """The cohort with every row of variable `name` 1440 minutes later."""
+    offset = cohort.offset_minutes + 1440 * (cohort.variable == cohort.vocabulary.index(name))
+    order = np.lexsort((offset, cohort.patient))
+    return RawCohort(
+        cohort.patient_ids, cohort.vocabulary, cohort.patient[order], cohort.variable[order],
+        offset[order], cohort.value[order], cohort.event_hours, cohort.died,
+    )
+
+
+class TestRowsPastTheFirstDay:
+    """Rows at or past minute 1440 never choose the model's variables."""
+
+    def test_late_variable_left_out_of_train_and_evaluate(self, tmp_path, small_cohort):
+        write_cohort_files(moved_past_first_day(small_cohort, "temperature"), tmp_path)
+        cfg = write_config(tmp_path, cv={"folds": 2, "repeats": 1})
+        assert run(["train", "--config", cfg]) == 0
+        names = json.loads((tmp_path / "out" / "model.json").read_text())["feature_spec"]["variable_names"]
+        assert names == ["age", "blood_pressure", "gcs", "heart_rate"]
+        assert run(["evaluate", "--config", cfg]) == 0
+
+    @pytest.mark.parametrize("offset, refused", [(1500, False), (600, True)])
+    def test_predict_refuses_only_first_day_rows_of_an_unknown_variable(
+        self, workdir, small_cohort, capsys, offset, refused
+    ):
+        cfg = write_config(workdir)
+        assert run(["train", "--config", cfg]) == 0
+        assert run(["predict", "--config", cfg]) == 0
+        expected = (workdir / "out" / "predictions.csv").read_bytes()
+        with open(workdir / "observations.csv", "a", encoding="utf-8") as f:
+            f.writelines(f"{pid},lactate,{offset},2.5\n" for pid in small_cohort.patient_ids)
+        capsys.readouterr()
+        assert run(["predict", "--config", cfg]) == refused
+        if refused:
+            assert capsys.readouterr().err == "error: variables not in the trained model: ['lactate']\n"
+        else:
+            assert (workdir / "out" / "predictions.csv").read_bytes() == expected
 
 
 @pytest.mark.parametrize("command", ["predict", "curves"])

@@ -119,7 +119,8 @@ class TestIngestObservations:
         assert columns["offset_minutes"].tolist() == [1440]
         cohort = RawCohort(**columns, event_hours=[30.0], died=[False])
         tables = window_tables(cohort, 720)
-        assert tables.seen.tolist() == [[True]] and (tables.worst == -1).all()
+        assert tables.n_rows.tolist() == [1] and (tables.worst == -1).all()
+        assert tables.variables == [] and cohort.variables == ["heart_rate"]
 
     def test_negative_offset_names_line(self):
         with pytest.raises(ParseError, match="line 3: offset_minutes must be >= 0"):
@@ -354,6 +355,21 @@ class TestLoadCohort:
                 with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. {re.escape(shown)}\)$"):
                     load_cohort(obs, out, 720, None)
 
+    def test_variable_with_only_late_rows_is_counted_but_no_variable(self, tmp_path):
+        obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
+        obs.write_bytes(obs_stream(
+            "p1,heart_rate,30,112", "p1,lactate,1440,2.5", "p2,lactate,2000,3.5", "p2,gcs,1439,9",
+        ).getvalue())
+        out.write_bytes(out_stream("p1,30,0", "p2,30,1").getvalue())
+        table = load_default_score_table()
+        tables = load_cohort(obs, out, 720, table)
+        assert tables.vocabulary == ("heart_rate", "lactate", "gcs")
+        assert tables.variables == ["gcs", "heart_rate"]
+        assert tables.n_rows.tolist() == [2, 2] and tables.patients == {"p1": range(2), "p2": range(2)}
+        raw = rows_cohort(obs, out)
+        assert raw.variables == ["gcs", "heart_rate", "lactate"]
+        assert_same_tables(window_tables(raw, 720, table), tables)
+
     def test_outcomes_align_by_id_not_by_row(self, tmp_path):
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
         rows = [
@@ -567,6 +583,89 @@ class TestRangesInChildren:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert forks["fork"] == 0
+
+
+MARK = b"\xef\xbb\xbf"   # the UTF-8 byte-order mark of Excel's "CSV UTF-8"
+
+
+class TestByteOrderMark:
+    """One byte-order mark before the header of either file is skipped on
+    every parse path; a mark anywhere else is data."""
+
+    TABLE = load_default_score_table()
+
+    @staticmethod
+    def write(directory, lines, mark=b""):
+        """Observations of `lines` and outcomes of their patients, both
+        after `mark`; quoted ids in the one are quoted in the other."""
+        obs, out = directory / "obs.csv", directory / "out.csv"
+        obs.write_bytes(mark + obs_stream(*lines).getvalue())
+        ids = dict.fromkeys(line.split(",")[0] for line in lines)
+        out.write_bytes(mark + out_stream(*(f"{pid},30,0" for pid in ids)).getvalue())
+        return obs, out
+
+    @pytest.mark.parametrize("odd", [[], ['"p98",gcs,5,9']], ids=["blocks", "row-loop"])
+    @pytest.mark.parametrize("cpus", [1, 3], ids=["serial", "ranges"])
+    def test_marked_files_give_the_plain_tables(self, tmp_path, monkeypatch, odd, cpus):
+        # a quoted id on line 2 sends both files through the row loop from their start
+        lines = odd + TestRangesInChildren.LINES
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "marked").mkdir()
+        plain = load_cohort(*self.write(tmp_path / "plain", lines), 720, self.TABLE)
+        monkeypatch.setattr(cohort_module, "_RANGE_BYTES", 1000)
+        monkeypatch.setattr(cohort_module, "usable_cpus", lambda: cpus)
+        forks = count_calls(monkeypatch, os, "fork")
+        try:
+            marked = load_cohort(*self.write(tmp_path / "marked", lines, MARK), 720, self.TABLE)
+        finally:
+            no_child_left()
+        assert_same_tables(marked, plain)
+        assert forks["fork"] == (2 if cpus == 3 else 0)   # a declined range refolds serially
+
+    @pytest.mark.parametrize("first", ["p1,10.5,1", '"p1",10.5,1'], ids=["block", "row-loop"])
+    def test_marked_outcomes_give_the_plain_outcomes(self, first):
+        plain = out_stream(first, "p2,20.5,0").getvalue()
+        for got, expected in zip(ingest_outcomes(io.BytesIO(MARK + plain)), ingest_outcomes(io.BytesIO(plain))):
+            assert got.dtype == expected.dtype and got.tolist() == expected.tolist()
+
+    def test_error_in_a_marked_file_names_its_line(self, tmp_path):
+        obs, out = self.write(tmp_path, ["p1,heart_rate,30,112", "p1,heart_rate,31,x"], MARK)
+        with pytest.raises(ParseError, match=f"^{obs}: line 3: non-numeric value 'x'$"):
+            load_cohort(obs, out, 720, None)
+        with pytest.raises(ParseError, match="^line 3: death_flag must be 0 or 1, got '2'$"):
+            ingest_outcomes(io.BytesIO(MARK + out_stream("p1,10,1", "p2,10,2").getvalue()))
+
+    @pytest.mark.parametrize("data", [b"", MARK], ids=["empty", "mark-only"])
+    def test_a_file_of_at_most_a_mark_is_empty(self, data):
+        with pytest.raises(CohortError, match="^no observations$"):
+            parse_observations(io.BytesIO(data))
+        with pytest.raises(CohortError, match="^no outcomes$"):
+            ingest_outcomes(io.BytesIO(data))
+
+    def test_any_other_mark_is_data(self):
+        with pytest.raises(ParseError, match="^line 1: expected header"):
+            parse_observations(io.BytesIO(MARK + MARK + obs_stream("p1,gcs,5,9").getvalue()))
+        with pytest.raises(ParseError, match="^line 1: expected header"):
+            ingest_outcomes(io.BytesIO(MARK + MARK + out_stream("p1,10,1").getvalue()))
+        parsed = parse_observations(io.BytesIO(MARK + obs_stream("p1,gcs,5,9", "\ufeffp2,gcs,5,9").getvalue()))
+        assert parsed["patient_ids"] == ["p1", "\ufeffp2"]
+
+    def test_marked_file_of_two_ranges_is_folded_in_ranges(self, tmp_path, monkeypatch):
+        # 8 MiB past the header: two ranges of the default 4 MiB with two usable CPUs
+        lines = TestRangesInChildren.LINES
+        obs, out = self.write(tmp_path, lines, MARK)
+        body = "".join(line + "\n" for line in lines).encode()
+        obs.write_bytes(obs.read_bytes() + body * ((8 << 20) // len(body)))
+        assert obs.stat().st_size >= (8 << 20) + len(MARK) + len(b"patient_id,variable,offset_minutes,value\n")
+        monkeypatch.setattr(cohort_module, "usable_cpus", lambda: 1)
+        serial = load_cohort(obs, out, 720, self.TABLE)
+        monkeypatch.setattr(cohort_module, "usable_cpus", lambda: 2)
+        try:
+            fold = cohort_module._fold_in_ranges(obs, 720, self.TABLE)
+        finally:
+            no_child_left()
+        assert fold is not None
+        assert_same_tables(fold.finish(obs, out), serial)
 
 
 class TestWriteInRanges:

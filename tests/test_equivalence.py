@@ -181,7 +181,7 @@ def test_filter_matches_oracle(cohort, window_hours):
     kept_ids = set(oracles.filter_ids(cohort, REQUIRED, window_hours))
     expected = oracles.subset(cohort, [pid in kept_ids for pid in cohort.patient_ids])
     assert_same_tables(kept, window_tables(expected, 60 * window_hours))
-    assert kept.variables == expected.variables
+    assert kept.variables == oracles.first_day_variables(expected)
     assert kept.patients == {pid: range(len(rows)) for pid, rows in expected.patients.items()}
     # a RawCohort is folded first, alike; the tables the caller kept are unchanged
     assert_same_tables(filter_cohort(cohort, REQUIRED, window_hours), kept)

@@ -200,7 +200,8 @@ class TestWindowing:
         assert window_tables(cohort, 720).worst[0, :, 0].tolist() == [-1, 0]
         # 7 h windows end with a shortened fourth, [1260, 1440), where 1440 // 420 would land
         late = window_tables(make_cohort([(1440, 80.0)]), 420)
-        assert late.seen.tolist() == [[True]] and late.worst[0, :, 0].tolist() == [-1] * 4
+        assert late.worst[0, :, 0].tolist() == [-1] * 4
+        assert late.n_rows.tolist() == [1] and late.variables == []
 
     def test_each_retained_sample_lands_in_exactly_one_window(self):
         # one patient per sample, so each window table row shows where its sample went
