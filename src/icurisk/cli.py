@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .cohort import (
     DEFAULT_REQUIRED_VARIABLES,
+    FIRST_DAY_HOURS,
     CohortError,
     SynthConfig,
     filter_cohort,
@@ -145,8 +146,8 @@ class PipelineConfig:
             raise ConfigError(f"invalid config value: {exc}") from None
         except ValueError as exc:   # a number key of another JSON type
             raise ConfigError(str(exc)) from None
-        if not 1 <= cfg.window_hours <= 24:
-            raise ConfigError("window_hours must lie in 1..24")
+        if not 1 <= cfg.window_hours <= FIRST_DAY_HOURS:
+            raise ConfigError(f"window_hours must lie in 1..{FIRST_DAY_HOURS}")
         if not cfg.target_days or min(cfg.target_days) < 1 or len(set(cfg.target_days)) < len(cfg.target_days):
             raise ConfigError(f"target_days must be distinct positive days, got {list(cfg.target_days)}")
         if cfg.duration_mode not in (AS_PRINTED, REMAINING):
@@ -181,9 +182,11 @@ def _input_paths(cfg: PipelineConfig):
 def _kept_tables(cfg: PipelineConfig, required_variables, window_hours: int, table: ScoreTable):
     """The input files folded into window tables (`load_cohort`), scored
     with `table`, filtered to the patients that qualify: the rows
-    themselves are never held."""
-    tables = load_cohort(*_input_paths(cfg), 60 * window_hours, table)
-    return filter_cohort(tables, required_variables)
+    themselves are never held. A cohort that keeps no patient is an error."""
+    tables = filter_cohort(load_cohort(*_input_paths(cfg), window_hours, table), required_variables)
+    if tables.n_patients == 0:
+        raise ValueError("no patients left after filtering")
+    return tables
 
 
 def _out_dir(cfg: PipelineConfig) -> Path:
@@ -210,13 +213,6 @@ def cmd_synth(cfg: PipelineConfig, args) -> int:
     return 0
 
 
-def _training_matrix(cfg: PipelineConfig):
-    tables = _kept_tables(cfg, cfg.required_variables, cfg.window_hours, _load_score_table(cfg))
-    if tables.n_patients == 0:
-        raise ValueError("no patients left after filtering")
-    return build_feature_matrix(tables, tables.variables)
-
-
 def _sweep_k(matrix, rows, seed) -> None:
     """Silhouettes of PAM at k = 2..8 on the imputed cells, weighted by patients."""
     counts = matrix.counts()
@@ -233,7 +229,8 @@ def _sweep_k(matrix, rows, seed) -> None:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> int:
-    matrix = _training_matrix(cfg)
+    tables = _kept_tables(cfg, cfg.required_variables, cfg.window_hours, _load_score_table(cfg))
+    matrix = build_feature_matrix(tables, tables.variables)
     stage = fit_feature_stage(matrix, cfg.k_clusters, seed=[cfg.seed])
     if args.sweep_k:
         _sweep_k(matrix, stage.rows, [cfg.seed])
@@ -312,7 +309,7 @@ def cmd_curves(cfg: PipelineConfig, args) -> int:
 def cmd_evaluate(cfg: PipelineConfig, args) -> int:
     # the files are folded into window tables as they are parsed: no rows are held
     report = run_cv(
-        load_cohort(*_input_paths(cfg), 60 * cfg.window_hours, _load_score_table(cfg)),
+        load_cohort(*_input_paths(cfg), cfg.window_hours, _load_score_table(cfg)),
         target_days=cfg.target_days,
         k_clusters=cfg.k_clusters,
         smoothing_alpha=cfg.smoothing_alpha,

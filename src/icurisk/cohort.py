@@ -31,8 +31,9 @@ import numpy as np
 OBSERVATIONS_HEADER = ("patient_id", "variable", "offset_minutes", "value")
 OUTCOMES_HEADER = ("patient_id", "event_hours", "death_flag")
 
-FIRST_DAY_MINUTES = 1440
-MIN_STAY_HOURS = 24.0   # follow-up a patient needs to be kept: the first day
+FIRST_DAY_HOURS = 24   # the first ICU day: what the window tables cover
+FIRST_DAY_MINUTES = 60 * FIRST_DAY_HOURS
+MIN_STAY_HOURS = FIRST_DAY_HOURS   # follow-up a patient needs to be kept: the first day
 
 # Bytes of an observations file parsed at once; a block's temporaries take a few times this.
 BLOCK_BYTES = 1 << 18
@@ -1026,8 +1027,8 @@ class _Fold:
     """Observation rows folded into window tables as they are parsed, with
     the ids of the tables' rows (`_RowIds`) and the variable names."""
 
-    def __init__(self, window_minutes, table):
-        self.tables = WindowTables(window_minutes, table)
+    def __init__(self, window_hours, table):
+        self.tables = WindowTables(window_hours, table)
         self.patients, self.variables = _RowIds(), _SeenTexts()
 
     def add(self, parts):
@@ -1046,10 +1047,10 @@ class _Fold:
         return self.tables.finish(_texts(ids), self.variables.index, event_hours, died)
 
 
-def _fold_range(path, start, stop, window_minutes, table) -> "_Fold | None":
+def _fold_range(path, start, stop, window_hours, table) -> "_Fold | None":
     """The whole lines of bytes [start, stop) of the observations file folded
     on their own, without outcomes; None if `_parse_block` declines a block."""
-    fold = _Fold(window_minutes, table)
+    fold = _Fold(window_hours, table)
     with open(path, "rb") as f:
         f.seek(start)
         for data, lo, hi in _LineBlocks(f, stop - start):
@@ -1064,7 +1065,7 @@ def _merge_ranges(folds) -> "_Fold":
     """The folds of consecutive ranges, in file order, as one fold, bit for
     bit: their rows one after another, with the variables numbered again by
     first appearance. `_Fold.finish` merges each patient's rows."""
-    merged = _Fold(folds[0].tables.window_minutes, folds[0].tables.score_table)
+    merged = _Fold(folds[0].tables.window_hours, folds[0].tables.score_table)
     vocabulary = merged.variables.index
     for name in (name for fold in folds for name in fold.variables.index):
         vocabulary.setdefault(name, len(vocabulary))
@@ -1139,7 +1140,7 @@ def map_in_children(fn, items) -> "list | None":
     return results
 
 
-def _fold_in_ranges(path, window_minutes, table) -> "_Fold | None":
+def _fold_in_ranges(path, window_hours, table) -> "_Fold | None":
     """The file's fold from n ranges cut at newlines, folded at once
     (`map_in_children`); None unless n = min(usable CPUs, bytes past the header
     // _RANGE_BYTES) >= 2, the file is regular and starts with the header,
@@ -1154,13 +1155,13 @@ def _fold_in_ranges(path, window_minutes, table) -> "_Fold | None":
         # each cut is the first line start at or after its share: seek's position plus the line read
         cuts = [head] + [f.seek(head + i * (size - head) // n - 1) + len(f.readline()) for i in range(1, n)]
     ranges = list(zip(cuts, cuts[1:] + [size]))
-    folds = map_in_children(lambda cut: _fold_range(path, *cut, window_minutes, table), ranges)
+    folds = map_in_children(lambda cut: _fold_range(path, *cut, window_hours, table), ranges)
     return None if folds is None or any(fold is None for fold in folds) else _merge_ranges(folds)
 
 
-def load_cohort(observations_path, outcomes_path, window_minutes: int, table) -> "WindowTables":
+def load_cohort(observations_path, outcomes_path, window_hours: int, table) -> "WindowTables":
     """The cohort in an observations and an outcomes CSV file, folded into
-    WindowTables of `window_minutes` windows, scored with `table` (a
+    WindowTables of `window_hours` windows, scored with `table` (a
     ScoreTable, or None for sample marks only).
 
     Each part of the observations file (`_observation_parts`) is folded in
@@ -1175,9 +1176,9 @@ def load_cohort(observations_path, outcomes_path, window_minutes: int, table) ->
     range's tables (`_fold_in_ranges`). A declined range sends the whole file
     through the serial fold, so the tables and every error are the same.
     """
-    fold = _fold_in_ranges(observations_path, window_minutes, table)
+    fold = _fold_in_ranges(observations_path, window_hours, table)
     if fold is None:
-        fold = _Fold(window_minutes, table)
+        fold = _Fold(window_hours, table)
 
         def parse(stream):
             for parts in _observation_parts(stream, fold.patients, fold.variables):
@@ -1399,9 +1400,9 @@ class WindowTables:
     """What the model reads of a cohort's rows, per patient: the worst score
     of each variable in each first-day window, and how many rows it has.
 
-    The one window rule: window t holds offsets in [window_minutes * t,
-    window_minutes * (t + 1)) below minute 1440, so the last window may be
-    shorter, and rows at or past minute 1440 are dropped. `worst[i, t, c]`
+    The one window rule: window t holds the minute offsets in [60 * h * t,
+    60 * h * (t + 1)) below minute 1440, for h = window_hours, so the last
+    window may be shorter, and rows at or past minute 1440 are dropped. `worst[i, t, c]`
     is the max score of patient i's rows of variable `vocabulary[c]` in
     window t, -1 where there are none. A row is scored by a lookup in
     `score_table`'s `edge_table`; a variable the table has no bins for, and
@@ -1417,16 +1418,16 @@ class WindowTables:
     (`window_tables`). The tables grow, doubling, as parts bring new
     patients or variables, and `finish` cuts them to size and attaches the
     ids and outcomes. They hold O(patients) memory. A window size that is
-    not an int (a bool is not) from 1 to 1440 minutes raises a ValueError.
+    not an int (a bool is not) from 1 to 24 hours raises a ValueError.
     """
 
-    def __init__(self, window_minutes: int, table=None, n_patients: int = 0):
-        if type(window_minutes) is not int:
-            raise ValueError(f"window_minutes must be an int, got {window_minutes!r}")
-        if not 1 <= window_minutes <= FIRST_DAY_MINUTES:
-            raise ValueError(f"window_minutes must lie in 1..{FIRST_DAY_MINUTES}, got {window_minutes}")
-        self.window_minutes, self.score_table = window_minutes, table
-        n_windows = -(-FIRST_DAY_MINUTES // window_minutes)
+    def __init__(self, window_hours: int, table=None, n_patients: int = 0):
+        if type(window_hours) is not int:
+            raise ValueError(f"window_hours must be an int, got {window_hours!r}")
+        if not 1 <= window_hours <= FIRST_DAY_HOURS:
+            raise ValueError(f"window_hours must lie in 1..{FIRST_DAY_HOURS}, got {window_hours}")
+        self.window_hours, self.score_table = window_hours, table
+        n_windows = -(-FIRST_DAY_HOURS // window_hours)
         self.worst = np.full((n_patients, n_windows, 0), -1, dtype=np.int64)
         self.n_rows = np.zeros(n_patients, dtype=np.int64)
         self.patient_ids: list[str] = []
@@ -1467,7 +1468,7 @@ class WindowTables:
             patient, variable, offset, value = (column[early] for column in (patient, variable, offset, value))
         n_windows, n_columns = self.worst.shape[1:]
         cell = patient * n_windows
-        cell += offset // self.window_minutes
+        cell += offset // (60 * self.window_hours)
         cell *= n_columns
         cell += variable
         # the count of edges <= value: searchsorted(edges, value, "right") for finite values
@@ -1525,8 +1526,8 @@ class WindowTables:
     def kept(self, required_variables) -> np.ndarray:
         """The patients `filter_cohort` keeps: event_hours >= MIN_STAY_HOURS,
         and a sample of every required variable in each full window of the
-        first day, FIRST_DAY_MINUTES // window_minutes of them."""
-        n_windows, required = FIRST_DAY_MINUTES // self.window_minutes, tuple(dict.fromkeys(required_variables))
+        first day, FIRST_DAY_HOURS // window_hours of them."""
+        n_windows, required = FIRST_DAY_HOURS // self.window_hours, tuple(dict.fromkeys(required_variables))
         columns = self._columns(required)
         covered = np.zeros(self.n_patients, dtype=bool)
         if len(columns) == len(required):
@@ -1555,13 +1556,13 @@ class WindowTables:
         return out
 
 
-def window_tables(cohort: RawCohort, window_minutes: int, table=None) -> WindowTables:
-    """A RawCohort's rows folded into WindowTables of `window_minutes`
+def window_tables(cohort: RawCohort, window_hours: int, table=None) -> WindowTables:
+    """A RawCohort's rows folded into WindowTables of `window_hours`
     windows, scored with `table` (a ScoreTable, or None for sample marks
     only), `WINDOW_CHUNK_ROWS` rows at a time: one pass for all variables,
     holding one chunk's arrays beside the tables. The one way from rows in
     memory to the tables the library reads."""
-    tables = WindowTables(window_minutes, table, cohort.n_patients)
+    tables = WindowTables(window_hours, table, cohort.n_patients)
     columns = (cohort.patient, cohort.variable, cohort.offset_minutes, cohort.value)
     for start in range(0, cohort.patient.size, WINDOW_CHUNK_ROWS):
         tables.add([column[start : start + WINDOW_CHUNK_ROWS] for column in columns], cohort.vocabulary)
@@ -1581,9 +1582,9 @@ def filter_cohort(
     if isinstance(cohort, RawCohort):
         if window_hours is None:
             raise ValueError("filter_cohort of a RawCohort needs window_hours to fold it in")
-        cohort = window_tables(cohort, 60 * window_hours)
-    if window_hours is not None and cohort.window_minutes != 60 * window_hours:
-        raise ValueError(f"tables of {cohort.window_minutes}-minute windows, not {window_hours} h")
+        cohort = window_tables(cohort, window_hours)
+    if window_hours is not None and cohort.window_hours != window_hours:
+        raise ValueError(f"tables of {cohort.window_hours} h windows, not {window_hours} h")
     return cohort.subset(cohort.kept(required_variables))
 
 
@@ -1656,7 +1657,7 @@ _SEVERITY_SLOPE = 2.0          # log-hazard per unit risk, hazard in 1/h
 _TRAJECTORY_SD = 1.0           # sd of the per-patient deterioration slope
 _TRAJECTORY_RISK_WEIGHT = 2.2  # the direction of travel outweighs the level
 _AGE_RISK_WEIGHT = 0.18        # age joins acute severity in the hazard
-_DISCHARGE_MIN_HOURS = 24.0
+_DISCHARGE_MIN_HOURS = float(FIRST_DAY_HOURS)   # no discharge in the first day
 _DISCHARGE_SCALE_HOURS = 72.0  # mean extra stay beyond the first day
 
 

@@ -229,8 +229,8 @@ def paired_t_test_one_tailed(a, b) -> float:
 def first_day_max_scores(cohort: WindowTables, variables) -> np.ndarray:
     """Per-patient, per-variable maximum bin score over the full first day.
 
-    One window of [0, 1440) minutes, even when the window size does not
-    divide 24 h: the max over the tables' windows, scored with their score
+    One window of the whole first day, even when the window size does not
+    divide it: the max over the tables' windows, scored with their score
     table; the tables pass `window_hours_of`. Unobserved variables score 0.
     """
     window_hours_of(cohort)

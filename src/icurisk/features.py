@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .cohort import WindowTables, json_number
+from .cohort import FIRST_DAY_HOURS, WindowTables, json_number
 
 NUMERIC = "numeric"
 BINARY = "binary"
@@ -141,8 +141,8 @@ class FeatureSpec:
     def __post_init__(self):
         if len(self.variable_names) < 1:
             raise ValueError("at least one variable is required")
-        if not 1 <= self.window_hours <= 24:
-            raise ValueError("window_hours must lie in 1..24")
+        if not 1 <= self.window_hours <= FIRST_DAY_HOURS:
+            raise ValueError(f"window_hours must lie in 1..{FIRST_DAY_HOURS}")
         object.__setattr__(self, "variable_names", tuple(self.variable_names))
 
     @property
@@ -151,7 +151,7 @@ class FeatureSpec:
 
     @property
     def n_windows(self) -> int:
-        return 24 // self.window_hours
+        return FIRST_DAY_HOURS // self.window_hours
 
 
 @dataclass
@@ -213,16 +213,13 @@ class FeatureMatrix:
 
 
 def window_hours_of(cohort: WindowTables) -> int:
-    """The window hours of the tables features are read from: a TypeError if
-    they are not WindowTables (see `window_tables`), a ValueError for windows
-    of a fraction of an hour or tables folded without a score table."""
+    """The tables' window hours, for the features: a TypeError if they are
+    not WindowTables (see `window_tables`), a ValueError without a score table."""
     if not isinstance(cohort, WindowTables):
         raise TypeError(f"expected WindowTables, got {type(cohort).__name__}: fold the rows with window_tables")
-    if cohort.window_minutes % 60:
-        raise ValueError(f"tables of {cohort.window_minutes}-minute windows: features need whole-hour windows")
     if cohort.score_table is None:
         raise ValueError("tables folded without a score table: features need one")
-    return cohort.window_minutes // 60
+    return cohort.window_hours
 
 
 def build_feature_matrix(cohort: WindowTables, variable_names) -> FeatureMatrix:

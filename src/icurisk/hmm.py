@@ -224,7 +224,8 @@ def fit_risk_model(stage: FeatureStage, targets: list[TargetSpec], *, smoothing_
     score table included, which the model keeps. The stage and the window
     designs serve every day; the survival fits, state labels and emission
     tables are fit per day, as the censoring depends on the day. Raises
-    ValueError when `targets` is empty or names a day twice.
+    ValueError when `targets` is empty or names a day twice, or when no
+    training patient dies by one of its days.
     """
     matrix = stage.matrix
     targets = sorted(targets, key=lambda t: t.target_day)
@@ -233,6 +234,10 @@ def fit_risk_model(stage: FeatureStage, targets: list[TargetSpec], *, smoothing_
         raise ValueError(f"target days must be distinct and at least one, got {days}")
     censored = [censor_by_target(matrix.event_hours, matrix.died, t.target_hours) for t in targets]
     times, events = (np.array(part) for part in zip(*censored))   # (days, N) each
+    for target, day_events in zip(targets, events):
+        if not day_events.any():
+            raise ValueError(f"no deaths by day {target.target_day} ({target.target_hours:g} h) "
+                             f"among the {matrix.n_patients} training patients")
     designs = window_designs(matrix, stage.rows)
     fits = fit_window_regressions(matrix, designs, times, events)
     T = matrix.spec.n_windows

@@ -93,7 +93,7 @@ def assert_same_tables(got, expected):
     """Two WindowTables alike in every field, bit for bit."""
     assert got.patient_ids == expected.patient_ids
     assert got.vocabulary == expected.vocabulary
-    assert got.window_minutes == expected.window_minutes
+    assert got.window_hours == expected.window_hours
     assert got.score_table is expected.score_table
     for name in TABLE_ARRAYS:
         a, b = getattr(got, name), getattr(expected, name)

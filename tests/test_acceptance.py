@@ -275,7 +275,7 @@ def test_06_directional_replication(synthetic_cohort):
     start = time.monotonic()
     table = load_default_score_table()
     rep = run_cv(
-        window_tables(synthetic_cohort, 720, table),
+        window_tables(synthetic_cohort, 12, table),
         repeats=10,
         seed=ACCEPTANCE_SEED,
     )
@@ -300,7 +300,7 @@ def test_06_directional_replication(synthetic_cohort):
 @pytest.mark.slow
 def test_07_survival_curve_separation(synthetic_cohort):
     table = load_default_score_table()
-    cohort = filter_cohort(window_tables(synthetic_cohort, 720, table))
+    cohort = filter_cohort(window_tables(synthetic_cohort, 12, table))
     matrix = build_feature_matrix(cohort, cohort.variables)
     stage = fit_feature_stage(matrix, 4, seed=[ACCEPTANCE_SEED])
     targets = [TargetSpec(day) for day in (2, 3, 4, 5)]

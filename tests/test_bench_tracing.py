@@ -85,7 +85,7 @@ def test_cv_calls_every_traced_function(small_cohort, monkeypatch):
     `layer_metrics` reads a span that is never opened as 0.0, so only this
     count shows a table that holds a function object from before tracing."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    tables = window_tables(small_cohort, WINDOW_HOURS * 60, load_default_score_table())
+    tables = window_tables(small_cohort, WINDOW_HOURS, load_default_score_table())
     tracer = Tracer()
     with traced(tracer):
         evaluation.run_cv(tables, repeats=1, seed=5)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from icurisk.cli import main
 from icurisk.cohort import (
     RawCohort,
     _csv_fields,
+    filter_cohort,
     window_tables,
     write_observations,
     write_outcomes,
@@ -282,6 +284,15 @@ class TestTrain:
             workdir / "m2" / "model.json"
         ).read_bytes()
 
+    def test_day_without_deaths_named(self, tmp_path, small_cohort, capsys):
+        # no patient dies by hour 48, so day 2's hazard fits have no event
+        late = replace(small_cohort, died=small_cohort.died & (small_cohort.event_hours > 48.0))
+        write_cohort_files(late, tmp_path)
+        kept = filter_cohort(window_tables(late, 12, load_default_score_table())).n_patients
+        assert run(["train", "--config", write_config(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: no deaths by day 2 (48 h) among the {kept} training patients\n"
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_oversized_k_surfaces_pam_error(self, workdir, capsys):
         cfg = write_config(workdir, k_clusters=100000)
         assert run(["train", "--config", cfg]) == 1
@@ -340,6 +351,23 @@ MISSHAPEN_MODELS = [
 ]
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict", "curves"])
+def test_cohort_that_keeps_no_patient_is_an_error(workdir, capsys, command):
+    # both stays end before hour 24, so filtering keeps no one, and no command writes its output
+    cfg = write_config(workdir)
+    scoring = command in ("predict", "curves")
+    if scoring:
+        assert run(["train", "--config", cfg]) == 0
+    short = cohort_from_rows(
+        [("q1", "heart_rate", 10, 80.0), ("q2", "gcs", 600, 9.0)], {"q1": (5.0, False), "q2": (20.0, True)}
+    )
+    write_cohort_files(short, workdir)
+    capsys.readouterr()
+    assert run([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: no patients left after filtering\n"
+    assert sorted(path.name for path in (workdir / "out").glob("*")) == (["model.json"] if scoring else [])
+
+
 class TestWritePredictions:
     SUBNORMAL = float(np.nextafter(0.0, 1.0))
 
@@ -378,17 +406,6 @@ class TestPredict:
             days.add(day)
             assert 0.0 <= float(eta) <= 1.0
         assert days == {"2", "3", "4", "5"}
-
-    def test_fully_filtered_cohort_gives_header_only(self, workdir, tmp_path):
-        cfg = write_config(workdir)
-        run(["train", "--config", cfg])
-        # every patient leaves before 24h, so filtering empties the cohort
-        short = cohort_from_rows([("q1", "heart_rate", 10, 80.0)], {"q1": (5.0, False)})
-        write_observations(short, workdir / "observations.csv")
-        write_outcomes(short, workdir / "outcomes.csv")
-        assert run(["predict", "--config", cfg]) == 0
-        lines = (workdir / "out" / "predictions.csv").read_text().splitlines()
-        assert lines == ["patient_id,target_day,eta"]
 
     def test_unknown_variable_rejected(self, workdir, small_cohort):
         cfg = write_config(workdir)
@@ -653,7 +670,7 @@ class TestEvaluate:
         cfg = write_config(workdir)
         assert run(["evaluate", "--config", cfg]) == 0
         table = load_default_score_table()
-        report = run_cv(window_tables(small_cohort, 720, table), repeats=2, seed=11)
+        report = run_cv(window_tables(small_cohort, 12, table), repeats=2, seed=11)
         cli_module._dump_json(report.to_json_obj(), workdir / "expected.json")
         out = workdir / "out"
         assert (out / "report.json").read_bytes() == (workdir / "expected.json").read_bytes()

@@ -118,7 +118,7 @@ class TestIngestObservations:
         columns = parse_observations(obs_stream("p1,heart_rate,1440,80"))
         assert columns["offset_minutes"].tolist() == [1440]
         cohort = RawCohort(**columns, event_hours=[30.0], died=[False])
-        tables = window_tables(cohort, 720)
+        tables = window_tables(cohort, 12)
         assert tables.n_rows.tolist() == [1] and (tables.worst == -1).all()
         assert tables.variables == [] and cohort.variables == ["heart_rate"]
 
@@ -234,7 +234,7 @@ class TestIngestObservations:
                     for i, v in enumerate(values)
                 )
             del values
-            peaks.append(traced_peak(lambda: load_cohort(obs, out, 720, table)))
+            peaks.append(traced_peak(lambda: load_cohort(obs, out, 12, table)))
         fold_small, fold_large = peaks
         assert abs(fold_large - fold_small) <= 0.05 * fold_small
         assert fold_small < 16 * 200_000 and fold_large < 16 * 400_000
@@ -295,12 +295,12 @@ class TestLoadCohort:
         obs.write_bytes(obs_stream("p1,heart_rate,30,112", "p1,heart_rate,31,x").getvalue())
         out.write_bytes(out_stream("p1,30,0").getvalue())
         with pytest.raises(ParseError, match=f"^{obs}: line 3: non-numeric value 'x'$") as info:
-            load_cohort(obs, out, 720, None)
+            load_cohort(obs, out, 12, None)
         assert info.value.line_no == 3 and info.value.path == obs
         out.write_bytes(out_stream("p1,30,2").getvalue())
         obs.write_bytes(obs_stream("p1,heart_rate,30,112").getvalue())
         with pytest.raises(ParseError, match=f"^{out}: line 2: death_flag"):
-            load_cohort(obs, out, 720, None)
+            load_cohort(obs, out, 12, None)
 
     def test_field_over_csv_limit_names_file_and_line(self, tmp_path):
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
@@ -309,7 +309,7 @@ class TestLoadCohort:
         out.write_bytes(out_stream("p1,30,0").getvalue())
         message = "field larger than field limit (131072)"
         with pytest.raises(ParseError, match=rf"^{obs}: line 3: {re.escape(message)}$"):
-            load_cohort(obs, out, 720, None)
+            load_cohort(obs, out, 12, None)
         with pytest.raises(ParseError, match=rf"^line 2: {re.escape(message)}$"):
             ingest_outcomes(out_stream(f"{long_id},30,0"))
 
@@ -318,20 +318,20 @@ class TestLoadCohort:
         obs.write_bytes(b"patient_id,variable,offset_minutes,value\n")
         out.write_bytes(out_stream("p1,30,0").getvalue())
         with pytest.raises(CohortError, match=f"^{obs}: no observations$"):
-            load_cohort(obs, out, 720, None)
+            load_cohort(obs, out, 12, None)
         obs.write_bytes(obs_stream("p2,heart_rate,30,112").getvalue())
         with pytest.raises(CohortError, match=f"^{obs}, {out}: observations and outcomes cover"):
-            load_cohort(obs, out, 720, None)
+            load_cohort(obs, out, 12, None)
         # as many patients on each side, but not the same ones
         out.write_bytes(out_stream("p1,30,0", "p2,30,0").getvalue())
         obs.write_bytes(obs_stream("p2,heart_rate,30,112", "p3,heart_rate,30,112").getvalue())
         mismatch = rf"^{obs}, {out}: observations and outcomes cover different patients"
         with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. \['p1', 'p3'\]\)$"):
-            load_cohort(obs, out, 720, None)
+            load_cohort(obs, out, 12, None)
         # a patient with outcomes but no observations
         out.write_bytes(out_stream("p2,30,0", "p3,30,0", "p4,30,0").getvalue())
         with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. \['p4'\]\)$"):
-            load_cohort(obs, out, 720, None)
+            load_cohort(obs, out, 12, None)
 
     def test_outcomes_pair_by_id_from_either_parser(self, tmp_path):
         # Block-parsed ids pair by sorted hash key, row-loop ids (CRLF or a
@@ -344,7 +344,7 @@ class TestLoadCohort:
             for body in (rows, rows[::-1], ['"p1",10.5,1', *rows[1:]]):
                 for out_newline in (b"\n", b"\r\n"):
                     out.write_bytes(out_stream(*body).getvalue().replace(b"\n", out_newline))
-                    tables = load_cohort(obs, out, 720, None)
+                    tables = load_cohort(obs, out, 12, None)
                     assert tables.patient_ids == ["p3", "p1", "p2"]
                     assert tables.event_hours.tolist() == [30.5, 10.5, 20.5]
                     assert tables.died.tolist() == [True, True, False]
@@ -353,7 +353,7 @@ class TestLoadCohort:
                                 (rows[:2], "['p3']"), (['"p1",10,1', "p2,20,0", "p4,5,0"], "['p3', 'p4']")):
                 out.write_bytes(out_stream(*body).getvalue())
                 with pytest.raises(CohortError, match=rf"{mismatch} \(e.g. {re.escape(shown)}\)$"):
-                    load_cohort(obs, out, 720, None)
+                    load_cohort(obs, out, 12, None)
 
     def test_variable_with_only_late_rows_is_counted_but_no_variable(self, tmp_path):
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
@@ -362,13 +362,13 @@ class TestLoadCohort:
         ).getvalue())
         out.write_bytes(out_stream("p1,30,0", "p2,30,1").getvalue())
         table = load_default_score_table()
-        tables = load_cohort(obs, out, 720, table)
+        tables = load_cohort(obs, out, 12, table)
         assert tables.vocabulary == ("heart_rate", "lactate", "gcs")
         assert tables.variables == ["gcs", "heart_rate"]
         assert tables.n_rows.tolist() == [2, 2] and tables.patients == {"p1": range(2), "p2": range(2)}
         raw = rows_cohort(obs, out)
         assert raw.variables == ["gcs", "heart_rate", "lactate"]
-        assert_same_tables(window_tables(raw, 720, table), tables)
+        assert_same_tables(window_tables(raw, 12, table), tables)
 
     def test_outcomes_align_by_id_not_by_row(self, tmp_path):
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
@@ -380,7 +380,7 @@ class TestLoadCohort:
         ]
         obs.write_bytes(obs_stream(*rows).getvalue())
         out.write_bytes(out_stream("p3,80.5,0", "p1,30.25,1", "p2,50.75,1").getvalue())
-        tables = load_cohort(obs, out, 720, None)
+        tables = load_cohort(obs, out, 12, None)
         assert tables.patient_ids == ["p2", "p1", "p3"]   # observations' first-appearance order
         assert tables.event_hours.tolist() == [50.75, 30.25, 80.5]
         assert tables.died.tolist() == [True, True, False]
@@ -394,7 +394,7 @@ class TestLoadCohort:
         cohort = rows_cohort(obs, out)
         write_outcomes(cohort, out)
         assert out.read_text() == "patient_id,event_hours,death_flag\np2,50.75,1\np1,30.25,1\np3,80.5,0\n"
-        assert_same_tables(load_cohort(obs, out, 720, None), tables)
+        assert_same_tables(load_cohort(obs, out, 12, None), tables)
 
 
 class TestRangeFold:
@@ -420,11 +420,11 @@ class TestRangeFold:
         starts = [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]   # the header's end first
         # ranges of 2, 0 (an empty one), 1, 3 and 1 lines
         cuts = [starts[0], starts[2], starts[2], starts[3], starts[6], len(data)]
-        folds = [cohort_module._fold_range(obs, a, b, 720, table) for a, b in zip(cuts, cuts[1:])]
+        folds = [cohort_module._fold_range(obs, a, b, 12, table) for a, b in zip(cuts, cuts[1:])]
         ids = [cohort_module._texts(fold.patients.numbering()[1]) for fold in folds]
         assert ids == [["p1"], [], ["p1"], ["p2", "p1"], ["p3"]]
         assert folds[1].tables.worst.shape == (0, 2, 0)
-        serial = load_cohort(obs, out, 720, table)
+        serial = load_cohort(obs, out, 12, table)
         assert serial.patient_ids == ["p1", "p2", "p3"]
         assert serial.vocabulary == ("heart_rate", "gcs", "temperature", "blood_pressure")
         assert_same_tables(cohort_module._merge_ranges(folds).finish(obs, out), serial)
@@ -434,8 +434,8 @@ class TestRangeFold:
         obs.write_bytes(obs_stream("p1,heart_rate,30,112", '"p2",gcs,40,14').getvalue())
         head = len(b"patient_id,variable,offset_minutes,value\n")
         cut = head + len(b"p1,heart_rate,30,112\n")
-        assert cohort_module._fold_range(obs, head, cut, 720, None) is not None
-        assert cohort_module._fold_range(obs, cut, obs.stat().st_size, 720, None) is None
+        assert cohort_module._fold_range(obs, head, cut, 12, None) is not None
+        assert cohort_module._fold_range(obs, cut, obs.stat().st_size, 12, None) is None
 
 
 class TestRangesInChildren:
@@ -465,7 +465,7 @@ class TestRangesInChildren:
                     mp.setattr(cohort_module, "_RANGE_BYTES", 1000)
                     mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
                 try:
-                    return load_cohort(obs, out, 720, self.TABLE)
+                    return load_cohort(obs, out, 12, self.TABLE)
                 finally:
                     gc.collect()
                     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
@@ -611,12 +611,12 @@ class TestByteOrderMark:
         lines = odd + TestRangesInChildren.LINES
         (tmp_path / "plain").mkdir()
         (tmp_path / "marked").mkdir()
-        plain = load_cohort(*self.write(tmp_path / "plain", lines), 720, self.TABLE)
+        plain = load_cohort(*self.write(tmp_path / "plain", lines), 12, self.TABLE)
         monkeypatch.setattr(cohort_module, "_RANGE_BYTES", 1000)
         monkeypatch.setattr(cohort_module, "usable_cpus", lambda: cpus)
         forks = count_calls(monkeypatch, os, "fork")
         try:
-            marked = load_cohort(*self.write(tmp_path / "marked", lines, MARK), 720, self.TABLE)
+            marked = load_cohort(*self.write(tmp_path / "marked", lines, MARK), 12, self.TABLE)
         finally:
             no_child_left()
         assert_same_tables(marked, plain)
@@ -631,7 +631,7 @@ class TestByteOrderMark:
     def test_error_in_a_marked_file_names_its_line(self, tmp_path):
         obs, out = self.write(tmp_path, ["p1,heart_rate,30,112", "p1,heart_rate,31,x"], MARK)
         with pytest.raises(ParseError, match=f"^{obs}: line 3: non-numeric value 'x'$"):
-            load_cohort(obs, out, 720, None)
+            load_cohort(obs, out, 12, None)
         with pytest.raises(ParseError, match="^line 3: death_flag must be 0 or 1, got '2'$"):
             ingest_outcomes(io.BytesIO(MARK + out_stream("p1,10,1", "p2,10,2").getvalue()))
 
@@ -658,10 +658,10 @@ class TestByteOrderMark:
         obs.write_bytes(obs.read_bytes() + body * ((8 << 20) // len(body)))
         assert obs.stat().st_size >= (8 << 20) + len(MARK) + len(b"patient_id,variable,offset_minutes,value\n")
         monkeypatch.setattr(cohort_module, "usable_cpus", lambda: 1)
-        serial = load_cohort(obs, out, 720, self.TABLE)
+        serial = load_cohort(obs, out, 12, self.TABLE)
         monkeypatch.setattr(cohort_module, "usable_cpus", lambda: 2)
         try:
-            fold = cohort_module._fold_in_ranges(obs, 720, self.TABLE)
+            fold = cohort_module._fold_in_ranges(obs, 12, self.TABLE)
         finally:
             no_child_left()
         assert fold is not None
@@ -765,7 +765,7 @@ class TestPipeInput:
         ids = dict.fromkeys(line.split(",")[0].strip('"') for line in lines)
         out.write_bytes(out_stream(*(f"{pid},30,0" for pid in ids)).getvalue())
         monkeypatch.setattr(cohort_module, "BLOCK_BYTES", 512)   # blocks before the quoted id
-        expected = load_cohort(obs, out, 720, self.TABLE)
+        expected = load_cohort(obs, out, 12, self.TABLE)
         os.mkfifo(pipe)
         forks = count_calls(monkeypatch, os, "fork")
         monkeypatch.setattr(cohort_module, "_RANGE_BYTES", 1000)
@@ -776,7 +776,7 @@ class TestPipeInput:
         writer.start()
         try:
             with time_limit(30):
-                piped = load_cohort(pipe, out, 720, self.TABLE)
+                piped = load_cohort(pipe, out, 12, self.TABLE)
         finally:
             if writer.is_alive():   # the pipe was never opened for reading: let the writer go
                 os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
@@ -887,7 +887,7 @@ class TestRawCohort:
             {"a": (30.0, False), "b": (30.0, False)},
         )
         assert cohort.variables == ["age", "gcs", "heart_rate"]
-        kept = filter_cohort(window_tables(cohort, 1440), ("gcs",), 24)
+        kept = filter_cohort(window_tables(cohort, 24), ("gcs",), 24)
         assert kept.patient_ids == ["a"]
         assert kept.variables == ["gcs", "heart_rate"]
         assert kept.vocabulary == cohort.vocabulary  # codes keep their meaning
@@ -906,7 +906,7 @@ class TestFilter:
             for var in ("heart_rate", "blood_pressure", "gcs")
             for off in offsets
         ]
-        return window_tables(cohort_from_rows(rows, {"p1": (event_hours, False)}), 720)
+        return window_tables(cohort_from_rows(rows, {"p1": (event_hours, False)}), 12)
 
     def test_complete_patient_kept(self):
         assert filter_cohort(self._tables()).n_patients == 1
@@ -923,11 +923,11 @@ class TestFilter:
         assert filter_cohort(self._tables(offsets=(0, 300, 700))).n_patients == 0
 
     def test_tables_of_other_windows_rejected(self):
-        with pytest.raises(ValueError, match="tables of 720-minute windows, not 8 h"):
+        with pytest.raises(ValueError, match="^tables of 12 h windows, not 8 h$"):
             filter_cohort(self._tables(), window_hours=8)
 
     def test_tables_filtered_in_their_own_windows(self, small_cohort):
-        tables = window_tables(small_cohort, 360, load_default_score_table())
+        tables = window_tables(small_cohort, 6, load_default_score_table())
         assert_same_tables(filter_cohort(tables), filter_cohort(tables, window_hours=6))
 
     def test_rows_need_the_window_size(self, small_cohort):
@@ -938,7 +938,7 @@ class TestFilter:
         assert small_cohort.value.size < cohort_module.WINDOW_CHUNK_ROWS
         table = load_default_score_table()
         calls = count_calls(monkeypatch, cohort_module.WindowTables, "add")
-        kept = filter_cohort(window_tables(small_cohort, 720, table), ("heart_rate", "blood_pressure", "gcs"))
+        kept = filter_cohort(window_tables(small_cohort, 12, table), ("heart_rate", "blood_pressure", "gcs"))
         assert calls == {"add": 1}
         assert len(kept.variables) == 5
         build_feature_matrix(kept, kept.variables)
@@ -949,7 +949,7 @@ class TestFilter:
         expected = filter_ids(small_cohort, required, 8)
         assert 0 < len(expected) < small_cohort.n_patients
         monkeypatch.setattr(cohort_module, "WINDOW_CHUNK_ROWS", 1000)
-        assert filter_cohort(window_tables(small_cohort, 480), required, 8).patient_ids == expected
+        assert filter_cohort(window_tables(small_cohort, 8), required, 8).patient_ids == expected
 
     def test_fold_holds_one_chunk(self, cohort_4k):
         # An unchunked pass holds about 40 B per placed row; the chunked one
@@ -959,7 +959,7 @@ class TestFilter:
                                               cohort_4k.offset_minutes, cohort_4k.value))
         tracemalloc.start()
         try:
-            window_tables(cohort_4k, 720, table)
+            window_tables(cohort_4k, 12, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -971,7 +971,7 @@ class TestFilter:
         table = load_default_score_table()
         tracemalloc.start()
         try:
-            kept = filter_cohort(window_tables(cohort_4k, 720, table))
+            kept = filter_cohort(window_tables(cohort_4k, 12, table))
             build_feature_matrix(kept, kept.variables)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -998,27 +998,27 @@ class TestFilter:
 
 
 class TestWindowTables:
-    @pytest.mark.parametrize("minutes", [0, -5, 1441])
-    def test_window_size_outside_the_first_day_rejected(self, minutes, small_cohort, tmp_path):
-        message = rf"^window_minutes must lie in 1\.\.1440, got {minutes}$"
+    @pytest.mark.parametrize("hours", [0, -5, 25])
+    def test_window_size_outside_the_first_day_rejected(self, hours, small_cohort, tmp_path):
+        message = rf"^window_hours must lie in 1\.\.24, got {hours}$"
         with pytest.raises(ValueError, match=message):
-            WindowTables(minutes)
+            WindowTables(hours)
         with pytest.raises(ValueError, match=message):
-            window_tables(small_cohort, minutes)
+            window_tables(small_cohort, hours)
         obs, out = tmp_path / "obs.csv", tmp_path / "out.csv"
         obs.write_bytes(obs_stream("p1,heart_rate,30,112").getvalue())
         out.write_bytes(out_stream("p1,30,0").getvalue())
         with pytest.raises(ValueError, match=message):
-            load_cohort(obs, out, minutes, None)
+            load_cohort(obs, out, hours, None)
 
-    @pytest.mark.parametrize("minutes", [True, 720.0])
-    def test_window_size_that_is_not_an_int_rejected(self, minutes, small_cohort):
-        # a bool is no window size, and the feature spec's hours are window_minutes // 60
-        message = rf"^window_minutes must be an int, got {minutes!r}$"
+    @pytest.mark.parametrize("hours", [True, 12.0])
+    def test_window_size_that_is_not_an_int_rejected(self, hours, small_cohort):
+        # a bool is no window size, nor is a float, even a whole one
+        message = rf"^window_hours must be an int, got {hours!r}$"
         with pytest.raises(ValueError, match=message):
-            WindowTables(minutes)
+            WindowTables(hours)
         with pytest.raises(ValueError, match=message):
-            window_tables(small_cohort, minutes)
+            window_tables(small_cohort, hours)
 
 
 class TestSynthConfig:
@@ -1081,8 +1081,8 @@ class TestGenerator:
         assert same_cohort(parsed, cohort)
         assert same_cohort(rows_cohort(obs_path, out_path), cohort)
         table = load_default_score_table()
-        expected = window_tables(rows_cohort(obs_path, out_path), 720, table)
-        assert_same_tables(load_cohort(obs_path, out_path, 720, table), expected)
+        expected = window_tables(rows_cohort(obs_path, out_path), 12, table)
+        assert_same_tables(load_cohort(obs_path, out_path, 12, table), expected)
 
     def test_memory_is_linear_in_rows(self):
         # The (patient, variable, sample) arrays, then the columns and their sorted copies.

@@ -169,23 +169,23 @@ def assert_matrix_matches_oracle(tables, cohort, spec):
 @settings(deadline=None)
 @given(cohorts(), WINDOW_HOURS)
 def test_feature_matrix_matches_oracle(cohort, window_hours):
-    tables = window_tables(cohort, 60 * window_hours, TABLE)
+    tables = window_tables(cohort, window_hours, TABLE)
     assert_matrix_matches_oracle(tables, cohort, FeatureSpec(SPEC_VARIABLES, window_hours, TABLE))
 
 
 @settings(deadline=None)
 @given(cohorts(), WINDOW_HOURS)
 def test_filter_matches_oracle(cohort, window_hours):
-    tables = window_tables(cohort, 60 * window_hours)
+    tables = window_tables(cohort, window_hours)
     kept = filter_cohort(tables, REQUIRED, window_hours)
     kept_ids = set(oracles.filter_ids(cohort, REQUIRED, window_hours))
     expected = oracles.subset(cohort, [pid in kept_ids for pid in cohort.patient_ids])
-    assert_same_tables(kept, window_tables(expected, 60 * window_hours))
+    assert_same_tables(kept, window_tables(expected, window_hours))
     assert kept.variables == oracles.first_day_variables(expected)
     assert kept.patients == {pid: range(len(rows)) for pid, rows in expected.patients.items()}
     # a RawCohort is folded first, alike; the tables the caller kept are unchanged
     assert_same_tables(filter_cohort(cohort, REQUIRED, window_hours), kept)
-    assert_same_tables(tables, window_tables(cohort, 60 * window_hours))
+    assert_same_tables(tables, window_tables(cohort, window_hours))
 
 
 @settings(deadline=None)
@@ -193,7 +193,7 @@ def test_filter_matches_oracle(cohort, window_hours):
 def test_first_day_max_scores_match_oracle(cohort, window_hours):
     # the max over the windows of any size, whether or not it divides 24 h
     assert np.array_equal(
-        first_day_max_scores(window_tables(cohort, 60 * window_hours, TABLE), SPEC_VARIABLES),
+        first_day_max_scores(window_tables(cohort, window_hours, TABLE), SPEC_VARIABLES),
         oracles.first_day_max_scores(cohort, SPEC_VARIABLES, TABLE),
     )
 
@@ -226,7 +226,7 @@ def test_score_lookup_matches_oracle(table_values):
 def test_seeded_cohort_matches_oracles(small_cohort):
     variables = tuple(small_cohort.variables)
     for window_hours in (12, 8):
-        tables = window_tables(small_cohort, 60 * window_hours, TABLE)
+        tables = window_tables(small_cohort, window_hours, TABLE)
         kept = filter_cohort(tables, REQUIRED, window_hours)
         kept_ids = oracles.filter_ids(small_cohort, REQUIRED, window_hours)
         assert kept.patient_ids == kept_ids
@@ -418,7 +418,7 @@ def test_density_normalizer_matches_all_samples_oracle(case):
 
 @pytest.fixture(scope="module")
 def imputed_training(small_cohort):
-    cohort = filter_cohort(window_tables(small_cohort, 720, TABLE))
+    cohort = filter_cohort(window_tables(small_cohort, 12, TABLE))
     matrix = build_feature_matrix(cohort, cohort.variables)
     return matrix, fit_feature_stage(matrix, 4, seed=[0]).rows, cohort.event_hours, cohort.died
 
@@ -445,7 +445,7 @@ def test_shared_designs_give_the_per_call_priors(small_cohort, monkeypatch, wind
     gives every day's priors the bytes of the oracle that builds the design
     on every call, on the training matrix and on a scored one:
     `fit_risk_model` builds the designs once, and `score_patients` once."""
-    cohort = filter_cohort(window_tables(small_cohort, 60 * window_hours, TABLE))
+    cohort = filter_cohort(window_tables(small_cohort, window_hours, TABLE))
     matrix = build_feature_matrix(cohort, cohort.variables)
     is_test = np.arange(matrix.n_patients) % 3 == 0
     train, test = matrix.subset(np.flatnonzero(~is_test)), matrix.subset(np.flatnonzero(is_test))
@@ -473,7 +473,7 @@ def test_cell_path_matches_per_patient_oracle():
     cohort = filter_cohort(window_tables(generate_synthetic_cohort(SynthConfig(
         n_patients=4000, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
         sampling_rate_per_hour=1.0, seed=1,
-    )), 720, TABLE))
+    )), 12, TABLE))
     matrix = build_feature_matrix(cohort, cohort.variables)
     is_test = np.arange(matrix.n_patients) % 3 > 0
     train, test = matrix.subset(np.flatnonzero(~is_test)), matrix.subset(np.flatnonzero(is_test))
@@ -910,8 +910,8 @@ def assert_fold_matches_row_oracle(observations, outcomes, window_hours, table=T
     cohort that `oracles.ingest_rows` reads from them, bit for bit, and
     keeps the patients `oracles.filter_ids` keeps."""
     cohort = rows_cohort(observations, outcomes)
-    tables = load_cohort(observations, outcomes, 60 * window_hours, table)
-    assert_same_tables(tables, window_tables(cohort, 60 * window_hours, table))
+    tables = load_cohort(observations, outcomes, window_hours, table)
+    assert_same_tables(tables, window_tables(cohort, window_hours, table))
     kept = filter_cohort(tables, REQUIRED, window_hours)
     assert kept.patient_ids == oracles.filter_ids(cohort, REQUIRED, window_hours)
 
@@ -986,8 +986,8 @@ def test_merged_range_folds_match_the_serial_fold(files, window_hours, data):
         body = observations.read_bytes()
         starts = [at + 1 for at, byte in enumerate(body) if byte == ord("\n")]   # the header's end first
         cuts = [starts[0], *sorted(data.draw(st.lists(st.sampled_from(starts), max_size=5))), len(body)]
-        folds = [cohort_module._fold_range(observations, a, b, 60 * window_hours, TABLE) for a, b in zip(cuts, cuts[1:])]
-        serial = load_cohort(observations, outcomes_path, 60 * window_hours, TABLE)
+        folds = [cohort_module._fold_range(observations, a, b, window_hours, TABLE) for a, b in zip(cuts, cuts[1:])]
+        serial = load_cohort(observations, outcomes_path, window_hours, TABLE)
         merged = cohort_module._merge_ranges(folds).finish(observations, outcomes_path)
     assert_same_tables(merged, serial)
 
@@ -1015,14 +1015,14 @@ def test_fold_errors_name_the_files(tmp_path):
     lines = ["p1,heart_rate,30,112", "p1,heart_rate,31,x"]
     observations, outcomes = write_fold_files(tmp_path, lines, ["p1,30,0"])
     with pytest.raises(ParseError, match=f"^{observations}: line 3: non-numeric value 'x'$"):
-        load_cohort(observations, outcomes, 720, TABLE)
+        load_cohort(observations, outcomes, 12, TABLE)
     observations, outcomes = write_fold_files(tmp_path, ["p2,heart_rate,30,112", "p3,gcs,5,9"], ["p1,30,0", "p2,30,0"])
     with pytest.raises(CohortError, match=rf"^{observations}, {outcomes}: observations and outcomes cover "
                                             rf"different patients \(e.g. \['p1', 'p3'\]\)$"):
-        load_cohort(observations, outcomes, 720, TABLE)
+        load_cohort(observations, outcomes, 12, TABLE)
     observations.write_text(HEADER + "\n")
     with pytest.raises(CohortError, match=f"^{observations}: no observations$"):
-        load_cohort(observations, outcomes, 720, TABLE)
+        load_cohort(observations, outcomes, 12, TABLE)
 
 
 ROW_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, -1.5, np.nan])

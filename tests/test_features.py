@@ -45,7 +45,7 @@ def make_cohort(offset_values, variable="heart_rate", event_hours=48.0):
 
 def feature_matrix(cohort, spec):
     """`build_feature_matrix` of the cohort folded in the spec's windows with its score table."""
-    return build_feature_matrix(window_tables(cohort, 60 * spec.window_hours, spec.score_table), spec.variable_names)
+    return build_feature_matrix(window_tables(cohort, spec.window_hours, spec.score_table), spec.variable_names)
 
 
 GAPPED_TABLE = ScoreTable({"x": [ScoreBin(10, 20, 3), ScoreBin(30, 40, 5)]}, default_score=1)
@@ -190,16 +190,16 @@ class TestWindowing:
 
     def test_boundary_sample_belongs_to_later_window(self):
         cohort = make_cohort([(719, 60.0), (720, 80.0)])
-        worst = window_tables(cohort, 720, HR_TABLE).worst
+        worst = window_tables(cohort, 12, HR_TABLE).worst
         assert worst[0, :, 0].tolist() == [2, 0]   # 60 scores 2, 80 scores 0
         scores = feature_matrix(cohort, FeatureSpec(("heart_rate",), 12, HR_TABLE)).scores
         assert (scores[0, :, 0] >= 0).tolist() == [True, True]
 
     def test_sample_at_1440_discarded(self):
         cohort = make_cohort([(1439, 80.0), (1440, 80.0)])
-        assert window_tables(cohort, 720).worst[0, :, 0].tolist() == [-1, 0]
+        assert window_tables(cohort, 12).worst[0, :, 0].tolist() == [-1, 0]
         # 7 h windows end with a shortened fourth, [1260, 1440), where 1440 // 420 would land
-        late = window_tables(make_cohort([(1440, 80.0)]), 420)
+        late = window_tables(make_cohort([(1440, 80.0)]), 7)
         assert late.worst[0, :, 0].tolist() == [-1] * 4
         assert late.n_rows.tolist() == [1] and late.variables == []
 
@@ -213,7 +213,7 @@ class TestWindowing:
             [(pid, "heart_rate", int(o), 80.0) for pid, o in zip(ids, offsets)],
             {pid: (48.0, False) for pid in ids},
         )
-        marked = window_tables(cohort, 60 * 8).worst[:, :, 0] >= 0
+        marked = window_tables(cohort, 8).worst[:, :, 0] >= 0
         retained = offsets < 60 * 8 * spec.n_windows
         assert marked.sum(axis=1).tolist() == retained.astype(int).tolist()
         assert np.array_equal(marked.argmax(axis=1)[retained], offsets[retained] // (60 * 8))
@@ -223,7 +223,7 @@ class TestWindowing:
             [("p1", "gcs", 5, 9.0), ("p1", "heart_rate", 6, 80.0)], {"p1": (48.0, False)}
         )
         table = load_default_score_table()
-        scores = window_tables(cohort, 720, table).scores(("heart_rate", "age"))
+        scores = window_tables(cohort, 12, table).scores(("heart_rate", "age"))
         assert scores.tolist() == [[[table.scores("heart_rate", [80.0])[0], -1], [-1, -1]]]
 
 
@@ -266,9 +266,9 @@ class TestOnePass:
 
     def test_chunks_do_not_change_the_scores(self, monkeypatch, small_cohort):
         spec = FeatureSpec(tuple(small_cohort.variables), 8, self.TABLE)
-        whole = window_tables(small_cohort, 480, self.TABLE).scores(spec.variable_names)
+        whole = window_tables(small_cohort, 8, self.TABLE).scores(spec.variable_names)
         monkeypatch.setattr(cohort_module, "WINDOW_CHUNK_ROWS", 1000)
-        tables = window_tables(small_cohort, 480, self.TABLE)
+        tables = window_tables(small_cohort, 8, self.TABLE)
         chunked = tables.scores(spec.variable_names)
         assert np.array_equal(chunked, whole)
         assert tables.n_rows.tolist() == [len(rows) for rows in small_cohort.patients.values()]
@@ -293,14 +293,14 @@ class TestOnePass:
             [f"p{i}" for i in range(n)], variables, np.repeat(np.arange(n), p), np.tile(np.arange(p), n),
             np.zeros(n * p), np.repeat(values, p), np.full(n, 48.0), np.zeros(n, dtype=bool),
         )
-        worst = window_tables(cohort, 720, table).scores(variables)
+        worst = window_tables(cohort, 12, table).scores(variables)
         for j, var in enumerate(variables):
             assert worst[:, 0, j].tolist() == table.scores(var, values).tolist()
             assert (worst[:, 1, j] == -1).all()
 
     def test_repeated_variable_gets_its_scores_in_each_column(self, small_cohort):
         names = ("heart_rate", "gcs", "heart_rate")
-        tables = window_tables(small_cohort, 720, self.TABLE)
+        tables = window_tables(small_cohort, 12, self.TABLE)
         worst, single = tables.scores(names), tables.scores(("gcs", "heart_rate"))
         assert np.array_equal(worst, single[..., [1, 0, 1]])
 

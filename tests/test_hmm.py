@@ -231,7 +231,7 @@ def one_bin_heart_rate_table():
 @pytest.fixture(scope="module")
 def trained(small_cohort):
     table = load_default_score_table()
-    cohort = filter_cohort(window_tables(small_cohort, 720, table))
+    cohort = filter_cohort(window_tables(small_cohort, 12, table))
     matrix = build_feature_matrix(cohort, cohort.variables)
     stage = fit_feature_stage(matrix, 4, seed=[0])
     targets = [TargetSpec(day) for day in (2, 3, 4, 5)]
@@ -322,11 +322,11 @@ class TestRiskModel:
         other["default_score"] += 1
         message = r"does not match the trained model's FeatureSpec\(.*\) in score_table$"
         for table in (ScoreTable.from_json_obj(other), one_bin_heart_rate_table()):
-            tables = filter_cohort(window_tables(small_cohort, 720, table))
+            tables = filter_cohort(window_tables(small_cohort, 12, table))
             with pytest.raises(ValueError, match=message):
                 score_patients(model, build_feature_matrix(tables, model.spec.variable_names))
         again = ScoreTable.from_json_obj(load_default_score_table().to_json_obj())
-        tables = filter_cohort(window_tables(small_cohort, 720, again))
+        tables = filter_cohort(window_tables(small_cohort, 12, again))
         same = score_patients(model, build_feature_matrix(tables, model.spec.variable_names))
         whole = score_patients(model, matrix)
         assert [same[day].eta.tobytes() for day in model] == [whole[day].eta.tobytes() for day in model]
@@ -336,7 +336,7 @@ class TestRiskModel:
         tables were folded with: no other table can be given to the fit."""
         _, _, model = trained
         table = one_bin_heart_rate_table()
-        tables = filter_cohort(window_tables(small_cohort, 720, table))
+        tables = filter_cohort(window_tables(small_cohort, 12, table))
         matrix = build_feature_matrix(tables, tables.variables)
         other = fit_risk_model(fit_feature_stage(matrix, 4, seed=[0]), [TargetSpec(2)])
         assert other.spec is matrix.spec and other.spec.score_table is table
@@ -350,7 +350,7 @@ class TestRiskModel:
         specs named, not scored with the wrong windows' fits."""
         _, _, model = trained
         table = load_default_score_table()
-        other = build_feature_matrix(window_tables(small_cohort, 60 * window_hours, table), model.spec.variable_names)
+        other = build_feature_matrix(window_tables(small_cohort, window_hours, table), model.spec.variable_names)
         with pytest.raises(ValueError, match=rf"window_hours={window_hours}\).*window_hours=12\)"):
             score_patients(model, other)
 
@@ -405,7 +405,7 @@ def test_training_does_not_depend_on_patient_order(seed):
     cohort = filter_cohort(window_tables(generate_synthetic_cohort(SynthConfig(
         n_patients=4000, n_variables=5, prevalence_target=0.15, missing_rate=0.1,
         sampling_rate_per_hour=1.0, seed=seed,
-    )), 720, table))
+    )), 12, table))
     matrix = build_feature_matrix(cohort, cohort.variables)
     perm = np.random.default_rng(seed).permutation(matrix.n_patients)
     runs = []

@@ -275,7 +275,7 @@ def imputed_4k():
         seed=11,
     )
     table = load_default_score_table()
-    cohort = filter_cohort(window_tables(generate_synthetic_cohort(config), 720, table))
+    cohort = filter_cohort(window_tables(generate_synthetic_cohort(config), 12, table))
     matrix = build_feature_matrix(cohort, cohort.variables)
     times, events = censor_by_target(cohort.event_hours, cohort.died, 48.0)
     return matrix, impute_median(matrix, compute_medians(matrix)), times, events
